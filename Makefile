@@ -31,7 +31,7 @@ CLUSTER_BENCHES = BenchmarkClusterDrain|BenchmarkClusterDrainLinear
 # CHAOS_SEEDS=5,6,7 make chaos.
 CHAOS_SEEDS ?= 1,2,3,4,5,6,7,8,9,10,11,12
 
-.PHONY: all build test race bench bench-all check chaos faults fuzz report examples metrics-demo clean
+.PHONY: all build test race bench bench-all bench-e2e check chaos faults fuzz report examples metrics-demo clean
 
 all: build test
 
@@ -52,7 +52,8 @@ check: faults chaos
 	$(GO) test -race -run NONE -bench '$(MPI_BENCHES)' -benchtime=1x .
 	$(GO) test -race -run NONE -bench '$(RMA_BENCHES)' -benchtime=1x .
 	$(GO) test -race -run NONE -bench '$(DDP_BENCHES)' -benchtime=1x .
-	$(GO) test -race -run 'TestHeapVsLinear|TestRunUntilSinglePop|FuzzWorkloadSpec' ./internal/cluster ./internal/workload
+	$(GO) test -race -run 'TestHeapVsLinear|TestRunUntilSinglePop|FuzzWorkloadSpec|TestScheduleOracle|TestGoldenDrain' ./internal/cluster ./internal/workload
+	$(GO) test -run 'TestAllocSchedulePass' ./internal/cluster ./internal/workload
 	$(GO) test -run 'TestHelpGolden' ./cmd/sbatch ./cmd/modulerun
 	$(GO) run ./cmd/sbatch -workload "poisson:600/h;runtime=exp:60s;tasks=fixed:8" -njobs 100000 -nodes 4
 
@@ -96,6 +97,12 @@ bench:
 
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
+
+# The repo's end-to-end benchmark (BENCHMARK.json): seven whole-activity
+# workloads, ten seconds each. Add `-trace` by hand for the per-layer
+# ledger; bench/README.md has the flags.
+bench-e2e:
+	$(GO) run ./bench -workload all
 
 # Short fuzz pass over every fuzz target (regression corpora always run
 # under plain `make test`).

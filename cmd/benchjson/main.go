@@ -94,14 +94,14 @@ func Parse(sc *bufio.Scanner) (*Doc, error) {
 }
 
 // parseLine splits one result line: a name (with the -GOMAXPROCS
-// suffix), an iteration count, then value/unit pairs.
+// suffix, which Go leaves off exactly when GOMAXPROCS is 1), an
+// iteration count, then value/unit pairs.
 func parseLine(line string) (Benchmark, bool, error) {
 	f := strings.Fields(line)
 	if len(f) < 2 {
 		return Benchmark{}, false, nil // a name with no results (e.g. subtest header)
 	}
-	var b Benchmark
-	b.Name = f[0]
+	b := Benchmark{Name: f[0], Procs: 1}
 	if i := strings.LastIndex(b.Name, "-"); i > 0 {
 		if p, err := strconv.Atoi(b.Name[i+1:]); err == nil {
 			b.Name, b.Procs = b.Name[:i], p

@@ -56,6 +56,19 @@ func TestParseDeterministic(t *testing.T) {
 	}
 }
 
+// TestParseProcsWithoutSuffix pins that a result line with no
+// -GOMAXPROCS suffix came from a single-proc run, not a zero-proc one.
+func TestParseProcsWithoutSuffix(t *testing.T) {
+	const line = "BenchmarkDrain/jobs=10k     	       5	 214748364 ns/op	    4096 B/op	      12 allocs/op\n"
+	doc, err := Parse(bufio.NewScanner(strings.NewReader(line)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := doc.Benchmarks[0]; b.Name != "BenchmarkDrain/jobs=10k" || b.Procs != 1 {
+		t.Fatalf("parsed as %+v, want the full name and procs 1", b)
+	}
+}
+
 func TestParseRejectsEmpty(t *testing.T) {
 	if _, err := Parse(bufio.NewScanner(strings.NewReader("PASS\n"))); err == nil {
 		t.Fatal("expected an error for input with no benchmarks")

@@ -1,0 +1,89 @@
+//go:build !race
+
+package cluster
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/perfmodel"
+)
+
+// TestAllocSchedulePass pins the allocation-free scheduling pass: a pass
+// that starts no job allocates nothing, however deep the queue it scans
+// and whether or not it has to compute the head's reservation. (The
+// race detector's instrumentation allocates, so these run without it. The
+// whole-drain budgets are internal/workload's TestAllocSchedulePassDrain.)
+func TestAllocSchedulePass(t *testing.T) {
+	cores := perfmodel.DefaultMachine().CoresPerNode
+	const depth = 64
+	submit := func(t *testing.T, c *Cluster, spec JobSpec, want JobState) {
+		t.Helper()
+		id, err := c.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j, _ := c.Status(id); j.State != want {
+			t.Fatalf("setup: job %q is %v, want %v", spec.Name, j.State, want)
+		}
+	}
+
+	// Submit into a full queue behind a blocked head. With no core free
+	// every scanned job is rejected outright; with one core free every
+	// scanned job fits but would outlast the head's reservation, so the
+	// pass also replays the releases.
+	for _, tc := range []struct {
+		name      string
+		freeCores int
+	}{
+		{"submit/saturated", 0},
+		{"submit/one core free", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCluster(t, 2)
+			c.SetBackfillLimit(depth)
+			submit(t, c, JobSpec{Name: "full", Tasks: cores, BaseTime: time.Hour, TimeLimit: time.Hour}, Running)
+			submit(t, c, JobSpec{Name: "rest", Tasks: cores - tc.freeCores, BaseTime: time.Hour, TimeLimit: time.Hour}, Running)
+			submit(t, c, JobSpec{Name: "head", Tasks: 2, BaseTime: time.Hour, TimeLimit: time.Hour}, Pending)
+			held := JobSpec{Name: "held", Tasks: 1, BaseTime: 2 * time.Hour, TimeLimit: 2 * time.Hour}
+			for i := 1; i < depth; i++ {
+				submit(t, c, held, Pending)
+			}
+			// The Job record, plus the job table's and the queue's
+			// amortised growth.
+			if avg := testing.AllocsPerRun(100, func() { c.Submit(held) }); avg > 2 {
+				t.Fatalf("Submit into a %d-deep queue allocates %.0f times, want <= 2", depth, avg)
+			}
+			if len(c.running) != 2 || len(c.order) != depth+101 {
+				t.Fatalf("%d running, %d pending: the measured submits started something", len(c.running), len(c.order))
+			}
+		})
+	}
+
+	// A Step that finishes one job and starts none: one-task jobs end a
+	// minute apart while a queue of full-width jobs waits for all of them,
+	// and a one-task job that fits the freed cores is held because it
+	// would outlast the reservation.
+	t.Run("step", func(t *testing.T) {
+		c := newTestCluster(t, 2)
+		c.SetBackfillLimit(depth)
+		c.SetRetainFinished(false)
+		for i := 1; i <= 2*cores; i++ {
+			d := time.Duration(i) * time.Minute
+			submit(t, c, JobSpec{Name: "short", Tasks: 1, BaseTime: d, TimeLimit: 2 * d}, Running)
+		}
+		submit(t, c, JobSpec{Name: "head", Tasks: 2 * cores, BaseTime: time.Hour, TimeLimit: time.Hour}, Pending)
+		submit(t, c, JobSpec{Name: "held", Tasks: 1, BaseTime: 10 * time.Hour, TimeLimit: 10 * time.Hour}, Pending)
+		for i := 2; i < depth; i++ {
+			submit(t, c, JobSpec{Name: "wide", Tasks: 2 * cores, BaseTime: time.Hour, TimeLimit: time.Hour}, Pending)
+		}
+		const runs = 50
+		if avg := testing.AllocsPerRun(runs, func() { c.Step() }); avg != 0 {
+			t.Fatalf("a Step that starts nothing allocates %.0f times, want 0", avg)
+		}
+		if st := c.Stats(); st.Completed != runs+1 || len(c.order) != depth {
+			t.Fatalf("%d completed, %d pending: want %d steps that each finished one job and started none",
+				st.Completed, len(c.order), runs+1)
+		}
+	})
+}

@@ -24,9 +24,10 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/perfmodel"
@@ -155,6 +156,8 @@ type Job struct {
 	dedicatedSec float64
 	// eligibleAt delays a requeued job's next start (backoff).
 	eligibleAt time.Duration
+	// runIdx is the job's slot in Cluster.running while it runs.
+	runIdx int
 }
 
 // node tracks allocation state.
@@ -166,16 +169,49 @@ type node struct {
 	jobs      []int // running job ids
 }
 
+// avail is the part of a node's state that placement depends on.
+func (n *node) avail() nodeAvail {
+	return nodeAvail{free: n.freeCores, occupied: len(n.jobs), excl: n.exclusive || n.down}
+}
+
+// nodeAvail is what a node has to give: its live state (node.avail), or
+// its state partway through earliestStart's replay of the releases. Down
+// nodes release nothing and accept nothing, so they count as held
+// exclusively.
+type nodeAvail struct {
+	free     int
+	occupied int
+	excl     bool
+}
+
+// offer is how many of j's tasks the node can take, given the job's
+// per-node cap.
+func (n nodeAvail) offer(j *Job, perNode int) int {
+	if n.excl || (j.Spec.Exclusive && n.occupied > 0) {
+		return 0
+	}
+	return min(n.free, perNode)
+}
+
+// release is one running job's share of one node coming free at the
+// job's predicted end.
+type release struct {
+	at    time.Duration
+	node  int
+	cores int
+}
+
 // Cluster is the simulated system.
 type Cluster struct {
 	machine perfmodel.Machine
 	nodes   []*node
 	jobs    map[int]*Job
-	// running indexes the currently-running jobs so rate recomputation
-	// and backfill reservations never scan the full (possibly evicted)
-	// job table.
-	running map[int]*Job
-	order   []int // submission order of pending job ids
+	// running holds the currently-running jobs, each at its runIdx, so
+	// rate recomputation and backfill reservations never scan the full
+	// (possibly evicted) job table. A finishing job's slot is refilled
+	// from the end: the order depends on the event history alone.
+	running []*Job
+	order   []*Job // pending jobs in submission order
 	nextID  int
 	now     time.Duration
 
@@ -195,9 +231,16 @@ type Cluster struct {
 	// demand is the per-node bandwidth-demand scratch buffer reused by
 	// recomputeRates.
 	demand []float64
-	// rateScratch holds the sorted running-job ids recomputeRates
-	// iterates (map order must not leak into float summation order).
-	rateScratch []int
+	// rateScratch holds the running jobs sorted by id, the order
+	// recomputeRates sums floats in.
+	rateScratch []*Job
+
+	// Scratch of the scheduling pass, so that a pass which starts no job
+	// allocates nothing: place's candidate nodes, and earliestStart's
+	// release list and per-node replay state.
+	cand   []*node
+	rel    []release
+	replay []nodeAvail
 
 	policy Policy
 	// backfillLimit caps how many pending jobs past the head one
@@ -228,10 +271,11 @@ func New(n int, m perfmodel.Machine) (*Cluster, error) {
 	c := &Cluster{
 		machine:        m,
 		jobs:           make(map[int]*Job),
-		running:        make(map[int]*Job),
 		nextID:         1,
 		retainFinished: true,
 		demand:         make([]float64, n),
+		cand:           make([]*node, 0, n),
+		replay:         make([]nodeAvail, n),
 	}
 	for i := 0; i < n; i++ {
 		c.nodes = append(c.nodes, &node{id: i, freeCores: m.CoresPerNode})
@@ -267,31 +311,40 @@ func (c *Cluster) LiveJobs() int { return len(c.jobs) }
 // Submit queues a job and immediately tries to schedule, returning the
 // job id (like `sbatch` printing "Submitted batch job N").
 func (c *Cluster) Submit(spec JobSpec) (int, error) {
+	j, err := c.enqueue(spec)
+	if err != nil {
+		return 0, err
+	}
+	c.schedule()
+	return j.ID, nil
+}
+
+// enqueue validates spec and appends the new job to the pending queue.
+func (c *Cluster) enqueue(spec JobSpec) (*Job, error) {
 	if spec.Tasks <= 0 {
-		return 0, fmt.Errorf("cluster: job %q requests %d tasks", spec.Name, spec.Tasks)
+		return nil, fmt.Errorf("cluster: job %q requests %d tasks", spec.Name, spec.Tasks)
 	}
 	perNode := spec.TasksPerNode
 	if perNode == 0 {
 		perNode = c.machine.CoresPerNode
 	}
 	if perNode > c.machine.CoresPerNode {
-		return 0, fmt.Errorf("cluster: %d tasks per node exceeds %d cores", perNode, c.machine.CoresPerNode)
+		return nil, fmt.Errorf("cluster: %d tasks per node exceeds %d cores", perNode, c.machine.CoresPerNode)
 	}
 	needNodes := (spec.Tasks + perNode - 1) / perNode
 	if needNodes > len(c.nodes) {
-		return 0, fmt.Errorf("cluster: job needs %d nodes, cluster has %d", needNodes, len(c.nodes))
+		return nil, fmt.Errorf("cluster: job needs %d nodes, cluster has %d", needNodes, len(c.nodes))
 	}
 	if spec.Kernel == nil && spec.BaseTime <= 0 {
-		return 0, fmt.Errorf("cluster: job %q has neither kernel nor base time", spec.Name)
+		return nil, fmt.Errorf("cluster: job %q has neither kernel nor base time", spec.Name)
 	}
 	j := &Job{ID: c.nextID, Spec: spec, State: Pending, SubmitTime: c.now, remaining: 1}
 	c.nextID++
 	c.jobs[j.ID] = j
-	c.order = append(c.order, j.ID)
+	c.order = append(c.order, j)
 	c.agg.submitted++
 	c.agg.offeredCoreSec += float64(spec.Tasks) * spec.BaseTime.Seconds()
-	c.schedule()
-	return j.ID, nil
+	return j, nil
 }
 
 // Cancel removes a pending job or kills a running one (`scancel`).
@@ -305,7 +358,7 @@ func (c *Cluster) Cancel(id int) error {
 		j.State = Cancelled
 		j.EndTime = c.now
 		j.gen++ // invalidate a pending requeue-backoff event
-		c.dropPending(id)
+		c.dropPendingIdx(slices.Index(c.order, j))
 		c.accountTerminal(j)
 		c.evict(j)
 	case Running:
@@ -328,20 +381,12 @@ func (c *Cluster) Status(id int) (Job, error) {
 	return *j, nil
 }
 
-// dropPending removes id from the pending order.
-func (c *Cluster) dropPending(id int) {
-	for i, v := range c.order {
-		if v == id {
-			c.dropPendingIdx(i)
-			return
-		}
-	}
-}
-
 // dropPendingIdx removes the i-th pending entry (the scheduler already
 // knows the index; re-scanning a saturated queue per start is wasted).
+// slices.Delete zeroes the vacated tail slot, so the queue's spare
+// capacity never pins an evicted job.
 func (c *Cluster) dropPendingIdx(i int) {
-	c.order = append(c.order[:i], c.order[i+1:]...)
+	c.order = slices.Delete(c.order, i, i+1)
 }
 
 // evict drops a terminal job from the table when retention is off.
@@ -355,58 +400,59 @@ func (c *Cluster) evict(j *Job) {
 	}
 }
 
-// tryPlace finds an allocation for the job under current state, or nil.
-// Placement packs tasks onto the emptiest-first nodes (to leave room) for
-// shared jobs and onto fully idle nodes for exclusive jobs.
-func (c *Cluster) tryPlace(j *Job) ([]int, []int) {
-	perNode := j.Spec.TasksPerNode
-	if perNode == 0 {
-		perNode = c.machine.CoresPerNode
+// perNodeCap is the most of j's tasks one node may take.
+func (c *Cluster) perNodeCap(j *Job) int {
+	if j.Spec.TasksPerNode == 0 {
+		return c.machine.CoresPerNode
 	}
-	var candidates []*node
+	return j.Spec.TasksPerNode
+}
+
+// canPlace reports whether the job fits under current state. Placement
+// takes what each usable node offers until the job is covered, so whether
+// it fits is a sum: no candidate order, nothing built.
+func (c *Cluster) canPlace(j *Job) bool {
+	perNode := c.perNodeCap(j)
+	left := j.Spec.Tasks
 	for _, n := range c.nodes {
-		if n.exclusive || n.down {
-			continue
+		if left -= n.avail().offer(j, perNode); left <= 0 {
+			return true
 		}
-		if j.Spec.Exclusive {
-			if len(n.jobs) == 0 {
-				candidates = append(candidates, n)
-			}
-			continue
-		}
-		if n.freeCores > 0 {
-			candidates = append(candidates, n)
+	}
+	return false
+}
+
+// place computes the allocation of a job that canPlace accepted under
+// this same state: tasks pack onto the emptiest nodes first (to leave
+// room) for shared jobs and onto fully idle nodes for exclusive jobs. The
+// node ids and the per-node task counts share one exact-size backing
+// array, the only allocation a scheduling pass makes.
+func (c *Cluster) place(j *Job) (nodes, tasks []int) {
+	perNode := c.perNodeCap(j)
+	c.cand = c.cand[:0]
+	for _, n := range c.nodes {
+		if n.avail().offer(j, perNode) > 0 {
+			c.cand = append(c.cand, n)
 		}
 	}
 	// Most-free-cores first gives balanced placements.
-	sort.Slice(candidates, func(a, b int) bool {
-		if candidates[a].freeCores != candidates[b].freeCores {
-			return candidates[a].freeCores > candidates[b].freeCores
+	slices.SortFunc(c.cand, func(a, b *node) int {
+		if a.freeCores != b.freeCores {
+			return b.freeCores - a.freeCores
 		}
-		return candidates[a].id < candidates[b].id
+		return a.id - b.id
 	})
-	var nodes, tasks []int
-	left := j.Spec.Tasks
-	for _, n := range candidates {
-		if left == 0 {
-			break
-		}
-		fit := n.freeCores
-		if fit > perNode {
-			fit = perNode
-		}
-		if fit <= 0 {
-			continue
-		}
-		if fit > left {
-			fit = left
-		}
-		nodes = append(nodes, n.id)
-		tasks = append(tasks, fit)
-		left -= fit
+	k := 0
+	for left := j.Spec.Tasks; left > 0; k++ {
+		left -= c.cand[k].avail().offer(j, perNode)
 	}
-	if left > 0 {
-		return nil, nil
+	buf := make([]int, 2*k)
+	nodes, tasks = buf[:k:k], buf[k:]
+	left := j.Spec.Tasks
+	for i, n := range c.cand[:k] {
+		fit := min(n.avail().offer(j, perNode), left)
+		nodes[i], tasks[i] = n.id, fit
+		left -= fit
 	}
 	return nodes, tasks
 }
@@ -414,73 +460,65 @@ func (c *Cluster) tryPlace(j *Job) ([]int, []int) {
 // schedule starts jobs according to the active policy. PolicyBackfill is
 // FIFO with EASY backfill: the head pending job gets a reservation at its
 // earliest possible start; later jobs may start now only if their
-// walltime estimate finishes before that reservation (or they don't need
-// the reserved capacity). PolicyFIFO stops at the first eligible job that
-// cannot be placed.
+// walltime estimate finishes before that reservation. PolicyFIFO stops at
+// the first eligible job that cannot be placed.
 func (c *Cluster) schedule() {
 	if c.policy == PolicyFIFO {
 		c.scheduleFIFO()
 		return
 	}
-	for {
-		started := false
-		// The head's earliest start is invariant within one pass (a
-		// start restarts the pass), so compute it at most once.
-		headStartDone := false
-		var headCanStart bool
-		var headStart time.Duration
-		scanned := 0
-		for idx := 0; idx < len(c.order); idx++ {
-			id := c.order[idx]
-			j := c.jobs[id]
-			if j.eligibleAt > c.now {
-				// Requeued job still in backoff: not startable, and it
-				// holds no reservation either.
-				continue
-			}
-			if idx > 0 {
-				scanned++
-				if c.backfillLimit > 0 && scanned > c.backfillLimit {
-					break
-				}
-			}
-			nodes, tasks := c.tryPlace(j)
-			if nodes == nil {
-				continue
-			}
-			fits := idx == 0
-			if !fits {
-				if !headStartDone {
-					headStartDone = true
-					head := c.jobs[c.order[0]]
-					if hn, _ := c.tryPlace(head); hn != nil {
-						headCanStart = true
-					} else {
-						headStart = c.earliestStart(head)
-					}
-				}
-				// The candidate must either not threaten the head's
-				// reservation (head can start anyway) or provably
-				// finish before it.
-				if headCanStart {
-					fits = true
-				} else if j.Spec.TimeLimit == 0 {
-					fits = false // no estimate: never backfill
-				} else {
-					fits = c.now+j.Spec.TimeLimit <= headStart
-				}
-			}
-			if fits {
-				c.start(j, nodes, tasks)
-				c.dropPendingIdx(idx)
-				started = true
-				break
-			}
-		}
-		if !started {
-			return
-		}
+	for c.backfillPass() {
 	}
+}
+
+// backfillPass starts at most one job and reports whether it did; a start
+// changes what fits, so the caller runs passes until one starts nothing.
+func (c *Cluster) backfillPass() bool {
+	// The head is the first eligible pending job: it holds the
+	// reservation. A requeued job still in backoff is not startable and
+	// holds no reservation either, wherever it sits in the queue.
+	var head *Job
+	// The head's earliest start is invariant within one pass, so compute
+	// it at most once.
+	headStartDone := false
+	var headStart time.Duration
+	scanned := 0
+	for idx, j := range c.order {
+		if j.eligibleAt > c.now {
+			continue
+		}
+		if head == nil {
+			head = j
+		} else {
+			scanned++
+			if c.backfillLimit > 0 && scanned > c.backfillLimit {
+				return false
+			}
+		}
+		if !c.canPlace(j) {
+			continue
+		}
+		if j != head {
+			// The head was examined first under this same state and did
+			// not fit, so the candidate must provably finish before the
+			// head's reservation.
+			if j.Spec.TimeLimit == 0 {
+				continue // no estimate: never backfill
+			}
+			if !headStartDone {
+				headStartDone = true
+				headStart = c.earliestStart(head)
+			}
+			if c.now+j.Spec.TimeLimit > headStart {
+				continue
+			}
+		}
+		nodes, tasks := c.place(j)
+		c.start(j, nodes, tasks)
+		c.dropPendingIdx(idx)
+		return true
+	}
+	return false
 }
 
 // scheduleFIFO starts eligible jobs strictly in submission order; the
@@ -489,8 +527,8 @@ func (c *Cluster) schedule() {
 func (c *Cluster) scheduleFIFO() {
 	for {
 		idx := -1
-		for i, id := range c.order {
-			if c.jobs[id].eligibleAt <= c.now {
+		for i, j := range c.order {
+			if j.eligibleAt <= c.now {
 				idx = i
 				break
 			}
@@ -498,11 +536,11 @@ func (c *Cluster) scheduleFIFO() {
 		if idx < 0 {
 			return
 		}
-		j := c.jobs[c.order[idx]]
-		nodes, tasks := c.tryPlace(j)
-		if nodes == nil {
+		j := c.order[idx]
+		if !c.canPlace(j) {
 			return
 		}
+		nodes, tasks := c.place(j)
 		c.start(j, nodes, tasks)
 		c.dropPendingIdx(idx)
 	}
@@ -510,76 +548,53 @@ func (c *Cluster) scheduleFIFO() {
 
 // earliestStart estimates when the head job could start, assuming running
 // jobs end at their current predicted completion (walltime-limit capped)
-// and no further arrivals.
+// and no further arrivals. The estimate is float-derived from c.now, so it
+// must not be carried from one virtual time to another: a cached value
+// would sit an ulp away from the completion events on the heap.
 func (c *Cluster) earliestStart(head *Job) time.Duration {
-	type release struct {
-		at    time.Duration
-		node  int
-		cores int
-	}
-	var rel []release
+	c.rel = c.rel[:0]
 	for _, j := range c.running {
 		eta := c.now + c.predictRemaining(j)
 		for i, nid := range j.Nodes {
-			rel = append(rel, release{at: eta, node: nid, cores: j.tasksOn[i]})
+			c.rel = append(c.rel, release{at: eta, node: nid, cores: j.tasksOn[i]})
 		}
 	}
-	// Deterministic replay order: ties on time release lower node ids
-	// first (map iteration order must not leak into the schedule).
-	sort.Slice(rel, func(a, b int) bool {
-		if rel[a].at != rel[b].at {
-			return rel[a].at < rel[b].at
+	// Replay order: by time, ties releasing lower node ids first. Two
+	// releases of one node at one instant may come in either order; the
+	// answer is that instant both ways.
+	slices.SortFunc(c.rel, func(a, b release) int {
+		if d := cmp.Compare(a.at, b.at); d != 0 {
+			return d
 		}
-		return rel[a].node < rel[b].node
+		return a.node - b.node
 	})
-	// Replay releases until the head fits.
-	free := make([]int, len(c.nodes))
-	excl := make([]bool, len(c.nodes))
-	occupied := make([]int, len(c.nodes))
+	// Replay releases until the head fits; short counts the tasks the
+	// nodes cannot take yet.
+	perNode := c.perNodeCap(head)
+	short := head.Spec.Tasks
 	for i, n := range c.nodes {
-		free[i] = n.freeCores
-		// Down nodes release nothing and accept nothing: model them as
-		// permanently exclusive for the replay.
-		excl[i] = n.exclusive || n.down
-		occupied[i] = len(n.jobs)
+		c.replay[i] = n.avail()
+		short -= c.replay[i].offer(head, perNode)
 	}
-	fits := func() bool {
-		perNode := head.Spec.TasksPerNode
-		if perNode == 0 {
-			perNode = c.machine.CoresPerNode
-		}
-		left := head.Spec.Tasks
-		for i := range free {
-			if excl[i] {
-				continue
-			}
-			if head.Spec.Exclusive && occupied[i] > 0 {
-				continue
-			}
-			fit := free[i]
-			if fit > perNode {
-				fit = perNode
-			}
-			left -= fit
-		}
-		return left <= 0
-	}
-	if fits() {
+	if short <= 0 {
 		return c.now
 	}
-	for _, r := range rel {
-		free[r.node] += r.cores
-		if occupied[r.node] > 0 {
-			occupied[r.node]--
+	for _, r := range c.rel {
+		n := &c.replay[r.node]
+		short += n.offer(head, perNode)
+		n.free += r.cores
+		if n.occupied > 0 {
+			n.occupied--
 		}
-		if occupied[r.node] == 0 {
-			excl[r.node] = false
+		if n.occupied == 0 {
+			n.excl = false
 		}
-		if fits() {
+		short -= n.offer(head, perNode)
+		if short <= 0 {
 			return r.at
 		}
 	}
-	return time.Duration(math.MaxInt64) // never under current load
+	return maxDuration // never under current load
 }
 
 // predictRemaining estimates a running job's remaining time at current
@@ -589,7 +604,7 @@ func (c *Cluster) earliestStart(head *Job) time.Duration {
 // those floats by an ulp and detach the estimate from the event.
 func (c *Cluster) predictRemaining(j *Job) time.Duration {
 	if j.rate <= 0 {
-		return time.Duration(math.MaxInt64)
+		return maxDuration
 	}
 	rem := j.remaining
 	if j.State == Running && c.now > j.settledAt {
@@ -627,7 +642,8 @@ func (c *Cluster) start(j *Job, nodes, tasks []int) {
 			n.freeCores = 0
 		}
 	}
-	c.running[j.ID] = j
+	j.runIdx = len(c.running)
+	c.running = append(c.running, j)
 	j.dedicatedSec = c.dedicatedSeconds(j)
 	if j.Spec.Kernel != nil {
 		c.kernelRunning++
@@ -683,7 +699,11 @@ func (c *Cluster) finish(j *Job, state JobState) {
 		}
 	}
 	j.Nodes, j.tasksOn = nil, nil
-	delete(c.running, j.ID)
+	last := len(c.running) - 1
+	moved := c.running[last]
+	c.running[j.runIdx], moved.runIdx = moved, j.runIdx
+	c.running[last] = nil
+	c.running = c.running[:last]
 	c.accountTerminal(j)
 	if j.Spec.Kernel != nil {
 		c.kernelRunning--
@@ -707,13 +727,9 @@ func (c *Cluster) recomputeRates() {
 	for i := range c.demand {
 		c.demand[i] = 0
 	}
-	c.rateScratch = c.rateScratch[:0]
-	for id := range c.running {
-		c.rateScratch = append(c.rateScratch, id)
-	}
-	sort.Ints(c.rateScratch)
-	for _, id := range c.rateScratch {
-		j := c.running[id]
+	c.rateScratch = append(c.rateScratch[:0], c.running...)
+	slices.SortFunc(c.rateScratch, func(a, b *Job) int { return a.ID - b.ID })
+	for _, j := range c.rateScratch {
 		if j.Spec.Kernel == nil {
 			continue
 		}
@@ -722,8 +738,7 @@ func (c *Cluster) recomputeRates() {
 			c.demand[nid] += c.machine.BandwidthDemand(jb)
 		}
 	}
-	for _, id := range c.rateScratch {
-		j := c.running[id]
+	for _, j := range c.rateScratch {
 		rate := j.rate
 		switch {
 		case j.dedicatedSec <= 0:

@@ -135,7 +135,7 @@ func (c *Cluster) maybeRequeue(j *Job) {
 	j.State = Pending
 	j.remaining = 1
 	j.eligibleAt = c.now + requeueBackoff(j.Restarts)
-	c.order = append(c.order, j.ID)
+	c.order = append(c.order, j)
 	c.agg.requeues++
 	c.agg.nodeFailed-- // finish(NodeFail) counted it; the job is back in the queue
 	c.pushEvent(simEvent{at: j.eligibleAt, class: evRequeue, job: j.ID, gen: j.gen})

@@ -233,3 +233,64 @@ func TestBackoffGrowth(t *testing.T) {
 		t.Fatalf("backoff uncapped: %v", requeueBackoff(20))
 	}
 }
+
+// TestBackoffHeadHoldsNoReservation pins that a requeued job still in
+// backoff at the front of the queue is passed over entirely: the first
+// eligible job behind it is the head (it starts without needing a
+// walltime estimate), and the backfill scan cap counts from there.
+func TestBackoffHeadHoldsNoReservation(t *testing.T) {
+	cores := perfmodel.DefaultMachine().CoresPerNode
+	// requeuedWide leaves a two-node job in backoff at order[0], with
+	// node 0 down so it could not be placed anyway.
+	requeuedWide := func(c *Cluster) {
+		t.Helper()
+		id, err := c.Submit(JobSpec{Name: "wide", Tasks: 2 * cores, BaseTime: 10 * time.Minute, Requeue: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.FailNode(0); err != nil {
+			t.Fatal(err)
+		}
+		if j, _ := c.Status(id); j.State != Pending || j.eligibleAt <= c.Now() {
+			t.Fatalf("setup: wide job %+v, want pending in backoff", j)
+		}
+	}
+	running := func(c *Cluster, spec JobSpec) bool {
+		t.Helper()
+		id, err := c.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		j, _ := c.Status(id)
+		return j.State == Running
+	}
+
+	t.Run("reservation", func(t *testing.T) {
+		c := newFaultCluster(t, 2)
+		requeuedWide(c)
+		// No time limit: this job can never backfill, only start as head.
+		if !running(c, JobSpec{Name: "small", Tasks: 1, BaseTime: time.Minute}) {
+			t.Fatal("first eligible job held behind a reservation for the job in backoff")
+		}
+	})
+
+	t.Run("scan cap", func(t *testing.T) {
+		c := newFaultCluster(t, 2)
+		c.SetBackfillLimit(1)
+		requeuedWide(c)
+		if !running(c, JobSpec{Name: "filler", Tasks: cores - 1, BaseTime: time.Minute, TimeLimit: time.Minute}) {
+			t.Fatal("setup: filler did not start")
+		}
+		if running(c, JobSpec{Name: "head", Tasks: 2, BaseTime: time.Minute, TimeLimit: time.Minute}) {
+			t.Fatal("setup: head started on one free core")
+		}
+		// One job past the head is within a scan cap of 1, and it ends
+		// before the filler frees the head's cores.
+		if !running(c, JobSpec{Name: "tiny", Tasks: 1, BaseTime: 10 * time.Second, TimeLimit: 10 * time.Second}) {
+			t.Fatal("the job in backoff was counted against the backfill scan cap")
+		}
+	})
+}

@@ -59,20 +59,16 @@ func (o *oracle) sortNodeEvs() {
 // victim, and whether it is a timeout.
 func (o *oracle) nextJobEventLinear() (time.Duration, *Job, bool) {
 	c := o.c
-	ids := make([]int, 0, len(c.running))
-	for id := range c.running {
-		ids = append(ids, id)
-	}
-	for i := 1; i < len(ids); i++ { // insertion sort: tiny running sets
-		for k := i; k > 0 && ids[k] < ids[k-1]; k-- {
-			ids[k], ids[k-1] = ids[k-1], ids[k]
+	byID := append([]*Job(nil), c.running...)
+	for i := 1; i < len(byID); i++ { // insertion sort: tiny running sets
+		for k := i; k > 0 && byID[k].ID < byID[k-1].ID; k-- {
+			byID[k], byID[k-1] = byID[k-1], byID[k]
 		}
 	}
 	nextAt := maxDuration
 	var victim *Job
 	var timeout bool
-	for _, id := range ids {
-		j := c.running[id]
+	for _, j := range byID {
 		if eta, ok := c.completionETA(j); ok {
 			if eta < nextAt {
 				nextAt, victim, timeout = eta, j, false
@@ -93,8 +89,7 @@ func (o *oracle) nextJobEventLinear() (time.Duration, *Job, bool) {
 func (o *oracle) nextRequeueLinear() time.Duration {
 	c := o.c
 	at := maxDuration
-	for _, id := range c.order {
-		j := c.jobs[id]
+	for _, j := range c.order {
 		if j.eligibleAt > c.now && j.eligibleAt < at {
 			at = j.eligibleAt
 		}

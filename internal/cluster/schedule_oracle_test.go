@@ -1,0 +1,457 @@
+package cluster
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+	"time"
+
+	"repro/internal/perfmodel"
+)
+
+// This file keeps the allocating scheduling pass alive as a differential
+// oracle. refSchedule, refTryPlace and refEarliestStart are the pass as it
+// stood before it was made allocation-free (the candidate list, sort.Slice
+// and replay arrays built afresh on every call, the head re-checked with a
+// full tryPlace), carrying the one behavioural fix that landed with the
+// rewrite: the reservation holder and the scan cap start at the first
+// eligible pending job. Only the element types of c.order and c.running
+// differ from that text. ScheduleTwin drives two clusters through the same
+// operations, one scheduled by the production pass and one by the
+// reference, and requires identical schedules after every event.
+
+func refTryPlace(c *Cluster, j *Job) ([]int, []int) {
+	perNode := j.Spec.TasksPerNode
+	if perNode == 0 {
+		perNode = c.machine.CoresPerNode
+	}
+	var candidates []*node
+	for _, n := range c.nodes {
+		if n.exclusive || n.down {
+			continue
+		}
+		if j.Spec.Exclusive {
+			if len(n.jobs) == 0 {
+				candidates = append(candidates, n)
+			}
+			continue
+		}
+		if n.freeCores > 0 {
+			candidates = append(candidates, n)
+		}
+	}
+	sort.Slice(candidates, func(a, b int) bool {
+		if candidates[a].freeCores != candidates[b].freeCores {
+			return candidates[a].freeCores > candidates[b].freeCores
+		}
+		return candidates[a].id < candidates[b].id
+	})
+	var nodes, tasks []int
+	left := j.Spec.Tasks
+	for _, n := range candidates {
+		if left == 0 {
+			break
+		}
+		fit := n.freeCores
+		if fit > perNode {
+			fit = perNode
+		}
+		if fit <= 0 {
+			continue
+		}
+		if fit > left {
+			fit = left
+		}
+		nodes = append(nodes, n.id)
+		tasks = append(tasks, fit)
+		left -= fit
+	}
+	if left > 0 {
+		return nil, nil
+	}
+	return nodes, tasks
+}
+
+func refSchedule(c *Cluster) {
+	if c.policy == PolicyFIFO {
+		refScheduleFIFO(c)
+		return
+	}
+	for {
+		started := false
+		headStartDone := false
+		var headCanStart bool
+		var headStart time.Duration
+		var head *Job // the fix: the first eligible job, not order[0]
+		scanned := 0
+		for idx := 0; idx < len(c.order); idx++ {
+			j := c.order[idx]
+			if j.eligibleAt > c.now {
+				continue
+			}
+			if head == nil {
+				head = j
+			} else {
+				scanned++
+				if c.backfillLimit > 0 && scanned > c.backfillLimit {
+					break
+				}
+			}
+			nodes, tasks := refTryPlace(c, j)
+			if nodes == nil {
+				continue
+			}
+			fits := j == head
+			if !fits {
+				if !headStartDone {
+					headStartDone = true
+					if hn, _ := refTryPlace(c, head); hn != nil {
+						headCanStart = true
+					} else {
+						headStart = refEarliestStart(c, head)
+					}
+				}
+				if headCanStart {
+					fits = true
+				} else if j.Spec.TimeLimit == 0 {
+					fits = false
+				} else {
+					fits = c.now+j.Spec.TimeLimit <= headStart
+				}
+			}
+			if fits {
+				c.start(j, nodes, tasks)
+				c.dropPendingIdx(idx)
+				started = true
+				break
+			}
+		}
+		if !started {
+			return
+		}
+	}
+}
+
+func refScheduleFIFO(c *Cluster) {
+	for {
+		idx := -1
+		for i, j := range c.order {
+			if j.eligibleAt <= c.now {
+				idx = i
+				break
+			}
+		}
+		if idx < 0 {
+			return
+		}
+		j := c.order[idx]
+		nodes, tasks := refTryPlace(c, j)
+		if nodes == nil {
+			return
+		}
+		c.start(j, nodes, tasks)
+		c.dropPendingIdx(idx)
+	}
+}
+
+func refEarliestStart(c *Cluster, head *Job) time.Duration {
+	type release struct {
+		at    time.Duration
+		node  int
+		cores int
+	}
+	var rel []release
+	for _, j := range c.running {
+		eta := c.now + c.predictRemaining(j)
+		for i, nid := range j.Nodes {
+			rel = append(rel, release{at: eta, node: nid, cores: j.tasksOn[i]})
+		}
+	}
+	sort.Slice(rel, func(a, b int) bool {
+		if rel[a].at != rel[b].at {
+			return rel[a].at < rel[b].at
+		}
+		return rel[a].node < rel[b].node
+	})
+	free := make([]int, len(c.nodes))
+	excl := make([]bool, len(c.nodes))
+	occupied := make([]int, len(c.nodes))
+	for i, n := range c.nodes {
+		free[i] = n.freeCores
+		excl[i] = n.exclusive || n.down
+		occupied[i] = len(n.jobs)
+	}
+	fits := func() bool {
+		perNode := head.Spec.TasksPerNode
+		if perNode == 0 {
+			perNode = c.machine.CoresPerNode
+		}
+		left := head.Spec.Tasks
+		for i := range free {
+			if excl[i] {
+				continue
+			}
+			if head.Spec.Exclusive && occupied[i] > 0 {
+				continue
+			}
+			fit := free[i]
+			if fit > perNode {
+				fit = perNode
+			}
+			left -= fit
+		}
+		return left <= 0
+	}
+	if fits() {
+		return c.now
+	}
+	for _, r := range rel {
+		free[r.node] += r.cores
+		if occupied[r.node] > 0 {
+			occupied[r.node]--
+		}
+		if occupied[r.node] == 0 {
+			excl[r.node] = false
+		}
+		if fits() {
+			return r.at
+		}
+	}
+	return time.Duration(math.MaxInt64)
+}
+
+// ScheduleTwin is a pair of clusters fed the same operations. It is
+// exported to the package's external tests, which can import
+// internal/workload (this package's own tests cannot: workload imports
+// cluster).
+type ScheduleTwin struct {
+	t        testing.TB
+	label    string
+	got, ref *Cluster
+	events   int
+}
+
+// NewScheduleTwin builds the pair with one policy and backfill scan cap.
+func NewScheduleTwin(t testing.TB, label string, nodes int, policy Policy, backfillLimit int) *ScheduleTwin {
+	t.Helper()
+	w := &ScheduleTwin{t: t, label: label}
+	for _, cp := range []**Cluster{&w.got, &w.ref} {
+		c, err := New(nodes, perfmodel.DefaultMachine())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetPolicy(policy)
+		c.SetBackfillLimit(backfillLimit)
+		*cp = c
+	}
+	return w
+}
+
+// Submit submits spec to both clusters.
+func (w *ScheduleTwin) Submit(spec JobSpec) {
+	w.t.Helper()
+	_, errGot := w.got.Submit(spec)
+	_, errRef := w.ref.enqueue(spec)
+	refSchedule(w.ref)
+	if (errGot == nil) != (errRef == nil) {
+		w.t.Fatalf("%s: submit %+v: production err %v, reference err %v", w.label, spec, errGot, errRef)
+	}
+	w.compare("submit")
+}
+
+// ScheduleNodeFail schedules a node failure and its repair on both clusters.
+func (w *ScheduleTwin) ScheduleNodeFail(id int, failAt, repairAt time.Duration) {
+	w.t.Helper()
+	for _, c := range []*Cluster{w.got, w.ref} {
+		if err := c.ScheduleNodeFail(id, failAt); err != nil {
+			w.t.Fatal(err)
+		}
+		if err := c.ScheduleNodeRepair(id, repairAt); err != nil {
+			w.t.Fatal(err)
+		}
+	}
+}
+
+// Step dispatches the next event on both clusters. The reference cluster
+// steps with its pending queue hidden, so the production pass that an
+// event ends in finds nothing to start; the queue then comes back (with
+// whatever the event requeued, in backoff, behind it) and the reference
+// pass runs in its place. Failing a down node or repairing a healthy one
+// ends in no pass at all.
+func (w *ScheduleTwin) Step() bool {
+	w.t.Helper()
+	okGot := w.got.Step()
+	ev, _ := w.ref.peekValid()
+	noPass := ev.class == evNode && w.ref.nodes[ev.node].down == ev.fail
+	hidden := w.ref.order
+	w.ref.order = nil
+	okRef := w.ref.Step()
+	w.ref.order = append(hidden, w.ref.order...)
+	if okRef && !noPass {
+		refSchedule(w.ref)
+	}
+	if okGot != okRef {
+		w.t.Fatalf("%s: after %d events production Step = %v, reference Step = %v", w.label, w.events, okGot, okRef)
+	}
+	if okGot {
+		w.events++
+		w.compare("event")
+	}
+	return okGot
+}
+
+// RunUntil mirrors Cluster.RunUntil, one compared Step at a time.
+func (w *ScheduleTwin) RunUntil(t time.Duration) {
+	w.t.Helper()
+	for {
+		ev, ok := w.got.peekValid()
+		if !ok || ev.at > t || !w.Step() {
+			break
+		}
+	}
+	w.got.advanceTo(t)
+	w.ref.advanceTo(t)
+}
+
+// Drain steps both clusters until no event is left and returns how many
+// events the twin has dispatched in all.
+func (w *ScheduleTwin) Drain() int {
+	w.t.Helper()
+	for w.Step() {
+	}
+	return w.events
+}
+
+// compare requires the two clusters to agree on everything the schedule
+// determines: the clock, every job's fingerprint and allocation, the
+// pending order, the stats and the production side's invariants.
+func (w *ScheduleTwin) compare(after string) {
+	w.t.Helper()
+	fail := func(format string, args ...any) {
+		w.t.Helper()
+		w.t.Fatalf("%s: %s %d: %s", w.label, after, w.events, fmt.Sprintf(format, args...))
+	}
+	if w.got.now != w.ref.now {
+		fail("clock %v vs reference %v", w.got.now, w.ref.now)
+	}
+	if len(w.got.jobs) != len(w.ref.jobs) {
+		fail("%d jobs vs reference %d", len(w.got.jobs), len(w.ref.jobs))
+	}
+	for id, g := range w.got.jobs {
+		r := w.ref.jobs[id]
+		if r == nil {
+			fail("job %d unknown to the reference", id)
+		}
+		// The fields of jobFingerprint, compared without formatting them
+		// (this runs for every job after every event), and the allocation.
+		if g.State != r.State || g.SubmitTime != r.SubmitTime || g.StartTime != r.StartTime ||
+			g.EndTime != r.EndTime || g.NumNodes != r.NumNodes || g.Restarts != r.Restarts {
+			fail("job %d:\n  production %s\n  reference  %s", id, jobFingerprint(*g), jobFingerprint(*r))
+		}
+		if !slices.Equal(g.Nodes, r.Nodes) || !slices.Equal(g.tasksOn, r.tasksOn) {
+			fail("job %d allocation %v %v vs reference %v %v", id, g.Nodes, g.tasksOn, r.Nodes, r.tasksOn)
+		}
+	}
+	if len(w.got.order) != len(w.ref.order) {
+		fail("%d pending vs reference %d", len(w.got.order), len(w.ref.order))
+	}
+	for i := range w.got.order {
+		if g, r := w.got.order[i].ID, w.ref.order[i].ID; g != r {
+			fail("pending[%d] is job %d vs reference %d", i, g, r)
+		}
+	}
+	if gs, rs := w.got.Stats(), w.ref.Stats(); gs != rs {
+		fail("stats:\n  production %+v\n  reference  %+v", gs, rs)
+	}
+	if err := w.got.CheckInvariants(); err != nil {
+		fail("production invariants: %v", err)
+	}
+}
+
+// oracleSpecs is randomSpecs with contention kernels on a fifth of the
+// jobs and, when requeue is set, --requeue on half.
+func oracleSpecs(rng *rand.Rand, nodes, n int, requeue bool) []JobSpec {
+	stream := perfmodel.MemoryBoundKernel("stream", 5e11, 0.1)
+	dgemm := perfmodel.ComputeBoundKernel("dgemm", 3e12, 100)
+	specs := randomSpecs(rng, nodes, n)
+	for i := range specs {
+		switch rng.Intn(10) {
+		case 0:
+			specs[i].Kernel = &stream
+		case 1:
+			specs[i].Kernel = &dgemm
+		}
+		if requeue && rng.Intn(2) == 0 {
+			specs[i].Requeue = true
+			specs[i].MaxRequeues = 1 + rng.Intn(2)
+		}
+	}
+	return specs
+}
+
+// ScheduleMatrix runs body once per policy and backfill scan cap.
+func ScheduleMatrix(t *testing.T, body func(t *testing.T, policy Policy, limit int)) {
+	for _, policy := range []Policy{PolicyBackfill, PolicyFIFO} {
+		for _, limit := range []int{0, 1, 64} {
+			if policy == PolicyFIFO && limit != 0 {
+				continue // the cap only exists in the backfill scan
+			}
+			t.Run(fmt.Sprintf("%v/limit=%d", policy, limit), func(t *testing.T) {
+				body(t, policy, limit)
+			})
+		}
+	}
+}
+
+// TestScheduleOracleRandom covers exclusive jobs, per-node caps, time
+// limits and kernel jobs: a burst submitted up front so the queue is deep,
+// then arrivals interleaved with events.
+func TestScheduleOracleRandom(t *testing.T) {
+	ScheduleMatrix(t, func(t *testing.T, policy Policy, limit int) {
+		for seed := int64(1); seed <= 6; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			nodes := 1 + rng.Intn(5)
+			w := NewScheduleTwin(t, fmt.Sprintf("seed %d", seed), nodes, policy, limit)
+			specs := oracleSpecs(rng, nodes, 60, false)
+			for _, s := range specs[:30] {
+				w.Submit(s)
+			}
+			for _, s := range specs[30:] {
+				w.RunUntil(w.got.now + time.Duration(rng.Intn(20))*time.Second)
+				w.Submit(s)
+			}
+			if events := w.Drain(); events < len(specs) {
+				t.Fatalf("seed %d: only %d events for %d jobs", seed, events, len(specs))
+			}
+		}
+	})
+}
+
+// TestScheduleOracleFaults adds the fault plan: scheduled node failures
+// and repairs under a mix in which half the jobs requeue, so jobs in
+// backoff sit in the queue (at its front, too) while the pass runs.
+func TestScheduleOracleFaults(t *testing.T) {
+	ScheduleMatrix(t, func(t *testing.T, policy Policy, limit int) {
+		requeues := 0
+		for seed := int64(20); seed <= 25; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			nodes := 2 + rng.Intn(3)
+			w := NewScheduleTwin(t, fmt.Sprintf("seed %d", seed), nodes, policy, limit)
+			for k := 0; k < 4; k++ {
+				failAt := time.Duration(5+11*k+rng.Intn(30)) * time.Second
+				w.ScheduleNodeFail(rng.Intn(nodes), failAt, failAt+time.Duration(30+rng.Intn(60))*time.Second)
+			}
+			for _, s := range oracleSpecs(rng, nodes, 40, true) {
+				w.Submit(s)
+			}
+			w.Drain()
+			requeues += w.got.Stats().Requeues
+		}
+		if requeues == 0 {
+			t.Fatal("the fault plans requeued no job: backoff never entered the queue")
+		}
+	})
+}

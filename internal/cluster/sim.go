@@ -365,7 +365,7 @@ func (c *Cluster) CheckInvariants() error {
 		if j.State != Running {
 			continue
 		}
-		if c.running[j.ID] != j {
+		if j.runIdx >= len(c.running) || c.running[j.runIdx] != j {
 			return fmt.Errorf("cluster: running job %d missing from running index", j.ID)
 		}
 		if len(j.Nodes) != len(j.tasksOn) {

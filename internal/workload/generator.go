@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"repro/internal/cluster"
@@ -17,8 +18,8 @@ type Arrival struct {
 
 // Generator streams arrivals from a Spec. It is deterministic: the same
 // (spec, seed, multiplier) always produces the same infinite stream,
-// and it holds O(1) state — streaming a million jobs allocates nothing
-// beyond the JobSpecs handed out.
+// and it holds O(1) state. A JobSpec is handed out by value; the one
+// allocation per arrival is its Name string.
 type Generator struct {
 	spec *Spec
 	rng  *rand.Rand
@@ -67,8 +68,9 @@ func (g *Generator) Count() int { return g.n }
 func (g *Generator) Next() Arrival {
 	g.advance()
 	g.n++
+	var name [24]byte // "wl-" and up to 20 digits
 	spec := cluster.JobSpec{
-		Name:    fmt.Sprintf("wl-%d", g.n),
+		Name:    string(strconv.AppendInt(append(name[:0], "wl-"...), int64(g.n), 10)),
 		Tasks:   g.sampleTasks(),
 		Requeue: g.spec.Requeue,
 	}

@@ -51,3 +51,33 @@ func TestMillionJobDrain(t *testing.T) {
 	t.Logf("1M jobs in %v (%.0f events/sec, peak live %d)",
 		elapsed.Round(time.Millisecond), float64(res.Events)/elapsed.Seconds(), res.PeakLive)
 }
+
+// TestAllocSchedulePassDrain budgets the two bench drains' allocations
+// per job. What a job costs is its record, its name and its allocation
+// (node ids and task counts in one array); the scheduling pass itself
+// allocates nothing, so the knee's deep queue costs no more per job than
+// the stream's trivial one. The budgets leave room for the amortised
+// growth of the job table, the queue and the event heap.
+func TestAllocSchedulePassDrain(t *testing.T) {
+	if testing.Short() {
+		t.Skip("streams 240k jobs")
+	}
+	for _, tc := range []struct {
+		drain  drainCase
+		budget float64 // allocations per job
+	}{
+		{streamDrain, 5},
+		{kneeDrain, 11},
+	} {
+		allocs := testing.AllocsPerRun(1, func() {
+			if _, err := tc.drain.run(1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		perJob := allocs / float64(tc.drain.jobs)
+		t.Logf("%s drain: %.2f allocs/job", tc.drain.name, perJob)
+		if perJob > tc.budget {
+			t.Errorf("%s drain: %.2f allocs/job, budget %g", tc.drain.name, perJob, tc.budget)
+		}
+	}
+}

@@ -185,6 +185,80 @@ func TestMemoryBoundedStreaming(t *testing.T) {
 	}
 }
 
+// drainCase is one of the two drains bench/ measures (drain-knee and
+// drain-stream): its spec, rate multiplier, length and cluster size.
+type drainCase struct {
+	name  string
+	spec  string
+	mult  float64
+	jobs  int
+	nodes int
+}
+
+var (
+	kneeDrain   = drainCase{"knee", "poisson:1200/h;runtime=pareto:1.5,30s,30m;tasks=zipf:64,1.15;timelimit=4x", 0.13, 20_000, 2}
+	streamDrain = drainCase{"stream", "poisson:2500/h;runtime=exp:60s,30m;tasks=fixed:4", 1, 100_000, 8}
+)
+
+// run pumps the case through a fresh cluster set up the way bench/ and
+// the saturation sweep set theirs up.
+func (d drainCase) run(seed int64) (RunResult, error) {
+	c, err := cluster.New(d.nodes, perfmodel.DefaultMachine())
+	if err != nil {
+		return RunResult{}, err
+	}
+	c.SetBackfillLimit(DefaultBackfillLimit)
+	c.SetRetainFinished(false)
+	g := NewGenerator(MustParse(d.spec), seed)
+	g.SetRateMultiplier(d.mult)
+	return Run(c, g, d.jobs)
+}
+
+// TestGoldenDrain pins the two bench drains' results at seeds 1-3 to the
+// values the scheduler produced before its pass was made allocation-free
+// (commit c04676b): every scheduling decision feeds these sums, so a
+// change that moves any start by a nanosecond shows here.
+func TestGoldenDrain(t *testing.T) {
+	if testing.Short() {
+		t.Skip("streams 360k jobs")
+	}
+	knee := func(makespan, meanWait, maxWait, meanRun time.Duration, util float64, peak int) RunResult {
+		return RunResult{Stats: cluster.WorkloadStats{Jobs: 20000, Completed: 20000,
+			Makespan: makespan, MeanWait: meanWait, MaxWait: maxWait, P99Wait: 2097152 * time.Millisecond,
+			MeanRuntime: meanRun, Utilization: util}, PeakLive: peak, Events: 20000, Stale: 20000}
+	}
+	stream := func(makespan, meanWait, maxWait, meanRun time.Duration, util float64, peak int) RunResult {
+		return RunResult{Stats: cluster.WorkloadStats{Jobs: 100000, Completed: 100000,
+			Makespan: makespan, MeanWait: meanWait, MaxWait: maxWait,
+			MeanRuntime: meanRun, Utilization: util}, PeakLive: peak, Events: 100000}
+	}
+	for _, tc := range []struct {
+		drain drainCase
+		want  [3]RunResult // seeds 1, 2, 3
+	}{
+		{kneeDrain, [3]RunResult{
+			knee(461074188069233, 179004502928, 3314893273551, 81781347746, 0.5958203683847202, 73),
+			knee(461957048868034, 202648214712, 4117804981061, 81799706267, 0.6040125512664807, 79),
+			knee(464550917273736, 187327487322, 3977958458092, 82359514035, 0.603527761991063, 80),
+		}},
+		{streamDrain, [3]RunResult{
+			stream(144208172498905, 1159134, 9139205135, 60008269329, 0.6501914503364747, 70),
+			stream(144249804580280, 3193574, 8144882489, 59541899333, 0.6449521230186008, 73),
+			stream(144636340437788, 3709968, 8566271326, 60391236119, 0.6524038575030695, 72),
+		}},
+	} {
+		for i, want := range tc.want {
+			got, err := tc.drain.run(int64(i + 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s drain, seed %d:\n got %+v\nwant %+v", tc.drain.name, i+1, got, want)
+			}
+		}
+	}
+}
+
 // saturationBase is the shared config for the knee tests: heavy-tailed
 // runtimes and zipf widths on a small cluster, where backfill visibly
 // beats FIFO.
