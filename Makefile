@@ -44,7 +44,7 @@ check: faults chaos
 	$(GO) test -race ./...
 	$(GO) test -race -run 'TestAlloc' ./internal/mpi
 	$(GO) test -race -run 'TestRMA' ./internal/mpi
-	$(GO) test -race -run 'TestJoinRMA' ./internal/modules/hashjoin
+	$(GO) test -race ./internal/modules/hashjoin
 	$(GO) test -race -run 'TestIcollEventParity|TestFaultIallreduceKill|TestIcollDeadlockDetected|TestLinkLatency' ./internal/mpi
 	$(GO) test -race -run 'TestOverlapBitIdentical|TestZero1BitIdenticalWithDDP|TestAllocDDPBucketFlush' ./internal/modules/ddp
 	$(GO) test -run 'TestAlloc|TestEvent' ./internal/telemetry
@@ -53,7 +53,7 @@ check: faults chaos
 	$(GO) test -race -run NONE -bench '$(RMA_BENCHES)' -benchtime=1x .
 	$(GO) test -race -run NONE -bench '$(DDP_BENCHES)' -benchtime=1x .
 	$(GO) test -race -run 'TestHeapVsLinear|TestRunUntilSinglePop|FuzzWorkloadSpec|TestScheduleOracle|TestGoldenDrain' ./internal/cluster ./internal/workload
-	$(GO) test -run 'TestAllocSchedulePass' ./internal/cluster ./internal/workload
+	$(GO) test -run 'TestAllocSchedulePass|TestAllocJoin|TestAllocLocalKernels' ./internal/cluster ./internal/workload ./internal/modules/hashjoin
 	$(GO) test -run 'TestHelpGolden' ./cmd/sbatch ./cmd/modulerun
 	$(GO) run ./cmd/sbatch -workload "poisson:600/h;runtime=exp:60s;tasks=fixed:8" -njobs 100000 -nodes 4
 
@@ -116,6 +116,7 @@ fuzz:
 	$(GO) test ./internal/cluster -fuzz=FuzzClusterFaultOps -fuzztime=10s
 	$(GO) test ./internal/workload -fuzz=FuzzWorkloadSpec -fuzztime=10s
 	$(GO) test ./internal/modules/distsort -fuzz=FuzzEquiDepthBoundaries -fuzztime=10s
+	$(GO) test ./internal/modules/hashjoin -fuzz=FuzzFlatTable -fuzztime=10s
 
 # Regenerate every table and figure of the paper.
 report:

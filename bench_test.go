@@ -806,7 +806,7 @@ func BenchmarkRMA_EpochSync(b *testing.B) {
 }
 
 // BenchmarkRMA_HashJoinBuild compares the two build phases of the
-// extension join on identical relations: the two-sided exchange-and-map
+// extension join on identical relations: the two-sided exchange
 // build against the one-sided CAS-claim/Put deposit into remote windows
 // (EXPERIMENTS.md records the study).
 func BenchmarkRMA_HashJoinBuild(b *testing.B) {

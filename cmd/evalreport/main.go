@@ -233,7 +233,7 @@ func moduleClaims(w io.Writer) error {
 	// Module 5: communication volumes of the two options.
 	kpts, _ := data.GaussianMixture(8192, 2, 8, 2.0, 100, 6)
 	for _, opt := range []kmeans.CommOption{kmeans.WeightedMeans, kmeans.ExplicitAssignments} {
-		var wire int64
+		var root *mpi.Comm
 		var iters int
 		err := mpi.Run(4, func(c *mpi.Comm) error {
 			res, _, _, err := kmeans.Distributed(c, kpts, kmeans.Config{K: 16, MaxIter: 10, Seed: 1, Tol: -1, Option: opt})
@@ -241,14 +241,17 @@ func moduleClaims(w io.Writer) error {
 				return err
 			}
 			if c.Rank() == 0 {
-				wire = c.Stats().TotalWire
-				iters = res.Iterations
+				root, iters = c, res.Iterations
 			}
 			return nil
 		})
 		if err != nil {
 			return err
 		}
+		// The counters are world-wide, so read them once every rank has
+		// returned: rank 0 can leave the last broadcast while another
+		// rank is still forwarding it.
+		wire := root.Stats().TotalWire
 		fmt.Fprintf(w, "module 5 (communication): %-22v %6d wire bytes/iteration\n", opt, wire/int64(iters))
 	}
 	return nil

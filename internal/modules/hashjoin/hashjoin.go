@@ -8,11 +8,18 @@
 // the module-level primitives), each rank builds an in-memory hash table
 // over its build-side partition and probes it with its probe-side
 // partition, and the global result cardinality is reduced onto rank 0.
+//
+// The local data path is three count-then-fill kernels shared by every
+// distributed join in the package: partition (histogram, prefix sum,
+// scatter into one backing array), buildTable (a flat CSR hash table)
+// and table.probe (count the matches, allocate the output once, fill
+// it). None of them allocates per tuple or per key.
 package hashjoin
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/mpi"
@@ -82,24 +89,22 @@ func Join(c *mpi.Comm, build, probe []Tuple) ([]Pair, Result, error) {
 
 	// Build.
 	buildStart := time.Now()
-	table := make(map[int64][]int64, len(myBuild))
-	for _, t := range myBuild {
-		table[t.Key] = append(table[t.Key], t.Payload)
+	myBuildN := len(myBuild) / 2
+	tbl, err := buildTable(myBuildN, func(i int) (key, payload int64) {
+		return myBuild[2*i], myBuild[2*i+1]
+	})
+	if err != nil {
+		return nil, res, err
 	}
 	res.BuildDur = time.Since(buildStart)
 
 	// Probe.
 	probeStart := time.Now()
-	var out []Pair
-	for _, t := range myProbe {
-		for _, bp := range table[t.Key] {
-			out = append(out, Pair{BuildPayload: bp, ProbePayload: t.Payload})
-		}
-	}
+	out := tbl.probe(myProbe)
 	res.ProbeDur = time.Since(probeStart)
 	res.LocalMatches = len(out)
 
-	if err := finishStats(c, &res, len(out), len(myBuild)); err != nil {
+	if err := finishStats(c, &res, len(out), myBuildN); err != nil {
 		return nil, res, err
 	}
 	res.Elapsed = time.Since(start)
@@ -129,17 +134,54 @@ func finishStats(c *mpi.Comm, res *Result, localMatches, myBuildN int) error {
 	return nil
 }
 
-// exchange hash-partitions tuples by key and redistributes them with the
-// module-level point-to-point pattern (Isend all partitions, receive one
-// block from every peer).
-func exchange(c *mpi.Comm, tuples []Tuple, tag int) ([]Tuple, error) {
-	p, r := c.Size(), c.Rank()
-	parts := make([][]int64, p)
+// tupleBytes is the footprint of one tuple on the wire and in the
+// chunk-reserved RMA window: key and payload, two little-endian int64
+// words.
+const tupleBytes = 16
+
+// partition hash-partitions tuples across p owners, in wire format:
+// parts[dst] holds the tuples hashKey sends to dst, in input order, and
+// counts[dst] how many. Count, prefix-sum, scatter: one histogram pass
+// sizes one backing array exactly, and every part is a sub-slice of it
+// with its capacity clipped to its own share, so a scatter that overran
+// the histogram would panic rather than spill into the neighbour.
+func partition(tuples []Tuple, p int) (parts [][]byte, counts []int64) {
+	counts = make([]int64, p)
+	for _, t := range tuples {
+		counts[hashKey(t.Key, p)]++
+	}
+	backing := make([]byte, len(tuples)*tupleBytes)
+	parts = make([][]byte, p)
+	lo := 0
+	for dst, n := range counts {
+		hi := lo + int(n)*tupleBytes
+		parts[dst] = backing[lo:lo:hi]
+		lo = hi
+	}
 	for _, t := range tuples {
 		dst := hashKey(t.Key, p)
-		parts[dst] = append(parts[dst], t.Key, t.Payload)
+		n := len(parts[dst])
+		b := parts[dst][:n+tupleBytes]
+		binary.LittleEndian.PutUint64(b[n:], uint64(t.Key))
+		binary.LittleEndian.PutUint64(b[n+8:], uint64(t.Payload))
+		parts[dst] = b
 	}
-	var reqs []*mpi.Request
+	return parts, counts
+}
+
+// tupleAt decodes the tuple at the head of b.
+func tupleAt(b []byte) (key, payload int64) {
+	return int64(binary.LittleEndian.Uint64(b)), int64(binary.LittleEndian.Uint64(b[8:]))
+}
+
+// exchange hash-partitions tuples by key and redistributes them with the
+// module-level point-to-point pattern (Isend all partitions, receive one
+// block from every peer). It returns this rank's share as a flat stream:
+// tuple i is flat[2i] (key), flat[2i+1] (payload).
+func exchange(c *mpi.Comm, tuples []Tuple, tag int) ([]int64, error) {
+	p, r := c.Size(), c.Rank()
+	parts, _ := partition(tuples, p)
+	reqs := make([]*mpi.Request, 0, p-1)
 	for dst := 0; dst < p; dst++ {
 		if dst == r {
 			continue
@@ -150,15 +192,28 @@ func exchange(c *mpi.Comm, tuples []Tuple, tag int) ([]Tuple, error) {
 		}
 		reqs = append(reqs, req)
 	}
-	flat := append([]int64(nil), parts[r]...)
-	var scratch []int64 // reused across receives: the loop is allocation-free once grown
+	// Hash partitioning makes what comes in about what goes out, so size
+	// the stream from the outgoing total plus an eighth (a rank's share
+	// of uniform keys strays by a percent or so) and decode every block
+	// into its spare capacity: UnmarshalInto fills dst's backing array
+	// when the block fits, so then the block is already in place. Under
+	// skew it does not fit, arrives in a fresh slice and is appended.
+	flat := make([]int64, 0, 2*(len(tuples)+len(tuples)/8))
+	flat, err := mpi.UnmarshalInto(flat, parts[r])
+	if err != nil {
+		return nil, err
+	}
 	for i := 0; i < p-1; i++ {
-		blk, _, err := mpi.RecvInto(c, scratch[:0], mpi.AnySource, tag)
+		spare := cap(flat) - len(flat)
+		blk, _, err := mpi.RecvInto(c, flat[len(flat):len(flat)], mpi.AnySource, tag)
 		if err != nil {
 			return nil, err
 		}
-		flat = append(flat, blk...)
-		scratch = blk
+		if len(blk) <= spare {
+			flat = flat[:len(flat)+len(blk)]
+		} else {
+			flat = append(flat, blk...)
+		}
 	}
 	if err := mpi.Waitall(reqs...); err != nil {
 		return nil, err
@@ -166,15 +221,103 @@ func exchange(c *mpi.Comm, tuples []Tuple, tag int) ([]Tuple, error) {
 	if len(flat)%2 != 0 {
 		return nil, fmt.Errorf("hashjoin: odd tuple stream length %d", len(flat))
 	}
-	out := make([]Tuple, 0, len(flat)/2)
-	for i := 0; i < len(flat); i += 2 {
-		out = append(out, Tuple{Key: flat[i], Payload: flat[i+1]})
+	return flat, nil
+}
+
+// table is the build side's hash table, flat (CSR): distinct keys are
+// open-addressed with linear probing over a power-of-two slot array at
+// load <= 0.5, and slot s owns the contiguous run
+// payloads[off[s]:off[s+1]], in build order. An empty slot owns an empty
+// run. Four arrays whatever the key count; a probe reads one run.
+type table struct {
+	keys     []int64  // slot -> key, meaningful where the run is non-empty
+	off      []uint32 // slot -> start of its run; len(keys)+1 entries
+	payloads []int64
+}
+
+// buildTable builds the table over n tuples read through at, which must
+// return the same tuple for the same index on both passes: pass 1 finds
+// or claims each tuple's slot and counts it, a prefix sum turns the
+// counts into run starts, pass 2 scatters the payloads. The tuples are
+// read through an index so that the one-sided builds scan their window
+// bytes in place.
+func buildTable(n int, at func(i int) (key, payload int64)) (table, error) {
+	if n > math.MaxInt32 {
+		return table{}, fmt.Errorf("hashjoin: %d build tuples on one rank exceed the table's 32-bit offsets", n)
 	}
-	return out, nil
+	slots := nextPow2(2 * n)
+	t := table{
+		keys:     make([]int64, slots),
+		off:      make([]uint32, slots+1),
+		payloads: make([]int64, n),
+	}
+	// Until the prefix sum, off[s+1] is slot s's tuple count, and zero
+	// marks the slot empty.
+	slotOf := make([]uint32, n)
+	for i := range slotOf {
+		key, _ := at(i)
+		s := hashSlot(key, slots)
+		for t.off[s+1] != 0 && t.keys[s] != key {
+			s = (s + 1) & (slots - 1)
+		}
+		t.keys[s] = key
+		t.off[s+1]++
+		slotOf[i] = uint32(s)
+	}
+	// Shifted exclusive prefix sum: off[s+1] becomes the start of run s,
+	// and the scatter below advances it to the run's end, which is the
+	// start of run s+1.
+	sum := uint32(0)
+	for s := 1; s <= slots; s++ {
+		sum, t.off[s] = sum+t.off[s], sum
+	}
+	for i, s := range slotOf {
+		_, payload := at(i)
+		t.payloads[t.off[s+1]] = payload
+		t.off[s+1]++
+	}
+	return t, nil
+}
+
+// run returns the build payloads stored under key, in build order.
+func (t *table) run(key int64) []int64 {
+	mask := len(t.keys) - 1
+	for s := hashSlot(key, len(t.keys)); ; s = (s + 1) & mask {
+		lo, hi := t.off[s], t.off[s+1]
+		if lo == hi {
+			return nil
+		}
+		if t.keys[s] == key {
+			return t.payloads[lo:hi]
+		}
+	}
+}
+
+// probe joins a flat probe stream against the table: one lookup pass
+// counts the matches, the output is allocated at exactly that size, and
+// a second pass fills it — probe order, and build order within one probe
+// tuple, the order a map of appended slices would give.
+func (t *table) probe(probe []int64) []Pair {
+	total := 0
+	for i := 0; i < len(probe); i += 2 {
+		total += len(t.run(probe[i]))
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]Pair, 0, total)
+	for i := 0; i < len(probe); i += 2 {
+		for _, bp := range t.run(probe[i]) {
+			out = append(out, Pair{BuildPayload: bp, ProbePayload: probe[i+1]})
+		}
+	}
+	return out
 }
 
 // Sequential joins the full relations on one process — the reference for
-// tests and the scaling baseline.
+// tests and the scaling baseline. It deliberately stays the plain
+// map-of-slices join and shares nothing with the flat kernels the
+// distributed joins run on: it is what they are checked against.
 func Sequential(build, probe []Tuple) []Pair {
 	table := make(map[int64][]int64, len(build))
 	for _, t := range build {
@@ -190,11 +333,12 @@ func Sequential(build, probe []Tuple) []Pair {
 }
 
 // RMA build phase: instead of exchanging build tuples with two-sided
-// sends and building a local map, every rank deposits its build tuples
-// directly into the owning rank's window. The probe side stays
-// two-sided, so the equivalence tests compare exactly the phase the
-// ISSUE swaps. Two deposit strategies are implemented — they are the
-// before and after of the module's measure → explain → optimize study:
+// sends, every rank deposits its build tuples directly into the owning
+// rank's window, and the owner builds its table over the window bytes.
+// The probe side stays two-sided, so the equivalence tests compare
+// exactly the phase the ISSUE swaps. Two deposit strategies are
+// implemented — they are the before and after of the module's measure →
+// explain → optimize study:
 //
 //   - JoinRMAPerTuple claims a window slot per tuple with
 //     CompareAndSwap and Puts the tuple body into it: a distributed
@@ -214,9 +358,9 @@ func Sequential(build, probe []Tuple) []Pair {
 // payload — three little-endian int64 words.
 const slotBytes = 24
 
-// hashSlot maps a key to its home slot with a different mixer than
-// hashKey, so the owner assignment and the in-window position are
-// independent.
+// hashSlot maps a key to its home slot, in the build table and in the
+// per-tuple window, with a different mixer than hashKey, so the owner
+// assignment and the slot position are independent.
 func hashSlot(k int64, slots int) int {
 	x := uint64(k) * 0xbf58476d1ce4e5b9
 	x ^= x >> 31
@@ -234,11 +378,6 @@ func nextPow2(n int) int {
 	return p
 }
 
-// tupleBytes is the window footprint of one deposited tuple in the
-// chunk-reserved layout: key and payload, two little-endian int64
-// words. The tail counter occupies the first 8 bytes of the region.
-const tupleBytes = 16
-
 // JoinRMA executes the distributed hash join with a one-sided build
 // phase over an RMA window, using the chunk-reserved deposit: one
 // CompareAndSwap loop per owner to reserve a run of slots on the
@@ -252,19 +391,13 @@ func JoinRMA(c *mpi.Comm, build, probe []Tuple) ([]Pair, Result, error) {
 	start := time.Now()
 	res := Result{NP: p, BuildN: len(build), ProbeN: len(probe)}
 
-	// Gather this rank's deposits per owner, and size the window: after
-	// the Allreduce, perOwner[r] is exactly how many tuples rank r will
-	// own, so each region is provisioned tight — a tail counter plus
-	// that many tuple slots.
-	parts := make([][]int64, p)
-	mine := make([]int64, p)
-	perOwner := make([]int64, p)
-	for _, t := range build {
-		dst := hashKey(t.Key, p)
-		parts[dst] = append(parts[dst], t.Key, t.Payload)
-		perOwner[dst]++
-	}
-	copy(mine, perOwner)
+	// Gather this rank's deposits per owner, and size the window: the
+	// partition's histogram is how many tuples this rank sends each
+	// owner, and after the Allreduce perOwner[r] is exactly how many
+	// tuples rank r will own, so each region is provisioned tight — a
+	// tail counter in the first 8 bytes plus that many tuple slots.
+	parts, mine := partition(build, p)
+	perOwner := append([]int64(nil), mine...)
 	if err := mpi.AllreduceInto(c, perOwner, mpi.OpSum); err != nil {
 		return nil, res, fmt.Errorf("hashjoin: rma sizing: %w", err)
 	}
@@ -277,11 +410,9 @@ func JoinRMA(c *mpi.Comm, build, probe []Tuple) ([]Pair, Result, error) {
 	// Deposit: reserve a contiguous run of mine[owner] slots by
 	// advancing the owner's tail counter with CAS (the loop converges in
 	// at most np attempts: every failure means another rank reserved its
-	// run), then Put the whole run at the reserved offset. The kv
-	// scratch is reused and Put captures it into the target's batch
-	// before returning, so the loop does not allocate per owner beyond
-	// the marshal buffer's high-water mark.
-	var kv []byte
+	// run), then Put the whole run at the reserved offset. The partition
+	// is already in wire format and Put captures the bytes into the
+	// target's batch before returning, so nothing is marshalled here.
 	for owner := 0; owner < p; owner++ {
 		n := mine[owner]
 		if n == 0 {
@@ -298,28 +429,26 @@ func JoinRMA(c *mpi.Comm, build, probe []Tuple) ([]Pair, Result, error) {
 			}
 			base = old
 		}
-		kv = mpi.AppendMarshal(kv[:0], parts[owner])
-		if err := win.Put(owner, 8+int(base)*tupleBytes, kv); err != nil {
+		if err := win.Put(owner, 8+int(base)*tupleBytes, parts[owner]); err != nil {
 			return nil, res, fmt.Errorf("hashjoin: rma put: %w", err)
 		}
 	}
 	if err := win.Fence(); err != nil {
 		return nil, res, fmt.Errorf("hashjoin: rma fence: %w", err)
 	}
-	// Scan the local region: the tail counter says how many tuples
-	// landed; they are dense from offset 8.
+	// Build over the local region in place: the tail counter says how
+	// many tuples landed; they are dense from offset 8.
 	local := win.Local()
 	myBuildN := int(binary.LittleEndian.Uint64(local))
-	table := make(map[int64][]int64, myBuildN)
-	for s := 0; s < myBuildN; s++ {
-		b := local[8+s*tupleBytes:]
-		key := int64(binary.LittleEndian.Uint64(b))
-		payload := int64(binary.LittleEndian.Uint64(b[8:]))
-		table[key] = append(table[key], payload)
+	tbl, err := buildTable(myBuildN, func(i int) (key, payload int64) {
+		return tupleAt(local[8+i*tupleBytes:])
+	})
+	if err != nil {
+		return nil, res, err
 	}
 	res.BuildDur = time.Since(buildStart)
 
-	return probeAndFinish(c, win, table, probe, &res, myBuildN, start)
+	return probeAndFinish(c, win, tbl, probe, &res, myBuildN, start)
 }
 
 // JoinRMAPerTuple is the un-optimized one-sided build the module's
@@ -386,29 +515,30 @@ func JoinRMAPerTuple(c *mpi.Comm, build, probe []Tuple) ([]Pair, Result, error) 
 		return nil, res, fmt.Errorf("hashjoin: rma fence: %w", err)
 	}
 	// Scan the local region: every claimed slot holds one build tuple
-	// owned by this rank.
+	// owned by this rank, perOwner[rank] of them. Build over them in
+	// place, in slot order.
 	local := win.Local()
-	myBuildN := 0
-	table := make(map[int64][]int64)
+	claimed := make([]int, 0, perOwner[c.Rank()])
 	for s := 0; s < slots; s++ {
-		b := local[s*slotBytes:]
-		if int64(binary.LittleEndian.Uint64(b)) == 0 {
-			continue
+		if binary.LittleEndian.Uint64(local[s*slotBytes:]) != 0 {
+			claimed = append(claimed, s)
 		}
-		key := int64(binary.LittleEndian.Uint64(b[8:]))
-		payload := int64(binary.LittleEndian.Uint64(b[16:]))
-		table[key] = append(table[key], payload)
-		myBuildN++
+	}
+	tbl, err := buildTable(len(claimed), func(i int) (key, payload int64) {
+		return tupleAt(local[claimed[i]*slotBytes+8:])
+	})
+	if err != nil {
+		return nil, res, err
 	}
 	res.BuildDur = time.Since(buildStart)
 
-	return probeAndFinish(c, win, table, probe, &res, myBuildN, start)
+	return probeAndFinish(c, win, tbl, probe, &res, len(claimed), start)
 }
 
 // probeAndFinish is the tail both one-sided joins share: the two-sided
 // probe exchange, the local probe, window retirement and the global
 // reductions.
-func probeAndFinish(c *mpi.Comm, win *mpi.Win, table map[int64][]int64, probe []Tuple, res *Result, myBuildN int, start time.Time) ([]Pair, Result, error) {
+func probeAndFinish(c *mpi.Comm, win *mpi.Win, tbl table, probe []Tuple, res *Result, myBuildN int, start time.Time) ([]Pair, Result, error) {
 	partStart := time.Now()
 	myProbe, err := exchange(c, probe, tagProbe)
 	if err != nil {
@@ -417,12 +547,7 @@ func probeAndFinish(c *mpi.Comm, win *mpi.Win, table map[int64][]int64, probe []
 	res.PartitionDur = time.Since(partStart)
 
 	probeStart := time.Now()
-	var out []Pair
-	for _, t := range myProbe {
-		for _, bp := range table[t.Key] {
-			out = append(out, Pair{BuildPayload: bp, ProbePayload: t.Payload})
-		}
-	}
+	out := tbl.probe(myProbe)
 	res.ProbeDur = time.Since(probeStart)
 	res.LocalMatches = len(out)
 

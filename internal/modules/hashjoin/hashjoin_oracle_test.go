@@ -1,0 +1,281 @@
+package hashjoin
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"strconv"
+	"testing"
+
+	"repro/internal/mpi"
+)
+
+// refLocalJoin is the map-and-append build and probe the distributed
+// joins ran before the flat kernels, kept verbatim over flat streams
+// (tuple i is s[2i], s[2i+1]) as the oracle: the kernels must return its
+// output pair for pair, in its order.
+func refLocalJoin(build, probe []int64) []Pair {
+	table := make(map[int64][]int64, len(build)/2)
+	for i := 0; i < len(build); i += 2 {
+		table[build[i]] = append(table[build[i]], build[i+1])
+	}
+	var out []Pair
+	for i := 0; i < len(probe); i += 2 {
+		for _, bp := range table[probe[i]] {
+			out = append(out, Pair{BuildPayload: bp, ProbePayload: probe[i+1]})
+		}
+	}
+	return out
+}
+
+// flatJoin runs the same streams through buildTable and table.probe.
+func flatJoin(t testing.TB, build, probe []int64) []Pair {
+	t.Helper()
+	tbl, err := buildTable(len(build)/2, func(i int) (key, payload int64) {
+		return build[2*i], build[2*i+1]
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl.probe(probe)
+}
+
+// stream pairs each key with its index (offset by base) as the payload,
+// so every tuple is distinguishable and order shows in the output.
+func stream(keys []int64, base int64) []int64 {
+	s := make([]int64, 0, 2*len(keys))
+	for i, k := range keys {
+		s = append(s, k, base+int64(i))
+	}
+	return s
+}
+
+// collidingKeys returns n distinct keys whose home slot in a table of
+// the given size is slot 0, found by search.
+func collidingKeys(n, slots int) []int64 {
+	var keys []int64
+	for k := int64(0); len(keys) < n; k++ {
+		if hashSlot(k, slots) == 0 {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+func randomKeys(rng *rand.Rand, n int, keyRange int64) []int64 {
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = rng.Int63n(keyRange)
+	}
+	return keys
+}
+
+func repeatKey(k int64, n int) []int64 {
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = k
+	}
+	return keys
+}
+
+func TestFlatJoinOrderIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	extremes := []int64{math.MinInt64, math.MaxInt64, -1, 0, 1, math.MinInt64 + 1, math.MaxInt64 - 1, -1 << 32, 1 << 32}
+	// 40 build tuples give a 128-slot table; all of these start at slot 0
+	// and probe linearly through one cluster.
+	oneSlot := collidingKeys(20, nextPow2(2*40))
+	distinct := make([]int64, 3000)
+	for i := range distinct {
+		distinct[i] = int64(i) * 7919
+	}
+	for _, tc := range []struct {
+		name         string
+		build, probe []int64
+	}{
+		{"random", randomKeys(rng, 4000, 300), randomKeys(rng, 5000, 400)},
+		{"random sparse", randomKeys(rng, 4000, 1<<40), randomKeys(rng, 4000, 1<<40)},
+		{"all one key", repeatKey(7, 200), repeatKey(7, 150)},
+		{"all distinct", distinct, append(slices.Clone(distinct[1000:]), distinct[:500]...)},
+		{"empty build", nil, randomKeys(rng, 100, 10)},
+		{"empty probe", randomKeys(rng, 100, 10), nil},
+		{"both empty", nil, nil},
+		{"no match", []int64{1, 2, 3}, []int64{4, 5, 6}},
+		{"extreme keys", append(slices.Clone(extremes), extremes...), append([]int64{2, -2}, extremes...)},
+		{"one slot", append(slices.Clone(oneSlot), oneSlot...), append(slices.Clone(oneSlot[5:]), collidingKeys(30, 128)[15:]...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build, probe := stream(tc.build, 0), stream(tc.probe, 1_000_000)
+			want := refLocalJoin(build, probe)
+			got := flatJoin(t, build, probe)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("flat kernels returned %d pairs, the map oracle %d, or in another order:\n got %v\nwant %v",
+					len(got), len(want), clip(got), clip(want))
+			}
+		})
+	}
+}
+
+func clip(ps []Pair) []Pair {
+	if len(ps) > 24 {
+		return ps[:24]
+	}
+	return ps
+}
+
+// TestBuildTableRejectsOversize: the table's offsets are 32-bit, so a
+// build side that would overflow them is refused up front, before
+// anything is allocated.
+func TestBuildTableRejectsOversize(t *testing.T) {
+	if strconv.IntSize == 32 {
+		t.Skip("int cannot hold an oversize count")
+	}
+	_, err := buildTable(math.MaxInt32+1, func(int) (int64, int64) {
+		t.Fatal("oversize build read a tuple")
+		return 0, 0
+	})
+	if err == nil {
+		t.Fatal("buildTable accepted 1<<31 tuples")
+	}
+}
+
+// FuzzFlatTable drives the flat kernels against the map oracle on keys
+// decoded from a byte string: the first byte splits the rest into build
+// and probe, and each byte is a signed one-byte key, so duplicates,
+// negatives and probe misses are all dense.
+func FuzzFlatTable(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0})
+	f.Add([]byte{3, 7, 7, 7, 7, 7, 7})
+	f.Add([]byte{128, 1, 2, 3, 4, 5, 6, 7, 8, 255, 254, 253, 1, 2, 3})
+	f.Add([]byte("4the quick brown fox jumps over the lazy dog"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var buildKeys, probeKeys []int64
+		if len(data) > 0 {
+			keys := make([]int64, len(data)-1)
+			for i, b := range data[1:] {
+				keys[i] = int64(int8(b))
+			}
+			split := int(data[0]) % (len(keys) + 1)
+			buildKeys, probeKeys = keys[:split], keys[split:]
+		}
+		build, probe := stream(buildKeys, 0), stream(probeKeys, 1_000_000)
+		if got, want := flatJoin(t, build, probe), refLocalJoin(build, probe); !reflect.DeepEqual(got, want) {
+			t.Fatalf("build keys %v, probe keys %v:\n got %v\nwant %v", buildKeys, probeKeys, got, want)
+		}
+	})
+}
+
+// The distributed joins must return, on every rank, exactly what the
+// oracle returns when fed the streams that rank joined. A rank's stream
+// is made of one block per source rank — the source's tuples this rank
+// owns, in the source's input order — and only the order of the blocks
+// depends on timing: exchange puts the rank's own block first and the
+// others in arrival order, and JoinRMA's window holds all the build
+// blocks in the order the reservations won. So the test enumerates every
+// block order and requires the rank's unsorted output to equal the
+// oracle's for one of them.
+
+// blocksFor returns, per source rank, the flat stream of the source's
+// tuples that rank r owns.
+func blocksFor(locals [][]Tuple, r int) [][]int64 {
+	blocks := make([][]int64, len(locals))
+	for src, tuples := range locals {
+		for _, t := range tuples {
+			if hashKey(t.Key, len(locals)) == r {
+				blocks[src] = append(blocks[src], t.Key, t.Payload)
+			}
+		}
+	}
+	return blocks
+}
+
+// streams returns every concatenation of the blocks in which block
+// first leads (first < 0: any block may lead).
+func streams(blocks [][]int64, first int) [][]int64 {
+	var rest []int
+	var head []int64
+	for i := range blocks {
+		if i == first {
+			head = blocks[i]
+		} else {
+			rest = append(rest, i)
+		}
+	}
+	var out [][]int64
+	var walk func(prefix []int64, left []int)
+	walk = func(prefix []int64, left []int) {
+		if len(left) == 0 {
+			out = append(out, prefix)
+			return
+		}
+		for i, b := range left {
+			others := append(slices.Clone(left[:i]), left[i+1:]...)
+			walk(append(slices.Clone(prefix), blocks[b]...), others)
+		}
+	}
+	walk(head, rest)
+	return out
+}
+
+func TestJoinOrderIdentity(t *testing.T) {
+	// ~10 build tuples per key spread over the source ranks, so the
+	// block order shows inside every run of matches.
+	build, probe := makeRelations(600, 800, 60, 31)
+	for _, tc := range []struct {
+		name string
+		join func(*mpi.Comm, []Tuple, []Tuple) ([]Pair, Result, error)
+		// ownBuildFirst: the rank's own build block leads its build
+		// stream (the two-sided exchange); otherwise any order (the
+		// window's reservation order).
+		ownBuildFirst bool
+	}{
+		{"Join", Join, true},
+		{"JoinRMA", JoinRMA, false},
+	} {
+		for _, ranks := range []int{1, 2, 4} {
+			for _, transport := range []struct {
+				name string
+				run  func(int, func(*mpi.Comm) error, ...mpi.Option) error
+			}{{"channel", mpi.Run}, {"tcp", mpi.RunTCP}} {
+				t.Run(fmt.Sprintf("%s/np=%d/%s", tc.name, ranks, transport.name), func(t *testing.T) {
+					lb, lp := make([][]Tuple, ranks), make([][]Tuple, ranks)
+					for i, tup := range build {
+						lb[i%ranks] = append(lb[i%ranks], tup)
+					}
+					for i, tup := range probe {
+						lp[i%ranks] = append(lp[i%ranks], tup)
+					}
+					outs := make([][]Pair, ranks)
+					err := transport.run(ranks, func(c *mpi.Comm) error {
+						out, _, err := tc.join(c, lb[c.Rank()], lp[c.Rank()])
+						outs[c.Rank()] = out
+						return err
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for r, got := range outs {
+						if len(got) == 0 {
+							t.Fatalf("rank %d matched nothing: the relations do not exercise it", r)
+						}
+						lead := -1
+						if tc.ownBuildFirst {
+							lead = r
+						}
+						found := false
+						for _, b := range streams(blocksFor(lb, r), lead) {
+							for _, p := range streams(blocksFor(lp, r), r) {
+								found = found || slices.Equal(got, refLocalJoin(b, p))
+							}
+						}
+						if !found {
+							t.Fatalf("rank %d: %d pairs that no block order of its streams gives the map oracle; first %v", r, len(got), clip(got))
+						}
+					}
+				})
+			}
+		}
+	}
+}
