@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/leakcheck"
 )
 
 // Allocation-regression tests for the zero-copy data path. Traffic runs
@@ -278,6 +280,63 @@ func TestAllocHygieneAfterDeadlock(t *testing.T) {
 	}
 	if err := Run(2, func(c *Comm) error { return hygieneTraffic(c, 50) }); err != nil {
 		t.Fatalf("clean run after deadlock: %v", err)
+	}
+}
+
+// TestAllocHygieneCollectiveErrors: a blocking collective that fails
+// returns only an error, so every pooled buffer it held at that moment —
+// the wire buffer in hand, blocks already gathered, arrivals matched to
+// receives it will never finish — must go back to the pool. The gauge is
+// exact: pool bytes in flight return to their pre-run level.
+func TestAllocHygieneCollectiveErrors(t *testing.T) {
+	const np = 4
+	// Rank 2 contributes 24 elements where everyone else contributes 16.
+	skewed := func(c *Comm) []float64 {
+		if c.Rank() == 2 {
+			return make([]float64, 24)
+		}
+		return make([]float64, 16)
+	}
+	gather := func(c *Comm) error {
+		_, err := Gather(c, skewed(c), 0)
+		return err
+	}
+	cases := []struct {
+		name string
+		body func(*Comm) error
+		kill int // rank killed at its first primitive, or -1
+		want error
+	}{
+		{"allgather-length-mismatch", func(c *Comm) error {
+			_, err := Allgather(c, skewed(c))
+			return err
+		}, -1, ErrLengthMismatch},
+		{"gather-length-mismatch", gather, -1, ErrLengthMismatch},
+		// The root holds its own block and rank 1's when rank 2's never comes.
+		{"gather-rank-killed", gather, 2, ErrRankKilled},
+		// A killed root fails on its first child send with the payload in hand.
+		{"bcast-root-killed", func(c *Comm) error {
+			_, err := Bcast(c, make([]float64, 16), 0)
+			return err
+		}, 0, ErrRankKilled},
+	}
+	runners := []struct {
+		name string
+		run  func(int, func(*Comm) error, ...Option) error
+	}{{"channel", Run}, {"tcp", RunTCP}}
+	for _, tc := range cases {
+		for _, tr := range runners {
+			t.Run(tc.name+"/"+tr.name, func(t *testing.T) {
+				defer leakcheck.Snapshot(t, poolGauge()).Check()
+				opts := []Option{WithWatchdog(30 * time.Second)}
+				if tc.kill >= 0 {
+					opts = append(opts, WithInjector(killAtCall(tc.kill, 1)))
+				}
+				if err := tr.run(np, tc.body, opts...); !errors.Is(err, tc.want) {
+					t.Fatalf("world error %v, want %v", err, tc.want)
+				}
+			})
+		}
 	}
 }
 

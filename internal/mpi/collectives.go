@@ -5,17 +5,27 @@ import (
 	"time"
 )
 
-// Collective operations. All of them are implemented on top of the
-// point-to-point layer in a shadow communicator context, so user messages
-// can never be confused with collective traffic. Every rank of a
+// Blocking collective operations. All of them are implemented on top of
+// the point-to-point layer in a shadow communicator context, so user
+// messages can never be confused with collective traffic. Every rank of a
 // communicator must call each collective in the same order (the usual MPI
 // contract); the lockstep collective sequence number provides per-call tag
 // isolation.
 //
-// Internally the collectives run on the zero-copy data path: hop payloads
-// are encoded into pooled buffers that transfer ownership through the
-// mailbox, reductions fold wire bytes directly into the accumulator
-// (reduceFromWire), and every wire buffer is recycled once decoded.
+// Barrier, Bcast, Reduce[Into], Allreduce[Into], Allgather,
+// AllreduceRing and ReduceScatter[Into] do not spell out their
+// communication here: each builds the schedule value for its pattern
+// (sched.go — the same value its nonblocking twin in icoll.go builds) and
+// hands it to runSched, the blocking driver at the end of this file. What
+// is left in this file is the entry points' accounting and the linear
+// collectives (scatter, gather, scan, all-to-all), each of which has one
+// body and no nonblocking twin.
+//
+// Everything runs on the zero-copy data path: hop payloads are encoded
+// into pooled buffers that transfer ownership through the mailbox,
+// reductions fold wire bytes directly into the accumulator
+// (reduceFromWire), and every wire buffer is recycled once decoded — on
+// the error paths too.
 
 // nextCollTag advances the lockstep collective sequence.
 func (c *Comm) nextCollTag() int {
@@ -30,8 +40,17 @@ func (c *Comm) collCtx() int32 { return c.ctx + 1 }
 // context, taking ownership of payload (a pooled buffer, or nil). It
 // bypasses user-primitive accounting (wire traffic is still counted) and
 // never forces synchronous mode, so collectives remain deadlock-free
-// under WithSynchronousSends.
+// under WithSynchronousSends. Above the eager threshold it blocks in the
+// rendezvous protocol until the receiver has matched.
 func (c *Comm) collSendOwned(payload []byte, dest, tag int) error {
+	return c.collSendHop(payload, dest, tag, false)
+}
+
+// collSendHop is collSendOwned with the rendezvous protocol optional:
+// eager forces the message out without waiting for a match regardless of
+// size, which is what a nonblocking collective's state machine needs —
+// it runs on delivering goroutines, which must never block.
+func (c *Comm) collSendHop(payload []byte, dest, tag int, eager bool) error {
 	env := getEnv()
 	env.kind = kindData
 	env.src = c.rank
@@ -40,7 +59,7 @@ func (c *Comm) collSendOwned(payload []byte, dest, tag int) error {
 	env.ctx = c.collCtx()
 	env.tag = int32(tag)
 	var seq int64
-	if len(payload) > c.world.opts.eagerThreshold {
+	if !eager && len(payload) > c.world.opts.eagerThreshold {
 		seq = c.world.nextSeq()
 		env.seq = seq
 	}
@@ -57,24 +76,11 @@ func (c *Comm) collSendOwned(payload []byte, dest, tag int) error {
 	return nil
 }
 
-// collSend is collSendOwned for callers that must keep data (a broadcast
-// forwarding the same payload to several children): the bytes are copied
-// into a pooled buffer first.
-func (c *Comm) collSend(data []byte, dest, tag int) error {
-	return c.collSendOwned(copyToPooled(data), dest, tag)
-}
-
 // collRecv receives one internal message on the shadow context and
 // returns its payload. The caller owns the buffer and must putBuf it
 // after decoding.
 func (c *Comm) collRecv(src, tag int) ([]byte, error) {
-	env, _, err := c.recvEnvelope(c.collCtx(), src, tag)
-	if err != nil {
-		return nil, err
-	}
-	b := env.data
-	putEnv(env)
-	return b, nil
+	return c.collFinish(c.collIrecv(src, tag))
 }
 
 // collIrecv posts an internal receive on the shadow context.
@@ -94,6 +100,25 @@ func (c *Comm) collFinish(pr *pendingRecv) ([]byte, error) {
 	return b, nil
 }
 
+// cancelRecv withdraws a posted internal receive on an error path,
+// releasing a matched-but-unconsumed payload so the one-owner pool
+// contract holds. For a nonblocking collective's receive it runs on the
+// request's strand.
+func (mb *mailbox) cancelRecv(pr *pendingRecv) {
+	mb.mu.Lock()
+	if pr.env != nil {
+		putBuf(pr.env.data)
+		putEnv(pr.env)
+		pr.env = nil
+		if cr := pr.coll; cr != nil && cr.unconsumed > 0 {
+			cr.unconsumed--
+		}
+	}
+	mb.dropPending(pr)
+	mb.mu.Unlock()
+	putPR(pr)
+}
+
 // releaseBlocks recycles a gather's per-rank payload buffers.
 func releaseBlocks(blocks [][]byte) {
 	for i, b := range blocks {
@@ -107,26 +132,9 @@ func releaseBlocks(blocks [][]byte) {
 func (c *Comm) Barrier() error {
 	tok := c.profEnter()
 	c.countCall(PrimBarrier)
-	err := c.barrier()
+	_, err := runSched[byte](c, schedBarrier, noRoot, nil, nil, inPlace)
 	c.profExit(tok, PrimBarrier, -1, -1, 0, 0, 0, 0)
 	return err
-}
-
-func (c *Comm) barrier() error {
-	tag := c.nextCollTag()
-	p, r := len(c.members), c.rank
-	for k := 1; k < p; k <<= 1 {
-		to := (r + k) % p
-		from := (r - k + p) % p
-		pr := c.collIrecv(from, tag)
-		if err := c.collSendOwned(nil, to, tag); err != nil {
-			return err
-		}
-		if _, err := c.collFinish(pr); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Bcast broadcasts root's buffer to every rank (MPI_Bcast) along a
@@ -138,51 +146,9 @@ func Bcast[T Scalar](c *Comm, data []T, root int) ([]T, error) {
 	}
 	tok := c.profEnter()
 	c.countCall(PrimBcast)
-	out, err := bcastTree(c, data, root)
+	out, err := runSched(c, schedBcast, root, data, nil, fresh)
 	c.profExit(tok, PrimBcast, c.members[root], -1, len(out)*scalarSize[T](), 0, 0, 0)
 	return out, err
-}
-
-func bcastTree[T Scalar](c *Comm, data []T, root int) ([]T, error) {
-	tag := c.nextCollTag()
-	p, r := len(c.members), c.rank
-	rel := (r - root + p) % p
-
-	var payload []byte
-	if r == root {
-		payload = marshalPooled(data)
-	}
-	// Receive from the binomial parent.
-	mask := 1
-	for mask < p {
-		if rel&mask != 0 {
-			parent := (rel - mask + root) % p
-			b, err := c.collRecv(parent, tag)
-			if err != nil {
-				return nil, err
-			}
-			payload = b
-			break
-		}
-		mask <<= 1
-	}
-	// Forward to binomial children, highest distance first. The payload
-	// is copied per child (collSend) because the same bytes fan out.
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if rel+mask < p {
-			child := (rel + mask + root) % p
-			if err := c.collSend(payload, child, tag); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if r == root {
-		putBuf(payload)
-		return data, nil
-	}
-	xs, err := Unmarshal[T](payload)
-	putBuf(payload)
-	return xs, err
 }
 
 // Scatter splits root's buffer into equal contiguous chunks and delivers
@@ -398,6 +364,14 @@ func (c *Comm) gatherBlocks(payload []byte, root int) ([][]byte, error) {
 		}
 		b, err := c.collFinish(prs[i])
 		if err != nil {
+			// Nothing reaches the caller: give back the blocks in hand and
+			// withdraw the receives still posted.
+			releaseBlocks(blocks)
+			for _, pr := range prs[i:] {
+				if pr != nil {
+					c.mb.cancelRecv(pr)
+				}
+			}
 			return nil, err
 		}
 		blocks[i] = b
@@ -412,43 +386,12 @@ func (c *Comm) gatherBlocks(payload []byte, root int) ([][]byte, error) {
 func Allgather[T Scalar](c *Comm, data []T) ([]T, error) {
 	tok := c.profEnter()
 	c.countCall(PrimAllgather)
-	out, err := allgatherRing(c, data)
+	n, r := len(data), c.rank
+	out := make([]T, n*len(c.members))
+	copy(out[r*n:(r+1)*n], data)
+	out, err := runSched(c, schedAllgather, noRoot, out, nil, inPlace)
 	c.profExit(tok, PrimAllgather, -1, -1, len(out)*scalarSize[T](), 0, 0, 0)
 	return out, err
-}
-
-func allgatherRing[T Scalar](c *Comm, data []T) ([]T, error) {
-	tag := c.nextCollTag()
-	p, r := len(c.members), c.rank
-	n := len(data)
-	size := scalarSize[T]()
-	out := make([]T, n*p)
-	copy(out[r*n:(r+1)*n], data)
-	right := (r + 1) % p
-	left := (r - 1 + p) % p
-	cur := marshalPooled(data)
-	for step := 0; step < p-1; step++ {
-		pr := c.collIrecv(left, tag)
-		// Ownership of cur passes to the right neighbour, which decodes
-		// it and passes the same buffer on — zero-copy relay.
-		if err := c.collSendOwned(cur, right, tag); err != nil {
-			return nil, err
-		}
-		b, err := c.collFinish(pr)
-		if err != nil {
-			return nil, err
-		}
-		cur = b
-		blockOwner := (r - step - 1 + p) % p
-		if len(cur) != n*size {
-			return nil, fmt.Errorf("%w: Allgather rank %d contributed %d bytes, expected %d elements", ErrLengthMismatch, blockOwner, len(cur), n)
-		}
-		if err := decodeInto(out[blockOwner*n:(blockOwner+1)*n], cur); err != nil {
-			return nil, err
-		}
-	}
-	putBuf(cur)
-	return out, nil
 }
 
 // Reduce folds every rank's buffer elementwise with op onto root
@@ -460,9 +403,13 @@ func Reduce[T Scalar](c *Comm, data []T, op Op[T], root int) ([]T, error) {
 	}
 	tok := c.profEnter()
 	c.countCall(PrimReduce)
-	out, err := reduceTree(c, data, op, root)
+	acc := append([]T(nil), data...)
+	err := reduceAcc(c, acc, op, root)
 	c.profExit(tok, PrimReduce, c.members[root], -1, len(data)*scalarSize[T](), 0, 0, 0)
-	return out, err
+	if err != nil || c.rank != root {
+		return nil, err
+	}
+	return acc, nil
 }
 
 // ReduceInto folds every rank's buf elementwise with op in place along
@@ -476,56 +423,19 @@ func ReduceInto[T Scalar](c *Comm, buf []T, op Op[T], root int) error {
 	}
 	tok := c.profEnter()
 	c.countCall(PrimReduce)
-	_, err := reduceAcc(c, buf, op, root)
+	err := reduceAcc(c, buf, op, root)
 	c.profExit(tok, PrimReduce, c.members[root], -1, len(buf)*scalarSize[T](), 0, 0, 0)
 	return err
 }
 
-// reduceTree is the binomial-tree reduction backing Reduce: it copies
-// data into a fresh accumulator and runs reduceAcc.
-func reduceTree[T Scalar](c *Comm, data []T, op Op[T], root int) ([]T, error) {
-	acc := append([]T(nil), data...)
-	kept, err := reduceAcc(c, acc, op, root)
-	if err != nil || !kept {
-		return nil, err
-	}
-	return acc, nil
-}
-
 // reduceAcc runs the binomial-tree reduction in place on acc. Wire
 // payloads from children are folded directly into acc via reduceFromWire
-// — no decoded intermediate slice. kept reports whether acc holds this
-// rank's final state: true at the root (the fully reduced vector), false
-// at non-roots (acc's content has been sent to a parent and is stale).
-func reduceAcc[T Scalar](c *Comm, acc []T, op Op[T], root int) (kept bool, err error) {
-	tag := c.nextCollTag()
-	p := len(c.members)
-	rel := (c.rank - root + p) % p
-	size := scalarSize[T]()
-	for mask := 1; mask < p; mask <<= 1 {
-		if rel&mask != 0 {
-			parent := (rel&^mask + root) % p
-			return false, c.collSendOwned(marshalPooled(acc), parent, tag)
-		}
-		childRel := rel | mask
-		if childRel < p {
-			child := (childRel + root) % p
-			b, err := c.collRecv(child, tag)
-			if err != nil {
-				return false, err
-			}
-			if len(b) != len(acc)*size {
-				putBuf(b)
-				return false, fmt.Errorf("%w: Reduce rank %d contributed %d bytes, expected %d elements", ErrLengthMismatch, child, len(b), len(acc))
-			}
-			err = reduceFromWire(acc, b, op)
-			putBuf(b)
-			if err != nil {
-				return false, err
-			}
-		}
-	}
-	return true, nil
+// — no decoded intermediate slice. Afterwards the root's acc holds the
+// fully reduced vector; a non-root's acc has been sent to its parent and
+// is stale.
+func reduceAcc[T Scalar](c *Comm, acc []T, op Op[T], root int) error {
+	_, err := runSched(c, schedReduce, root, acc, op, inPlace)
+	return err
 }
 
 // Allreduce folds every rank's buffer elementwise with op and delivers the
@@ -559,174 +469,25 @@ func AllreduceInto[T Scalar](c *Comm, buf []T, op Op[T]) error {
 // allreduceTreeInto reduces onto rank 0 and broadcasts back, all in place
 // on buf.
 func allreduceTreeInto[T Scalar](c *Comm, buf []T, op Op[T]) error {
-	if _, err := reduceAcc(c, buf, op, 0); err != nil {
+	if err := reduceAcc(c, buf, op, 0); err != nil {
 		return err
 	}
-	return bcastInto(c, buf, 0)
-}
-
-// bcastInto broadcasts root's buf into every rank's buf in place on the
-// shadow context, without user-primitive accounting. All ranks must pass
-// equal-length buffers.
-func bcastInto[T Scalar](c *Comm, buf []T, root int) error {
-	tag := c.nextCollTag()
-	p, r := len(c.members), c.rank
-	rel := (r - root + p) % p
-	var payload []byte
-	if rel == 0 {
-		payload = marshalPooled(buf)
-	}
-	mask := 1
-	for mask < p {
-		if rel&mask != 0 {
-			parent := (rel - mask + root) % p
-			b, err := c.collRecv(parent, tag)
-			if err != nil {
-				return err
-			}
-			payload = b
-			if err := decodeInto(buf, payload); err != nil {
-				putBuf(payload)
-				return err
-			}
-			break
-		}
-		mask <<= 1
-	}
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if rel+mask < p {
-			child := (rel + mask + root) % p
-			if err := c.collSend(payload, child, tag); err != nil {
-				putBuf(payload)
-				return err
-			}
-		}
-	}
-	putBuf(payload)
-	return nil
-}
-
-// bcastInternal is Bcast without user-primitive accounting, used by
-// composite collectives whose receivers cannot presize a buffer. n is the
-// element count every rank expects.
-func bcastInternal[T Scalar](c *Comm, data []T, n int, root int) ([]T, error) {
-	tag := c.nextCollTag()
-	p, r := len(c.members), c.rank
-	rel := (r - root + p) % p
-	var payload []byte
-	if rel == 0 {
-		payload = marshalPooled(data)
-	}
-	mask := 1
-	for mask < p {
-		if rel&mask != 0 {
-			parent := (rel - mask + root) % p
-			b, err := c.collRecv(parent, tag)
-			if err != nil {
-				return nil, err
-			}
-			payload = b
-			break
-		}
-		mask <<= 1
-	}
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if rel+mask < p {
-			child := (rel + mask + root) % p
-			if err := c.collSend(payload, child, tag); err != nil {
-				putBuf(payload)
-				return nil, err
-			}
-		}
-	}
-	if rel == 0 {
-		putBuf(payload)
-		return data, nil
-	}
-	xs, err := Unmarshal[T](payload)
-	putBuf(payload)
-	if err != nil {
-		return nil, err
-	}
-	if len(xs) != n {
-		return nil, fmt.Errorf("%w: broadcast delivered %d elements, expected %d", ErrLengthMismatch, len(xs), n)
-	}
-	return xs, nil
+	_, err := runSched(c, schedBcast, 0, buf, nil, inPlace)
+	return err
 }
 
 // AllreduceRing is the bandwidth-optimal ring allreduce
 // (reduce-scatter followed by allgather), the algorithm popularized by
 // large-scale data-parallel training. It moves 2·(p-1)/p of the buffer per
 // rank versus log2(p) full buffers for the tree algorithm, which the
-// ablation bench quantifies.
+// ablation bench quantifies. It runs the schedule Iallreduce runs, so the
+// two are bit-identical.
 func AllreduceRing[T Scalar](c *Comm, data []T, op Op[T]) ([]T, error) {
 	tok := c.profEnter()
 	c.countCall(PrimAllreduce)
-	out, err := allreduceRing(c, data, op)
+	out, err := runSched(c, schedAllreduceRing, noRoot, append([]T(nil), data...), op, inPlace)
 	c.profExit(tok, PrimAllreduce, -1, -1, len(data)*scalarSize[T](), 0, 0, 0)
 	return out, err
-}
-
-func allreduceRing[T Scalar](c *Comm, data []T, op Op[T]) ([]T, error) {
-	p, r := len(c.members), c.rank
-	if p == 1 {
-		return append([]T(nil), data...), nil
-	}
-	tag := c.nextCollTag()
-	n := len(data)
-	size := scalarSize[T]()
-	// Pad to a multiple of p so every segment has equal size.
-	seg := (n + p - 1) / p
-	buf := make([]T, seg*p)
-	copy(buf, data)
-	right := (r + 1) % p
-	left := (r - 1 + p) % p
-
-	segment := func(i int) []T { return buf[i*seg : (i+1)*seg] }
-
-	// Reduce-scatter: after p-1 steps, rank r owns the fully reduced
-	// segment (r+1) mod p. Incoming wire segments fold straight into the
-	// local buffer; the received pooled buffer is recycled per hop.
-	for step := 0; step < p-1; step++ {
-		sendIdx := (r - step + p) % p
-		recvIdx := (r - step - 1 + p) % p
-		pr := c.collIrecv(left, tag)
-		if err := c.collSendOwned(marshalPooled(segment(sendIdx)), right, tag); err != nil {
-			return nil, err
-		}
-		b, err := c.collFinish(pr)
-		if err != nil {
-			return nil, err
-		}
-		if len(b) != seg*size {
-			putBuf(b)
-			return nil, fmt.Errorf("%w: ring allreduce segment of %d bytes, expected %d elements", ErrLengthMismatch, len(b), seg)
-		}
-		err = reduceFromWire(segment(recvIdx), b, op)
-		putBuf(b)
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Allgather: circulate the reduced segments, decoding in place.
-	for step := 0; step < p-1; step++ {
-		sendIdx := (r + 1 - step + p) % p
-		recvIdx := (r - step + p) % p
-		pr := c.collIrecv(left, tag)
-		if err := c.collSendOwned(marshalPooled(segment(sendIdx)), right, tag); err != nil {
-			return nil, err
-		}
-		b, err := c.collFinish(pr)
-		if err != nil {
-			return nil, err
-		}
-		err = decodeInto(segment(recvIdx), b)
-		putBuf(b)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return buf[:n], nil
 }
 
 // Scan computes the inclusive prefix reduction (MPI_Scan): rank r receives
@@ -881,45 +642,41 @@ func allgathervLinear[T Scalar](c *Comm, data []T) ([][]T, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Both broadcasts are in place: every rank knows there are p counts,
+	// and the counts tell every rank how long the payload is.
 	p := len(c.members)
-	var flat []byte
 	counts := make([]int64, p)
-	if c.rank == 0 {
-		total := 0
-		for _, b := range blocks {
-			total += len(b)
-		}
-		flat = getBuf(total)[:0]
-		for i, b := range blocks {
-			counts[i] = int64(len(b))
-			flat = append(flat, b...)
-		}
-		releaseBlocks(blocks)
+	for i, b := range blocks {
+		counts[i] = int64(len(b))
 	}
-	counts64, err := bcastInternal(c, counts, p, 0)
-	if err != nil {
+	if _, err := runSched(c, schedBcast, 0, counts, nil, inPlace); err != nil {
+		releaseBlocks(blocks)
 		return nil, err
 	}
 	total := 0
-	for _, n := range counts64 {
+	for _, n := range counts {
 		total += int(n)
 	}
-	wire, err := bcastInternal(c, flat, total, 0)
-	if err != nil {
+	flat := getBuf(total)
+	defer putBuf(flat)
+	off := 0
+	for _, b := range blocks {
+		off += copy(flat[off:], b)
+	}
+	releaseBlocks(blocks)
+	if _, err := runSched(c, schedBcast, 0, flat, nil, inPlace); err != nil {
 		return nil, err
 	}
 	out := make([][]T, p)
-	off := 0
-	for i := 0; i < p; i++ {
-		xs, err := Unmarshal[T](wire[off : off+int(counts64[i])])
+	off = 0
+	for i, n := range counts {
+		xs, err := Unmarshal[T](flat[off : off+int(n)])
 		if err != nil {
-			putBuf(flat)
 			return nil, err
 		}
 		out[i] = xs
-		off += int(counts64[i])
+		off += int(n)
 	}
-	putBuf(flat)
 	return out, nil
 }
 
@@ -969,4 +726,55 @@ func exscanChain[T Scalar](c *Comm, data []T, op Op[T]) ([]T, error) {
 		}
 	}
 	return prefix, nil
+}
+
+// runSched is the blocking driver: it runs this rank's schedule for one
+// collective to completion on the caller's goroutine, over buf, and
+// returns the buffer (the freshly allocated one for a fresh-sink
+// broadcast receiver). Each hop posts its receive, sends, then waits for
+// the arrival; a send above the eager threshold blocks in the rendezvous
+// protocol, which the posted receive keeps deadlock-free around a ring.
+// There is one exit, and it leaves nothing behind: the wire buffer in
+// hand goes back to the pool and a receive still posted is withdrawn.
+//
+// It deliberately does not go through a CollRequest: the request is
+// referenced from its posted receives and must live on the heap, and a
+// blocking collective must not allocate per call (k-means issues 150
+// AllreduceInto per run). The hopRun stays on this stack frame, and so
+// does a caller's small buffer.
+func runSched[T Scalar](c *Comm, kind schedKind, root int, buf []T, op Op[T], sink sink) ([]T, error) {
+	tag := c.nextCollTag()
+	x := hopRun[T]{s: newSched(kind, len(c.members), c.rank, root), buf: buf, op: op, sink: sink}
+	var (
+		wire []byte
+		pr   *pendingRecv
+		err  error
+	)
+	for err == nil {
+		h, ok := x.s.next()
+		if !ok {
+			break
+		}
+		if h.recv != recvNone {
+			pr = c.collIrecv(int(h.from), tag)
+		}
+		if h.send != sendNone {
+			err = c.collSendOwned(x.payload(h, &wire), int(h.to), tag)
+		}
+		if err == nil && pr != nil {
+			var b []byte
+			if b, err = c.collFinish(pr); err == nil {
+				pr = nil
+				err = x.arrive(h, b, &wire)
+			}
+		}
+	}
+	if pr != nil {
+		c.mb.cancelRecv(pr)
+	}
+	putBuf(wire)
+	if err != nil {
+		return nil, err
+	}
+	return x.buf, nil
 }

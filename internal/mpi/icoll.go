@@ -8,11 +8,18 @@ import (
 )
 
 // Nonblocking collectives (MPI-3 style). Iallreduce, Ibcast, Ireduce,
-// Ibarrier and Iallgather return a *CollRequest whose ring/tree state
-// machine progresses in the background: every hop is sent eagerly and
-// every arrival advances the machine on the delivering goroutine, so a
-// collective completes while the owning rank computes. The owner drives
-// remaining steps from Wait/Test when no arrival is pending.
+// Ibarrier and Iallgather return a *CollRequest that progresses in the
+// background: every hop is sent eagerly and every arrival advances the
+// collective on the delivering goroutine, so it completes while the
+// owning rank computes. The owner drives remaining steps from Wait/Test
+// when no arrival is pending.
+//
+// None of the five spells out its communication here. Each builds the
+// schedule value for its pattern (sched.go) and hands it to schedOp, the
+// nonblocking driver: the one collOp implementation, with one step() and
+// one cleanup(). It is the twin of the blocking driver runSched
+// (collectives.go) and differs from it only in how it waits — it never
+// does.
 //
 // Concurrency model — the request is a strand: at most one goroutine
 // executes step() at a time (the running flag under cr.mu), and a
@@ -21,14 +28,15 @@ import (
 // (getEnv/getBuf/getPR), and they are always eager — a state machine
 // running on a foreign delivering goroutine must never block on a
 // rendezvous acknowledgement. In-flight volume stays bounded by the
-// algorithms' lockstep structure (at most one outstanding hop per
+// schedules' lockstep structure (at most one outstanding hop per
 // request).
 //
-// The reduce-scatter phase uses a shifted ring schedule under which rank
-// r ends up owning the fully reduced segment r — the layout ZeRO-style
-// optimizer sharding wants — and the blocking ReduceScatter[Into] runs
-// the identical schedule, so Iallreduce results, reduce-scatter shards
-// and any training loop built on either are bit-identical.
+// The ring allreduce's reduce-scatter phase leaves rank r owning the
+// fully reduced segment r — the layout ZeRO-style optimizer sharding
+// wants — and the blocking ReduceScatter[Into] at the end of this file
+// is the same schedule value under the other driver, so Iallreduce
+// results, reduce-scatter shards and any training loop built on either
+// are bit-identical.
 
 // CollRequest is an outstanding nonblocking collective, the collective
 // analogue of Request. Complete it with Wait, poll it with Test, or
@@ -57,41 +65,94 @@ type CollRequest struct {
 	unconsumed int
 }
 
-// collOp is one collective algorithm's state machine. step advances as
-// far as arrivals allow and reports completion; cleanup releases any
-// posted receive and pooled payload after a failure. Both run on the
-// strand (never concurrently).
+// collOp is the request's state machine, with the element type erased
+// (schedOp[T] is the implementation). step advances as far as arrivals
+// allow and reports completion; cleanup releases any posted receive and
+// pooled payload after a failure. Both run on the strand (never
+// concurrently).
 type collOp interface {
 	step() (done bool, err error)
 	cleanup()
 }
 
-// collMod is the positive modulus used by the ring schedules.
-func collMod(a, p int) int { return ((a % p) + p) % p }
-
-// collSendEagerOwned sends one hop of a background-progressed
-// collective, taking ownership of payload. Unlike collSendOwned it never
-// enters the rendezvous protocol regardless of size, so it is safe to
-// call from a delivering goroutine.
-func (c *Comm) collSendEagerOwned(payload []byte, dest, tag int) error {
-	env := getEnv()
-	env.kind = kindData
-	env.src = c.rank
-	env.wsrc = c.worldRank
-	env.wdst = c.members[dest]
-	env.ctx = c.collCtx()
-	env.tag = int32(tag)
-	env.data = payload
-	return c.world.deliver(env)
+// schedOp is the nonblocking driver: it runs one rank's schedule as far
+// as arrivals allow each time the strand enters it. Where runSched waits
+// for a hop's arrival, step returns and is re-entered when the arrival
+// (which credits cr and advances the strand) has come.
+type schedOp[T Scalar] struct {
+	hopRun[T]
+	cr   *CollRequest
+	pr   *pendingRecv // the posted receive step() is waiting on
+	wire []byte       // the wire buffer in hand
+	tag  int32
+	h    hop // the hop pr belongs to
 }
 
-// newCollRequest builds a request handle and allocates its flow id.
-func (c *Comm) newCollRequest(prim Primitive, bytes int) *CollRequest {
+func (o *schedOp[T]) step() (bool, error) {
+	c := o.cr.comm
+	for {
+		if o.pr != nil {
+			env, ok := c.mb.takeColl(o.cr, o.pr)
+			if !ok {
+				return false, nil
+			}
+			putPR(o.pr)
+			o.pr = nil
+			b := env.data
+			putEnv(env)
+			if err := o.arrive(o.h, b, &o.wire); err != nil {
+				return false, err
+			}
+		}
+		h, ok := o.s.next()
+		if !ok {
+			o.cleanup()
+			return true, nil
+		}
+		o.h = h
+		if h.recv != recvNone {
+			o.pr = c.mb.postRecvColl(c.collCtx(), int(h.from), int(o.tag), o.cr)
+		}
+		if h.send != sendNone {
+			if err := c.collSendHop(o.payload(h, &o.wire), int(h.to), int(o.tag), true); err != nil {
+				return false, err
+			}
+		}
+	}
+}
+
+func (o *schedOp[T]) cleanup() {
+	if o.pr != nil {
+		o.cr.comm.mb.cancelRecv(o.pr)
+		o.pr = nil
+	}
+	putBuf(o.wire)
+	o.wire = nil
+}
+
+// startColl is the shared body of the I* entry points: account the
+// initiation, build the request and its driver over buf, and run the
+// schedule as far as it goes without waiting.
+func startColl[T Scalar](c *Comm, prim Primitive, kind schedKind, root int, buf []T, op Op[T]) *CollRequest {
+	tok := c.profEnter()
+	c.countCall(prim)
+	bytes := len(buf) * scalarSize[T]()
 	cr := &CollRequest{comm: c, prim: prim, bytes: bytes}
 	if c.world.opts.hook != nil {
 		cr.msgid = c.world.nextMsgID()
 	}
 	icollStarted.Add(1)
+	cr.op = &schedOp[T]{
+		hopRun: hopRun[T]{s: newSched(kind, len(c.members), c.rank, root), buf: buf, op: op},
+		cr:     cr,
+		tag:    int32(c.nextCollTag()),
+	}
+	cr.advance()
+	peer := -1
+	if root != noRoot {
+		peer = c.members[root]
+	}
+	c.profExit(tok, prim, peer, -1, bytes, cr.msgid, 0, 0)
 	return cr
 }
 
@@ -184,9 +245,7 @@ func (cr *CollRequest) fail(err error) {
 	}
 	cr.running = true
 	cr.mu.Unlock()
-	if cr.op != nil {
-		cr.op.cleanup()
-	}
+	cr.op.cleanup()
 	cr.complete(err)
 	cr.mu.Lock()
 	cr.running = false
@@ -288,122 +347,10 @@ func WaitallColl(reqs ...*CollRequest) error {
 // Iallreduce starts a nonblocking in-place allreduce (MPI_Iallreduce
 // with MPI_IN_PLACE): after Wait, every rank's buf holds the elementwise
 // op-fold across ranks. The ring algorithm (reduce-scatter + allgather)
-// runs in the background; when len(buf) is a multiple of the
-// communicator size the rings operate directly on buf and the
-// steady-state hop path is allocation-free apart from pooled buffers.
+// runs in the background, directly on buf; the steady-state hop path is
+// allocation-free apart from pooled buffers.
 func Iallreduce[T Scalar](c *Comm, buf []T, op Op[T]) (*CollRequest, error) {
-	tok := c.profEnter()
-	c.countCall(PrimIallreduce)
-	bytes := len(buf) * scalarSize[T]()
-	cr := c.newCollRequest(PrimIallreduce, bytes)
-	p := len(c.members)
-	if p == 1 || len(buf) == 0 {
-		cr.complete(nil)
-	} else {
-		seg := (len(buf) + p - 1) / p
-		work := buf
-		if len(buf) != seg*p {
-			work = make([]T, seg*p)
-			copy(work, buf)
-		}
-		cr.op = &iallreduceOp[T]{
-			c: c, cr: cr, op: op, out: buf, buf: work,
-			n: len(buf), seg: seg, p: p, r: c.rank, tag: c.nextCollTag(),
-		}
-		cr.advance()
-	}
-	c.profExit(tok, PrimIallreduce, -1, -1, bytes, cr.msgid, 0, 0)
-	return cr, nil
-}
-
-// iallreduceOp is the background ring allreduce: a shifted reduce-scatter
-// (phase 0) under which rank r ends owning reduced segment r, followed by
-// a ring allgather (phase 1). The fold order per segment is identical to
-// ReduceScatterInto's, which is what makes DDP and ZeRO-1 training
-// bit-identical.
-type iallreduceOp[T Scalar] struct {
-	c   *Comm
-	cr  *CollRequest
-	op  Op[T]
-	out []T // user buffer; result copied here when buf is a padded copy
-	buf []T // working buffer of seg*p elements (aliases out when unpadded)
-
-	n, seg, p, r, tag int
-	phase             int // 0 reduce-scatter, 1 allgather
-	idx               int // step within the phase
-	pr                *pendingRecv
-}
-
-func (o *iallreduceOp[T]) segment(i int) []T { return o.buf[i*o.seg : (i+1)*o.seg] }
-
-func (o *iallreduceOp[T]) sendIdx() int {
-	if o.phase == 0 {
-		return collMod(o.r-1-o.idx, o.p)
-	}
-	return collMod(o.r-o.idx, o.p)
-}
-
-func (o *iallreduceOp[T]) recvIdx() int {
-	if o.phase == 0 {
-		return collMod(o.r-2-o.idx, o.p)
-	}
-	return collMod(o.r-1-o.idx, o.p)
-}
-
-func (o *iallreduceOp[T]) step() (bool, error) {
-	size := scalarSize[T]()
-	left := (o.r - 1 + o.p) % o.p
-	right := (o.r + 1) % o.p
-	for {
-		if o.pr != nil {
-			env, ok := o.c.mb.takeColl(o.cr, o.pr)
-			if !ok {
-				return false, nil
-			}
-			putPR(o.pr)
-			o.pr = nil
-			b := env.data
-			putEnv(env)
-			if len(b) != o.seg*size {
-				putBuf(b)
-				return false, fmt.Errorf("%w: Iallreduce segment of %d bytes, expected %d elements", ErrLengthMismatch, len(b), o.seg)
-			}
-			var err error
-			if o.phase == 0 {
-				err = reduceFromWire(o.segment(o.recvIdx()), b, o.op)
-			} else {
-				err = decodeInto(o.segment(o.recvIdx()), b)
-			}
-			putBuf(b)
-			if err != nil {
-				return false, err
-			}
-			o.idx++
-			if o.idx == o.p-1 {
-				o.idx = 0
-				o.phase++
-				if o.phase == 2 {
-					if len(o.out) != len(o.buf) {
-						copy(o.out, o.buf[:o.n])
-					}
-					return true, nil
-				}
-			}
-		}
-		// Post the receive before sending, so a lockstep peer's eager hop
-		// always finds a matching record.
-		o.pr = o.c.mb.postRecvColl(o.c.collCtx(), left, o.tag, o.cr)
-		if err := o.c.collSendEagerOwned(marshalPooled(o.segment(o.sendIdx())), right, o.tag); err != nil {
-			return false, err
-		}
-	}
-}
-
-func (o *iallreduceOp[T]) cleanup() {
-	if o.pr != nil {
-		o.c.mb.cancelColl(o.cr, o.pr)
-		o.pr = nil
-	}
+	return startColl(c, PrimIallreduce, schedAllreduceRing, noRoot, buf, op), nil
 }
 
 // Ibcast starts a nonblocking in-place broadcast along the binomial tree
@@ -413,96 +360,7 @@ func Ibcast[T Scalar](c *Comm, buf []T, root int) (*CollRequest, error) {
 	if err := c.checkPeer(root, false); err != nil {
 		return nil, err
 	}
-	tok := c.profEnter()
-	c.countCall(PrimIbcast)
-	bytes := len(buf) * scalarSize[T]()
-	cr := c.newCollRequest(PrimIbcast, bytes)
-	p := len(c.members)
-	if p == 1 {
-		cr.complete(nil)
-	} else {
-		cr.op = &ibcastOp[T]{
-			c: c, cr: cr, buf: buf, root: root, p: p,
-			rel: (c.rank - root + p) % p, tag: c.nextCollTag(),
-		}
-		cr.advance()
-	}
-	c.profExit(tok, PrimIbcast, c.members[root], -1, bytes, cr.msgid, 0, 0)
-	return cr, nil
-}
-
-type ibcastOp[T Scalar] struct {
-	c                 *Comm
-	cr                *CollRequest
-	buf               []T
-	root, p, rel, tag int
-	mask              int // parent mask once the receive is posted
-	pr                *pendingRecv
-}
-
-func (o *ibcastOp[T]) step() (bool, error) {
-	if o.rel == 0 {
-		// Root: fan out to binomial children, highest distance first, and
-		// complete immediately (hops are eager).
-		mask := 1
-		for mask < o.p {
-			mask <<= 1
-		}
-		for m := mask >> 1; m > 0; m >>= 1 {
-			if o.rel+m < o.p {
-				child := (o.rel + m + o.root) % o.p
-				if err := o.c.collSendEagerOwned(marshalPooled(o.buf), child, o.tag); err != nil {
-					return false, err
-				}
-			}
-		}
-		return true, nil
-	}
-	if o.pr == nil {
-		mask := 1
-		for mask < o.p && o.rel&mask == 0 {
-			mask <<= 1
-		}
-		o.mask = mask
-		parent := (o.rel - mask + o.root) % o.p
-		o.pr = o.c.mb.postRecvColl(o.c.collCtx(), parent, o.tag, o.cr)
-	}
-	env, ok := o.c.mb.takeColl(o.cr, o.pr)
-	if !ok {
-		return false, nil
-	}
-	putPR(o.pr)
-	o.pr = nil
-	b := env.data
-	putEnv(env)
-	if len(b) != len(o.buf)*scalarSize[T]() {
-		putBuf(b)
-		return false, fmt.Errorf("%w: Ibcast delivered %d bytes, expected %d elements", ErrLengthMismatch, len(b), len(o.buf))
-	}
-	// Forward the wire bytes to children before decoding, so the tree
-	// keeps fanning out while this rank unpacks.
-	for m := o.mask >> 1; m > 0; m >>= 1 {
-		if o.rel+m < o.p {
-			child := (o.rel + m + o.root) % o.p
-			if err := o.c.collSendEagerOwned(copyToPooled(b), child, o.tag); err != nil {
-				putBuf(b)
-				return false, err
-			}
-		}
-	}
-	err := decodeInto(o.buf, b)
-	putBuf(b)
-	if err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-func (o *ibcastOp[T]) cleanup() {
-	if o.pr != nil {
-		o.c.mb.cancelColl(o.cr, o.pr)
-		o.pr = nil
-	}
+	return startColl(c, PrimIbcast, schedBcast, root, buf, nil), nil
 }
 
 // Ireduce starts a nonblocking in-place reduction onto root along the
@@ -514,136 +372,14 @@ func Ireduce[T Scalar](c *Comm, buf []T, op Op[T], root int) (*CollRequest, erro
 	if err := c.checkPeer(root, false); err != nil {
 		return nil, err
 	}
-	tok := c.profEnter()
-	c.countCall(PrimIreduce)
-	bytes := len(buf) * scalarSize[T]()
-	cr := c.newCollRequest(PrimIreduce, bytes)
-	p := len(c.members)
-	if p == 1 {
-		cr.complete(nil)
-	} else {
-		cr.op = &ireduceOp[T]{
-			c: c, cr: cr, buf: buf, op: op, root: root, p: p,
-			rel: (c.rank - root + p) % p, mask: 1, tag: c.nextCollTag(),
-		}
-		cr.advance()
-	}
-	c.profExit(tok, PrimIreduce, c.members[root], -1, bytes, cr.msgid, 0, 0)
-	return cr, nil
-}
-
-type ireduceOp[T Scalar] struct {
-	c                 *Comm
-	cr                *CollRequest
-	buf               []T
-	op                Op[T]
-	root, p, rel, tag int
-	mask              int
-	pr                *pendingRecv
-}
-
-func (o *ireduceOp[T]) step() (bool, error) {
-	size := scalarSize[T]()
-	for {
-		if o.pr != nil {
-			env, ok := o.c.mb.takeColl(o.cr, o.pr)
-			if !ok {
-				return false, nil
-			}
-			putPR(o.pr)
-			o.pr = nil
-			b := env.data
-			putEnv(env)
-			if len(b) != len(o.buf)*size {
-				putBuf(b)
-				return false, fmt.Errorf("%w: Ireduce child contributed %d bytes, expected %d elements", ErrLengthMismatch, len(b), len(o.buf))
-			}
-			err := reduceFromWire(o.buf, b, o.op)
-			putBuf(b)
-			if err != nil {
-				return false, err
-			}
-			o.mask <<= 1
-		}
-		if o.mask >= o.p {
-			return true, nil // root: every child folded
-		}
-		if o.rel&o.mask != 0 {
-			parent := (o.rel - o.mask + o.root) % o.p
-			return true, o.c.collSendEagerOwned(marshalPooled(o.buf), parent, o.tag)
-		}
-		childRel := o.rel | o.mask
-		if childRel < o.p {
-			child := (childRel + o.root) % o.p
-			o.pr = o.c.mb.postRecvColl(o.c.collCtx(), child, o.tag, o.cr)
-			continue
-		}
-		o.mask <<= 1
-	}
-}
-
-func (o *ireduceOp[T]) cleanup() {
-	if o.pr != nil {
-		o.c.mb.cancelColl(o.cr, o.pr)
-		o.pr = nil
-	}
+	return startColl(c, PrimIreduce, schedReduce, root, buf, op), nil
 }
 
 // Ibarrier starts a nonblocking barrier (MPI_Ibarrier): Wait returns
 // once every rank of the communicator has entered it. Dissemination
 // algorithm, ceil(log2 p) background rounds.
 func Ibarrier(c *Comm) (*CollRequest, error) {
-	tok := c.profEnter()
-	c.countCall(PrimIbarrier)
-	cr := c.newCollRequest(PrimIbarrier, 0)
-	p := len(c.members)
-	if p == 1 {
-		cr.complete(nil)
-	} else {
-		cr.op = &ibarrierOp{c: c, cr: cr, p: p, r: c.rank, k: 1, tag: c.nextCollTag()}
-		cr.advance()
-	}
-	c.profExit(tok, PrimIbarrier, -1, -1, 0, cr.msgid, 0, 0)
-	return cr, nil
-}
-
-type ibarrierOp struct {
-	c            *Comm
-	cr           *CollRequest
-	p, r, k, tag int
-	pr           *pendingRecv
-}
-
-func (o *ibarrierOp) step() (bool, error) {
-	for {
-		if o.pr != nil {
-			env, ok := o.c.mb.takeColl(o.cr, o.pr)
-			if !ok {
-				return false, nil
-			}
-			putPR(o.pr)
-			o.pr = nil
-			putBuf(env.data)
-			putEnv(env)
-			o.k <<= 1
-		}
-		if o.k >= o.p {
-			return true, nil
-		}
-		from := (o.r - o.k + o.p) % o.p
-		to := (o.r + o.k) % o.p
-		o.pr = o.c.mb.postRecvColl(o.c.collCtx(), from, o.tag, o.cr)
-		if err := o.c.collSendEagerOwned(nil, to, o.tag); err != nil {
-			return false, err
-		}
-	}
-}
-
-func (o *ibarrierOp) cleanup() {
-	if o.pr != nil {
-		o.c.mb.cancelColl(o.cr, o.pr)
-		o.pr = nil
-	}
+	return startColl[byte](c, PrimIbarrier, schedBarrier, noRoot, nil, nil), nil
 }
 
 // Iallgather starts a nonblocking in-place ring allgather
@@ -655,73 +391,7 @@ func Iallgather[T Scalar](c *Comm, buf []T) (*CollRequest, error) {
 	if len(buf)%p != 0 {
 		return nil, fmt.Errorf("%w: Iallgather buffer of %d elements across %d ranks", ErrLengthMismatch, len(buf), p)
 	}
-	tok := c.profEnter()
-	c.countCall(PrimIallgather)
-	bytes := len(buf) * scalarSize[T]()
-	cr := c.newCollRequest(PrimIallgather, bytes)
-	if p == 1 {
-		cr.complete(nil)
-	} else {
-		cr.op = &iallgatherOp[T]{
-			c: c, cr: cr, buf: buf, n: len(buf) / p, p: p, r: c.rank, tag: c.nextCollTag(),
-		}
-		cr.advance()
-	}
-	c.profExit(tok, PrimIallgather, -1, -1, bytes, cr.msgid, 0, 0)
-	return cr, nil
-}
-
-type iallgatherOp[T Scalar] struct {
-	c            *Comm
-	cr           *CollRequest
-	buf          []T
-	n, p, r, tag int // n = block length
-	idx          int
-	pr           *pendingRecv
-}
-
-func (o *iallgatherOp[T]) block(i int) []T { return o.buf[i*o.n : (i+1)*o.n] }
-
-func (o *iallgatherOp[T]) step() (bool, error) {
-	size := scalarSize[T]()
-	left := (o.r - 1 + o.p) % o.p
-	right := (o.r + 1) % o.p
-	for {
-		if o.pr != nil {
-			env, ok := o.c.mb.takeColl(o.cr, o.pr)
-			if !ok {
-				return false, nil
-			}
-			putPR(o.pr)
-			o.pr = nil
-			b := env.data
-			putEnv(env)
-			if len(b) != o.n*size {
-				putBuf(b)
-				return false, fmt.Errorf("%w: Iallgather block of %d bytes, expected %d elements", ErrLengthMismatch, len(b), o.n)
-			}
-			err := decodeInto(o.block(collMod(o.r-1-o.idx, o.p)), b)
-			putBuf(b)
-			if err != nil {
-				return false, err
-			}
-			o.idx++
-		}
-		if o.idx == o.p-1 {
-			return true, nil
-		}
-		o.pr = o.c.mb.postRecvColl(o.c.collCtx(), left, o.tag, o.cr)
-		if err := o.c.collSendEagerOwned(marshalPooled(o.block(collMod(o.r-o.idx, o.p))), right, o.tag); err != nil {
-			return false, err
-		}
-	}
-}
-
-func (o *iallgatherOp[T]) cleanup() {
-	if o.pr != nil {
-		o.c.mb.cancelColl(o.cr, o.pr)
-		o.pr = nil
-	}
+	return startColl(c, PrimIallgather, schedAllgather, noRoot, buf, nil), nil
 }
 
 // ReduceScatterInto reduces every rank's buf elementwise with op and
@@ -729,10 +399,10 @@ func (o *iallgatherOp[T]) cleanup() {
 // MPI_IN_PLACE): after the call, rank r's reduced segment occupies
 // buf[r*seg:(r+1)*seg] where seg = len(buf)/p; the other segments hold
 // partial folds and are unspecified. len(buf) must be a multiple of the
-// communicator size. The ring schedule and fold order are identical to
-// Iallreduce's reduce-scatter phase, so the shards it produces are
-// bit-identical to the corresponding Iallreduce segments — the property
-// ZeRO-style sharded optimizers rely on.
+// communicator size. It runs the first phase of the schedule Iallreduce
+// runs, so the shards it produces are bit-identical to the corresponding
+// Iallreduce segments — the property ZeRO-style sharded optimizers rely
+// on.
 func ReduceScatterInto[T Scalar](c *Comm, buf []T, op Op[T]) error {
 	p := len(c.members)
 	if len(buf)%p != 0 {
@@ -740,7 +410,7 @@ func ReduceScatterInto[T Scalar](c *Comm, buf []T, op Op[T]) error {
 	}
 	tok := c.profEnter()
 	c.countCall(PrimReduceScatter)
-	err := reduceScatterRing(c, buf, op)
+	_, err := runSched(c, schedReduceScatter, noRoot, buf, op, inPlace)
 	c.profExit(tok, PrimReduceScatter, -1, -1, len(buf)*scalarSize[T](), 0, 0, 0)
 	return err
 }
@@ -755,7 +425,7 @@ func ReduceScatter[T Scalar](c *Comm, data []T, op Op[T]) ([]T, error) {
 	tok := c.profEnter()
 	c.countCall(PrimReduceScatter)
 	buf := append([]T(nil), data...)
-	err := reduceScatterRing(c, buf, op)
+	_, err := runSched(c, schedReduceScatter, noRoot, buf, op, inPlace)
 	c.profExit(tok, PrimReduceScatter, -1, -1, len(data)*scalarSize[T](), 0, 0, 0)
 	if err != nil {
 		return nil, err
@@ -764,59 +434,4 @@ func ReduceScatter[T Scalar](c *Comm, data []T, op Op[T]) ([]T, error) {
 	out := make([]T, seg)
 	copy(out, buf[c.rank*seg:(c.rank+1)*seg])
 	return out, nil
-}
-
-// reduceScatterRing runs the shifted ring reduce-scatter in place: at
-// step s, rank r sends segment (r-1-s) mod p — the partial it folded the
-// previous step — and folds the incoming wire bytes into segment
-// (r-2-s) mod p. After p-1 steps rank r owns the fully reduced segment r.
-func reduceScatterRing[T Scalar](c *Comm, buf []T, op Op[T]) error {
-	p, r := len(c.members), c.rank
-	if p == 1 || len(buf) == 0 {
-		return nil
-	}
-	tag := c.nextCollTag()
-	seg := len(buf) / p
-	size := scalarSize[T]()
-	segment := func(i int) []T { return buf[i*seg : (i+1)*seg] }
-	left := (r - 1 + p) % p
-	right := (r + 1) % p
-	for s := 0; s < p-1; s++ {
-		pr := c.collIrecv(left, tag)
-		if err := c.collSendOwned(marshalPooled(segment(collMod(r-1-s, p))), right, tag); err != nil {
-			return err
-		}
-		b, err := c.collFinish(pr)
-		if err != nil {
-			return err
-		}
-		if len(b) != seg*size {
-			putBuf(b)
-			return fmt.Errorf("%w: ReduceScatter segment of %d bytes, expected %d elements", ErrLengthMismatch, len(b), seg)
-		}
-		err = reduceFromWire(segment(collMod(r-2-s, p)), b, op)
-		putBuf(b)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// cancelColl abandons a collective receive during failure cleanup,
-// releasing a matched-but-unconsumed payload so the one-owner pool
-// contract holds on error paths. Runs on the request's strand.
-func (mb *mailbox) cancelColl(cr *CollRequest, pr *pendingRecv) {
-	mb.mu.Lock()
-	if pr.env != nil {
-		putBuf(pr.env.data)
-		putEnv(pr.env)
-		pr.env = nil
-		if cr.unconsumed > 0 {
-			cr.unconsumed--
-		}
-	}
-	mb.dropPending(pr)
-	mb.mu.Unlock()
-	putPR(pr)
 }

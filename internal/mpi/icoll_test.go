@@ -294,6 +294,94 @@ func TestReduceScatterBitIdentityWithIallreduce(t *testing.T) {
 	})
 }
 
+// TestBlockingMatchesNonblockingBits: a blocking collective and its
+// nonblocking twin run the same schedule value under two drivers, so on
+// data whose sum depends on association order they must agree to the bit
+// — on both transports, at every root, and (n is prime) through the
+// rings' padded path.
+func TestBlockingMatchesNonblockingBits(t *testing.T) {
+	const n = 11
+	sameBits := func(what string, a, b []float64) error {
+		if len(a) != len(b) {
+			return fmt.Errorf("%s: %d elements blocking, %d nonblocking", what, len(a), len(b))
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return fmt.Errorf("%s: element %d is %x blocking, %x nonblocking", what, i, a[i], b[i])
+			}
+		}
+		return nil
+	}
+	wait := func(cr *CollRequest, err error) error {
+		if err != nil {
+			return err
+		}
+		return cr.Wait()
+	}
+	for np := 2; np <= 7; np++ {
+		t.Run(fmt.Sprintf("np=%d", np), func(t *testing.T) {
+			icollTransports(t, np, func(c *Comm) error {
+				r := c.Rank()
+				rng := rand.New(rand.NewSource(int64(r) + 7))
+				orig := make([]float64, n)
+				for i := range orig {
+					orig[i] = rng.NormFloat64() * math.Exp(rng.NormFloat64()*8)
+				}
+				clone := func() []float64 { return append([]float64(nil), orig...) }
+
+				for root := 0; root < np; root++ {
+					a, b := clone(), clone()
+					if err := ReduceInto(c, a, OpSum, root); err != nil {
+						return err
+					}
+					if err := wait(Ireduce(c, b, OpSum, root)); err != nil {
+						return err
+					}
+					if r == root {
+						if err := sameBits(fmt.Sprintf("reduce onto %d", root), a, b); err != nil {
+							return err
+						}
+					}
+					a, err := Bcast(c, clone(), root)
+					if err != nil {
+						return err
+					}
+					b = clone()
+					if err := wait(Ibcast(c, b, root)); err != nil {
+						return err
+					}
+					if err := sameBits(fmt.Sprintf("bcast from %d", root), a, b); err != nil {
+						return err
+					}
+				}
+
+				a, err := Allgather(c, orig)
+				if err != nil {
+					return err
+				}
+				b := make([]float64, n*np)
+				copy(b[r*n:], orig)
+				if err := wait(Iallgather(c, b)); err != nil {
+					return err
+				}
+				if err := sameBits("allgather", a, b); err != nil {
+					return err
+				}
+
+				a, err = AllreduceRing(c, orig, OpSum)
+				if err != nil {
+					return err
+				}
+				b = clone()
+				if err := wait(Iallreduce(c, b, OpSum)); err != nil {
+					return err
+				}
+				return sameBits("ring allreduce", a, b)
+			})
+		})
+	}
+}
+
 func TestIcollTCP(t *testing.T) {
 	err := RunTCP(4, func(c *Comm) error {
 		buf := make([]float64, 1024)

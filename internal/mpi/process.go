@@ -405,6 +405,17 @@ func (t *processTransport) notifyAbort(cause error) {
 }
 
 func (t *processTransport) close() error {
+	// A reader that has just matched a rendezvous message wakes the
+	// receiver before it writes the acknowledgement, so this rank can be
+	// done while a reader still owes an ack on its connection — and the
+	// peer's send waits on it. Expire the reads instead of closing under
+	// the readers, let each finish the frame it is delivering, then close.
+	for _, tc := range t.conns {
+		if tc != nil {
+			_ = tc.c.SetReadDeadline(time.Now()) // a failure here means already closed
+		}
+	}
+	t.readers.Wait()
 	for _, tc := range t.conns {
 		if tc != nil {
 			tc.c.Close()
@@ -414,7 +425,6 @@ func (t *processTransport) close() error {
 	if t.lns != nil {
 		t.lns.Close()
 	}
-	t.readers.Wait()
 	return nil
 }
 

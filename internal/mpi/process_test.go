@@ -141,7 +141,9 @@ var multiProcPrograms = Programs{
 func runMP(t *testing.T, np int, prog string, wantWorkerErr bool) (parentErr error, isWorker bool) {
 	t.Helper()
 	worker, err := RunProcesses(np, prog, multiProcPrograms,
-		WithChildArgs("-test.run=^"+t.Name()+"$"),
+		// A child inherits the parent's flags; under -count=N it must still
+		// be a worker exactly once, or its second pass finds no coordinator.
+		WithChildArgs("-test.run=^"+t.Name()+"$", "-test.count=1"),
 		WithChildOutput(io.Discard, io.Discard),
 	)
 	if worker {
