@@ -42,14 +42,13 @@ all: build test
 check: faults chaos
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -race ./internal/modules/hashjoin
 	$(GO) test -run 'TestAlloc|TestEvent' ./internal/telemetry
 	$(GO) test -race -run 'TestMetricsEndpointsLive|TestTransportCounterParity|TestLossyLinkCounterParity|TestGatherMerged' ./internal/telemetry
 	$(GO) test -race -run NONE -bench '$(MPI_BENCHES)' -benchtime=1x .
 	$(GO) test -race -run NONE -bench '$(RMA_BENCHES)' -benchtime=1x .
 	$(GO) test -race -run NONE -bench '$(DDP_BENCHES)' -benchtime=1x .
 	$(GO) test -race -run 'TestHeapVsLinear|TestRunUntilSinglePop|FuzzWorkloadSpec|TestScheduleOracle|TestGoldenDrain' ./internal/cluster ./internal/workload
-	$(GO) test -run 'TestAllocSchedulePass|TestAllocJoin|TestAllocLocalKernels' ./internal/cluster ./internal/workload ./internal/modules/hashjoin
+	$(GO) test -run 'TestAllocSchedulePass|TestAllocJoin|TestAllocLocalKernels|TestAllocSort|TestAllocRadixScratch|TestAllocFreeEagerPingPong' ./internal/cluster ./internal/workload ./internal/modules/hashjoin ./internal/modules/distsort ./internal/mpi
 	$(GO) test -run 'TestHelpGolden' ./cmd/sbatch ./cmd/modulerun
 	$(GO) run ./cmd/sbatch -workload "poisson:600/h;runtime=exp:60s;tasks=fixed:8" -njobs 100000 -nodes 4
 
@@ -74,9 +73,10 @@ faults:
 
 # Flake hunt: the concurrency-heavy packages twenty times over under the
 # race detector. Every test is deterministic by seed, so one failure in
-# twenty is a bug, not noise.
+# twenty is a bug, not noise. distsort is here because its exchange lays
+# the bucket out by source rank: the arrival order must not matter.
 flake:
-	$(GO) test -race -count=20 ./internal/mpi ./internal/modules/ddp
+	$(GO) test -race -count=20 ./internal/mpi ./internal/modules/ddp ./internal/modules/distsort
 
 build:
 	$(GO) build ./...
@@ -118,6 +118,7 @@ fuzz:
 	$(GO) test ./internal/cluster -fuzz=FuzzClusterFaultOps -fuzztime=10s
 	$(GO) test ./internal/workload -fuzz=FuzzWorkloadSpec -fuzztime=10s
 	$(GO) test ./internal/modules/distsort -fuzz=FuzzEquiDepthBoundaries -fuzztime=10s
+	$(GO) test ./internal/modules/distsort -fuzz=FuzzRadixScratch -fuzztime=10s
 	$(GO) test ./internal/modules/hashjoin -fuzz=FuzzFlatTable -fuzztime=10s
 
 # Regenerate every table and figure of the paper.

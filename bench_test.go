@@ -11,6 +11,7 @@ package repro_test
 
 import (
 	"fmt"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -1063,7 +1064,8 @@ func BenchmarkAblation_ProfilingOverhead(b *testing.B) {
 }
 
 // BenchmarkAblation_LocalSort compares the stdlib comparison sort against
-// the radix sort for Module 3's local sort phase.
+// the radix sort that is Module 3's local sort phase (learning outcome
+// 15: O(n) passes against O(n log n) comparisons).
 func BenchmarkAblation_LocalSort(b *testing.B) {
 	keys := data.UniformKeys(1_000_000, 0, 1e6, 13)
 	b.Run("stdlib", func(b *testing.B) {
@@ -1071,7 +1073,7 @@ func BenchmarkAblation_LocalSort(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			copy(buf, keys)
 			b.StartTimer()
-			distsort.SequentialSort(buf)
+			sort.Float64s(buf)
 			b.StopTimer()
 		}
 	})

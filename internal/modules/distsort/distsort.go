@@ -140,58 +140,74 @@ func SortOpts(c *mpi.Comm, local []float64, splitter Splitter, opt Options) ([]f
 		return nil, Result{}, err
 	}
 
-	// Partition local keys into per-destination blocks.
-	blocks := make([][]float64, p)
-	for _, k := range local {
-		b := bucketOf(k, boundaries)
-		blocks[b] = append(blocks[b], k)
+	send, ends, err := partition(local, boundaries)
+	if err != nil {
+		return nil, Result{}, err
 	}
 
 	// Exchange with the primitive set Table II prescribes for Module 3:
-	// nonblocking sends of every block, then p-1 receives sized with
-	// MPI_Probe + MPI_Get_count (the keys destined to ourselves skip the
-	// network).
+	// nonblocking sends of every block, then every inbound block sized
+	// with MPI_Probe + MPI_Get_count before any is received, so the
+	// bucket is allocated once at its final length and each receive
+	// decodes the wire bytes into their final place (the keys destined
+	// to ourselves skip the network).
 	exchangeStart := time.Now()
 	r := c.Rank()
-	var reqs []*mpi.Request
-	for dst := 0; dst < p; dst++ {
+	reqs := make([]*mpi.Request, 0, p-1)
+	counts := make([]int, p)
+	var own []float64
+	lo := 0
+	for dst, hi := range ends {
+		blk := send[lo:hi]
+		lo = hi
 		if dst == r {
+			own = blk
 			continue
 		}
-		req, err := mpi.Isend(c, blocks[dst], dst, tagExchange)
+		req, err := mpi.Isend(c, blk, dst, tagExchange)
 		if err != nil {
 			return nil, Result{}, err
 		}
 		reqs = append(reqs, req)
 	}
-	mine := append([]float64(nil), blocks[r]...)
-	var scratch []float64 // reused across receives; grown to the largest block
-	for i := 0; i < p-1; i++ {
-		st, err := c.Probe(mpi.AnySource, tagExchange)
+	total := len(own)
+	counts[r] = len(own)
+	for src := range counts {
+		if src == r {
+			continue
+		}
+		st, err := c.Probe(src, tagExchange)
 		if err != nil {
 			return nil, Result{}, err
 		}
-		n, err := c.GetCount(st, 8)
-		if err != nil {
+		if counts[src], err = c.GetCount(st, 8); err != nil {
 			return nil, Result{}, err
 		}
-		if cap(scratch) < n {
-			scratch = make([]float64, n)
-		}
-		blk, _, err := mpi.RecvInto(c, scratch[:0], st.Source, tagExchange)
-		if err != nil {
+		total += counts[src]
+	}
+	mine := make([]float64, total)
+	at := 0
+	for src, n := range counts {
+		if src == r {
+			copy(mine[at:], own)
+		} else if _, _, err := mpi.RecvInto(c, mine[at:at:at+n], src, tagExchange); err != nil {
 			return nil, Result{}, err
 		}
-		scratch = blk
-		mine = append(mine, blk...)
+		at += n
 	}
 	if err := mpi.Waitall(reqs...); err != nil {
 		return nil, Result{}, err
 	}
 	exchangeDur := time.Since(exchangeStart)
 
+	// Every send has completed, so the send buffer is free: it is the
+	// local sort's scratch unless skew made this bucket outgrow it.
 	sortStart := time.Now()
-	sort.Float64s(mine)
+	scratch := send
+	if len(scratch) < len(mine) {
+		scratch = make([]float64, len(mine))
+	}
+	radixSort(mine, scratch)
 	sortDur := time.Since(sortStart)
 
 	// The sorted bucket is this rank's entire post-exchange state; once
@@ -370,8 +386,10 @@ func computeBoundaries(c *mpi.Comm, local []float64, splitter Splitter) ([]float
 			}
 			sort.Float64s(flat)
 			bounds = make([]float64, p-1)
-			for i := range bounds {
-				bounds[i] = flat[(i+1)*len(flat)/p]
+			if len(flat) > 0 { // else no rank holds a key and any boundaries do
+				for i := range bounds {
+					bounds[i] = flat[(i+1)*len(flat)/p]
+				}
 			}
 		}
 		return mpi.Bcast(c, bounds, 0)
@@ -454,9 +472,49 @@ func equiDepthBoundaries(keys []float64, lo, hi float64, p int) []float64 {
 	return bounds
 }
 
-// bucketOf locates the bucket of k given ascending boundaries.
+// bucketOf locates the bucket of k given ascending boundaries: the first
+// i with bounds[i] >= k (so a NaN falls in the last bucket), found as
+// sort.SearchFloat64s finds it, minus the closure call per probe.
 func bucketOf(k float64, bounds []float64) int {
-	return sort.SearchFloat64s(bounds, k)
+	lo, hi := 0, len(bounds)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if bounds[mid] >= k {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// partition groups keys by destination bucket in one exact-size buffer,
+// count then fill: bucket b is send[ends[b-1]:ends[b]] (from 0 for b = 0)
+// and keeps the input order. Each key's bucket is searched once and
+// remembered for the fill pass in two bytes, which bounds the rank count.
+func partition(keys, bounds []float64) (send []float64, ends []int, err error) {
+	p := len(bounds) + 1
+	if p > math.MaxUint16+1 {
+		return nil, nil, fmt.Errorf("distsort: %d ranks exceed the %d the partition can index", p, math.MaxUint16+1)
+	}
+	ids := make([]uint16, len(keys))
+	ends = make([]int, p)
+	for i, k := range keys {
+		b := bucketOf(k, bounds)
+		ids[i] = uint16(b)
+		ends[b]++
+	}
+	start := 0
+	for b, n := range ends {
+		ends[b], start = start, start+n
+	}
+	send = make([]float64, len(keys))
+	for i, k := range keys {
+		b := ids[i]
+		send[ends[b]] = k
+		ends[b]++ // the cursor of b finishes on its end
+	}
+	return send, ends, nil
 }
 
 // VerifyDistributedSorted checks the global sort invariant: each rank's
@@ -515,10 +573,12 @@ func VerifyDistributedSorted(c *mpi.Comm, mine []float64) (bool, error) {
 }
 
 // SequentialSort is the single-process baseline the module compares
-// against: no exchange phase, just a local sort.
+// against: no exchange phase, just the local sort the ranks run, given
+// its scratch up front as they are.
 func SequentialSort(keys []float64) ([]float64, time.Duration) {
 	out := append([]float64(nil), keys...)
+	scratch := make([]float64, len(out))
 	start := time.Now()
-	sort.Float64s(out)
+	radixSort(out, scratch)
 	return out, time.Since(start)
 }

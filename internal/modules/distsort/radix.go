@@ -2,63 +2,74 @@ package distsort
 
 import "math"
 
-// RadixSortFloat64s sorts keys in place with an LSD radix sort over the
-// order-preserving bit transform of IEEE-754 doubles — the
-// "improve the algorithm beyond the module" answer (learning outcome 15)
-// to the comparison sort of the local phase: O(n) passes instead of
-// O(n log n) comparisons, a large win exactly when buckets are big.
-// NaNs sort to the end (after +Inf).
+// RadixSortFloat64s sorts keys in place with the module's local sort: an
+// LSD radix sort over an order-preserving bit transform of IEEE-754
+// doubles, run by every rank of Sort and by the SequentialSort baseline.
+// It is the "improve the algorithm beyond the module" answer (learning
+// outcome 15) to a comparison sort of the local phase: O(n) passes
+// instead of O(n log n) comparisons, a win exactly when buckets are big,
+// which BenchmarkAblation_LocalSort measures against sort.Float64s. The
+// order is total and deterministic: −0 sorts before +0 and NaNs sort
+// last (after +Inf), whatever their sign.
 func RadixSortFloat64s(keys []float64) {
+	radixSort(keys, make([]float64, len(keys)))
+}
+
+// radixSort is the kernel: it sorts keys in place using scratch, which
+// must be at least as long as keys and must not overlap it, and
+// allocates nothing. One pass builds the histograms of all eight key
+// bytes; each byte on which the keys differ then costs one stable
+// scatter between keys and scratch, with the transform applied as the
+// keys are read, so the floats themselves are what moves.
+func radixSort(keys, scratch []float64) {
 	n := len(keys)
 	if n < 2 {
 		return
 	}
-	src := make([]uint64, n)
-	for i, k := range keys {
-		src[i] = orderedBits(k)
+	var counts [8][256]int
+	for _, k := range keys {
+		v := orderedBits(k)
+		counts[0][byte(v)]++
+		counts[1][byte(v>>8)]++
+		counts[2][byte(v>>16)]++
+		counts[3][byte(v>>24)]++
+		counts[4][byte(v>>32)]++
+		counts[5][byte(v>>40)]++
+		counts[6][byte(v>>48)]++
+		counts[7][byte(v>>56)]++
 	}
-	dst := make([]uint64, n)
-	var counts [256]int
-	for shift := 0; shift < 64; shift += 8 {
-		for i := range counts {
-			counts[i] = 0
-		}
-		for _, v := range src {
-			counts[(v>>shift)&0xff]++
-		}
-		if counts[(src[0]>>shift)&0xff] == n {
+	first := orderedBits(keys[0])
+	src, dst := keys, scratch[:n]
+	for d := range counts {
+		c := &counts[d]
+		if c[byte(first>>(8*d))] == n {
 			continue // all keys share this byte: skip the pass
 		}
 		total := 0
-		for i := range counts {
-			counts[i], total = total, total+counts[i]
+		for i, cnt := range c {
+			c[i], total = total, total+cnt
 		}
-		for _, v := range src {
-			b := (v >> shift) & 0xff
-			dst[counts[b]] = v
-			counts[b]++
+		shift := 8 * d
+		for _, k := range src {
+			b := byte(orderedBits(k) >> shift)
+			dst[c[b]] = k
+			c[b]++
 		}
 		src, dst = dst, src
 	}
-	for i, v := range src {
-		keys[i] = fromOrderedBits(v)
+	if &src[0] != &keys[0] {
+		copy(keys, src)
 	}
 }
 
-// orderedBits maps a float64 to a uint64 whose unsigned order matches the
-// float order: flip all bits of negatives, flip only the sign bit of
-// non-negatives.
+// orderedBits maps a float64 to a uint64 whose unsigned order is the
+// sort order: flip all bits of negatives, flip only the sign bit of
+// non-negatives. A NaN is keyed as if its sign bit were clear, which
+// puts every NaN above +Inf.
 func orderedBits(f float64) uint64 {
 	b := math.Float64bits(f)
-	if b&(1<<63) != 0 {
-		return ^b
+	if f != f {
+		return b | 1<<63
 	}
-	return b | 1<<63
-}
-
-func fromOrderedBits(b uint64) float64 {
-	if b&(1<<63) != 0 {
-		return math.Float64frombits(b &^ (1 << 63))
-	}
-	return math.Float64frombits(^b)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
 }

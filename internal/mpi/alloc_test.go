@@ -21,6 +21,18 @@ import (
 // SendBytes/RecvBytes round trip on the channel transport allocates
 // nothing once the pools are primed.
 func TestAllocFreeEagerPingPong(t *testing.T) {
+	assertAllocFreePingPong(t, Run)
+}
+
+// TestAllocFreeEagerPingPongTCP holds the socket transport to the same
+// guarantee: the writer frames into its bufio buffer and the reader loop
+// reuses one header buffer, so a round trip over loopback TCP allocates
+// nothing either.
+func TestAllocFreeEagerPingPongTCP(t *testing.T) {
+	assertAllocFreePingPong(t, RunTCP)
+}
+
+func assertAllocFreePingPong(t *testing.T, run func(int, func(*Comm) error, ...Option) error) {
 	const (
 		warmup = 20
 		rounds = 100
@@ -28,7 +40,7 @@ func TestAllocFreeEagerPingPong(t *testing.T) {
 	)
 	payload := make([]byte, 64)
 	var avg float64
-	err := Run(2, func(c *Comm) error {
+	err := run(2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			roundTrip := func() error {
 				if err := c.SendBytes(payload, 1, tag); err != nil {

@@ -418,8 +418,12 @@ func (tc *tcpConn) retransmitDue() {
 // socket, so they reach the peer whose window holds these frames.
 func readFramesReliable(r *bufio.Reader, tc *tcpConn, w *World) {
 	var expect uint64 = 1
+	// Header scratch for the three frame kinds, owned by the loop (see
+	// readOneRawFrame).
 	var lh [linkDataHdrLen - 1]byte // seq, crc, frameLen (kind read separately)
 	var hdr [envelopeHeaderLen]byte
+	var raw [4 + envelopeHeaderLen]byte
+	var ab [8]byte
 	for {
 		kind, err := r.ReadByte()
 		if err != nil {
@@ -427,11 +431,10 @@ func readFramesReliable(r *bufio.Reader, tc *tcpConn, w *World) {
 		}
 		switch kind {
 		case linkRaw:
-			if !readOneRawFrame(r, w) {
+			if !readOneRawFrame(r, w, &raw) {
 				return
 			}
 		case linkAck:
-			var ab [8]byte
 			if _, err := io.ReadFull(r, ab[:]); err != nil {
 				return
 			}

@@ -151,17 +151,19 @@ func readFrames(r *bufio.Reader, tc *tcpConn, w *World) {
 		readFramesReliable(r, tc, w)
 		return
 	}
-	for readOneRawFrame(r, w) {
+	var hdr [4 + envelopeHeaderLen]byte
+	for readOneRawFrame(r, w, &hdr) {
 	}
 }
 
 // readOneRawFrame reads one length-prefixed envelope frame. The header
-// lands in a stack scratch buffer and the payload is read directly into
-// an exactly-sized pooled buffer — the frame is never materialized as a
-// whole, and the payload bytes are written once. Returns false when the
+// lands in hdr and the payload is read directly into an exactly-sized
+// pooled buffer — the frame is never materialized as a whole, and the
+// payload bytes are written once. io.ReadFull takes hdr through an
+// interface, so it lives on the heap: the reader loop owns one for its
+// lifetime instead of allocating one per frame. Returns false when the
 // stream ends or the world aborts.
-func readOneRawFrame(r *bufio.Reader, w *World) bool {
-	var hdr [4 + envelopeHeaderLen]byte
+func readOneRawFrame(r *bufio.Reader, w *World, hdr *[4 + envelopeHeaderLen]byte) bool {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return false // connection closed
 	}
