@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -18,7 +19,7 @@ import (
 //     equivalent of a process crash;
 //   - a *failure declaration*: the surviving ranks' view, established
 //     either synchronously (channel transport, where the runtime shares
-//     one address space) or by heartbeat silence (socket transports).
+//     one address space) or by heartbeat silence (socket transport).
 //
 // Survivors observe failures as a RankFailedError from any blocked
 // operation, distinct from ErrDeadlock and ErrAborted, and can rebuild a
@@ -117,7 +118,7 @@ const DefaultHeartbeat = 500 * time.Millisecond
 // WithHeartbeat enables heartbeat-based failure detection: every live
 // rank emits heartbeats at d/4 through the transport, and a rank silent
 // for longer than d is declared failed, unblocking survivors with a
-// RankFailedError. This is how socket transports detect a dead peer; the
+// RankFailedError. This is how the socket transport detects a dead peer; the
 // channel transport declares kills synchronously and does not need it.
 func WithHeartbeat(d time.Duration) Option {
 	return func(o *options) { o.heartbeat = d }
@@ -171,7 +172,7 @@ func (w *World) emitLifecycle(rank int, kind, detail string) {
 }
 
 // initFaultState sizes the per-rank failure-tracking state. localRanks
-// lists the ranks hosted by this process (all of them for Run/RunTCP, one
+// lists the ranks hosted by this World (all of them for Run/RunTCP, one
 // for a multi-process worker).
 func (w *World) initFaultState(localRanks []int) {
 	w.killed = make([]atomic.Bool, w.size)
@@ -440,10 +441,10 @@ func faultableFrame(kind int8) bool {
 }
 
 // frameVerdict consults the injector about one outbound frame, applies
-// any injected delay, and emits the inject lifecycle event. Unlike
-// applyFrameFault it does not consume or alter the envelope: the
-// reliable link layer applies the verdict at the wire-write level, where
-// retransmission still recovers the frame.
+// any injected delay, and emits the inject lifecycle event. It does not
+// consume or alter the envelope: the connection applies the verdict as it
+// writes (tcpConn.send), so the same verdict is silent damage on a raw
+// link and a recovered retransmission on a reliable one.
 func (w *World) frameVerdict(e *envelope) FrameAction {
 	in := w.opts.injector
 	if in == nil || !faultableFrame(e.kind) {
@@ -463,41 +464,11 @@ func (w *World) frameVerdict(e *envelope) FrameAction {
 	return act
 }
 
-// applyFrameFault resolves and applies the injector's verdict for one
-// outbound data frame on a raw (unguarded) connection. It reports
-// whether the frame was consumed (dropped or held for reordering), in
-// which case the caller must not write or recycle it again.
-//
-// The raw path is the teaching contrast to reliable.go: a dropped frame
-// is simply gone (the run stalls until a heartbeat or timeout notices),
-// a corrupted frame is delivered with a silently flipped payload bit —
-// without a checksum the application computes a wrong answer — and a
-// reordered frame breaks the non-overtaking guarantee.
-func applyFrameFault(w *World, tc *tcpConn, e *envelope) (consumed bool) {
-	switch w.frameVerdict(e) {
-	case FrameDrop:
-		relFramesDropped.Add(1)
-		putBuf(e.data)
-		putEnv(e)
-		return true
-	case FrameDup:
-		_ = tc.writeEnvelope(e)
-	case FrameCorrupt:
-		relFramesCorrupt.Add(1)
-		if len(e.data) > 0 {
-			e.data[len(e.data)/2] ^= 0x20
-		}
-	case FrameReorder:
-		tc.holdRaw(e)
-		return true
-	}
-	return false
-}
-
 // dialRetry dials addr with bounded exponential backoff: each attempt is
-// limited to attemptTimeout, the whole sequence to total. onRetry, when
-// non-nil, observes every failed attempt before its backoff sleep.
-func dialRetry(network, addr string, attemptTimeout, total time.Duration, onRetry func(attempt int, err error)) (net.Conn, error) {
+// limited to attemptTimeout, the whole sequence to total, and cancelling
+// ctx abandons it. onRetry, when non-nil, observes every failed attempt
+// before its backoff sleep.
+func dialRetry(ctx context.Context, network, addr string, attemptTimeout, total time.Duration, onRetry func(attempt int, err error)) (net.Conn, error) {
 	deadline := time.Now().Add(total)
 	backoff := 25 * time.Millisecond
 	for attempt := 1; ; attempt++ {
@@ -505,11 +476,8 @@ func dialRetry(network, addr string, attemptTimeout, total time.Duration, onRetr
 		if remain <= 0 {
 			return nil, fmt.Errorf("mpi: dial %s: retry budget %v exhausted after %d attempts", addr, total, attempt-1)
 		}
-		d := attemptTimeout
-		if remain < d {
-			d = remain
-		}
-		conn, err := net.DialTimeout(network, addr, d)
+		d := net.Dialer{Timeout: min(attemptTimeout, remain)}
+		conn, err := d.DialContext(ctx, network, addr)
 		if err == nil {
 			return conn, nil
 		}
@@ -519,7 +487,11 @@ func dialRetry(network, addr string, attemptTimeout, total time.Duration, onRetr
 		if onRetry != nil {
 			onRetry(attempt, err)
 		}
-		time.Sleep(backoff)
+		select {
+		case <-ctx.Done():
+			return nil, fmt.Errorf("mpi: dial %s: %w (after %d attempts: %v)", addr, ctx.Err(), attempt, err)
+		case <-time.After(backoff):
+		}
 		backoff *= 2
 		if backoff > 2*time.Second {
 			backoff = 2 * time.Second

@@ -106,7 +106,7 @@ type options struct {
 	opTimeout       time.Duration // per-operation deadline; 0 = none
 	heartbeat       time.Duration // failure-detection interval; 0 = off
 	linkLatency     time.Duration // emulated one-way wire latency; 0 = off (latency.go)
-	reliableLinks   bool          // ARQ + CRC link layer on socket transports (reliable.go)
+	reliableLinks   bool          // ARQ + CRC link layer on the socket transport (reliable.go)
 }
 
 // Option configures a World created by Run or RunTCP.

@@ -12,9 +12,9 @@ import (
 	"time"
 )
 
-// Reliable link layer for the socket transports (tcp.go, process.go),
-// enabled per-world with WithReliableLinks and off by default so the
-// clean path keeps its zero-copy, zero-alloc framing byte for byte.
+// Reliable link layer for the socket transport (tcp.go), enabled
+// per-world with WithReliableLinks and off by default so the clean path
+// keeps its zero-copy, zero-alloc framing byte for byte.
 //
 // The model is a go-back-N ARQ per connection endpoint, the software
 // analogue of what an RDMA reliable-connected queue pair or TCP itself
@@ -118,7 +118,7 @@ func (c ReliabilityCounters) Sub(earlier ReliabilityCounters) ReliabilityCounter
 }
 
 // WithReliableLinks turns on the reliable link layer for the socket
-// transports: sequence numbers, CRC32C checksums, cumulative acks and
+// transport: sequence numbers, CRC32C checksums, cumulative acks and
 // retransmission on every connection, so injected frame drops, dups and
 // corruptions are absorbed below the MPI semantics. No-op on the
 // in-process channel transport, which has no frames to lose. All ranks
@@ -512,9 +512,29 @@ func readFramesReliable(r *bufio.Reader, tc *tcpConn, w *World) {
 	}
 }
 
+// awaitAcks waits, until deadline, for the peer to acknowledge every
+// frame sent on a reliable link — the link's share of MPI_Finalize. A
+// frame whose first write the injector dropped exists only in the
+// retained window, so closing before its retransmission would lose it
+// for good while the rank that sent it has already returned.
+func (tc *tcpConn) awaitAcks(deadline time.Time) {
+	if tc.rel == nil {
+		return
+	}
+	for time.Now().Before(deadline) {
+		tc.mu.Lock()
+		n := len(tc.rel.unacked)
+		tc.mu.Unlock()
+		if n == 0 {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // shutdownRel stops the retransmit loop and returns every retained
 // frame (ARQ window and reorder holdbacks, reliable or raw) to the
-// pool. Idempotent; called by the transports' close paths.
+// pool. Idempotent; called by the transport's close path.
 func (tc *tcpConn) shutdownRel() {
 	tc.mu.Lock()
 	if tc.rawHeld != nil {

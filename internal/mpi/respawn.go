@@ -24,8 +24,8 @@ import (
 // process and returns ErrRespawnUnsupported.
 
 // ErrRespawnUnsupported is returned by RespawnAndRestore on worlds that
-// cannot spawn replacement ranks — the multi-process transport, where
-// each rank is its own OS process.
+// cannot spawn replacement ranks — a multi-process launch, where each
+// rank is its own OS process.
 var ErrRespawnUnsupported = errors.New("mpi: RespawnAndRestore requires all ranks in one process (Run or RunTCP)")
 
 // respawnsTotal counts ranks brought back at full width, across all

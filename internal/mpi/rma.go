@@ -18,7 +18,7 @@ import (
 // Requests travel as kindRMAReq envelopes and are serviced by the
 // delivering goroutine inside mailbox.post — the per-window progress
 // engine. On the channel transport that is the origin's own goroutine
-// (delivery is synchronous), on socket transports the connection reader;
+// (delivery is synchronous), on the socket transport the connection reader;
 // either way the target's application thread never participates, which
 // is the defining property of one-sided semantics. Completion reuses the
 // rendezvous machinery: Put/Accumulate/Lock/Unlock are confirmed with

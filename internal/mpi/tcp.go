@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -13,10 +14,11 @@ import (
 
 // RunTCP launches fn on np goroutine ranks connected by a full mesh of TCP
 // loopback sockets: every envelope crosses a real socket, exercising the
-// kernel network path the way a multi-node MPI job would. The precise
-// deadlock detector is unavailable over TCP (envelopes can be in flight);
-// a 30-second progress watchdog is installed unless the caller provides
-// one via WithWatchdog.
+// kernel network path the way a multi-node MPI job would. It is the mesh
+// RunProcesses builds, with every rank hosted by this process instead of
+// one per OS process. The precise deadlock detector is unavailable over
+// sockets (envelopes can be in flight); a 30-second progress watchdog is
+// installed unless the caller provides one via WithWatchdog.
 func RunTCP(np int, fn func(*Comm) error, opts ...Option) error {
 	o := defaultOptions()
 	for _, opt := range opts {
@@ -30,7 +32,13 @@ func RunTCP(np int, fn func(*Comm) error, opts ...Option) error {
 		// killed rank would only surface through the coarse watchdog.
 		opts = append(opts, WithHeartbeat(DefaultHeartbeat))
 	}
-	return run(np, fn, newTCPTransport, opts...)
+	return run(np, nil, fn, func(w *World) (transport, error) {
+		lns, addrs, err := listenLoopback(np)
+		if err != nil {
+			return nil, err
+		}
+		return newSocketTransport(w, lns, addrs)
+	}, opts...)
 }
 
 // tcpBufSize sizes the per-connection bufio reader and writer. 64 KiB
@@ -41,17 +49,6 @@ const tcpBufSize = 64 << 10
 // maxPayloadLen caps a frame's declared payload so a corrupt or hostile
 // length prefix cannot drive an arbitrarily large allocation.
 const maxPayloadLen = 1 << 30
-
-// tcpTransport is a full mesh of loopback connections. conns[i][j] is the
-// connection rank i uses to send to rank j; each rank runs one reader per
-// inbound connection that posts parsed envelopes to the rank's mailbox.
-type tcpTransport struct {
-	world     *World
-	listeners []net.Listener
-	conns     [][]*tcpConn // [src][dst]
-	readers   sync.WaitGroup
-	closed    chan struct{}
-}
 
 // tcpConn serializes concurrent senders onto one socket. Frames are
 // written in two pieces — the length prefix and header into the
@@ -64,7 +61,8 @@ type tcpTransport struct {
 // With WithReliableLinks the connection additionally carries the ARQ
 // state of reliable.go (rel non-nil) and every frame is link-framed;
 // without it the wire format and the zero-alloc write path are
-// untouched. rawHeld is the FrameReorder holdback on a raw link: one
+// untouched. The choice is made once per direction: in send and in
+// readFrames. rawHeld is the FrameReorder holdback on a raw link: one
 // assembled frame waiting to be overtaken by its successor.
 type tcpConn struct {
 	mu      sync.Mutex
@@ -76,10 +74,52 @@ type tcpConn struct {
 	rawHeld []byte                      // guarded by mu
 }
 
-func (tc *tcpConn) writeEnvelope(e *envelope) error {
+// send puts e on the wire under the injector's verdict act and consumes
+// it: the envelope's journey ends at the socket (the receiver
+// materializes a fresh one), so the payload buffer and the envelope
+// return to their pools here. On a reliable link the verdict applies at
+// the wire level and the ARQ recovers whatever it damages; on a raw link
+// the damage stands.
+func (tc *tcpConn) send(e *envelope, act FrameAction) error {
+	var err error
 	if tc.rel != nil {
-		return tc.writeReliable(e, FrameDeliver)
+		err = tc.writeReliable(e, act)
+	} else {
+		err = tc.writeRaw(e, act)
 	}
+	putBuf(e.data)
+	putEnv(e)
+	return err
+}
+
+// writeRaw applies the verdict on a raw (unguarded) connection — the
+// teaching contrast to reliable.go: a dropped frame is simply gone (the
+// run stalls until a heartbeat or timeout notices), a corrupted frame is
+// delivered with a silently flipped payload bit — without a checksum the
+// application computes a wrong answer — and a reordered frame breaks the
+// non-overtaking guarantee.
+func (tc *tcpConn) writeRaw(e *envelope, act FrameAction) error {
+	switch act {
+	case FrameDrop:
+		relFramesDropped.Add(1)
+		return nil
+	case FrameReorder:
+		tc.holdRaw(e)
+		return nil
+	case FrameCorrupt:
+		relFramesCorrupt.Add(1)
+		if len(e.data) > 0 {
+			e.data[len(e.data)/2] ^= 0x20
+		}
+	case FrameDup:
+		_ = tc.writeFrame(e)
+	}
+	return tc.writeFrame(e)
+}
+
+// writeFrame writes e's frame as one of possibly several concurrent
+// senders on the connection.
+func (tc *tcpConn) writeFrame(e *envelope) error {
 	tc.pending.Add(1)
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
@@ -122,7 +162,7 @@ func (tc *tcpConn) writeFrameLocked(e *envelope) error {
 
 // holdRaw assembles e's frame into a pooled buffer and parks it on the
 // connection: the next frame written overtakes it (writeFrameLocked
-// releases the holdback after its own bytes). The envelope is consumed.
+// releases the holdback after its own bytes).
 func (tc *tcpConn) holdRaw(e *envelope) {
 	buf := getBuf(4 + envelopeHeaderLen + len(e.data))
 	binary.LittleEndian.PutUint32(buf[:4], uint32(envelopeHeaderLen+len(e.data)))
@@ -137,17 +177,14 @@ func (tc *tcpConn) holdRaw(e *envelope) {
 	}
 	tc.rawHeld = buf
 	tc.mu.Unlock()
-	putBuf(e.data)
-	putEnv(e)
 }
 
 // readFrames consumes frames from one connection and posts them to the
 // destination mailboxes until the connection closes. On a reliable link
 // (tc.rel non-nil) traffic is link-framed and flows through the ARQ
-// reader; otherwise frames are bare and forwarded as-is. Shared by the
-// loopback-mesh and multi-process transports.
+// reader; otherwise frames are bare and forwarded as-is.
 func readFrames(r *bufio.Reader, tc *tcpConn, w *World) {
-	if tc != nil && tc.rel != nil {
+	if tc.rel != nil {
 		readFramesReliable(r, tc, w)
 		return
 	}
@@ -196,183 +233,222 @@ func readOneRawFrame(r *bufio.Reader, w *World, hdr *[4 + envelopeHeaderLen]byte
 	return true
 }
 
-// newTCPTransport builds the mesh: one listener per rank, then rank i
-// dials every rank j > i; each established connection carries a one-byte
-// hello identifying the dialer so both sides agree on direction.
-func newTCPTransport(w *World) (transport, error) {
-	np := w.size
-	t := &tcpTransport{
-		world:     w,
-		listeners: make([]net.Listener, np),
-		conns:     make([][]*tcpConn, np),
-		closed:    make(chan struct{}),
-	}
-	for r := 0; r < np; r++ {
-		t.conns[r] = make([]*tcpConn, np)
+// socketTransport is a full mesh of TCP connections between the np ranks
+// of a world, of which the ranks in world.localRanks live in this process.
+// conns[r][p] is the connection local rank r uses to send to rank p (rows
+// exist for local ranks only); every connection has one reader that posts
+// parsed envelopes to the destination rank's mailbox. RunTCP is the mesh
+// with every rank local, a RunProcesses worker the mesh with one.
+type socketTransport struct {
+	world     *World
+	listeners []net.Listener // by rank; nil for a rank hosted elsewhere
+	conns     [][]*tcpConn   // [src][dst]
+	readers   sync.WaitGroup
+}
+
+// listenLoopback opens one loopback listener per rank and returns them
+// with the address table they form.
+func listenLoopback(np int) ([]net.Listener, []string, error) {
+	lns := make([]net.Listener, np)
+	addrs := make([]string, np)
+	for r := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			t.close()
-			return nil, fmt.Errorf("mpi: tcp listen for rank %d: %w", r, err)
+			closeListeners(lns)
+			return nil, nil, fmt.Errorf("mpi: tcp listen for rank %d: %w", r, err)
 		}
-		t.listeners[r] = ln
+		lns[r], addrs[r] = ln, ln.Addr().String()
 	}
+	return lns, addrs, nil
+}
 
-	type dialed struct {
-		from, to int
-		conn     net.Conn
-		err      error
-	}
-	results := make(chan dialed, np*np)
-	// Accept loops: rank j accepts np-1-j... actually rank j accepts one
-	// connection from every lower rank i < j.
-	var acceptWG sync.WaitGroup
-	for j := 0; j < np; j++ {
-		expect := j // ranks 0..j-1 dial rank j
-		if expect == 0 {
-			continue
+func closeListeners(lns []net.Listener) {
+	for _, ln := range lns {
+		if ln != nil {
+			ln.Close()
 		}
-		acceptWG.Add(1)
-		go func(j, expect int) {
-			defer acceptWG.Done()
-			for k := 0; k < expect; k++ {
-				conn, err := t.listeners[j].Accept()
-				if err != nil {
-					results <- dialed{to: j, err: err}
-					return
-				}
-				var hello [4]byte
-				if _, err := io.ReadFull(conn, hello[:]); err != nil {
-					results <- dialed{to: j, err: err}
-					return
-				}
-				from := int(binary.LittleEndian.Uint32(hello[:]))
-				results <- dialed{from: from, to: j, conn: conn}
-			}
-		}(j, expect)
 	}
-	// Dialers.
-	var dialWG sync.WaitGroup
-	for i := 0; i < np; i++ {
-		for j := i + 1; j < np; j++ {
-			dialWG.Add(1)
-			go func(i, j int) {
-				defer dialWG.Done()
-				conn, err := dialRetry("tcp", t.listeners[j].Addr().String(), 5*time.Second, 15*time.Second, func(attempt int, err error) {
-					w.emitLifecycle(i, LifeRetry, fmt.Sprintf("mesh dial %d->%d attempt %d: %v", i, j, attempt, err))
+}
+
+// newSocketTransport connects the world's local ranks into the mesh
+// described by addrs (every rank's listen address) over lns (the local
+// ranks' already-open listeners, which the transport now owns). The first
+// rank to fail stops the others: every listener and established
+// connection is closed and every connect and reader goroutine has exited
+// before the error is returned.
+func newSocketTransport(w *World, lns []net.Listener, addrs []string) (*socketTransport, error) {
+	t := &socketTransport{world: w, listeners: lns, conns: make([][]*tcpConn, w.size)}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var (
+		wg       sync.WaitGroup
+		once     sync.Once
+		firstErr error
+	)
+	for _, r := range w.localRanks {
+		t.conns[r] = make([]*tcpConn, w.size)
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			if err := t.connect(ctx, r, addrs); err != nil {
+				once.Do(func() {
+					firstErr = err
+					cancel()
+					closeListeners(lns)
 				})
-				if err != nil {
-					results <- dialed{from: i, to: j, err: err}
-					return
-				}
-				var hello [4]byte
-				binary.LittleEndian.PutUint32(hello[:], uint32(i))
-				if _, err := conn.Write(hello[:]); err != nil {
-					results <- dialed{from: i, to: j, err: err}
-					return
-				}
-				// The dialer records its side immediately; the acceptor
-				// side is recorded by the accept loop's result.
-				results <- dialed{from: i, to: j, conn: conn, err: errDialerSide}
-			}(i, j)
-		}
+			}
+		}(r)
 	}
-
-	need := np * (np - 1) // one record per direction endpoint
-	reliable := w.opts.reliableLinks
-	for k := 0; k < need; k++ {
-		d := <-results
-		if d.err == errDialerSide {
-			tc := newTCPConn(d.conn, reliable, linkSeed(d.from, d.to))
-			t.conns[d.from][d.to] = tc
-			t.startReader(tc)
-			continue
-		}
-		if d.err != nil {
-			t.close()
-			return nil, fmt.Errorf("mpi: tcp mesh: %w", d.err)
-		}
-		tc := newTCPConn(d.conn, reliable, linkSeed(d.to, d.from))
-		t.conns[d.to][d.from] = tc
-		t.startReader(tc)
+	wg.Wait()
+	if firstErr != nil {
+		t.close()
+		return nil, firstErr
 	}
-	dialWG.Wait()
-	acceptWG.Wait()
 	return t, nil
+}
+
+// helloTimeout bounds the wait for an accepted connection's hello, so a
+// stray client that connects and says nothing cannot wedge the mesh build.
+const helloTimeout = 10 * time.Second
+
+// connect establishes rank r's connections: it dials every higher rank,
+// opening each connection with a 4-byte hello naming r, then accepts one
+// connection from every lower rank. Every listener of the world must be
+// open before any rank connects (an address table implies it): the dials
+// then complete out of the accept backlog and no rank waits on another's
+// progress.
+func (t *socketTransport) connect(ctx context.Context, r int, addrs []string) error {
+	w := t.world
+	var hello [4]byte
+	for peer := r + 1; peer < w.size; peer++ {
+		conn, err := dialRetry(ctx, "tcp", addrs[peer], 10*time.Second, 30*time.Second, func(attempt int, err error) {
+			w.emitLifecycle(r, LifeRetry, fmt.Sprintf("mesh dial %d->%d attempt %d: %v", r, peer, attempt, err))
+		})
+		if err != nil {
+			return fmt.Errorf("mpi: rank %d dialing rank %d at %s: %w", r, peer, addrs[peer], err)
+		}
+		binary.LittleEndian.PutUint32(hello[:], uint32(r))
+		if _, err := conn.Write(hello[:]); err != nil {
+			conn.Close()
+			return fmt.Errorf("mpi: rank %d hello to rank %d: %w", r, peer, err)
+		}
+		t.startReader(r, peer, conn)
+	}
+	for k := 0; k < r; k++ {
+		conn, err := t.listeners[r].Accept()
+		if err != nil {
+			return fmt.Errorf("mpi: rank %d accepting peer %d of %d: %w", r, k+1, r, err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(helloTimeout)) // fails only on a closed conn, which the read reports
+		if _, err := io.ReadFull(conn, hello[:]); err != nil {
+			conn.Close()
+			return fmt.Errorf("mpi: rank %d peer hello: %w", r, err)
+		}
+		_ = conn.SetReadDeadline(time.Time{})
+		// The hello is outside input: anything may connect to the port.
+		peer := binary.LittleEndian.Uint32(hello[:])
+		if peer >= uint32(r) || t.conns[r][peer] != nil {
+			conn.Close()
+			return fmt.Errorf("mpi: rank %d got bad hello from rank %d", r, peer)
+		}
+		t.startReader(r, int(peer), conn)
+	}
+	return nil
 }
 
 // linkSeed derives the deterministic retransmit-jitter seed of the
 // (src → dst) link endpoint.
 func linkSeed(src, dst int) int64 { return int64(src)*1_000_003 + int64(dst) }
 
-// errDialerSide is an internal sentinel marking the dialer's half of a
-// connection handshake result.
-var errDialerSide = fmt.Errorf("mpi: internal: dialer side")
-
-// startReader consumes envelopes arriving on tc's socket and posts them
-// to the destination mailboxes. Which peer sent them is carried inside
-// each envelope, so one reader per connection suffices. The reader is
-// paired with tc — the writer half of the same socket — so link acks it
-// emits travel back to the peer whose ARQ window covers this traffic.
-func (t *tcpTransport) startReader(tc *tcpConn) {
+// startReader records c as rank r's connection to peer and starts the
+// goroutine that consumes the envelopes arriving on it. Which rank sent
+// them is carried inside each envelope, so one reader per connection
+// suffices. The reader is paired with the writer half of the same socket,
+// so link acks it emits travel back to the peer whose ARQ window covers
+// this traffic.
+func (t *socketTransport) startReader(r, peer int, c net.Conn) {
+	tc := newTCPConn(c, t.world.opts.reliableLinks, linkSeed(r, peer))
+	t.conns[r][peer] = tc
 	t.readers.Add(1)
 	go func() {
 		defer t.readers.Done()
-		readFrames(bufio.NewReaderSize(tc.c, tcpBufSize), tc, t.world)
+		readFrames(bufio.NewReaderSize(c, tcpBufSize), tc, t.world)
 	}()
 }
 
-func (t *tcpTransport) deliver(e *envelope) error {
+func (t *socketTransport) deliver(e *envelope) error {
 	if e.wdst == e.wsrc {
 		// Self-sends short-circuit the socket.
 		t.world.mailboxes[e.wdst].post(e)
 		return nil
 	}
-	tc := t.conns[e.wsrc][e.wdst]
+	var tc *tcpConn
+	if row := t.conns[e.wsrc]; row != nil {
+		tc = row[e.wdst]
+	}
 	if tc == nil {
 		return fmt.Errorf("mpi: no connection %d→%d", e.wsrc, e.wdst)
 	}
-	if tc.rel != nil {
-		// Reliable link: the injector's verdict applies at the wire
-		// level and the ARQ recovers whatever it damages.
-		err := tc.writeReliable(e, t.world.frameVerdict(e))
-		putBuf(e.data)
-		putEnv(e)
-		return err
-	}
-	if applyFrameFault(t.world, tc, e) {
-		return nil // frame dropped or held: the bytes never reach the wire here
-	}
-	err := tc.writeEnvelope(e)
-	// The envelope's journey ends at the socket: its bytes are on the
-	// wire (the receiver materializes a fresh envelope), so both the
-	// payload buffer and the envelope return to their pools here.
-	putBuf(e.data)
-	putEnv(e)
-	return err
+	return tc.send(e, t.world.frameVerdict(e))
 }
 
-func (t *tcpTransport) close() error {
-	select {
-	case <-t.closed:
-		return nil
-	default:
-		close(t.closed)
-	}
-	for _, ln := range t.listeners {
-		if ln != nil {
-			ln.Close()
+// notifyAbort forwards a local abort to every rank hosted by another
+// process so its blocked ranks observe ErrAborted promptly (satisfying
+// MPI_Abort's whole-world semantics) instead of timing out on their
+// watchdogs. Local peers share this World and have already been woken.
+func (t *socketTransport) notifyAbort(cause error) {
+	msg := []byte(cause.Error())
+	r := t.world.localRanks[0]
+	for peer, tc := range t.conns[r] {
+		if tc == nil || t.conns[peer] != nil { // self, or local: only local ranks have a row
+			continue
 		}
+		e := getEnv()
+		e.kind = kindAbort
+		e.src, e.wsrc, e.wdst = r, r, peer
+		e.data = copyToPooled(msg)
+		_ = tc.send(e, FrameDeliver) // best effort: the peer may already be gone
 	}
-	for _, row := range t.conns {
-		for _, tc := range row {
-			if tc != nil {
-				tc.c.Close()
-				tc.shutdownRel()
-			}
-		}
+}
+
+// closeGrace bounds what close waits for on behalf of peers: link acks
+// still owed to this side, writes a reader still owes the other.
+const closeGrace = time.Second
+
+// close is the transport's MPI_Finalize. The local ranks have returned,
+// but their last frames may not have been acknowledged yet, and a reader
+// that has just matched a rendezvous message wakes the receiver before it
+// writes the acknowledgement a peer process's send is waiting on. So:
+// let the reliable links drain, expire the reads instead of closing under
+// the readers, let each finish the frame it is delivering (its writes
+// bounded, in case the peer has stopped reading), then close.
+func (t *socketTransport) close() error {
+	closeListeners(t.listeners)
+	grace := time.Now().Add(closeGrace)
+	if !t.world.aborted.Load() { // an aborted world owes nobody delivery
+		t.eachConn(func(tc *tcpConn) { tc.awaitAcks(grace) })
 	}
+	t.eachConn(func(tc *tcpConn) {
+		// A failure here means the connection is already closed.
+		_ = tc.c.SetReadDeadline(time.Now())
+		_ = tc.c.SetWriteDeadline(grace)
+	})
 	t.readers.Wait()
+	t.eachConn(func(tc *tcpConn) {
+		tc.c.Close()
+		tc.shutdownRel()
+	})
 	return nil
 }
 
-func (t *tcpTransport) supportsDeadlockDetection() bool { return false }
+func (t *socketTransport) eachConn(f func(*tcpConn)) {
+	for _, row := range t.conns {
+		for _, tc := range row {
+			if tc != nil {
+				f(tc)
+			}
+		}
+	}
+}
+
+func (t *socketTransport) supportsDeadlockDetection() bool { return false }

@@ -14,6 +14,11 @@ import (
 type transport interface {
 	deliver(e *envelope) error
 	close() error
+	// notifyAbort forwards a locally-originated abort to ranks hosted by
+	// other processes, each of which has its own World: without it a
+	// remote rank blocked in Recv would only learn of the abort from its
+	// watchdog. A transport whose ranks all share this World does nothing.
+	notifyAbort(cause error)
 	// supportsDeadlockDetection reports whether delivery is synchronous
 	// enough for the precise detector to be sound (no envelopes can be
 	// invisible in transit while every rank is blocked).
@@ -35,6 +40,7 @@ func (t *channelTransport) deliver(e *envelope) error {
 }
 
 func (t *channelTransport) close() error                    { return nil }
+func (t *channelTransport) notifyAbort(error)               {}
 func (t *channelTransport) supportsDeadlockDetection() bool { return true }
 
 // ctxKey identifies a communicator created by Split so every member rank
@@ -123,18 +129,28 @@ type World struct {
 // transport and blocks until every rank returns. Rank errors are joined;
 // deadlock surfaces as an error wrapping ErrDeadlock.
 func Run(np int, fn func(*Comm) error, opts ...Option) error {
-	return run(np, fn, nil, opts...)
+	return run(np, nil, fn, nil, opts...)
 }
 
-// run is shared by Run and RunTCP. mkTransport, when non-nil, builds the
-// transport after mailboxes exist.
-func run(np int, fn func(*Comm) error, mkTransport func(*World) (transport, error), opts ...Option) error {
+// run is the one place a World is built, watched and torn down, shared by
+// Run, RunTCP and the RunProcesses worker. local lists the ranks of the
+// np-rank world that execute in this World (nil: all of them); the rest
+// are reached through the transport. mkTransport, when non-nil, builds
+// that transport once the mailboxes and local-rank set exist; nil selects
+// the in-process channel transport.
+func run(np int, local []int, fn func(*Comm) error, mkTransport func(*World) (transport, error), opts ...Option) error {
 	if np <= 0 {
 		return fmt.Errorf("mpi: world size %d must be positive", np)
 	}
 	o := defaultOptions()
 	for _, opt := range opts {
 		opt(&o)
+	}
+	if local == nil {
+		local = make([]int, np)
+		for r := range local {
+			local[r] = r
+		}
 	}
 	w := &World{
 		size:         np,
@@ -145,34 +161,30 @@ func run(np int, fn func(*Comm) error, mkTransport func(*World) (transport, erro
 		ctxNext:      2, // 0/1 are the world's user/collective contexts
 		ctxByKey:     make(map[ctxKey]int32),
 		windows:      make(map[winKey]*winState),
-		canRespawn:   true, // every rank is a goroutine here
+		canRespawn:   len(local) == np, // replacements are goroutines of this World
 	}
-	w.seqCounter.Store(0)
 	w.mailboxes = make([]*mailbox, np)
 	for r := 0; r < np; r++ {
 		w.mailboxes[r] = newMailbox(r, w)
 	}
-	local := make([]int, np)
-	for r := range local {
-		local[r] = r
-	}
 	w.initFaultState(local)
-	if mkTransport != nil {
-		t, err := mkTransport(w)
-		if err != nil {
+	var t transport
+	if mkTransport == nil {
+		t = &channelTransport{mailboxes: w.mailboxes}
+	} else {
+		var err error
+		if t, err = mkTransport(w); err != nil {
 			return err
 		}
-		w.transport = t
-	} else {
-		w.transport = &channelTransport{mailboxes: w.mailboxes}
 	}
-	_, w.sharedMem = w.transport.(*channelTransport)
+	_, w.sharedMem = t.(*channelTransport)
 	if o.linkLatency > 0 {
 		// The emulated interconnect wraps whichever transport was built;
 		// sharedMem stays as resolved above, since RMA's direct path is a
 		// window-memory access, not a wire crossing.
-		w.transport = newLatencyTransport(w.transport, o.linkLatency, np)
+		t = newLatencyTransport(t, o.linkLatency, np)
 	}
+	w.transport = t
 	// LIFO: the transport closes first (readers drain), then leftover
 	// queued envelopes — orphaned by kills and recoveries — return to
 	// the pool so leak checks balance.
@@ -192,7 +204,7 @@ func run(np int, fn func(*Comm) error, mkTransport func(*World) (transport, erro
 
 	errs := make([]error, np)
 	var wg sync.WaitGroup
-	for r := 0; r < np; r++ {
+	for _, r := range local {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
@@ -204,7 +216,9 @@ func run(np int, fn func(*Comm) error, mkTransport func(*World) (transport, erro
 			if err != nil {
 				errs[rank] = fmt.Errorf("rank %d: %w", rank, err)
 				// A fault-injected kill simulates a crash: the survivors
-				// detect and handle it; the world must not abort.
+				// detect and handle it; the world must not abort. Any other
+				// failure aborts it, remote ranks included, so ranks blocked
+				// in Recv observe ErrAborted instead of their watchdogs.
 				if !errors.Is(err, ErrRankKilled) {
 					w.abort(err)
 				}
@@ -321,14 +335,6 @@ func (w *World) ctxFor(key ctxKey) int32 {
 	return id
 }
 
-// abortNotifier is implemented by transports that must forward an abort
-// to remote peers (the multi-process mesh, where each process has its own
-// World): without it a remote rank blocked in Recv would only learn of
-// the abort from its watchdog.
-type abortNotifier interface {
-	notifyAbort(cause error)
-}
-
 // abort stops the world: every blocked rank returns ErrAborted. A
 // locally-originated abort is forwarded to remote peers when the
 // transport spans processes.
@@ -346,10 +352,8 @@ func (w *World) abortWith(cause error, local bool) {
 	}
 	w.abortMu.Unlock()
 	w.aborted.Store(true)
-	if first && local {
-		if n, ok := w.transport.(abortNotifier); ok {
-			n.notifyAbort(cause)
-		}
+	if first && local && w.transport != nil { // nil: a reader aborting while the mesh is still being built
+		w.transport.notifyAbort(cause)
 	}
 	w.broadcastAll()
 }

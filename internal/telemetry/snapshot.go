@@ -140,7 +140,7 @@ func (s *MPISet) Gather(c *mpi.Comm, root int) (*Merged, error) {
 	// snapshot so the merged table shows retransmits, injector drops and
 	// respawns next to the per-rank series. In-process worlds share one
 	// process registry, so every rank column reads the same global value;
-	// under the multi-process transport each column is its own process.
+	// under a multi-process launch each column is its own process.
 	for _, ss := range s.proc.Snapshot() {
 		if resilienceSeries[ss.Name] {
 			series = append(series, ss)
