@@ -1,8 +1,7 @@
 // Sortpipeline: Module 3's full arc in one run — sort an exponential
 // dataset with equal-width buckets (severe imbalance), then with
 // histogram-derived equi-depth buckets (balanced), and report per-rank
-// load and the phase timings. Finishes with a trace of the alternating
-// computation/communication phases.
+// load and the phase timings.
 //
 //	go run ./examples/sortpipeline
 package main
@@ -14,7 +13,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/modules/distsort"
 	"repro/internal/mpi"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -26,18 +24,12 @@ func main() {
 	for _, splitter := range []distsort.Splitter{distsort.EqualWidth, distsort.Histogram, distsort.Sampled} {
 		sizes := make([]int, np)
 		var res distsort.Result
-		tr := trace.New()
 		err := mpi.Run(np, func(c *mpi.Comm) error {
 			var local []float64
 			for i := c.Rank(); i < len(keys); i += np {
 				local = append(local, keys[i])
 			}
-			var mine []float64
-			var err error
-			var r distsort.Result
-			tr.Span(c.Rank(), trace.Compute, "sort", func() {
-				mine, r, err = distsort.Sort(c, local, splitter)
-			})
+			mine, r, err := distsort.Sort(c, local, splitter)
 			if err != nil {
 				return err
 			}
@@ -53,7 +45,7 @@ func main() {
 				res = r
 			}
 			return nil
-		}, mpi.WithTracer(tr))
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

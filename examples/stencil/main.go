@@ -1,7 +1,7 @@
 // Stencil: the latency-hiding extension module in action. A 1-D heat
 // diffusion runs with blocking halo exchange and then with
 // communication/computation overlap; the runs agree bit-for-bit, and the
-// phase trace shows where ranks block.
+// profile shows how long ranks sat blocked in each.
 //
 //	go run ./examples/stencil
 package main
@@ -9,10 +9,11 @@ package main
 import (
 	"fmt"
 	"log"
+	"time"
 
 	"repro/internal/modules/latencyhiding"
 	"repro/internal/mpi"
-	"repro/internal/trace"
+	"repro/internal/prof"
 )
 
 func main() {
@@ -26,7 +27,7 @@ func main() {
 
 	var checksums [2]float64
 	for i, v := range []latencyhiding.Variant{latencyhiding.Blocking, latencyhiding.Overlapped} {
-		tr := trace.New()
+		col := prof.New()
 		var res latencyhiding.Result
 		err := mpi.Run(np, func(c *mpi.Comm) error {
 			r, _, err := latencyhiding.Run(c, cells, steps, alpha, v)
@@ -37,14 +38,17 @@ func main() {
 				res = r
 			}
 			return nil
-		}, mpi.WithTracer(tr))
+		}, mpi.WithHook(col))
 		if err != nil {
 			log.Fatal(err)
 		}
 		checksums[i] = res.Checksum
 		fmt.Printf("%-11v %v, checksum %.9f\n", res.Variant, res.Elapsed, res.Checksum)
-		total := tr.TotalSplit()
-		fmt.Printf("  time blocked in communication across ranks: %v\n", total.Comm)
+		var blocked time.Duration
+		for _, e := range col.Events() {
+			blocked += e.Blocked
+		}
+		fmt.Printf("  time blocked in communication across ranks: %v\n", blocked)
 	}
 	if checksums[0] != checksums[1] {
 		log.Fatalf("variants disagree: %v vs %v", checksums[0], checksums[1])

@@ -44,7 +44,7 @@ type Activity struct {
 
 // Launch runs the activity in its own world at np ranks (0 = default)
 // and returns rank 0's summary plus the world's communication snapshot.
-// Extra runtime options (e.g. mpi.WithTracer) pass through.
+// Extra runtime options (e.g. mpi.WithHook) pass through.
 func (a Activity) Launch(np int, tcp bool, opts ...mpi.Option) (string, mpi.Snapshot, error) {
 	if np <= 0 {
 		np = a.DefaultNP

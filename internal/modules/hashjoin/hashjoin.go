@@ -314,8 +314,9 @@ func (t *table) probe(probe []int64) []Pair {
 	return out
 }
 
-// Sequential joins the full relations on one process — the reference for
-// tests and the scaling baseline. It deliberately stays the plain
+// Sequential joins the full relations on one process — the reference
+// the tests and the benchmark verify against (nothing times it as a
+// scaling baseline). It deliberately stays the plain
 // map-of-slices join and shares nothing with the flat kernels the
 // distributed joins run on: it is what they are checked against.
 func Sequential(build, probe []Tuple) []Pair {

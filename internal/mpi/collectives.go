@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Blocking collective operations. All of them are implemented on top of
 // the point-to-point layer in a shadow communicator context, so user
@@ -68,10 +65,7 @@ func (c *Comm) collSendHop(payload []byte, dest, tag int, eager bool) error {
 		return err
 	}
 	if seq != 0 {
-		start := time.Now()
-		err := c.mb.waitAck(seq)
-		c.traceComm("send", start)
-		return err
+		return c.mb.waitAck(seq)
 	}
 	return nil
 }
@@ -130,10 +124,9 @@ func releaseBlocks(blocks [][]byte) {
 // Barrier blocks until every rank of the communicator has entered it
 // (MPI_Barrier). Dissemination algorithm: ceil(log2 p) rounds.
 func (c *Comm) Barrier() error {
-	tok := c.profEnter()
-	c.countCall(PrimBarrier)
+	sp := c.begin(PrimBarrier)
 	_, err := runSched[byte](c, schedBarrier, noRoot, nil, nil, inPlace)
-	c.profExit(tok, PrimBarrier, -1, -1, 0, 0, 0, 0)
+	sp.end(-1, -1, 0, 0, 0, 0)
 	return err
 }
 
@@ -144,10 +137,9 @@ func Bcast[T Scalar](c *Comm, data []T, root int) ([]T, error) {
 	if err := c.checkPeer(root, false); err != nil {
 		return nil, err
 	}
-	tok := c.profEnter()
-	c.countCall(PrimBcast)
+	sp := c.begin(PrimBcast)
 	out, err := runSched(c, schedBcast, root, data, nil, fresh)
-	c.profExit(tok, PrimBcast, c.members[root], -1, len(out)*scalarSize[T](), 0, 0, 0)
+	sp.end(c.members[root], -1, len(out)*scalarSize[T](), 0, 0, 0)
 	return out, err
 }
 
@@ -162,14 +154,13 @@ func Scatter[T Scalar](c *Comm, data []T, root int) ([]T, error) {
 	if c.rank == root && len(data)%p != 0 {
 		return nil, fmt.Errorf("%w: Scatter buffer of %d elements across %d ranks", ErrLengthMismatch, len(data), p)
 	}
-	tok := c.profEnter()
-	c.countCall(PrimScatter)
+	sp := c.begin(PrimScatter)
 	out, err := scatterLinear(c, data, root)
 	bytes := len(out)
 	if c.rank == root {
 		bytes = len(data)
 	}
-	c.profExit(tok, PrimScatter, c.members[root], -1, bytes*scalarSize[T](), 0, 0, 0)
+	sp.end(c.members[root], -1, bytes*scalarSize[T](), 0, 0, 0)
 	return out, err
 }
 
@@ -206,14 +197,13 @@ func Scatterv[T Scalar](c *Comm, data []T, counts []int, root int) ([]T, error) 
 	if err := c.checkPeer(root, false); err != nil {
 		return nil, err
 	}
-	tok := c.profEnter()
-	c.countCall(PrimScatterv)
+	sp := c.begin(PrimScatterv)
 	out, err := scattervLinear(c, data, counts, root)
 	bytes := len(out)
 	if c.rank == root {
 		bytes = len(data)
 	}
-	c.profExit(tok, PrimScatterv, c.members[root], -1, bytes*scalarSize[T](), 0, 0, 0)
+	sp.end(c.members[root], -1, bytes*scalarSize[T](), 0, 0, 0)
 	return out, err
 }
 
@@ -263,14 +253,13 @@ func Gather[T Scalar](c *Comm, data []T, root int) ([]T, error) {
 	if err := c.checkPeer(root, false); err != nil {
 		return nil, err
 	}
-	tok := c.profEnter()
-	c.countCall(PrimGather)
+	sp := c.begin(PrimGather)
 	out, err := gatherLinear(c, data, root)
 	bytes := len(data)
 	if c.rank == root {
 		bytes = len(out)
 	}
-	c.profExit(tok, PrimGather, c.members[root], -1, bytes*scalarSize[T](), 0, 0, 0)
+	sp.end(c.members[root], -1, bytes*scalarSize[T](), 0, 0, 0)
 	return out, err
 }
 
@@ -305,8 +294,7 @@ func Gatherv[T Scalar](c *Comm, data []T, root int) ([][]T, error) {
 	if err := c.checkPeer(root, false); err != nil {
 		return nil, err
 	}
-	tok := c.profEnter()
-	c.countCall(PrimGatherv)
+	sp := c.begin(PrimGatherv)
 	out, err := gathervLinear(c, data, root)
 	bytes := len(data)
 	if c.rank == root {
@@ -315,7 +303,7 @@ func Gatherv[T Scalar](c *Comm, data []T, root int) ([][]T, error) {
 			bytes += len(b)
 		}
 	}
-	c.profExit(tok, PrimGatherv, c.members[root], -1, bytes*scalarSize[T](), 0, 0, 0)
+	sp.end(c.members[root], -1, bytes*scalarSize[T](), 0, 0, 0)
 	return out, err
 }
 
@@ -384,13 +372,12 @@ func (c *Comm) gatherBlocks(payload []byte, root int) ([][]byte, error) {
 // one block to the right neighbour. Each received block is relayed
 // onward as-is — the pooled buffer itself travels around the ring.
 func Allgather[T Scalar](c *Comm, data []T) ([]T, error) {
-	tok := c.profEnter()
-	c.countCall(PrimAllgather)
+	sp := c.begin(PrimAllgather)
 	n, r := len(data), c.rank
 	out := make([]T, n*len(c.members))
 	copy(out[r*n:(r+1)*n], data)
 	out, err := runSched(c, schedAllgather, noRoot, out, nil, inPlace)
-	c.profExit(tok, PrimAllgather, -1, -1, len(out)*scalarSize[T](), 0, 0, 0)
+	sp.end(-1, -1, len(out)*scalarSize[T](), 0, 0, 0)
 	return out, err
 }
 
@@ -401,11 +388,10 @@ func Reduce[T Scalar](c *Comm, data []T, op Op[T], root int) ([]T, error) {
 	if err := c.checkPeer(root, false); err != nil {
 		return nil, err
 	}
-	tok := c.profEnter()
-	c.countCall(PrimReduce)
+	sp := c.begin(PrimReduce)
 	acc := append([]T(nil), data...)
 	err := reduceAcc(c, acc, op, root)
-	c.profExit(tok, PrimReduce, c.members[root], -1, len(data)*scalarSize[T](), 0, 0, 0)
+	sp.end(c.members[root], -1, len(data)*scalarSize[T](), 0, 0, 0)
 	if err != nil || c.rank != root {
 		return nil, err
 	}
@@ -421,10 +407,9 @@ func ReduceInto[T Scalar](c *Comm, buf []T, op Op[T], root int) error {
 	if err := c.checkPeer(root, false); err != nil {
 		return err
 	}
-	tok := c.profEnter()
-	c.countCall(PrimReduce)
+	sp := c.begin(PrimReduce)
 	err := reduceAcc(c, buf, op, root)
-	c.profExit(tok, PrimReduce, c.members[root], -1, len(buf)*scalarSize[T](), 0, 0, 0)
+	sp.end(c.members[root], -1, len(buf)*scalarSize[T](), 0, 0, 0)
 	return err
 }
 
@@ -443,11 +428,10 @@ func reduceAcc[T Scalar](c *Comm, acc []T, op Op[T], root int) error {
 // binomial reduce to rank 0 followed by a binomial broadcast; see
 // AllreduceRing for the bandwidth-optimal alternative.
 func Allreduce[T Scalar](c *Comm, data []T, op Op[T]) ([]T, error) {
-	tok := c.profEnter()
-	c.countCall(PrimAllreduce)
+	sp := c.begin(PrimAllreduce)
 	acc := append([]T(nil), data...)
 	err := allreduceTreeInto(c, acc, op)
-	c.profExit(tok, PrimAllreduce, -1, -1, len(data)*scalarSize[T](), 0, 0, 0)
+	sp.end(-1, -1, len(data)*scalarSize[T](), 0, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -459,10 +443,9 @@ func Allreduce[T Scalar](c *Comm, data []T, op Op[T]) ([]T, error) {
 // algorithms (k-means' weighted-means step) call it with a reused buffer
 // to keep the reduction allocation-free.
 func AllreduceInto[T Scalar](c *Comm, buf []T, op Op[T]) error {
-	tok := c.profEnter()
-	c.countCall(PrimAllreduce)
+	sp := c.begin(PrimAllreduce)
 	err := allreduceTreeInto(c, buf, op)
-	c.profExit(tok, PrimAllreduce, -1, -1, len(buf)*scalarSize[T](), 0, 0, 0)
+	sp.end(-1, -1, len(buf)*scalarSize[T](), 0, 0, 0)
 	return err
 }
 
@@ -483,20 +466,18 @@ func allreduceTreeInto[T Scalar](c *Comm, buf []T, op Op[T]) error {
 // ablation bench quantifies. It runs the schedule Iallreduce runs, so the
 // two are bit-identical.
 func AllreduceRing[T Scalar](c *Comm, data []T, op Op[T]) ([]T, error) {
-	tok := c.profEnter()
-	c.countCall(PrimAllreduce)
+	sp := c.begin(PrimAllreduce)
 	out, err := runSched(c, schedAllreduceRing, noRoot, append([]T(nil), data...), op, inPlace)
-	c.profExit(tok, PrimAllreduce, -1, -1, len(data)*scalarSize[T](), 0, 0, 0)
+	sp.end(-1, -1, len(data)*scalarSize[T](), 0, 0, 0)
 	return out, err
 }
 
 // Scan computes the inclusive prefix reduction (MPI_Scan): rank r receives
 // op-fold of the buffers of ranks 0..r. Linear chain algorithm.
 func Scan[T Scalar](c *Comm, data []T, op Op[T]) ([]T, error) {
-	tok := c.profEnter()
-	c.countCall(PrimScan)
+	sp := c.begin(PrimScan)
 	out, err := scanChain(c, data, op)
-	c.profExit(tok, PrimScan, -1, -1, len(data)*scalarSize[T](), 0, 0, 0)
+	sp.end(-1, -1, len(data)*scalarSize[T](), 0, 0, 0)
 	return out, err
 }
 
@@ -538,10 +519,9 @@ func Alltoall[T Scalar](c *Comm, data []T) ([]T, error) {
 	if len(data)%p != 0 {
 		return nil, fmt.Errorf("%w: Alltoall buffer of %d elements across %d ranks", ErrLengthMismatch, len(data), p)
 	}
-	tok := c.profEnter()
-	c.countCall(PrimAlltoall)
+	sp := c.begin(PrimAlltoall)
 	out, err := alltoallPairwise(c, data)
-	c.profExit(tok, PrimAlltoall, -1, -1, len(data)*scalarSize[T](), 0, 0, 0)
+	sp.end(-1, -1, len(data)*scalarSize[T](), 0, 0, 0)
 	return out, err
 }
 
@@ -585,14 +565,13 @@ func Alltoallv[T Scalar](c *Comm, blocks [][]T) ([][]T, error) {
 	if len(blocks) != p {
 		return nil, fmt.Errorf("%w: Alltoallv got %d blocks for %d ranks", ErrLengthMismatch, len(blocks), p)
 	}
-	tok := c.profEnter()
-	c.countCall(PrimAlltoallv)
+	sp := c.begin(PrimAlltoallv)
 	out, err := alltoallvPairwise(c, blocks)
 	bytes := 0
 	for _, b := range blocks {
 		bytes += len(b)
 	}
-	c.profExit(tok, PrimAlltoallv, -1, -1, bytes*scalarSize[T](), 0, 0, 0)
+	sp.end(-1, -1, bytes*scalarSize[T](), 0, 0, 0)
 	return out, err
 }
 
@@ -626,14 +605,13 @@ func alltoallvPairwise[T Scalar](c *Comm, blocks [][]T) ([][]T, error) {
 // (MPI_Allgatherv): a linear gather onto rank 0 followed by a binomial
 // broadcast of the counts and the flattened payload.
 func Allgatherv[T Scalar](c *Comm, data []T) ([][]T, error) {
-	tok := c.profEnter()
-	c.countCall(PrimAllgather)
+	sp := c.begin(PrimAllgather)
 	out, err := allgathervLinear(c, data)
 	bytes := 0
 	for _, b := range out {
 		bytes += len(b)
 	}
-	c.profExit(tok, PrimAllgather, -1, -1, bytes*scalarSize[T](), 0, 0, 0)
+	sp.end(-1, -1, bytes*scalarSize[T](), 0, 0, 0)
 	return out, err
 }
 
@@ -684,10 +662,9 @@ func allgathervLinear[T Scalar](c *Comm, data []T) ([][]T, error) {
 // receives the op-fold of ranks 0..r-1; rank 0's result is the zero-value
 // slice (MPI leaves it undefined; zeros are the defined choice here).
 func Exscan[T Scalar](c *Comm, data []T, op Op[T]) ([]T, error) {
-	tok := c.profEnter()
-	c.countCall(PrimScan)
+	sp := c.begin(PrimScan)
 	out, err := exscanChain(c, data, op)
-	c.profExit(tok, PrimScan, -1, -1, len(data)*scalarSize[T](), 0, 0, 0)
+	sp.end(-1, -1, len(data)*scalarSize[T](), 0, 0, 0)
 	return out, err
 }
 

@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Comm is a communicator handle held by one rank, analogous to an
 // MPI_Comm. The world communicator is passed to the rank function by Run;
@@ -20,13 +17,6 @@ type Comm struct {
 	splitSeq  int64 // lockstep Split sequence number
 	winSeq    int32 // lockstep window-creation sequence number (rma.go)
 	mb        *mailbox
-
-	// blockedAcc accumulates time this rank has spent blocked inside the
-	// runtime (match waits, rendezvous acks, collective partners). Only
-	// the owning rank goroutine touches it, so no synchronisation is
-	// needed; profEnter/profExit difference it to attribute blocking to
-	// individual primitives.
-	blockedAcc time.Duration
 }
 
 func newWorldComm(w *World, rank int) *Comm {
@@ -56,22 +46,6 @@ func (c *Comm) WorldRank() int { return c.worldRank }
 
 // Stats returns a snapshot of the world's communication accounting.
 func (c *Comm) Stats() Snapshot { return c.world.stats.Snapshot() }
-
-// countCall records a primitive invocation for Table II accounting and
-// drives call-indexed fault injection: every user-facing primitive enters
-// through it exactly once, so an injector's "kill rank R at call N" is
-// deterministic regardless of transport. A kill takes effect on the
-// primitive's next runtime interaction — its delivery or its blocking
-// wait returns ErrRankKilled.
-func (c *Comm) countCall(p Primitive) {
-	c.world.stats.countCall(c.worldRank, p)
-	if in := c.world.opts.injector; in != nil {
-		c.mb.calls++
-		if in.AtCall(c.worldRank, int(c.mb.calls)) {
-			c.world.killRank(c.worldRank)
-		}
-	}
-}
 
 // checkPeer validates a peer rank within the communicator; wildcard allows
 // AnySource.
@@ -113,11 +87,8 @@ func (c *Comm) sendEnvelopeOwned(ctx int32, payload []byte, dest, tag int, sync 
 		seq = c.world.nextSeq()
 		env.seq = seq
 	}
-	var msgid int64
-	if c.world.opts.hook != nil {
-		msgid = c.world.nextMsgID()
-		env.msgid = msgid
-	}
+	msgid := c.world.flowID()
+	env.msgid = msgid
 	env.data = payload
 	// Ownership of env (and its payload) passes to deliver; the receiver
 	// may recycle both concurrently, so the local seq and msgid copies are
@@ -126,10 +97,7 @@ func (c *Comm) sendEnvelopeOwned(ctx int32, payload []byte, dest, tag int, sync 
 		return msgid, err
 	}
 	if seq != 0 {
-		start := time.Now()
-		err := c.mb.waitAck(seq)
-		c.traceComm("send", start)
-		return msgid, err
+		return msgid, c.mb.waitAck(seq)
 	}
 	return msgid, nil
 }
@@ -150,11 +118,8 @@ func (c *Comm) isendEnvelopeOwned(ctx int32, payload []byte, dest, tag int) (*Re
 		seq = c.world.nextSeq()
 		env.seq = seq
 	}
-	var msgid int64
-	if c.world.opts.hook != nil {
-		msgid = c.world.nextMsgID()
-		env.msgid = msgid
-	}
+	msgid := c.world.flowID()
+	env.msgid = msgid
 	env.data = payload
 	if err := c.world.deliver(env); err != nil {
 		return nil, err
@@ -174,24 +139,14 @@ func (c *Comm) recvEnvelope(ctx int32, src, tag int) (*envelope, Status, error) 
 	return env, Status{Source: env.src, Tag: int(env.tag), Bytes: len(env.data)}, nil
 }
 
-func (c *Comm) traceComm(op string, start time.Time) {
-	d := time.Since(start)
-	c.blockedAcc += d
-	if t := c.world.opts.tracer; t != nil {
-		t.RecordComm(c.worldRank, op, start, d)
-	}
-}
-
 // sendChecked runs the accounting, profiling and delivery shared by
 // SendBytes, SsendBytes and the typed send wrappers. It takes ownership
 // of payload; peer and tag must already be validated.
 func (c *Comm) sendChecked(payload []byte, dest, tag int, sync bool) error {
 	n := len(payload)
-	tok := c.profEnter()
-	c.countCall(PrimSend)
-	c.world.stats.addUserSent(c.worldRank, n)
+	sp := c.begin(PrimSend)
 	msgid, err := c.sendEnvelopeOwned(c.ctx, payload, dest, tag, sync)
-	c.profExit(tok, PrimSend, c.members[dest], tag, n, msgid, 0, 0)
+	sp.end(c.members[dest], tag, n, msgid, 0, 0)
 	return err
 }
 
@@ -233,17 +188,15 @@ func (c *Comm) RecvBytes(src, tag int) ([]byte, Status, error) {
 	if err := checkTag(tag, true); err != nil {
 		return nil, Status{}, err
 	}
-	tok := c.profEnter()
-	c.countCall(PrimRecv)
+	sp := c.begin(PrimRecv)
 	env, st, err := c.recvEnvelope(c.ctx, src, tag)
 	if err != nil {
-		c.profExit(tok, PrimRecv, -1, tag, 0, 0, 0, 0)
+		sp.end(-1, tag, 0, 0, 0, 0)
 		return nil, Status{}, err
 	}
 	data, wsrc, etag, msgid, queued := env.data, env.wsrc, int(env.tag), env.msgid, queuedFor(env)
 	putEnv(env)
-	c.world.stats.addUserRecv(c.worldRank, len(data))
-	c.profExit(tok, PrimRecv, wsrc, etag, len(data), 0, msgid, queued)
+	sp.end(wsrc, etag, len(data), 0, msgid, queued)
 	return data, st, nil
 }
 
@@ -251,15 +204,13 @@ func (c *Comm) RecvBytes(src, tag int) ([]byte, Status, error) {
 // and the typed Isend; it takes ownership of payload.
 func (c *Comm) isendChecked(payload []byte, dest, tag int) (*Request, error) {
 	n := len(payload)
-	tok := c.profEnter()
-	c.countCall(PrimIsend)
-	c.world.stats.addUserSent(c.worldRank, n)
+	sp := c.begin(PrimIsend)
 	r, err := c.isendEnvelopeOwned(c.ctx, payload, dest, tag)
 	var msgid int64
 	if r != nil {
 		msgid = r.msgid
 	}
-	c.profExit(tok, PrimIsend, c.members[dest], tag, n, msgid, 0, 0)
+	sp.end(c.members[dest], tag, n, msgid, 0, 0)
 	return r, err
 }
 
@@ -284,14 +235,13 @@ func (c *Comm) IrecvBytes(src, tag int) (*Request, error) {
 	if err := checkTag(tag, true); err != nil {
 		return nil, err
 	}
-	tok := c.profEnter()
-	c.countCall(PrimIrecv)
+	sp := c.begin(PrimIrecv)
 	pr := c.mb.postRecv(c.ctx, src, tag)
 	peer := -1
 	if src != AnySource {
 		peer = c.members[src]
 	}
-	c.profExit(tok, PrimIrecv, peer, tag, 0, 0, 0, 0)
+	sp.end(peer, tag, 0, 0, 0, 0)
 	return &Request{comm: c, kind: reqRecv, pr: pr, peer: peer, tag: tag}, nil
 }
 
@@ -321,27 +271,26 @@ func checkSendrecv(c *Comm, dest, sendTag, src, recvTag int) error {
 
 // sendrecvChecked is the combined exchange shared by SendrecvBytes and
 // the typed wrappers. It takes ownership of payload; the returned bytes
-// are caller-owned.
+// are caller-owned. When either half fails the posted receive is
+// withdrawn: left behind, it would swallow the next message matching
+// (src, recvTag) together with its pooled buffer.
 func (c *Comm) sendrecvChecked(payload []byte, dest, sendTag, src, recvTag int) ([]byte, Status, error) {
-	tok := c.profEnter()
-	c.countCall(PrimSendrecv)
-	c.world.stats.addUserSent(c.worldRank, len(payload))
+	sp := c.begin(PrimSendrecv)
 	n := len(payload)
 	pr := c.mb.postRecv(c.ctx, src, recvTag)
 	msgid, err := c.sendEnvelopeOwned(c.ctx, payload, dest, sendTag, false)
-	if err != nil {
-		c.profExit(tok, PrimSendrecv, c.members[dest], sendTag, n, msgid, 0, 0)
-		return nil, Status{}, err
+	var env *envelope
+	if err == nil {
+		env, err = c.finishRecv(pr)
 	}
-	env, err := c.finishRecv(pr)
 	if err != nil {
-		c.profExit(tok, PrimSendrecv, c.members[dest], sendTag, n, msgid, 0, 0)
+		c.mb.cancelRecv(pr)
+		sp.end(c.members[dest], sendTag, n, msgid, 0, 0)
 		return nil, Status{}, err
 	}
 	got, esrc, etag, rmsgid, queued := env.data, env.src, int(env.tag), env.msgid, queuedFor(env)
 	putEnv(env)
-	c.world.stats.addUserRecv(c.worldRank, len(got))
-	c.profExit(tok, PrimSendrecv, c.members[dest], sendTag, n+len(got), msgid, rmsgid, queued)
+	sp.end(c.members[dest], sendTag, n+len(got), msgid, rmsgid, queued)
 	return got, Status{Source: esrc, Tag: etag, Bytes: len(got)}, nil
 }
 
@@ -351,9 +300,7 @@ func (c *Comm) sendrecvChecked(payload []byte, dest, sendTag, src, recvTag int) 
 func (c *Comm) finishRecv(pr *pendingRecv) (*envelope, error) {
 	env, ok := c.mb.tryRecv(pr)
 	if !ok {
-		start := time.Now()
 		e, err := c.mb.waitRecv(pr)
-		c.traceComm("recv", start)
 		if err != nil {
 			return nil, err
 		}
@@ -374,16 +321,13 @@ func (c *Comm) Probe(src, tag int) (Status, error) {
 	if err := checkTag(tag, true); err != nil {
 		return Status{}, err
 	}
-	tok := c.profEnter()
-	c.countCall(PrimProbe)
-	start := time.Now()
+	sp := c.begin(PrimProbe)
 	st, err := c.mb.probe(c.ctx, src, tag)
-	c.traceComm("probe", start)
 	peer := -1
 	if err == nil {
 		peer = c.members[st.Source]
 	}
-	c.profExit(tok, PrimProbe, peer, tag, st.Bytes, 0, 0, 0)
+	sp.end(peer, tag, st.Bytes, 0, 0, 0)
 	return st, err
 }
 
@@ -395,24 +339,22 @@ func (c *Comm) Iprobe(src, tag int) (Status, bool, error) {
 	if err := checkTag(tag, true); err != nil {
 		return Status{}, false, err
 	}
-	tok := c.profEnter()
-	c.countCall(PrimIprobe)
+	sp := c.begin(PrimIprobe)
 	st, ok := c.mb.iprobe(c.ctx, src, tag)
 	peer := -1
 	if ok {
 		peer = c.members[st.Source]
 	}
-	c.profExit(tok, PrimIprobe, peer, tag, st.Bytes, 0, 0, 0)
+	sp.end(peer, tag, st.Bytes, 0, 0, 0)
 	return st, ok, nil
 }
 
 // GetCount returns the element count of a received message, mirroring
 // MPI_Get_count, and records the primitive use for Table II accounting.
 func (c *Comm) GetCount(st Status, elemSize int) (int, error) {
-	tok := c.profEnter()
-	c.countCall(PrimGetCount)
+	sp := c.begin(PrimGetCount)
 	n, err := st.Count(elemSize)
-	c.profExit(tok, PrimGetCount, -1, st.Tag, st.Bytes, 0, 0, 0)
+	sp.end(-1, st.Tag, st.Bytes, 0, 0, 0)
 	return n, err
 }
 

@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -240,6 +241,75 @@ func TestOpTimeoutRendezvous(t *testing.T) {
 		<-release
 		return nil
 	}, WithOpTimeout(100*time.Millisecond), WithDeadlockDetection(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpTimeoutSendrecvWithdrawsReceive: a Sendrecv whose send half
+// times out must take its posted receive back. Left posted, the orphan
+// matches the next message on (src, recvTag) — here the one rank 1 sends
+// after the timeout — and both the message and its pooled buffer are
+// lost to the application. Rank 1 only polls with Iprobe before its
+// sends: a blocking wait would hit the operation deadline itself.
+func TestOpTimeoutSendrecvWithdrawsReceive(t *testing.T) {
+	defer leakcheck.Snapshot(t, poolGauge()).Check()
+	const tagBig, tagReply, tagTimedOut, tagReplied = 1, 2, 3, 4
+	awaitTag := func(c *Comm, src, tag int) error {
+		for {
+			if _, ok, err := c.Iprobe(src, tag); err != nil || ok {
+				return err
+			}
+			if err := c.world.stopErr(); err != nil { // the peer failed the test
+				return err
+			}
+			runtime.Gosched()
+		}
+	}
+	recvRelease := func(c *Comm, src, tag int) error {
+		b, _, err := c.RecvBytes(src, tag)
+		Release(b)
+		return err
+	}
+	err := Run(2, func(c *Comm) error {
+		if c.Rank() == 1 {
+			if err := awaitTag(c, 0, tagTimedOut); err != nil {
+				return err
+			}
+			if err := recvRelease(c, 0, tagTimedOut); err != nil {
+				return err
+			}
+			if err := recvRelease(c, 0, tagBig); err != nil { // queued since before the timeout
+				return err
+			}
+			if err := c.SendBytes([]byte("reply"), 0, tagReply); err != nil {
+				return err
+			}
+			return c.SendBytes(nil, 0, tagReplied)
+		}
+		big := make([]byte, 1<<20) // rendezvous: the send half waits for a match
+		if _, _, err := c.SendrecvBytes(big, 1, tagBig, 1, tagReply); !errors.Is(err, ErrTimeout) {
+			return fmt.Errorf("Sendrecv to an absent receiver: got %v, want ErrTimeout", err)
+		}
+		c.mb.mu.Lock()
+		posted := len(c.mb.pending)
+		c.mb.mu.Unlock()
+		if posted != 0 {
+			return fmt.Errorf("%d receive(s) still posted after the failed Sendrecv", posted)
+		}
+		if err := c.SendBytes(nil, 1, tagTimedOut); err != nil {
+			return err
+		}
+		// Once tagReplied is visible the reply sent before it has been
+		// delivered too, so the receive below never waits.
+		if err := awaitTag(c, 1, tagReplied); err != nil {
+			return err
+		}
+		if err := recvRelease(c, 1, tagReplied); err != nil {
+			return err
+		}
+		return recvRelease(c, 1, tagReply)
+	}, WithOpTimeout(50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,43 +86,85 @@ func (m multiHook) Lifecycle(e LifecycleEvent) {
 	}
 }
 
-// profToken carries the entry state of an instrumented primitive between
-// profEnter and profExit.
-type profToken struct {
+// span is the one instrumentation point of a primitive: begin opens it,
+// end closes it. It is a stack value; the zero span (no hook attached)
+// makes end a no-op.
+type span struct {
+	c       *Comm
+	prim    Primitive
 	start   time.Time
-	blocked time.Duration
-	ok      bool
+	blocked time.Duration // the rank's parked time at entry
 }
 
-// profEnter snapshots entry state for the hook layer. With no hook
-// attached it is a single nil check returning the zero token.
-func (c *Comm) profEnter() profToken {
-	if c.world.opts.hook == nil {
-		return profToken{}
+// begin records one invocation of p: it counts the call for the Table II
+// accounting, ticks call-indexed fault injection, and — only when a hook
+// is attached — snapshots the clock and the rank's parked time. Every
+// user-facing primitive enters through it exactly once, so an injector's
+// "kill rank R at call N" is deterministic regardless of transport, and a
+// call cannot be counted without being reported. A kill takes effect on
+// the primitive's next runtime interaction — its delivery or its blocking
+// wait returns ErrRankKilled.
+func (c *Comm) begin(p Primitive) span {
+	c.world.stats.ranks[c.worldRank].calls[p].Add(1)
+	if in := c.world.opts.injector; in != nil {
+		c.mb.calls++
+		if in.AtCall(c.worldRank, int(c.mb.calls)) {
+			c.world.killRank(c.worldRank)
+		}
 	}
-	return profToken{start: time.Now(), blocked: c.blockedAcc, ok: true}
+	if c.world.opts.hook == nil {
+		return span{}
+	}
+	return span{c: c, prim: p, start: time.Now(), blocked: c.mb.blocked}
 }
 
-// profExit emits the Event for an instrumented primitive. peer and tag
-// use -1 for "not applicable"; bytes, sendID, recvID and queued are zero
-// when unknown (e.g. on error paths).
-func (c *Comm) profExit(tok profToken, p Primitive, peer, tag, bytes int, sendID, recvID int64, queued time.Duration) {
-	if !tok.ok {
+// end emits the primitive's one Event. peer and tag use -1 for "not
+// applicable"; bytes, sendID, recvID and queued are zero when unknown
+// (e.g. on error paths).
+func (sp span) end(peer, tag, bytes int, sendID, recvID int64, queued time.Duration) {
+	c := sp.c
+	if c == nil {
 		return
 	}
 	c.world.opts.hook.Event(Event{
 		Rank:    c.worldRank,
-		Prim:    p,
+		Prim:    sp.prim,
 		Peer:    peer,
 		Tag:     tag,
 		Bytes:   bytes,
-		Start:   tok.start,
-		Dur:     time.Since(tok.start),
-		Blocked: c.blockedAcc - tok.blocked,
+		Start:   sp.start,
+		Dur:     time.Since(sp.start),
+		Blocked: c.mb.blocked - sp.blocked,
 		Queued:  queued,
 		SendID:  sendID,
 		RecvID:  recvID,
 	})
+}
+
+// hooked reports whether a hook is attached. It gates the two clock reads
+// outside a span: the arrival stamp in mailbox.post and the parked time
+// in mailbox.block.
+func (w *World) hooked() bool { return w.opts.hook != nil }
+
+// flowID allocates the id that pairs a message's sending and consuming
+// events (and a nonblocking collective's initiation with its Wait). Zero
+// means "none" and is all an un-hooked world ever hands out.
+func (w *World) flowID() int64 {
+	if !w.hooked() {
+		return 0
+	}
+	return w.msgCounter.Add(1)
+}
+
+// mirror emits the target-side event of a one-sided operation: the op as
+// seen by the target's progress engine, with zero Dur. RecvID pairs it
+// with the origin's SendID so the Chrome exporter draws origin→target
+// arrows, and the counts are transport-independent, which the parity
+// tests pin down.
+func (w *World) mirror(target int, p Primitive, origin, bytes int, recvID int64) {
+	if h := w.opts.hook; h != nil {
+		h.Event(Event{Rank: target, Prim: p, Peer: origin, Tag: -1, Bytes: bytes, Start: time.Now(), RecvID: recvID})
+	}
 }
 
 // queuedFor reports how long env waited in the destination mailbox before

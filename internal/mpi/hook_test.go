@@ -28,9 +28,11 @@ func (l *eventLog) byPrim() map[Primitive][]Event {
 	return m
 }
 
-// hookWorkload touches every instrumented primitive class: blocking and
-// nonblocking point-to-point, sendrecv, probe/iprobe/get-count, wait, and
-// a spread of collectives.
+// hookWorkload invokes every Primitive at least once, on any world of two
+// or more ranks: blocking and nonblocking point-to-point, sendrecv,
+// probe/iprobe/get-count, wait, every blocking collective with its
+// into/ring/v variants, the five nonblocking collectives, and the
+// one-sided surface including the request-returning PutAsync/GetAsync.
 func hookWorkload(c *Comm) error {
 	const tag = 3
 	payload := []byte("twelve bytes")
@@ -108,7 +110,166 @@ func hookWorkload(c *Comm) error {
 	if _, err := Scan(c, buf, OpSum); err != nil {
 		return err
 	}
-	return nil
+	if err := hookWorkloadCollectives(c); err != nil {
+		return err
+	}
+	return hookWorkloadRMA(c)
+}
+
+// hookWorkloadCollectives covers the collectives hookWorkload's opening
+// does not: the linear rooted ones, the all-to-alls, the into/ring/v
+// variants and the nonblocking five.
+func hookWorkloadCollectives(c *Comm) error {
+	p, r := c.Size(), c.Rank()
+	one := []float64{float64(r)}
+	vec := func() []float64 { return make([]float64, p) }
+	var atRoot []float64
+	counts := make([]int, p)
+	if r == 0 {
+		atRoot = make([]float64, 2*p)
+		for i := range counts {
+			counts[i] = 2
+		}
+	}
+	if _, err := Scatter(c, atRoot, 0); err != nil {
+		return err
+	}
+	if _, err := Scatterv(c, atRoot, counts, 0); err != nil {
+		return err
+	}
+	if _, err := Gatherv(c, one, 0); err != nil {
+		return err
+	}
+	if _, err := Allgatherv(c, one); err != nil {
+		return err
+	}
+	if _, err := Exscan(c, one, OpSum); err != nil {
+		return err
+	}
+	if _, err := Alltoall(c, vec()); err != nil {
+		return err
+	}
+	blocks := make([][]float64, p)
+	for i := range blocks {
+		blocks[i] = one
+	}
+	if _, err := Alltoallv(c, blocks); err != nil {
+		return err
+	}
+	if err := AllreduceInto(c, vec(), OpSum); err != nil {
+		return err
+	}
+	if _, err := AllreduceRing(c, vec(), OpSum); err != nil {
+		return err
+	}
+	if err := ReduceInto(c, vec(), OpSum, 0); err != nil {
+		return err
+	}
+	if _, err := ReduceScatter(c, vec(), OpSum); err != nil {
+		return err
+	}
+	if err := ReduceScatterInto(c, vec(), OpSum); err != nil {
+		return err
+	}
+
+	cr, err := Iallreduce(c, vec(), OpSum)
+	if err != nil {
+		return err
+	}
+	if err := cr.Wait(); err != nil {
+		return err
+	}
+	// The other four stay outstanding together and complete as a batch.
+	var crs []*CollRequest
+	started := func(cr *CollRequest, err error) error {
+		crs = append(crs, cr)
+		return err
+	}
+	if err := started(Ibcast(c, vec(), 0)); err != nil {
+		return err
+	}
+	if err := started(Ireduce(c, vec(), OpSum, 0)); err != nil {
+		return err
+	}
+	if err := started(Ibarrier(c)); err != nil {
+		return err
+	}
+	if err := started(Iallgather(c, vec())); err != nil {
+		return err
+	}
+	return WaitallColl(crs...)
+}
+
+// hookWorkloadRMA covers the ten one-sided primitives, each rank
+// targeting its right neighbour, in an active-target epoch and then a
+// passive-target one. PutAsync and GetAsync complete through Waitall.
+func hookWorkloadRMA(c *Comm) error {
+	next := (c.Rank() + 1) % c.Size()
+	word := make([]byte, 8)
+	win, err := c.WinCreate(64)
+	if err != nil {
+		return err
+	}
+	if err := win.Fence(); err != nil {
+		return err
+	}
+	if err := win.Put(next, 0, word); err != nil {
+		return err
+	}
+	preq, err := win.PutAsync(next, 8, word)
+	if err != nil {
+		return err
+	}
+	if err := win.Accumulate(next, 16, []int64{1}, AccSum); err != nil {
+		return err
+	}
+	if err := win.AccumulateFloat64(next, 24, []float64{1}, AccSum); err != nil {
+		return err
+	}
+	if err := Waitall(preq); err != nil { // closes the epoch
+		return err
+	}
+	if err := win.Fence(); err != nil {
+		return err
+	}
+	if _, err := win.Get(next, 0, 8); err != nil {
+		return err
+	}
+	if err := win.GetInto(word, next, 8); err != nil {
+		return err
+	}
+	greq, err := win.GetAsync(next, 16, 8)
+	if err != nil {
+		return err
+	}
+	if err := Waitall(greq); err != nil {
+		return err
+	}
+	if _, err := win.CompareAndSwap(next, 32, 0, 1); err != nil {
+		return err
+	}
+	if err := win.Fence(); err != nil {
+		return err
+	}
+	if err := win.Lock(next); err != nil {
+		return err
+	}
+	if err := win.Put(next, 40, word); err != nil {
+		return err
+	}
+	if err := win.Flush(); err != nil {
+		return err
+	}
+	if err := win.Unlock(next); err != nil {
+		return err
+	}
+	if err := win.LockShared(next); err != nil {
+		return err
+	}
+	if err := win.Unlock(next); err != nil {
+		return err
+	}
+	return win.Free()
 }
 
 // TestHookFiresEveryPrimitive checks that one workload touching the full
@@ -119,13 +280,7 @@ func TestHookFiresEveryPrimitive(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := log.byPrim()
-	want := []Primitive{
-		PrimSend, PrimRecv, PrimIsend, PrimIrecv, PrimWait, PrimSendrecv,
-		PrimProbe, PrimIprobe, PrimGetCount,
-		PrimBarrier, PrimBcast, PrimAllreduce, PrimGather, PrimAllgather,
-		PrimReduce, PrimScan,
-	}
-	for _, p := range want {
+	for _, p := range Primitives() {
 		if len(got[p]) == 0 {
 			t.Errorf("no hook event for %v", p)
 		}
@@ -142,6 +297,75 @@ func TestHookFiresEveryPrimitive(t *testing.T) {
 		if e.Start.IsZero() {
 			t.Errorf("%v: zero start time", e.Prim)
 		}
+	}
+}
+
+// primCount is a per-(rank, primitive) tally.
+type primCount [numPrimitives]int64
+
+// isMirror reports whether e is the target-side mirror of a one-sided
+// operation: emitted by the target's progress engine, it is the only RMA
+// event that carries a RecvID.
+func isMirror(e Event) bool {
+	return e.Prim >= PrimRMAPut && e.Prim <= PrimRMAWinFree && e.RecvID != 0
+}
+
+// TestHookOneCallOneEvent pins the instrumentation contract over the
+// whole primitive surface and both transports: on every rank, for every
+// primitive, the Table II call counter equals the number of origin-side
+// hook events — a call cannot be counted without being reported, or the
+// reverse. Target-side mirrors are tallied apart (they belong to no call
+// of the reporting rank) and must agree across transports.
+func TestHookOneCallOneEvent(t *testing.T) {
+	const np = 3
+	var mirrors [2][np]primCount
+	for i, tc := range []struct {
+		name string
+		run  func(int, func(*Comm) error, ...Option) error
+	}{
+		{"channel", Run},
+		{"tcp", RunTCP},
+	} {
+		log := &eventLog{}
+		var calls [np]map[Primitive]int64
+		err := tc.run(np, func(c *Comm) error {
+			if err := hookWorkload(c); err != nil {
+				return err
+			}
+			// A rank's own counters are final once its last primitive
+			// has returned.
+			calls[c.Rank()] = c.Stats().Calls[c.Rank()]
+			return nil
+		}, WithHook(log))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var events [np]primCount
+		for _, e := range log.events {
+			if !isMirror(e) {
+				events[e.Rank][e.Prim]++
+				continue
+			}
+			mirrors[i][e.Rank][e.Prim]++
+			if e.Dur != 0 || e.SendID != 0 {
+				t.Errorf("%s: mirror event %+v has a duration or a SendID", tc.name, e)
+			}
+		}
+		for _, p := range Primitives() {
+			var total int64
+			for r := 0; r < np; r++ {
+				total += calls[r][p]
+				if calls[r][p] != events[r][p] {
+					t.Errorf("%s: rank %d %v: %d calls counted, %d events", tc.name, r, p, calls[r][p], events[r][p])
+				}
+			}
+			if total == 0 {
+				t.Errorf("%s: no rank called %v", tc.name, p)
+			}
+		}
+	}
+	if mirrors[0] != mirrors[1] {
+		t.Errorf("mirror events differ across transports:\nchannel %v\ntcp     %v", mirrors[0], mirrors[1])
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Nonblocking collectives (MPI-3 style). Iallreduce, Ibcast, Ireduce,
@@ -134,13 +133,9 @@ func (o *schedOp[T]) cleanup() {
 // initiation, build the request and its driver over buf, and run the
 // schedule as far as it goes without waiting.
 func startColl[T Scalar](c *Comm, prim Primitive, kind schedKind, root int, buf []T, op Op[T]) *CollRequest {
-	tok := c.profEnter()
-	c.countCall(prim)
+	sp := c.begin(prim)
 	bytes := len(buf) * scalarSize[T]()
-	cr := &CollRequest{comm: c, prim: prim, bytes: bytes}
-	if c.world.opts.hook != nil {
-		cr.msgid = c.world.nextMsgID()
-	}
+	cr := &CollRequest{comm: c, prim: prim, bytes: bytes, msgid: c.world.flowID()}
 	icollStarted.Add(1)
 	cr.op = &schedOp[T]{
 		hopRun: hopRun[T]{s: newSched(kind, len(c.members), c.rank, root), buf: buf, op: op},
@@ -152,7 +147,7 @@ func startColl[T Scalar](c *Comm, prim Primitive, kind schedKind, root int, buf 
 	if root != noRoot {
 		peer = c.members[root]
 	}
-	c.profExit(tok, prim, peer, -1, bytes, cr.msgid, 0, 0)
+	sp.end(peer, -1, bytes, cr.msgid, 0, 0)
 	return cr
 }
 
@@ -260,10 +255,9 @@ func (cr *CollRequest) fail(err error) {
 // SendID, which is how the wait-state analysis attributes overlap.
 func (cr *CollRequest) Wait() error {
 	c := cr.comm
-	tok := c.profEnter()
-	c.countCall(PrimWaitColl)
+	sp := c.begin(PrimWaitColl)
 	err := cr.wait()
-	c.profExit(tok, PrimWaitColl, -1, -1, cr.bytes, 0, cr.msgid, 0)
+	sp.end(-1, -1, cr.bytes, 0, cr.msgid, 0)
 	return err
 }
 
@@ -274,7 +268,6 @@ func (cr *CollRequest) wait() error {
 	}
 	mb := cr.comm.mb
 	dl := mb.opDeadline()
-	start := time.Now()
 	mb.mu.Lock()
 	for !cr.done.Load() {
 		if err := mb.stopErrLocked(); err != nil {
@@ -310,7 +303,6 @@ func (cr *CollRequest) wait() error {
 		mb.block(waitInfo{kind: waitColl, coll: cr})
 	}
 	mb.mu.Unlock()
-	cr.comm.traceComm("icoll", start)
 	return cr.err
 }
 
@@ -408,10 +400,9 @@ func ReduceScatterInto[T Scalar](c *Comm, buf []T, op Op[T]) error {
 	if len(buf)%p != 0 {
 		return fmt.Errorf("%w: ReduceScatter buffer of %d elements across %d ranks", ErrLengthMismatch, len(buf), p)
 	}
-	tok := c.profEnter()
-	c.countCall(PrimReduceScatter)
+	sp := c.begin(PrimReduceScatter)
 	_, err := runSched(c, schedReduceScatter, noRoot, buf, op, inPlace)
-	c.profExit(tok, PrimReduceScatter, -1, -1, len(buf)*scalarSize[T](), 0, 0, 0)
+	sp.end(-1, -1, len(buf)*scalarSize[T](), 0, 0, 0)
 	return err
 }
 
@@ -422,11 +413,10 @@ func ReduceScatter[T Scalar](c *Comm, data []T, op Op[T]) ([]T, error) {
 	if len(data)%p != 0 {
 		return nil, fmt.Errorf("%w: ReduceScatter buffer of %d elements across %d ranks", ErrLengthMismatch, len(data), p)
 	}
-	tok := c.profEnter()
-	c.countCall(PrimReduceScatter)
+	sp := c.begin(PrimReduceScatter)
 	buf := append([]T(nil), data...)
 	_, err := runSched(c, schedReduceScatter, noRoot, buf, op, inPlace)
-	c.profExit(tok, PrimReduceScatter, -1, -1, len(data)*scalarSize[T](), 0, 0, 0)
+	sp.end(-1, -1, len(data)*scalarSize[T](), 0, 0, 0)
 	if err != nil {
 		return nil, err
 	}

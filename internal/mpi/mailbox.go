@@ -127,6 +127,11 @@ type mailbox struct {
 	// calls counts the rank's communication primitives for call-indexed
 	// fault injection. Owner-goroutine only.
 	calls int64
+
+	// blocked accumulates the time the rank has spent parked in block.
+	// Only a hooked world touches it; a span differences it to attribute
+	// parked time to one primitive. Owner-goroutine only.
+	blocked time.Duration
 }
 
 func newMailbox(rank int, w *World) *mailbox {
@@ -206,7 +211,7 @@ func (mb *mailbox) post(e *envelope) {
 		// Any traffic proves the sender alive.
 		mb.world.noteHeard(e.wsrc)
 	}
-	if e.kind == kindData && mb.world.opts.hook != nil {
+	if e.kind == kindData && mb.world.hooked() {
 		// Receiver-side arrival stamp for queue-latency attribution; taken
 		// before the lock so lock contention is not charged to the queue.
 		e.arrived = time.Now()
@@ -516,12 +521,19 @@ func (mb *mailbox) tryAck(seq int64) bool {
 // blocking state exposed to the deadlock detector. Callers hold mu and
 // re-check their predicate after block returns. The wait record is
 // stored in the mailbox's reusable slot (a rank waits on one thing at a
-// time), keeping the blocking path allocation-free.
+// time), keeping the blocking path allocation-free. This is the one
+// place a rank parks, so it is also where Event.Blocked is measured.
 func (mb *mailbox) block(wi waitInfo) {
 	mb.wi = wi
 	mb.waiting = &mb.wi
 	mb.world.noteBlocked()
-	mb.cond.Wait()
+	if mb.world.hooked() {
+		start := time.Now()
+		mb.cond.Wait()
+		mb.blocked += time.Since(start)
+	} else {
+		mb.cond.Wait()
+	}
 	mb.waiting = nil
 	mb.world.noteUnblocked()
 }

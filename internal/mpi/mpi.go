@@ -99,7 +99,6 @@ type options struct {
 	eagerThreshold  int
 	detectDeadlock  bool
 	watchdogTimeout time.Duration
-	tracer          Tracer
 	hook            Hook
 	synchronousSend bool
 	injector        Injector      // fault-injection plan (see fault.go)
@@ -149,18 +148,6 @@ func WithWatchdog(d time.Duration) Option {
 // invisibly in flight (as over TCP); use WithWatchdog as the backstop.
 func WithLinkLatency(d time.Duration) Option {
 	return func(o *options) { o.linkLatency = d }
-}
-
-// WithTracer attaches a phase tracer; the runtime records time spent
-// blocked in communication on behalf of each rank.
-func WithTracer(t Tracer) Option {
-	return func(o *options) { o.tracer = t }
-}
-
-// Tracer receives communication-blocking intervals from the runtime. It is
-// satisfied by *trace.Tracer.
-type Tracer interface {
-	RecordComm(rank int, op string, start time.Time, d time.Duration)
 }
 
 func defaultOptions() options {

@@ -3,9 +3,9 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestPingPong(t *testing.T) {
@@ -515,28 +515,36 @@ func TestReduceOpsProdMinMax(t *testing.T) {
 	}
 }
 
+// TestTracerRecordsRuntimeBlocking: the time a rank spends parked on its
+// mailbox is charged to the primitive it parked in. The receiver posts
+// only once the rendezvous sender is parked on the acknowledgement, so
+// the Send's one event must report Blocked > 0.
 func TestTracerRecordsRuntimeBlocking(t *testing.T) {
-	tr := &collectingTracer{}
+	log := &eventLog{}
 	big := make([]float64, 50_000)
 	err := Run(2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			return Send(c, big, 1, 0) // rendezvous: blocks, traced
+			return Send(c, big, 1, 0)
+		}
+		sender := c.world.mailboxes[0]
+		for parked := false; !parked; runtime.Gosched() {
+			sender.mu.Lock()
+			parked = sender.waiting != nil
+			sender.mu.Unlock()
 		}
 		_, _, err := Recv[float64](c, 0, 0)
 		return err
-	}, WithTracer(tr))
+	}, WithHook(log))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.count.Load() == 0 {
-		t.Fatal("tracer saw no blocking intervals")
+	sends := log.byPrim()[PrimSend]
+	if len(sends) != 1 {
+		t.Fatalf("%d MPI_Send events, want 1", len(sends))
 	}
-}
-
-type collectingTracer struct{ count atomic.Int64 }
-
-func (ct *collectingTracer) RecordComm(rank int, op string, start time.Time, d time.Duration) {
-	ct.count.Add(1)
+	if e := sends[0]; e.Blocked <= 0 || e.Blocked > e.Dur {
+		t.Fatalf("rendezvous send parked on its ack reports Blocked %v of Dur %v", e.Blocked, e.Dur)
+	}
 }
 
 func TestWaitIdempotent(t *testing.T) {

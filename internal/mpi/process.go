@@ -71,7 +71,7 @@ func WithChildOutput(stdout, stderr io.Writer) ProcOption {
 	return func(o *procOptions) { o.stdout, o.stderr = stdout, stderr }
 }
 
-// WithRunOptions forwards runtime options (eager threshold, tracer, …) to
+// WithRunOptions forwards runtime options (eager threshold, hook, …) to
 // the worker-side world.
 func WithRunOptions(opts ...Option) ProcOption {
 	return func(o *procOptions) { o.mpiOpts = append(o.mpiOpts, opts...) }

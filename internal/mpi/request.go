@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 type reqKind int8
 
@@ -45,33 +42,22 @@ type Request struct {
 // requests the returned bytes are the message payload; for send requests
 // the payload is nil.
 func (r *Request) Wait() ([]byte, Status, error) {
-	tok := r.comm.profEnter()
-	r.comm.countCall(PrimWait)
+	sp := r.comm.begin(PrimWait)
 	b, st, err := r.wait()
-	r.waitEvent(tok)
+	// A send wait is attributed to the destination; a receive wait
+	// carries the matched message's flow id and queue latency.
+	switch {
+	case r.kind != reqRecv:
+		sp.end(r.peer, r.tag, 0, r.msgid, 0, 0)
+	case r.env != nil:
+		sp.end(r.env.wsrc, int(r.env.tag), len(r.env.data), 0, r.env.msgid, queuedFor(r.env))
+	default:
+		sp.end(r.peer, r.tag, 0, 0, 0, 0)
+	}
 	return b, st, err
 }
 
-// waitEvent emits the hook event for one completed (or failed) Wait. Send
-// waits attribute to the destination; receive waits carry the matched
-// message's flow id and queue latency.
-func (r *Request) waitEvent(tok profToken) {
-	if !tok.ok {
-		return
-	}
-	if r.kind != reqRecv {
-		r.comm.profExit(tok, PrimWait, r.peer, r.tag, 0, r.msgid, 0, 0)
-		return
-	}
-	if r.env != nil {
-		r.comm.profExit(tok, PrimWait, r.env.wsrc, int(r.env.tag), len(r.env.data), 0, r.env.msgid, queuedFor(r.env))
-		return
-	}
-	r.comm.profExit(tok, PrimWait, r.peer, r.tag, 0, 0, 0, 0)
-}
-
-// wait completes the request without counting an MPI_Wait invocation. It
-// backs Wait, Waitall and the collectives' internal completion.
+// wait is the uninstrumented body of Wait.
 func (r *Request) wait() ([]byte, Status, error) {
 	if r.done {
 		return r.payload(), r.st, nil
@@ -79,11 +65,9 @@ func (r *Request) wait() ([]byte, Status, error) {
 	switch r.kind {
 	case reqSend:
 		if r.seq != 0 {
-			start := time.Now()
 			if err := r.comm.mb.waitAck(r.seq); err != nil {
 				return nil, Status{}, err
 			}
-			r.comm.traceComm("wait", start)
 		}
 		r.done = true
 		return nil, Status{}, nil
@@ -98,9 +82,7 @@ func (r *Request) wait() ([]byte, Status, error) {
 		r.done = true
 		return nil, Status{}, nil
 	case reqRMAGet:
-		start := time.Now()
 		b, err := r.comm.mb.waitRMAResp(r.seq)
-		r.comm.traceComm("rma-get", start)
 		if err != nil {
 			return nil, Status{}, err
 		}
@@ -108,7 +90,6 @@ func (r *Request) wait() ([]byte, Status, error) {
 			putBuf(b)
 			return nil, Status{}, fmt.Errorf("mpi: RMA get of %d bytes rejected by target %d (window freed or out of range)", r.n, r.peer)
 		}
-		r.comm.world.stats.addUserRecv(r.comm.worldRank, len(b))
 		r.buf = b
 		r.st = Status{Source: r.peer, Tag: -1, Bytes: len(b)}
 		r.done = true
@@ -156,7 +137,6 @@ func (r *Request) Test() (bool, []byte, Status, error) {
 			putBuf(b)
 			return true, nil, Status{}, fmt.Errorf("mpi: RMA get of %d bytes rejected by target %d (window freed or out of range)", r.n, r.peer)
 		}
-		r.comm.world.stats.addUserRecv(r.comm.worldRank, len(b))
 		r.buf = b
 		r.st = Status{Source: r.peer, Tag: -1, Bytes: len(b)}
 		r.done = true
@@ -177,7 +157,6 @@ func (r *Request) complete(env *envelope) {
 	r.env = env
 	r.st = Status{Source: env.src, Tag: int(env.tag), Bytes: len(env.data)}
 	r.done = true
-	r.comm.world.stats.addUserRecv(r.comm.worldRank, len(env.data))
 }
 
 func (r *Request) payload() []byte {
@@ -198,11 +177,7 @@ func Waitall(reqs ...*Request) error {
 		if r == nil {
 			continue
 		}
-		tok := r.comm.profEnter()
-		r.comm.countCall(PrimWait)
-		_, _, err := r.wait()
-		r.waitEvent(tok)
-		if err != nil && firstErr == nil {
+		if _, _, err := r.Wait(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // One-sided communication (RMA): the fourth pillar of the runtime next to
@@ -87,7 +86,9 @@ func (op AccOp) String() string {
 	return fmt.Sprintf("AccOp(%d)", int(op))
 }
 
-// RMA operation codes, first byte of every kindRMAReq payload.
+// RMA operation codes: the first byte of a kindRMAReq payload, or of a
+// batch entry for rmaPut and rmaAcc, which travel only in kindRMABatch
+// frames (parseRMAReq rejects them as unknown).
 const (
 	rmaPut byte = iota + 1
 	rmaGet
@@ -128,21 +129,12 @@ func parseRMAReq(b []byte) (op, dtype byte, offset, aux int64, err error) {
 	aux = int64(binary.LittleEndian.Uint64(b[10:]))
 	n := len(b) - rmaReqHeaderLen
 	switch op {
-	case rmaPut:
-		// Any payload length.
 	case rmaGet:
 		if n != 0 {
 			return 0, 0, 0, 0, fmt.Errorf("mpi: RMA get carries %d payload bytes", n)
 		}
 		if aux < 0 {
 			return 0, 0, 0, 0, fmt.Errorf("mpi: RMA get of negative length %d", aux)
-		}
-	case rmaAcc:
-		if dtype>>4 > rmaElemFloat64 || AccOp(dtype&0x0f) > AccMin {
-			return 0, 0, 0, 0, fmt.Errorf("mpi: RMA accumulate dtype %#x invalid", dtype)
-		}
-		if n%8 != 0 {
-			return 0, 0, 0, 0, fmt.Errorf("mpi: RMA accumulate payload %d bytes is not a whole number of elements", n)
 		}
 	case rmaCas:
 		if n != 8 {
@@ -345,10 +337,7 @@ type Win struct {
 	// PutAsync requests record the epoch they were issued in and are done
 	// once it has passed.
 	epoch int64
-	// lastMsgID is the flow id of the most recent request, carried out of
-	// the unexported helpers for profExit. Owner-goroutine only.
-	lastMsgID int64
-	freed     bool
+	freed bool
 }
 
 // WinCreate collectively creates a window exposing localSize bytes of
@@ -360,10 +349,9 @@ func (c *Comm) WinCreate(localSize int) (*Win, error) {
 	if localSize < 0 {
 		return nil, fmt.Errorf("mpi: WinCreate: negative window size %d", localSize)
 	}
-	tok := c.profEnter()
-	c.countCall(PrimRMAWinCreate)
+	sp := c.begin(PrimRMAWinCreate)
 	if err := c.rmaLiveErr(); err != nil {
-		c.profExit(tok, PrimRMAWinCreate, -1, -1, 0, 0, 0, 0)
+		sp.end(-1, -1, 0, 0, 0, 0)
 		return nil, err
 	}
 	c.winSeq++
@@ -374,7 +362,7 @@ func (c *Comm) WinCreate(localSize int) (*Win, error) {
 	c.world.winMu.Unlock()
 	win := &Win{c: c, st: st, local: t, pend: make([]rmaPending, len(c.members))}
 	err := c.Barrier()
-	c.profExit(tok, PrimRMAWinCreate, -1, -1, localSize, 0, 0, 0)
+	sp.end(-1, -1, localSize, 0, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -388,15 +376,14 @@ func (w *Win) Free() error {
 	if w.freed {
 		return fmt.Errorf("mpi: Win already freed")
 	}
-	tok := w.c.profEnter()
-	w.c.countCall(PrimRMAWinFree)
+	sp := w.c.begin(PrimRMAWinFree)
 	err := w.completePending()
 	if err == nil {
 		err = w.c.Barrier()
 	}
 	w.freed = true
 	w.c.world.dropWindow(w.st)
-	w.c.profExit(tok, PrimRMAWinFree, -1, -1, 0, 0, 0, 0)
+	sp.end(-1, -1, 0, 0, 0, 0)
 	return err
 }
 
@@ -459,10 +446,8 @@ func (w *Win) request(target int, op, dtype byte, offset, aux int64, data []byte
 	env.tag = w.st.key.seq
 	seq = c.world.nextSeq()
 	env.seq = seq
-	if c.world.opts.hook != nil {
-		msgid = c.world.nextMsgID()
-		env.msgid = msgid
-	}
+	msgid = c.world.flowID()
+	env.msgid = msgid
 	buf := getBuf(rmaReqHeaderLen + len(data))
 	putRMAReq(buf, op, dtype, offset, aux)
 	copy(buf[rmaReqHeaderLen:], data)
@@ -482,14 +467,7 @@ func (w *Win) request(target int, op, dtype byte, offset, aux int64, data []byte
 // outside the target region, freed window) still fail here, at call
 // time.
 func (w *Win) Put(target, offset int, data []byte) error {
-	tok := w.c.profEnter()
-	w.c.countCall(PrimRMAPut)
-	err := w.putChecked(target, offset, data)
-	var msgid int64
-	if err == nil {
-		msgid = w.lastMsgID
-	}
-	w.c.profExit(tok, PrimRMAPut, w.peerOf(target), -1, len(data), msgid, 0, 0)
+	_, err := w.put(target, offset, data)
 	return err
 }
 
@@ -499,34 +477,36 @@ func (w *Win) Put(target, offset int, data []byte) error {
 // nothing else — Fence, Flush, Unlock, Free — has yet; Test never
 // blocks, reporting completion only after such a close.
 func (w *Win) PutAsync(target, offset int, data []byte) (*Request, error) {
-	tok := w.c.profEnter()
-	w.c.countCall(PrimRMAPut)
-	err := w.putChecked(target, offset, data)
-	var msgid int64
-	if err == nil {
-		msgid = w.lastMsgID
-	}
-	w.c.profExit(tok, PrimRMAPut, w.peerOf(target), -1, len(data), msgid, 0, 0)
+	msgid, err := w.put(target, offset, data)
 	if err != nil {
 		return nil, err
 	}
 	return &Request{comm: w.c, kind: reqRMAPut, win: w, peer: w.peerOf(target), tag: -1, msgid: msgid, issued: w.epoch}, nil
 }
 
-func (w *Win) putChecked(target, offset int, data []byte) error {
+// put is the instrumented body of Put and PutAsync. The returned flow id
+// is zero when the op was not queued.
+func (w *Win) put(target, offset int, data []byte) (int64, error) {
+	sp := w.c.begin(PrimRMAPut)
+	msgid, err := w.queueOp(target, offset, rmaPut, 0, data)
+	sp.end(w.peerOf(target), -1, len(data), msgid, 0, 0)
+	return msgid, err
+}
+
+// queueOp validates one Put/Accumulate and appends it to target's open
+// batch under a fresh flow id, which it returns (zero on failure).
+func (w *Win) queueOp(target, offset int, op, dtype byte, data []byte) (int64, error) {
 	if err := w.checkAccess(target, offset, len(data)); err != nil {
-		return err
+		return 0, err
 	}
 	if err := w.c.rmaLiveErr(); err != nil {
-		return err
+		return 0, err
 	}
-	w.c.world.stats.addUserSent(w.c.worldRank, len(data))
-	var msgid int64
-	if w.c.world.opts.hook != nil {
-		msgid = w.c.world.nextMsgID()
+	msgid := w.c.world.flowID()
+	if err := w.batchAppend(target, op, dtype, int64(offset), msgid, data); err != nil {
+		return 0, err
 	}
-	w.lastMsgID = msgid
-	return w.batchAppend(target, rmaPut, 0, int64(offset), msgid, data)
+	return msgid, nil
 }
 
 // batchAppend queues one Put/Accumulate entry on target's open batch,
@@ -579,10 +559,7 @@ func (w *Win) peerOf(target int) int {
 // (MPI_Get). It blocks until the data arrives; the returned buffer is
 // caller-owned and may be recycled with Release.
 func (w *Win) Get(target, offset, n int) ([]byte, error) {
-	tok := w.c.profEnter()
-	w.c.countCall(PrimRMAGet)
-	b, msgid, err := w.getChecked(target, offset, n)
-	w.c.profExit(tok, PrimRMAGet, w.peerOf(target), -1, len(b), msgid, 0, 0)
+	b, _, _, err := w.get(target, offset, n, true)
 	return b, err
 }
 
@@ -604,62 +581,58 @@ func (w *Win) GetInto(dst []byte, target, offset int) error {
 // WaitRecvInto). Unlike Put, a Get is never batched — it needs a reply —
 // so GetAsync overlaps the round trip with origin-side work.
 func (w *Win) GetAsync(target, offset, n int) (*Request, error) {
-	tok := w.c.profEnter()
-	w.c.countCall(PrimRMAGet)
-	r, msgid, err := w.getAsyncChecked(target, offset, n)
-	w.c.profExit(tok, PrimRMAGet, w.peerOf(target), -1, n, msgid, 0, 0)
-	return r, err
+	b, seq, msgid, err := w.get(target, offset, n, false)
+	if err != nil {
+		return nil, err
+	}
+	peer := w.peerOf(target)
+	r := &Request{comm: w.c, kind: reqRMAGet, win: w, peer: peer, tag: -1, seq: seq, msgid: msgid, n: n}
+	if seq == 0 {
+		// The shared-memory fast path already fetched the bytes.
+		r.done, r.buf, r.st = true, b, Status{Source: peer, Tag: -1, Bytes: n}
+	}
+	return r, nil
 }
 
-func (w *Win) getAsyncChecked(target, offset, n int) (*Request, int64, error) {
-	if err := w.checkAccess(target, offset, n); err != nil {
-		return nil, 0, err
+// get is the instrumented body of Get and GetAsync. With wait it blocks
+// for the reply inside the span and reports the bytes fetched; without,
+// it reports the bytes requested and returns the reply's sequence for the
+// caller's Request (zero when the fast path already produced b).
+func (w *Win) get(target, offset, n int, wait bool) (b []byte, seq, msgid int64, err error) {
+	sp := w.c.begin(PrimRMAGet)
+	b, seq, msgid, err = w.getChecked(target, offset, n, wait)
+	bytes := n
+	if wait {
+		bytes = len(b)
 	}
-	if err := w.c.rmaLiveErr(); err != nil {
-		return nil, 0, err
-	}
-	if t := w.directTarget(target); t != nil {
-		b, msgid := w.directGet(t, target, offset, n)
-		return &Request{
-			comm: w.c, kind: reqRMAGet, win: w, done: true,
-			peer: w.peerOf(target), tag: -1, msgid: msgid, n: n, buf: b,
-			st: Status{Source: w.peerOf(target), Tag: -1, Bytes: n},
-		}, msgid, nil
-	}
-	seq, msgid, err := w.request(target, rmaGet, 0, int64(offset), int64(n), nil)
-	if err != nil {
-		return nil, msgid, err
-	}
-	return &Request{comm: w.c, kind: reqRMAGet, win: w, peer: w.peerOf(target), tag: -1, seq: seq, msgid: msgid, n: n}, msgid, nil
+	sp.end(w.peerOf(target), -1, bytes, msgid, 0, 0)
+	return b, seq, msgid, err
 }
 
-func (w *Win) getChecked(target, offset, n int) ([]byte, int64, error) {
+func (w *Win) getChecked(target, offset, n int, wait bool) (b []byte, seq, msgid int64, err error) {
 	if err := w.checkAccess(target, offset, n); err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	if err := w.c.rmaLiveErr(); err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	if t := w.directTarget(target); t != nil {
-		b, msgid := w.directGet(t, target, offset, n)
-		return b, msgid, nil
+		b, msgid = w.directGet(t, target, offset, n)
+		return b, 0, msgid, nil
 	}
-	seq, msgid, err := w.request(target, rmaGet, 0, int64(offset), int64(n), nil)
-	if err != nil {
-		return nil, msgid, err
+	seq, msgid, err = w.request(target, rmaGet, 0, int64(offset), int64(n), nil)
+	if err != nil || !wait {
+		return nil, seq, msgid, err
 	}
-	start := time.Now()
-	b, err := w.c.mb.waitRMAResp(seq)
-	w.c.traceComm("rma-get", start)
+	b, err = w.c.mb.waitRMAResp(seq)
 	if err != nil {
-		return nil, msgid, err
+		return nil, seq, msgid, err
 	}
 	if len(b) != n {
 		putBuf(b)
-		return nil, msgid, fmt.Errorf("mpi: RMA get of %d bytes at offset %d rejected by target %d (window freed or out of range)", n, offset, target)
+		return nil, seq, msgid, fmt.Errorf("mpi: RMA get of %d bytes at offset %d rejected by target %d (window freed or out of range)", n, offset, target)
 	}
-	w.c.world.stats.addUserRecv(w.c.worldRank, len(b))
-	return b, msgid, nil
+	return b, seq, msgid, nil
 }
 
 // directTarget returns the target-side window state when the
@@ -686,18 +659,12 @@ func (w *Win) directTarget(target int) *winTarget {
 // counts are transport-independent. checkAccess already validated the
 // range (the region is hosted in this process).
 func (w *Win) directGet(t *winTarget, target, offset, n int) ([]byte, int64) {
-	var msgid int64
-	if w.c.world.opts.hook != nil {
-		msgid = w.c.world.nextMsgID()
-	}
+	msgid := w.c.world.flowID()
 	b := getBuf(n)
 	t.mu.Lock()
 	copy(b, t.buf[offset:offset+n])
 	t.mu.Unlock()
-	if h := w.c.world.opts.hook; h != nil {
-		h.Event(Event{Rank: w.c.members[target], Prim: PrimRMAGet, Peer: w.c.worldRank, Tag: -1, Bytes: n, Start: time.Now(), RecvID: msgid})
-	}
-	w.c.world.stats.addUserRecv(w.c.worldRank, n)
+	w.c.world.mirror(w.c.members[target], PrimRMAGet, w.c.worldRank, n, msgid)
 	return b, msgid
 }
 
@@ -719,45 +686,28 @@ func int64Bytes(vals []int64) []byte     { return AppendMarshal(getBuf(8 * len(v
 func float64Bytes(vals []float64) []byte { return AppendMarshal(getBuf(8 * len(vals))[:0], vals) }
 
 func (w *Win) accumulate(target, offset int, elem byte, payload []byte, op AccOp, nvals int) error {
-	tok := w.c.profEnter()
-	w.c.countCall(PrimRMAAcc)
-	err := w.accChecked(target, offset, elem, payload, op)
-	putBuf(payload)
-	var msgid int64
-	if err == nil {
-		msgid = w.lastMsgID
-	}
-	w.c.profExit(tok, PrimRMAAcc, w.peerOf(target), -1, 8*nvals, msgid, 0, 0)
-	return err
-}
-
-func (w *Win) accChecked(target, offset int, elem byte, payload []byte, op AccOp) error {
+	sp := w.c.begin(PrimRMAAcc)
+	var (
+		msgid int64
+		err   error
+	)
 	if op > AccMin {
-		return fmt.Errorf("mpi: Accumulate: unknown op %v", op)
+		err = fmt.Errorf("mpi: Accumulate: unknown op %v", op)
+	} else {
+		msgid, err = w.queueOp(target, offset, rmaAcc, elem<<4|byte(op), payload)
 	}
-	if err := w.checkAccess(target, offset, len(payload)); err != nil {
-		return err
-	}
-	if err := w.c.rmaLiveErr(); err != nil {
-		return err
-	}
-	w.c.world.stats.addUserSent(w.c.worldRank, len(payload))
-	var msgid int64
-	if w.c.world.opts.hook != nil {
-		msgid = w.c.world.nextMsgID()
-	}
-	w.lastMsgID = msgid
-	return w.batchAppend(target, rmaAcc, elem<<4|byte(op), int64(offset), msgid, payload)
+	putBuf(payload)
+	sp.end(w.peerOf(target), -1, 8*nvals, msgid, 0, 0)
+	return err
 }
 
 // CompareAndSwap atomically compares the int64 at the target's window
 // offset with compare and, if equal, stores swap; the previous value is
 // returned either way (MPI_Compare_and_swap). It blocks for the reply.
 func (w *Win) CompareAndSwap(target, offset int, compare, swap int64) (int64, error) {
-	tok := w.c.profEnter()
-	w.c.countCall(PrimRMACas)
+	sp := w.c.begin(PrimRMACas)
 	old, msgid, err := w.casChecked(target, offset, compare, swap)
-	w.c.profExit(tok, PrimRMACas, w.peerOf(target), -1, 8, msgid, 0, 0)
+	sp.end(w.peerOf(target), -1, 8, msgid, 0, 0)
 	return old, err
 }
 
@@ -772,19 +722,14 @@ func (w *Win) casChecked(target, offset int, compare, swap int64) (int64, int64,
 		// Shared-memory fast path: compare-and-swap under the region
 		// mutex, which makes it atomic with respect to the progress
 		// engine and other fast-path origins.
-		var msgid int64
-		if w.c.world.opts.hook != nil {
-			msgid = w.c.world.nextMsgID()
-		}
+		msgid := w.c.world.flowID()
 		t.mu.Lock()
 		old := int64(binary.LittleEndian.Uint64(t.buf[offset:]))
 		if old == compare {
 			binary.LittleEndian.PutUint64(t.buf[offset:], uint64(swap))
 		}
 		t.mu.Unlock()
-		if h := w.c.world.opts.hook; h != nil {
-			h.Event(Event{Rank: w.c.members[target], Prim: PrimRMACas, Peer: w.c.worldRank, Tag: -1, Bytes: 8, Start: time.Now(), RecvID: msgid})
-		}
+		w.c.world.mirror(w.c.members[target], PrimRMACas, w.c.worldRank, 8, msgid)
 		return old, msgid, nil
 	}
 	var swapBuf [8]byte
@@ -793,9 +738,7 @@ func (w *Win) casChecked(target, offset int, compare, swap int64) (int64, int64,
 	if err != nil {
 		return 0, msgid, err
 	}
-	start := time.Now()
 	b, err := w.c.mb.waitRMAResp(seq)
-	w.c.traceComm("rma-cas", start)
 	if err != nil {
 		return 0, msgid, err
 	}
@@ -813,13 +756,12 @@ func (w *Win) casChecked(target, offset int, compare, swap int64) (int64, int64,
 // operations, then barriers, so on return every member's operations
 // issued before its Fence are visible in every window region.
 func (w *Win) Fence() error {
-	tok := w.c.profEnter()
-	w.c.countCall(PrimRMAFence)
+	sp := w.c.begin(PrimRMAFence)
 	err := w.completePending()
 	if err == nil {
 		err = w.c.Barrier()
 	}
-	w.c.profExit(tok, PrimRMAFence, -1, -1, 0, 0, 0, 0)
+	sp.end(-1, -1, 0, 0, 0, 0)
 	return err
 }
 
@@ -828,10 +770,9 @@ func (w *Win) Fence() error {
 // synchronizing ranks (MPI_Win_flush_all). Inside a lock epoch it
 // guarantees remote completion of prior operations.
 func (w *Win) Flush() error {
-	tok := w.c.profEnter()
-	w.c.countCall(PrimRMAFlush)
+	sp := w.c.begin(PrimRMAFlush)
 	err := w.completePending()
-	w.c.profExit(tok, PrimRMAFlush, -1, -1, 0, 0, 0, 0)
+	sp.end(-1, -1, 0, 0, 0, 0)
 	return err
 }
 
@@ -927,14 +868,12 @@ func (w *Win) drainAcks() error {
 	if len(w.pendingAcks) == 0 {
 		return nil
 	}
-	start := time.Now()
 	var err error
 	for _, seq := range w.pendingAcks {
 		if err = w.c.mb.waitAck(seq); err != nil {
 			break
 		}
 	}
-	w.c.traceComm("rma-drain", start)
 	w.pendingAcks = w.pendingAcks[:0]
 	return err
 }
@@ -951,10 +890,9 @@ func (w *Win) Lock(target int) error { return w.lock(target, false) }
 func (w *Win) LockShared(target int) error { return w.lock(target, true) }
 
 func (w *Win) lock(target int, shared bool) error {
-	tok := w.c.profEnter()
-	w.c.countCall(PrimRMALock)
+	sp := w.c.begin(PrimRMALock)
 	msgid, err := w.lockChecked(target, shared)
-	w.c.profExit(tok, PrimRMALock, w.peerOf(target), -1, 0, msgid, 0, 0)
+	sp.end(w.peerOf(target), -1, 0, msgid, 0, 0)
 	return err
 }
 
@@ -973,20 +911,16 @@ func (w *Win) lockChecked(target int, shared bool) (int64, error) {
 	if err != nil {
 		return msgid, err
 	}
-	start := time.Now()
-	err = w.c.mb.waitAck(seq)
-	w.c.traceComm("rma-lock", start)
-	return msgid, err
+	return msgid, w.c.mb.waitAck(seq)
 }
 
 // Unlock closes the passive-target epoch on target (MPI_Win_unlock):
 // outstanding operations are completed first, then the lock is released,
 // which may grant queued waiters.
 func (w *Win) Unlock(target int) error {
-	tok := w.c.profEnter()
-	w.c.countCall(PrimRMAUnlock)
+	sp := w.c.begin(PrimRMAUnlock)
 	msgid, err := w.unlockChecked(target)
-	w.c.profExit(tok, PrimRMAUnlock, w.peerOf(target), -1, 0, msgid, 0, 0)
+	sp.end(w.peerOf(target), -1, 0, msgid, 0, 0)
 	return err
 }
 
@@ -1004,10 +938,7 @@ func (w *Win) unlockChecked(target int) (int64, error) {
 	if err != nil {
 		return msgid, err
 	}
-	start := time.Now()
-	err = w.c.mb.waitAck(seq)
-	w.c.traceComm("rma-unlock", start)
-	return msgid, err
+	return msgid, w.c.mb.waitAck(seq)
 }
 
 // handleRMAReq is the progress engine: it applies one one-sided request
@@ -1027,7 +958,7 @@ func (w *World) handleRMAReq(mb *mailbox, e *envelope) {
 		putBuf(data)
 		return
 	}
-	op, dtype, offset, aux, perr := parseRMAReq(data)
+	op, _, offset, aux, perr := parseRMAReq(data)
 	if perr != nil {
 		putBuf(data)
 		return
@@ -1062,11 +993,6 @@ func (w *World) handleRMAReq(mb *mailbox, e *envelope) {
 
 	t.mu.Lock()
 	switch op {
-	case rmaPut:
-		prim = PrimRMAPut
-		if int(offset)+len(payload) <= len(t.buf) {
-			copy(t.buf[offset:], payload)
-		}
 	case rmaGet:
 		prim = PrimRMAGet
 		needResp = true
@@ -1075,11 +1001,6 @@ func (w *World) handleRMAReq(mb *mailbox, e *envelope) {
 		if int(offset)+n <= len(t.buf) {
 			resp = getBuf(n)
 			copy(resp, t.buf[offset:int(offset)+n])
-		}
-	case rmaAcc:
-		prim = PrimRMAAcc
-		if int(offset)+len(payload) <= len(t.buf) {
-			applyAccumulate(t.buf[offset:int(offset)+len(payload)], dtype>>4, AccOp(dtype&0x0f), payload)
 		}
 	case rmaCas:
 		prim = PrimRMACas
@@ -1111,13 +1032,7 @@ func (w *World) handleRMAReq(mb *mailbox, e *envelope) {
 	t.mu.Unlock()
 	putBuf(data)
 
-	// Target-side mirror event: the one-sided op as seen by the target's
-	// progress engine. RecvID pairs it with the origin's SendID so the
-	// Chrome exporter draws origin→target arrows, and the counts are
-	// transport-independent, which the parity tests pin down.
-	if h := w.opts.hook; h != nil {
-		h.Event(Event{Rank: target, Prim: prim, Peer: origin, Tag: -1, Bytes: bytes, Start: time.Now(), RecvID: msgid})
-	}
+	w.mirror(target, prim, origin, bytes, msgid)
 
 	if needResp {
 		w.rmaRespond(target, origin, key, seq, resp)
@@ -1179,14 +1094,12 @@ func (w *World) handleRMABatch(mb *mailbox, e *envelope) {
 	mb.sendAck(origin, key.ctx, seq)
 }
 
-// applyRMABatch applies a batch frame to one target region: the same
-// work as handleRMAReq's Put/Accumulate arms, shared by the progress
-// engine (mailbox path) and the origin itself (shared-memory fast
-// path). Out-of-range entries are dropped, matching the single-op path;
-// a malformed entry stops the walk with everything before it applied.
-// Target-side mirror events are emitted per logical entry after the
-// region mutex is released, so the hook stream is indistinguishable
-// from the same ops sent eagerly.
+// applyRMABatch applies a batch frame to one target region, for the
+// progress engine (mailbox path) and the origin itself (shared-memory
+// fast path) alike. Out-of-range entries are dropped; a malformed entry
+// stops the walk with everything before it applied. Target-side mirror
+// events are emitted per logical entry after the region mutex is
+// released, so coalescing is invisible in the hook stream.
 func (w *World) applyRMABatch(t *winTarget, target, origin int, buf []byte) {
 	t.mu.Lock()
 	rest := buf
@@ -1205,11 +1118,9 @@ func (w *World) applyRMABatch(t *winTarget, target, origin int, buf []byte) {
 		rest = next
 	}
 	t.mu.Unlock()
-	h := w.opts.hook
-	if h == nil {
+	if !w.hooked() {
 		return
 	}
-	now := time.Now()
 	rest = buf
 	for len(rest) > 0 {
 		op, _, _, msgid, data, next, err := rmaBatchNext(rest)
@@ -1220,7 +1131,7 @@ func (w *World) applyRMABatch(t *winTarget, target, origin int, buf []byte) {
 		if op == rmaAcc {
 			prim = PrimRMAAcc
 		}
-		h.Event(Event{Rank: target, Prim: prim, Peer: origin, Tag: -1, Bytes: len(data), Start: now, RecvID: msgid})
+		w.mirror(target, prim, origin, len(data), msgid)
 		rest = next
 	}
 }

@@ -156,13 +156,11 @@ func PrimitiveByName(name string) (Primitive, bool) {
 }
 
 // rankStats holds one rank's counters. Fields are atomics because the
-// world aggregates while ranks run (e.g. a tracer snapshotting mid-run).
+// world aggregates while ranks run (e.g. a registry snapshotting mid-run).
 type rankStats struct {
-	calls     [numPrimitives]atomic.Int64
-	userSent  atomic.Int64 // payload bytes passed to user-level sends
-	userRecv  atomic.Int64 // payload bytes returned by user-level receives
-	wireSent  atomic.Int64 // envelope bytes put on the transport
-	wireRecv  atomic.Int64 // envelope bytes taken off the transport
+	calls     [numPrimitives]atomic.Int64 // bumped by Comm.begin (hook.go)
+	wireSent  atomic.Int64                // envelope bytes put on the transport
+	wireRecv  atomic.Int64                // envelope bytes taken off the transport
 	msgsSent  atomic.Int64
 	msgsRecvd atomic.Int64
 }
@@ -175,13 +173,6 @@ type WorldStats struct {
 func newWorldStats(np int) *WorldStats {
 	return &WorldStats{ranks: make([]rankStats, np)}
 }
-
-func (s *WorldStats) countCall(rank int, p Primitive) {
-	s.ranks[rank].calls[p].Add(1)
-}
-
-func (s *WorldStats) addUserSent(rank, n int) { s.ranks[rank].userSent.Add(int64(n)) }
-func (s *WorldStats) addUserRecv(rank, n int) { s.ranks[rank].userRecv.Add(int64(n)) }
 
 func (s *WorldStats) addWire(src, dst, n int) {
 	s.ranks[src].wireSent.Add(int64(n))
@@ -196,7 +187,6 @@ type Snapshot struct {
 	Size  int
 	Calls []map[Primitive]int64 // per rank, only nonzero entries
 	// Per-rank byte and message counters, indexed by rank.
-	UserSent, UserRecv   []int64
 	WireSent, WireRecv   []int64
 	MsgsSent, MsgsRecvd  []int64
 	TotalWire, TotalMsgs int64
@@ -208,8 +198,6 @@ func (s *WorldStats) Snapshot() Snapshot {
 	snap := Snapshot{
 		Size:      np,
 		Calls:     make([]map[Primitive]int64, np),
-		UserSent:  make([]int64, np),
-		UserRecv:  make([]int64, np),
 		WireSent:  make([]int64, np),
 		WireRecv:  make([]int64, np),
 		MsgsSent:  make([]int64, np),
@@ -224,8 +212,6 @@ func (s *WorldStats) Snapshot() Snapshot {
 			}
 		}
 		snap.Calls[r] = m
-		snap.UserSent[r] = rs.userSent.Load()
-		snap.UserRecv[r] = rs.userRecv.Load()
 		snap.WireSent[r] = rs.wireSent.Load()
 		snap.WireRecv[r] = rs.wireRecv.Load()
 		snap.MsgsSent[r] = rs.msgsSent.Load()

@@ -77,7 +77,7 @@ type World struct {
 	detectorDone  chan struct{}
 
 	seqCounter atomic.Int64 // rendezvous sequence allocator (starts at 1)
-	msgCounter atomic.Int64 // profiling flow-id allocator (starts at 1; only used when a hook is attached)
+	msgCounter atomic.Int64 // flow-id allocator (flowID, hook.go): starts at 1, untouched without a hook
 
 	ctxMu      sync.Mutex
 	ctxNext    int32
@@ -316,10 +316,6 @@ func (w *World) deliver(e *envelope) error {
 // nextSeq allocates a rendezvous sequence number. Sequence 0 means "no ack
 // required", so allocation starts at 1.
 func (w *World) nextSeq() int64 { return w.seqCounter.Add(1) }
-
-// nextMsgID allocates a message flow id for the profiling layer. Id 0
-// means "untracked", so allocation starts at 1.
-func (w *World) nextMsgID() int64 { return w.msgCounter.Add(1) }
 
 // ctxFor returns the stable context id pair (user, collective) for a Split
 // product. Every member rank passes the same key and observes the same id.

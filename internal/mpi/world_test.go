@@ -173,12 +173,6 @@ func TestStatsAccounting(t *testing.T) {
 			t.Errorf("rank %d MPI_Barrier count = %d, want 1", r, got)
 		}
 	}
-	if snap.UserSent[0] != 24 {
-		t.Errorf("rank 0 user bytes sent = %d, want 24", snap.UserSent[0])
-	}
-	if snap.UserRecv[1] != 24 {
-		t.Errorf("rank 1 user bytes recv = %d, want 24", snap.UserRecv[1])
-	}
 	if snap.TotalWire == 0 || snap.TotalMsgs == 0 {
 		t.Errorf("wire accounting empty: %+v", snap)
 	}

@@ -48,7 +48,10 @@ type Flow struct {
 }
 
 // WriteChrome exports intervals, message flows, and instant markers in
-// the Chrome trace-event JSON format under the given pid. A process_name
+// the Chrome trace-event JSON format under the given pid: load the output
+// in chrome://tracing or https://ui.perfetto.dev to inspect the per-rank
+// timeline interactively — the graphical counterpart of the ASCII Gantt
+// chart. A process_name
 // metadata record labels the job, so several jobs written with distinct
 // pids can be concatenated into one trace without their rank timelines
 // colliding.
@@ -114,18 +117,4 @@ func WriteChrome(w io.Writer, pid int, name string, epoch time.Time, ivs []Inter
 		return fmt.Errorf("trace: encoding chrome trace: %w", err)
 	}
 	return nil
-}
-
-// WriteChromeTrace exports the recorded intervals in the Chrome
-// trace-event JSON format: load the output in chrome://tracing or
-// https://ui.perfetto.dev to inspect the per-rank timeline interactively —
-// the graphical counterpart of the ASCII Gantt chart. Events carry the
-// pid set with SetPID (default 0).
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	t.mu.Lock()
-	epoch := t.epoch
-	pid := t.pid
-	ivs := append([]Interval(nil), t.intervals...)
-	t.mu.Unlock()
-	return WriteChrome(w, pid, "", epoch, ivs, nil, nil)
 }

@@ -1,16 +1,17 @@
-// Package trace records the alternating computation/communication phases
+// Package trace renders the alternating computation/communication phases
 // of a distributed program, the pattern learning outcome 11 of the paper
-// asks students to recognize. A Tracer collects per-rank intervals; the
-// renderer produces an ASCII Gantt chart and a compute/communication time
-// split, which Module 5 uses to show when k-means flips from
-// communication-bound (small k) to compute-bound (large k).
+// asks students to recognize. It records nothing itself: callers hand it
+// per-rank intervals (internal/prof derives them from the runtime's hook
+// events) and it produces an ASCII Gantt chart, a compute/communication
+// time split — which Module 5 uses to show when k-means flips from
+// communication-bound (small k) to compute-bound (large k) — and a Chrome
+// trace.
 package trace
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -31,64 +32,6 @@ type Interval struct {
 	Dur   time.Duration
 }
 
-// Tracer collects intervals from concurrently running ranks. The zero
-// value is not usable; call New.
-type Tracer struct {
-	mu        sync.Mutex
-	epoch     time.Time
-	pid       int
-	intervals []Interval
-}
-
-// New creates a Tracer whose chart time axis starts now.
-func New() *Tracer {
-	return &Tracer{epoch: time.Now()}
-}
-
-// SetPID sets the process id stamped on Chrome trace exports. Give each
-// world or job a distinct pid so multi-job traces don't collide when
-// loaded together in Perfetto.
-func (t *Tracer) SetPID(pid int) {
-	t.mu.Lock()
-	t.pid = pid
-	t.mu.Unlock()
-}
-
-// Span runs fn and records its duration under (rank, kind, label).
-func (t *Tracer) Span(rank int, kind Kind, label string, fn func()) {
-	start := time.Now()
-	fn()
-	t.Record(rank, kind, label, start, time.Since(start))
-}
-
-// Record adds a completed interval.
-func (t *Tracer) Record(rank int, kind Kind, label string, start time.Time, d time.Duration) {
-	t.mu.Lock()
-	t.intervals = append(t.intervals, Interval{Rank: rank, Kind: kind, Label: label, Start: start, Dur: d})
-	t.mu.Unlock()
-}
-
-// RecordComm satisfies the mpi.Tracer interface: the runtime reports time
-// ranks spend blocked in communication.
-func (t *Tracer) RecordComm(rank int, op string, start time.Time, d time.Duration) {
-	t.Record(rank, Comm, op, start, d)
-}
-
-// Intervals returns a copy of everything recorded so far.
-func (t *Tracer) Intervals() []Interval {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Interval(nil), t.intervals...)
-}
-
-// Reset clears recorded intervals and restarts the time axis.
-func (t *Tracer) Reset() {
-	t.mu.Lock()
-	t.intervals = t.intervals[:0]
-	t.epoch = time.Now()
-	t.mu.Unlock()
-}
-
 // Split sums compute and communication time per rank.
 type Split struct {
 	Rank    int
@@ -105,11 +48,8 @@ func (s Split) CommFraction() float64 {
 	return float64(s.Comm) / float64(total)
 }
 
-// Splits aggregates per-rank compute/communication totals, sorted by rank.
-func (t *Tracer) Splits() []Split { return SplitsOf(t.Intervals()) }
-
-// SplitsOf aggregates per-rank compute/communication totals from any
-// interval set — recorded by a Tracer or derived from profiling events.
+// SplitsOf aggregates per-rank compute/communication totals, sorted by
+// rank.
 func SplitsOf(ivs []Interval) []Split {
 	byRank := make(map[int]*Split)
 	for _, iv := range ivs {
@@ -133,21 +73,8 @@ func SplitsOf(ivs []Interval) []Split {
 	return out
 }
 
-// TotalSplit sums compute and communication across every rank.
-func (t *Tracer) TotalSplit() Split {
-	var total Split
-	for _, s := range t.Splits() {
-		total.Compute += s.Compute
-		total.Comm += s.Comm
-	}
-	return total
-}
-
-// Gantt renders an ASCII chart, one row per rank, width columns wide.
+// GanttOf renders an ASCII chart, one row per rank, width columns wide.
 // Compute intervals print as '#', communication as '~', idle as '.'.
-func (t *Tracer) Gantt(width int) string { return GanttOf(t.Intervals(), width) }
-
-// GanttOf renders the ASCII chart from any interval set.
 func GanttOf(ivs []Interval, width int) string {
 	if len(ivs) == 0 || width <= 0 {
 		return "(no trace)\n"
@@ -204,11 +131,7 @@ func GanttOf(ivs []Interval, width int) string {
 	return b.String()
 }
 
-// Summary renders the per-rank compute/communication split as text.
-func (t *Tracer) Summary() string { return SummaryOf(t.Intervals()) }
-
-// SummaryOf renders the per-rank compute/communication split of any
-// interval set as text.
+// SummaryOf renders the per-rank compute/communication split as text.
 func SummaryOf(ivs []Interval) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%6s %14s %14s %8s\n", "rank", "compute", "comm", "comm%")

@@ -4,18 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
 
 func TestSplitsAggregate(t *testing.T) {
-	tr := New()
 	now := time.Now()
-	tr.Record(0, Compute, "work", now, 30*time.Millisecond)
-	tr.Record(0, Comm, "send", now.Add(30*time.Millisecond), 10*time.Millisecond)
-	tr.Record(1, Compute, "work", now, 20*time.Millisecond)
-	splits := tr.Splits()
+	splits := SplitsOf([]Interval{
+		{Rank: 1, Kind: Compute, Label: "work", Start: now, Dur: 20 * time.Millisecond},
+		{Rank: 0, Kind: Compute, Label: "work", Start: now, Dur: 30 * time.Millisecond},
+		{Rank: 0, Kind: Comm, Label: "send", Start: now.Add(30 * time.Millisecond), Dur: 10 * time.Millisecond},
+	})
 	if len(splits) != 2 {
 		t.Fatalf("got %d splits", len(splits))
 	}
@@ -25,57 +24,17 @@ func TestSplitsAggregate(t *testing.T) {
 	if f := splits[0].CommFraction(); f < 0.24 || f > 0.26 {
 		t.Fatalf("comm fraction %v, want 0.25", f)
 	}
-	if splits[1].Comm != 0 {
-		t.Fatalf("rank 1 comm %v", splits[1].Comm)
-	}
-	total := tr.TotalSplit()
-	if total.Compute != 50*time.Millisecond || total.Comm != 10*time.Millisecond {
-		t.Fatalf("total %+v", total)
-	}
-}
-
-func TestSpanRecords(t *testing.T) {
-	tr := New()
-	tr.Span(2, Compute, "slow", func() { time.Sleep(5 * time.Millisecond) })
-	ivs := tr.Intervals()
-	if len(ivs) != 1 || ivs[0].Rank != 2 || ivs[0].Dur < 4*time.Millisecond {
-		t.Fatalf("span interval %+v", ivs)
-	}
-}
-
-func TestRecordCommInterface(t *testing.T) {
-	tr := New()
-	tr.RecordComm(3, "recv", time.Now(), time.Millisecond)
-	splits := tr.Splits()
-	if len(splits) != 1 || splits[0].Comm != time.Millisecond {
-		t.Fatalf("RecordComm splits %+v", splits)
-	}
-}
-
-func TestConcurrentRecording(t *testing.T) {
-	tr := New()
-	var wg sync.WaitGroup
-	for r := 0; r < 8; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				tr.Record(r, Compute, "x", time.Now(), time.Microsecond)
-			}
-		}(r)
-	}
-	wg.Wait()
-	if got := len(tr.Intervals()); got != 800 {
-		t.Fatalf("recorded %d intervals, want 800", got)
+	if splits[1].Rank != 1 || splits[1].Compute != 20*time.Millisecond || splits[1].Comm != 0 {
+		t.Fatalf("rank 1 split %+v", splits[1])
 	}
 }
 
 func TestGanttRendering(t *testing.T) {
-	tr := New()
 	now := time.Now()
-	tr.Record(0, Compute, "a", now, 50*time.Millisecond)
-	tr.Record(1, Comm, "b", now.Add(50*time.Millisecond), 50*time.Millisecond)
-	g := tr.Gantt(40)
+	g := GanttOf([]Interval{
+		{Rank: 0, Kind: Compute, Label: "a", Start: now, Dur: 50 * time.Millisecond},
+		{Rank: 1, Kind: Comm, Label: "b", Start: now.Add(50 * time.Millisecond), Dur: 50 * time.Millisecond},
+	}, 40)
 	if !strings.Contains(g, "rank  0") || !strings.Contains(g, "rank  1") {
 		t.Fatalf("gantt missing rows:\n%s", g)
 	}
@@ -91,24 +50,13 @@ func TestGanttRendering(t *testing.T) {
 }
 
 func TestGanttEmpty(t *testing.T) {
-	if g := New().Gantt(20); !strings.Contains(g, "no trace") {
+	if g := GanttOf(nil, 20); !strings.Contains(g, "no trace") {
 		t.Fatalf("empty gantt: %q", g)
 	}
 }
 
-func TestReset(t *testing.T) {
-	tr := New()
-	tr.Record(0, Compute, "x", time.Now(), time.Second)
-	tr.Reset()
-	if len(tr.Intervals()) != 0 {
-		t.Fatal("reset did not clear intervals")
-	}
-}
-
 func TestSummary(t *testing.T) {
-	tr := New()
-	tr.Record(0, Compute, "x", time.Now(), 10*time.Millisecond)
-	s := tr.Summary()
+	s := SummaryOf([]Interval{{Rank: 0, Kind: Compute, Label: "x", Start: time.Now(), Dur: 10 * time.Millisecond}})
 	if !strings.Contains(s, "comm%") || !strings.Contains(s, "compute") {
 		t.Fatalf("summary: %q", s)
 	}
@@ -122,12 +70,13 @@ func TestCommFractionIdle(t *testing.T) {
 }
 
 func TestWriteChromeTrace(t *testing.T) {
-	tr := New()
 	now := time.Now()
-	tr.Record(0, Compute, "assign", now, 5*time.Millisecond)
-	tr.Record(1, Comm, "allreduce", now.Add(5*time.Millisecond), 2*time.Millisecond)
+	ivs := []Interval{
+		{Rank: 0, Kind: Compute, Label: "assign", Start: now, Dur: 5 * time.Millisecond},
+		{Rank: 1, Kind: Comm, Label: "allreduce", Start: now.Add(5 * time.Millisecond), Dur: 2 * time.Millisecond},
+	}
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := WriteChrome(&buf, 0, "", now, ivs, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -156,7 +105,7 @@ func TestWriteChromeTrace(t *testing.T) {
 
 func TestWriteChromeTraceEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := New().WriteChromeTrace(&buf); err != nil {
+	if err := WriteChrome(&buf, 0, "", time.Now(), nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "traceEvents") {
@@ -164,15 +113,14 @@ func TestWriteChromeTraceEmpty(t *testing.T) {
 	}
 }
 
-// TestSetPID checks the exported trace carries the tracer's pid on every
+// TestSetPID checks the exported trace carries the given pid on every
 // event — the knob that keeps ranks from several jobs on distinct
 // process lanes when traces are merged in a viewer.
 func TestSetPID(t *testing.T) {
-	tr := New()
-	tr.SetPID(3)
-	tr.Record(0, Comm, "send", time.Now(), time.Millisecond)
+	now := time.Now()
+	ivs := []Interval{{Rank: 0, Kind: Comm, Label: "send", Start: now, Dur: time.Millisecond}}
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := WriteChrome(&buf, 3, "job", now, ivs, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
