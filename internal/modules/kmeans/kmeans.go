@@ -88,21 +88,26 @@ type Result struct {
 // Sequential runs Lloyd's algorithm on one process — the module's
 // baseline and the reference the distributed tests compare against.
 func Sequential(pts data.Points, cfg Config) (Result, []int, error) {
-	if err := validate(pts.N(), cfg); err != nil {
+	if err := validate(pts, cfg); err != nil {
 		return Result{}, nil, err
 	}
-	cent := initialCentroids(pts, cfg.K, cfg.Seed)
-	assign := make([]int, pts.N())
+	res, assign := lloyd(pts, initialCentroids(pts, cfg.K, cfg.Seed), cfg)
+	return res, assign, nil
+}
+
+// lloyd iterates from cent (which it owns and updates in place) until no
+// centroid moves more than cfg.Tol or cfg.MaxIter is reached.
+func lloyd(pts, cent data.Points, cfg Config) (Result, []int) {
+	n := pts.N()
+	assign := make([]int, n)
 	sums := make([]float64, cfg.K*pts.Dim)
 	counts := make([]float64, cfg.K)
-	res := Result{K: cfg.K, NP: 1, N: pts.N()}
+	res := Result{K: cfg.K, NP: 1, N: n}
 	start := time.Now()
 	for it := 0; it < cfg.MaxIter; it++ {
 		res.Iterations = it + 1
-		assignPoints(pts, cent, assign)
-		partialSumsInto(pts, assign, sums, counts)
-		moved := updateCentroids(cent, sums, counts, cfg.Tol)
-		if !moved {
+		assignAndSum(pts, cent, assign, sums, counts)
+		if !updateCentroids(cent, sums, counts, cfg.Tol) {
 			res.Converged = true
 			break
 		}
@@ -110,7 +115,7 @@ func Sequential(pts data.Points, cfg Config) (Result, []int, error) {
 	res.Elapsed = time.Since(start)
 	res.Inertia = inertia(pts, cent, assign)
 	res.Centroids = cent
-	return res, assign, nil
+	return res, assign
 }
 
 // Distributed runs the module's distributed k-means. Every rank holds
@@ -124,7 +129,7 @@ func Sequential(pts data.Points, cfg Config) (Result, []int, error) {
 // local share along with its global offset.
 func Distributed(c *mpi.Comm, pts data.Points, cfg Config) (Result, []int, int, error) {
 	p, r := c.Size(), c.Rank()
-	if err := validate(pts.N(), cfg); err != nil {
+	if err := validate(pts, cfg); err != nil {
 		return Result{}, nil, 0, err
 	}
 	if pts.N()%p != 0 {
@@ -192,31 +197,38 @@ func Distributed(c *mpi.Comm, pts data.Points, cfg Config) (Result, []int, int, 
 	var computeDur, commDur time.Duration
 
 	// Per-iteration scratch, hoisted out of the loop so the steady state
-	// allocates nothing: partial sums and counts, the packed allreduce
-	// payload, and (for the explicit option) the wire-typed assignments.
-	sums := make([]float64, cfg.K*dim)
-	counts := make([]float64, cfg.K)
+	// allocates nothing in the module. sums and counts are the two halves
+	// of the packed allreduce payload, so the weighted-means option
+	// reduces them where they were accumulated; under the explicit option
+	// rank 0 recomputes the global sums into them, and assign64 and
+	// movedFlag are that option's wire-typed assignments and verdict.
 	payload := make([]float64, cfg.K*(dim+1))
+	sums, counts := payload[:cfg.K*dim], payload[cfg.K*dim:]
 	var assign64 []int64
+	var movedFlag []float64
 	if cfg.Option == ExplicitAssignments {
 		assign64 = make([]int64, local.N())
+		movedFlag = make([]float64, 1)
 	}
 
 	for it := startIter; it < cfg.MaxIter; it++ {
 		res.Iterations = it + 1
 
 		computeStart := time.Now()
-		assignPoints(local, cent, assign)
-		partialSumsInto(local, assign, sums, counts)
+		assignAndSum(local, cent, assign, sums, counts)
 		computeDur += time.Since(computeStart)
 
 		commStart := time.Now()
 		var moved bool
 		switch cfg.Option {
 		case WeightedMeans:
-			moved, err = weightedMeansUpdate(c, cent, sums, counts, cfg.Tol, payload)
+			// The efficient option: one in-place Allreduce of k×(dim+1)
+			// values updates every rank's centroids identically.
+			if err = mpi.AllreduceInto(c, payload, mpi.OpSum); err == nil {
+				moved = updateCentroids(cent, sums, counts, cfg.Tol)
+			}
 		case ExplicitAssignments:
-			moved, err = explicitUpdate(c, local, cent, assign, assign64, cfg.Tol, n)
+			moved, err = explicitUpdate(c, local, cent, assign, assign64, sums, counts, movedFlag, cfg.Tol)
 		default:
 			err = fmt.Errorf("kmeans: unknown comm option %d", int(cfg.Option))
 		}
@@ -289,25 +301,12 @@ func DistributedResilient(c *mpi.Comm, pts data.Points, cfg Config) (Result, []i
 	return res, assign, off, nil
 }
 
-// weightedMeansUpdate is the efficient option: one in-place Allreduce of
-// k×(dim+1) values updates every rank's centroids identically. payload is
-// caller-provided scratch of that length, reused across iterations.
-func weightedMeansUpdate(c *mpi.Comm, cent data.Points, sums []float64, counts []float64, tol float64, payload []float64) (bool, error) {
-	k, dim := cent.N(), cent.Dim
-	copy(payload[:k*dim], sums)
-	copy(payload[k*dim:], counts)
-	if err := mpi.AllreduceInto(c, payload, mpi.OpSum); err != nil {
-		return false, err
-	}
-	return updateCentroids(cent, payload[:k*dim], payload[k*dim:], tol), nil
-}
-
 // explicitUpdate is the communication-heavy option: every rank ships its
 // point coordinates and assignments to rank 0 (describing the assignment
 // of points to centroids explicitly), which recomputes centroids and
-// broadcasts them back.
-func explicitUpdate(c *mpi.Comm, local data.Points, cent data.Points, assign []int, assign64 []int64, tol float64, n int) (bool, error) {
-	k, dim := cent.N(), cent.Dim
+// broadcasts them back. assign64, sums, counts and movedFlag are the
+// caller's per-run scratch.
+func explicitUpdate(c *mpi.Comm, local, cent data.Points, assign []int, assign64 []int64, sums, counts, movedFlag []float64, tol float64) (bool, error) {
 	for i, a := range assign {
 		assign64[i] = int64(a)
 	}
@@ -319,30 +318,20 @@ func explicitUpdate(c *mpi.Comm, local data.Points, cent data.Points, assign []i
 	if err != nil {
 		return false, err
 	}
-	var moved float64
 	var newCent []float64
 	if c.Rank() == 0 {
-		sums := make([]float64, k*dim)
-		counts := make([]float64, k)
-		for i := 0; i < n; i++ {
-			a := int(allAssign[i])
-			counts[a]++
-			for d := 0; d < dim; d++ {
-				sums[a*dim+d] += allCoords[i*dim+d]
-			}
+		movedFlag[0] = 0
+		if recomputeCentroids(cent, allCoords, allAssign, sums, counts, tol) {
+			movedFlag[0] = 1
 		}
-		centCopy := data.Points{Dim: dim, Coords: append([]float64(nil), cent.Coords...)}
-		if updateCentroids(centCopy, sums, counts, tol) {
-			moved = 1
-		}
-		newCent = centCopy.Coords
+		newCent = cent.Coords
 	}
 	newCent, err = mpi.Bcast(c, newCent, 0)
 	if err != nil {
 		return false, err
 	}
 	copy(cent.Coords, newCent)
-	mv, err := mpi.Bcast(c, []float64{moved}, 0)
+	mv, err := mpi.Bcast(c, movedFlag, 0)
 	if err != nil {
 		return false, err
 	}
@@ -380,12 +369,17 @@ func IterationKernel(n, dim, k, p int, opt CommOption) perfmodel.Kernel {
 	return kern
 }
 
-// validate checks configuration invariants.
-func validate(n int, cfg Config) error {
+// validate checks configuration invariants. A ragged dataset is rejected
+// here because the compute loops index Coords directly: nothing
+// downstream would notice a tail that is not a whole point.
+func validate(pts data.Points, cfg Config) error {
+	if err := pts.Validate(); err != nil {
+		return fmt.Errorf("kmeans: %w", err)
+	}
 	if cfg.K <= 0 {
 		return fmt.Errorf("kmeans: k=%d must be positive", cfg.K)
 	}
-	if n < cfg.K {
+	if n := pts.N(); n < cfg.K {
 		return fmt.Errorf("kmeans: %d points for k=%d clusters", n, cfg.K)
 	}
 	if cfg.MaxIter <= 0 {
@@ -403,14 +397,16 @@ func validate(n int, cfg Config) error {
 func PlusPlusCentroids(pts data.Points, k int, seed int64) data.Points {
 	rng := rand.New(rand.NewSource(seed))
 	n, dim := pts.N(), pts.Dim
+	pc := pts.Coords[:n*dim]
 	coords := make([]float64, 0, k*dim)
 	first := rng.Intn(n)
-	coords = append(coords, pts.At(first)...)
+	chosen := pc[first*dim : (first+1)*dim]
+	coords = append(coords, chosen...)
 	// dist2[i] tracks squared distance to the nearest chosen centroid.
 	dist2 := make([]float64, n)
 	total := 0.0
-	for i := 0; i < n; i++ {
-		dist2[i] = data.SquaredDistance(pts.At(i), pts.At(first))
+	for i := range dist2 {
+		dist2[i] = data.SquaredDistance(pc[i*dim:(i+1)*dim], chosen)
 		total += dist2[i]
 	}
 	for c := 1; c < k; c++ {
@@ -421,18 +417,18 @@ func PlusPlusCentroids(pts data.Points, k int, seed int64) data.Points {
 			target := rng.Float64() * total
 			acc := 0.0
 			idx = n - 1
-			for i := 0; i < n; i++ {
-				acc += dist2[i]
+			for i, d := range dist2 {
+				acc += d
 				if acc >= target {
 					idx = i
 					break
 				}
 			}
 		}
-		chosen := pts.At(idx)
+		chosen = pc[idx*dim : (idx+1)*dim]
 		coords = append(coords, chosen...)
-		for i := 0; i < n; i++ {
-			if d := data.SquaredDistance(pts.At(i), chosen); d < dist2[i] {
+		for i := range dist2 {
+			if d := data.SquaredDistance(pc[i*dim:(i+1)*dim], chosen); d < dist2[i] {
 				total -= dist2[i] - d
 				dist2[i] = d
 			}
@@ -444,30 +440,14 @@ func PlusPlusCentroids(pts data.Points, k int, seed int64) data.Points {
 // SequentialWithCentroids runs Lloyd's algorithm from the given initial
 // centroids — the hook the k-means++ ablation uses.
 func SequentialWithCentroids(pts data.Points, init data.Points, cfg Config) (Result, []int, error) {
-	if err := validate(pts.N(), cfg); err != nil {
+	if err := validate(pts, cfg); err != nil {
 		return Result{}, nil, err
 	}
-	if init.N() != cfg.K || init.Dim != pts.Dim {
+	if init.Dim != pts.Dim || len(init.Coords) != cfg.K*pts.Dim {
 		return Result{}, nil, fmt.Errorf("kmeans: init centroids %d×%d, want %d×%d", init.N(), init.Dim, cfg.K, pts.Dim)
 	}
 	cent := data.Points{Dim: init.Dim, Coords: append([]float64(nil), init.Coords...)}
-	assign := make([]int, pts.N())
-	sums := make([]float64, cfg.K*pts.Dim)
-	counts := make([]float64, cfg.K)
-	res := Result{K: cfg.K, NP: 1, N: pts.N()}
-	start := time.Now()
-	for it := 0; it < cfg.MaxIter; it++ {
-		res.Iterations = it + 1
-		assignPoints(pts, cent, assign)
-		partialSumsInto(pts, assign, sums, counts)
-		if !updateCentroids(cent, sums, counts, cfg.Tol) {
-			res.Converged = true
-			break
-		}
-	}
-	res.Elapsed = time.Since(start)
-	res.Inertia = inertia(pts, cent, assign)
-	res.Centroids = cent
+	res, assign := lloyd(pts, cent, cfg)
 	return res, assign, nil
 }
 
@@ -492,39 +472,162 @@ func initialCentroids(pts data.Points, k int, seed int64) data.Points {
 	return data.Points{Dim: pts.Dim, Coords: coords}
 }
 
-// assignPoints writes each point's nearest-centroid index into assign.
-func assignPoints(pts data.Points, cent data.Points, assign []int) {
-	for i := 0; i < pts.N(); i++ {
-		pt := pts.At(i)
-		best, bestDist := 0, math.Inf(1)
-		for c := 0; c < cent.N(); c++ {
-			if d := data.SquaredDistance(pt, cent.At(c)); d < bestDist {
-				best, bestDist = c, d
-			}
+// The per-iteration compute: one pass over the flat coordinate arrays
+// that finds each point's nearest centroid and accumulates the
+// per-cluster sums the centroid update needs.
+//
+// Every squared distance is evaluated exactly as data.SquaredDistance
+// would — the same subtractions, squares and additions in the same order
+// (its leading 0 + d₀² is d₀² itself: a square is never −0) — so
+// assignments and centroids do not depend on which loop computed them.
+// The argmin compares the distances' bit patterns as integers: a sum of
+// squares is +0 or positive, and on such values math.Float64bits order is
+// float order, with NaN of either sign above +Inf — where `d < best`,
+// false for every NaN, leaves it too. An integer compare-and-select
+// compiles to conditional moves, so the scan has no branch that depends
+// on the data. It runs as two independent chains, over the even- and the
+// odd-indexed centroids, so neither waits on the other's arithmetic; each
+// keeps its own lowest index, and the merge lets the lower index win a
+// tie between them.
+//
+// The scans are functions of their own, called once per point, for the
+// compiler's sake: it turns a select into a branch again when the
+// selected index goes on to address a load, as the winner does in the
+// sums, and inside the point loop it runs out of registers.
+
+// infBits is the argmin's starting value: like `d < +Inf`, only a finite
+// distance compares below it.
+const infBits = 0x7FF0000000000000
+
+// assignAndSum writes each point's nearest-centroid index into assign —
+// the lowest index wins a tie, and a point with no finite distance gets
+// 0 — and accumulates per-cluster coordinate sums and counts, in point
+// order, into sums (len k·dim) and counts (len k), zeroing them first.
+func assignAndSum(pts, cent data.Points, assign []int, sums, counts []float64) {
+	clear(sums)
+	clear(counts)
+	dim, cc := pts.Dim, cent.Coords
+	pc := pts.Coords[:len(assign)*dim]
+	if dim == 2 { // the paper's and every in-tree activity's case
+		for i := range assign {
+			x, y := pc[2*i], pc[2*i+1]
+			best := nearest2(x, y, cc)
+			assign[i] = best
+			counts[best]++
+			s := sums[2*best : 2*best+2]
+			s[0] += x
+			s[1] += y
 		}
+		return
+	}
+	for i := range assign {
+		p := pc[i*dim : (i+1)*dim]
+		best := nearest(p, cc)
 		assign[i] = best
+		counts[best]++
+		s := sums[best*dim:][:len(p)]
+		for d, v := range p {
+			s[d] += v
+		}
 	}
 }
 
-// partialSumsInto accumulates per-cluster coordinate sums and counts
-// into caller-provided slices (len k·dim and k), zeroing them first.
-func partialSumsInto(pts data.Points, assign []int, sums, counts []float64) {
-	dim := pts.Dim
-	for i := range sums {
-		sums[i] = 0
+// nearest returns the index of the centroid in cc nearest to p.
+func nearest(p, cc []float64) int {
+	// even and odd record len(q) where their chain found its minimum.
+	even, evenBits := len(cc), uint64(infBits)
+	odd, oddBits := len(cc), uint64(infBits)
+	q := cc
+	for ; len(q) >= 2*len(p); q = q[2*len(p):] {
+		q0, q1 := q[:len(p)], q[len(p):][:len(p)]
+		var s0, s1 float64
+		for d, v := range p {
+			t0, t1 := v-q0[d], v-q1[d]
+			s0 += t0 * t0
+			s1 += t1 * t1
+		}
+		b0, b1 := math.Float64bits(s0), math.Float64bits(s1)
+		if b0 < evenBits {
+			even = len(q)
+		}
+		evenBits = min(b0, evenBits)
+		if b1 < oddBits {
+			odd = len(q)
+		}
+		oddBits = min(b1, oddBits)
 	}
-	for i := range counts {
-		counts[i] = 0
+	if len(q) >= len(p) { // odd k: the last centroid has an even index
+		b := math.Float64bits(data.SquaredDistance(p, q[:len(p)]))
+		if b < evenBits {
+			even = len(q)
+		}
+		evenBits = min(b, evenBits)
 	}
-	for i := 0; i < pts.N(); i++ {
-		a := assign[i]
+	return mergeChains(len(cc)-even, evenBits, len(cc)-odd, oddBits, len(p))
+}
+
+// nearest2 is nearest for dim = 2, the point's coordinates in registers.
+func nearest2(x, y float64, cc []float64) int {
+	even, evenBits := len(cc), uint64(infBits)
+	odd, oddBits := len(cc), uint64(infBits)
+	q := cc
+	for ; len(q) >= 4; q = q[4:] {
+		dx0, dy0 := x-q[0], y-q[1]
+		dx1, dy1 := x-q[2], y-q[3]
+		b0 := math.Float64bits(dx0*dx0 + dy0*dy0)
+		b1 := math.Float64bits(dx1*dx1 + dy1*dy1)
+		if b0 < evenBits {
+			even = len(q)
+		}
+		evenBits = min(b0, evenBits)
+		if b1 < oddBits {
+			odd = len(q)
+		}
+		oddBits = min(b1, oddBits)
+	}
+	if len(q) >= 2 {
+		dx, dy := x-q[0], y-q[1]
+		b := math.Float64bits(dx*dx + dy*dy)
+		if b < evenBits {
+			even = len(q)
+		}
+		evenBits = min(b, evenBits)
+	}
+	return mergeChains(len(cc)-even, evenBits, len(cc)-odd, oddBits, 2)
+}
+
+// mergeChains picks the winner of the two chains. evenOff and oddOff are
+// the coordinate offsets of the centroid pairs in which the chains found
+// their minima (0 for a chain that found no finite distance, which then
+// loses or ties at index 0 or 1 with +Inf).
+func mergeChains(evenOff int, evenBits uint64, oddOff int, oddBits uint64, dim int) int {
+	even, odd := evenOff/dim, oddOff/dim+1
+	best := even
+	if oddBits < evenBits {
+		best = odd
+	}
+	if oddBits == evenBits {
+		best = min(even, odd)
+	}
+	return best
+}
+
+// recomputeCentroids is rank 0's half of the explicit option: the global
+// sums and counts from every rank's gathered points and assignments, in
+// point order, then the centroid update.
+func recomputeCentroids(cent data.Points, coords []float64, assign []int64, sums, counts []float64, tol float64) bool {
+	clear(sums)
+	clear(counts)
+	dim := cent.Dim
+	coords = coords[:len(assign)*dim]
+	for i, a := range assign {
 		counts[a]++
-		base := a * dim
-		pt := pts.At(i)
-		for d := 0; d < dim; d++ {
-			sums[base+d] += pt[d]
+		s := sums[int(a)*dim:][:dim]
+		for d, v := range coords[i*dim : (i+1)*dim] {
+			s[d] += v
 		}
 	}
+	return updateCentroids(cent, sums, counts, tol)
 }
 
 // updateCentroids moves centroids to their cluster means and reports
@@ -533,27 +636,33 @@ func partialSumsInto(pts data.Points, assign []int, sums, counts []float64) {
 func updateCentroids(cent data.Points, sums []float64, counts []float64, tol float64) bool {
 	dim := cent.Dim
 	moved := false
-	buf := make([]float64, dim)
-	for c := 0; c < cent.N(); c++ {
-		if counts[c] == 0 {
+	for c, n := range counts {
+		if n == 0 {
 			continue
 		}
-		for d := 0; d < dim; d++ {
-			buf[d] = sums[c*dim+d] / counts[c]
+		row := cent.Coords[c*dim : (c+1)*dim]
+		sum := sums[c*dim:][:len(row)]
+		var dist float64
+		for d, old := range row {
+			mean := sum[d] / n
+			t := mean - old
+			dist += t * t
+			row[d] = mean
 		}
-		if data.SquaredDistance(buf, cent.At(c)) > tol {
+		if dist > tol {
 			moved = true
 		}
-		copy(cent.At(c), buf)
 	}
 	return moved
 }
 
 // inertia sums squared distances from points to their assigned centroids.
 func inertia(pts data.Points, cent data.Points, assign []int) float64 {
+	dim := pts.Dim
+	pc := pts.Coords[:len(assign)*dim]
 	var s float64
-	for i := 0; i < pts.N(); i++ {
-		s += data.SquaredDistance(pts.At(i), cent.At(assign[i]))
+	for i, a := range assign {
+		s += data.SquaredDistance(pc[i*dim:(i+1)*dim], cent.Coords[a*dim:(a+1)*dim])
 	}
 	return s
 }

@@ -70,6 +70,10 @@ func TestValidation(t *testing.T) {
 	if _, _, err := Sequential(pts, Config{K: 2, MaxIter: 0}); err == nil {
 		t.Fatal("0 iterations accepted")
 	}
+	ragged := data.Points{Dim: 2, Coords: pts.Coords[:19]}
+	if _, _, err := Sequential(ragged, Config{K: 2, MaxIter: 10}); err == nil {
+		t.Fatal("ragged points (19 coordinates in 2-d) accepted")
+	}
 }
 
 func TestDistributedMatchesSequentialBothOptions(t *testing.T) {
@@ -161,21 +165,32 @@ func TestComputeGrowsWithK(t *testing.T) {
 	// robust half of the claim: per-iteration compute time grows
 	// steeply with k while per-iteration communication volume grows
 	// only linearly in k and stays tiny.
+	//
+	// The compute figure is the best of five runs. Rank 0's wall clock
+	// includes every time the OS takes its thread off the core in
+	// mid-loop, which on a two-core machine with four ranks happens in
+	// most iterations and multiplies either side by 1–4×; more iterations
+	// do not average that away, the minimum does (k=2 ≈ 16 µs, k=64 ≈
+	// 170 µs an iteration: EXPERIMENTS.md §III-F).
 	pts, _ := data.GaussianMixture(8192, 2, 8, 2.0, 100, 6)
 	perIter := func(k int) (compute time.Duration, wireBytes int64) {
-		err := mpi.Run(4, func(c *mpi.Comm) error {
-			res, _, _, err := Distributed(c, pts, Config{K: k, MaxIter: 8, Seed: 1, Tol: -1})
+		for try := 0; try < 5; try++ {
+			err := mpi.Run(4, func(c *mpi.Comm) error {
+				res, _, _, err := Distributed(c, pts, Config{K: k, MaxIter: 8, Seed: 1, Tol: -1})
+				if err != nil {
+					return err
+				}
+				if c.Rank() == 0 {
+					if d := res.ComputeDur / time.Duration(res.Iterations); try == 0 || d < compute {
+						compute = d
+					}
+					wireBytes = c.Stats().TotalWire / int64(res.Iterations)
+				}
+				return nil
+			})
 			if err != nil {
-				return err
+				t.Fatal(err)
 			}
-			if c.Rank() == 0 {
-				compute = res.ComputeDur / time.Duration(res.Iterations)
-				wireBytes = c.Stats().TotalWire / int64(res.Iterations)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 		return compute, wireBytes
 	}
