@@ -58,23 +58,27 @@ chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 ./internal/chaos
 
 # The fault-tolerance matrix: seeded deterministic injection across the
-# runtime (kill/shrink/agree, frame faults, a hostile mesh hello, abort
-# propagation in every launch mode and across the Worlds of a split
-# world), checkpoint/restart bit-identity, and the scheduler's
-# node-failure/requeue path — all under the race detector.
+# runtime (kill/shrink/agree/respawn, the forced double-kill recovery
+# races, frame faults, a hostile mesh hello, abort propagation in every
+# launch mode and across the Worlds of a split world), the resilient demo
+# under its double-kill plan, checkpoint/restart and respawn bit-identity,
+# and the scheduler's node-failure/requeue path — all under the race
+# detector.
 faults:
 	$(GO) vet ./...
-	$(GO) test -race -run 'TestFault|TestAgree|TestShrink|TestFrame|TestBadHello|TestSplitWorld|TestAbortPropagation|TestMultiProcessAbortPropagates|TestOpTimeout|TestWatchdogDiagnostic|TestAllocHygiene|TestRMAPutToFailedRank|TestRMALockDeadlockDetected' ./internal/mpi
+	$(GO) test -race -run 'TestFault|TestAgree|TestShrink|TestRespawn|TestRecovery|TestFrame|TestBadHello|TestSplitWorld|TestAbortPropagation|TestMultiProcessAbortPropagates|TestOpTimeout|TestWatchdogDiagnostic|TestAllocHygiene|TestRMAPutToFailedRank|TestRMALockDeadlockDetected' ./internal/mpi
+	$(GO) test -race -run 'TestResilient' ./cmd/mpirun
 	$(GO) test -race ./internal/faults ./internal/ckpt
-	$(GO) test -race -run 'TestRestart|TestSortCheckpoint|TestSortRestart' ./internal/modules/kmeans ./internal/modules/distsort
+	$(GO) test -race -run 'TestRestart|TestRespawn|TestSortCheckpoint|TestSortRestart|TestSortResilient' ./internal/modules/kmeans ./internal/modules/distsort ./internal/modules/ddp
 	$(GO) test -race -run 'TestNodeFail|TestRequeue|TestScheduledNodeFail|TestFailNode|TestBackoff|FuzzClusterFaultOps' ./internal/cluster
 
 # Flake hunt: the concurrency-heavy packages twenty times over under the
 # race detector. Every test is deterministic by seed, so one failure in
 # twenty is a bug, not noise. distsort is here because its exchange lays
-# the bucket out by source rank: the arrival order must not matter.
+# the bucket out by source rank: the arrival order must not matter; the
+# chaos soak because its double-kill plans once lost recovery races.
 flake:
-	$(GO) test -race -count=20 ./internal/mpi ./internal/modules/ddp ./internal/modules/distsort
+	$(GO) test -race -count=20 ./internal/mpi ./internal/modules/ddp ./internal/modules/distsort ./internal/chaos
 
 build:
 	$(GO) build ./...

@@ -452,32 +452,37 @@ func piEstimate(c *mpi.Comm) error {
 // resilient runs an iterative allreduce and demonstrates ULFM-style
 // recovery: when a rank dies (inject one with -inject rank=R:call=N:kill)
 // the survivors observe RankFailedError, agree the iteration failed,
-// shrink the communicator, and retry on the smaller world.
+// shrink the communicator, and retry on the smaller world. The agreement
+// is what keeps them in step: a collective may report a failure on some
+// ranks and complete on others, so every iteration ends with Agree, and
+// unless every rank completed it they all redo it. (Shrink agrees on the
+// failed set first, so a second kill that lands meanwhile is removed in
+// the same step.)
 func resilient(c *mpi.Comm) error {
 	const iters = 64
 	var sum float64
-	for it := 0; it < iters; it++ {
-		for {
-			out, err := mpi.Allreduce(c, []float64{1}, mpi.OpSum)
-			if err == nil {
-				sum = out[0]
-				break
-			}
-			if errors.Is(err, mpi.ErrRankKilled) {
-				return err // this rank is the victim; it is out of the computation
-			}
-			var rf *mpi.RankFailedError
-			if !errors.As(err, &rf) {
-				return err
-			}
-			if c.Rank() == 0 {
-				fmt.Printf("iteration %d: ranks %v failed — shrinking and retrying\n", it, rf.Ranks)
-			}
-			shrunk, serr := c.Shrink()
-			if serr != nil {
-				return fmt.Errorf("shrink after %v: %w", rf.Ranks, serr)
-			}
-			c = shrunk
+	for it := 0; it < iters; {
+		out, err := mpi.Allreduce(c, []float64{1}, mpi.OpSum)
+		if errors.Is(err, mpi.ErrRankKilled) {
+			return err // this rank is the victim; it is out of the computation
+		}
+		if err != nil && !errors.Is(err, mpi.ErrRankFailed) {
+			return err
+		}
+		done, err := c.Agree(err == nil)
+		if err != nil {
+			return fmt.Errorf("agree at iteration %d: %w", it, err)
+		}
+		if done {
+			sum = out[0]
+			it++
+			continue
+		}
+		if c.Rank() == 0 {
+			fmt.Printf("iteration %d: ranks %v failed — shrinking and retrying\n", it, c.FailedRanks())
+		}
+		if c, err = c.Shrink(); err != nil {
+			return fmt.Errorf("shrink at iteration %d: %w", it, err)
 		}
 	}
 	if c.Rank() == 0 {

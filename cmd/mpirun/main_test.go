@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/mpi"
 )
 
@@ -66,5 +69,71 @@ func TestRMADemo(t *testing.T) {
 	}
 	if err := mpi.RunTCP(3, rmaDemo); err != nil {
 		t.Fatalf("tcp: %v", err)
+	}
+}
+
+// resilientPlan is the double-kill plan the resilient demo used to lose
+// about one run in fourteen: rank 1 dies entering iteration 1's Allreduce
+// and rank 3 at its third primitive, while the survivors recover from
+// rank 1.
+const resilientPlan = "rank=3:call=3:kill,rank=1:call=2:kill"
+
+// runResilient runs the demo in process on four ranks under inj. The only
+// licensed world error is the victims' own: the survivors must finish.
+func runResilient(t *testing.T, inj mpi.Injector, wrap func(func(*mpi.Comm) error) func(*mpi.Comm) error) {
+	t.Helper()
+	err := mpi.Run(4, wrap(resilient), mpi.WithInjector(inj))
+	if err == nil || !errors.Is(err, mpi.ErrRankKilled) ||
+		errors.Is(err, mpi.ErrRankFailed) || errors.Is(err, mpi.ErrAborted) || errors.Is(err, mpi.ErrDeadlock) {
+		t.Fatalf("resilient under %q: %v", resilientPlan, err)
+	}
+}
+
+// heldKill is the plan with rank 3's kill held until ranks 0 and 2 have
+// each entered their third primitive (or returned): rank 3 then dies only
+// after both survivors have started recovering from rank 1's failure, with
+// a failed set that does not include it yet. A Shrink that trusts that
+// set builds {0, 2, 3} and fails as soon as rank 3 dies.
+type heldKill struct {
+	mpi.Injector
+	passed [2]chan struct{} // rank 0's and rank 2's gate
+	once   [2]sync.Once
+}
+
+func (h *heldKill) pass(rank int) {
+	if rank == 0 || rank == 2 {
+		h.once[rank/2].Do(func() { close(h.passed[rank/2]) })
+	}
+}
+
+func (h *heldKill) AtCall(rank, call int) bool {
+	if call == 3 {
+		h.pass(rank)
+		if rank == 3 {
+			<-h.passed[0]
+			<-h.passed[1]
+		}
+	}
+	return h.Injector.AtCall(rank, call)
+}
+
+// TestResilientSecondKillDuringShrink forces the demo's race.
+func TestResilientSecondKillDuringShrink(t *testing.T) {
+	h := &heldKill{Injector: faults.MustParse(resilientPlan), passed: [2]chan struct{}{make(chan struct{}), make(chan struct{})}}
+	runResilient(t, h, func(prog func(*mpi.Comm) error) func(*mpi.Comm) error {
+		return func(c *mpi.Comm) error {
+			defer h.pass(c.Rank())
+			return prog(c)
+		}
+	})
+}
+
+// TestResilientDoubleKill runs the demo 200 times under its double-kill
+// plan, in process, on whatever interleavings the scheduler produces.
+func TestResilientDoubleKill(t *testing.T) {
+	plan := faults.MustParse(resilientPlan)
+	same := func(prog func(*mpi.Comm) error) func(*mpi.Comm) error { return prog }
+	for i := 0; i < 200; i++ {
+		runResilient(t, plan, same)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -145,10 +146,14 @@ func TestChaosSoak(t *testing.T) {
 		allowKills bool // module has a respawn-capable wrapper
 		maxCall    int  // latest call a kill may target and still fire
 		run        func(tcp bool, spec string) (map[int]any, error)
+		// pinned seeds run whatever the sweep: their plans once lost a
+		// recovery race (two kills in flight, EXPERIMENTS.md "One
+		// membership view for recovery").
+		pinned []int64
 	}{
-		{"kmeans", true, 8, runKmeans},
-		{"distsort", true, 3, runDistsort},
-		{"ddp", false, 0, runDDP}, // wire noise only: Train has no kill recovery
+		{"kmeans", true, 8, runKmeans, []int64{10}},    // rank=3:call=1:kill,rank=1:call=4:kill
+		{"distsort", true, 3, runDistsort, []int64{7}}, // rank=3:call=3:kill,rank=1:call=2:kill
+		{"ddp", false, 0, runDDP, nil},                 // wire noise only: Train has no kill recovery
 	}
 	for _, m := range modules {
 		clean, err := m.run(false, "")
@@ -158,7 +163,13 @@ func TestChaosSoak(t *testing.T) {
 		if len(clean) != np {
 			t.Fatalf("%s: clean reference produced %d results, want %d", m.name, len(clean), np)
 		}
-		for _, seed := range seeds {
+		sweep := slices.Clone(seeds)
+		for _, seed := range m.pinned {
+			if !slices.Contains(sweep, seed) {
+				sweep = append(sweep, seed)
+			}
+		}
+		for _, seed := range sweep {
 			plan := Derive(seed, np, m.maxCall, m.allowKills)
 			for _, tcp := range []bool{false, true} {
 				transport, spec := "tcp", plan.Spec()

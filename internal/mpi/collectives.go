@@ -94,6 +94,24 @@ func (c *Comm) collFinish(pr *pendingRecv) ([]byte, error) {
 	return b, nil
 }
 
+// collExchange is one step of a pairwise exchange: it posts the receive
+// from src, sends payload (owned) to dest, and returns the received
+// payload, which the caller must putBuf. When either half fails the
+// posted receive is withdrawn: left behind, it would swallow a later
+// message on (src, tag) together with its pooled buffer.
+func (c *Comm) collExchange(payload []byte, dest, src, tag int) ([]byte, error) {
+	pr := c.collIrecv(src, tag)
+	if err := c.collSendOwned(payload, dest, tag); err != nil {
+		c.mb.cancelRecv(pr)
+		return nil, err
+	}
+	b, err := c.collFinish(pr)
+	if err != nil {
+		c.mb.cancelRecv(pr)
+	}
+	return b, err
+}
+
 // cancelRecv withdraws a posted internal receive on an error path,
 // releasing a matched-but-unconsumed payload so the one-owner pool
 // contract holds. For a nonblocking collective's receive it runs on the
@@ -535,11 +553,7 @@ func alltoallPairwise[T Scalar](c *Comm, data []T) ([]T, error) {
 	for step := 1; step < p; step++ {
 		to := (r + step) % p
 		from := (r - step + p) % p
-		pr := c.collIrecv(from, tag)
-		if err := c.collSendOwned(marshalPooled(data[to*n:(to+1)*n]), to, tag); err != nil {
-			return nil, err
-		}
-		b, err := c.collFinish(pr)
+		b, err := c.collExchange(marshalPooled(data[to*n:(to+1)*n]), to, from, tag)
 		if err != nil {
 			return nil, err
 		}
@@ -583,11 +597,7 @@ func alltoallvPairwise[T Scalar](c *Comm, blocks [][]T) ([][]T, error) {
 	for step := 1; step < p; step++ {
 		to := (r + step) % p
 		from := (r - step + p) % p
-		pr := c.collIrecv(from, tag)
-		if err := c.collSendOwned(marshalPooled(blocks[to]), to, tag); err != nil {
-			return nil, err
-		}
-		b, err := c.collFinish(pr)
+		b, err := c.collExchange(marshalPooled(blocks[to]), to, from, tag)
 		if err != nil {
 			return nil, err
 		}

@@ -15,6 +15,7 @@ type Comm struct {
 	ctx       int32 // user context; ctx+1 is the collective shadow context
 	collSeq   int64 // lockstep collective sequence number
 	splitSeq  int64 // lockstep Split sequence number
+	agreeSeq  int64 // lockstep agreement sequence number (ulfm.go)
 	winSeq    int32 // lockstep window-creation sequence number (rma.go)
 	mb        *mailbox
 }

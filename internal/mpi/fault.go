@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -181,7 +180,7 @@ func (w *World) initFaultState(localRanks []int) {
 	for r := range w.lastHeard {
 		w.lastHeard[r].Store(now)
 	}
-	w.failed = make(map[int]bool)
+	w.failed = make([]bool, w.size)
 	w.localRanks = localRanks
 }
 
@@ -224,7 +223,9 @@ func (w *World) isKilled(r int) bool {
 
 // failRank declares a rank failed on behalf of the whole world: the
 // failure epoch advances and every blocked rank wakes to observe a
-// RankFailedError.
+// RankFailedError. The set and the epoch change under one lock, so a
+// reader of both (failedView) never sees a declaration the epoch does
+// not count; the hot-path check still reads the epoch alone.
 func (w *World) failRank(r int, why string) {
 	w.failMu.Lock()
 	if w.failed[r] {
@@ -232,21 +233,25 @@ func (w *World) failRank(r int, why string) {
 		return
 	}
 	w.failed[r] = true
-	w.failMu.Unlock()
 	w.failEpoch.Add(1)
+	w.failMu.Unlock()
 	w.emitLifecycle(r, LifeFailure, "rank declared failed: "+why)
 	w.broadcastAll()
 }
 
-// failedSet snapshots the failed ranks as a set.
-func (w *World) failedSet() map[int]bool {
+// failedView is the membership view recovery works from: it marks in
+// marks[i] every members[i] currently declared failed (leaving other
+// marks as they are) and returns the failure epoch, both read under one
+// lock.
+func (w *World) failedView(members []int, marks []byte) int64 {
 	w.failMu.Lock()
 	defer w.failMu.Unlock()
-	set := make(map[int]bool, len(w.failed))
-	for r := range w.failed {
-		set[r] = true
+	for i, wr := range members {
+		if w.failed[wr] {
+			marks[i] = 1
+		}
 	}
-	return set
+	return w.failEpoch.Load()
 }
 
 // FailedRanks returns the world ranks currently declared failed, in
@@ -257,12 +262,13 @@ func (c *Comm) FailedRanks() []int {
 
 func (w *World) failedRanks() []int {
 	w.failMu.Lock()
-	ranks := make([]int, 0, len(w.failed))
-	for r := range w.failed {
-		ranks = append(ranks, r)
+	defer w.failMu.Unlock()
+	var ranks []int
+	for r, f := range w.failed {
+		if f {
+			ranks = append(ranks, r)
+		}
 	}
-	w.failMu.Unlock()
-	sort.Ints(ranks)
 	return ranks
 }
 
@@ -351,7 +357,6 @@ func (w *World) heartbeatSender() {
 				if w.isKilled(r) {
 					continue
 				}
-				w.noteHeard(r)
 				for peer := 0; peer < w.size; peer++ {
 					if peer == r {
 						continue
@@ -368,10 +373,16 @@ func (w *World) heartbeatSender() {
 }
 
 // heartbeatMonitor declares failed any rank silent for longer than the
-// heartbeat interval.
+// heartbeat interval — except a live rank of this World, whose liveness
+// is known exactly: silence measured across a stall of this process
+// (the scheduler or the OS not running it) says nothing about it.
 func (w *World) heartbeatMonitor() {
 	defer w.auxWG.Done()
 	hb := w.opts.heartbeat
+	local := make([]bool, w.size)
+	for _, r := range w.localRanks {
+		local[r] = true
+	}
 	t := time.NewTicker(tickPeriod(hb))
 	defer t.Stop()
 	for {
@@ -381,15 +392,10 @@ func (w *World) heartbeatMonitor() {
 		case <-t.C:
 			now := time.Now().UnixNano()
 			for r := 0; r < w.size; r++ {
-				if now-w.lastHeard[r].Load() <= hb.Nanoseconds() {
+				if (local[r] && !w.isKilled(r)) || now-w.lastHeard[r].Load() <= hb.Nanoseconds() {
 					continue
 				}
-				w.failMu.Lock()
-				already := w.failed[r]
-				w.failMu.Unlock()
-				if !already {
-					w.failRank(r, fmt.Sprintf("no heartbeat for %v", hb))
-				}
+				w.failRank(r, fmt.Sprintf("no heartbeat for %v", hb))
 			}
 		}
 	}

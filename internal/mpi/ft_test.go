@@ -315,6 +315,70 @@ func TestOpTimeoutSendrecvWithdrawsReceive(t *testing.T) {
 	}
 }
 
+// TestOpTimeoutAlltoallWithdrawsReceive: each step of the pairwise
+// all-to-all posts its receive before its send. When the send half fails
+// — here a rendezvous-sized block to a rank that never joins times out —
+// the receive must be taken back, or it swallows a later message on
+// (source, tag) together with its pooled buffer. Alltoall and Alltoallv,
+// on both transports.
+func TestOpTimeoutAlltoallWithdrawsReceive(t *testing.T) {
+	const n, tagTimedOut = 1 << 17, 1 // n float64s: a 1 MiB block, far above the eager threshold
+	exchanges := []struct {
+		name string
+		run  func(c *Comm, big []float64) error
+	}{
+		{"Alltoall", func(c *Comm, big []float64) error {
+			_, err := Alltoall(c, big)
+			return err
+		}},
+		{"Alltoallv", func(c *Comm, big []float64) error {
+			_, err := Alltoallv(c, [][]float64{big[:n], big[n:]})
+			return err
+		}},
+	}
+	for _, tr := range []struct {
+		name string
+		run  func(int, func(*Comm) error, ...Option) error
+	}{{"channel", Run}, {"tcp", RunTCP}} {
+		for _, ex := range exchanges {
+			t.Run(tr.name+"/"+ex.name, func(t *testing.T) {
+				defer leakcheck.Snapshot(t, poolGauge()).Check()
+				err := tr.run(2, func(c *Comm) error {
+					if c.Rank() == 1 {
+						// Poll, never block: a blocking wait would hit the
+						// operation deadline itself.
+						for {
+							if _, ok, err := c.Iprobe(0, tagTimedOut); err != nil || ok {
+								break
+							}
+							if err := c.world.stopErr(); err != nil {
+								return err
+							}
+							runtime.Gosched()
+						}
+						b, _, err := c.RecvBytes(0, tagTimedOut)
+						Release(b)
+						return err
+					}
+					if err := ex.run(c, make([]float64, 2*n)); !errors.Is(err, ErrTimeout) {
+						return fmt.Errorf("%s to an absent rank: got %v, want ErrTimeout", ex.name, err)
+					}
+					c.mb.mu.Lock()
+					posted := len(c.mb.pending)
+					c.mb.mu.Unlock()
+					if posted != 0 {
+						return fmt.Errorf("%d receive(s) still posted after the failed %s", posted, ex.name)
+					}
+					return c.SendBytes(nil, 1, tagTimedOut)
+				}, WithOpTimeout(50*time.Millisecond))
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
 // TestFrameDropSurfacesAsTimeout: the injector eats the only data frame
 // 0→1 on the TCP transport; with a per-op deadline the receiver reports
 // the lossy link as ErrTimeout instead of hanging until the watchdog.

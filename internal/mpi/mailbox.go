@@ -111,18 +111,12 @@ type mailbox struct {
 	// operations return ErrRankKilled.
 	dead bool
 
-	// failAck is the failure epoch this rank has acknowledged (via
-	// Comm.Shrink or Comm.Agree). While the world's epoch is ahead of it,
-	// blocked operations return a RankFailedError. Atomic because the
-	// deadlock detector reads it while the owner may store.
+	// failAck is the failure epoch this rank has acknowledged (by the
+	// agreement behind Shrink, Agree and RespawnAndRestore). While the
+	// world's epoch is ahead of it, blocked operations return a
+	// RankFailedError. Atomic because the deadlock detector reads it
+	// while the owner may store.
 	failAck atomic.Int64
-
-	// respawnJoin is the highest rebuild generation this rank has joined
-	// (RespawnAndRestore). The coordinating survivor treats a peer's
-	// join marker reaching the current generation as proof the peer has
-	// captured the failed set, and only then withdraws declarations.
-	// Monotonic; never reset.
-	respawnJoin atomic.Int64
 
 	// calls counts the rank's communication primitives for call-indexed
 	// fault injection. Owner-goroutine only.
@@ -539,10 +533,12 @@ func (mb *mailbox) block(wi waitInfo) {
 }
 
 // markFinished records that the rank's function returned. Guarded by mu so
-// the detector observes a consistent snapshot.
+// the detector observes a consistent snapshot; the broadcast wakes a
+// survivor waiting to revive the rank (resetRank).
 func (mb *mailbox) markFinished() {
 	mb.mu.Lock()
 	mb.finished = true
+	mb.cond.Broadcast()
 	mb.mu.Unlock()
 }
 

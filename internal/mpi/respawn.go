@@ -1,9 +1,9 @@
 package mpi
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -36,91 +36,60 @@ var respawnsTotal atomic.Int64
 // RespawnAndRestore process-wide.
 func RespawnsTotal() int64 { return respawnsTotal.Load() }
 
-// respawnResetTimeout bounds how long the coordinating survivor waits
-// for a killed rank's goroutine to finish unwinding before reset.
+// respawnResetTimeout bounds how long the resetting survivor waits for a
+// killed rank's goroutine to finish unwinding.
 const respawnResetTimeout = 5 * time.Second
 
-// RespawnAndRestore acknowledges every currently-declared failure and
-// rebuilds the communicator at full width: each failed rank is replaced
-// by a fresh goroutine running fn, and a new communicator with the
-// original membership is returned on a fresh context. It is collective
-// over the survivors: all of them must call it after observing a
-// RankFailedError, passing the same fn (the lowest survivor's fn is the
-// one replacement ranks run). fn typically restores rank state from the
-// latest checkpoint and rejoins the computation; its Comm argument is
-// the replacement rank's handle on the rebuilt communicator.
+// RespawnAndRestore rebuilds the communicator at full width after a
+// failure: each failed member is replaced by a fresh goroutine running
+// fn, and a new communicator with the original membership is returned on
+// a fresh context. It is collective over the survivors: all of them must
+// call it after observing a RankFailedError, passing the same fn (the
+// lowest survivor's fn is the one replacement ranks run). fn typically
+// restores rank state from the latest checkpoint and rejoins the
+// computation; its Comm argument is the replacement rank's handle on the
+// rebuilt communicator.
 //
-// All members — survivors and replacements — synchronize on a barrier
-// before RespawnAndRestore returns, so stale traffic from the
-// pre-failure world cannot be mismatched into the rebuilt one.
-// Failures that land WHILE a rebuild is underway are handled at two
-// points. A failure declared before the coordinator finishes its
-// rendezvous is absorbed: the victim joins the dead list and is revived
-// with the rest. A failure declared later surfaces as a RankFailedError
-// from the rebuild barrier; RespawnAndRestore then returns the
-// partially-rebuilt communicator ALONGSIDE the error, and the caller
-// retries the rebuild from it (RunResilient does this) — retrying from
-// the old communicator would diverge from the replacement ranks, which
-// only exist on the new one.
+// The survivors first agree on which members failed (the agreement
+// behind Shrink and Agree, so failures declared while it runs are
+// absorbed and revived in the same rebuild). The lowest survivor then
+// revives the agreed set and spawns the replacements, and its go-ahead,
+// broadcast over the rebuilt communicator, releases every member —
+// survivors and replacements — so no rank sends to a slot before it is
+// live again. A failure that lands after the agreement surfaces as a
+// RankFailedError from that broadcast; RespawnAndRestore then returns the
+// rebuilt communicator ALONGSIDE the error, and the caller retries the
+// rebuild from it (RunResilient does this) — retrying from the old
+// communicator would diverge from the replacement ranks, which only exist
+// on the new one.
 func (c *Comm) RespawnAndRestore(fn func(*Comm) error) (*Comm, error) {
 	w := c.world
 	if !w.canRespawn {
 		return nil, ErrRespawnUnsupported
 	}
-	// Acknowledge everything declared so far and announce this rank's
-	// arrival. The join generation — not the failure epoch — is the
-	// rendezvous token: every participant of one rebuild holds the same
-	// communicator lineage, so gen is identical across them even when
-	// staggered failures give them different epoch snapshots.
-	epoch := w.failEpoch.Load()
-	failed := w.failedSet()
-	if failed[c.worldRank] {
-		return nil, fmt.Errorf("mpi: RespawnAndRestore: calling rank %d is itself declared failed", c.worldRank)
-	}
-	var dead []int
-	for _, wr := range c.members {
-		if failed[wr] {
-			dead = append(dead, wr)
-		}
-	}
-	sort.Ints(dead)
-	if len(dead) == 0 {
-		return nil, errors.New("mpi: RespawnAndRestore: no member of the communicator is declared failed")
-	}
-	gen := c.splitSeq + 1
-	c.mb.failAck.Store(epoch)
-	c.mb.respawnJoin.Store(gen)
-
-	// Every participant — survivors here, replacements below — derives
-	// the successor context from the same key. Respawn colors live in a
-	// negative band disjoint from both user splits (never negative) and
-	// Shrink's -1-epoch band. The color must be identical on every
-	// participant, so it derives from gen, never from the (possibly
-	// divergent) epoch snapshot.
-	c.splitSeq++
-	ctx := w.ctxFor(ctxKey{parentCtx: c.ctx, splitSeq: c.splitSeq, color: -(1 << 20) - int(gen)})
-	members := append([]int(nil), c.members...)
-
-	if err := w.respawnCoordinate(c.worldRank, members, dead, gen, ctx, fn); err != nil {
+	failed, _, err := c.agree("RespawnAndRestore", true)
+	if err != nil {
 		return nil, err
 	}
-
-	nc := &Comm{
-		world:     w,
-		worldRank: c.worldRank,
-		rank:      c.rank,
-		members:   members,
-		ctx:       ctx,
-		splitSeq:  c.splitSeq,
-		mb:        c.mb,
+	if bytes.IndexByte(failed, 1) < 0 {
+		return nil, errors.New("mpi: RespawnAndRestore: no member of the communicator is declared failed")
 	}
-	w.emitLifecycle(c.worldRank, LifeRecovery,
-		fmt.Sprintf("respawn: world back at width %d (rebuild %d)", len(members), gen))
-	if err := nc.Barrier(); err != nil {
+	nc := c.successor(failed, true)
+	resetter := bytes.IndexByte(failed, 0) // the lowest survivor
+	if c.rank == resetter {
+		for cr, f := range failed {
+			if f == 0 {
+				continue
+			}
+			if err := w.resetRank(c.members[cr], c.members, failed); err != nil {
+				return nil, err
+			}
+			w.spawnReplacement(nc, cr, resetter, fn)
+		}
+	}
+	w.emitLifecycle(c.worldRank, LifeRecovery, fmt.Sprintf("respawn: world back at width %d", len(nc.members)))
+	if err := nc.respawnGoAhead(resetter); err != nil {
 		if errors.Is(err, ErrRankFailed) {
-			// A further failure landed during the barrier; hand the
-			// rebuilt comm back so the caller can retry FROM it, in step
-			// with the replacement ranks that already live on it.
 			return nc, err
 		}
 		return nil, err
@@ -128,133 +97,12 @@ func (c *Comm) RespawnAndRestore(fn func(*Comm) error) (*Comm, error) {
 	return nc, nil
 }
 
-// respawnCoordinate is the synchronization phase of RespawnAndRestore.
-// The lowest live member coordinates; everyone else waits for the
-// failures it captured at entry to be repaired. Both roles re-sample
-// the failed set every pass, so a coordinator that dies before joining
-// is succeeded by the next live member, and a stale snapshot cannot
-// elect a dead one.
-func (w *World) respawnCoordinate(self int, members, dead []int, gen int64, ctx int32, fn func(*Comm) error) error {
-	deadline := time.Now().Add(respawnResetTimeout)
-	for {
-		if err := w.stopErr(); err != nil {
-			return err
-		}
-		if w.respawnGen.Load() >= gen {
-			// This generation's rebuild already completed — possibly by a
-			// coordinator that has since died. Do not coordinate it a
-			// second time and do not wait for revivals it never promised;
-			// proceed to the rebuild barrier, which either completes or
-			// fails with the RankFailedError that triggers the next
-			// generation.
-			return nil
-		}
-		failedNow := w.failedSet()
-		resetter := -1
-		for _, wr := range members {
-			if !failedNow[wr] {
-				resetter = wr
-				break
-			}
-		}
-		if resetter == -1 {
-			return errors.New("mpi: RespawnAndRestore: every member of the communicator is declared failed")
-		}
-		if resetter == self {
-			return w.respawnReset(members, gen, ctx, fn, deadline)
-		}
-		// Non-coordinator: the coordinator's final dead list is always a
-		// superset of the set captured at entry (it samples after every
-		// survivor joined), so these revivals are guaranteed. Failures
-		// declared after entry surface at the rebuild barrier instead.
-		revived := true
-		for _, r := range dead {
-			if w.isKilled(r) || failedNow[r] {
-				revived = false
-				break
-			}
-		}
-		if revived {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("mpi: RespawnAndRestore: ranks %v not revived within %v", dead, respawnResetTimeout)
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-}
-
-// respawnReset is the coordinator's half of the rebuild: wait until
-// every member has either joined this generation or been declared
-// failed (failures landing during the rendezvous are absorbed into the
-// dead list), acknowledge the absorbed epoch on every survivor's
-// behalf, then revive the dead and spawn their replacements.
-func (w *World) respawnReset(members []int, gen int64, ctx int32, fn func(*Comm) error, deadline time.Time) error {
-	var epoch int64
-	var failedNow map[int]bool
-	for {
-		if err := w.stopErr(); err != nil {
-			return err
-		}
-		// Epoch BEFORE set: a declaration bumps the map first, then the
-		// epoch, so the set sampled second covers every failure the
-		// epoch counts — acknowledging `epoch` below can never cover a
-		// failure missing from `failedNow`.
-		epoch = w.failEpoch.Load()
-		failedNow = w.failedSet()
-		allIn := true
-		for _, wr := range members {
-			if failedNow[wr] {
-				continue
-			}
-			if w.mailboxes[wr].respawnJoin.Load() < gen {
-				allIn = false
-				break
-			}
-		}
-		if allIn {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("mpi: RespawnAndRestore: not all survivors joined rebuild %d within %v", gen, respawnResetTimeout)
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	// Survivors that captured an older snapshot never observed the
-	// absorbed failures; acknowledge on their behalf BEFORE any
-	// declaration is withdrawn, so no rank can see a repaired world
-	// while an already-handled epoch still reads as unacknowledged.
-	for _, wr := range members {
-		if failedNow[wr] {
-			continue
-		}
-		if mb := w.mailboxes[wr]; mb.failAck.Load() < epoch {
-			mb.failAck.Store(epoch)
-		}
-	}
-	for _, wr := range members {
-		if !failedNow[wr] {
-			continue
-		}
-		if err := w.resetRank(wr, epoch); err != nil {
-			return err
-		}
-	}
-	for cr, wr := range members {
-		if failedNow[wr] {
-			w.spawnReplacement(wr, cr, members, ctx, gen, fn)
-		}
-	}
-	// Publish completion BEFORE this coordinator makes another MPI call
-	// (the rebuild barrier, where it may itself be killed): from here on
-	// no late survivor may coordinate this generation again.
-	for {
-		cur := w.respawnGen.Load()
-		if cur >= gen || w.respawnGen.CompareAndSwap(cur, gen) {
-			break
-		}
-	}
-	return nil
+// respawnGoAhead is the rebuilt communicator's first operation: an empty
+// broadcast from the resetting survivor, which sends it only once every
+// replacement is live. It is not a counted primitive.
+func (c *Comm) respawnGoAhead(resetter int) error {
+	_, err := runSched[byte](c, schedBcast, resetter, nil, nil, inPlace)
+	return err
 }
 
 // RunResilient runs attempt and, whenever a rank failure interrupts it,
@@ -311,96 +159,74 @@ func (c *Comm) RunResilient(attempt func(rc *Comm, restart bool) error) error {
 	}
 }
 
-// stillFailed reports whether r remains in the declared-failed set.
-func (w *World) stillFailed(r int) bool {
-	w.failMu.Lock()
-	defer w.failMu.Unlock()
-	return w.failed[r]
-}
-
 // resetRank revives a killed rank's runtime state so a replacement
-// goroutine can take over its mailbox: waits for the dying goroutine to
-// finish unwinding, clears the dead/finished flags and any leftover
-// queued state, and withdraws the failure declaration. Ordering matters
-// at the end: the liveness timestamp is refreshed before the kill flag
-// clears and the failed-set entry is removed, so the heartbeat monitor
-// cannot re-declare the rank failed in the gap.
-func (w *World) resetRank(r int, epoch int64) error {
+// goroutine can take over its mailbox: it waits for the dying goroutine
+// to finish unwinding (markFinished wakes the wait), clears the
+// dead/finished flags, and withdraws the failure declaration. killRank
+// emptied the queues and a dead mailbox accepts nothing, so only receives
+// the dying goroutine posted itself are left to drop. The replacement
+// starts with a fresh liveness timestamp, and it starts having
+// acknowledged the current epoch only if every declared failure among
+// members is one the rebuild handles (failed); otherwise its first
+// blocking operation reports the newer failure. The call counter is NOT
+// reset, so a call-indexed kill rule does not re-fire on the replacement.
+func (w *World) resetRank(r int, members []int, failed []byte) error {
 	mb := w.mailboxes[r]
-	deadline := time.Now().Add(respawnResetTimeout)
-	for {
-		mb.mu.Lock()
-		fin := mb.finished
-		mb.mu.Unlock()
-		if fin {
-			break
+	mb.mu.Lock()
+	if !mb.finished {
+		expired := false
+		t := time.AfterFunc(respawnResetTimeout, func() {
+			mb.mu.Lock()
+			expired = true
+			mb.cond.Broadcast()
+			mb.mu.Unlock()
+		})
+		for !mb.finished && !expired {
+			mb.cond.Wait()
 		}
-		if time.Now().After(deadline) {
+		t.Stop()
+		if !mb.finished {
+			mb.mu.Unlock()
 			return fmt.Errorf("mpi: respawn: rank %d has not finished unwinding after %v", r, respawnResetTimeout)
 		}
-		time.Sleep(100 * time.Microsecond)
 	}
-	mb.mu.Lock()
-	mb.dead = false
-	mb.finished = false
-	for _, e := range mb.unexpected {
-		putBuf(e.data)
-		putEnv(e)
-	}
-	mb.unexpected = nil
-	mb.pending = nil
-	for seq := range mb.acks {
-		delete(mb.acks, seq)
-	}
-	for seq, b := range mb.rmaResp {
-		putBuf(b)
-		delete(mb.rmaResp, seq)
-	}
-	// The replacement starts having acknowledged exactly the epoch this
-	// rebuild absorbed — NOT the live epoch, which may already count a
-	// failure the rebuild is not handling; pre-acknowledging that one
-	// would let the replacement sail past the rebuild barrier everyone
-	// else is about to fail out of. The call counter is NOT reset, so a
-	// call-indexed kill rule does not re-fire on the replacement.
-	mb.failAck.Store(epoch)
+	mb.dead, mb.finished, mb.pending = false, false, nil
 	mb.mu.Unlock()
 
 	w.noteHeard(r)
 	w.killed[r].Store(false)
 	w.failMu.Lock()
-	delete(w.failed, r)
+	w.failed[r] = false
 	w.failMu.Unlock()
+	view := make([]byte, len(members))
+	if e := w.failedView(members, view); covers(failed, view) {
+		mb.failAck.Store(e)
+	}
 	w.finishedCount.Add(-1)
 	respawnsTotal.Add(1)
 	w.emitLifecycle(r, LifeRecovery, "rank respawned at full width")
 	return nil
 }
 
-// spawnReplacement launches the goroutine standing in for revived rank
-// wr. It first joins the rebuild barrier (synchronizing with the
-// survivors inside RespawnAndRestore), then runs the recovery function.
-// Its terminal bookkeeping mirrors run()'s rank wrapper, so the world's
-// detector and teardown treat replacements exactly like original ranks.
-func (w *World) spawnReplacement(wr, cr int, members []int, ctx int32, splitSeq int64, fn func(*Comm) error) {
+// spawnReplacement launches the goroutine standing in for member cr of
+// the rebuilt communicator nc: its handle is nc's, seen from slot cr. It
+// first waits for the resetter's go-ahead, then runs the recovery
+// function. Its terminal bookkeeping mirrors run()'s rank wrapper, so the
+// world's detector and teardown treat replacements exactly like original
+// ranks.
+func (w *World) spawnReplacement(nc *Comm, cr, resetter int, fn func(*Comm) error) {
+	wr := nc.members[cr]
+	rc := *nc
+	rc.worldRank, rc.rank, rc.mb = wr, cr, w.mailboxes[wr]
 	w.respawnWG.Add(1)
 	go func() {
 		defer w.respawnWG.Done()
-		rc := &Comm{
-			world:     w,
-			worldRank: wr,
-			rank:      cr,
-			members:   members,
-			ctx:       ctx,
-			splitSeq:  splitSeq,
-			mb:        w.mailboxes[wr],
-		}
-		err := rc.Barrier()
+		err := rc.respawnGoAhead(resetter)
 		if err == nil || errors.Is(err, ErrRankFailed) {
-			// A rebuild-barrier failure means yet another rank died while
-			// this replacement was joining; fn (typically a RunResilient
-			// loop) observes it on its first operation and recovers like
-			// any other failure.
-			err = fn(rc)
+			// A failed go-ahead means yet another rank died during the
+			// rebuild; fn (typically a RunResilient loop) observes it on
+			// its first operation and recovers like any other failure.
+			err = fn(&rc)
 		}
 		w.mailboxes[wr].markFinished()
 		w.finishedCount.Add(1)

@@ -15,7 +15,7 @@ import (
 // "restores" (here: recomputes its contribution — real modules load a
 // checkpoint) and the sum completes over the original width. finals
 // records each rank's post-recovery result.
-func respawnSum(t *testing.T, nkilled int, finals map[int][]int64, mu *sync.Mutex) func(*Comm) error {
+func respawnSum(t *testing.T, _ int, finals map[int][]int64, mu *sync.Mutex) func(*Comm) error {
 	record := func(rank int, res []int64) {
 		mu.Lock()
 		finals[rank] = res
@@ -39,15 +39,6 @@ func respawnSum(t *testing.T, nkilled int, finals map[int][]int64, mu *sync.Mute
 		}
 		if !errors.Is(err, ErrRankFailed) {
 			return err
-		}
-		// With several kills the declarations may land one at a time;
-		// rebuild once so the recovery handles them as a batch.
-		deadline := time.Now().Add(5 * time.Second)
-		for len(c.FailedRanks()) < nkilled {
-			if time.Now().After(deadline) {
-				return errors.New("not all injected kills were declared")
-			}
-			time.Sleep(time.Millisecond)
 		}
 		rc, err := c.RespawnAndRestore(contribute)
 		if err != nil {

@@ -192,6 +192,43 @@ func TestSplitWorldUneven(t *testing.T) {
 	}
 }
 
+// TestSplitWorldShrink: two failures that the two Worlds of a split world
+// learn in opposite orders. No heartbeat runs, so each World declares its
+// own killed rank at once (rank 1 in the first, rank 2 in the second) and
+// hears of the other's only from the survivors' agreement inside Shrink —
+// as every process of a RunProcesses world keeps its own failed set. The
+// survivors must still agree on both and continue on one context.
+func TestSplitWorldShrink(t *testing.T) {
+	defer leakcheck.Snapshot(t, poolGauge()).Check()
+	kills := &testInjector{atCall: func(r, call int) bool { return (r == 1 || r == 2) && call == 1 }}
+	errs := runSplit(t, 4, splitHalves, func(c *Comm) error {
+		err := c.Barrier()
+		if errors.Is(err, ErrRankKilled) {
+			return nil // a victim: its World records the kill, the test does not
+		}
+		if !errors.Is(err, ErrRankFailed) {
+			return fmt.Errorf("rank %d: barrier across the kills: got %v, want RankFailedError", c.Rank(), err)
+		}
+		nc, err := c.Shrink()
+		if err != nil {
+			return fmt.Errorf("rank %d: Shrink: %w", c.Rank(), err)
+		}
+		if nc.Size() != 2 {
+			return fmt.Errorf("rank %d: shrunken size %d, want 2", c.Rank(), nc.Size())
+		}
+		sum, err := Allreduce(nc, []int64{int64(c.Rank())}, OpSum)
+		if err == nil && sum[0] != 0+3 {
+			err = fmt.Errorf("post-shrink sum %d, want 3", sum[0])
+		}
+		return err
+	}, WithInjector(kills), WithWatchdog(10*time.Second))
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("world %d: %v", i, err)
+		}
+	}
+}
+
 // TestSplitWorldLastFrameDropped: a rank's last eager send returns as
 // soon as the frame is handed to the link, and with it, here, the rank's
 // whole World. If the injector dropped that frame's only write, the
@@ -239,10 +276,23 @@ func testAbortSplit(t *testing.T, opts ...Option) {
 		if _, err := Allreduce(c, []int64{1}, OpSum); err != nil {
 			return err
 		}
+		// Rank 1 aborts once every other rank has reported it is past the
+		// Allreduce — one still waiting there on a retransmission would see
+		// the abort in the Allreduce instead of in its Recv.
+		const tagReady = 8
 		if c.Rank() == 1 {
-			time.Sleep(20 * time.Millisecond)
+			for i := 0; i < 3; i++ {
+				b, _, err := c.RecvBytes(AnySource, tagReady)
+				if err != nil {
+					return err
+				}
+				Release(b)
+			}
 			c.Abort(cause)
 			return nil
+		}
+		if err := c.SendBytes(nil, 1, tagReady); err != nil {
+			return err
 		}
 		_, _, err := c.RecvBytes(1, 9) // rank 1 never sends on tag 9
 		if !errors.Is(err, ErrAborted) {

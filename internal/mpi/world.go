@@ -43,12 +43,15 @@ func (t *channelTransport) close() error                    { return nil }
 func (t *channelTransport) notifyAbort(error)               {}
 func (t *channelTransport) supportsDeadlockDetection() bool { return true }
 
-// ctxKey identifies a communicator created by Split so every member rank
-// resolves the same context id.
+// ctxKey identifies a communicator created by Split, Shrink or
+// RespawnAndRestore so every member rank resolves the same context id.
+// A recovery successor is keyed on its agreement (sequence number and
+// agreed failed set, ulfm.go) in a negative color band Split never uses.
 type ctxKey struct {
 	parentCtx int32
 	splitSeq  int64
 	color     int
+	failed    string
 }
 
 // World owns the ranks, transport and shared accounting of one program run.
@@ -92,9 +95,10 @@ type World struct {
 
 	// Fault-tolerance state (fault.go). killed marks ranks crashed by
 	// injection; failed/failEpoch are the survivors' view of declared
-	// failures; lastHeard feeds the heartbeat monitor.
+	// failures, written together under failMu; lastHeard feeds the
+	// heartbeat monitor.
 	failMu     sync.Mutex
-	failed     map[int]bool
+	failed     []bool
 	failEpoch  atomic.Int64
 	killed     []atomic.Bool
 	lastHeard  []atomic.Int64
@@ -116,13 +120,6 @@ type World struct {
 	respawnWG   sync.WaitGroup
 	respawnMu   sync.Mutex
 	respawnErrs []error
-
-	// respawnGen is the highest rebuild generation whose coordinator
-	// finished reviving the dead (respawn.go). A survivor that arrives
-	// at an already-completed generation must not coordinate it a second
-	// time — the election below would otherwise hand the rebuild to a
-	// late rank after the real coordinator completed it and died.
-	respawnGen atomic.Int64
 }
 
 // Run launches fn on np goroutine ranks connected by the in-process channel
