@@ -22,8 +22,9 @@ DDP_BENCHES = BenchmarkDDP_Step|BenchmarkIallreduce
 # The event-core benchmarks: the heap engine at 10k/100k/1M generated
 # jobs against the seed's linear-scan baseline at 10k (BENCH_cluster.json;
 # EXPERIMENTS.md records the events/sec ratio, and the one-off 100k
-# linear figure — O(n²), nine minutes a drain).
-CLUSTER_BENCHES = BenchmarkClusterDrain|BenchmarkClusterDrainLinear
+# linear figure — O(n²), nine minutes a drain) — and the placement of
+# jobs spanning 1 to 256 nodes of a 256-node cluster.
+CLUSTER_BENCHES = BenchmarkClusterDrain|BenchmarkClusterDrainLinear|BenchmarkPlaceWide
 
 # The chaos soak's seed sweep. `make chaos` defaults to a wider fixed
 # sweep than the in-tree default ({1,2}); override with

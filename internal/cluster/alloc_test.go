@@ -60,6 +60,37 @@ func TestAllocSchedulePass(t *testing.T) {
 		})
 	}
 
+	// With retention off, a submission takes an evicted record: jobs that
+	// once filled the queue were cancelled, so the table and the queue
+	// have room and every measured Submit finds a record to reuse.
+	t.Run("submit/reused record", func(t *testing.T) {
+		c := newTestCluster(t, 2)
+		c.SetBackfillLimit(depth)
+		c.SetRetainFinished(false)
+		submit(t, c, JobSpec{Name: "full", Tasks: 2 * cores, BaseTime: time.Hour, TimeLimit: time.Hour}, Running)
+		held := JobSpec{Name: "held", Tasks: 1, BaseTime: 2 * time.Hour, TimeLimit: 2 * time.Hour}
+		const runs = 100
+		var ids []int
+		for i := 0; i < 2*runs; i++ {
+			id, err := c.Submit(held)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		for _, id := range ids {
+			if err := c.Cancel(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if avg := testing.AllocsPerRun(runs, func() { c.Submit(held) }); avg != 0 {
+			t.Fatalf("Submit onto a reused record allocates %.0f times, want 0", avg)
+		}
+		if len(c.order) != runs+1 || len(c.free) != runs-1 {
+			t.Fatalf("%d pending, %d free records: the measured submits did not all queue on reused records", len(c.order), len(c.free))
+		}
+	})
+
 	// A Step that finishes one job and starts none: one-task jobs end a
 	// minute apart while a queue of full-width jobs waits for all of them,
 	// and a one-task job that fits the freed cores is held because it

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -93,6 +94,47 @@ func BenchmarkClusterDrain(b *testing.B) {
 			}
 			b.ReportMetric(float64(totalEvents)/b.Elapsed().Seconds(), "events/sec")
 		})
+	}
+}
+
+// BenchmarkPlaceWide submits a job that starts at once and cancels it, on
+// a 256-node cluster, for jobs spanning 1, 16 and all 256 nodes. On idle
+// nodes the job's width is known from its size; on fragmented ones (28
+// of 32 cores taken everywhere) the first node picked shows that the job
+// needs one node per 4 tasks. Either way place must sort as soon as
+// picking nodes one at a time would cost more than the sort.
+func BenchmarkPlaceWide(b *testing.B) {
+	const nodes = 256
+	cores := perfmodel.DefaultMachine().CoresPerNode
+	for _, tc := range []struct {
+		name string
+		free int // cores free on every node
+	}{{"idle", cores}, {"fragmented", 4}} {
+		for _, span := range []int{1, 16, nodes} {
+			b.Run(fmt.Sprintf("%s/span=%d", tc.name, span), func(b *testing.B) {
+				c, err := New(nodes, perfmodel.DefaultMachine())
+				if err != nil {
+					b.Fatal(err)
+				}
+				c.SetRetainFinished(false)
+				for i := 0; i < nodes*(cores-tc.free); i++ {
+					if _, err := c.Submit(JobSpec{Tasks: 1, BaseTime: time.Hour}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				spec := JobSpec{Tasks: span * tc.free, BaseTime: time.Hour}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					id, err := c.Submit(spec)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := c.Cancel(id); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -11,22 +11,28 @@
 // model, so a memory-bound job visibly slows when a bandwidth-hungry
 // neighbour lands on its node.
 //
-// The event core is an indexed min-heap of generation-stamped events
-// (completions, walltime kills, requeue-backoff expiries, node
-// failures/repairs unified in one queue) with lazy progress settling:
-// a job's remaining work is only drained when its rate changes or it
-// finishes, so advancing time is O(1) and a Drain over n jobs costs
-// O(events · log n) rather than the O(events · jobs) of a per-event
-// rescan. Stats accumulate incrementally at submit/finish, and
-// SetRetainFinished(false) evicts terminal jobs so memory stays bounded
-// by in-flight work — together these let the internal/workload generators
-// stream millions of jobs through one Cluster.
+// The event core is a min-heap of 32-byte events (completions, walltime
+// kills, requeue-backoff expiries, node failures/repairs unified in one
+// queue). A job's event points at the job's record and carries the
+// generation the job had when it was pushed; every state or rate change
+// bumps the generation, so superseded events are invalidated lazily —
+// dropped when they surface, never searched for or re-keyed. Progress is
+// settled lazily too: a job's remaining work is only drained when its
+// rate changes or it finishes, so advancing time is O(1) and a Drain
+// over n jobs costs O(events · log n) rather than the O(events · jobs)
+// of a per-event rescan. Stats accumulate incrementally at submit/finish,
+// and SetRetainFinished(false) evicts terminal jobs so memory stays
+// bounded by in-flight work; their records, generation still counting,
+// are reused by later submissions — together these let the
+// internal/workload generators stream millions of jobs through one
+// Cluster.
 package cluster
 
 import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -138,7 +144,9 @@ type Job struct {
 	// NumNodes records the allocation width for completed jobs (Nodes
 	// is released at finish).
 	NumNodes int
-	// tasks per allocated node, parallel to Nodes.
+	// tasks per allocated node, parallel to Nodes. Its array holds Nodes
+	// too and stays with the record when both are released (as its
+	// capacity), so the record's next placement reuses it.
 	tasksOn []int
 
 	// work remaining in [0, 1] as of settledAt; rate is progress per
@@ -150,7 +158,8 @@ type Job struct {
 	settledAt time.Duration
 	// gen stamps the job's scheduled heap events; any state or rate
 	// transition bumps it, invalidating events pushed under older
-	// generations (they are discarded when popped).
+	// generations (they are discarded when popped). A recycled record
+	// keeps counting from where its previous job left it.
 	gen uint32
 	// dedicated runtime (seconds) under the allocation, fixed at start.
 	dedicatedSec float64
@@ -205,7 +214,14 @@ type release struct {
 type Cluster struct {
 	machine perfmodel.Machine
 	nodes   []*node
-	jobs    map[int]*Job
+	// jobs indexes the retained records by id for the calls that take
+	// one (Status, Cancel, AttachAccounting, FailNode's residents); the
+	// event path reaches a job through its heap entry instead.
+	jobs map[int]*Job
+	// free holds records evicted with retention off, for enqueue to
+	// reuse with their node arrays. Stale heap entries may still point
+	// at them; the generation keeps those stale.
+	free []*Job
 	// running holds the currently-running jobs, each at its runIdx, so
 	// rate recomputation and backfill reservations never scan the full
 	// (possibly evicted) job table. A finishing job's slot is refilled
@@ -216,7 +232,8 @@ type Cluster struct {
 	now     time.Duration
 
 	// events is the unified min-heap (completions, walltime kills,
-	// requeue expiries, node failures/repairs).
+	// requeue expiries, node failures/repairs); eventSeq numbers the
+	// node events, whose order at one instant is their push order.
 	events   []simEvent
 	eventSeq uint64
 	// probePops/probeStale count dispatched and discarded heap pops;
@@ -300,9 +317,14 @@ func (c *Cluster) SetBackfillLimit(n int) { c.backfillLimit = n }
 // can no longer be requeued: Stats stays exact (it accumulates
 // incrementally), but Status/Jobs/Sacct only see live jobs. Streaming
 // workloads turn retention off so memory is bounded by in-flight jobs.
-func (c *Cluster) SetRetainFinished(keep bool) { c.retainFinished = keep }
+func (c *Cluster) SetRetainFinished(keep bool) {
+	c.retainFinished = keep
+	for _, j := range c.jobs {
+		c.evict(j) // jobs that finished while retention was on
+	}
+}
 
-// LiveJobs reports how many job records the cluster currently holds —
+// LiveJobs reports how many jobs the cluster's table currently holds —
 // with retention off this is the in-flight set (pending + running),
 // which the workload memory-bound test asserts stays small while
 // millions of jobs stream through.
@@ -338,7 +360,14 @@ func (c *Cluster) enqueue(spec JobSpec) (*Job, error) {
 	if spec.Kernel == nil && spec.BaseTime <= 0 {
 		return nil, fmt.Errorf("cluster: job %q has neither kernel nor base time", spec.Name)
 	}
-	j := &Job{ID: c.nextID, Spec: spec, State: Pending, SubmitTime: c.now, remaining: 1}
+	var j *Job
+	if n := len(c.free); n > 0 {
+		j, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		j = new(Job)
+	}
+	*j = Job{ID: c.nextID, Spec: spec, State: Pending, SubmitTime: c.now, remaining: 1,
+		gen: j.gen + 1, tasksOn: j.tasksOn[:0]}
 	c.nextID++
 	c.jobs[j.ID] = j
 	c.order = append(c.order, j)
@@ -378,7 +407,16 @@ func (c *Cluster) Status(id int) (Job, error) {
 	if !ok {
 		return Job{}, fmt.Errorf("cluster: no job %d", id)
 	}
-	return *j, nil
+	return j.copyOut(), nil
+}
+
+// copyOut copies the record for a caller. The node list is cloned: the
+// record's array is overwritten by its next placement, and with
+// retention off that may be another job's.
+func (j *Job) copyOut() Job {
+	out := *j
+	out.Nodes = slices.Clone(j.Nodes)
+	return out
 }
 
 // dropPendingIdx removes the i-th pending entry (the scheduler already
@@ -389,7 +427,8 @@ func (c *Cluster) dropPendingIdx(i int) {
 	c.order = slices.Delete(c.order, i, i+1)
 }
 
-// evict drops a terminal job from the table when retention is off.
+// evict drops a terminal job from the table when retention is off and
+// keeps its record for reuse.
 func (c *Cluster) evict(j *Job) {
 	if c.retainFinished {
 		return
@@ -397,6 +436,7 @@ func (c *Cluster) evict(j *Job) {
 	switch j.State {
 	case Completed, Cancelled, TimedOut, NodeFail:
 		delete(c.jobs, j.ID)
+		c.free = append(c.free, j)
 	}
 }
 
@@ -425,36 +465,65 @@ func (c *Cluster) canPlace(j *Job) bool {
 // place computes the allocation of a job that canPlace accepted under
 // this same state: tasks pack onto the emptiest nodes first (to leave
 // room) for shared jobs and onto fully idle nodes for exclusive jobs. The
-// node ids and the per-node task counts share one exact-size backing
-// array, the only allocation a scheduling pass makes.
+// node ids and the per-node task counts share the record's array, so a
+// pass allocates only for a record's first placement or a wider one.
 func (c *Cluster) place(j *Job) (nodes, tasks []int) {
 	perNode := c.perNodeCap(j)
 	c.cand = c.cand[:0]
+	last := 0 // the largest offer: the first node taken makes it
 	for _, n := range c.nodes {
-		if n.avail().offer(j, perNode) > 0 {
+		if o := n.avail().offer(j, perNode); o > 0 {
 			c.cand = append(c.cand, n)
+			last = max(last, o)
 		}
 	}
-	// Most-free-cores first gives balanced placements.
-	slices.SortFunc(c.cand, func(a, b *node) int {
-		if a.freeCores != b.freeCores {
-			return b.freeCores - a.freeCores
+	// Only the k nodes taken need ordering. Offers never grow along the
+	// order, so ⌈left/last⌉ more nodes is a lower bound on what the job
+	// still needs: while that keeps k within about log₂ of the candidate
+	// count, pick each node with one pass; past it, sorting the rest is
+	// cheaper.
+	cand := c.cand
+	most := bits.Len(uint(len(cand)))
+	k, left := 0, j.Spec.Tasks
+	for sorted := false; left > 0; k++ {
+		switch {
+		case sorted:
+		case k+(left+last-1)/last > most:
+			slices.SortFunc(cand[k:], freeOrder)
+			sorted = true
+		default:
+			best := k
+			for i := k + 1; i < len(cand); i++ {
+				if freeOrder(cand[i], cand[best]) < 0 {
+					best = i
+				}
+			}
+			cand[k], cand[best] = cand[best], cand[k]
 		}
-		return a.id - b.id
-	})
-	k := 0
-	for left := j.Spec.Tasks; left > 0; k++ {
-		left -= c.cand[k].avail().offer(j, perNode)
+		last = cand[k].avail().offer(j, perNode)
+		left -= last
 	}
-	buf := make([]int, 2*k)
-	nodes, tasks = buf[:k:k], buf[k:]
-	left := j.Spec.Tasks
-	for i, n := range c.cand[:k] {
+	buf := j.tasksOn[:0]
+	if cap(buf) < 2*k {
+		buf = make([]int, 2*k)
+	}
+	tasks, nodes = buf[:k], buf[k:2*k:2*k]
+	left = j.Spec.Tasks
+	for i, n := range cand[:k] {
 		fit := min(n.avail().offer(j, perNode), left)
 		nodes[i], tasks[i] = n.id, fit
 		left -= fit
 	}
 	return nodes, tasks
+}
+
+// freeOrder is the placement order: most free cores first, which gives
+// balanced placements, ties to the lower id.
+func freeOrder(a, b *node) int {
+	if a.freeCores != b.freeCores {
+		return b.freeCores - a.freeCores
+	}
+	return a.id - b.id
 }
 
 // schedule starts jobs according to the active policy. PolicyBackfill is
@@ -698,7 +767,7 @@ func (c *Cluster) finish(j *Job, state JobState) {
 			}
 		}
 	}
-	j.Nodes, j.tasksOn = nil, nil
+	j.Nodes, j.tasksOn = nil, j.tasksOn[:0]
 	last := len(c.running) - 1
 	moved := c.running[last]
 	c.running[j.runIdx], moved.runIdx = moved, j.runIdx

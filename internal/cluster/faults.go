@@ -55,7 +55,12 @@ func (c *Cluster) scheduleNodeEvent(id int, at time.Duration, fail bool) error {
 	if at < 0 {
 		return fmt.Errorf("cluster: node event at negative time %v", at)
 	}
-	c.pushEvent(simEvent{at: at, class: evNode, node: id, fail: fail})
+	aux := uint32(id) << 1
+	if fail {
+		aux |= 1
+	}
+	c.pushEvent(simEvent{at: at, key: c.eventSeq, aux: aux})
+	c.eventSeq++
 	return nil
 }
 
@@ -138,5 +143,5 @@ func (c *Cluster) maybeRequeue(j *Job) {
 	c.order = append(c.order, j)
 	c.agg.requeues++
 	c.agg.nodeFailed-- // finish(NodeFail) counted it; the job is back in the queue
-	c.pushEvent(simEvent{at: j.eligibleAt, class: evRequeue, job: j.ID, gen: j.gen})
+	c.pushEvent(jobEvent(j.eligibleAt, evRequeue, j))
 }

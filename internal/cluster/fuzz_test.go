@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -31,7 +32,11 @@ func FuzzParseScript(f *testing.F) {
 // operation. Each byte of the ops string is one operation; its low bits
 // select the node or job. This hardens the node-failure/requeue path:
 // no operation sequence may corrupt the free-core bookkeeping, place a
-// job on a down node, or wedge the event loop.
+// job on a down node, or wedge the event loop. A second cluster with
+// retention off takes the same operations, so evicted records are
+// reused under every sequence: its Stats must equal the retaining
+// cluster's after every operation, and cancelling an evicted id must
+// report "no job" and leave the record's new owner alone.
 func FuzzClusterFaultOps(f *testing.F) {
 	f.Add([]byte{'s', 'f', 's', 't', 'r', 't', 't'})
 	f.Add([]byte{'s', 's', 'F', 'R', 't', 't', 't', 't'})
@@ -42,61 +47,93 @@ func FuzzClusterFaultOps(f *testing.F) {
 			ops = ops[:256] // bound simulation size
 		}
 		const nodes = 3
-		c, err := New(nodes, perfmodel.DefaultMachine())
-		if err != nil {
-			t.Fatal(err)
+		var cs [2]*Cluster // retention on, retention off
+		for i := range cs {
+			c, err := New(nodes, perfmodel.DefaultMachine())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs[i] = c
 		}
+		c, ev := cs[0], cs[1]
+		ev.SetRetainFinished(false)
 		cores := perfmodel.DefaultMachine().CoresPerNode
 		var ids []int
-		steps := 0
 		for _, op := range ops {
-			switch op % 8 {
-			case 0: // 's': submit a shared requeue job
-				id, err := c.Submit(JobSpec{Name: "fz", Tasks: 1 + int(op/8)%cores,
-					BaseTime: time.Duration(1+op%5) * time.Minute, Requeue: true, MaxRequeues: 2})
-				if err == nil {
-					ids = append(ids, id)
-				}
-			case 1: // 'x': submit an exclusive job, no requeue
-				id, err := c.Submit(JobSpec{Name: "fx", Tasks: cores, TasksPerNode: cores,
-					BaseTime: time.Minute, Exclusive: true, TimeLimit: 10 * time.Minute})
-				if err == nil {
-					ids = append(ids, id)
-				}
-			case 2: // 'f': fail a node now
-				_ = c.FailNode(int(op) % nodes)
-			case 3: // 'r': repair a node now
-				_ = c.RepairNode(int(op) % nodes)
-			case 4: // 'F': schedule a failure
-				_ = c.ScheduleNodeFail(int(op)%nodes, c.Now()+time.Duration(op%7)*time.Minute)
-			case 5: // 'R': schedule a repair
-				_ = c.ScheduleNodeRepair(int(op)%nodes, c.Now()+time.Duration(op%11)*time.Minute)
-			case 6: // 'c': cancel some submitted job
-				if len(ids) > 0 {
-					_ = c.Cancel(ids[int(op)%len(ids)])
-				}
-			default: // 't': advance one event
-				c.Step()
-				steps++
+			var errs [2]error
+			var stepped [2]bool
+			victim := -1
+			if op%8 == 6 && len(ids) > 0 {
+				victim = ids[int(op)%len(ids)]
 			}
-			if err := c.CheckInvariants(); err != nil {
-				t.Fatalf("after op %q: %v", op, err)
+			for i, c := range cs {
+				id := 0
+				switch op % 8 {
+				case 0: // 's': submit a shared requeue job
+					id, errs[i] = c.Submit(JobSpec{Name: "fz", Tasks: 1 + int(op/8)%cores,
+						BaseTime: time.Duration(1+op%5) * time.Minute, Requeue: true, MaxRequeues: 2})
+				case 1: // 'x': submit an exclusive job, no requeue
+					id, errs[i] = c.Submit(JobSpec{Name: "fx", Tasks: cores, TasksPerNode: cores,
+						BaseTime: time.Minute, Exclusive: true, TimeLimit: 10 * time.Minute})
+				case 2: // 'f': fail a node now
+					errs[i] = c.FailNode(int(op) % nodes)
+				case 3: // 'r': repair a node now
+					errs[i] = c.RepairNode(int(op) % nodes)
+				case 4: // 'F': schedule a failure
+					errs[i] = c.ScheduleNodeFail(int(op)%nodes, c.Now()+time.Duration(op%7)*time.Minute)
+				case 5: // 'R': schedule a repair
+					errs[i] = c.ScheduleNodeRepair(int(op)%nodes, c.Now()+time.Duration(op%11)*time.Minute)
+				case 6: // 'c': cancel some submitted job
+					if victim >= 0 {
+						errs[i] = c.Cancel(victim)
+					}
+				default: // 't': advance one event
+					stepped[i] = c.Step()
+				}
+				if i == 0 && id > 0 {
+					ids = append(ids, id)
+				} else if i == 1 && id > 0 && id != ids[len(ids)-1] {
+					t.Fatalf("op %q: retention off submitted job %d, retention on %d", op, id, ids[len(ids)-1])
+				}
+			}
+			if (errs[0] == nil) != (errs[1] == nil) || stepped[0] != stepped[1] {
+				t.Fatalf("op %q: retention on err %v step %v, retention off err %v step %v",
+					op, errs[0], stepped[0], errs[1], stepped[1])
+			}
+			// A job that cannot be cancelled has finished, and with
+			// retention off its record is gone from the table.
+			if victim >= 0 && errs[0] != nil && !strings.Contains(errs[1].Error(), "no job") {
+				t.Fatalf("cancel of evicted job %d: %v, want no job", victim, errs[1])
+			}
+			if on, off := c.Stats(), ev.Stats(); on != off {
+				t.Fatalf("after op %q: stats with retention on %+v, off %+v", op, on, off)
+			}
+			for _, c := range cs {
+				if err := c.CheckInvariants(); err != nil {
+					t.Fatalf("after op %q: %v", op, err)
+				}
 			}
 		}
 		// The simulation must always terminate: every submitted job
 		// reaches a terminal state in bounded events once all nodes are
 		// repaired (requeue budgets are finite).
-		for i := 0; i < nodes; i++ {
-			_ = c.RepairNode(i)
-		}
-		for limit := 0; c.Step(); limit++ {
-			if limit > 10_000 {
-				t.Fatal("event loop did not terminate")
+		for _, c := range cs {
+			for i := 0; i < nodes; i++ {
+				_ = c.RepairNode(i)
 			}
-			if err := c.CheckInvariants(); err != nil {
-				t.Fatal(err)
+			for limit := 0; c.Step(); limit++ {
+				if limit > 10_000 {
+					t.Fatal("event loop did not terminate")
+				}
+				if err := c.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
+		if on, off := c.Stats(), ev.Stats(); on != off {
+			t.Fatalf("after drain: stats with retention on %+v, off %+v", on, off)
+		}
+		live := 0
 		for _, id := range ids {
 			j, err := c.Status(id)
 			if err != nil {
@@ -106,6 +143,7 @@ func FuzzClusterFaultOps(f *testing.F) {
 				t.Fatalf("job %d still running after drain", id)
 			}
 			if j.State == Pending {
+				live++
 				// Legal only if it can never be placed; with all nodes
 				// repaired and the queue drained, a placeable job must
 				// have started. A pending requeued job with unexpired
@@ -114,6 +152,9 @@ func FuzzClusterFaultOps(f *testing.F) {
 					t.Fatalf("job %d pending with live backoff after drain", id)
 				}
 			}
+		}
+		if ev.LiveJobs() != live {
+			t.Fatalf("retention off holds %d jobs after drain, want the %d pending", ev.LiveJobs(), live)
 		}
 	})
 }

@@ -1,0 +1,116 @@
+package cluster
+
+import (
+	"slices"
+	"strings"
+	"testing"
+	"time"
+)
+
+// TestCopiesSurviveRecordReuse pins that Status and Jobs hand out node
+// lists of their own: with retention off a finished job's record and its
+// node array go to the next submission, whose placement overwrites the
+// array.
+func TestCopiesSurviveRecordReuse(t *testing.T) {
+	c := newTestCluster(t, 2)
+	c.SetRetainFinished(false)
+	submit := func(tasks int, run time.Duration) int {
+		t.Helper()
+		id, err := c.Submit(JobSpec{Name: "j", Tasks: tasks, BaseTime: run})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	submit(16, time.Hour)        // half of node 0, for the whole test
+	a := submit(32, time.Minute) // node 1
+	status, err := c.Status(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listed Job
+	for _, j := range c.Jobs() {
+		if j.ID == a {
+			listed = j
+		}
+	}
+	rec := c.jobs[a]
+	submit(32, time.Hour) // waits for node 1
+	c.Step()              // a ends; the waiting job takes node 1
+	b := submit(4, time.Hour)
+	if c.jobs[b] != rec || !slices.Equal(c.jobs[b].Nodes, []int{0}) {
+		t.Fatalf("setup: job %d does not hold job %d's record on node 0", b, a)
+	}
+	for _, cp := range []struct {
+		from string
+		job  Job
+	}{{"Status", status}, {"Jobs", listed}} {
+		if !slices.Equal(cp.job.Nodes, []int{1}) {
+			t.Errorf("%s copy of job %d lists nodes %v after its record was reused, want [1]", cp.from, a, cp.job.Nodes)
+		}
+	}
+}
+
+// TestRetentionOffEvictsFinished: turning retention off evicts the jobs
+// that finished while it was on, so the table again holds exactly the
+// live ones and their records become reusable.
+func TestRetentionOffEvictsFinished(t *testing.T) {
+	c := newTestCluster(t, 1)
+	done, _ := c.Submit(JobSpec{Name: "done", Tasks: 32, BaseTime: time.Minute})
+	c.Step()
+	c.Submit(JobSpec{Name: "run", Tasks: 32, BaseTime: time.Hour})
+	c.SetRetainFinished(false)
+	if _, err := c.Status(done); err == nil || c.LiveJobs() != 1 || len(c.free) != 1 {
+		t.Fatalf("after turning retention off: %d live jobs, %d free records, Status(%d) err %v; want 1, 1, an error",
+			c.LiveJobs(), len(c.free), done, err)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckInvariantsCatches corrupts one piece of bookkeeping per case
+// and requires CheckInvariants to name it. The cluster holds a finished
+// job (retained), a running one and a pending one.
+func TestCheckInvariantsCatches(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(c *Cluster)
+		want    string
+	}{
+		{"table key", func(c *Cluster) { c.jobs[99] = c.running[0] }, "table entry 99"},
+		{"pending job holds nodes", func(c *Cluster) {
+			j := c.order[0]
+			j.Nodes, j.tasksOn = []int{0}, []int{1}
+		}, "holds nodes"},
+		{"conservation", func(c *Cluster) { c.agg.submitted++ }, "jobs submitted"},
+		{"queued job not pending", func(c *Cluster) { c.order[0].State = Cancelled }, "queued job"},
+		{"retention off keeps a finished job", func(c *Cluster) { c.retainFinished = false }, "retention off"},
+		{"live record kept for reuse", func(c *Cluster) { c.free = append(c.free, c.running[0]) }, "kept for reuse"},
+		{"table record kept for reuse", func(c *Cluster) { c.free = append(c.free, c.jobs[1]) }, "kept for reuse"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCluster(t, 1)
+			for _, spec := range []JobSpec{
+				{Name: "done", Tasks: 32, BaseTime: time.Minute},
+				{Name: "run", Tasks: 32, BaseTime: time.Hour},
+				{Name: "wait", Tasks: 32, BaseTime: time.Hour},
+			} {
+				if _, err := c.Submit(spec); err != nil {
+					t.Fatal(err)
+				}
+				if spec.Name == "done" {
+					c.Step()
+				}
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatalf("before corruption: %v", err)
+			}
+			tc.corrupt(c)
+			err := c.CheckInvariants()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("CheckInvariants = %v, want an error naming %q", err, tc.want)
+			}
+		})
+	}
+}

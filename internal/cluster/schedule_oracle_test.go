@@ -234,8 +234,12 @@ type ScheduleTwin struct {
 	events   int
 }
 
-// NewScheduleTwin builds the pair with one policy and backfill scan cap.
-func NewScheduleTwin(t testing.TB, label string, nodes int, policy Policy, backfillLimit int) *ScheduleTwin {
+// NewScheduleTwin builds the pair with one policy, backfill scan cap and
+// retention setting. With retention off the production cluster recycles
+// evicted records; the reference never does (the twin drops its free list
+// after every event), so a record that carries anything of its previous
+// job into the next one shows as a difference.
+func NewScheduleTwin(t testing.TB, label string, nodes int, policy Policy, backfillLimit int, retain bool) *ScheduleTwin {
 	t.Helper()
 	w := &ScheduleTwin{t: t, label: label}
 	for _, cp := range []**Cluster{&w.got, &w.ref} {
@@ -245,21 +249,48 @@ func NewScheduleTwin(t testing.TB, label string, nodes int, policy Policy, backf
 		}
 		c.SetPolicy(policy)
 		c.SetBackfillLimit(backfillLimit)
+		c.SetRetainFinished(retain)
 		*cp = c
 	}
 	return w
 }
 
-// Submit submits spec to both clusters.
-func (w *ScheduleTwin) Submit(spec JobSpec) {
+// Submit submits spec to both clusters and returns the job's id.
+func (w *ScheduleTwin) Submit(spec JobSpec) int {
 	w.t.Helper()
-	_, errGot := w.got.Submit(spec)
+	id, errGot := w.got.Submit(spec)
 	_, errRef := w.ref.enqueue(spec)
 	refSchedule(w.ref)
 	if (errGot == nil) != (errRef == nil) {
 		w.t.Fatalf("%s: submit %+v: production err %v, reference err %v", w.label, spec, errGot, errRef)
 	}
 	w.compare("submit")
+	return id
+}
+
+// Cancel cancels job id on both clusters. The reference cancels with its
+// pending queue hidden but for the job itself, so the production pass the
+// cancel ends in finds nothing to start, and the reference pass runs in
+// its place.
+func (w *ScheduleTwin) Cancel(id int) {
+	w.t.Helper()
+	errGot := w.got.Cancel(id)
+	hidden := w.ref.order
+	w.ref.order = nil
+	if j := w.ref.jobs[id]; j != nil && j.State == Pending {
+		w.ref.order = []*Job{j}
+		hidden = slices.DeleteFunc(hidden, func(p *Job) bool { return p == j })
+	}
+	errRef := w.ref.Cancel(id)
+	w.ref.order = hidden
+	w.ref.free = nil
+	if errRef == nil {
+		refSchedule(w.ref)
+	}
+	if (errGot == nil) != (errRef == nil) {
+		w.t.Fatalf("%s: cancel %d: production err %v, reference err %v", w.label, id, errGot, errRef)
+	}
+	w.compare("cancel")
 }
 
 // ScheduleNodeFail schedules a node failure and its repair on both clusters.
@@ -285,11 +316,12 @@ func (w *ScheduleTwin) Step() bool {
 	w.t.Helper()
 	okGot := w.got.Step()
 	ev, _ := w.ref.peekValid()
-	noPass := ev.class == evNode && w.ref.nodes[ev.node].down == ev.fail
+	noPass := ev.class() == evNode && w.ref.nodes[ev.node()].down == ev.fail()
 	hidden := w.ref.order
 	w.ref.order = nil
 	okRef := w.ref.Step()
 	w.ref.order = append(hidden, w.ref.order...)
+	w.ref.free = nil
 	if okRef && !noPass {
 		refSchedule(w.ref)
 	}
@@ -392,15 +424,20 @@ func oracleSpecs(rng *rand.Rand, nodes, n int, requeue bool) []JobSpec {
 	return specs
 }
 
-// ScheduleMatrix runs body once per policy and backfill scan cap.
-func ScheduleMatrix(t *testing.T, body func(t *testing.T, policy Policy, limit int)) {
+// ScheduleMatrix runs body once per policy, backfill scan cap and
+// retention setting.
+func ScheduleMatrix(t *testing.T, body func(t *testing.T, policy Policy, limit int, retain bool)) {
 	for _, policy := range []Policy{PolicyBackfill, PolicyFIFO} {
 		for _, limit := range []int{0, 1, 64} {
 			if policy == PolicyFIFO && limit != 0 {
 				continue // the cap only exists in the backfill scan
 			}
 			t.Run(fmt.Sprintf("%v/limit=%d", policy, limit), func(t *testing.T) {
-				body(t, policy, limit)
+				for _, retain := range []bool{true, false} {
+					t.Run(fmt.Sprintf("retain=%v", retain), func(t *testing.T) {
+						body(t, policy, limit, retain)
+					})
+				}
 			})
 		}
 	}
@@ -410,11 +447,11 @@ func ScheduleMatrix(t *testing.T, body func(t *testing.T, policy Policy, limit i
 // limits and kernel jobs: a burst submitted up front so the queue is deep,
 // then arrivals interleaved with events.
 func TestScheduleOracleRandom(t *testing.T) {
-	ScheduleMatrix(t, func(t *testing.T, policy Policy, limit int) {
+	ScheduleMatrix(t, func(t *testing.T, policy Policy, limit int, retain bool) {
 		for seed := int64(1); seed <= 6; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			nodes := 1 + rng.Intn(5)
-			w := NewScheduleTwin(t, fmt.Sprintf("seed %d", seed), nodes, policy, limit)
+			w := NewScheduleTwin(t, fmt.Sprintf("seed %d", seed), nodes, policy, limit, retain)
 			specs := oracleSpecs(rng, nodes, 60, false)
 			for _, s := range specs[:30] {
 				w.Submit(s)
@@ -434,12 +471,12 @@ func TestScheduleOracleRandom(t *testing.T) {
 // and repairs under a mix in which half the jobs requeue, so jobs in
 // backoff sit in the queue (at its front, too) while the pass runs.
 func TestScheduleOracleFaults(t *testing.T) {
-	ScheduleMatrix(t, func(t *testing.T, policy Policy, limit int) {
+	ScheduleMatrix(t, func(t *testing.T, policy Policy, limit int, retain bool) {
 		requeues := 0
 		for seed := int64(20); seed <= 25; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			nodes := 2 + rng.Intn(3)
-			w := NewScheduleTwin(t, fmt.Sprintf("seed %d", seed), nodes, policy, limit)
+			w := NewScheduleTwin(t, fmt.Sprintf("seed %d", seed), nodes, policy, limit, retain)
 			for k := 0; k < 4; k++ {
 				failAt := time.Duration(5+11*k+rng.Intn(30)) * time.Second
 				w.ScheduleNodeFail(rng.Intn(nodes), failAt, failAt+time.Duration(30+rng.Intn(60))*time.Second)
@@ -452,6 +489,52 @@ func TestScheduleOracleFaults(t *testing.T) {
 		}
 		if requeues == 0 {
 			t.Fatal("the fault plans requeued no job: backoff never entered the queue")
+		}
+	})
+}
+
+// TestScheduleOracleCancel adds cancellations to the fault plan's mix,
+// drawn from every id submitted so far: pending, running, requeued in
+// backoff, finished and, with retention off, evicted ids whose record a
+// later job now holds. With retention off the production cluster must
+// actually have recycled records for the run to count.
+func TestScheduleOracleCancel(t *testing.T) {
+	ScheduleMatrix(t, func(t *testing.T, policy Policy, limit int, retain bool) {
+		cancelled, reused := 0, 0
+		for seed := int64(40); seed <= 45; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			nodes := 2 + rng.Intn(3)
+			w := NewScheduleTwin(t, fmt.Sprintf("seed %d", seed), nodes, policy, limit, retain)
+			for k := 0; k < 4; k++ {
+				failAt := time.Duration(5+11*k+rng.Intn(30)) * time.Second
+				w.ScheduleNodeFail(rng.Intn(nodes), failAt, failAt+time.Duration(30+rng.Intn(60))*time.Second)
+			}
+			var ids []int
+			seen := map[*Job]bool{}
+			for _, s := range oracleSpecs(rng, nodes, 60, true) {
+				w.RunUntil(w.got.now + time.Duration(rng.Intn(15))*time.Second)
+				id := w.Submit(s)
+				ids = append(ids, id)
+				if j := w.got.jobs[id]; seen[j] {
+					reused++
+				} else {
+					seen[j] = true
+				}
+				if rng.Intn(3) == 0 {
+					victim := ids[rng.Intn(len(ids))]
+					if j := w.got.jobs[victim]; j != nil && (j.State == Pending || j.State == Running) {
+						cancelled++
+					}
+					w.Cancel(victim)
+				}
+			}
+			w.Drain()
+		}
+		if cancelled == 0 {
+			t.Fatal("no cancel hit a live job")
+		}
+		if !retain && reused == 0 {
+			t.Fatal("no record was recycled: the run never crossed a reused record")
 		}
 	})
 }

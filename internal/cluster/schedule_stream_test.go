@@ -27,7 +27,7 @@ func TestScheduleOracleStreams(t *testing.T) {
 		"poisson:1/s;runtime=pareto:1.01,1s",
 		"poisson:1200/h;runtime=pareto:1.5,30s,30m;tasks=zipf:64,1.15;timelimit=4x",
 	}
-	cluster.ScheduleMatrix(t, func(t *testing.T, policy cluster.Policy, limit int) {
+	cluster.ScheduleMatrix(t, func(t *testing.T, policy cluster.Policy, limit int, retain bool) {
 		for i, raw := range specs {
 			spec, err := workload.Parse(raw)
 			if err != nil {
@@ -38,7 +38,7 @@ func TestScheduleOracleStreams(t *testing.T) {
 			}
 			for _, mult := range []float64{1, 8} {
 				label := fmt.Sprintf("%q x%g", raw, mult)
-				w := cluster.NewScheduleTwin(t, label, nodes, policy, limit)
+				w := cluster.NewScheduleTwin(t, label, nodes, policy, limit, retain)
 				g := workload.NewGenerator(spec, int64(i+1))
 				g.SetRateMultiplier(mult)
 				for n := 0; n < jobs; n++ {

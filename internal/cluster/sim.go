@@ -23,40 +23,43 @@ const (
 	evJobTimeout
 )
 
-// simEvent is one entry of the unified event heap. Job-bound events are
-// stamped with the job's generation at push time; any later rate or
-// state transition bumps the generation, so stale entries are simply
-// discarded when they surface (lazy invalidation — the heap is never
-// searched or re-keyed).
+// simEvent is one entry of the unified event heap, 32 bytes. Job-bound
+// events point at their job's record and are stamped with its generation
+// at push time; any later rate or state transition bumps the generation,
+// so stale entries are simply discarded when they surface (lazy
+// invalidation — the heap is never searched or re-keyed). A recycled
+// record keeps counting generations, so an entry left over from its
+// previous job never validates against the next one.
 type simEvent struct {
-	at    time.Duration
-	class eventClass
-	job   int    // job id (evRequeue/evJobDone/evJobTimeout)
-	gen   uint32 // job generation at push time
-	seq   uint64 // push order; final FIFO tie-break
-	node  int    // node id (evNode)
-	fail  bool   // evNode: failure vs repair
+	at  time.Duration
+	job *Job // evRequeue/evJobDone/evJobTimeout; nil for evNode
+	// key breaks ties at one instant: class<<62 | job id for job events,
+	// the push sequence for node events (class 0).
+	key uint64
+	// aux is the job's generation at push time, or node<<1 | fail.
+	aux uint32
 }
 
-// evLess is the heap order: time, then class, then job id, then push
-// order. Everything after `at` only breaks exact ties, deterministically.
+// jobEvent builds a job-bound event under the job's current generation.
+func jobEvent(at time.Duration, class eventClass, j *Job) simEvent {
+	return simEvent{at: at, job: j, key: uint64(class)<<62 | uint64(j.ID), aux: j.gen}
+}
+
+func (ev simEvent) class() eventClass { return eventClass(ev.key >> 62) }
+func (ev simEvent) node() int         { return int(ev.aux >> 1) }
+func (ev simEvent) fail() bool        { return ev.aux&1 != 0 }
+
+// evLess is the heap order: time, then class, then job id for job events
+// or push order for node events. Everything after `at` only breaks exact
+// ties, deterministically: two events of one job tie on the whole order
+// only when at most one of them is live, and the stale one is dropped
+// whichever surfaces first.
 func evLess(a, b simEvent) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.class != b.class {
-		return a.class < b.class
-	}
-	if a.job != b.job {
-		return a.job < b.job
-	}
-	return a.seq < b.seq
+	return a.at < b.at || a.at == b.at && a.key < b.key
 }
 
 // pushEvent adds an event to the min-heap (sift-up).
 func (c *Cluster) pushEvent(ev simEvent) {
-	ev.seq = c.eventSeq
-	c.eventSeq++
 	c.events = append(c.events, ev)
 	i := len(c.events) - 1
 	for i > 0 {
@@ -93,17 +96,15 @@ func (c *Cluster) popEventHeap() simEvent {
 	}
 }
 
-// eventValid reports whether a popped event still describes reality.
-func (c *Cluster) eventValid(ev simEvent) bool {
-	switch ev.class {
+// valid reports whether a popped event still describes reality.
+func (ev simEvent) valid() bool {
+	switch ev.class() {
 	case evNode:
 		return true
 	case evRequeue:
-		j, ok := c.jobs[ev.job]
-		return ok && j.State == Pending && ev.gen == j.gen
+		return ev.job.State == Pending && ev.aux == ev.job.gen
 	default: // evJobDone, evJobTimeout
-		j, ok := c.jobs[ev.job]
-		return ok && j.State == Running && ev.gen == j.gen
+		return ev.job.State == Running && ev.aux == ev.job.gen
 	}
 }
 
@@ -112,7 +113,7 @@ func (c *Cluster) eventValid(ev simEvent) bool {
 // valid — RunUntil's peek + Step's pop cost one pop total per event.
 func (c *Cluster) peekValid() (simEvent, bool) {
 	for len(c.events) > 0 {
-		if c.eventValid(c.events[0]) {
+		if c.events[0].valid() {
 			return c.events[0], true
 		}
 		c.popEventHeap()
@@ -130,10 +131,10 @@ func (c *Cluster) pushJobEvents(j *Job) {
 		return
 	}
 	if eta, ok := c.completionETA(j); ok {
-		c.pushEvent(simEvent{at: eta, class: evJobDone, job: j.ID, gen: j.gen})
+		c.pushEvent(jobEvent(eta, evJobDone, j))
 	}
 	if j.Spec.TimeLimit > 0 {
-		c.pushEvent(simEvent{at: j.StartTime + j.Spec.TimeLimit, class: evJobTimeout, job: j.ID, gen: j.gen})
+		c.pushEvent(jobEvent(j.StartTime+j.Spec.TimeLimit, evJobTimeout, j))
 	}
 }
 
@@ -186,26 +187,26 @@ func (c *Cluster) Step() bool {
 	if ev.at > c.now {
 		c.advanceTo(ev.at)
 	}
-	switch ev.class {
+	switch ev.class() {
 	case evNode:
 		// Late-scheduled events fire immediately (at <= now handled by
 		// the clamp above).
-		if ev.fail {
-			c.FailNode(ev.node) // kills residents, requeues, reschedules
+		if ev.fail() {
+			c.FailNode(ev.node()) // kills residents, requeues, reschedules
 		} else {
-			c.RepairNode(ev.node)
+			c.RepairNode(ev.node())
 		}
 	case evRequeue:
 		c.schedule()
 	case evJobDone:
-		j := c.jobs[ev.job]
+		j := ev.job
 		c.settle(j)
 		j.remaining = 0
 		c.finish(j, Completed)
 		c.evict(j)
 		c.schedule()
 	case evJobTimeout:
-		j := c.jobs[ev.job]
+		j := ev.job
 		c.settle(j)
 		c.finish(j, TimedOut)
 		c.evict(j)
@@ -265,7 +266,7 @@ func (c *Cluster) EventProbe() (dispatched, stale int) {
 func (c *Cluster) Jobs() []Job {
 	out := make([]Job, 0, len(c.jobs))
 	for _, j := range c.jobs {
-		out = append(out, *j)
+		out = append(out, j.copyOut())
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	return out
@@ -352,17 +353,27 @@ func truncate(s string, n int) string {
 
 // CheckInvariants validates the scheduler's bookkeeping: per-node free
 // cores must equal capacity minus the tasks of resident jobs, exclusive
-// nodes host exactly one job, every running job's nodes list it, and no
-// node is oversubscribed. Tests call it after every event (or, at
-// million-job scale, on a sampled subset of events — it is O(jobs)).
+// nodes host exactly one job, every running job's nodes list it, no node
+// is oversubscribed and only running jobs hold nodes. Every submitted
+// job is pending, running or counted once as finished; with retention
+// off the table holds exactly the pending and running jobs, and no
+// record kept for reuse is live or in the table. Tests call it after
+// every event (or, at million-job scale, on a sampled subset of events —
+// it is O(jobs)).
 func (c *Cluster) CheckInvariants() error {
 	type nodeLoad struct {
 		tasks int
 		jobs  int
 	}
 	load := make([]nodeLoad, len(c.nodes))
-	for _, j := range c.jobs {
+	for id, j := range c.jobs {
+		if j.ID != id {
+			return fmt.Errorf("cluster: table entry %d holds job %d", id, j.ID)
+		}
 		if j.State != Running {
+			if len(j.Nodes) > 0 || len(j.tasksOn) > 0 {
+				return fmt.Errorf("cluster: %v job %d holds nodes %v", j.State, j.ID, j.Nodes)
+			}
 			continue
 		}
 		if j.runIdx >= len(c.running) || c.running[j.runIdx] != j {
@@ -419,6 +430,26 @@ func (c *Cluster) CheckInvariants() error {
 		}
 		if len(n.jobs) != load[i].jobs {
 			return fmt.Errorf("cluster: node %d lists %d jobs, %d resident", i, len(n.jobs), load[i].jobs)
+		}
+	}
+	a := &c.agg
+	if held := len(c.order) + len(c.running) + a.completed + a.timedOut + a.cancelled + a.nodeFailed; held != a.submitted {
+		return fmt.Errorf("cluster: %d jobs submitted, %d pending, running or finished", a.submitted, held)
+	}
+	for _, j := range c.order {
+		if j.State != Pending || c.jobs[j.ID] != j {
+			return fmt.Errorf("cluster: queued job %d is %v or missing from the table", j.ID, j.State)
+		}
+	}
+	if live := len(c.order) + len(c.running); !c.retainFinished && len(c.jobs) != live {
+		return fmt.Errorf("cluster: table holds %d jobs with retention off, want the %d pending and running", len(c.jobs), live)
+	}
+	// Queued and running records are live and table ones sit under their
+	// own id, so a free record that is neither live nor in the table is
+	// reachable from none of them.
+	for _, j := range c.free {
+		if j.State == Pending || j.State == Running || c.jobs[j.ID] == j {
+			return fmt.Errorf("cluster: record of job %d kept for reuse is %v and reachable", j.ID, j.State)
 		}
 	}
 	return nil

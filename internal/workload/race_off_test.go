@@ -53,11 +53,12 @@ func TestMillionJobDrain(t *testing.T) {
 }
 
 // TestAllocSchedulePassDrain budgets the two bench drains' allocations
-// per job. What a job costs is its record, its name and its allocation
-// (node ids and task counts in one array); the scheduling pass itself
-// allocates nothing, so the knee's deep queue costs no more per job than
-// the stream's trivial one. The budgets leave room for the amortised
-// growth of the job table, the queue and the event heap.
+// per job. A drained job costs one allocation: its name. With retention
+// off the cluster reuses evicted records with their node arrays, and the
+// scheduling pass itself allocates nothing, so the knee's deep queue
+// costs no more per job than the stream's trivial one. The budgets leave
+// room for the amortised growth of the job table, the queue, the event
+// heap and the pool of records.
 func TestAllocSchedulePassDrain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("streams 240k jobs")
@@ -66,8 +67,8 @@ func TestAllocSchedulePassDrain(t *testing.T) {
 		drain  drainCase
 		budget float64 // allocations per job
 	}{
-		{streamDrain, 5},
-		{kneeDrain, 11},
+		{streamDrain, 1.1},
+		{kneeDrain, 1.1},
 	} {
 		allocs := testing.AllocsPerRun(1, func() {
 			if _, err := tc.drain.run(1); err != nil {
