@@ -217,3 +217,32 @@ func TestAllocDDPBucketFlush(t *testing.T) {
 		t.Errorf("steady-state DDP step allocations: %.1f, want <= %.0f (%d buckets)", avg, budget, buckets)
 	}
 }
+
+// TestAllocMLPKernels: the step's compute — forward, loss, backward
+// through every layer and the momentum update — allocates nothing; the
+// step's whole allocation budget belongs to the runtime's requests.
+func TestAllocMLPKernels(t *testing.T) {
+	cfg := testConfig()
+	m := newModel(cfg.Layers, 5, cfg.BucketBytes, 2, false, cfg.Seed)
+	X := make([]float64, 5*cfg.Layers[0])
+	Y := make([]float64, 5*cfg.Layers[len(cfg.Layers)-1])
+	for i := range X {
+		X[i] = float64(i%7) - 3
+	}
+	avg := testing.AllocsPerRun(20, func() {
+		m.forward(X)
+		m.outputLoss(Y)
+		for l := len(m.layers) - 1; l >= 0; l-- {
+			m.backwardLayer(l)
+		}
+		for _, b := range m.buckets {
+			b.updateFull(0.05, 0.9, 0.5)
+		}
+	})
+	if raceEnabled {
+		t.Skipf("allocs/step under -race: %.1f (budget not enforced)", avg)
+	}
+	if avg != 0 {
+		t.Errorf("MLP step kernels allocate %.1f times per step, want 0", avg)
+	}
+}

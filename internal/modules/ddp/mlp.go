@@ -44,11 +44,16 @@ type bucket struct {
 
 // updateFull applies momentum SGD to the whole bucket from the
 // allreduced gradient sums: g = Σ_ranks ∇/np, v = μv + g, p -= lr·v.
+// grads and vel are resliced to the parameters' length so the loop runs
+// without bounds checks.
 func (b *bucket) updateFull(lr, momentum, invNP float64) {
-	for i := range b.params {
-		g := b.grads[i] * invNP
-		b.vel[i] = momentum*b.vel[i] + g
-		b.params[i] -= lr * b.vel[i]
+	params := b.params
+	grads, vel := b.grads[:len(params)], b.vel[:len(params)]
+	for i := range params {
+		g := grads[i] * invNP
+		v := momentum*vel[i] + g
+		vel[i] = v
+		params[i] -= lr * v
 	}
 }
 
@@ -211,6 +216,21 @@ func (m *model) setFlatVel(v []float64) {
 	}
 }
 
+// The step kernels below walk the batch in blocks of four samples, so
+// one pass over a weight row serves four samples, and finish the last
+// batch%4 samples one at a time. Blocking changes only the walk, never
+// the order of a sum: each dot product is one accumulator from b[o] in
+// ascending i, dW and db add their samples in ascending s, and delta2
+// adds its outputs in ascending o — so results are bit-identical to the
+// plain per-sample loops (mlp_oracle_test.go keeps those as the oracle).
+// Rows are resliced to the weight row's length so the inner loops run
+// without bounds checks.
+
+// rows4 returns rows s..s+3 of the row-major matrix M with n columns.
+func rows4(M []float64, s, n int) (r0, r1, r2, r3 []float64) {
+	return M[s*n : (s+1)*n], M[(s+1)*n : (s+2)*n], M[(s+2)*n : (s+3)*n], M[(s+3)*n : (s+4)*n]
+}
+
 // forward runs the batch through the network: tanh hidden layers, linear
 // output. X is batch×sizes[0] row-major and is copied into acts[0] for
 // backward.
@@ -220,16 +240,37 @@ func (m *model) forward(X []float64) {
 	for l, lay := range m.layers {
 		in, out := lay.in, lay.out
 		A, Z := m.acts[l], m.acts[l+1]
-		for s := 0; s < m.batch; s++ {
+		hidden := l != last
+		s := 0
+		for ; s+4 <= m.batch; s += 4 {
+			a0, a1, a2, a3 := rows4(A, s, in)
+			for o := 0; o < out; o++ {
+				w := lay.W[o*in : (o+1)*in]
+				a0, a1, a2, a3 := a0[:len(w)], a1[:len(w)], a2[:len(w)], a3[:len(w)]
+				s0, s1, s2, s3 := lay.b[o], lay.b[o], lay.b[o], lay.b[o]
+				for i, wi := range w {
+					s0 += wi * a0[i]
+					s1 += wi * a1[i]
+					s2 += wi * a2[i]
+					s3 += wi * a3[i]
+				}
+				if hidden {
+					s0, s1, s2, s3 = math.Tanh(s0), math.Tanh(s1), math.Tanh(s2), math.Tanh(s3)
+				}
+				Z[s*out+o], Z[(s+1)*out+o], Z[(s+2)*out+o], Z[(s+3)*out+o] = s0, s1, s2, s3
+			}
+		}
+		for ; s < m.batch; s++ {
 			arow := A[s*in : (s+1)*in]
 			zrow := Z[s*out : (s+1)*out]
-			for o := 0; o < out; o++ {
+			for o := range zrow {
+				w := lay.W[o*in : (o+1)*in]
+				arow := arow[:len(w)]
 				sum := lay.b[o]
-				wrow := lay.W[o*in : (o+1)*in]
-				for i, a := range arow {
-					sum += wrow[i] * a
+				for i, wi := range w {
+					sum += wi * arow[i]
 				}
-				if l != last {
+				if hidden {
 					sum = math.Tanh(sum)
 				}
 				zrow[o] = sum
@@ -262,13 +303,29 @@ func (m *model) outputLoss(Y []float64) float64 {
 func (m *model) backwardLayer(l int) {
 	lay := m.layers[l]
 	in, out := lay.in, lay.out
-	A := m.acts[l]
-	for s := 0; s < m.batch; s++ {
-		drow := m.delta[s*out : (s+1)*out]
+	A, D := m.acts[l], m.delta
+	s := 0
+	for ; s+4 <= m.batch; s += 4 {
+		d0, d1, d2, d3 := rows4(D, s, out)
+		d1, d2, d3 = d1[:len(d0)], d2[:len(d0)], d3[:len(d0)]
+		a0, a1, a2, a3 := rows4(A, s, in)
+		for o, g0 := range d0 {
+			g1, g2, g3 := d1[o], d2[o], d3[o]
+			lay.db[o] = lay.db[o] + g0 + g1 + g2 + g3
+			wg := lay.dW[o*in : (o+1)*in]
+			a0, a1, a2, a3 := a0[:len(wg)], a1[:len(wg)], a2[:len(wg)], a3[:len(wg)]
+			for i, v := range wg {
+				wg[i] = v + g0*a0[i] + g1*a1[i] + g2*a2[i] + g3*a3[i]
+			}
+		}
+	}
+	for ; s < m.batch; s++ {
+		drow := D[s*out : (s+1)*out]
 		arow := A[s*in : (s+1)*in]
 		for o, d := range drow {
 			lay.db[o] += d
 			wg := lay.dW[o*in : (o+1)*in]
+			arow := arow[:len(wg)]
 			for i, a := range arow {
 				wg[i] += d * a
 			}
@@ -278,22 +335,38 @@ func (m *model) backwardLayer(l int) {
 		return // no need to propagate into the input
 	}
 	// delta2 = (delta · W) ⊙ tanh'(input activation); tanh' = 1 - a².
-	for s := 0; s < m.batch; s++ {
-		drow := m.delta[s*out : (s+1)*out]
-		prow := m.delta2[s*in : (s+1)*in]
-		for i := range prow {
-			prow[i] = 0
-		}
-		for o, d := range drow {
-			wrow := lay.W[o*in : (o+1)*in]
-			for i, w := range wrow {
-				prow[i] += d * w
+	P := m.delta2[:m.batch*in]
+	clear(P)
+	s = 0
+	for ; s+4 <= m.batch; s += 4 {
+		d0, d1, d2, d3 := rows4(D, s, out)
+		d1, d2, d3 = d1[:len(d0)], d2[:len(d0)], d3[:len(d0)]
+		p0, p1, p2, p3 := rows4(P, s, in)
+		for o, g0 := range d0 {
+			g1, g2, g3 := d1[o], d2[o], d3[o]
+			w := lay.W[o*in : (o+1)*in]
+			p0, p1, p2, p3 := p0[:len(w)], p1[:len(w)], p2[:len(w)], p3[:len(w)]
+			for i, wi := range w {
+				p0[i] += g0 * wi
+				p1[i] += g1 * wi
+				p2[i] += g2 * wi
+				p3[i] += g3 * wi
 			}
 		}
-		arow := A[s*in : (s+1)*in]
-		for i, a := range arow {
-			prow[i] *= 1 - a*a
+	}
+	for ; s < m.batch; s++ {
+		drow := D[s*out : (s+1)*out]
+		prow := P[s*in : (s+1)*in]
+		for o, d := range drow {
+			w := lay.W[o*in : (o+1)*in]
+			prow := prow[:len(w)]
+			for i, wi := range w {
+				prow[i] += d * wi
+			}
 		}
+	}
+	for i, a := range A[:len(P)] {
+		P[i] *= 1 - a*a
 	}
 	m.delta, m.delta2 = m.delta2, m.delta
 }

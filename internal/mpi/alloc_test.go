@@ -142,6 +142,57 @@ func TestAllocTreeAllreduceBound(t *testing.T) {
 	}
 }
 
+// TestAllocStackBufferCollectives: small blocking reductions into a
+// caller's stack array — the shape of distsort's and hashjoin's counters —
+// allocate nothing. The fold must not let its operator escape: the hop
+// state carries both the operator and the buffer, so an escaping
+// operator moves the caller's array to the heap on every call.
+func TestAllocStackBufferCollectives(t *testing.T) {
+	const warmup, rounds = 20, 50
+	var avg float64
+	err := Run(4, func(c *Comm) error {
+		step := func() error {
+			var counts [2]int64
+			counts[0] = int64(c.Rank())
+			if err := AllreduceInto(c, counts[:], OpSum); err != nil {
+				return err
+			}
+			var sums [3]float64
+			sums[1] = float64(counts[0])
+			return ReduceInto(c, sums[:], OpSum, 0)
+		}
+		if c.Rank() == 0 {
+			for i := 0; i < warmup; i++ {
+				if err := step(); err != nil {
+					return err
+				}
+			}
+			var inner error
+			avg = testing.AllocsPerRun(rounds, func() {
+				if err := step(); err != nil && inner == nil {
+					inner = err
+				}
+			})
+			return inner
+		}
+		for i := 0; i < warmup+rounds+1; i++ {
+			if err := step(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raceEnabled {
+		t.Skipf("race detector instrumentation allocates; traffic ran clean (avg %.2f not asserted)", avg)
+	}
+	if avg >= 0.5 {
+		t.Fatalf("stack-buffer AllreduceInto + ReduceInto allocate %.2f allocs/op world-wide, want 0", avg)
+	}
+}
+
 // TestAllocReleaseOptional documents the ownership contract: a caller
 // that never releases received buffers stays correct — the runtime just
 // allocates fresh ones.

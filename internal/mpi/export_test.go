@@ -1,0 +1,14 @@
+package mpi
+
+// Test-only views of unexported kernels for the package mpi_test tests,
+// which instantiate the predefined operators outside package mpi the way
+// every module does.
+
+// IsSum reports whether reduceFromWire recognises op as OpSum and folds
+// with an inline +.
+func IsSum[T Scalar](op Op[T]) bool { return isSum(op) }
+
+// ReduceFromWire is reduceFromWire.
+func ReduceFromWire[T Scalar](dst []T, b []byte, op Op[T]) error {
+	return reduceFromWire(dst, b, op)
+}
