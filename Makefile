@@ -46,7 +46,7 @@ check: faults chaos
 	$(GO) test -race -run NONE -bench '$(MPI_BENCHES)' -benchtime=1x .
 	$(GO) test -race -run NONE -bench '$(RMA_BENCHES)' -benchtime=1x .
 	$(GO) test -race -run NONE -bench '$(DDP_BENCHES)' -benchtime=1x .
-	$(GO) test -run 'TestAllocSchedulePass|TestAllocJoin|TestAllocLocalKernels|TestAllocSort|TestAllocRadixScratch|TestAllocKmeansSteady|TestAllocFreeEagerPingPong|TestAllocStackBuffer|TestAllocDDP|TestAllocMLP' ./internal/cluster ./internal/workload ./internal/modules/hashjoin ./internal/modules/distsort ./internal/modules/kmeans ./internal/modules/ddp ./internal/mpi
+	$(GO) test -run 'TestAllocSchedulePass|TestAllocJoin|TestAllocLocalKernels|TestAllocSort|TestAllocRadixScratch|TestAllocKmeansSteady|TestAllocFreeEagerPingPong|TestAllocStackBuffer|TestAllocCodec|TestAllocDDP|TestAllocMLP' ./internal/cluster ./internal/workload ./internal/modules/hashjoin ./internal/modules/distsort ./internal/modules/kmeans ./internal/modules/ddp ./internal/mpi
 	$(GO) test -run 'TestHelpGolden' ./cmd/sbatch ./cmd/modulerun
 	$(GO) run ./cmd/sbatch -workload "poisson:600/h;runtime=exp:60s;tasks=fixed:8" -njobs 100000 -nodes 4
 
@@ -114,6 +114,7 @@ bench-e2e:
 fuzz:
 	$(GO) test ./internal/mpi -fuzz=FuzzParseWire -fuzztime=10s
 	$(GO) test ./internal/mpi -fuzz=FuzzUnmarshalFloat64 -fuzztime=10s
+	$(GO) test ./internal/mpi -fuzz=FuzzCodec -fuzztime=10s
 	$(GO) test ./internal/mpi -fuzz=FuzzRMAFrame -fuzztime=10s
 	$(GO) test ./internal/mpi -fuzz=FuzzRMABatchFrame -fuzztime=10s
 	$(GO) test ./internal/mpi -fuzz=FuzzReliableFrame -fuzztime=10s

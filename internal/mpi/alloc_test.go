@@ -193,6 +193,34 @@ func TestAllocStackBufferCollectives(t *testing.T) {
 	}
 }
 
+// TestAllocCodec: encoding into a buffer with room and decoding into a
+// recycled slice allocate nothing, for a plain and a named element type.
+func TestAllocCodec(t *testing.T) {
+	xs := make([]float64, 1000)
+	named := make([]nInt16, 1000)
+	buf := make([]byte, 0, 8*len(xs))
+	dst := make([]float64, 0, len(xs))
+	namedDst := make([]nInt16, 0, len(named))
+	var err error
+	avg := testing.AllocsPerRun(100, func() {
+		buf = AppendMarshal(buf[:0], xs)
+		if dst, err = UnmarshalInto(dst[:0], buf); err != nil {
+			return
+		}
+		buf = AppendMarshal(buf[:0], named)
+		namedDst, err = UnmarshalInto(namedDst[:0], buf)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raceEnabled {
+		t.Skipf("race detector instrumentation allocates (avg %.2f not asserted)", avg)
+	}
+	if avg != 0 {
+		t.Fatalf("AppendMarshal + UnmarshalInto allocate %.2f times per round, want 0", avg)
+	}
+}
+
 // TestAllocReleaseOptional documents the ownership contract: a caller
 // that never releases received buffers stays correct — the runtime just
 // allocates fresh ones.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"time"
+	"unsafe"
 )
 
 // envelope kinds.
@@ -172,61 +173,39 @@ func marshalPooled[T Scalar](xs []T) []byte {
 	return AppendMarshal(getBuf(n)[:0], xs)
 }
 
+// hostLittleEndian is the host's byte order, read once at start-up. On a
+// little-endian host a scalar stored at its wire width is its own wire
+// encoding. Tests clear it to drive the element-wise fallback a
+// big-endian host runs.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// nativeWire reports whether a []T's memory image is its canonical wire
+// encoding: the host is little-endian and a T occupies its wire width
+// (size) in memory. That holds for every Scalar, named ones included,
+// except int and uint on 32-bit hosts.
+func nativeWire[T Scalar](size int) bool {
+	var z T
+	return hostLittleEndian && unsafe.Sizeof(z) == uintptr(size)
+}
+
+// memBytes is the memory image of xs as a byte slice sharing its array.
+// A byte view needs no alignment, so it is valid for any []T.
+func memBytes[T Scalar](xs []T) []byte {
+	var z T
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs)*int(unsafe.Sizeof(z)))
+}
+
 // AppendMarshal appends the canonical wire encoding of xs to dst and
 // returns the extended slice, allocating only when dst lacks capacity.
 // It is the zero-copy building block under Marshal and the typed send
 // wrappers.
 func AppendMarshal[T Scalar](dst []byte, xs []T) []byte {
-	switch v := any(xs).(type) {
-	case []byte:
-		return append(dst, v...)
-	case []float64:
-		for _, x := range v {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
-		}
-	case []float32:
-		for _, x := range v {
-			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(x))
-		}
-	case []int:
-		for _, x := range v {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(x)))
-		}
-	case []uint:
-		for _, x := range v {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(x))
-		}
-	case []int64:
-		for _, x := range v {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(x))
-		}
-	case []uint64:
-		for _, x := range v {
-			dst = binary.LittleEndian.AppendUint64(dst, x)
-		}
-	case []int32:
-		for _, x := range v {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(x))
-		}
-	case []uint32:
-		for _, x := range v {
-			dst = binary.LittleEndian.AppendUint32(dst, x)
-		}
-	case []int16:
-		for _, x := range v {
-			dst = binary.LittleEndian.AppendUint16(dst, uint16(x))
-		}
-	case []uint16:
-		for _, x := range v {
-			dst = binary.LittleEndian.AppendUint16(dst, x)
-		}
-	default:
-		// Named types (e.g. type ID int64) fall through the concrete
-		// switch; encode element-wise via the generic path.
-		size := scalarSize[T]()
-		for _, x := range xs {
-			dst = appendScalar(dst, x, size)
-		}
+	size := scalarSize[T]()
+	if nativeWire[T](size) {
+		return append(dst, memBytes(xs)...)
+	}
+	for _, x := range xs {
+		dst = appendScalar(dst, x, size)
 	}
 	return dst
 }
@@ -340,54 +319,15 @@ func decodeInto[T Scalar](dst []T, b []byte) error {
 
 // decodeSlice is the typed decode kernel shared by UnmarshalInto and
 // decodeInto; len(b) == len(out)*size is the caller's responsibility.
+// Where the wire is out's memory image it is one copy; elsewhere the
+// elements are decoded one at a time.
 func decodeSlice[T Scalar](out []T, b []byte, size int) {
-	switch v := any(out).(type) {
-	case []byte:
-		copy(v, b)
-	case []float64:
-		for i := range v {
-			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-		}
-	case []float32:
-		for i := range v {
-			v[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-		}
-	case []int:
-		for i := range v {
-			v[i] = int(int64(binary.LittleEndian.Uint64(b[i*8:])))
-		}
-	case []uint:
-		for i := range v {
-			v[i] = uint(binary.LittleEndian.Uint64(b[i*8:]))
-		}
-	case []int64:
-		for i := range v {
-			v[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
-		}
-	case []uint64:
-		for i := range v {
-			v[i] = binary.LittleEndian.Uint64(b[i*8:])
-		}
-	case []int32:
-		for i := range v {
-			v[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-		}
-	case []uint32:
-		for i := range v {
-			v[i] = binary.LittleEndian.Uint32(b[i*4:])
-		}
-	case []int16:
-		for i := range v {
-			v[i] = int16(binary.LittleEndian.Uint16(b[i*2:]))
-		}
-	case []uint16:
-		for i := range v {
-			v[i] = binary.LittleEndian.Uint16(b[i*2:])
-		}
-	default:
-		for i := range out {
-			out[i] = scalarFromBytes[T](b[i*size:], size)
-		}
+	if nativeWire[T](size) {
+		copy(memBytes(out), b)
+		return
+	}
+	for i := range out {
+		out[i] = scalarFromBytes[T](b[i*size:], size)
 	}
 }
 

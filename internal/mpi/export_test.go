@@ -12,3 +12,12 @@ func IsSum[T Scalar](op Op[T]) bool { return isSum(op) }
 func ReduceFromWire[T Scalar](dst []T, b []byte, op Op[T]) error {
 	return reduceFromWire(dst, b, op)
 }
+
+// forceCodecFallback makes the wire codec take the element-wise path a
+// big-endian host runs, for every type and alignment, until the returned
+// func restores the host's byte order. No world may be running meanwhile.
+func forceCodecFallback() (restore func()) {
+	host := hostLittleEndian
+	hostLittleEndian = false
+	return func() { hostLittleEndian = host }
+}

@@ -1,6 +1,10 @@
 package mpi
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+	"unsafe"
+)
 
 func TestClassFor(t *testing.T) {
 	cases := []struct {
@@ -84,4 +88,76 @@ func TestPendingRecvPool(t *testing.T) {
 		t.Fatal("recycled pendingRecv kept its envelope")
 	}
 	putPR(qr)
+}
+
+// TestWireBuffersAligned: the reduce kernels fold from a typed view of the
+// wire only where it is 8-byte aligned, so the fast path is the one that
+// runs only if every buffer a payload can land in is aligned: each pool
+// class, fresh and recycled, the oversize path, and every payload a
+// mailbox receives over the channel transport, over TCP and over TCP with
+// reliable links, on the eager and the rendezvous protocol alike.
+func TestWireBuffersAligned(t *testing.T) {
+	aligned := func(b []byte) bool { return uintptr(unsafe.Pointer(unsafe.SliceData(b)))%8 == 0 }
+	for class := 0; class < numBufClasses; class++ {
+		hi := 1 << (minBufClassBits + class)
+		for _, n := range []int{1, 7, hi/2 + 1, hi} {
+			if classFor(n) != class {
+				continue
+			}
+			fresh := getBuf(n)
+			putBuf(fresh)
+			recycled := getBuf(n)
+			if !aligned(fresh) || !aligned(recycled) {
+				t.Fatalf("getBuf(%d) (class %d): fresh at %p, recycled at %p, want 8-byte aligned", n, class, fresh, recycled)
+			}
+			putBuf(recycled)
+		}
+	}
+	if big := getBuf(1<<maxBufClassBits + 1); !aligned(big) {
+		t.Fatalf("oversize getBuf at %p, want 8-byte aligned", big)
+	}
+
+	sizes := []int{1, 7, 8, 13, 64, 100, DefaultEagerThreshold, DefaultEagerThreshold + 1, 3<<16 + 5}
+	runners := []struct {
+		name string
+		run  func(int, func(*Comm) error, ...Option) error
+		opts []Option
+	}{
+		{"channel", Run, nil},
+		{"tcp", RunTCP, nil},
+		{"tcp-reliable", RunTCP, []Option{WithReliableLinks()}},
+	}
+	for _, r := range runners {
+		t.Run(r.name, func(t *testing.T) {
+			err := r.run(2, func(c *Comm) error {
+				for i, n := range sizes {
+					if c.Rank() == 0 {
+						// Bytes the caller owns, and a typed payload the
+						// runtime marshals itself.
+						if err := c.SendBytes(make([]byte, n), 1, 2*i); err != nil {
+							return err
+						}
+						if err := Send(c, make([]float64, n), 1, 2*i+1); err != nil {
+							return err
+						}
+						continue
+					}
+					for tag := 2 * i; tag <= 2*i+1; tag++ {
+						b, _, err := c.RecvBytes(0, tag)
+						if err != nil {
+							return err
+						}
+						if !aligned(b) {
+							return fmt.Errorf("%d-byte payload (tag %d) received at %p, want 8-byte aligned", len(b), tag, b)
+						}
+						Release(b)
+					}
+				}
+				return nil
+			}, r.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }

@@ -1,8 +1,6 @@
 package mpi
 
 import (
-	"encoding/binary"
-	"math"
 	"reflect"
 	"unsafe"
 )
@@ -64,50 +62,61 @@ func codePtr[T Scalar](op Op[T]) uintptr {
 	return *(*uintptr)(fv)
 }
 
+// wireView is b read as a []T sharing its bytes, the operand the reduce
+// kernels fold from. ok is false unless the wire is the memory image of a
+// []T (nativeWire) and b is aligned for T; every pooled buffer is.
+func wireView[T Scalar](b []byte, size int) (w []T, ok bool) {
+	var z T
+	p := unsafe.Pointer(unsafe.SliceData(b))
+	if !nativeWire[T](size) || uintptr(p)%unsafe.Alignof(z) != 0 {
+		return nil, false
+	}
+	return unsafe.Slice((*T)(p), len(b)/size), true
+}
+
 // reduceFromWire folds a wire-format payload into dst elementwise without
-// materializing a decoded slice: dst[i] = op(dst[i], decode(b, i)). The
-// []float64 and []int64 cases — the element types every module's hot loop
-// reduces — decode straight off the byte stream, and when op is OpSum
-// they fold with an inline + instead of an indirect call per element
-// (bit-identical: OpSum(a, b) is a + b). Other types go through the
-// generic scalar decoder. The payload length must match dst exactly.
+// materializing a decoded slice: dst[i] = op(dst[i], decode(b, i)). It
+// folds from a typed view of the wire where wireView allows one, and
+// decodes element by element otherwise. On []float64 and []int64 — the
+// element types every module's hot loop reduces — OpSum folds with an
+// inline + instead of an indirect call per element (bit-identical:
+// OpSum(a, b) is a + b). The payload length must match dst exactly.
 func reduceFromWire[T Scalar](dst []T, b []byte, op Op[T]) error {
 	size := scalarSize[T]()
 	if len(b) != len(dst)*size {
 		return decodeInto(dst, b) // reuse its length-mismatch error
 	}
-	switch d := any(dst).(type) {
-	case []float64:
-		if isSum(op) {
-			// v + wire, not d[i] += wire: the compiler then keeps dst in
-			// the register the add overwrites, so NaN + NaN keeps dst's
-			// payload as OpSum's compiled a + b does (d[i] += wire folds
-			// the load of d[i] into the add and keeps the wire's).
-			// TestReduceFromWireSumMatchesGeneric pins it.
-			for i, v := range d {
-				d[i] = v + math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-			}
-			break
-		}
-		f := any(op).(Op[float64])
-		for i := range d {
-			d[i] = f(d[i], math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:])))
-		}
-	case []int64:
-		if isSum(op) {
-			for i := range d {
-				d[i] += int64(binary.LittleEndian.Uint64(b[i*8:]))
-			}
-			break
-		}
-		f := any(op).(Op[int64])
-		for i := range d {
-			d[i] = f(d[i], int64(binary.LittleEndian.Uint64(b[i*8:])))
-		}
-	default:
+	w, ok := wireView[T](b, size)
+	if !ok {
 		for i := range dst {
 			dst[i] = op(dst[i], scalarFromBytes[T](b[i*size:], size))
 		}
+		return nil
+	}
+	switch d := any(dst).(type) {
+	case []float64:
+		if isSum(op) {
+			// dst goes in the register the add overwrites and the wire
+			// is its memory operand, so NaN + NaN keeps dst's payload as
+			// OpSum's compiled a + b does.
+			// TestReduceFromWireSumMatchesGeneric pins it.
+			w := any(w).([]float64)[:len(d)]
+			for i, v := range d {
+				d[i] = v + w[i]
+			}
+			return nil
+		}
+	case []int64:
+		if isSum(op) {
+			w := any(w).([]int64)[:len(d)]
+			for i := range d {
+				d[i] += w[i]
+			}
+			return nil
+		}
+	}
+	for i := range dst {
+		dst[i] = op(dst[i], w[i])
 	}
 	return nil
 }
@@ -122,21 +131,14 @@ func reduceFromWireLeft[T Scalar](dst []T, b []byte, op Op[T]) error {
 	if len(b) != len(dst)*size {
 		return decodeInto(dst, b)
 	}
-	switch d := any(dst).(type) {
-	case []float64:
-		f := any(op).(Op[float64])
-		for i := range d {
-			d[i] = f(math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:])), d[i])
-		}
-	case []int64:
-		f := any(op).(Op[int64])
-		for i := range d {
-			d[i] = f(int64(binary.LittleEndian.Uint64(b[i*8:])), d[i])
-		}
-	default:
+	if w, ok := wireView[T](b, size); ok {
 		for i := range dst {
-			dst[i] = op(scalarFromBytes[T](b[i*size:], size), dst[i])
+			dst[i] = op(w[i], dst[i])
 		}
+		return nil
+	}
+	for i := range dst {
+		dst[i] = op(scalarFromBytes[T](b[i*size:], size), dst[i])
 	}
 	return nil
 }
