@@ -131,7 +131,8 @@ func TestBuildTableRejectsOversize(t *testing.T) {
 	if strconv.IntSize == 32 {
 		t.Skip("int cannot hold an oversize count")
 	}
-	_, err := buildTable(math.MaxInt32+1, func(int) (int64, int64) {
+	oversize := int64(math.MaxInt32) + 1
+	_, err := buildTable(int(oversize), func(int) (int64, int64) {
 		t.Fatal("oversize build read a tuple")
 		return 0, 0
 	})

@@ -542,6 +542,57 @@ func TestAllocRMABatchFlush(t *testing.T) {
 	}
 }
 
+// TestAllocRMAGetCAS pins the shared-memory Get and CompareAndSwap to
+// zero allocations: on the channel transport a warm GetInto and a warm
+// CompareAndSwap build their one-entry frame on the stack, apply it to
+// the target region in place, and draw the reply from the pool.
+func TestAllocRMAGetCAS(t *testing.T) {
+	const (
+		warmup = 20
+		rounds = 100
+	)
+	var getAvg, casAvg float64
+	err := Run(2, func(c *Comm) error {
+		w, err := c.WinCreate(64)
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			dst := make([]byte, 8)
+			var inner error
+			get := func() {
+				if err := w.GetInto(dst, 1, 8); err != nil && inner == nil {
+					inner = err
+				}
+			}
+			cas := func() {
+				if _, err := w.CompareAndSwap(1, 0, 0, 0); err != nil && inner == nil {
+					inner = err
+				}
+			}
+			for i := 0; i < warmup; i++ {
+				get()
+				cas()
+			}
+			getAvg = testing.AllocsPerRun(rounds, get)
+			casAvg = testing.AllocsPerRun(rounds, cas)
+			if inner != nil {
+				return inner
+			}
+		}
+		return w.Free()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raceEnabled {
+		t.Skipf("race detector instrumentation allocates; traffic ran clean (GetInto %.2f, CompareAndSwap %.2f not asserted)", getAvg, casAvg)
+	}
+	if getAvg != 0 || casAvg != 0 {
+		t.Fatalf("warm GetInto %.2f allocs/op, CompareAndSwap %.2f allocs/op, want 0", getAvg, casAvg)
+	}
+}
+
 // hygieneIntoTraffic is hygieneTraffic for the typed Into-variants the
 // modules adopted (Isend + RecvInto with a reused scratch, ReduceInto):
 // patterned int64 payloads, verified on arrival, reduced in place.

@@ -165,58 +165,31 @@ func Bcast[T Scalar](c *Comm, data []T, root int) ([]T, error) {
 // the i-th chunk to rank i (MPI_Scatter). len(data) must be a multiple of
 // the communicator size at the root; other ranks pass nil.
 func Scatter[T Scalar](c *Comm, data []T, root int) ([]T, error) {
-	if err := c.checkPeer(root, false); err != nil {
-		return nil, err
-	}
-	p := len(c.members)
-	if c.rank == root && len(data)%p != 0 {
-		return nil, fmt.Errorf("%w: Scatter buffer of %d elements across %d ranks", ErrLengthMismatch, len(data), p)
-	}
-	sp := c.begin(PrimScatter)
-	out, err := scatterLinear(c, data, root)
-	bytes := len(out)
-	if c.rank == root {
-		bytes = len(data)
-	}
-	sp.end(c.members[root], -1, bytes*scalarSize[T](), 0, 0, 0)
-	return out, err
-}
-
-func scatterLinear[T Scalar](c *Comm, data []T, root int) ([]T, error) {
-	p := len(c.members)
-	tag := c.nextCollTag()
-	if c.rank == root {
-		chunk := len(data) / p
-		for i := 0; i < p; i++ {
-			if i == root {
-				continue
-			}
-			if err := c.collSendOwned(marshalPooled(data[i*chunk:(i+1)*chunk]), i, tag); err != nil {
-				return nil, err
-			}
-		}
-		own := make([]T, chunk)
-		copy(own, data[root*chunk:(root+1)*chunk])
-		return own, nil
-	}
-	b, err := c.collRecv(root, tag)
-	if err != nil {
-		return nil, err
-	}
-	xs, err := Unmarshal[T](b)
-	putBuf(b)
-	return xs, err
+	return scatter(c, data, nil, false, root)
 }
 
 // Scatterv scatters variable-sized contiguous chunks from root
 // (MPI_Scatterv). counts is significant only at the root and must sum to
 // len(data).
 func Scatterv[T Scalar](c *Comm, data []T, counts []int, root int) ([]T, error) {
+	return scatter(c, data, counts, true, root)
+}
+
+// scatter is the instrumented body of Scatter and Scatterv.
+func scatter[T Scalar](c *Comm, data []T, counts []int, variable bool, root int) ([]T, error) {
 	if err := c.checkPeer(root, false); err != nil {
 		return nil, err
 	}
-	sp := c.begin(PrimScatterv)
-	out, err := scattervLinear(c, data, counts, root)
+	p := len(c.members)
+	prim := PrimScatterv
+	if !variable {
+		if c.rank == root && len(data)%p != 0 {
+			return nil, fmt.Errorf("%w: Scatter buffer of %d elements across %d ranks", ErrLengthMismatch, len(data), p)
+		}
+		prim = PrimScatter
+	}
+	sp := c.begin(prim)
+	out, err := scatterLinear(c, data, counts, variable, root)
 	bytes := len(out)
 	if c.rank == root {
 		bytes = len(data)
@@ -225,10 +198,22 @@ func Scatterv[T Scalar](c *Comm, data []T, counts []int, root int) ([]T, error) 
 	return out, err
 }
 
-func scattervLinear[T Scalar](c *Comm, data []T, counts []int, root int) ([]T, error) {
+// scatterLinear is the one body of Scatter and Scatterv: the root sends
+// its i-th contiguous chunk to rank i, one message each — counts[i]
+// elements with variable set, len(data)/p without.
+func scatterLinear[T Scalar](c *Comm, data []T, counts []int, variable bool, root int) ([]T, error) {
 	p := len(c.members)
 	tag := c.nextCollTag()
-	if c.rank == root {
+	if c.rank != root {
+		b, err := c.collRecv(root, tag)
+		if err != nil {
+			return nil, err
+		}
+		xs, err := Unmarshal[T](b)
+		putBuf(b)
+		return xs, err
+	}
+	if variable {
 		if len(counts) != p {
 			return nil, fmt.Errorf("%w: Scatterv got %d counts for %d ranks", ErrLengthMismatch, len(counts), p)
 		}
@@ -242,108 +227,94 @@ func scattervLinear[T Scalar](c *Comm, data []T, counts []int, root int) ([]T, e
 		if total != len(data) {
 			return nil, fmt.Errorf("%w: Scatterv counts sum to %d, buffer has %d", ErrLengthMismatch, total, len(data))
 		}
-		off := 0
-		var own []T
-		for i := 0; i < p; i++ {
-			chunk := data[off : off+counts[i]]
-			if i == root {
-				own = append([]T(nil), chunk...)
-			} else if err := c.collSendOwned(marshalPooled(chunk), i, tag); err != nil {
-				return nil, err
-			}
-			off += counts[i]
+	}
+	var own []T
+	for i, off := 0, 0; i < p; i++ {
+		n := len(data) / p
+		if variable {
+			n = counts[i]
 		}
-		return own, nil
+		chunk := data[off : off+n]
+		if i == root {
+			own = make([]T, n)
+			copy(own, chunk)
+		} else if err := c.collSendOwned(marshalPooled(chunk), i, tag); err != nil {
+			return nil, err
+		}
+		off += n
 	}
-	b, err := c.collRecv(root, tag)
-	if err != nil {
-		return nil, err
-	}
-	xs, err := Unmarshal[T](b)
-	putBuf(b)
-	return xs, err
+	return own, nil
 }
 
 // Gather collects equal-sized contributions onto root (MPI_Gather),
 // returning the concatenation in rank order at the root and nil elsewhere.
 // Every rank must contribute the same number of elements.
 func Gather[T Scalar](c *Comm, data []T, root int) ([]T, error) {
-	if err := c.checkPeer(root, false); err != nil {
-		return nil, err
-	}
-	sp := c.begin(PrimGather)
-	out, err := gatherLinear(c, data, root)
-	bytes := len(data)
-	if c.rank == root {
-		bytes = len(out)
-	}
-	sp.end(c.members[root], -1, bytes*scalarSize[T](), 0, 0, 0)
+	out, _, err := gather(c, data, false, root)
 	return out, err
-}
-
-func gatherLinear[T Scalar](c *Comm, data []T, root int) ([]T, error) {
-	blocks, err := c.gatherBlocks(marshalPooled(data), root)
-	if err != nil {
-		return nil, err
-	}
-	if c.rank != root {
-		return nil, nil
-	}
-	n := len(data)
-	size := scalarSize[T]()
-	out := make([]T, n*len(c.members))
-	for i, b := range blocks {
-		if len(b) != n*size {
-			releaseBlocks(blocks)
-			return nil, fmt.Errorf("%w: Gather rank %d contributed %d bytes, expected %d elements", ErrLengthMismatch, i, len(b), n)
-		}
-		if err := decodeInto(out[i*n:(i+1)*n], b); err != nil {
-			releaseBlocks(blocks)
-			return nil, err
-		}
-	}
-	releaseBlocks(blocks)
-	return out, nil
 }
 
 // Gatherv collects variable-sized contributions onto root (MPI_Gatherv),
 // returning one slice per rank at the root and nil elsewhere.
 func Gatherv[T Scalar](c *Comm, data []T, root int) ([][]T, error) {
-	if err := c.checkPeer(root, false); err != nil {
-		return nil, err
-	}
-	sp := c.begin(PrimGatherv)
-	out, err := gathervLinear(c, data, root)
-	bytes := len(data)
-	if c.rank == root {
-		bytes = 0
-		for _, b := range out {
-			bytes += len(b)
-		}
-	}
-	sp.end(c.members[root], -1, bytes*scalarSize[T](), 0, 0, 0)
+	_, out, err := gather(c, data, true, root)
 	return out, err
 }
 
-func gathervLinear[T Scalar](c *Comm, data []T, root int) ([][]T, error) {
+// gather is the instrumented body of Gather and Gatherv.
+func gather[T Scalar](c *Comm, data []T, variable bool, root int) (flat []T, parts [][]T, err error) {
+	if err := c.checkPeer(root, false); err != nil {
+		return nil, nil, err
+	}
+	prim := PrimGather
+	if variable {
+		prim = PrimGatherv
+	}
+	sp := c.begin(prim)
+	flat, parts, err = gatherLinear(c, data, root, variable)
+	bytes := len(data)
+	if c.rank == root {
+		bytes = len(flat)
+	}
+	sp.end(c.members[root], -1, bytes*scalarSize[T](), 0, 0, 0)
+	return flat, parts, err
+}
+
+// gatherLinear is the one body of Gather and Gatherv: at the root it
+// decodes every rank's block back to back, in rank order, into one flat
+// slice. With variable set it also returns each rank's block as a slice
+// of flat (nil for an empty block); without, every block must be as long
+// as the root's own.
+func gatherLinear[T Scalar](c *Comm, data []T, root int, variable bool) (flat []T, parts [][]T, err error) {
 	blocks, err := c.gatherBlocks(marshalPooled(data), root)
-	if err != nil {
-		return nil, err
+	if err != nil || c.rank != root {
+		return nil, nil, err
 	}
-	if c.rank != root {
-		return nil, nil
-	}
-	out := make([][]T, len(blocks))
+	defer releaseBlocks(blocks)
+	size := scalarSize[T]()
+	total := 0
 	for i, b := range blocks {
-		xs, err := Unmarshal[T](b)
-		if err != nil {
-			releaseBlocks(blocks)
-			return nil, err
+		if !variable && len(b) != len(data)*size {
+			return nil, nil, fmt.Errorf("%w: Gather rank %d contributed %d bytes, expected %d elements", ErrLengthMismatch, i, len(b), len(data))
 		}
-		out[i] = xs
+		total += len(b) / size
 	}
-	releaseBlocks(blocks)
-	return out, nil
+	flat = make([]T, total)
+	if variable {
+		parts = make([][]T, len(blocks))
+	}
+	off := 0
+	for i, b := range blocks {
+		n := len(b) / size
+		if err := decodeInto(flat[off:off+n], b); err != nil {
+			return nil, nil, err
+		}
+		if variable && n > 0 {
+			parts[i] = flat[off : off+n : off+n]
+		}
+		off += n
+	}
+	return flat, parts, nil
 }
 
 // gatherBlocks is the shared linear gather: rank order, receives posted
@@ -493,29 +464,51 @@ func AllreduceRing[T Scalar](c *Comm, data []T, op Op[T]) ([]T, error) {
 // Scan computes the inclusive prefix reduction (MPI_Scan): rank r receives
 // op-fold of the buffers of ranks 0..r. Linear chain algorithm.
 func Scan[T Scalar](c *Comm, data []T, op Op[T]) ([]T, error) {
+	return scan(c, data, op, false)
+}
+
+// scan is the instrumented body of Scan and Exscan.
+func scan[T Scalar](c *Comm, data []T, op Op[T], exclusive bool) ([]T, error) {
 	sp := c.begin(PrimScan)
-	out, err := scanChain(c, data, op)
+	out, err := scanChain(c, data, op, exclusive)
 	sp.end(-1, -1, len(data)*scalarSize[T](), 0, 0, 0)
 	return out, err
 }
 
-func scanChain[T Scalar](c *Comm, data []T, op Op[T]) ([]T, error) {
+// scanChain is the one body of Scan and Exscan, a linear chain: rank r
+// receives the prefix of ranks 0..r-1 from the left and forwards
+// op(prefix, mine) — the inclusive fold — to the right. Scan returns that
+// fold, Exscan the received prefix (zeros on rank 0).
+func scanChain[T Scalar](c *Comm, data []T, op Op[T], exclusive bool) ([]T, error) {
 	tag := c.nextCollTag()
 	p, r := len(c.members), c.rank
-	acc := append([]T(nil), data...)
-	size := scalarSize[T]()
+	var prefix, acc []T
+	if exclusive {
+		prefix = make([]T, len(data))
+	}
+	// The fold is needed as Scan's result and, on every rank but the
+	// last, as what travels right.
+	fold := !exclusive || r < p-1
+	if fold {
+		acc = append([]T(nil), data...)
+	}
 	if r > 0 {
 		b, err := c.collRecv(r-1, tag)
 		if err != nil {
 			return nil, err
 		}
-		if len(b) != len(acc)*size {
+		if len(b) != len(data)*scalarSize[T]() {
 			putBuf(b)
-			return nil, fmt.Errorf("%w: Scan rank %d passed %d bytes, expected %d elements", ErrLengthMismatch, r-1, len(b), len(acc))
+			return nil, fmt.Errorf("%w: scan rank %d passed %d bytes, expected %d elements", ErrLengthMismatch, r-1, len(b), len(data))
 		}
-		// Inclusive scan folds the prefix from the left: the wire operand
-		// is the accumulated prefix of ranks 0..r-1.
-		err = reduceFromWireLeft(acc, b, op)
+		if exclusive {
+			err = decodeInto(prefix, b)
+		}
+		if err == nil && fold {
+			// The wire operand is the accumulated prefix of ranks 0..r-1,
+			// folded in from the left: acc[i] = op(prefix[i], data[i]).
+			err = reduceFromWireLeft(acc, b, op)
+		}
 		putBuf(b)
 		if err != nil {
 			return nil, err
@@ -526,6 +519,9 @@ func scanChain[T Scalar](c *Comm, data []T, op Op[T]) ([]T, error) {
 			return nil, err
 		}
 	}
+	if exclusive {
+		return prefix, nil
+	}
 	return acc, nil
 }
 
@@ -533,39 +529,23 @@ func scanChain[T Scalar](c *Comm, data []T, op Op[T]) ([]T, error) {
 // the blocks received from every rank, concatenated in rank order
 // (MPI_Alltoall). len(data) must be a multiple of the communicator size.
 func Alltoall[T Scalar](c *Comm, data []T) ([]T, error) {
-	p := len(c.members)
+	p, r := len(c.members), c.rank
 	if len(data)%p != 0 {
 		return nil, fmt.Errorf("%w: Alltoall buffer of %d elements across %d ranks", ErrLengthMismatch, len(data), p)
 	}
 	sp := c.begin(PrimAlltoall)
-	out, err := alltoallPairwise(c, data)
-	sp.end(-1, -1, len(data)*scalarSize[T](), 0, 0, 0)
-	return out, err
-}
-
-func alltoallPairwise[T Scalar](c *Comm, data []T) ([]T, error) {
-	p, r := len(c.members), c.rank
-	tag := c.nextCollTag()
-	n := len(data) / p
-	size := scalarSize[T]()
+	n, size := len(data)/p, scalarSize[T]()
 	out := make([]T, len(data))
 	copy(out[r*n:(r+1)*n], data[r*n:(r+1)*n])
-	for step := 1; step < p; step++ {
-		to := (r + step) % p
-		from := (r - step + p) % p
-		b, err := c.collExchange(marshalPooled(data[to*n:(to+1)*n]), to, from, tag)
-		if err != nil {
-			return nil, err
-		}
+	err := alltoallPairwise(c, func(to int) []T { return data[to*n : (to+1)*n] }, func(from int, b []byte) error {
 		if len(b) != n*size {
-			putBuf(b)
-			return nil, fmt.Errorf("%w: Alltoall rank %d sent %d bytes, expected %d elements", ErrLengthMismatch, from, len(b), n)
+			return fmt.Errorf("%w: Alltoall rank %d sent %d bytes, expected %d elements", ErrLengthMismatch, from, len(b), n)
 		}
-		err = decodeInto(out[from*n:(from+1)*n], b)
-		putBuf(b)
-		if err != nil {
-			return nil, err
-		}
+		return decodeInto(out[from*n:(from+1)*n], b)
+	})
+	sp.end(-1, -1, len(data)*size, 0, 0, 0)
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -575,40 +555,49 @@ func alltoallPairwise[T Scalar](c *Comm, data []T) ([]T, error) {
 // value holds one received block per source rank. It is the shuffle
 // primitive of the MapReduce substrate and of Module 3's bucket exchange.
 func Alltoallv[T Scalar](c *Comm, blocks [][]T) ([][]T, error) {
-	p := len(c.members)
+	p, r := len(c.members), c.rank
 	if len(blocks) != p {
 		return nil, fmt.Errorf("%w: Alltoallv got %d blocks for %d ranks", ErrLengthMismatch, len(blocks), p)
 	}
 	sp := c.begin(PrimAlltoallv)
-	out, err := alltoallvPairwise(c, blocks)
+	out := make([][]T, p)
+	out[r] = append([]T(nil), blocks[r]...)
+	err := alltoallPairwise(c, func(to int) []T { return blocks[to] }, func(from int, b []byte) (err error) {
+		out[from], err = Unmarshal[T](b)
+		return err
+	})
 	bytes := 0
 	for _, b := range blocks {
 		bytes += len(b)
 	}
 	sp.end(-1, -1, bytes*scalarSize[T](), 0, 0, 0)
-	return out, err
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-func alltoallvPairwise[T Scalar](c *Comm, blocks [][]T) ([][]T, error) {
+// alltoallPairwise is the one exchange under Alltoall and Alltoallv: p-1
+// steps, at step s rank r sends block(r+s) to rank r+s and hands what
+// rank r-s sent to arrive, which decodes it. The wire buffer is recycled
+// either way.
+func alltoallPairwise[T Scalar](c *Comm, block func(to int) []T, arrive func(from int, b []byte) error) error {
 	p, r := len(c.members), c.rank
 	tag := c.nextCollTag()
-	out := make([][]T, p)
-	out[r] = append([]T(nil), blocks[r]...)
 	for step := 1; step < p; step++ {
 		to := (r + step) % p
 		from := (r - step + p) % p
-		b, err := c.collExchange(marshalPooled(blocks[to]), to, from, tag)
+		b, err := c.collExchange(marshalPooled(block(to)), to, from, tag)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		xs, err := Unmarshal[T](b)
+		err = arrive(from, b)
 		putBuf(b)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out[from] = xs
 	}
-	return out, nil
+	return nil
 }
 
 // Allgatherv concatenates variable-sized contributions on every rank
@@ -672,47 +661,7 @@ func allgathervLinear[T Scalar](c *Comm, data []T) ([][]T, error) {
 // receives the op-fold of ranks 0..r-1; rank 0's result is the zero-value
 // slice (MPI leaves it undefined; zeros are the defined choice here).
 func Exscan[T Scalar](c *Comm, data []T, op Op[T]) ([]T, error) {
-	sp := c.begin(PrimScan)
-	out, err := exscanChain(c, data, op)
-	sp.end(-1, -1, len(data)*scalarSize[T](), 0, 0, 0)
-	return out, err
-}
-
-func exscanChain[T Scalar](c *Comm, data []T, op Op[T]) ([]T, error) {
-	tag := c.nextCollTag()
-	p, r := len(c.members), c.rank
-	// Chain: receive the running prefix from the left, forward
-	// prefix⊕mine to the right.
-	prefix := make([]T, len(data))
-	if r > 0 {
-		b, err := c.collRecv(r-1, tag)
-		if err != nil {
-			return nil, err
-		}
-		if len(b) != len(data)*scalarSize[T]() {
-			putBuf(b)
-			return nil, fmt.Errorf("%w: Exscan rank %d passed %d bytes, expected %d elements", ErrLengthMismatch, r-1, len(b), len(data))
-		}
-		err = decodeInto(prefix, b)
-		putBuf(b)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if r < p-1 {
-		next := make([]T, len(data))
-		if r == 0 {
-			copy(next, data)
-		} else {
-			for i := range next {
-				next[i] = op(prefix[i], data[i])
-			}
-		}
-		if err := c.collSendOwned(marshalPooled(next), r+1, tag); err != nil {
-			return nil, err
-		}
-	}
-	return prefix, nil
+	return scan(c, data, op, true)
 }
 
 // runSched is the blocking driver: it runs this rank's schedule for one

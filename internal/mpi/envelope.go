@@ -14,9 +14,8 @@ const (
 	kindAck                   // rendezvous acknowledgement
 	kindHeartbeat             // liveness beacon for the failure detector
 	kindAbort                 // cross-process abort propagation; payload is the cause
-	kindRMAReq                // one-sided operation request; payload is an RMA header (+ data)
+	kindRMAReq                // one-sided requests; payload is an RMA frame (rma.go)
 	kindRMAResp               // one-sided reply carrying fetched data (Get, CompareAndSwap)
-	kindRMABatch              // coalesced one-sided Put/Accumulate ops; payload is a batch frame (rma.go)
 )
 
 // envelope is the unit moved by a transport. src is the sender's rank

@@ -30,7 +30,7 @@ func TestMarshalRoundTripNaN(t *testing.T) {
 }
 
 func TestMarshalRoundTripInts(t *testing.T) {
-	ints := []int{0, 1, -1, math.MaxInt64, math.MinInt64, 42}
+	ints := []int{0, 1, -1, math.MaxInt, math.MinInt, 42}
 	got, err := Unmarshal[int](Marshal(ints))
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestMarshalRoundTripAllWidths(t *testing.T) {
 	checkRT(t, []uint32{0, math.MaxUint32})
 	checkRT(t, []int64{math.MinInt64, 0, math.MaxInt64})
 	checkRT(t, []uint64{0, math.MaxUint64})
-	checkRT(t, []uint{0, math.MaxUint64})
+	checkRT(t, []uint{0, math.MaxUint})
 	checkRT(t, []float32{0, -1.5, math.MaxFloat32})
 }
 

@@ -443,7 +443,7 @@ func (w *World) blockedSnapshot() string {
 // application data and RMA traffic, never the runtime's own heartbeats
 // or abort notifications.
 func faultableFrame(kind int8) bool {
-	return kind == kindData || kind == kindRMAReq || kind == kindRMAResp || kind == kindRMABatch
+	return kind == kindData || kind == kindRMAReq || kind == kindRMAResp
 }
 
 // frameVerdict consults the injector about one outbound frame, applies

@@ -162,7 +162,8 @@ func (mb *mailbox) post(e *envelope) {
 		mb.world.abortRemote(fmt.Errorf("%w: remote rank %d: %s", ErrAborted, src, msg))
 		return
 	case kindRMAReq:
-		// One-sided operation: serviced here, on the delivering goroutine —
+		// One-sided operations — a batch of Put/Accumulate or a single
+		// reply-needing op: serviced here, on the delivering goroutine —
 		// the per-window progress engine — without involving the target
 		// rank's application thread and before any mailbox lock (the
 		// handler replies through deliver, which takes mailbox locks).
@@ -170,15 +171,6 @@ func (mb *mailbox) post(e *envelope) {
 			mb.world.noteHeard(e.wsrc)
 		}
 		mb.world.handleRMAReq(mb, e)
-		return
-	case kindRMABatch:
-		// A coalesced run of Put/Accumulate ops for one window: applied by
-		// the same progress engine as kindRMAReq, acknowledged once for the
-		// whole batch.
-		if mb.world.opts.heartbeat > 0 {
-			mb.world.noteHeard(e.wsrc)
-		}
-		mb.world.handleRMABatch(mb, e)
 		return
 	case kindRMAResp:
 		if mb.world.opts.heartbeat > 0 {

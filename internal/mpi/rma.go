@@ -14,14 +14,19 @@ import (
 // access remotely with Put, Get, Accumulate and CompareAndSwap, without
 // the target rank calling a matching receive.
 //
-// Requests travel as kindRMAReq envelopes and are serviced by the
-// delivering goroutine inside mailbox.post — the per-window progress
-// engine. On the channel transport that is the origin's own goroutine
-// (delivery is synchronous), on the socket transport the connection reader;
-// either way the target's application thread never participates, which
-// is the defining property of one-sided semantics. Completion reuses the
-// rendezvous machinery: Put/Accumulate/Lock/Unlock are confirmed with
-// kindAck, Get/CompareAndSwap return data in a kindRMAResp envelope.
+// Every one-sided request travels in one frame format — a run of
+// fixed-header entries, op(1) dtype(1) offset(8) msgid(8) len(4) payload —
+// inside a kindRMAReq envelope, and every target-side effect is written
+// once, in applyRMA: it walks a frame under the region's mutex and applies
+// Put, Accumulate, Get, CompareAndSwap, Lock and Unlock alike. The
+// progress engine, handleRMAReq, calls it from mailbox.post on the
+// delivering goroutine: on the channel transport that is the origin's own
+// goroutine (delivery is synchronous), on the socket transport the
+// connection reader; either way the target's application thread never
+// participates, which is the defining property of one-sided semantics.
+// Completion reuses the rendezvous machinery: Put/Accumulate/Lock/Unlock
+// are confirmed with kindAck, Get/CompareAndSwap return data in a
+// kindRMAResp envelope.
 //
 // Synchronization follows MPI's two epoch models. Active target:
 // Win.Fence drains outstanding acknowledgements and barriers, making all
@@ -32,28 +37,29 @@ import (
 // deferred acknowledgement.
 //
 // Put and Accumulate do not travel one request per call. Inside an
-// epoch they coalesce into per-target batches — encoded back to back in
-// a pooled buffer — and the whole batch crosses as a single kindRMABatch
-// frame, confirmed by one acknowledgement, when the epoch closes (Fence,
-// Flush, Unlock, Free) or the batch reaches rmaBatchMaxBytes. That turns
-// the dominant one-sided cost, a round trip per operation, into a round
-// trip per (target, epoch): the optimization ROADMAP item 1 asks for and
-// the hash-join module's before/after study measures. Ordering within a
-// batch is program order; visibility remains epoch-based, exactly as in
-// MPI (a Get of a location Put earlier in the same unflushed epoch is
-// undefined). PutAsync and GetAsync are the request-returning variants
+// epoch they coalesce into per-target batches — entries encoded back to
+// back in a pooled buffer — and the whole batch crosses as one frame,
+// confirmed by one acknowledgement, when the epoch closes (Fence, Flush,
+// Unlock, Free) or the batch reaches rmaBatchMaxBytes. That turns the
+// dominant one-sided cost, a round trip per operation, into a round trip
+// per (target, epoch): the hash-join module's before/after study
+// measures it. Ordering within a batch is program order; visibility
+// remains epoch-based, exactly as in MPI (a Get of a location Put earlier
+// in the same unflushed epoch is undefined). Get, CompareAndSwap, Lock
+// and Unlock each need a reply, so each travels alone as a one-entry
+// frame. PutAsync and GetAsync are the request-returning variants
 // (MPI_Rput/MPI_Rget): GetAsync issues immediately and completes when
 // the reply lands, PutAsync completes on the epoch boundary.
 //
 // On the in-process channel transport every window region lives in this
 // address space, so batch flushes, Get and CompareAndSwap take a
-// shared-memory fast path: the origin applies the operation directly to
-// the target region under the target's own mutex — the same mutex the
-// progress engine takes — skipping the mailbox round trip entirely. The
-// lock-grant protocol (Lock/Unlock) stays on the mailbox path so grant
-// queueing and deadlock detection are identical on every transport, and
-// hook events are emitted exactly as the mailbox path would emit them,
-// which the channel-vs-TCP parity tests pin down.
+// shared-memory fast path: the origin calls applyRMA on the target region
+// itself — the same function, under the same mutex, that the progress
+// engine runs — skipping the mailbox round trip entirely. The lock-grant
+// protocol (Lock/Unlock) stays on the mailbox path so grant queueing and
+// deadlock detection are identical on every transport, and hook events
+// are the ones applyRMA emits on either path, which the channel-vs-TCP
+// parity tests pin down.
 //
 // Fault semantics match the two-sided path: requests to a killed rank
 // are discarded and the origin observes the failure epoch — a blocked or
@@ -86,9 +92,7 @@ func (op AccOp) String() string {
 	return fmt.Sprintf("AccOp(%d)", int(op))
 }
 
-// RMA operation codes: the first byte of a kindRMAReq payload, or of a
-// batch entry for rmaPut and rmaAcc, which travel only in kindRMABatch
-// frames (parseRMAReq rejects them as unknown).
+// RMA operation codes: the first byte of every frame entry.
 const (
 	rmaPut byte = iota + 1
 	rmaGet
@@ -104,65 +108,18 @@ const (
 	rmaElemFloat64
 )
 
-// rmaReqHeaderLen is the fixed prefix of a kindRMAReq payload:
-// op(1) dtype(1) offset(8) aux(8). aux is op-specific — requested length
-// for Get, compare value for CompareAndSwap, shared flag for Lock.
-const rmaReqHeaderLen = 1 + 1 + 8 + 8
-
-// putRMAReq encodes the request header into b[:rmaReqHeaderLen].
-func putRMAReq(b []byte, op, dtype byte, offset, aux int64) {
-	b[0] = op
-	b[1] = dtype
-	binary.LittleEndian.PutUint64(b[2:], uint64(offset))
-	binary.LittleEndian.PutUint64(b[10:], uint64(aux))
-}
-
-// parseRMAReq decodes and validates a kindRMAReq payload. The returned
-// offset/aux are op-specific; the data portion is b[rmaReqHeaderLen:].
-func parseRMAReq(b []byte) (op, dtype byte, offset, aux int64, err error) {
-	if len(b) < rmaReqHeaderLen {
-		return 0, 0, 0, 0, fmt.Errorf("mpi: short RMA request: %d bytes", len(b))
-	}
-	op = b[0]
-	dtype = b[1]
-	offset = int64(binary.LittleEndian.Uint64(b[2:]))
-	aux = int64(binary.LittleEndian.Uint64(b[10:]))
-	n := len(b) - rmaReqHeaderLen
-	switch op {
-	case rmaGet:
-		if n != 0 {
-			return 0, 0, 0, 0, fmt.Errorf("mpi: RMA get carries %d payload bytes", n)
-		}
-		if aux < 0 {
-			return 0, 0, 0, 0, fmt.Errorf("mpi: RMA get of negative length %d", aux)
-		}
-	case rmaCas:
-		if n != 8 {
-			return 0, 0, 0, 0, fmt.Errorf("mpi: RMA compare-and-swap payload %d bytes, want 8", n)
-		}
-	case rmaLock:
-		if n != 0 || (aux != 0 && aux != 1) {
-			return 0, 0, 0, 0, fmt.Errorf("mpi: malformed RMA lock request")
-		}
-	case rmaUnlock:
-		if n != 0 {
-			return 0, 0, 0, 0, fmt.Errorf("mpi: RMA unlock carries %d payload bytes", n)
-		}
-	default:
-		return 0, 0, 0, 0, fmt.Errorf("mpi: unknown RMA op %d", op)
-	}
-	if offset < 0 {
-		return 0, 0, 0, 0, fmt.Errorf("mpi: negative RMA offset %d", offset)
-	}
-	return op, dtype, offset, aux, nil
-}
-
-// Batch frame format (kindRMABatch payload): a back-to-back run of
-// entries, each a fixed header followed by its payload. Only the two
-// fire-and-forget ops — Put and Accumulate — may appear in a batch;
-// everything else needs a reply and keeps its own kindRMAReq frame.
+// Frame format (kindRMAReq payload): a back-to-back run of entries, each
+// a fixed header followed by its payload.
 //
 //	op(1) dtype(1) offset(8, LE) msgid(8, LE) len(4, LE) payload(len)
+//
+// The payload is op-specific: the bytes to write for Put; whole 8-byte
+// elements for Accumulate, whose dtype packs element kind<<4 | AccOp;
+// the requested length as an int64 for Get; compare‖swap for
+// CompareAndSwap; nothing for Lock, whose dtype is the shared flag, and
+// Unlock. A frame is either a run of Put/Accumulate entries, confirmed by
+// one acknowledgement, or exactly one Get, CompareAndSwap, Lock or Unlock
+// entry, replied to on its own.
 //
 // msgid is the per-logical-op flow id: the target re-emits one mirror
 // hook event per entry, so coalescing is invisible to profilers and the
@@ -173,38 +130,78 @@ const (
 	rmaBatchMaxBytes  = 64 << 10 // eager-flush threshold per target
 )
 
-// rmaBatchNext decodes the first entry of a batch frame, returning the
-// entry's payload slice (aliasing b) and the remaining frame.
-func rmaBatchNext(b []byte) (op, dtype byte, offset, msgid int64, data, rest []byte, err error) {
-	if len(b) < rmaBatchEntryLen {
-		return 0, 0, 0, 0, nil, nil, fmt.Errorf("mpi: short RMA batch entry: %d bytes", len(b))
-	}
-	op = b[0]
-	dtype = b[1]
-	offset = int64(binary.LittleEndian.Uint64(b[2:]))
-	msgid = int64(binary.LittleEndian.Uint64(b[10:]))
-	n := int(int32(binary.LittleEndian.Uint32(b[18:])))
-	if op != rmaPut && op != rmaAcc {
-		return 0, 0, 0, 0, nil, nil, fmt.Errorf("mpi: RMA op %d invalid in a batch", op)
-	}
-	if offset < 0 {
-		return 0, 0, 0, 0, nil, nil, fmt.Errorf("mpi: negative RMA offset %d in batch", offset)
-	}
-	if op == rmaAcc {
-		if dtype>>4 > rmaElemFloat64 || AccOp(dtype&0x0f) > AccMin {
-			return 0, 0, 0, 0, nil, nil, fmt.Errorf("mpi: RMA accumulate dtype %#x invalid in batch", dtype)
-		}
-		if n%8 != 0 {
-			return 0, 0, 0, 0, nil, nil, fmt.Errorf("mpi: RMA accumulate payload %d bytes in batch is not a whole number of elements", n)
-		}
-	}
-	if n < 0 || n > len(b)-rmaBatchEntryLen {
-		return 0, 0, 0, 0, nil, nil, fmt.Errorf("mpi: truncated RMA batch entry: %d payload bytes, %d remain", n, len(b)-rmaBatchEntryLen)
-	}
-	data = b[rmaBatchEntryLen : rmaBatchEntryLen+n]
-	rest = b[rmaBatchEntryLen+n:]
-	return op, dtype, offset, msgid, data, rest, nil
+// putRMAEntry encodes one entry, header and payload, into
+// b[:rmaBatchEntryLen+len(payload)].
+func putRMAEntry(b []byte, op, dtype byte, offset, msgid int64, payload []byte) {
+	b[0] = op
+	b[1] = dtype
+	binary.LittleEndian.PutUint64(b[2:], uint64(offset))
+	binary.LittleEndian.PutUint64(b[10:], uint64(msgid))
+	binary.LittleEndian.PutUint32(b[18:], uint32(len(payload)))
+	copy(b[rmaBatchEntryLen:], payload)
 }
+
+// rmaBatchNext decodes and validates the first entry of a frame. The
+// entry's payload, data, aliases b; the entry ends
+// rmaBatchEntryLen+len(data) bytes into b. ok is false for a short,
+// truncated or malformed entry. It is the only decoder of one-sided
+// requests. The fields come back as plain values, data fifth: an entry
+// struct is too large to live in registers (the apply loop ran at half
+// speed), and a slice result past the fifth escapes to the heap, taking
+// the fast path's stack-built frame with it.
+func rmaBatchNext(b []byte) (op, dtype byte, offset, msgid int64, data []byte, ok bool) {
+	if len(b) < rmaBatchEntryLen {
+		return 0, 0, 0, 0, nil, false
+	}
+	n := int64(binary.LittleEndian.Uint32(b[18:]))
+	if n > int64(len(b)-rmaBatchEntryLen) {
+		return 0, 0, 0, 0, nil, false
+	}
+	op, dtype = b[0], b[1]
+	offset = int64(binary.LittleEndian.Uint64(b[2:]))
+	data = b[rmaBatchEntryLen : rmaBatchEntryLen+int(n)]
+	switch op {
+	case rmaPut:
+		ok = true
+	case rmaAcc:
+		ok = dtype>>4 <= rmaElemFloat64 && AccOp(dtype&0x0f) <= AccMin && n%8 == 0
+	case rmaGet:
+		ok = n == 8 && int64(binary.LittleEndian.Uint64(data)) >= 0
+	case rmaCas:
+		ok = n == 16
+	case rmaLock:
+		ok = n == 0 && dtype <= 1
+	case rmaUnlock:
+		ok = n == 0
+	}
+	if !ok || offset < 0 {
+		return 0, 0, 0, 0, nil, false
+	}
+	return op, dtype, offset, int64(binary.LittleEndian.Uint64(b[10:])), data, true
+}
+
+// rmaEvent is the primitive and byte count of an entry's target-side
+// event: the bytes moved, or the length requested for a Get.
+func rmaEvent(op byte, data []byte) (Primitive, int) {
+	switch op {
+	case rmaPut:
+		return PrimRMAPut, len(data)
+	case rmaAcc:
+		return PrimRMAAcc, len(data)
+	case rmaGet:
+		return PrimRMAGet, int(binary.LittleEndian.Uint64(data))
+	case rmaCas:
+		return PrimRMACas, 8
+	case rmaLock:
+		return PrimRMALock, 0
+	}
+	return PrimRMAUnlock, 0
+}
+
+// inWindow reports whether [offset, offset+n) lies inside a region of
+// size bytes, for non-negative offset and n. It compares against size-n,
+// which cannot wrap, where offset+n can.
+func inWindow(size int, offset, n int64) bool { return offset <= int64(size)-n }
 
 // Process-wide batching counters, read by RMABatchStats. The coalescing
 // ratio ops/flushes is the figure of merit: 1.0 means batching bought
@@ -263,10 +260,9 @@ type lockWaiter struct {
 	shared bool
 }
 
-// winTarget is the target-side state of one rank's window region. The
-// progress engine mutates it under mu, which is only ever taken from
-// mailbox.post → handleRMAReq and released before any mailbox lock is
-// acquired for the reply; the owning rank may read and write buf
+// winTarget is the target-side state of one rank's window region. Only
+// applyRMA touches it, under mu, which is released before any mailbox
+// lock is acquired for the reply; the owning rank may read and write buf
 // directly between epochs (Win.Local).
 type winTarget struct {
 	mu     sync.Mutex
@@ -310,7 +306,7 @@ func (w *World) dropWindow(st *winState) {
 }
 
 // rmaPending is one target's open batch: queued Put/Accumulate entries
-// in a pooled buffer, flushed as a single kindRMABatch frame.
+// in a pooled buffer, flushed as a single frame.
 type rmaPending struct {
 	buf []byte
 	ops int
@@ -327,7 +323,7 @@ type Win struct {
 	// pend holds the open Put/Accumulate batch per communicator rank.
 	// Entries accumulate until the epoch closes (Fence, Flush, Unlock,
 	// Free) or a batch reaches rmaBatchMaxBytes, then travel as one
-	// kindRMABatch frame confirmed by one acknowledgement.
+	// frame confirmed by one acknowledgement.
 	pend []rmaPending
 	// pendingAcks are outstanding batch-frame confirmations, drained by
 	// Fence, Flush, Unlock and Free. The slice is reused across epochs,
@@ -424,18 +420,16 @@ func (w *Win) checkAccess(target, offset, n int) error {
 	if offset < 0 || n < 0 {
 		return fmt.Errorf("mpi: RMA access [%d, %d+%d) invalid", offset, offset, n)
 	}
-	if t := w.st.targets[w.c.members[target]]; t != nil && offset+n > len(t.buf) {
-		return fmt.Errorf("mpi: RMA access [%d, %d) outside window of %d bytes on rank %d", offset, offset+n, len(t.buf), target)
+	if t := w.st.targets[w.c.members[target]]; t != nil && !inWindow(len(t.buf), int64(offset), int64(n)) {
+		return fmt.Errorf("mpi: RMA access [%d, %d+%d) outside window of %d bytes on rank %d", offset, offset, n, len(t.buf), target)
 	}
 	return nil
 }
 
-// request builds, accounts and delivers one kindRMAReq envelope. The
-// payload is copied into a pooled buffer behind the header, so the
-// caller keeps ownership of data. Returns the allocated sequence (always
-// nonzero: every request is confirmed) and the flow id (zero without a
-// hook).
-func (w *Win) request(target int, op, dtype byte, offset, aux int64, data []byte) (seq, msgid int64, err error) {
+// send delivers one kindRMAReq frame to target, handing the pooled
+// buffer to the transport (deliver recycles it on failure), and returns
+// the sequence the reply will carry.
+func (w *Win) send(target int, frame []byte) (int64, error) {
 	c := w.c
 	env := getEnv()
 	env.kind = kindRMAReq
@@ -444,18 +438,29 @@ func (w *Win) request(target int, op, dtype byte, offset, aux int64, data []byte
 	env.wdst = c.members[target]
 	env.ctx = w.st.key.ctx
 	env.tag = w.st.key.seq
-	seq = c.world.nextSeq()
+	seq := c.world.nextSeq()
 	env.seq = seq
-	msgid = c.world.flowID()
-	env.msgid = msgid
-	buf := getBuf(rmaReqHeaderLen + len(data))
-	putRMAReq(buf, op, dtype, offset, aux)
-	copy(buf[rmaReqHeaderLen:], data)
-	env.data = buf
-	if err := c.world.deliver(env); err != nil {
-		return 0, msgid, err
+	env.data = frame
+	return seq, c.world.deliver(env)
+}
+
+// request issues one reply-needing op (Get, CompareAndSwap, Lock or
+// Unlock) as a one-entry frame under a fresh flow id. A Get or
+// CompareAndSwap on shared memory is applied in place and its result
+// returned with seq 0; everything else crosses the mailbox, and the
+// caller awaits the reply under seq.
+func (w *Win) request(target int, op, dtype byte, offset int, payload []byte) (resp []byte, seq, msgid int64, err error) {
+	msgid = w.c.world.flowID()
+	if t := w.directTarget(target); t != nil && (op == rmaGet || op == rmaCas) {
+		var frame [rmaBatchEntryLen + 16]byte
+		putRMAEntry(frame[:], op, dtype, int64(offset), msgid, payload)
+		r := w.c.world.applyRMA(t, w.c.members[target], w.c.worldRank, 0, frame[:rmaBatchEntryLen+len(payload)])
+		return r.resp, 0, msgid, nil
 	}
-	return seq, msgid, nil
+	frame := getBuf(rmaBatchEntryLen + len(payload))
+	putRMAEntry(frame, op, dtype, int64(offset), msgid, payload)
+	seq, err = w.send(target, frame)
+	return nil, seq, msgid, err
 }
 
 // Put copies data into the target rank's window at byte offset
@@ -532,13 +537,8 @@ func (w *Win) batchAppend(target int, op, dtype byte, offset, msgid int64, data 
 		p.buf = nb
 	}
 	n := len(p.buf)
-	b := p.buf[: n+rmaBatchEntryLen : cap(p.buf)]
-	b[n] = op
-	b[n+1] = dtype
-	binary.LittleEndian.PutUint64(b[n+2:], uint64(offset))
-	binary.LittleEndian.PutUint64(b[n+10:], uint64(msgid))
-	binary.LittleEndian.PutUint32(b[n+18:], uint32(len(data)))
-	p.buf = append(b, data...)
+	p.buf = p.buf[:n+need]
+	putRMAEntry(p.buf[n:], op, dtype, offset, msgid, data)
 	p.ops++
 	if len(p.buf) >= rmaBatchMaxBytes {
 		return w.flushTarget(target)
@@ -616,13 +616,11 @@ func (w *Win) getChecked(target, offset, n int, wait bool) (b []byte, seq, msgid
 	if err := w.c.rmaLiveErr(); err != nil {
 		return nil, 0, 0, err
 	}
-	if t := w.directTarget(target); t != nil {
-		b, msgid = w.directGet(t, target, offset, n)
-		return b, 0, msgid, nil
-	}
-	seq, msgid, err = w.request(target, rmaGet, 0, int64(offset), int64(n), nil)
-	if err != nil || !wait {
-		return nil, seq, msgid, err
+	var length [8]byte
+	binary.LittleEndian.PutUint64(length[:], uint64(n))
+	b, seq, msgid, err = w.request(target, rmaGet, 0, offset, length[:])
+	if err != nil || seq == 0 || !wait {
+		return b, seq, msgid, err
 	}
 	b, err = w.c.mb.waitRMAResp(seq)
 	if err != nil {
@@ -653,37 +651,19 @@ func (w *Win) directTarget(target int) *winTarget {
 	return w.st.targets[wr]
 }
 
-// directGet is the shared-memory Get: copy out under the target's
-// region mutex — the same mutex the progress engine takes — and emit
-// the same target-side mirror event it would, so profiles and parity
-// counts are transport-independent. checkAccess already validated the
-// range (the region is hosted in this process).
-func (w *Win) directGet(t *winTarget, target, offset, n int) ([]byte, int64) {
-	msgid := w.c.world.flowID()
-	b := getBuf(n)
-	t.mu.Lock()
-	copy(b, t.buf[offset:offset+n])
-	t.mu.Unlock()
-	w.c.world.mirror(w.c.members[target], PrimRMAGet, w.c.worldRank, n, msgid)
-	return b, msgid
-}
-
 // Accumulate combines vals into the target's window at byte offset with
 // op, element by element (MPI_Accumulate over MPI_INT64_T). Target
 // elements are interpreted as little-endian int64, the window's native
 // encoding. Like Put it completes locally at once; the target applies
 // each Accumulate atomically with respect to other RMA operations.
 func (w *Win) Accumulate(target, offset int, vals []int64, op AccOp) error {
-	return w.accumulate(target, offset, rmaElemInt64, int64Bytes(vals), op, len(vals))
+	return w.accumulate(target, offset, rmaElemInt64, marshalPooled(vals), op, len(vals))
 }
 
 // AccumulateFloat64 is Accumulate over float64 elements.
 func (w *Win) AccumulateFloat64(target, offset int, vals []float64, op AccOp) error {
-	return w.accumulate(target, offset, rmaElemFloat64, float64Bytes(vals), op, len(vals))
+	return w.accumulate(target, offset, rmaElemFloat64, marshalPooled(vals), op, len(vals))
 }
-
-func int64Bytes(vals []int64) []byte     { return AppendMarshal(getBuf(8 * len(vals))[:0], vals) }
-func float64Bytes(vals []float64) []byte { return AppendMarshal(getBuf(8 * len(vals))[:0], vals) }
 
 func (w *Win) accumulate(target, offset int, elem byte, payload []byte, op AccOp, nvals int) error {
 	sp := w.c.begin(PrimRMAAcc)
@@ -718,27 +698,13 @@ func (w *Win) casChecked(target, offset int, compare, swap int64) (int64, int64,
 	if err := w.c.rmaLiveErr(); err != nil {
 		return 0, 0, err
 	}
-	if t := w.directTarget(target); t != nil {
-		// Shared-memory fast path: compare-and-swap under the region
-		// mutex, which makes it atomic with respect to the progress
-		// engine and other fast-path origins.
-		msgid := w.c.world.flowID()
-		t.mu.Lock()
-		old := int64(binary.LittleEndian.Uint64(t.buf[offset:]))
-		if old == compare {
-			binary.LittleEndian.PutUint64(t.buf[offset:], uint64(swap))
-		}
-		t.mu.Unlock()
-		w.c.world.mirror(w.c.members[target], PrimRMACas, w.c.worldRank, 8, msgid)
-		return old, msgid, nil
+	var args [16]byte
+	binary.LittleEndian.PutUint64(args[:], uint64(compare))
+	binary.LittleEndian.PutUint64(args[8:], uint64(swap))
+	b, seq, msgid, err := w.request(target, rmaCas, 0, offset, args[:])
+	if err == nil && seq != 0 {
+		b, err = w.c.mb.waitRMAResp(seq)
 	}
-	var swapBuf [8]byte
-	binary.LittleEndian.PutUint64(swapBuf[:], uint64(swap))
-	seq, msgid, err := w.request(target, rmaCas, 0, int64(offset), compare, swapBuf[:])
-	if err != nil {
-		return 0, msgid, err
-	}
-	b, err := w.c.mb.waitRMAResp(seq)
 	if err != nil {
 		return 0, msgid, err
 	}
@@ -777,8 +743,8 @@ func (w *Win) Flush() error {
 }
 
 // flushTarget closes target's open batch: on shared memory it is
-// applied directly, otherwise it crosses as one kindRMABatch frame
-// whose single acknowledgement joins pendingAcks. The batch buffer is
+// applied directly, otherwise it crosses as one frame whose single
+// acknowledgement joins pendingAcks. The batch buffer is
 // recycled here (fast path) or by the receiving side; if deliver fails
 // it has already recycled the buffer, so no bytes leak on any path.
 func (w *Win) flushTarget(target int) error {
@@ -794,21 +760,12 @@ func (w *Win) flushTarget(target int) error {
 	c := w.c
 	if t := w.directTarget(target); t != nil {
 		rmaBatchDirect.Add(1)
-		c.world.applyRMABatch(t, c.members[target], c.worldRank, buf)
+		c.world.applyRMA(t, c.members[target], c.worldRank, 0, buf)
 		putBuf(buf)
 		return nil
 	}
-	env := getEnv()
-	env.kind = kindRMABatch
-	env.src = c.rank
-	env.wsrc = c.worldRank
-	env.wdst = c.members[target]
-	env.ctx = w.st.key.ctx
-	env.tag = w.st.key.seq
-	seq := c.world.nextSeq()
-	env.seq = seq
-	env.data = buf
-	if err := c.world.deliver(env); err != nil {
+	seq, err := w.send(target, buf)
+	if err != nil {
 		return err
 	}
 	w.pendingAcks = append(w.pendingAcks, seq)
@@ -890,77 +847,60 @@ func (w *Win) Lock(target int) error { return w.lock(target, false) }
 func (w *Win) LockShared(target int) error { return w.lock(target, true) }
 
 func (w *Win) lock(target int, shared bool) error {
-	sp := w.c.begin(PrimRMALock)
-	msgid, err := w.lockChecked(target, shared)
-	sp.end(w.peerOf(target), -1, 0, msgid, 0, 0)
-	return err
-}
-
-func (w *Win) lockChecked(target int, shared bool) (int64, error) {
-	if err := w.checkAccess(target, 0, 0); err != nil {
-		return 0, err
-	}
-	if err := w.c.rmaLiveErr(); err != nil {
-		return 0, err
-	}
-	var aux int64
+	var flag byte
 	if shared {
-		aux = 1
+		flag = 1
 	}
-	seq, msgid, err := w.request(target, rmaLock, 0, 0, aux, nil)
-	if err != nil {
-		return msgid, err
-	}
-	return msgid, w.c.mb.waitAck(seq)
+	return w.lockOp(PrimRMALock, target, rmaLock, flag)
 }
 
 // Unlock closes the passive-target epoch on target (MPI_Win_unlock):
 // outstanding operations are completed first, then the lock is released,
 // which may grant queued waiters.
-func (w *Win) Unlock(target int) error {
-	sp := w.c.begin(PrimRMAUnlock)
-	msgid, err := w.unlockChecked(target)
+func (w *Win) Unlock(target int) error { return w.lockOp(PrimRMAUnlock, target, rmaUnlock, 0) }
+
+// lockOp is the instrumented body of Lock, LockShared and Unlock: one
+// request, confirmed by an ack the target defers until it can grant.
+func (w *Win) lockOp(prim Primitive, target int, op, flag byte) error {
+	sp := w.c.begin(prim)
+	msgid, err := w.lockChecked(target, op, flag)
 	sp.end(w.peerOf(target), -1, 0, msgid, 0, 0)
 	return err
 }
 
-func (w *Win) unlockChecked(target int) (int64, error) {
+func (w *Win) lockChecked(target int, op, flag byte) (int64, error) {
 	if err := w.checkAccess(target, 0, 0); err != nil {
 		return 0, err
 	}
-	if err := w.completePending(); err != nil {
-		return 0, err
+	if op == rmaUnlock {
+		if err := w.completePending(); err != nil {
+			return 0, err
+		}
 	}
 	if err := w.c.rmaLiveErr(); err != nil {
 		return 0, err
 	}
-	seq, msgid, err := w.request(target, rmaUnlock, 0, 0, 0, nil)
+	_, seq, msgid, err := w.request(target, op, flag, 0, nil)
 	if err != nil {
 		return msgid, err
 	}
 	return msgid, w.c.mb.waitAck(seq)
 }
 
-// handleRMAReq is the progress engine: it applies one one-sided request
-// to the target's window region and replies. Called from mailbox.post on
-// the delivering goroutine, before any mailbox lock; mb is the target's
+// handleRMAReq is the progress engine: it applies one frame to the
+// target's window region and replies. Called from mailbox.post on the
+// delivering goroutine, before any mailbox lock; mb is the target's
 // mailbox. Lock order is winMu → winTarget.mu, both released before the
 // reply is delivered (which takes the origin's mailbox lock).
 func (w *World) handleRMAReq(mb *mailbox, e *envelope) {
 	origin, target := e.wsrc, e.wdst
 	key := winKey{ctx: e.ctx, seq: e.tag}
-	seq, msgid := e.seq, e.msgid
-	data := e.data
+	seq, frame := e.seq, e.data
 	putEnv(e)
 	if w.isKilled(target) {
 		// A crashed rank services nothing: no apply, no reply. The origin
 		// observes the failure epoch instead.
-		putBuf(data)
-		return
-	}
-	op, _, offset, aux, perr := parseRMAReq(data)
-	if perr != nil {
-		putBuf(data)
+		putBuf(frame)
 		return
 	}
 	w.winMu.Lock()
@@ -970,76 +910,23 @@ func (w *World) handleRMAReq(mb *mailbox, e *envelope) {
 		t = st.targets[target]
 	}
 	w.winMu.Unlock()
-	if t == nil {
-		// Unknown or already-freed window: reply defensively so a
-		// misordered origin errors instead of hanging.
-		putBuf(data)
-		switch op {
-		case rmaGet, rmaCas:
-			w.rmaRespond(target, origin, key, seq, nil)
-		default:
-			mb.sendAck(origin, key.ctx, seq)
-		}
-		return
+	// A Get or CompareAndSwap is answered with data, nil when it was
+	// rejected; everything else with an ack. An unknown or already-freed
+	// window is answered too, so a misordered origin errors instead of
+	// hanging.
+	respond := len(frame) > 0 && (frame[0] == rmaGet || frame[0] == rmaCas)
+	var r rmaReply
+	if t != nil {
+		r = w.applyRMA(t, target, origin, seq, frame)
 	}
-
-	payload := data[rmaReqHeaderLen:]
-	bytes := len(payload)
-	var prim Primitive
-	var resp []byte   // non-nil ⇒ reply with kindRMAResp
-	needResp := false // Get/CAS always reply, even on a rejected access
-	deferred := false // Lock queued: the ack is sent on a later Unlock
-	var granted []lockWaiter
-
-	t.mu.Lock()
-	switch op {
-	case rmaGet:
-		prim = PrimRMAGet
-		needResp = true
-		n := int(aux)
-		bytes = n
-		if int(offset)+n <= len(t.buf) {
-			resp = getBuf(n)
-			copy(resp, t.buf[offset:int(offset)+n])
-		}
-	case rmaCas:
-		prim = PrimRMACas
-		needResp = true
-		bytes = 8
-		if int(offset)+8 <= len(t.buf) {
-			old := binary.LittleEndian.Uint64(t.buf[offset:])
-			if int64(old) == aux {
-				copy(t.buf[offset:int(offset)+8], payload)
-			}
-			resp = getBuf(8)
-			binary.LittleEndian.PutUint64(resp, old)
-		}
-	case rmaLock:
-		prim = PrimRMALock
-		bytes = 0
-		shared := aux == 1
-		if len(t.queue) == 0 && t.grantableLocked(shared) {
-			t.acquireLocked(shared)
-		} else {
-			t.queue = append(t.queue, lockWaiter{origin: origin, seq: seq, shared: shared})
-			deferred = true
-		}
-	case rmaUnlock:
-		prim = PrimRMAUnlock
-		bytes = 0
-		granted = t.releaseLocked()
-	}
-	t.mu.Unlock()
-	putBuf(data)
-
-	w.mirror(target, prim, origin, bytes, msgid)
-
-	if needResp {
-		w.rmaRespond(target, origin, key, seq, resp)
-	} else if !deferred {
+	putBuf(frame)
+	switch {
+	case respond:
+		w.rmaRespond(target, origin, key, seq, r.resp)
+	case !r.deferred:
 		mb.sendAck(origin, key.ctx, seq)
 	}
-	for _, g := range granted {
+	for _, g := range r.granted {
 		mb.sendAck(g.origin, key.ctx, g.seq)
 	}
 }
@@ -1059,81 +946,81 @@ func (w *World) rmaRespond(target, origin int, key winKey, seq int64, data []byt
 	_ = w.deliver(env)
 }
 
-// handleRMABatch is the batch arm of the progress engine: it applies a
-// coalesced run of Put/Accumulate entries to the target region and
-// confirms the whole batch with a single acknowledgement. Same calling
-// context and lock discipline as handleRMAReq.
-func (w *World) handleRMABatch(mb *mailbox, e *envelope) {
-	origin, target := e.wsrc, e.wdst
-	key := winKey{ctx: e.ctx, seq: e.tag}
-	seq := e.seq
-	data := e.data
-	putEnv(e)
-	if w.isKilled(target) {
-		// A crashed rank services nothing: no apply, no ack. The origin
-		// observes the failure epoch instead.
-		putBuf(data)
-		return
-	}
-	w.winMu.Lock()
-	st := w.windows[key]
-	var t *winTarget
-	if st != nil && target >= 0 && target < len(st.targets) {
-		t = st.targets[target]
-	}
-	w.winMu.Unlock()
-	if t == nil {
-		// Unknown or already-freed window: acknowledge defensively so a
-		// misordered origin errors instead of hanging.
-		putBuf(data)
-		mb.sendAck(origin, key.ctx, seq)
-		return
-	}
-	w.applyRMABatch(t, target, origin, data)
-	putBuf(data)
-	mb.sendAck(origin, key.ctx, seq)
+// rmaReply is what the target owes the origin once a frame is applied.
+type rmaReply struct {
+	resp     []byte       // Get/CompareAndSwap result; nil when the access was rejected
+	deferred bool         // a queued Lock: the Unlock that grants it sends the ack
+	granted  []lockWaiter // waiters an Unlock promoted, each owed an ack
 }
 
-// applyRMABatch applies a batch frame to one target region, for the
-// progress engine (mailbox path) and the origin itself (shared-memory
-// fast path) alike. Out-of-range entries are dropped; a malformed entry
-// stops the walk with everything before it applied. Target-side mirror
-// events are emitted per logical entry after the region mutex is
-// released, so coalescing is invisible in the hook stream.
-func (w *World) applyRMABatch(t *winTarget, target, origin int, buf []byte) {
+// applyRMA is the target side of every one-sided op, for the progress
+// engine (mailbox path) and the origin itself (shared-memory fast path)
+// alike: it walks a frame under the region mutex and applies each entry.
+// An entry outside the region is dropped (a Get or CompareAndSwap then
+// answers nil); a malformed entry, or a reply-needing one that is not
+// alone in its frame, stops the walk with everything before it applied.
+// seq is the request's sequence, which a queued Lock is granted under.
+// One target-side mirror event per applied entry is emitted after the
+// mutex is released, so coalescing is invisible in the hook stream.
+func (w *World) applyRMA(t *winTarget, target, origin int, seq int64, frame []byte) (r rmaReply) {
+	applied := 0
 	t.mu.Lock()
-	rest := buf
-	for len(rest) > 0 {
-		op, dtype, offset, _, data, next, err := rmaBatchNext(rest)
-		if err != nil {
+	for rest := frame; len(rest) > 0; {
+		op, dtype, offset, _, data, ok := rmaBatchNext(rest)
+		if !ok {
 			break
 		}
-		if int(offset)+len(data) <= len(t.buf) {
-			if op == rmaPut {
-				copy(t.buf[offset:], data)
-			} else {
-				applyAccumulate(t.buf[offset:int(offset)+len(data)], dtype>>4, AccOp(dtype&0x0f), data)
-			}
+		rest = rest[rmaBatchEntryLen+len(data):]
+		if op != rmaPut && op != rmaAcc && (applied > 0 || len(rest) > 0) {
+			break
 		}
-		rest = next
+		switch size := len(t.buf); op {
+		case rmaPut:
+			if inWindow(size, offset, int64(len(data))) {
+				copy(t.buf[offset:], data)
+			}
+		case rmaAcc:
+			if inWindow(size, offset, int64(len(data))) {
+				applyAccumulate(t.buf[offset:], dtype>>4, AccOp(dtype&0x0f), data)
+			}
+		case rmaGet:
+			if n := int64(binary.LittleEndian.Uint64(data)); inWindow(size, offset, n) {
+				r.resp = getBuf(int(n))
+				copy(r.resp, t.buf[offset:])
+			}
+		case rmaCas:
+			if inWindow(size, offset, 8) {
+				old := binary.LittleEndian.Uint64(t.buf[offset:])
+				if old == binary.LittleEndian.Uint64(data) {
+					copy(t.buf[offset:], data[8:])
+				}
+				r.resp = getBuf(8)
+				binary.LittleEndian.PutUint64(r.resp, old)
+			}
+		case rmaLock:
+			shared := dtype == 1
+			if len(t.queue) == 0 && t.grantableLocked(shared) {
+				t.acquireLocked(shared)
+			} else {
+				t.queue = append(t.queue, lockWaiter{origin: origin, seq: seq, shared: shared})
+				r.deferred = true
+			}
+		case rmaUnlock:
+			r.granted = t.releaseLocked()
+		}
+		applied++
 	}
 	t.mu.Unlock()
 	if !w.hooked() {
-		return
+		return r
 	}
-	rest = buf
-	for len(rest) > 0 {
-		op, _, _, msgid, data, next, err := rmaBatchNext(rest)
-		if err != nil {
-			break
-		}
-		prim := PrimRMAPut
-		if op == rmaAcc {
-			prim = PrimRMAAcc
-		}
-		w.mirror(target, prim, origin, len(data), msgid)
-		rest = next
+	for rest := frame; applied > 0; applied-- {
+		op, _, _, msgid, data, _ := rmaBatchNext(rest)
+		prim, bytes := rmaEvent(op, data)
+		w.mirror(target, prim, origin, bytes, msgid)
+		rest = rest[rmaBatchEntryLen+len(data):]
 	}
+	return r
 }
 
 // grantableLocked reports whether a new lock of the given mode is
@@ -1176,8 +1063,8 @@ func (t *winTarget) releaseLocked() (granted []lockWaiter) {
 }
 
 // applyAccumulate combines payload into dst element by element. Both are
-// the same length, a whole number of 8-byte elements (parseRMAReq
-// validated that), in the canonical little-endian encoding.
+// at least as long as payload, a whole number of 8-byte elements
+// (rmaBatchNext validated that), in the canonical little-endian encoding.
 func applyAccumulate(dst []byte, elem byte, op AccOp, payload []byte) {
 	for i := 0; i+8 <= len(payload); i += 8 {
 		cur := binary.LittleEndian.Uint64(dst[i:])

@@ -1,7 +1,9 @@
 package mpi
 
 import (
+	"math"
 	"reflect"
+	"strconv"
 	"testing"
 )
 
@@ -32,7 +34,7 @@ func TestScalarSizeNamedTypes(t *testing.T) {
 		{"nInt32", 4, scalarSize[nInt32]()},
 		{"nUint32", 4, scalarSize[nUint32]()},
 		{"nFloat32", 4, scalarSize[nFloat32]()},
-		{"nInt", 8, scalarSize[nInt]()},
+		{"nInt", strconv.IntSize / 8, scalarSize[nInt]()},
 		{"nFloat64", 8, scalarSize[nFloat64]()},
 	}
 	for _, c := range cases {
@@ -49,7 +51,7 @@ func TestMarshalNamedWidthsRoundTrip(t *testing.T) {
 	checkNamedRT(t, []nInt32{-1 << 31, -1, 0, 1<<31 - 1}, 4)
 	checkNamedRT(t, []nUint32{0, 1, 1<<32 - 1}, 4)
 	checkNamedRT(t, []nFloat32{0, -1.5, 3.25e10}, 4)
-	checkNamedRT(t, []nInt{-1 << 62, 0, 1<<62 - 1}, 8)
+	checkNamedRT(t, []nInt{math.MinInt, -1, 0, math.MaxInt}, strconv.IntSize/8)
 	checkNamedRT(t, []nFloat64{0, -1e300, 2.5}, 8)
 }
 
