@@ -31,7 +31,7 @@ CLUSTER_BENCHES = BenchmarkClusterDrain|BenchmarkClusterDrainLinear|BenchmarkPla
 # CHAOS_SEEDS=5,6,7 make chaos.
 CHAOS_SEEDS ?= 1,2,3,4,5,6,7,8,9,10,11,12
 
-.PHONY: all build test race bench bench-all bench-e2e check chaos faults flake fuzz report examples metrics-demo clean
+.PHONY: all build test race bench bench-all bench-compare bench-e2e check chaos faults flake fuzz report examples metrics-demo clean
 
 all: build test
 
@@ -99,12 +99,29 @@ race:
 
 # MPI runtime benchmarks with allocation stats, converted to
 # deterministic JSON (sorted names, fixed key order) so the committed
-# baselines diff cleanly between runs.
+# baselines diff cleanly between runs. BENCH_DIR moves the four files
+# (bench-compare writes them to a temporary directory).
+BENCH_DIR ?= .
 bench:
-	$(GO) test -run NONE -bench '$(MPI_BENCHES)' -benchmem -count=1 . | $(GO) run ./cmd/benchjson > BENCH_mpi.json
-	$(GO) test -run NONE -bench '$(RMA_BENCHES)' -benchmem -count=1 . | $(GO) run ./cmd/benchjson > BENCH_rma.json
-	$(GO) test -run NONE -bench '$(DDP_BENCHES)' -benchmem -count=1 . | $(GO) run ./cmd/benchjson > BENCH_ddp.json
-	$(GO) test -run NONE -bench '$(CLUSTER_BENCHES)' -benchmem -count=1 ./internal/cluster | $(GO) run ./cmd/benchjson > BENCH_cluster.json
+	$(GO) test -run NONE -bench '$(MPI_BENCHES)' -benchmem -count=1 . | $(GO) run ./cmd/benchjson > $(BENCH_DIR)/BENCH_mpi.json
+	$(GO) test -run NONE -bench '$(RMA_BENCHES)' -benchmem -count=1 . | $(GO) run ./cmd/benchjson > $(BENCH_DIR)/BENCH_rma.json
+	$(GO) test -run NONE -bench '$(DDP_BENCHES)' -benchmem -count=1 . | $(GO) run ./cmd/benchjson > $(BENCH_DIR)/BENCH_ddp.json
+	$(GO) test -run NONE -bench '$(CLUSTER_BENCHES)' -benchmem -count=1 ./internal/cluster | $(GO) run ./cmd/benchjson > $(BENCH_DIR)/BENCH_cluster.json
+
+# Regenerate the four BENCH files into a temporary directory and compare
+# each with the committed one (`benchjson -compare`: a missing row, an
+# allocs/op rise past 5 % or a B/op rise past 10 % and 32 KiB fails;
+# ns/op is printed only). It stays out of `check` for now: it takes about
+# 90 s, and a few rows are not yet deterministic: on one commit
+# Iallreduce/512KiB reads 7 or 8 allocs/op and DDP_Step's B/op moves by
+# up to 22 KiB (the pool-miss lottery of ROADMAP item 6), so the gate
+# would flake on an unchanged tree.
+bench-compare:
+	@dir=$$(mktemp -d) && $(MAKE) --no-print-directory bench BENCH_DIR=$$dir && \
+	status=0; for f in mpi rma ddp cluster; do \
+		echo "== BENCH_$$f.json"; \
+		$(GO) run ./cmd/benchjson -compare BENCH_$$f.json $$dir/BENCH_$$f.json || status=1; \
+	done; rm -rf $$dir; exit $$status
 
 bench-all:
 	$(GO) test -bench=. -benchmem ./...

@@ -3,16 +3,29 @@
 // a fixed key order, and no volatile environment noise beyond the
 // goos/goarch/cpu header Go itself prints. `make bench` pipes through
 // it so the committed BENCH_*.json baselines diff cleanly run to run.
+//
+// With -compare it reads two such documents instead and prints every
+// row's change, failing on the machine-independent columns:
+//
+//	benchjson -compare old.json new.json
+//
+// It exits 1 when a row of old.json is missing from new.json, when a
+// row's allocs/op rises by more than 5 %, or when its B/op rises by more
+// than 10 % and by more than 32 KiB. ns/op is printed and never gated:
+// it moves with the host.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
+	"text/tabwriter"
 )
 
 // Benchmark is one `Benchmark...` result line. Field order here is the
@@ -41,6 +54,11 @@ type Doc struct {
 }
 
 func main() {
+	compare := flag.Bool("compare", false, "compare two BENCH documents: benchjson -compare old.json new.json")
+	flag.Parse()
+	if *compare {
+		os.Exit(compareFiles(flag.Args()))
+	}
 	doc, err := Parse(bufio.NewScanner(os.Stdin))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -134,4 +152,99 @@ func parseLine(line string) (Benchmark, bool, error) {
 		}
 	}
 	return b, true, nil
+}
+
+// The gates. Two `make bench` runs of one commit (two-vCPU Intel Xeon,
+// GOMAXPROCS=2) moved allocs/op by at most one, and B/op by up to 22 KiB
+// (DDP_Step/overlap-loopback, 21,149 and 43,556 B) on rows under 64 KiB
+// and by under 0.01 % on rows above 1 MB. So B/op fails a row only past
+// both a relative and an absolute rise, each above that spread.
+const (
+	allocsPct  = 5        // percent
+	bytesPct   = 10       // percent
+	bytesSlack = 32 << 10 // bytes
+)
+
+// compareFiles is -compare: it reads the two documents named in args,
+// prints the comparison and returns the exit code (0 clean, 1 a
+// regression, 2 usage or an unreadable file).
+func compareFiles(args []string) int {
+	if len(args) != 2 {
+		fmt.Fprintln(os.Stderr, "usage: benchjson -compare old.json new.json")
+		return 2
+	}
+	var docs [2]Doc
+	for i, path := range args {
+		b, err := os.ReadFile(path)
+		if err == nil {
+			err = json.Unmarshal(b, &docs[i])
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			return 2
+		}
+	}
+	if bad := Compare(os.Stdout, &docs[0], &docs[1]); len(bad) > 0 {
+		fmt.Fprintf(os.Stderr, "benchjson: %d regression(s): %s\n", len(bad), strings.Join(bad, "; "))
+		return 1
+	}
+	return 0
+}
+
+// Compare matches the rows of two documents by name and writes one line
+// per row, old -> new with the change in percent for ns/op, B/op and
+// allocs/op. It returns the regressions: a row of old that new lacks,
+// allocs/op up by more than allocsPct percent (from zero, any rise), B/op
+// up by more than bytesPct percent and bytesSlack bytes. A row only new
+// has is listed and passes.
+func Compare(w io.Writer, old, new *Doc) []string {
+	tw := tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
+	defer tw.Flush()
+	newRows := make(map[string]Benchmark, len(new.Benchmarks))
+	for _, b := range new.Benchmarks {
+		newRows[b.Name] = b
+	}
+	var bad []string
+	for _, o := range old.Benchmarks {
+		n, ok := newRows[o.Name]
+		if !ok {
+			fmt.Fprintf(tw, "%s\tMISSING\n", o.Name)
+			bad = append(bad, o.Name+": missing")
+			continue
+		}
+		delete(newRows, o.Name)
+		verdict := "ok"
+		if rise(o.AllocsPerOp, n.AllocsPerOp, allocsPct, 0) {
+			verdict = "FAIL"
+			bad = append(bad, fmt.Sprintf("%s: allocs/op %d -> %d", o.Name, o.AllocsPerOp, n.AllocsPerOp))
+		}
+		if rise(o.BytesPerOp, n.BytesPerOp, bytesPct, bytesSlack) {
+			verdict = "FAIL"
+			bad = append(bad, fmt.Sprintf("%s: B/op %d -> %d", o.Name, o.BytesPerOp, n.BytesPerOp))
+		}
+		fmt.Fprintf(tw, "%s\tns/op %s\tB/op %s\tallocs/op %s\t%s\n", o.Name,
+			delta(o.NsPerOp, n.NsPerOp), delta(float64(o.BytesPerOp), float64(n.BytesPerOp)),
+			delta(float64(o.AllocsPerOp), float64(n.AllocsPerOp)), verdict)
+	}
+	for _, b := range new.Benchmarks {
+		if _, ok := newRows[b.Name]; ok {
+			fmt.Fprintf(tw, "%s\tnew\n", b.Name)
+		}
+	}
+	return bad
+}
+
+// rise reports whether n exceeds o by more than pct percent of o and by
+// more than slack.
+func rise(o, n int64, pct float64, slack int64) bool {
+	return n-o > slack && float64(n-o) > float64(o)*pct/100
+}
+
+// delta formats old -> new and the change in percent.
+func delta(o, n float64) string {
+	s := strconv.FormatFloat(o, 'f', -1, 64) + " -> " + strconv.FormatFloat(n, 'f', -1, 64)
+	if o != 0 {
+		s += fmt.Sprintf(" (%+.1f%%)", 100*(n-o)/o)
+	}
+	return s
 }

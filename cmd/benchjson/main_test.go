@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 )
@@ -72,5 +73,51 @@ func TestParseProcsWithoutSuffix(t *testing.T) {
 func TestParseRejectsEmpty(t *testing.T) {
 	if _, err := Parse(bufio.NewScanner(strings.NewReader("PASS\n"))); err == nil {
 		t.Fatal("expected an error for input with no benchmarks")
+	}
+}
+
+// TestCompare holds the comparator's gates on inline fixtures: one old
+// row against one new row per case (no new row: missing).
+func TestCompare(t *testing.T) {
+	old := Benchmark{Name: "BenchmarkX", NsPerOp: 1000, BytesPerOp: 1 << 20, AllocsPerOp: 100}
+	for _, tc := range []struct {
+		name string
+		new  []Benchmark
+		fail bool
+	}{
+		{"identical", []Benchmark{old}, false},
+		{"ns/op doubles: printed, not gated", []Benchmark{{Name: "BenchmarkX", NsPerOp: 2000, BytesPerOp: 1 << 20, AllocsPerOp: 100}}, false},
+		{"allocs/op up 5%", []Benchmark{{Name: "BenchmarkX", BytesPerOp: 1 << 20, AllocsPerOp: 105}}, false},
+		{"allocs/op up 6%", []Benchmark{{Name: "BenchmarkX", BytesPerOp: 1 << 20, AllocsPerOp: 106}}, true},
+		{"allocs/op down", []Benchmark{{Name: "BenchmarkX", BytesPerOp: 1 << 20, AllocsPerOp: 10}}, false},
+		{"B/op up 10%", []Benchmark{{Name: "BenchmarkX", BytesPerOp: 1<<20 + 1<<20/10, AllocsPerOp: 100}}, false},
+		{"B/op up 11%", []Benchmark{{Name: "BenchmarkX", BytesPerOp: 1<<20 + 1<<20/9, AllocsPerOp: 100}}, true},
+		{"B/op down", []Benchmark{{Name: "BenchmarkX", BytesPerOp: 1, AllocsPerOp: 100}}, false},
+		{"row missing", []Benchmark{{Name: "BenchmarkY", BytesPerOp: 1 << 20, AllocsPerOp: 100}}, true},
+		{"row added", []Benchmark{old, {Name: "BenchmarkY", BytesPerOp: 9e9, AllocsPerOp: 9e9}}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out strings.Builder
+			bad := Compare(&out, &Doc{Benchmarks: []Benchmark{old}}, &Doc{Benchmarks: tc.new})
+			if (len(bad) > 0) != tc.fail {
+				t.Fatalf("regressions %q, want failure %v; printed:\n%s", bad, tc.fail, out.String())
+			}
+			if !strings.Contains(out.String(), "BenchmarkX") {
+				t.Fatalf("BenchmarkX not printed:\n%s", out.String())
+			}
+		})
+	}
+
+	// On a small row B/op must also rise past the absolute slack: the
+	// same commit moves such rows by tens of percent. allocs/op has no
+	// slack: from zero, any rise fails.
+	small := &Doc{Benchmarks: []Benchmark{{Name: "BenchmarkZ", BytesPerOp: 20_000}}}
+	for _, tc := range []struct {
+		bytes, allocs int64
+		want          int
+	}{{40_000, 0, 0}, {60_000, 0, 1}, {20_000, 1, 1}} {
+		if bad := Compare(io.Discard, small, &Doc{Benchmarks: []Benchmark{{Name: "BenchmarkZ", BytesPerOp: tc.bytes, AllocsPerOp: tc.allocs}}}); len(bad) != tc.want {
+			t.Fatalf("20,000 B and 0 allocs -> %d B and %d allocs: regressions %q, want %d", tc.bytes, tc.allocs, bad, tc.want)
+		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"repro/internal/mpi"
@@ -236,41 +237,34 @@ type table struct {
 }
 
 // buildTable builds the table over n tuples read through at, which must
-// return the same tuple for the same index on both passes: pass 1 finds
-// or claims each tuple's slot and counts it, a prefix sum turns the
-// counts into run starts, pass 2 scatters the payloads. The tuples are
-// read through an index so that the one-sided builds scan their window
-// bytes in place.
+// return the same tuple for the same index on every pass. The slot array
+// is sized by the distinct keys, so that a table over many duplicates
+// stays in cache: the power of two at or above 2.25 × distinctEstimate,
+// never above nextPow2(2n). Pass 1 (claimSlots) finds or claims each
+// tuple's slot and counts it, and starts over at nextPow2(2n) should the
+// keys outgrow half the slots (a low estimate); the size is a function
+// of the keys alone. A prefix sum turns the counts into run starts, and
+// pass 2 scatters the payloads. The tuples are read through an index so
+// that the one-sided builds scan their window bytes in place.
 func buildTable(n int, at func(i int) (key, payload int64)) (table, error) {
 	if n > math.MaxInt32 {
 		return table{}, fmt.Errorf("hashjoin: %d build tuples on one rank exceed the table's 32-bit offsets", n)
 	}
-	slots := nextPow2(2 * n)
-	t := table{
-		keys:     make([]int64, slots),
-		off:      make([]uint32, slots+1),
-		payloads: make([]int64, n),
-	}
-	// Until the prefix sum, off[s+1] is slot s's tuple count, and zero
-	// marks the slot empty.
 	slotOf := make([]uint32, n)
-	for i := range slotOf {
-		key, _ := at(i)
-		s := hashSlot(key, slots)
-		for t.off[s+1] != 0 && t.keys[s] != key {
-			s = (s + 1) & (slots - 1)
-		}
-		t.keys[s] = key
-		t.off[s+1]++
-		slotOf[i] = uint32(s)
+	full := nextPow2(2 * n)
+	sized := min(nextPow2(int(math.Ceil(2.25*distinctEstimate(slotOf, at)))), full)
+	t, ok := claimSlots(sized, slotOf, at)
+	if !ok {
+		t, _ = claimSlots(full, slotOf, at)
 	}
 	// Shifted exclusive prefix sum: off[s+1] becomes the start of run s,
 	// and the scatter below advances it to the run's end, which is the
 	// start of run s+1.
 	sum := uint32(0)
-	for s := 1; s <= slots; s++ {
+	for s := 1; s < len(t.off); s++ {
 		sum, t.off[s] = sum+t.off[s], sum
 	}
+	t.payloads = make([]int64, n)
 	for i, s := range slotOf {
 		_, payload := at(i)
 		t.payloads[t.off[s+1]] = payload
@@ -279,37 +273,97 @@ func buildTable(n int, at func(i int) (key, payload int64)) (table, error) {
 	return t, nil
 }
 
-// run returns the build payloads stored under key, in build order.
-func (t *table) run(key int64) []int64 {
-	mask := len(t.keys) - 1
-	for s := hashSlot(key, len(t.keys)); ; s = (s + 1) & mask {
-		lo, hi := t.off[s], t.off[s+1]
-		if lo == hi {
-			return nil
-		}
-		if t.keys[s] == key {
-			return t.payloads[lo:hi]
-		}
+// distinctEstimate estimates how many distinct keys the len(scratch)
+// tuples read through at carry, by linear counting over the bits of
+// scratch, which it leaves dirty: each key sets the bit hashSlot picks
+// among m, the largest power of two of them, and d distinct keys leave
+// about m·e^(-d/m) of the m clear, so d ≈ m·ln(m/clear). With m >= 16n
+// >= 16d at least 15/16 of the bits stay clear, and the estimate is
+// tight.
+func distinctEstimate(scratch []uint32, at func(i int) (key, payload int64)) float64 {
+	if len(scratch) == 0 {
+		return 0
 	}
+	bitmap := scratch[:1<<(bits.Len(uint(len(scratch)))-1)]
+	m := 32 * len(bitmap)
+	for i := range scratch {
+		key, _ := at(i)
+		b := hashSlot(key, m)
+		bitmap[b>>5] |= 1 << (b & 31)
+	}
+	set := 0
+	for _, w := range bitmap {
+		set += bits.OnesCount32(w)
+	}
+	return float64(m) * math.Log(float64(m)/float64(m-set))
+}
+
+// claimSlots is pass 1 over a table of the given number of slots: it
+// finds or claims each tuple's slot, records it in slotOf and counts the
+// tuple into off[s+1], which until the prefix sum is slot s's tuple
+// count, zero marking the slot empty. It gives up, reporting false, on
+// the claim that would take the load past one half.
+func claimSlots(slots int, slotOf []uint32, at func(i int) (key, payload int64)) (table, bool) {
+	t := table{keys: make([]int64, slots), off: make([]uint32, slots+1)}
+	claimed := 0
+	for i := range slotOf {
+		key, _ := at(i)
+		s := hashSlot(key, slots)
+		for t.off[s+1] != 0 && t.keys[s] != key {
+			s = (s + 1) & (slots - 1)
+		}
+		if t.off[s+1] == 0 {
+			if claimed++; claimed > slots/2 {
+				return t, false
+			}
+			t.keys[s] = key
+		}
+		t.off[s+1]++
+		slotOf[i] = uint32(s)
+	}
+	return t, true
+}
+
+// run returns the bounds of key's run of build payloads: the run of the
+// slot that holds key or, for a key the table lacks, of the empty slot
+// its probe stops at, which is empty.
+func (t *table) run(key int64) (lo, hi uint32) {
+	mask := len(t.keys) - 1
+	s := hashSlot(key, len(t.keys))
+	for t.off[s] != t.off[s+1] && t.keys[s] != key {
+		s = (s + 1) & mask
+	}
+	return t.off[s], t.off[s+1]
 }
 
 // probe joins a flat probe stream against the table: one lookup pass
-// counts the matches, the output is allocated at exactly that size, and
-// a second pass fills it — probe order, and build order within one probe
-// tuple, the order a map of appended slices would give.
+// records each probe tuple's run (start and length, packed in a word)
+// and adds up the lengths, the output is allocated at exactly that size,
+// and the fill copies the recorded runs into it by index — probe order,
+// and build order within one probe tuple, the order a map of appended
+// slices would give. A miss records an empty run, so no marker can
+// collide with a real one.
 func (t *table) probe(probe []int64) []Pair {
+	runs := make([]uint64, len(probe)/2)
 	total := 0
-	for i := 0; i < len(probe); i += 2 {
-		total += len(t.run(probe[i]))
+	for i := range runs {
+		lo, hi := t.run(probe[2*i])
+		runs[i] = uint64(lo)<<32 | uint64(hi-lo)
+		total += int(hi - lo)
 	}
 	if total == 0 {
 		return nil
 	}
-	out := make([]Pair, 0, total)
-	for i := 0; i < len(probe); i += 2 {
-		for _, bp := range t.run(probe[i]) {
-			out = append(out, Pair{BuildPayload: bp, ProbePayload: probe[i+1]})
+	out := make([]Pair, total)
+	j := 0
+	for i, r := range runs {
+		lo := uint32(r >> 32)
+		run := t.payloads[lo : lo+uint32(r)]
+		dst, pp := out[j:j+len(run)], probe[2*i+1]
+		for k, bp := range run {
+			dst[k] = Pair{BuildPayload: bp, ProbePayload: pp}
 		}
+		j += len(run)
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package hashjoin
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -141,6 +142,150 @@ func TestBuildTableRejectsOversize(t *testing.T) {
 	}
 }
 
+// estimatorBits is how many bits distinctEstimate counts over for n
+// build tuples: the largest power of two of the 32n in its scratch.
+func estimatorBits(n int) int {
+	return 32 << (bits.Len(uint(n)) - 1)
+}
+
+// sizedJoin builds the table over the build stream and checks what every
+// size must keep: load <= 0.5, a slot array no larger than the
+// tuple-sized nextPow2(2n), and the oracle's output pair for pair. It
+// returns the slot count.
+func sizedJoin(t *testing.T, build, probe []int64) int {
+	t.Helper()
+	n := len(build) / 2
+	tbl, err := buildTable(n, func(i int) (key, payload int64) {
+		return build[2*i], build[2*i+1]
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinct := map[int64]bool{}
+	for i := 0; i < len(build); i += 2 {
+		distinct[build[i]] = true
+	}
+	if slots := len(tbl.keys); 2*len(distinct) > slots || slots > nextPow2(2*n) {
+		t.Fatalf("%d tuples over %d distinct keys got %d slots: want load <= 0.5 and at most nextPow2(2n) = %d",
+			n, len(distinct), slots, nextPow2(2*n))
+	}
+	if got, want := tbl.probe(probe), refLocalJoin(build, probe); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%d slots: %d pairs, the map oracle %d, or in another order", len(tbl.keys), len(got), len(want))
+	}
+	return len(tbl.keys)
+}
+
+// pairedKeys returns 2·bitsWanted distinct keys, two on each of
+// bitsWanted of the estimator's m bits, found by search: linear counting
+// sees half of them.
+func pairedKeys(bitsWanted, m int) []int64 {
+	onBit := map[int][]int64{}
+	var keys []int64
+	for k := int64(0); len(keys) < 2*bitsWanted; k++ {
+		b := hashSlot(k, m)
+		if onBit[b] = append(onBit[b], k); len(onBit[b]) == 2 {
+			keys = append(keys, onBit[b]...)
+		}
+	}
+	return keys
+}
+
+// TestTableSizedByDistinctKeys pins the table's size to its distinct
+// keys, not its tuples, without timing anything.
+func TestTableSizedByDistinctKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	probe := stream(randomKeys(rng, 5000, 15_000), 1_000_000)
+
+	// join-rma's shape: one rank's 75k build tuples over ~15k keys. A
+	// table sized by tuples has 262,144 slots.
+	if slots := sizedJoin(t, stream(randomKeys(rng, 75_000, 15_000), 0), probe); slots > 65_536 {
+		t.Fatalf("75k tuples over 15k keys: %d slots, want <= 65,536", slots)
+	}
+
+	// All distinct: at most the tuple-sized table, at sizes where 2.25n
+	// rounds past nextPow2(2n) (1,000: 4,096 against 2,048) and where it
+	// does not.
+	for _, n := range []int{1, 2, 3, 100, 1000, 75_000} {
+		distinct := make([]int64, n)
+		for i := range distinct {
+			distinct[i] = int64(i) * 7919
+		}
+		sizedJoin(t, stream(distinct, 0), probe)
+	}
+
+	// Linear counting's logarithm corrects for keys that share a bit:
+	// 920 keys on 1,100 tuples set 903 bits and read as ~916, and 2.25 ×
+	// 916 rounds up to 4,096 slots where 2.25 × 903 would give 2,048.
+	shared := make([]int64, 1100)
+	for i := range shared {
+		shared[i] = int64(i%920) * 7919
+	}
+	if slots := sizedJoin(t, stream(shared, 0), probe); slots != 4096 {
+		t.Fatalf("920 keys on 1,100 tuples: %d slots, want 4,096", slots)
+	}
+
+	// The margin and the half-load boundary, on 200 tuples
+	// (nextPow2(2n) = 512). k pairs of keys, two to an estimator bit,
+	// read as ~k distinct, so the table gets nextPow2(2.25k) slots:
+	// 62 keys read as 31 get 128 (2 × 31 would round to 64 and overflow);
+	// 64 keys read as 32 fill 128 slots to exactly one half, which
+	// stays; a 65th key is one claim too many, and the build falls back
+	// to the tuple-sized table.
+	for _, tc := range []struct {
+		pairs int
+		extra bool
+		slots int
+	}{{31, false, 128}, {32, false, 128}, {32, true, 512}} {
+		keys := pairedKeys(tc.pairs, estimatorBits(200))
+		build := make([]int64, 0, 200)
+		for len(build) < 200 {
+			build = append(build, keys...)
+		}
+		build = build[:200]
+		if tc.extra {
+			build[199] = slices.Max(keys) + 1
+		}
+		if slots := sizedJoin(t, stream(build, 0), stream(keys, 1_000_000)); slots != tc.slots {
+			t.Fatalf("%d keys two to a bit (and another: %v): %d slots, want %d", 2*tc.pairs, tc.extra, slots, tc.slots)
+		}
+	}
+}
+
+// TestTableFallsBackOnLowEstimate: 300 keys found by search, all on the
+// estimator's bit 0, read as one distinct key, so the sized table (4
+// slots) overflows; the build must fall back to the tuple-sized table
+// and still join exactly.
+func TestTableFallsBackOnLowEstimate(t *testing.T) {
+	const n = 1000
+	keys := collidingKeys(300, estimatorBits(n))
+	build := make([]int64, n)
+	for i := range build {
+		build[i] = keys[i%len(keys)]
+	}
+	if est := distinctEstimate(make([]uint32, n), func(i int) (int64, int64) { return build[i], 0 }); est > 2 {
+		t.Fatalf("300 keys on one estimator bit read as %.1f distinct", est)
+	}
+	probe := append(slices.Clone(keys[100:]), randomKeys(rand.New(rand.NewSource(5)), 200, 1<<40)...)
+	if slots := sizedJoin(t, stream(build, 0), stream(probe, 1_000_000)); slots != nextPow2(2*n) {
+		t.Fatalf("low estimate: %d slots, want the fallback's %d", slots, nextPow2(2*n))
+	}
+}
+
+// fallbackSeed is a FuzzFlatTable input whose eight build keys are three
+// distinct ones on one estimator bit, found by search: they read as one
+// distinct key, overflow the 4-slot table and take the fallback.
+func fallbackSeed() []byte {
+	onBit := map[int][]byte{}
+	for b := 0; b < 256; b++ {
+		bit := hashSlot(int64(int8(b)), estimatorBits(8))
+		if onBit[bit] = append(onBit[bit], byte(b)); len(onBit[bit]) == 3 {
+			k := onBit[bit]
+			return []byte{8, k[0], k[1], k[2], k[0], k[1], k[2], k[0], k[1], k[2], 1, k[1]}
+		}
+	}
+	panic("no three one-byte keys share an estimator bit")
+}
+
 // FuzzFlatTable drives the flat kernels against the map oracle on keys
 // decoded from a byte string: the first byte splits the rest into build
 // and probe, and each byte is a signed one-byte key, so duplicates,
@@ -151,6 +296,7 @@ func FuzzFlatTable(f *testing.F) {
 	f.Add([]byte{3, 7, 7, 7, 7, 7, 7})
 	f.Add([]byte{128, 1, 2, 3, 4, 5, 6, 7, 8, 255, 254, 253, 1, 2, 3})
 	f.Add([]byte("4the quick brown fox jumps over the lazy dog"))
+	f.Add(fallbackSeed())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var buildKeys, probeKeys []int64
 		if len(data) > 0 {
