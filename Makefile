@@ -146,6 +146,7 @@ fuzz:
 	$(GO) test ./internal/workload -fuzz=FuzzWorkloadSpec -fuzztime=10s
 	$(GO) test ./internal/modules/distsort -fuzz=FuzzEquiDepthBoundaries -fuzztime=10s
 	$(GO) test ./internal/modules/distsort -fuzz=FuzzRadixScratch -fuzztime=10s
+	$(GO) test ./internal/modules/distsort -fuzz=FuzzBucketOf -fuzztime=10s
 	$(GO) test ./internal/modules/hashjoin -fuzz=FuzzFlatTable -fuzztime=10s
 	$(GO) test ./internal/modules/kmeans -fuzz=FuzzNearest -fuzztime=10s
 

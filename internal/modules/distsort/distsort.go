@@ -140,10 +140,7 @@ func SortOpts(c *mpi.Comm, local []float64, splitter Splitter, opt Options) ([]f
 		return nil, Result{}, err
 	}
 
-	send, ends, err := partition(local, boundaries)
-	if err != nil {
-		return nil, Result{}, err
-	}
+	send, ends := partition(local, boundaries)
 
 	// Exchange with the primitive set Table II prescribes for Module 3:
 	// nonblocking sends of every block, then every inbound block sized
@@ -362,11 +359,12 @@ func computeBoundaries(c *mpi.Comm, local []float64, splitter Splitter) ([]float
 		return bounds, err
 
 	case Sampled:
-		// Every rank contributes a regular sample of its sorted data;
+		// Every rank contributes a regular sample of its sorted data
+		// (sorted by the local phase's kernel: O(n), not O(n log n));
 		// rank 0 picks every p-th quantile of the pooled sample.
 		const perRank = 64
 		sorted := append([]float64(nil), local...)
-		sort.Float64s(sorted)
+		RadixSortFloat64s(sorted)
 		sample := make([]float64, 0, perRank)
 		for i := 0; i < perRank; i++ {
 			if len(sorted) == 0 {
@@ -473,48 +471,47 @@ func equiDepthBoundaries(keys []float64, lo, hi float64, p int) []float64 {
 }
 
 // bucketOf locates the bucket of k given ascending boundaries: the first
-// i with bounds[i] >= k (so a NaN falls in the last bucket), found as
-// sort.SearchFloat64s finds it, minus the closure call per probe.
+// i with bounds[i] >= k (so a NaN falls in the last bucket). It halves
+// the len(bounds)+1 candidates by arithmetic on the comparison, not by a
+// branch on it, so a key costs no mispredicted jump at any rank count.
 func bucketOf(k float64, bounds []float64) int {
-	lo, hi := 0, len(bounds)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if bounds[mid] >= k {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	base, n := 0, len(bounds)+1
+	for n > 1 {
+		half := n / 2
+		base += half * b2i(!(bounds[base+half-1] >= k))
+		n -= half
 	}
-	return lo
+	return base
+}
+
+// b2i is 1 for true and 0 for false, compiled to a flag set, not a jump.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // partition groups keys by destination bucket in one exact-size buffer,
 // count then fill: bucket b is send[ends[b-1]:ends[b]] (from 0 for b = 0)
-// and keeps the input order. Each key's bucket is searched once and
-// remembered for the fill pass in two bytes, which bounds the rank count.
-func partition(keys, bounds []float64) (send []float64, ends []int, err error) {
-	p := len(bounds) + 1
-	if p > math.MaxUint16+1 {
-		return nil, nil, fmt.Errorf("distsort: %d ranks exceed the %d the partition can index", p, math.MaxUint16+1)
-	}
-	ids := make([]uint16, len(keys))
-	ends = make([]int, p)
-	for i, k := range keys {
-		b := bucketOf(k, bounds)
-		ids[i] = uint16(b)
-		ends[b]++
+// and keeps the input order. Each pass searches each key's bucket; the
+// search is cheaper than reading back a remembered one.
+func partition(keys, bounds []float64) (send []float64, ends []int) {
+	ends = make([]int, len(bounds)+1)
+	for _, k := range keys {
+		ends[bucketOf(k, bounds)]++
 	}
 	start := 0
 	for b, n := range ends {
 		ends[b], start = start, start+n
 	}
 	send = make([]float64, len(keys))
-	for i, k := range keys {
-		b := ids[i]
+	for _, k := range keys {
+		b := bucketOf(k, bounds)
 		send[ends[b]] = k
 		ends[b]++ // the cursor of b finishes on its end
 	}
-	return send, ends, nil
+	return send, ends
 }
 
 // VerifyDistributedSorted checks the global sort invariant: each rank's

@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/ckpt"
+	"repro/internal/data"
 	"repro/internal/faults"
+	"repro/internal/leakcheck"
 	"repro/internal/mpi"
 )
 
@@ -79,6 +81,48 @@ func TestSortResilientRespawn(t *testing.T) {
 	for r, mine := range faulted {
 		if !reflect.DeepEqual(mine, clean[r]) {
 			t.Errorf("rank %d: checkpointed recovery bucket differs from the clean run", r)
+		}
+	}
+}
+
+// TestSortResilientRespawnLarge is TestSortResilientRespawn at the
+// benchmark's size, where every exchanged block takes the rendezvous
+// path: 10⁶ exponential keys on 4 ranks with histogram splitters. Rank
+// 2 dies entering its 10th call, the second Probe of the exchange, with
+// its three ~0.5 MB sends posted and none received. The survivors'
+// buckets must match the clean run bit for bit, and the recovery must
+// leave no goroutine or pool buffer behind.
+func TestSortResilientRespawnLarge(t *testing.T) {
+	const np = 4
+	locals := deal(data.ExponentialKeys(1_000_000, 1, 33), np)
+	run := func(opts ...mpi.Option) ([np][]float64, error) {
+		var out [np][]float64
+		err := mpi.Run(np, func(c *mpi.Comm) error {
+			mine, _, err := SortResilient(c, Histogram, func(rank int) []float64 { return locals[rank] }, nil)
+			out[c.Rank()] = mine
+			return err
+		}, opts...)
+		return out, err
+	}
+	clean, err := run()
+	if err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	defer leakcheck.Snapshot(t, leakcheck.Gauge{
+		Name: "pool_bytes_in_flight",
+		Read: func() int64 { return mpi.PoolStats().BytesInFlight },
+	}).Check()
+	faulted, err := run(mpi.WithInjector(faults.MustParse("rank=2:call=10:kill")))
+	if !errors.Is(err, mpi.ErrRankKilled) {
+		t.Fatalf("faulted run: %v, want ErrRankKilled", err)
+	}
+	for r := range np {
+		if r == 2 {
+			continue
+		}
+		if i := sameBits(faulted[r], clean[r]); i >= 0 {
+			t.Errorf("rank %d: post-respawn bucket of %d keys differs from the clean run's %d at %d",
+				r, len(faulted[r]), len(clean[r]), i)
 		}
 	}
 }

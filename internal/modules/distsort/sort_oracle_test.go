@@ -28,7 +28,7 @@ func refSort(c *mpi.Comm, local []float64, splitter Splitter) ([]float64, error)
 	// Partition local keys into per-destination blocks.
 	blocks := make([][]float64, p)
 	for _, k := range local {
-		b := bucketOf(k, boundaries)
+		b := refBucketOf(k, boundaries)
 		blocks[b] = append(blocks[b], k)
 	}
 
@@ -71,6 +71,23 @@ func refSort(c *mpi.Comm, local []float64, splitter Splitter) ([]float64, error)
 
 	sort.Float64s(mine)
 	return mine, nil
+}
+
+// refBucketOf is the bucket search SortOpts ran before the branch-free
+// one, kept verbatim as its oracle: the first i with bounds[i] >= k,
+// found as sort.SearchFloat64s finds it, minus the closure call per
+// probe.
+func refBucketOf(k float64, bounds []float64) int {
+	lo, hi := 0, len(bounds)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if bounds[mid] >= k {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // deal hands keys out round-robin, as every test of the module does.
@@ -242,4 +259,203 @@ func FuzzRadixScratch(f *testing.F) {
 			}
 		}
 	})
+}
+
+// bucketKeys returns the keys a bucket search must place as the oracle
+// does: NaNs of both signs, signed zeros, subnormals, infinities, every
+// bound and its two neighbours, and a spread of ordinary values.
+func bucketKeys(bounds []float64, rng *rand.Rand) []float64 {
+	keys := []float64{
+		math.Float64frombits(0x7FF8000000000001), math.Float64frombits(0xFFF8000000000002),
+		0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, -1e-310,
+		math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64,
+	}
+	for _, b := range bounds {
+		keys = append(keys, b, math.Nextafter(b, math.Inf(-1)), math.Nextafter(b, math.Inf(1)))
+	}
+	for range 64 {
+		keys = append(keys, 4*rng.Float64()-2, math.Float64frombits(rng.Uint64()))
+	}
+	return keys
+}
+
+// checkBucketOf fails t at the first key bucketOf places differently
+// from refBucketOf.
+func checkBucketOf(t *testing.T, name string, bounds, keys []float64) {
+	t.Helper()
+	for _, k := range keys {
+		if got, want := bucketOf(k, bounds), refBucketOf(k, bounds); got != want {
+			t.Fatalf("%s, p=%d: bucketOf(%v [%#x]) = %d, reference %d; bounds %v",
+				name, len(bounds)+1, k, math.Float64bits(k), got, want, bounds)
+		}
+	}
+}
+
+// TestBucketOfMatchesRef holds the branch-free search to the binary
+// search it replaced, on the bounds every splitter can produce:
+// ascending with duplicates, NaNs leading as sort.Float64s leaves them
+// (a sampled splitter fed NaN keys), all NaN (equal-width over no keys,
+// or over an infinite range), signed zeros and infinities, and the
+// equal-width and equi-depth formulas themselves.
+func TestBucketOfMatchesRef(t *testing.T) {
+	nan := math.NaN()
+	specials := []float64{math.Inf(-1), -1, math.Copysign(0, -1), 0, 5e-324, 1, math.Inf(1)}
+	equalWidth := func(lo, hi float64, p int) []float64 {
+		bounds := make([]float64, p-1)
+		for i := range bounds {
+			bounds[i] = lo + (hi-lo)/float64(p)*float64(i+1)
+		}
+		return bounds
+	}
+	rng := rand.New(rand.NewSource(27))
+	expo := data.ExponentialKeys(5_000, 1, 28)
+	ps := []int{1025}
+	for p := 1; p <= 17; p++ {
+		ps = append(ps, p)
+	}
+	for _, p := range ps {
+		m := p - 1
+		draw := func(pick func() float64) []float64 {
+			bounds := make([]float64, m)
+			for i := range bounds {
+				bounds[i] = pick()
+			}
+			sort.Float64s(bounds)
+			return bounds
+		}
+		cases := []struct {
+			name   string
+			bounds []float64
+		}{
+			{"duplicates", draw(func() float64 { return float64(rng.Intn(4)) })},
+			{"leading NaNs", draw(func() float64 {
+				if rng.Intn(3) == 0 {
+					return math.Copysign(nan, float64(rng.Intn(2)*2-1))
+				}
+				return rng.NormFloat64()
+			})},
+			{"all NaN", draw(func() float64 { return nan })},
+			{"zeros, infinites", draw(func() float64 { return specials[rng.Intn(len(specials))] })},
+			{"equal-width", equalWidth(-500, 500, p)},
+			{"equal-width one", equalWidth(5, 5, p)},
+			{"equal-width none", equalWidth(math.Inf(1), math.Inf(-1), p)},
+			{"equal-width inf", equalWidth(0, math.Inf(1), p)},
+			{"equi-depth", equiDepthBoundaries(expo, 0, 12, p)},
+			{"equi-depth -inf", equiDepthBoundaries(expo, math.Inf(-1), 12, p)},
+		}
+		for _, tc := range cases {
+			checkBucketOf(t, tc.name, tc.bounds, bucketKeys(tc.bounds, rng))
+		}
+	}
+}
+
+// FuzzBucketOf holds bucketOf to refBucketOf on arbitrary bit patterns
+// sorted as the sampled splitter sorts its pool, for the fuzzed key and
+// for every bound and its neighbours.
+func FuzzBucketOf(f *testing.F) {
+	seed := func(key float64, bounds ...float64) {
+		var raw []byte
+		for _, b := range bounds {
+			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(b))
+		}
+		f.Add(raw, math.Float64bits(key))
+	}
+	seed(1)
+	seed(10, 10, 20, 30)
+	seed(math.Copysign(0, -1), 0, 0, math.Copysign(0, -1))
+	seed(math.NaN(), math.NaN(), -math.NaN(), 1, 2)
+	seed(5e-324, math.Inf(-1), -5e-324, 5e-324, math.Inf(1))
+	f.Fuzz(func(t *testing.T, raw []byte, key uint64) {
+		bounds := make([]float64, len(raw)/8)
+		for i := range bounds {
+			bounds[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		sort.Float64s(bounds)
+		keys := []float64{math.Float64frombits(key)}
+		for _, b := range bounds {
+			keys = append(keys, b, math.Nextafter(b, math.Inf(-1)), math.Nextafter(b, math.Inf(1)))
+		}
+		checkBucketOf(t, "fuzz", bounds, keys)
+	})
+}
+
+// refSampledBounds is the Sampled splitter as it ran before its sample
+// copy was sorted by the radix kernel, kept verbatim (sort.Float64s).
+func refSampledBounds(c *mpi.Comm, local []float64) ([]float64, error) {
+	p := c.Size()
+	const perRank = 64
+	sorted := append([]float64(nil), local...)
+	sort.Float64s(sorted)
+	sample := make([]float64, 0, perRank)
+	for i := 0; i < perRank; i++ {
+		if len(sorted) == 0 {
+			break
+		}
+		sample = append(sample, sorted[i*len(sorted)/perRank])
+	}
+	pooled, err := mpi.Gatherv(c, sample, 0)
+	if err != nil {
+		return nil, err
+	}
+	var bounds []float64
+	if c.Rank() == 0 {
+		var flat []float64
+		for _, blk := range pooled {
+			flat = append(flat, blk...)
+		}
+		sort.Float64s(flat)
+		bounds = make([]float64, p-1)
+		if len(flat) > 0 {
+			for i := range bounds {
+				bounds[i] = flat[(i+1)*len(flat)/p]
+			}
+		}
+	}
+	return mpi.Bcast(c, bounds, 0)
+}
+
+// TestSampledBoundsMatchRef: sorting the sample copy with the radix
+// kernel draws the same samples as sort.Float64s did on NaN-free keys,
+// so the Sampled splitter's boundaries do not move. (A comparison sort
+// leaves −0 and +0 in no particular order, so a zero bound may change
+// sign; == treats the two alike, and so does bucketOf.)
+func TestSampledBoundsMatchRef(t *testing.T) {
+	withZeros := func(n int) []float64 {
+		keys := data.UniformKeys(n, -3, 3, 29)
+		for i := range keys {
+			keys[i] = math.Trunc(keys[i])
+			if i%2 == 0 && keys[i] == 0 {
+				keys[i] = math.Copysign(0, -1)
+			}
+		}
+		return keys
+	}
+	dists := map[string][]float64{
+		"uniform":     data.UniformKeys(20_000, -500, 500, 30),
+		"exponential": data.ExponentialKeys(20_000, 1, 31),
+		"zeros":       withZeros(20_000),
+		"few":         data.UniformKeys(5, 0, 1, 32),
+	}
+	for name, keys := range dists {
+		for _, np := range []int{1, 2, 4, 7} {
+			locals := deal(keys, np)
+			err := mpi.Run(np, func(c *mpi.Comm) error {
+				got, err := computeBoundaries(c, locals[c.Rank()], Sampled)
+				if err != nil {
+					return err
+				}
+				want, err := refSampledBounds(c, locals[c.Rank()])
+				if err != nil {
+					return err
+				}
+				if !slices.Equal(got, want) {
+					return fmt.Errorf("boundaries %v, reference %v", got, want)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s np=%d: %v", name, np, err)
+			}
+		}
+	}
 }
