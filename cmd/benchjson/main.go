@@ -10,9 +10,11 @@
 //	benchjson -compare old.json new.json
 //
 // It exits 1 when a row of old.json is missing from new.json, when a
-// row's allocs/op rises by more than 5 %, or when its B/op rises by more
-// than 10 % and by more than 32 KiB. ns/op is printed and never gated:
-// it moves with the host.
+// row's allocs/op rises by more than 5 %, when its B/op rises by more
+// than 10 % and by more than 32 KiB, or when a custom unit of an old row
+// (b.ReportMetric: params, buckets, events/sec) is missing from the new
+// one. ns/op and the custom units' values are printed and never gated:
+// they move with the host or are the benchmark's own shape.
 package main
 
 import (
@@ -192,11 +194,12 @@ func compareFiles(args []string) int {
 }
 
 // Compare matches the rows of two documents by name and writes one line
-// per row, old -> new with the change in percent for ns/op, B/op and
-// allocs/op. It returns the regressions: a row of old that new lacks,
-// allocs/op up by more than allocsPct percent (from zero, any rise), B/op
-// up by more than bytesPct percent and bytesSlack bytes. A row only new
-// has is listed and passes.
+// per row, old -> new with the change in percent for ns/op, B/op,
+// allocs/op and every custom unit. It returns the regressions: a row of
+// old that new lacks, allocs/op up by more than allocsPct percent (from
+// zero, any rise), B/op up by more than bytesPct percent and bytesSlack
+// bytes, a custom unit of the old row that the new row lacks. A row or
+// unit only new has is listed and passes.
 func Compare(w io.Writer, old, new *Doc) []string {
 	tw := tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
 	defer tw.Flush()
@@ -222,9 +225,24 @@ func Compare(w io.Writer, old, new *Doc) []string {
 			verdict = "FAIL"
 			bad = append(bad, fmt.Sprintf("%s: B/op %d -> %d", o.Name, o.BytesPerOp, n.BytesPerOp))
 		}
-		fmt.Fprintf(tw, "%s\tns/op %s\tB/op %s\tallocs/op %s\t%s\n", o.Name,
+		var extra strings.Builder
+		for _, u := range units(o.Extra, n.Extra) {
+			ov, inOld := o.Extra[u]
+			nv, inNew := n.Extra[u]
+			switch {
+			case !inNew:
+				verdict = "FAIL"
+				bad = append(bad, fmt.Sprintf("%s: %s missing", o.Name, u))
+				fmt.Fprintf(&extra, "\t%s MISSING", u)
+			case !inOld:
+				fmt.Fprintf(&extra, "\t%s new %s", u, strconv.FormatFloat(nv, 'f', -1, 64))
+			default:
+				fmt.Fprintf(&extra, "\t%s %s", u, delta(ov, nv))
+			}
+		}
+		fmt.Fprintf(tw, "%s\tns/op %s\tB/op %s\tallocs/op %s\t%s%s\n", o.Name,
 			delta(o.NsPerOp, n.NsPerOp), delta(float64(o.BytesPerOp), float64(n.BytesPerOp)),
-			delta(float64(o.AllocsPerOp), float64(n.AllocsPerOp)), verdict)
+			delta(float64(o.AllocsPerOp), float64(n.AllocsPerOp)), verdict, extra.String())
 	}
 	for _, b := range new.Benchmarks {
 		if _, ok := newRows[b.Name]; ok {
@@ -232,6 +250,21 @@ func Compare(w io.Writer, old, new *Doc) []string {
 		}
 	}
 	return bad
+}
+
+// units returns the custom units of two rows, sorted.
+func units(o, n map[string]float64) []string {
+	var us []string
+	for u := range o {
+		us = append(us, u)
+	}
+	for u := range n {
+		if _, ok := o[u]; !ok {
+			us = append(us, u)
+		}
+	}
+	sort.Strings(us)
+	return us
 }
 
 // rise reports whether n exceeds o by more than pct percent of o and by

@@ -108,6 +108,35 @@ func TestCompare(t *testing.T) {
 		})
 	}
 
+	// Custom units are printed old -> new and never gated on their
+	// value; one the old row has and the new row lacks fails.
+	shaped := &Doc{Benchmarks: []Benchmark{{Name: "BenchmarkS", Extra: map[string]float64{"buckets": 13, "params": 192016}}}}
+	for _, tc := range []struct {
+		name  string
+		extra map[string]float64
+		want  []string // printed
+		fail  bool
+	}{
+		{"unchanged", map[string]float64{"buckets": 13, "params": 192016}, []string{"buckets 13 -> 13 (+0.0%)", "params 192016 -> 192016 (+0.0%)"}, false},
+		{"value moves", map[string]float64{"buckets": 26, "params": 192016}, []string{"buckets 13 -> 26 (+100.0%)"}, false},
+		{"unit added", map[string]float64{"buckets": 13, "params": 192016, "events/sec": 5}, []string{"events/sec new 5"}, false},
+		{"unit missing", map[string]float64{"params": 192016}, []string{"buckets MISSING"}, true},
+		{"all units missing", nil, []string{"buckets MISSING", "params MISSING"}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out strings.Builder
+			bad := Compare(&out, shaped, &Doc{Benchmarks: []Benchmark{{Name: "BenchmarkS", Extra: tc.extra}}})
+			if (len(bad) > 0) != tc.fail {
+				t.Fatalf("regressions %q, want failure %v; printed:\n%s", bad, tc.fail, out.String())
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(out.String(), w) {
+					t.Fatalf("%q not printed:\n%s", w, out.String())
+				}
+			}
+		})
+	}
+
 	// On a small row B/op must also rise past the absolute slack: the
 	// same commit moves such rows by tens of percent. allocs/op has no
 	// slack: from zero, any rise fails.

@@ -140,6 +140,7 @@ func NewTrainer(c *mpi.Comm, cfg Config) (*Trainer, error) {
 	}
 	t.X = make([]float64, cfg.BatchPerRank*in)
 	t.Y = make([]float64, cfg.BatchPerRank*out)
+	t.reqs = make([]*mpi.CollRequest, 0, len(t.m.buckets))
 	return t, nil
 }
 
@@ -190,8 +191,8 @@ func (t *Trainer) Step() (float64, error) {
 	loss := m.outputLoss(t.Y)
 	for l := len(m.layers) - 1; l >= 0; l-- {
 		m.backwardLayer(l)
-		if lay := m.layers[l]; lay.flush {
-			if err := t.flush(m.buckets[lay.bucket]); err != nil {
+		if lay := &m.layers[l]; lay.flush {
+			if err := t.flush(&m.buckets[lay.bucket]); err != nil {
 				return 0, err
 			}
 		}
@@ -203,8 +204,8 @@ func (t *Trainer) Step() (float64, error) {
 	t.reqs = t.reqs[:0]
 	if !t.Cfg.Zero1 {
 		invNP := 1.0 / float64(t.C.Size())
-		for _, b := range m.buckets {
-			b.updateFull(t.Cfg.LR, t.Cfg.Momentum, invNP)
+		for i := range m.buckets {
+			m.buckets[i].updateFull(t.Cfg.LR, t.Cfg.Momentum, invNP)
 		}
 	}
 	return loss, nil
@@ -310,14 +311,15 @@ func Train(c *mpi.Comm, cfg Config) (Result, error) {
 	}
 
 	np := float64(c.Size())
+	res.Losses = make([]float64, 0, max(cfg.Steps-startStep, 0))
 	start := time.Now()
 	for s := startStep; s < cfg.Steps; s++ {
 		loss, err := t.Step()
 		if err != nil {
 			return Result{}, err
 		}
-		g, err := mpi.Allreduce(c, []float64{loss}, mpi.OpSum)
-		if err != nil {
+		g := [1]float64{loss}
+		if err := mpi.AllreduceInto(c, g[:], mpi.OpSum); err != nil {
 			return Result{}, err
 		}
 		res.Losses = append(res.Losses, g[0]/np)

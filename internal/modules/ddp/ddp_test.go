@@ -163,8 +163,8 @@ func TestTCPMatchesChannel(t *testing.T) {
 
 // TestAllocDDPBucketFlush asserts the steady-state allocation bound for
 // the hot path: a full training step — forward, backward, every bucket
-// flush, waits and update — costs a small fixed number of allocations
-// (request handles and op state machines), independent of model size.
+// flush, waits and update — costs one allocation per bucket and rank
+// (the bucket's collective request), independent of model size.
 func TestAllocDDPBucketFlush(t *testing.T) {
 	const warmup, rounds = 5, 30
 	cfg := testConfig()
@@ -210,11 +210,102 @@ func TestAllocDDPBucketFlush(t *testing.T) {
 	if raceEnabled {
 		t.Skipf("allocs/step under -race: %.1f (budget not enforced)", avg)
 	}
-	// Per step and per rank: one CollRequest + one op per bucket, plus
-	// slice-header noise; both ranks land in the process-wide counter.
-	budget := float64(16 * buckets)
+	// Per step and per rank: one request per bucket; both ranks land in
+	// the process-wide counter.
+	budget := float64(2 * buckets)
 	if avg > budget {
 		t.Errorf("steady-state DDP step allocations: %.1f, want <= %.0f (%d buckets)", avg, budget, buckets)
+	}
+}
+
+// TestAllocNewTrainer: building a trainer costs the same number of
+// allocations whatever the model's depth and bucket count — the layers,
+// buckets and every float array are carved from a fixed handful of
+// backing arrays.
+func TestAllocNewTrainer(t *testing.T) {
+	shallow := testConfig()
+	deep := testConfig()
+	deep.Layers = []int{16}
+	for i := 0; i < 29; i++ {
+		deep.Layers = append(deep.Layers, 32)
+	}
+	deep.Layers = append(deep.Layers, 8)
+	var avg [2]float64
+	var buckets [2]int
+	err := mpi.Run(1, func(c *mpi.Comm) error {
+		for i, cfg := range []Config{shallow, deep} {
+			var inner error
+			avg[i] = testing.AllocsPerRun(20, func() {
+				tr, err := NewTrainer(c, cfg)
+				if err != nil && inner == nil {
+					inner = err
+				}
+				buckets[i] = tr.Buckets()
+			})
+			if inner != nil {
+				return inner
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if buckets[1] <= buckets[0] {
+		t.Fatalf("the 30-layer model packed into %d buckets, the 3-layer one into %d: want more", buckets[1], buckets[0])
+	}
+	if raceEnabled {
+		t.Skipf("allocs per NewTrainer under -race: %.1f and %.1f (budget not enforced)", avg[0], avg[1])
+	}
+	if avg[0] != avg[1] {
+		t.Errorf("NewTrainer allocates %.1f times for 3 layers (%d buckets) and %.1f for 30 (%d buckets), want equal",
+			avg[0], buckets[0], avg[1], buckets[1])
+	}
+}
+
+// TestModelLayout pins how newModel packs layers into buckets and carves
+// its arrays: layers join in reverse order until the next would pass the
+// cap (a bucket filled exactly to the cap takes no more), a bucket's
+// params and grads are padded to a multiple of np with its layers' W and
+// b in joining order, ZeRO-1 keeps one momentum shard, and no carved
+// slice has room to grow into its neighbour.
+func TestModelLayout(t *testing.T) {
+	// Layers 2, 1 and 0 hold 12, 20 and 15 parameters; the cap is 32.
+	sizes := []int{4, 3, 5, 2}
+	const np = 4
+	want := []struct {
+		n, padded int
+		layers    []int // in joining order; the last is the flush trigger
+	}{{32, 32, []int{2, 1}}, {15, 16, []int{0}}}
+	exact := func(s []float64, n int) bool { return len(s) == n && cap(s) == n }
+	for _, zero1 := range []bool{false, true} {
+		m := newModel(sizes, 1, 32*8, np, zero1, 1)
+		if len(m.buckets) != len(want) {
+			t.Fatalf("zero1=%t: %d buckets, want %d", zero1, len(m.buckets), len(want))
+		}
+		for i, w := range want {
+			b := &m.buckets[i]
+			vel := w.padded
+			if zero1 {
+				vel /= np
+			}
+			if b.n != w.n || !exact(b.params, w.padded) || !exact(b.grads, w.padded) || !exact(b.vel, vel) {
+				t.Fatalf("zero1=%t bucket %d: n %d, params %d/%d, grads %d/%d, vel %d/%d; want n %d, %d, %d, %d",
+					zero1, i, b.n, len(b.params), cap(b.params), len(b.grads), cap(b.grads), len(b.vel), cap(b.vel), w.n, w.padded, w.padded, vel)
+			}
+			off := 0
+			for k, l := range w.layers {
+				lay := &m.layers[l]
+				nw := lay.in * lay.out
+				if lay.bucket != i || lay.flush != (k == len(w.layers)-1) ||
+					!exact(lay.W, nw) || !exact(lay.dW, nw) || !exact(lay.b, lay.out) || !exact(lay.db, lay.out) ||
+					&lay.W[0] != &b.params[off] || &lay.dW[0] != &b.grads[off] ||
+					&lay.b[0] != &b.params[off+nw] || &lay.db[0] != &b.grads[off+nw] {
+					t.Fatalf("zero1=%t: layer %d is not carved at offset %d of bucket %d", zero1, l, off, i)
+				}
+				off += nw + lay.out
+			}
+		}
 	}
 }
 

@@ -74,10 +74,13 @@ func (b *bucket) updateShard(lr, momentum, invNP float64, rank, np int) {
 
 // model is the MLP plus the scratch buffers forward/backward reuse, so a
 // steady-state training step performs no allocations outside the runtime.
+// Layers and buckets are held by value, and every float array is carved
+// from one of two backing arrays, so building a model costs the same
+// handful of allocations whatever its depth.
 type model struct {
 	sizes   []int
-	layers  []*layer
-	buckets []*bucket
+	layers  []layer
+	buckets []bucket
 
 	batch  int
 	acts   [][]float64 // acts[0] = input copy; acts[l+1] = layer l output, batch×out
@@ -91,78 +94,93 @@ type model struct {
 // would work too; determinism is simpler and keeps setup off the wire).
 func newModel(sizes []int, batch, bucketBytes, np int, zero1 bool, seed int64) *model {
 	nLayers := len(sizes) - 1
-	m := &model{sizes: sizes, batch: batch, layers: make([]*layer, nLayers)}
+	m := &model{sizes: sizes, batch: batch, layers: make([]layer, nLayers)}
 
-	// Group layers reverse-order into size-capped buckets.
-	var groups [][]int
-	var cur []int
-	curBytes := 0
+	// Group layers reverse-order into size-capped buckets: a bucket closes
+	// when the next layer would push it past the cap, and the layer that
+	// closed it last (its lowest-indexed one) is its flush trigger.
+	nb, curBytes := 0, 0
 	for l := nLayers - 1; l >= 0; l-- {
-		sz := (sizes[l]*sizes[l+1] + sizes[l+1]) * 8
-		if len(cur) > 0 && curBytes+sz > bucketBytes {
-			groups = append(groups, cur)
-			cur, curBytes = nil, 0
+		in, out := sizes[l], sizes[l+1]
+		sz := (in*out + out) * 8
+		if l < nLayers-1 && curBytes+sz > bucketBytes {
+			m.layers[l+1].flush = true
+			nb, curBytes = nb+1, 0
 		}
-		cur = append(cur, l)
+		m.layers[l] = layer{in: in, out: out, bucket: nb}
 		curBytes += sz
 	}
-	groups = append(groups, cur)
+	m.layers[0].flush = true
+	m.buckets = make([]bucket, nb+1)
+	for _, lay := range m.layers {
+		m.buckets[lay.bucket].n += lay.in*lay.out + lay.out
+	}
 
-	for bi, g := range groups {
-		n := 0
-		for _, l := range g {
-			n += sizes[l]*sizes[l+1] + sizes[l+1]
-		}
-		padded := (n + np - 1) / np * np
-		b := &bucket{
-			params: make([]float64, padded),
-			grads:  make([]float64, padded),
-			n:      n,
-		}
+	// One store for the whole model, carved bucket by bucket into params,
+	// grads and momentum, so a bucket's three arrays sit side by side.
+	// Params and grads are padded to a multiple of np; ZeRO-1's momentum
+	// is one shard of them.
+	sizeOf := func(b *bucket) (p, v int) {
+		p = (b.n + np - 1) / np * np
 		if zero1 {
-			b.vel = make([]float64, padded/np)
-		} else {
-			b.vel = make([]float64, padded)
+			return p, p / np
 		}
-		off := 0
-		for _, l := range g {
-			in, out := sizes[l], sizes[l+1]
-			lay := &layer{in: in, out: out, bucket: bi}
-			lay.W, lay.dW = b.params[off:off+in*out], b.grads[off:off+in*out]
-			off += in * out
-			lay.b, lay.db = b.params[off:off+out], b.grads[off:off+out]
-			off += out
-			m.layers[l] = lay
+		return p, p
+	}
+	n := 0
+	for i := range m.buckets {
+		p, v := sizeOf(&m.buckets[i])
+		n += 2*p + v
+	}
+	store := make([]float64, n)
+	for i := range m.buckets {
+		b := &m.buckets[i]
+		p, v := sizeOf(b)
+		b.params, b.grads, b.vel = carve(&store, p), carve(&store, p), carve(&store, v)
+	}
+	// Each bucket's layers take its arrays in the order they joined it.
+	var ps, gs []float64
+	for l := nLayers - 1; l >= 0; l-- {
+		lay := &m.layers[l]
+		if l == nLayers-1 || lay.bucket != m.layers[l+1].bucket {
+			ps, gs = m.buckets[lay.bucket].params, m.buckets[lay.bucket].grads
 		}
-		m.layers[g[len(g)-1]].flush = true
-		m.buckets = append(m.buckets, b)
+		lay.W, lay.dW = carve(&ps, lay.in*lay.out), carve(&gs, lay.in*lay.out)
+		lay.b, lay.db = carve(&ps, lay.out), carve(&gs, lay.out)
 	}
 
 	// Deterministic init in ascending layer order (independent of the
 	// bucket grouping, so changing -bucket-bytes never changes the model).
 	rng := rand.New(rand.NewSource(seed))
-	for _, lay := range m.layers {
+	for l := range m.layers {
+		lay := &m.layers[l]
 		scale := 1.0 / math.Sqrt(float64(lay.in))
 		for i := range lay.W {
 			lay.W[i] = rng.NormFloat64() * scale
 		}
 	}
 
-	m.acts = make([][]float64, nLayers+1)
-	m.acts[0] = make([]float64, batch*sizes[0])
-	maxW := 0
-	for l := 0; l < nLayers; l++ {
-		m.acts[l+1] = make([]float64, batch*sizes[l+1])
-		if sizes[l] > maxW {
-			maxW = sizes[l]
-		}
-		if sizes[l+1] > maxW {
-			maxW = sizes[l+1]
-		}
+	// The activations and both delta buffers share one backing array.
+	maxW, nAct := 0, 0
+	for _, w := range sizes {
+		maxW = max(maxW, w)
+		nAct += batch * w
 	}
-	m.delta = make([]float64, batch*maxW)
-	m.delta2 = make([]float64, batch*maxW)
+	scratch := make([]float64, nAct+2*batch*maxW)
+	m.acts = make([][]float64, nLayers+1)
+	for l, w := range sizes {
+		m.acts[l] = carve(&scratch, batch*w)
+	}
+	m.delta, m.delta2 = carve(&scratch, batch*maxW), carve(&scratch, batch*maxW)
 	return m
+}
+
+// carve cuts the next n elements off *s, with the capacity capped so no
+// piece can grow into its neighbour.
+func carve(s *[]float64, n int) []float64 {
+	c := (*s)[:n:n]
+	*s = (*s)[n:]
+	return c
 }
 
 // paramCount returns the number of live (unpadded) parameters.
@@ -237,7 +255,8 @@ func rows4(M []float64, s, n int) (r0, r1, r2, r3 []float64) {
 func (m *model) forward(X []float64) {
 	copy(m.acts[0], X)
 	last := len(m.layers) - 1
-	for l, lay := range m.layers {
+	for l := range m.layers {
+		lay := &m.layers[l]
 		in, out := lay.in, lay.out
 		A, Z := m.acts[l], m.acts[l+1]
 		hidden := l != last
@@ -301,7 +320,7 @@ func (m *model) outputLoss(Y []float64) float64 {
 // layer. Gradients accumulate with +=, so the caller zeroes bucket
 // gradients once per step.
 func (m *model) backwardLayer(l int) {
-	lay := m.layers[l]
+	lay := &m.layers[l]
 	in, out := lay.in, lay.out
 	A, D := m.acts[l], m.delta
 	s := 0

@@ -172,7 +172,7 @@ func TestMLPKernelsMatchRef(t *testing.T) {
 			}
 			for bi, b := range got.buckets {
 				b.updateFull(0.05, 0.9, 1/float64(np))
-				refUpdateFull(ref.buckets[bi], 0.05, 0.9, 1/float64(np))
+				refUpdateFull(&ref.buckets[bi], 0.05, 0.9, 1/float64(np))
 				check(step, "params", b.params, ref.buckets[bi].params)
 				check(step, "vel", b.vel, ref.buckets[bi].vel)
 			}

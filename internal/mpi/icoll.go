@@ -18,7 +18,9 @@ import (
 // nonblocking driver: the one collOp implementation, with one step() and
 // one cleanup(). It is the twin of the blocking driver runSched
 // (collectives.go) and differs from it only in how it waits — it never
-// does.
+// does. The request and its schedOp are one heap object (collReq), the
+// only allocation an initiation makes: hop buffers, envelopes and posted
+// receives all come from the pools.
 //
 // Concurrency model — the request is a strand: at most one goroutine
 // executes step() at a time (the running flag under cr.mu), and a
@@ -40,7 +42,9 @@ import (
 // CollRequest is an outstanding nonblocking collective, the collective
 // analogue of Request. Complete it with Wait, poll it with Test, or
 // batch-complete with WaitallColl. The buffer passed to the initiating
-// call must not be touched until the request completes.
+// call must not be touched until the request completes. Requests are
+// never reused, so Wait and Test on a completed request return its own
+// result at once, however many requests have run since.
 type CollRequest struct {
 	comm  *Comm
 	prim  Primitive
@@ -129,19 +133,28 @@ func (o *schedOp[T]) cleanup() {
 	o.wire = nil
 }
 
+// collReq is a request and its driver in one heap object: the caller
+// holds &r.CollRequest, whose op points at r.sop.
+type collReq[T Scalar] struct {
+	CollRequest
+	sop schedOp[T]
+}
+
 // startColl is the shared body of the I* entry points: account the
 // initiation, build the request and its driver over buf, and run the
 // schedule as far as it goes without waiting.
 func startColl[T Scalar](c *Comm, prim Primitive, kind schedKind, root int, buf []T, op Op[T]) *CollRequest {
 	sp := c.begin(prim)
 	bytes := len(buf) * scalarSize[T]()
-	cr := &CollRequest{comm: c, prim: prim, bytes: bytes, msgid: c.world.flowID()}
+	r := &collReq[T]{CollRequest: CollRequest{comm: c, prim: prim, bytes: bytes, msgid: c.world.flowID()}}
+	cr := &r.CollRequest
 	icollStarted.Add(1)
-	cr.op = &schedOp[T]{
+	r.sop = schedOp[T]{
 		hopRun: hopRun[T]{s: newSched(kind, len(c.members), c.rank, root), buf: buf, op: op},
 		cr:     cr,
 		tag:    int32(c.nextCollTag()),
 	}
+	cr.op = &r.sop
 	cr.advance()
 	peer := -1
 	if root != noRoot {

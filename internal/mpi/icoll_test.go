@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -13,15 +14,15 @@ import (
 )
 
 // icollTransports runs one body on both transports, like rmaTransports.
-func icollTransports(t *testing.T, np int, body func(*Comm) error) {
+func icollTransports(t *testing.T, np int, body func(*Comm) error, opts ...Option) {
 	t.Helper()
 	t.Run("channel", func(t *testing.T) {
-		if err := Run(np, body); err != nil {
+		if err := Run(np, body, opts...); err != nil {
 			t.Fatal(err)
 		}
 	})
 	t.Run("tcp", func(t *testing.T) {
-		if err := RunTCP(np, body); err != nil {
+		if err := RunTCP(np, body, opts...); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -59,13 +60,16 @@ func TestIallreduce(t *testing.T) {
 	})
 }
 
-// TestIallreduceOverlap initiates the collective, computes while it
-// progresses in the background, and only then waits. Staggered compute
-// times force the background engine to finish some ranks' rings entirely
-// on delivering goroutines.
+// TestIallreduceOverlap proves the background engine finishes a ring on
+// delivering goroutines alone. Ranks 0..p-2 Wait and then signal; only
+// after all of them have, the last rank — which has neither waited nor
+// tested — watches its own request complete, then Waits (twice: Wait is
+// idempotent). The other ranks' Waits can only return if the last rank's
+// hops were sent on goroutines other than its own.
 func TestIallreduceOverlap(t *testing.T) {
-	const n = 1 << 12
-	icollTransports(t, 4, func(c *Comm) error {
+	const n, np = 1 << 12, 4
+	waited := make(chan struct{}, np-1)
+	icollTransports(t, np, func(c *Comm) error {
 		buf := make([]float64, n)
 		for i := range buf {
 			buf[i] = float64(c.Rank() + 1)
@@ -74,10 +78,26 @@ func TestIallreduceOverlap(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		// Ranks compute for different durations while the ring runs.
-		time.Sleep(time.Duration(c.Rank()) * 2 * time.Millisecond)
-		if err := cr.Wait(); err != nil {
-			return err
+		if c.Rank() < np-1 {
+			err := cr.Wait()
+			waited <- struct{}{}
+			if err != nil {
+				return err
+			}
+		} else {
+			for i := 0; i < np-1; i++ {
+				<-waited
+			}
+			// The watchdog aborts the world if the ring stalls.
+			for !cr.done.Load() {
+				if err := c.world.stopErr(); err != nil {
+					return err
+				}
+				runtime.Gosched()
+			}
+			if err := cr.Wait(); err != nil {
+				return err
+			}
 		}
 		for i := range buf {
 			if buf[i] != 10 { // 1+2+3+4
@@ -86,6 +106,44 @@ func TestIallreduceOverlap(t *testing.T) {
 		}
 		// Waiting again must be idempotent.
 		return cr.Wait()
+	}, WithWatchdog(10*time.Second))
+}
+
+// TestCollRequestNotReused pins that a completed request is never
+// recycled: after request A completes and request B runs to completion
+// on the same communicator, A's Wait and Test still return at once with
+// A's result, and B's buffer holds B's.
+func TestCollRequestNotReused(t *testing.T) {
+	icollTransports(t, 3, func(c *Comm) error {
+		a := []int64{int64(c.Rank() + 1), 1}
+		ra, err := Iallreduce(c, a, OpSum)
+		if err != nil {
+			return err
+		}
+		if err := ra.Wait(); err != nil {
+			return err
+		}
+		b := []int64{int64(10 * (c.Rank() + 1)), 2}
+		rb, err := Iallreduce(c, b, OpSum)
+		if err != nil {
+			return err
+		}
+		if err := rb.Wait(); err != nil {
+			return err
+		}
+		if rb == ra {
+			return fmt.Errorf("rank %d: request B is request A", c.Rank())
+		}
+		if done, err := ra.Test(); !done || err != nil {
+			return fmt.Errorf("rank %d: A's Test after B = (%v, %v), want (true, nil)", c.Rank(), done, err)
+		}
+		if err := ra.Wait(); err != nil {
+			return fmt.Errorf("rank %d: A's Wait after B: %v", c.Rank(), err)
+		}
+		if a[0] != 6 || a[1] != 3 || b[0] != 60 || b[1] != 6 {
+			return fmt.Errorf("rank %d: A %v, B %v, want [6 3] and [60 6]", c.Rank(), a, b)
+		}
+		return nil
 	})
 }
 
@@ -618,9 +676,9 @@ func TestAllocHygieneWaitall(t *testing.T) {
 
 // TestAllocIallreduceSteady asserts the bounded-allocation criterion for
 // the background ring: once pools are primed, a steady-state in-place
-// Iallreduce costs a few fixed allocations (the request handle and its
-// state machine) regardless of payload size — every hop buffer, envelope
-// and posted-receive record is recycled.
+// Iallreduce costs one allocation per rank (the request, which holds its
+// driver) regardless of payload size — every hop buffer, envelope and
+// posted-receive record is recycled.
 func TestAllocIallreduceSteady(t *testing.T) {
 	const (
 		warmup = 20
@@ -666,8 +724,8 @@ func TestAllocIallreduceSteady(t *testing.T) {
 		t.Skipf("allocs/op under -race: %.1f (budget not enforced)", avg)
 	}
 	// Both ranks' steady-state work lands in the process-wide counter:
-	// two CollRequests, two op state machines, plus strand bookkeeping.
-	if avg > 16 {
-		t.Errorf("steady-state Iallreduce allocations: %.1f/op, want <= 16", avg)
+	// one request per rank.
+	if avg > 2 {
+		t.Errorf("steady-state Iallreduce allocations: %.2f/op, want <= 2", avg)
 	}
 }
