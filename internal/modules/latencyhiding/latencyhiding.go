@@ -139,18 +139,21 @@ func stencil(u, next []float64, lo, hi int, alpha float64) {
 }
 
 // haloScratch holds the one-cell send and receive buffers the halo
-// exchange reuses every step.
+// exchange reuses every step. Each direction has its own send cell: the
+// overlapped exchange has both sends in flight at once, and an Isend's
+// buffer belongs to the runtime until its request completes.
 type haloScratch struct {
-	send [1]float64
-	recv [1]float64
+	sendLeft  [1]float64
+	sendRight [1]float64
+	recv      [1]float64
 }
 
 // exchangeBlocking swaps halos with deadlock-free combined send/receives.
 // Edge ranks keep zero ghosts (fixed boundary).
 func exchangeBlocking(c *mpi.Comm, u []float64, n, p, r int, hs *haloScratch) error {
 	if r > 0 {
-		hs.send[0] = u[1]
-		got, _, err := mpi.SendrecvInto(c, hs.send[:], r-1, tagLeft, r-1, tagRight, hs.recv[:0])
+		hs.sendLeft[0] = u[1]
+		got, _, err := mpi.SendrecvInto(c, hs.sendLeft[:], r-1, tagLeft, r-1, tagRight, hs.recv[:0])
 		if err != nil {
 			return err
 		}
@@ -159,8 +162,8 @@ func exchangeBlocking(c *mpi.Comm, u []float64, n, p, r int, hs *haloScratch) er
 		u[0] = 0
 	}
 	if r < p-1 {
-		hs.send[0] = u[n]
-		got, _, err := mpi.SendrecvInto(c, hs.send[:], r+1, tagRight, r+1, tagLeft, hs.recv[:0])
+		hs.sendRight[0] = u[n]
+		got, _, err := mpi.SendrecvInto(c, hs.sendRight[:], r+1, tagRight, r+1, tagLeft, hs.recv[:0])
 		if err != nil {
 			return err
 		}
@@ -177,9 +180,8 @@ type haloReqs struct {
 	sends               []*mpi.Request
 }
 
-// startExchange posts Irecv/Isend for both halos. Isend encodes its
-// argument into a pooled wire buffer before returning, so the shared
-// one-cell scratch can back both sends.
+// startExchange posts Irecv/Isend for both halos. Each send has its own
+// cell, left untouched until finishExchange's Waitall completes it.
 func startExchange(c *mpi.Comm, u []float64, n, p, r int, hs *haloScratch) (haloReqs, error) {
 	var hr haloReqs
 	var err error
@@ -194,16 +196,16 @@ func startExchange(c *mpi.Comm, u []float64, n, p, r int, hs *haloScratch) (halo
 		}
 	}
 	if r > 0 {
-		hs.send[0] = u[1]
-		req, err := mpi.Isend(c, hs.send[:], r-1, tagLeft)
+		hs.sendLeft[0] = u[1]
+		req, err := mpi.Isend(c, hs.sendLeft[:], r-1, tagLeft)
 		if err != nil {
 			return hr, err
 		}
 		hr.sends = append(hr.sends[:0], req)
 	}
 	if r < p-1 {
-		hs.send[0] = u[n]
-		req, err := mpi.Isend(c, hs.send[:], r+1, tagRight)
+		hs.sendRight[0] = u[n]
+		req, err := mpi.Isend(c, hs.sendRight[:], r+1, tagRight)
 		if err != nil {
 			return hr, err
 		}

@@ -9,7 +9,7 @@ import (
 )
 
 // runVariant executes the stencil and stitches the distributed field.
-func runVariant(t *testing.T, np, cells, steps int, v Variant) ([]float64, Result) {
+func runVariant(t *testing.T, np, cells, steps int, v Variant, opts ...mpi.Option) ([]float64, Result) {
 	t.Helper()
 	field := make([]float64, np*cells)
 	var res Result
@@ -23,7 +23,7 @@ func runVariant(t *testing.T, np, cells, steps int, v Variant) ([]float64, Resul
 			res = r
 		}
 		return nil
-	})
+	}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +59,34 @@ func TestVariantsProduceIdenticalChecksums(t *testing.T) {
 	}
 	if blocking.Checksum <= 0 {
 		t.Fatalf("degenerate field: checksum %v", blocking.Checksum)
+	}
+}
+
+// TestOverlapMatchesBlockingWhenSendsWait: under MPI_Isend's rule a send
+// buffer belongs to the runtime until its request completes, and on the
+// channel transport a send that waits for its match lends its buffer
+// instead of copying it. With every send waiting (a 1-byte eager
+// threshold, or synchronous sends) the two halo Isends of one step are in
+// flight together, so they must not share a buffer: the overlapped field
+// stays bit-identical to the blocking one.
+func TestOverlapMatchesBlockingWhenSendsWait(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  mpi.Option
+	}{
+		{"eager-threshold-1", mpi.WithEagerThreshold(1)},
+		{"synchronous-sends", mpi.WithSynchronousSends()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const np, cells, steps = 4, 32, 40
+			blocking, _ := runVariant(t, np, cells, steps, Blocking, tc.opt)
+			overlapped, _ := runVariant(t, np, cells, steps, Overlapped, tc.opt)
+			for i := range blocking {
+				if math.Float64bits(blocking[i]) != math.Float64bits(overlapped[i]) {
+					t.Fatalf("cell %d: overlapped %v, blocking %v", i, overlapped[i], blocking[i])
+				}
+			}
+		})
 	}
 }
 

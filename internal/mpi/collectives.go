@@ -33,41 +33,34 @@ func (c *Comm) nextCollTag() int {
 // collCtx is the communicator's collective shadow context.
 func (c *Comm) collCtx() int32 { return c.ctx + 1 }
 
-// collSendOwned sends one internal point-to-point message on the shadow
-// context, taking ownership of payload (a pooled buffer, or nil). It
-// bypasses user-primitive accounting (wire traffic is still counted) and
-// never forces synchronous mode, so collectives remain deadlock-free
-// under WithSynchronousSends. Above the eager threshold it blocks in the
-// rendezvous protocol until the receiver has matched.
-func (c *Comm) collSendOwned(payload []byte, dest, tag int) error {
-	return c.collSendHop(payload, dest, tag, false)
+// collSend sends xs as one internal point-to-point message on the
+// shadow context. It bypasses user-primitive accounting (wire traffic is
+// still counted) and never forces synchronous mode, so collectives remain
+// deadlock-free under WithSynchronousSends. Above the eager threshold it
+// lends xs (lendOrCopy) and blocks in the rendezvous protocol until the
+// receiver has matched.
+func collSend[T Scalar](c *Comm, xs []T, dest, tag int) error {
+	payload, lent := lendOrCopy(c, xs, c.hopRendezvous(len(xs)*scalarSize[T](), false))
+	return c.collSendHop(payload, lent, dest, tag, false)
 }
 
-// collSendHop is collSendOwned with the rendezvous protocol optional:
-// eager forces the message out without waiting for a match regardless of
-// size, which is what a nonblocking collective's state machine needs —
-// it runs on delivering goroutines, which must never block.
-func (c *Comm) collSendHop(payload []byte, dest, tag int, eager bool) error {
-	env := getEnv()
-	env.kind = kindData
-	env.src = c.rank
-	env.wsrc = c.worldRank
-	env.wdst = c.members[dest]
-	env.ctx = c.collCtx()
-	env.tag = int32(tag)
-	var seq int64
-	if !eager && len(payload) > c.world.opts.eagerThreshold {
-		seq = c.world.nextSeq()
-		env.seq = seq
+// hopRendezvous reports whether a collective hop of n bytes waits for its
+// match. eager forces the message out without waiting regardless of size,
+// which is what a nonblocking collective's state machine needs — it runs
+// on delivering goroutines, which must never block — so such a hop never
+// lends.
+func (c *Comm) hopRendezvous(n int, eager bool) bool {
+	return !eager && n > c.world.opts.eagerThreshold
+}
+
+// collSendHop sends payload, owned or lent (lendOrCopy), on the shadow
+// context, waiting for the match when hopRendezvous says so.
+func (c *Comm) collSendHop(payload []byte, lent bool, dest, tag int, eager bool) error {
+	seq, _, err := c.deliverData(c.collCtx(), payload, lent, dest, tag, c.hopRendezvous(len(payload), eager), false)
+	if err == nil && seq != 0 {
+		err = c.awaitAck(seq, c.members[dest], lent)
 	}
-	env.data = payload
-	if err := c.world.deliver(env); err != nil {
-		return err
-	}
-	if seq != 0 {
-		return c.mb.waitAck(seq)
-	}
-	return nil
+	return err
 }
 
 // collRecv receives one internal message on the shadow context and
@@ -79,7 +72,7 @@ func (c *Comm) collRecv(src, tag int) ([]byte, error) {
 
 // collIrecv posts an internal receive on the shadow context.
 func (c *Comm) collIrecv(src, tag int) *pendingRecv {
-	return c.mb.postRecv(c.collCtx(), src, tag)
+	return c.mb.postRecv(c.collCtx(), src, tag, nil)
 }
 
 // collFinish completes a collIrecv and returns the payload, recycling the
@@ -95,13 +88,13 @@ func (c *Comm) collFinish(pr *pendingRecv) ([]byte, error) {
 }
 
 // collExchange is one step of a pairwise exchange: it posts the receive
-// from src, sends payload (owned) to dest, and returns the received
+// from src, sends xs to dest (collSend), and returns the received
 // payload, which the caller must putBuf. When either half fails the
 // posted receive is withdrawn: left behind, it would swallow a later
 // message on (src, tag) together with its pooled buffer.
-func (c *Comm) collExchange(payload []byte, dest, src, tag int) ([]byte, error) {
+func collExchange[T Scalar](c *Comm, xs []T, dest, src, tag int) ([]byte, error) {
 	pr := c.collIrecv(src, tag)
-	if err := c.collSendOwned(payload, dest, tag); err != nil {
+	if err := collSend(c, xs, dest, tag); err != nil {
 		c.mb.cancelRecv(pr)
 		return nil, err
 	}
@@ -119,8 +112,7 @@ func (c *Comm) collExchange(payload []byte, dest, src, tag int) ([]byte, error) 
 func (mb *mailbox) cancelRecv(pr *pendingRecv) {
 	mb.mu.Lock()
 	if pr.env != nil {
-		putBuf(pr.env.data)
-		putEnv(pr.env)
+		dropEnv(pr.env)
 		pr.env = nil
 		if cr := pr.coll; cr != nil && cr.unconsumed > 0 {
 			cr.unconsumed--
@@ -238,7 +230,7 @@ func scatterLinear[T Scalar](c *Comm, data []T, counts []int, variable bool, roo
 		if i == root {
 			own = make([]T, n)
 			copy(own, chunk)
-		} else if err := c.collSendOwned(marshalPooled(chunk), i, tag); err != nil {
+		} else if err := collSend(c, chunk, i, tag); err != nil {
 			return nil, err
 		}
 		off += n
@@ -286,7 +278,7 @@ func gather[T Scalar](c *Comm, data []T, variable bool, root int) (flat []T, par
 // of flat (nil for an empty block); without, every block must be as long
 // as the root's own.
 func gatherLinear[T Scalar](c *Comm, data []T, root int, variable bool) (flat []T, parts [][]T, err error) {
-	blocks, err := c.gatherBlocks(marshalPooled(data), root)
+	blocks, err := gatherBlocks(c, data, root)
 	if err != nil || c.rank != root {
 		return nil, nil, err
 	}
@@ -318,15 +310,16 @@ func gatherLinear[T Scalar](c *Comm, data []T, root int, variable bool) (flat []
 }
 
 // gatherBlocks is the shared linear gather: rank order, receives posted
-// up-front. It takes ownership of payload; at the root the returned
-// blocks (including blocks[root] == payload) are pooled buffers the
+// up-front. A non-root rank sends data (collSend); at the root the
+// returned blocks (blocks[root] encodes data) are pooled buffers the
 // caller must release.
-func (c *Comm) gatherBlocks(payload []byte, root int) ([][]byte, error) {
+func gatherBlocks[T Scalar](c *Comm, data []T, root int) ([][]byte, error) {
 	tag := c.nextCollTag()
 	p := len(c.members)
 	if c.rank != root {
-		return nil, c.collSendOwned(payload, root, tag)
+		return nil, collSend(c, data, root, tag)
 	}
+	payload := marshalPooled(data)
 	prs := make([]*pendingRecv, p)
 	for i := 0; i < p; i++ {
 		if i != root {
@@ -515,7 +508,7 @@ func scanChain[T Scalar](c *Comm, data []T, op Op[T], exclusive bool) ([]T, erro
 		}
 	}
 	if r < p-1 {
-		if err := c.collSendOwned(marshalPooled(acc), r+1, tag); err != nil {
+		if err := collSend(c, acc, r+1, tag); err != nil {
 			return nil, err
 		}
 	}
@@ -587,7 +580,7 @@ func alltoallPairwise[T Scalar](c *Comm, block func(to int) []T, arrive func(fro
 	for step := 1; step < p; step++ {
 		to := (r + step) % p
 		from := (r - step + p) % p
-		b, err := c.collExchange(marshalPooled(block(to)), to, from, tag)
+		b, err := collExchange(c, block(to), to, from, tag)
 		if err != nil {
 			return err
 		}
@@ -615,7 +608,7 @@ func Allgatherv[T Scalar](c *Comm, data []T) ([][]T, error) {
 }
 
 func allgathervLinear[T Scalar](c *Comm, data []T) ([][]T, error) {
-	blocks, err := c.gatherBlocks(marshalPooled(data), 0)
+	blocks, err := gatherBlocks(c, data, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -695,7 +688,8 @@ func runSched[T Scalar](c *Comm, kind schedKind, root int, buf []T, op Op[T], si
 			pr = c.collIrecv(int(h.from), tag)
 		}
 		if h.send != sendNone {
-			err = c.collSendOwned(x.payload(h, &wire), int(h.to), tag)
+			b, lent := x.payload(c, h, &wire, false)
+			err = c.collSendHop(b, lent, int(h.to), tag, false)
 		}
 		if err == nil && pr != nil {
 			var b []byte

@@ -1,6 +1,9 @@
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Comm is a communicator handle held by one rank, analogous to an
 // MPI_Comm. The world communicator is passed to the rank function by Run;
@@ -70,69 +73,65 @@ func checkTag(tag int, wildcard bool) error {
 	return nil
 }
 
-// sendEnvelopeOwned builds, accounts and delivers one data envelope on
-// ctx, and runs the rendezvous protocol when required. It takes ownership
-// of payload, which must be an exclusively owned (pooled) buffer — the
-// transport or receiver recycles it. The returned msgid identifies the
-// message for flow tracing; it is zero when no hook is attached.
-func (c *Comm) sendEnvelopeOwned(ctx int32, payload []byte, dest, tag int, sync bool) (int64, error) {
-	env := getEnv()
-	env.kind = kindData
-	env.src = c.rank
-	env.wsrc = c.worldRank
-	env.wdst = c.members[dest]
-	env.ctx = ctx
-	env.tag = int32(tag)
-	var seq int64
-	if sync || len(payload) > c.world.opts.eagerThreshold || c.world.opts.synchronousSend {
-		seq = c.world.nextSeq()
-		env.seq = seq
-	}
-	msgid := c.world.flowID()
-	env.msgid = msgid
-	env.data = payload
-	// Ownership of env (and its payload) passes to deliver; the receiver
-	// may recycle both concurrently, so the local seq and msgid copies are
-	// the only safe handles afterwards.
-	if err := c.world.deliver(env); err != nil {
-		return msgid, err
-	}
-	if seq != 0 {
-		return msgid, c.mb.waitAck(seq)
-	}
-	return msgid, nil
+// rendezvous reports whether a user send of n bytes waits for its match:
+// Ssend, a size above the eager threshold, or WithSynchronousSends.
+func (c *Comm) rendezvous(n int, sync bool) bool {
+	return sync || n > c.world.opts.eagerThreshold || c.world.opts.synchronousSend
 }
 
-// isendEnvelopeOwned is the nonblocking variant; it also takes ownership
-// of payload. The returned request completes immediately for eager sends
-// and on acknowledgement for rendezvous sends.
-func (c *Comm) isendEnvelopeOwned(ctx int32, payload []byte, dest, tag int) (*Request, error) {
+// deliverData builds one data envelope from this rank to dest on ctx and
+// delivers it with traffic accounting. payload is owned, or lent until
+// the ack when lent (lendOrCopy). A rendezvous (rdv) envelope carries a
+// fresh sequence for its ack, a traced one (flow) a flow id; ownership of
+// the envelope passes to deliver, and the receiver may recycle it
+// concurrently, so the returned seq and msgid are the only safe handles
+// afterwards.
+func (c *Comm) deliverData(ctx int32, payload []byte, lent bool, dest, tag int, rdv, flow bool) (seq, msgid int64, err error) {
 	env := getEnv()
 	env.kind = kindData
-	env.src = c.rank
-	env.wsrc = c.worldRank
-	env.wdst = c.members[dest]
-	env.ctx = ctx
-	env.tag = int32(tag)
-	var seq int64
-	if len(payload) > c.world.opts.eagerThreshold || c.world.opts.synchronousSend {
+	env.src, env.wsrc, env.wdst = c.rank, c.worldRank, c.members[dest]
+	env.ctx, env.tag = ctx, int32(tag)
+	env.data, env.lent = payload, lent
+	if rdv {
 		seq = c.world.nextSeq()
 		env.seq = seq
 	}
-	msgid := c.world.flowID()
-	env.msgid = msgid
-	env.data = payload
-	if err := c.world.deliver(env); err != nil {
-		return nil, err
+	if flow {
+		msgid = c.world.flowID()
+		env.msgid = msgid
 	}
-	return &Request{comm: c, kind: reqSend, seq: seq, done: seq == 0, peer: c.members[dest], tag: tag, msgid: msgid}, nil
+	return seq, msgid, c.world.deliver(env)
+}
+
+// awaitAck waits for the ack of rendezvous send seq to world rank wdst. A
+// lent send that fails first takes its view back before returning, so no
+// receiver reads the caller's slice once the send has given up.
+func (c *Comm) awaitAck(seq int64, wdst int, lent bool) error {
+	err := c.mb.waitAck(seq)
+	if err != nil && lent {
+		c.world.reclaimLent(c.worldRank, wdst, seq)
+	}
+	return err
+}
+
+// sendEnvelopeOwned delivers one data envelope on ctx (deliverData) and
+// runs the rendezvous protocol when required. The returned msgid
+// identifies the message for flow tracing; it is zero when no hook is
+// attached.
+func (c *Comm) sendEnvelopeOwned(ctx int32, payload []byte, lent bool, dest, tag int, sync bool) (int64, error) {
+	seq, msgid, err := c.deliverData(ctx, payload, lent, dest, tag, c.rendezvous(len(payload), sync), true)
+	if err == nil && seq != 0 {
+		err = c.awaitAck(seq, c.members[dest], lent)
+	}
+	return msgid, err
 }
 
 // recvEnvelope blocks for a matching envelope on ctx and acknowledges
-// rendezvous sends. The caller owns the returned envelope (and its
-// payload) and is responsible for recycling it with putEnv.
-func (c *Comm) recvEnvelope(ctx int32, src, tag int) (*envelope, Status, error) {
-	pr := c.mb.postRecv(ctx, src, tag)
+// rendezvous sends; dst is as for postRecv. The caller owns the returned
+// envelope (and its payload) and is responsible for recycling it with
+// putEnv.
+func (c *Comm) recvEnvelope(ctx int32, src, tag int, dst []byte) (*envelope, Status, error) {
+	pr := c.mb.postRecv(ctx, src, tag, dst)
 	env, err := c.finishRecv(pr)
 	if err != nil {
 		return nil, Status{}, err
@@ -141,12 +140,14 @@ func (c *Comm) recvEnvelope(ctx int32, src, tag int) (*envelope, Status, error) 
 }
 
 // sendChecked runs the accounting, profiling and delivery shared by
-// SendBytes, SsendBytes and the typed send wrappers. It takes ownership
-// of payload; peer and tag must already be validated.
-func (c *Comm) sendChecked(payload []byte, dest, tag int, sync bool) error {
-	n := len(payload)
+// SendBytes, SsendBytes and the typed send wrappers; peer and tag must
+// already be validated. data stays the caller's: it is lent or copied
+// (lendOrCopy), and either way reusable once the send returns.
+func sendChecked[T Scalar](c *Comm, data []T, dest, tag int, sync bool) error {
+	n := len(data) * scalarSize[T]()
+	payload, lent := lendOrCopy(c, data, c.rendezvous(n, sync))
 	sp := c.begin(PrimSend)
-	msgid, err := c.sendEnvelopeOwned(c.ctx, payload, dest, tag, sync)
+	msgid, err := c.sendEnvelopeOwned(c.ctx, payload, lent, dest, tag, sync)
 	sp.end(c.members[dest], tag, n, msgid, 0, 0)
 	return err
 }
@@ -154,7 +155,7 @@ func (c *Comm) sendChecked(payload []byte, dest, tag int, sync bool) error {
 // SendBytes sends a raw payload to dest with the given tag (MPI_Send). The
 // call returns once the buffer is reusable: immediately for eager-size
 // messages, after the receiver matches for rendezvous-size messages. data
-// stays owned by the caller (it is copied into a pooled buffer).
+// stays owned by the caller.
 func (c *Comm) SendBytes(data []byte, dest, tag int) error {
 	if err := c.checkPeer(dest, false); err != nil {
 		return err
@@ -162,7 +163,7 @@ func (c *Comm) SendBytes(data []byte, dest, tag int) error {
 	if err := checkTag(tag, false); err != nil {
 		return err
 	}
-	return c.sendChecked(copyToPooled(data), dest, tag, false)
+	return sendChecked(c, data, dest, tag, false)
 }
 
 // SsendBytes is the explicitly synchronous send (MPI_Ssend): it always
@@ -174,7 +175,7 @@ func (c *Comm) SsendBytes(data []byte, dest, tag int) error {
 	if err := checkTag(tag, false); err != nil {
 		return err
 	}
-	return c.sendChecked(copyToPooled(data), dest, tag, true)
+	return sendChecked(c, data, dest, tag, true)
 }
 
 // RecvBytes receives a message matching (src, tag), which may use
@@ -183,6 +184,11 @@ func (c *Comm) SsendBytes(data []byte, dest, tag int) error {
 // caller may optionally hand it back with Release to keep hot receive
 // loops allocation-free.
 func (c *Comm) RecvBytes(src, tag int) ([]byte, Status, error) {
+	return c.recvChecked(src, tag, nil)
+}
+
+// recvChecked is RecvBytes with dst passed to postRecv.
+func (c *Comm) recvChecked(src, tag int, dst []byte) ([]byte, Status, error) {
 	if err := c.checkPeer(src, true); err != nil {
 		return nil, Status{}, err
 	}
@@ -190,7 +196,7 @@ func (c *Comm) RecvBytes(src, tag int) ([]byte, Status, error) {
 		return nil, Status{}, err
 	}
 	sp := c.begin(PrimRecv)
-	env, st, err := c.recvEnvelope(c.ctx, src, tag)
+	env, st, err := c.recvEnvelope(c.ctx, src, tag, dst)
 	if err != nil {
 		sp.end(-1, tag, 0, 0, 0, 0)
 		return nil, Status{}, err
@@ -201,23 +207,27 @@ func (c *Comm) RecvBytes(src, tag int) ([]byte, Status, error) {
 	return data, st, nil
 }
 
-// isendChecked is the accounting/profiling wrapper shared by IsendBytes
-// and the typed Isend; it takes ownership of payload.
-func (c *Comm) isendChecked(payload []byte, dest, tag int) (*Request, error) {
-	n := len(payload)
+// isendChecked is the body shared by IsendBytes and the typed Isend. A
+// rendezvous-size data is lent until the request completes, on
+// acknowledgement; an eager one is copied and the request is complete at
+// once.
+func isendChecked[T Scalar](c *Comm, data []T, dest, tag int) (*Request, error) {
+	n := len(data) * scalarSize[T]()
+	rdv := c.rendezvous(n, false)
+	payload, lent := lendOrCopy(c, data, rdv)
 	sp := c.begin(PrimIsend)
-	r, err := c.isendEnvelopeOwned(c.ctx, payload, dest, tag)
-	var msgid int64
-	if r != nil {
-		msgid = r.msgid
-	}
+	seq, msgid, err := c.deliverData(c.ctx, payload, lent, dest, tag, rdv, true)
 	sp.end(c.members[dest], tag, n, msgid, 0, 0)
-	return r, err
+	if err != nil {
+		return nil, err
+	}
+	return &Request{comm: c, kind: reqSend, seq: seq, done: seq == 0, lent: lent, peer: c.members[dest], tag: tag, msgid: msgid}, nil
 }
 
-// IsendBytes starts a nonblocking send (MPI_Isend). The data is copied, so
-// the caller's buffer is immediately reusable; Wait reports when the
-// transfer obligation is complete.
+// IsendBytes starts a nonblocking send (MPI_Isend). As MPI_Isend's rule
+// says, data belongs to the runtime until Wait or Test reports the
+// request complete: a rendezvous-size message may be read from it up to
+// the match. Eager-size data is copied and immediately reusable.
 func (c *Comm) IsendBytes(data []byte, dest, tag int) (*Request, error) {
 	if err := c.checkPeer(dest, false); err != nil {
 		return nil, err
@@ -225,7 +235,7 @@ func (c *Comm) IsendBytes(data []byte, dest, tag int) (*Request, error) {
 	if err := checkTag(tag, false); err != nil {
 		return nil, err
 	}
-	return c.isendChecked(copyToPooled(data), dest, tag)
+	return isendChecked(c, data, dest, tag)
 }
 
 // IrecvBytes starts a nonblocking receive (MPI_Irecv).
@@ -237,7 +247,7 @@ func (c *Comm) IrecvBytes(src, tag int) (*Request, error) {
 		return nil, err
 	}
 	sp := c.begin(PrimIrecv)
-	pr := c.mb.postRecv(c.ctx, src, tag)
+	pr := c.mb.postRecv(c.ctx, src, tag, nil)
 	peer := -1
 	if src != AnySource {
 		peer = c.members[src]
@@ -254,7 +264,7 @@ func (c *Comm) SendrecvBytes(data []byte, dest, sendTag, src, recvTag int) ([]by
 	if err := checkSendrecv(c, dest, sendTag, src, recvTag); err != nil {
 		return nil, Status{}, err
 	}
-	return c.sendrecvChecked(copyToPooled(data), dest, sendTag, src, recvTag)
+	return sendrecvChecked(c, data, dest, sendTag, src, recvTag)
 }
 
 func checkSendrecv(c *Comm, dest, sendTag, src, recvTag int) error {
@@ -271,15 +281,16 @@ func checkSendrecv(c *Comm, dest, sendTag, src, recvTag int) error {
 }
 
 // sendrecvChecked is the combined exchange shared by SendrecvBytes and
-// the typed wrappers. It takes ownership of payload; the returned bytes
+// the typed wrappers. data is sent as by sendChecked; the returned bytes
 // are caller-owned. When either half fails the posted receive is
 // withdrawn: left behind, it would swallow the next message matching
 // (src, recvTag) together with its pooled buffer.
-func (c *Comm) sendrecvChecked(payload []byte, dest, sendTag, src, recvTag int) ([]byte, Status, error) {
+func sendrecvChecked[T Scalar](c *Comm, data []T, dest, sendTag, src, recvTag int) ([]byte, Status, error) {
+	n := len(data) * scalarSize[T]()
+	payload, lent := lendOrCopy(c, data, c.rendezvous(n, false))
 	sp := c.begin(PrimSendrecv)
-	n := len(payload)
-	pr := c.mb.postRecv(c.ctx, src, recvTag)
-	msgid, err := c.sendEnvelopeOwned(c.ctx, payload, dest, sendTag, false)
+	pr := c.mb.postRecv(c.ctx, src, recvTag, nil)
+	msgid, err := c.sendEnvelopeOwned(c.ctx, payload, lent, dest, sendTag, false)
 	var env *envelope
 	if err == nil {
 		env, err = c.finishRecv(pr)
@@ -368,8 +379,9 @@ func (c *Comm) Abort(err error) {
 }
 
 // Send sends a typed slice (MPI_Send). See SendBytes for blocking
-// semantics. The slice is encoded directly into a pooled wire buffer —
-// no intermediate Marshal allocation.
+// semantics. An eager slice is encoded directly into a pooled wire
+// buffer; on the channel transport a rendezvous one is read in place by
+// the receiver's match while Send waits for it.
 func Send[T Scalar](c *Comm, data []T, dest, tag int) error {
 	if err := c.checkPeer(dest, false); err != nil {
 		return err
@@ -377,7 +389,7 @@ func Send[T Scalar](c *Comm, data []T, dest, tag int) error {
 	if err := checkTag(tag, false); err != nil {
 		return err
 	}
-	return c.sendChecked(marshalPooled(data), dest, tag, false)
+	return sendChecked(c, data, dest, tag, false)
 }
 
 // Ssend sends a typed slice with forced synchronous semantics (MPI_Ssend).
@@ -388,7 +400,7 @@ func Ssend[T Scalar](c *Comm, data []T, dest, tag int) error {
 	if err := checkTag(tag, false); err != nil {
 		return err
 	}
-	return c.sendChecked(marshalPooled(data), dest, tag, true)
+	return sendChecked(c, data, dest, tag, true)
 }
 
 // Recv receives a typed slice (MPI_Recv). Wildcards AnySource and AnyTag
@@ -402,16 +414,29 @@ func Recv[T Scalar](c *Comm, src, tag int) ([]T, Status, error) {
 // recycling the wire buffer. Passing a scratch slice that survives the
 // loop makes repeated receives allocation-free.
 func RecvInto[T Scalar](c *Comm, dst []T, src, tag int) ([]T, Status, error) {
-	b, st, err := c.RecvBytes(src, tag)
+	size := scalarSize[T]()
+	var into []byte
+	if nativeWire[T](size) {
+		into = memBytes(dst[:cap(dst)])
+	}
+	b, st, err := c.recvChecked(src, tag, into)
 	if err != nil {
 		return nil, st, err
+	}
+	if len(b) > 0 && unsafe.SliceData(b) == unsafe.SliceData(into) {
+		// A lent message: the match copied it straight into dst.
+		if len(b)%size != 0 {
+			return nil, st, errElemSize(len(b), size)
+		}
+		return dst[:len(b)/size], st, nil
 	}
 	xs, err := UnmarshalInto(dst, b)
 	putBuf(b)
 	return xs, st, err
 }
 
-// Isend starts a nonblocking typed send (MPI_Isend).
+// Isend starts a nonblocking typed send (MPI_Isend). data belongs to the
+// runtime until Wait or Test completes the request; see IsendBytes.
 func Isend[T Scalar](c *Comm, data []T, dest, tag int) (*Request, error) {
 	if err := c.checkPeer(dest, false); err != nil {
 		return nil, err
@@ -419,7 +444,7 @@ func Isend[T Scalar](c *Comm, data []T, dest, tag int) (*Request, error) {
 	if err := checkTag(tag, false); err != nil {
 		return nil, err
 	}
-	return c.isendChecked(marshalPooled(data), dest, tag)
+	return isendChecked(c, data, dest, tag)
 }
 
 // Irecv starts a nonblocking typed receive (MPI_Irecv); complete it with
@@ -440,7 +465,7 @@ func SendrecvInto[T Scalar](c *Comm, data []T, dest, sendTag, src, recvTag int, 
 	if err := checkSendrecv(c, dest, sendTag, src, recvTag); err != nil {
 		return nil, Status{}, err
 	}
-	b, st, err := c.sendrecvChecked(marshalPooled(data), dest, sendTag, src, recvTag)
+	b, st, err := sendrecvChecked(c, data, dest, sendTag, src, recvTag)
 	if err != nil {
 		return nil, st, err
 	}

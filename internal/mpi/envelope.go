@@ -26,8 +26,8 @@ const (
 // receiver replies with a kindAck envelope carrying the same seq.
 //
 // Envelopes are pooled (getEnv/putEnv); data, when non-nil, is an
-// exclusively owned pooled payload buffer — see pool.go for the
-// ownership contract.
+// exclusively owned pooled payload buffer unless lent is set — see
+// pool.go for the ownership contract.
 type envelope struct {
 	kind  int8
 	src   int   // communicator-relative sender rank
@@ -38,6 +38,11 @@ type envelope struct {
 	seq   int64 // rendezvous sequence; 0 when no ack is required
 	msgid int64 // profiling flow id; 0 unless a Hook is attached
 	data  []byte
+
+	// lent marks data as memory the pool does not own: until the match,
+	// the slice of a parked rendezvous sender (lendOrCopy); after it, the
+	// destination a RecvInto named. It never crosses a socket.
+	lent bool
 
 	// arrived is the receiver-side arrival stamp, set by the destination
 	// mailbox when a Hook is attached. It never crosses the wire, so the
@@ -172,6 +177,18 @@ func marshalPooled[T Scalar](xs []T) []byte {
 	return AppendMarshal(getBuf(n)[:0], xs)
 }
 
+// lendOrCopy returns the payload a send of xs puts in its envelope. A
+// send that waits for its ack (rdv) over a link that moves envelope
+// objects, not bytes, lends xs's memory image, which is its wire
+// encoding: the sender stays parked until the match has copied it
+// (claim). Every other send carries a pooled copy it owns.
+func lendOrCopy[T Scalar](c *Comm, xs []T, rdv bool) (payload []byte, lent bool) {
+	if rdv && c.world.sharedMem && nativeWire[T](scalarSize[T]()) {
+		return memBytes(xs), true
+	}
+	return marshalPooled(xs), false
+}
+
 // hostLittleEndian is the host's byte order, read once at start-up. On a
 // little-endian host a scalar stored at its wire width is its own wire
 // encoding. Tests clear it to drive the element-wise fallback a
@@ -294,7 +311,7 @@ func Unmarshal[T Scalar](b []byte) ([]T, error) {
 func UnmarshalInto[T Scalar](dst []T, b []byte) ([]T, error) {
 	size := scalarSize[T]()
 	if len(b)%size != 0 {
-		return nil, fmt.Errorf("mpi: Unmarshal: %d bytes is not a multiple of element size %d", len(b), size)
+		return nil, errElemSize(len(b), size)
 	}
 	n := len(b) / size
 	if cap(dst) < n {
@@ -303,6 +320,10 @@ func UnmarshalInto[T Scalar](dst []T, b []byte) ([]T, error) {
 	dst = dst[:n]
 	decodeSlice(dst, b, size)
 	return dst, nil
+}
+
+func errElemSize(n, size int) error {
+	return fmt.Errorf("mpi: Unmarshal: %d bytes is not a multiple of element size %d", n, size)
 }
 
 // decodeInto decodes b into dst, whose length must match exactly. It is

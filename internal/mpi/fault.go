@@ -196,8 +196,7 @@ func (w *World) killRank(r int) {
 	mb.mu.Lock()
 	mb.dead = true
 	for _, e := range mb.unexpected {
-		putBuf(e.data)
-		putEnv(e)
+		dropEnv(e)
 	}
 	mb.unexpected = nil
 	mb.pending = nil // abandoned: the dying rank never completes them

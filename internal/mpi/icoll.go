@@ -117,7 +117,8 @@ func (o *schedOp[T]) step() (bool, error) {
 			o.pr = c.mb.postRecvColl(c.collCtx(), int(h.from), int(o.tag), o.cr)
 		}
 		if h.send != sendNone {
-			if err := c.collSendHop(o.payload(h, &o.wire), int(h.to), int(o.tag), true); err != nil {
+			b, lent := o.payload(c, h, &o.wire, true)
+			if err := c.collSendHop(b, lent, int(h.to), int(o.tag), true); err != nil {
 				return false, err
 			}
 		}

@@ -39,6 +39,9 @@ type latencyPipe struct {
 	cond   *sync.Cond
 	queue  []latencyItem
 	closed bool
+	// held is the rendezvous sequence of the lent envelope drain has
+	// taken off the queue and not yet delivered, or 0 (reclaim).
+	held int64
 }
 
 func newLatencyTransport(inner transport, delay time.Duration, np int) *latencyTransport {
@@ -67,8 +70,29 @@ func (t *latencyTransport) deliver(e *envelope) error {
 	}
 	p.queue = append(p.queue, latencyItem{e: e, due: time.Now().Add(t.delay)})
 	p.mu.Unlock()
-	p.cond.Signal()
+	p.cond.Broadcast() // a reclaim may wait on cond too: Signal could wake it instead of drain
 	return nil
+}
+
+// reclaim is reclaimLent's share on the pipe: the lent envelope of send
+// seq from src, still queued, gets a pooled copy of its view. If drain
+// has it in hand, reclaim waits until it has reached the mailbox, where
+// reclaimLent looks next.
+func (t *latencyTransport) reclaim(src int, seq int64) {
+	if src < 0 || src >= len(t.pipes) {
+		return
+	}
+	p := t.pipes[src]
+	p.mu.Lock()
+	for p.held == seq {
+		p.cond.Wait()
+	}
+	for _, it := range p.queue {
+		if it.e.lent && it.e.seq == seq {
+			claim(it.e, nil)
+		}
+	}
+	p.mu.Unlock()
 }
 
 // drain delivers the pipe's items in order, sleeping until each is due.
@@ -77,6 +101,11 @@ func (t *latencyTransport) drain(p *latencyPipe) {
 	defer t.wg.Done()
 	for {
 		p.mu.Lock()
+		if p.held != 0 {
+			// The previous item has reached its mailbox.
+			p.held = 0
+			p.cond.Broadcast()
+		}
 		for len(p.queue) == 0 && !p.closed {
 			p.cond.Wait()
 		}
@@ -88,6 +117,9 @@ func (t *latencyTransport) drain(p *latencyPipe) {
 		n := copy(p.queue, p.queue[1:])
 		p.queue[n] = latencyItem{}
 		p.queue = p.queue[:n]
+		if it.e.lent {
+			p.held = it.e.seq
+		}
 		closed := p.closed
 		p.mu.Unlock()
 		if !closed {

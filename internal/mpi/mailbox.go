@@ -52,13 +52,15 @@ type waitInfo struct {
 // exactly once, under the mailbox mutex, when a message matches. coll,
 // when non-nil, names the nonblocking collective that owns this receive:
 // a match bumps its unconsumed count (under the same lock) and triggers
-// its state machine on the delivering goroutine.
+// its state machine on the delivering goroutine. dst, when non-nil, is
+// the memory a RecvInto named for a lent message's one copy (claim).
 type pendingRecv struct {
 	ctx  int32
 	src  int // AnySource allowed
 	tag  int // AnyTag allowed
 	env  *envelope
 	coll *CollRequest
+	dst  []byte
 }
 
 // matches reports whether an envelope satisfies a (ctx, src, tag) pattern.
@@ -179,8 +181,7 @@ func (mb *mailbox) post(e *envelope) {
 		mb.mu.Lock()
 		if mb.dead {
 			mb.mu.Unlock()
-			putBuf(e.data)
-			putEnv(e)
+			dropEnv(e)
 			return
 		}
 		if mb.rmaResp == nil {
@@ -206,8 +207,7 @@ func (mb *mailbox) post(e *envelope) {
 	if mb.dead {
 		// A killed rank's mailbox is a black hole: no matches, no acks.
 		mb.mu.Unlock()
-		putBuf(e.data)
-		putEnv(e)
+		dropEnv(e)
 		return
 	}
 	if e.kind == kindAck {
@@ -221,6 +221,7 @@ func (mb *mailbox) post(e *envelope) {
 	}
 	for _, pr := range mb.pending {
 		if pr.env == nil && matches(e, pr.ctx, pr.src, pr.tag) {
+			claim(e, pr.dst)
 			pr.env = e
 			coll := pr.coll
 			if coll != nil {
@@ -246,6 +247,23 @@ func (mb *mailbox) post(e *envelope) {
 	mb.mu.Unlock()
 }
 
+// claim makes a lent message's one copy at its match, before the ack
+// that lets the parked sender reuse its slice: into dst when the receive
+// named one that holds the message (the payload then stays lent, now
+// from the receiver), otherwise into a pooled buffer. Callers hold the
+// destination's mu, which is what keeps a failed sender's reclaimLent
+// from racing the copy.
+func claim(e *envelope, dst []byte) {
+	if !e.lent {
+		return
+	}
+	if n := len(e.data); n > 0 && n <= len(dst) {
+		e.data = dst[:copy(dst, e.data)]
+		return
+	}
+	e.data, e.lent = copyToPooled(e.data), false
+}
+
 // sendAck dispatches a rendezvous acknowledgement. Must be called without
 // holding any mailbox lock; seq 0 means no acknowledgement is owed.
 func (mb *mailbox) sendAck(wdst int, ctx int32, seq int64) {
@@ -266,13 +284,16 @@ func (mb *mailbox) sendAck(wdst int, ctx int32, seq int64) {
 
 // postRecv registers a receive. If an unexpected message already matches,
 // the returned pendingRecv is complete (and any rendezvous sender is
-// acknowledged); otherwise it joins the posted queue in FIFO order.
-func (mb *mailbox) postRecv(ctx int32, src, tag int) *pendingRecv {
+// acknowledged); otherwise it joins the posted queue in FIFO order. dst
+// is where a lent message is copied when it holds it (claim), or nil.
+func (mb *mailbox) postRecv(ctx int32, src, tag int, dst []byte) *pendingRecv {
 	pr := getPR(ctx, src, tag)
+	pr.dst = dst
 	mb.mu.Lock()
 	for i, e := range mb.unexpected {
 		if matches(e, ctx, src, tag) {
 			mb.unexpected = append(mb.unexpected[:i], mb.unexpected[i+1:]...)
+			claim(e, dst)
 			pr.env = e
 			seq, wsrc := e.seq, e.wsrc
 			e.seq = 0
@@ -298,6 +319,7 @@ func (mb *mailbox) postRecvColl(ctx int32, src, tag int, cr *CollRequest) *pendi
 	for i, e := range mb.unexpected {
 		if matches(e, ctx, src, tag) {
 			mb.unexpected = append(mb.unexpected[:i], mb.unexpected[i+1:]...)
+			claim(e, nil)
 			pr.env = e
 			cr.unconsumed++
 			seq, wsrc := e.seq, e.wsrc

@@ -22,6 +22,15 @@ import (
 //   - Typed receive paths (Recv, RecvInto, WaitRecvInto, collectives)
 //     decode and recycle the wire buffer internally; the []T they return
 //     is always freshly owned by the caller and never recycled.
+//   - A lent payload (envelope.lent) is a view of memory the pool does
+//     not own: a parked rendezvous sender's slice on a link that moves
+//     envelope objects (lendOrCopy). The match copies it once, under the
+//     destination's mailbox lock and before the ack that frees the
+//     sender (claim): into the destination a RecvInto named, or into a
+//     pooled buffer that then follows the rules above. A send that fails
+//     first detaches its view the same way (reclaimLent). No path may
+//     putBuf a lent payload; a site that discards an envelope goes
+//     through dropEnv.
 //
 // Mutex-guarded free lists are used instead of sync.Pool for two reasons:
 // putting a []byte into a sync.Pool boxes the slice header (one
@@ -182,6 +191,16 @@ func getEnv() *envelope {
 	return &envelope{}
 }
 
+// dropEnv discards an envelope no receiver will see, recycling its
+// payload unless it is lent: a sender's or receiver's memory is never the
+// pool's.
+func dropEnv(e *envelope) {
+	if !e.lent {
+		putBuf(e.data)
+	}
+	putEnv(e)
+}
+
 // putEnv recycles an envelope. The caller must have extracted every field
 // it still needs and must own e.data separately — putEnv deliberately
 // does not release the payload, because receive paths hand it to the
@@ -210,7 +229,7 @@ func getPR(ctx int32, src, tag int) *pendingRecv {
 		prPool.free[m-1] = nil
 		prPool.free = prPool.free[:m-1]
 		prPool.mu.Unlock()
-		pr.ctx, pr.src, pr.tag, pr.env, pr.coll = ctx, src, tag, nil, nil
+		pr.ctx, pr.src, pr.tag = ctx, src, tag
 		return pr
 	}
 	prPool.mu.Unlock()
@@ -220,8 +239,7 @@ func getPR(ctx int32, src, tag int) *pendingRecv {
 // putPR recycles a completed posted receive. The caller must guarantee pr
 // is no longer in any mailbox queue and no other goroutine can touch it.
 func putPR(pr *pendingRecv) {
-	pr.env = nil
-	pr.coll = nil
+	*pr = pendingRecv{}
 	prPool.mu.Lock()
 	if len(prPool.free) < maxFreePendingRecvs {
 		prPool.free = append(prPool.free, pr)

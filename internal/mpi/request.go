@@ -18,6 +18,7 @@ type Request struct {
 	comm *Comm
 	kind reqKind
 	done bool
+	lent bool // send requests: the caller's buffer is lent until the ack
 
 	peer int // world rank of the peer; -1 for wildcard receives
 	tag  int
@@ -65,7 +66,7 @@ func (r *Request) wait() ([]byte, Status, error) {
 	switch r.kind {
 	case reqSend:
 		if r.seq != 0 {
-			if err := r.comm.mb.waitAck(r.seq); err != nil {
+			if err := r.comm.awaitAck(r.seq, r.peer, r.lent); err != nil {
 				return nil, Status{}, err
 			}
 		}

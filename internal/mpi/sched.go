@@ -244,24 +244,28 @@ func (x *hopRun[T]) seg(i int32) []T {
 	return x.buf[lo:min(lo+n, len(x.buf))]
 }
 
-// payload returns the pooled bytes hop h sends; ownership passes to the
-// caller, who hands it to an owned send.
-func (x *hopRun[T]) payload(h hop, wire *[]byte) []byte {
+// payload returns the bytes hop h sends, for collSendHop with the same
+// eager: pooled bytes whose ownership passes to the caller, or a lent
+// view (lendOrCopy) of the pooled buffer in hand, which stays put until
+// the hop's rendezvous send returns. A segment is always copied: a view
+// of it would make every caller's buffer escape to the heap, and a
+// k-means loop passes a stack array.
+func (x *hopRun[T]) payload(c *Comm, h hop, wire *[]byte, eager bool) ([]byte, bool) {
 	switch h.send {
 	case sendSeg:
-		return marshalPooled(x.seg(h.sendSeg))
+		return marshalPooled(x.seg(h.sendSeg)), false
 	case sendWire:
 		if h.recv == recvNone {
 			// Fan-out: the same bytes go to the next child too.
-			return copyToPooled(*wire)
+			return lendOrCopy(c, *wire, c.hopRendezvous(len(*wire), eager))
 		}
 		// Relay: this hop's own arrival replaces the buffer in hand, so the
 		// buffer itself travels on.
 		b := *wire
 		*wire = nil
-		return b
+		return b, false
 	}
-	return nil
+	return nil, false
 }
 
 // arrive takes ownership of hop h's arrival and applies the hop's action

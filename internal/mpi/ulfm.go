@@ -250,7 +250,7 @@ func (c *Comm) agreeSend(val []byte, tag int) error {
 		}
 		b := getBuf(len(val))
 		copy(b, val)
-		if err := c.collSendHop(b, cr, tag, true); err != nil {
+		if err := c.collSendHop(b, false, cr, tag, true); err != nil {
 			return err
 		}
 	}

@@ -62,10 +62,12 @@ type World struct {
 	transport transport
 	stats     *WorldStats
 
-	// sharedMem is true on the in-process channel transport, where every
-	// window region lives in this address space: one-sided operations may
-	// then take the direct shared-memory fast path (rma.go) instead of a
-	// mailbox round trip.
+	// sharedMem is true on the in-process channel transport, with or
+	// without the latency decorator: the link moves envelope objects, not
+	// bytes, and every rank's memory lives in this address space. So
+	// one-sided operations may take the direct shared-memory fast path
+	// (rma.go) instead of a mailbox round trip, and a rendezvous send
+	// lends its slice instead of copying it (lendOrCopy).
 	sharedMem bool
 
 	aborted    atomic.Bool
@@ -265,8 +267,7 @@ func (w *World) drainMailboxes() {
 	for _, mb := range w.mailboxes {
 		mb.mu.Lock()
 		for _, e := range mb.unexpected {
-			putBuf(e.data)
-			putEnv(e)
+			dropEnv(e)
 		}
 		mb.unexpected = nil
 		for seq, b := range mb.rmaResp {
@@ -301,13 +302,33 @@ func compactErrs(errs []error) []error {
 // A killed sender's envelopes are discarded: a crashed rank sends nothing.
 func (w *World) deliver(e *envelope) error {
 	if w.isKilled(e.wsrc) {
-		putBuf(e.data)
-		putEnv(e)
+		dropEnv(e)
 		return ErrRankKilled
 	}
 	w.stats.addWire(e.wsrc, e.wdst, e.wireBytes())
 	w.progress.Add(1)
 	return w.transport.deliver(e)
+}
+
+// reclaimLent detaches the view lent by rendezvous send seq from world
+// rank wsrc to wdst, which failed before its ack. Wherever the envelope
+// still waits unmatched — on the latency pipe or in the destination's
+// unexpected queue — its payload becomes a pooled copy (claim), so the
+// message can still be received but nothing reads the sender's slice
+// after the send returns. A matched envelope was copied at its match,
+// under the same lock; a dropped one was never recycled (dropEnv).
+func (w *World) reclaimLent(wsrc, wdst int, seq int64) {
+	if lt, ok := w.transport.(*latencyTransport); ok {
+		lt.reclaim(wsrc, seq)
+	}
+	mb := w.mailboxes[wdst]
+	mb.mu.Lock()
+	for _, e := range mb.unexpected {
+		if e.lent && e.seq == seq {
+			claim(e, nil)
+		}
+	}
+	mb.mu.Unlock()
 }
 
 // nextSeq allocates a rendezvous sequence number. Sequence 0 means "no ack
