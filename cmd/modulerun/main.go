@@ -169,33 +169,16 @@ func applyDDP(o *options, a core.Activity) (core.Activity, error) {
 	return core.DDPActivityConfig(a, o.overlap != "off", o.bucketBytes), nil
 }
 
-// faultOptions turns the fault-injection flags into runtime options for
-// a single launch. The scaling-study paths manage their own worlds, so
-// injection there is rejected rather than silently dropped.
+// faultOptions turns the fault-injection flags (faults.Options, shared
+// with mpirun) and -latency into runtime options for a single launch.
+// The scaling-study paths manage their own worlds, so injection there is
+// rejected rather than silently dropped.
 func faultOptions(o *options) (*faults.Plan, []mpi.Option, error) {
-	var opts []mpi.Option
-	var plan *faults.Plan
-	if o.inject != "" {
-		var err error
-		plan, err = faults.Parse(o.inject)
-		if err != nil {
-			return nil, nil, err
-		}
-		opts = append(opts, mpi.WithInjector(plan))
-	}
-	if o.heartbeat > 0 {
-		opts = append(opts, mpi.WithHeartbeat(o.heartbeat))
-	}
-	if o.opTimeout > 0 {
-		opts = append(opts, mpi.WithOpTimeout(o.opTimeout))
-	}
-	if o.latency > 0 {
+	plan, opts, err := faults.Options(o.inject, o.heartbeat, o.opTimeout, o.reliable)
+	if err == nil && o.latency > 0 {
 		opts = append(opts, mpi.WithLinkLatency(o.latency))
 	}
-	if o.reliable {
-		opts = append(opts, mpi.WithReliableLinks())
-	}
-	return plan, opts, nil
+	return plan, opts, err
 }
 
 func run(o *options, fs *flag.FlagSet) error {

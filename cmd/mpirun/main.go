@@ -102,7 +102,6 @@ func main() {
 	}
 	np, transport, procs := &o.np, &o.transport, &o.procs
 	profile, traceOut := &o.profile, &o.traceOut
-	inject, heartbeat, opTimeout := &o.inject, &o.heartbeat, &o.opTimeout
 
 	name := fs.Arg(0)
 	if name == "" {
@@ -149,27 +148,22 @@ func main() {
 		defer telemetry.CloseAll(servers)
 		fmt.Fprint(os.Stderr, telemetry.ListenMap(servers))
 	}
-	var plan *faults.Plan
-	if *inject != "" {
-		if *procs {
-			fmt.Fprintln(os.Stderr, "mpirun: -inject is unavailable with -procs (the plan lives in the launching process)")
-			os.Exit(1)
-		}
-		var perr error
-		plan, perr = faults.Parse(*inject)
-		if perr != nil {
-			fmt.Fprintln(os.Stderr, "mpirun:", perr)
-			os.Exit(1)
-		}
+	if o.inject != "" && *procs {
+		fmt.Fprintln(os.Stderr, "mpirun: -inject is unavailable with -procs (the plan lives in the launching process)")
+		os.Exit(1)
+	}
+	plan, opts, err := faults.Options(o.inject, o.heartbeat, o.opTimeout, o.reliable)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mpirun:", err)
+		os.Exit(1)
 	}
 	var merged *telemetry.Merged
-	var err error
 	if *procs {
 		ps := make(mpi.Programs)
 		for _, p := range programs() {
 			ps[p.name] = p.run
 		}
-		_, err = mpi.RunProcesses(ranks, name, ps)
+		_, err = runProcs(ranks, name, ps, opts)
 		if mpi.InWorker() {
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "mpirun worker:", err)
@@ -178,7 +172,6 @@ func main() {
 			return
 		}
 	} else {
-		var opts []mpi.Option
 		var hooks []mpi.Hook
 		if collector != nil {
 			hooks = append(hooks, collector)
@@ -188,18 +181,6 @@ func main() {
 		}
 		if hook := mpi.MultiHook(hooks...); hook != nil {
 			opts = append(opts, mpi.WithHook(hook))
-		}
-		if plan != nil {
-			opts = append(opts, mpi.WithInjector(plan))
-		}
-		if *heartbeat > 0 {
-			opts = append(opts, mpi.WithHeartbeat(*heartbeat))
-		}
-		if *opTimeout > 0 {
-			opts = append(opts, mpi.WithOpTimeout(*opTimeout))
-		}
-		if o.reliable {
-			opts = append(opts, mpi.WithReliableLinks())
 		}
 		run := prog.run
 		if set != nil {
@@ -268,6 +249,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "wrote %s (open in https://ui.perfetto.dev)\n", *traceOut)
 		}
 	}
+}
+
+// runProcs launches program name of ps on ranks OS processes (-procs)
+// and forwards the runtime options to every worker's world.
+func runProcs(ranks int, name string, ps mpi.Programs, opts []mpi.Option, extra ...mpi.ProcOption) (worker bool, err error) {
+	return mpi.RunProcesses(ranks, name, ps, append([]mpi.ProcOption{mpi.WithRunOptions(opts...)}, extra...)...)
 }
 
 func writeTrace(collector *prof.Collector, path, name string) error {

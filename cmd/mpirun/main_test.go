@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -135,5 +137,45 @@ func TestResilientDoubleKill(t *testing.T) {
 	same := func(prog func(*mpi.Comm) error) func(*mpi.Comm) error { return prog }
 	for i := 0; i < 200; i++ {
 		runResilient(t, plan, same)
+	}
+}
+
+// TestProcsForwardsRunOptions: -procs hands the runtime flags to every
+// worker's world. Rank 1 receives a message nobody sends: with
+// -op-timeout forwarded it fails with ErrTimeout after 200 ms, as the
+// program requires; dropped, it would hang until the run's 60-second
+// watchdog. -reliable rides along, so both workers frame their links
+// alike or the exchange fails.
+func TestProcsForwardsRunOptions(t *testing.T) {
+	var o options
+	if err := newFlagSet(&o).Parse([]string{"-procs", "-op-timeout", "200ms", "-reliable", "-heartbeat", "5s", "stall"}); err != nil {
+		t.Fatal(err)
+	}
+	_, opts, err := faults.Options(o.inject, o.heartbeat, o.opTimeout, o.reliable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stall := func(c *mpi.Comm) error {
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if c.Rank() == 1 {
+			if _, _, err := c.RecvBytes(0, 5); !errors.Is(err, mpi.ErrTimeout) {
+				return fmt.Errorf("unmatched recv returned %v, want ErrTimeout", err)
+			}
+		}
+		return nil
+	}
+	worker, err := runProcs(2, "stall", mpi.Programs{"stall": stall}, opts,
+		mpi.WithChildArgs("-test.run=^"+t.Name()+"$", "-test.count=1"),
+		mpi.WithChildOutput(io.Discard, io.Discard))
+	if worker {
+		if err != nil {
+			t.Fatalf("worker: %v", err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }

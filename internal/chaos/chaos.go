@@ -24,10 +24,11 @@ type Kill struct {
 	Call int
 }
 
-// Plan is one seeded chaos scenario. Frame probabilities are per-frame;
-// they only bite on socket transports, and the harness only applies
-// them under reliable links (raw links turn corruption into silent
-// wrong answers by design — that failure mode has its own tests).
+// Plan is one seeded chaos scenario. Frame probabilities are per-frame
+// and bite on every transport, since frame faults are a layer over
+// either endpoint; the harness applies them under reliable links (raw
+// links turn corruption into silent wrong answers by design — that
+// failure mode has its own tests).
 type Plan struct {
 	Seed    int64
 	Kills   []Kill
@@ -87,16 +88,6 @@ func (p Plan) Spec() string {
 	frame("dup", p.Dup, 2)
 	frame("corrupt", p.Corrupt, 3)
 	frame("reorder", p.Reorder, 4)
-	return strings.Join(rules, ",")
-}
-
-// KillSpec renders only the kill rules — the subset of the plan visible
-// on the channel transport, which has no frames to perturb.
-func (p Plan) KillSpec() string {
-	var rules []string
-	for _, k := range p.Kills {
-		rules = append(rules, fmt.Sprintf("rank=%d:call=%d:kill", k.Rank, k.Call))
-	}
 	return strings.Join(rules, ",")
 }
 

@@ -30,20 +30,22 @@ func poolGauge() leakcheck.Gauge {
 }
 
 // runWorld executes body on the selected transport with the plan's
-// faults injected. TCP worlds run with reliable links (the harness's
-// frame noise is only licensed there), a heartbeat for kill detection,
-// and a watchdog so a chaotic hang fails the test instead of wedging it.
+// faults injected. A faulted world runs with reliable links (the
+// harness's frame noise is only licensed there) and a watchdog so a
+// chaotic hang fails the test instead of wedging it; a TCP world adds a
+// heartbeat for kill detection, which the channel transport declares
+// synchronously.
 func runWorld(tcp bool, spec string, body func(*mpi.Comm) error) error {
 	var opts []mpi.Option
 	if spec != "" {
-		opts = append(opts, mpi.WithInjector(faults.MustParse(spec)))
-	}
-	if tcp {
 		opts = append(opts,
+			mpi.WithInjector(faults.MustParse(spec)),
 			mpi.WithReliableLinks(),
-			mpi.WithHeartbeat(150*time.Millisecond),
 			mpi.WithWatchdog(90*time.Second),
 		)
+	}
+	if tcp {
+		opts = append(opts, mpi.WithHeartbeat(150*time.Millisecond))
 		return mpi.RunTCP(np, body, opts...)
 	}
 	return mpi.Run(np, body, opts...)
@@ -171,15 +173,11 @@ func TestChaosSoak(t *testing.T) {
 		}
 		for _, seed := range sweep {
 			plan := Derive(seed, np, m.maxCall, m.allowKills)
+			spec := plan.Spec()
 			for _, tcp := range []bool{false, true} {
-				transport, spec := "tcp", plan.Spec()
-				if !tcp {
-					// The channel transport has no frames to perturb; only
-					// the kill rules reach it.
-					transport, spec = "channel", plan.KillSpec()
-					if spec == "" {
-						continue // nothing would be injected: the clean run above covers it
-					}
+				transport := "channel"
+				if tcp {
+					transport = "tcp"
 				}
 				t.Run(fmt.Sprintf("%s/seed=%d/%s", m.name, seed, transport), func(t *testing.T) {
 					defer leakcheck.Snapshot(t, poolGauge()).Check()

@@ -3,7 +3,7 @@
 //
 //   - rank kills, fired at an exact per-rank MPI call count
 //     (rank=2:call=50:kill);
-//   - frame faults on the socket transports — drop, duplicate, corrupt,
+//   - frame faults on every transport's links — drop, duplicate, corrupt,
 //     reorder, or delay a data frame, selected by a seeded PRNG or an
 //     exact occurrence count (frame=drop:prob=0.1:seed=7,
 //     frame=corrupt:count=1, frame=delay:ms=20:src=0:dst=3);
@@ -34,7 +34,7 @@ type KillRule struct {
 	Call int
 }
 
-// FrameRule perturbs data frames on a socket transport. Each candidate
+// FrameRule perturbs data frames on a link. Each candidate
 // frame matching the Src/Dst filters (−1 matches any rank) is faulted
 // with probability Prob using the rule's seeded PRNG; Count, when
 // positive, caps how many frames the rule may fault in total. Delay
@@ -348,3 +348,29 @@ func (p *Plan) Empty() bool {
 
 // String returns the original specification text.
 func (p *Plan) String() string { return p.spec }
+
+// Options maps the fault-tolerance flags both launchers declare to
+// runtime options: -inject (a plan in this package's grammar, also
+// returned so the launcher can report it), -heartbeat, -op-timeout and
+// -reliable. A zero flag adds nothing.
+func Options(inject string, heartbeat, opTimeout time.Duration, reliable bool) (*Plan, []mpi.Option, error) {
+	var opts []mpi.Option
+	var plan *Plan
+	if inject != "" {
+		var err error
+		if plan, err = Parse(inject); err != nil {
+			return nil, nil, err
+		}
+		opts = append(opts, mpi.WithInjector(plan))
+	}
+	if heartbeat > 0 {
+		opts = append(opts, mpi.WithHeartbeat(heartbeat))
+	}
+	if opTimeout > 0 {
+		opts = append(opts, mpi.WithOpTimeout(opTimeout))
+	}
+	if reliable {
+		opts = append(opts, mpi.WithReliableLinks())
+	}
+	return plan, opts, nil
+}

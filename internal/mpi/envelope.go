@@ -16,6 +16,7 @@ const (
 	kindAbort                 // cross-process abort propagation; payload is the cause
 	kindRMAReq                // one-sided requests; payload is an RMA frame (rma.go)
 	kindRMAResp               // one-sided reply carrying fetched data (Get, CompareAndSwap)
+	kindLinkAck               // reliable links' cumulative ack; seq is the link sequence acked through (reliable.go)
 )
 
 // envelope is the unit moved by a transport. src is the sender's rank
@@ -29,7 +30,19 @@ const (
 // exclusively owned pooled payload buffer unless lent is set — see
 // pool.go for the ownership contract.
 type envelope struct {
-	kind  int8
+	kind int8
+
+	// lent marks data as memory the pool does not own: until the match,
+	// the slice of a parked rendezvous sender (lendOrCopy); after it, the
+	// destination a RecvInto named. It never crosses a socket.
+	lent bool
+
+	// crc and lseq are the reliable-link stamp (reliable.go): the link
+	// sequence number, 0 for an unsequenced envelope, and the CRC32C the
+	// receive half checks. They ride in the socket frame's link prefix.
+	crc  uint32
+	lseq uint64
+
 	src   int   // communicator-relative sender rank
 	wsrc  int   // world rank of the sender
 	wdst  int   // world rank of the destination
@@ -38,11 +51,6 @@ type envelope struct {
 	seq   int64 // rendezvous sequence; 0 when no ack is required
 	msgid int64 // profiling flow id; 0 unless a Hook is attached
 	data  []byte
-
-	// lent marks data as memory the pool does not own: until the match,
-	// the slice of a parked rendezvous sender (lendOrCopy); after it, the
-	// destination a RecvInto named. It never crosses a socket.
-	lent bool
 
 	// arrived is the receiver-side arrival stamp, set by the destination
 	// mailbox when a Hook is attached. It never crosses the wire, so the

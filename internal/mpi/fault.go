@@ -96,10 +96,9 @@ type Injector interface {
 	// rank: it goes silent and its own operations return ErrRankKilled.
 	AtCall(rank, call int) (kill bool)
 
-	// AtFrame is consulted for every data frame crossing a socket from
+	// AtFrame is consulted for every data frame crossing the link from
 	// world rank src to dst. A positive delay stalls the frame before the
-	// action applies. Ignored on the in-process channel transport, which
-	// has no frames.
+	// action applies.
 	AtFrame(src, dst int) (FrameAction, time.Duration)
 }
 
@@ -446,19 +445,20 @@ func faultableFrame(kind int8) bool {
 }
 
 // frameVerdict consults the injector about one outbound frame, applies
-// any injected delay, and emits the inject lifecycle event. It does not
-// consume or alter the envelope: the connection applies the verdict as it
-// writes (tcpConn.send), so the same verdict is silent damage on a raw
-// link and a recovered retransmission on a reliable one.
+// any injected delay, and emits the inject lifecycle event. A frame it
+// does not pass through untouched first becomes an owned copy (claim):
+// the verdict may hold, copy or damage it, and a sender's lent slice is
+// never the injector's to touch.
 func (w *World) frameVerdict(e *envelope) FrameAction {
 	in := w.opts.injector
-	if in == nil || !faultableFrame(e.kind) {
+	if !faultableFrame(e.kind) {
 		return FrameDeliver
 	}
 	act, delay := in.AtFrame(e.wsrc, e.wdst)
 	if act == FrameDeliver && delay <= 0 {
 		return FrameDeliver
 	}
+	claim(e, nil)
 	if delay > 0 {
 		w.emitLifecycle(e.wsrc, LifeInject, fmt.Sprintf("delay frame %d->%d by %v", e.wsrc, e.wdst, delay))
 		time.Sleep(delay)
@@ -468,6 +468,85 @@ func (w *World) frameVerdict(e *envelope) FrameAction {
 	}
 	return act
 }
+
+// faultLayer is the frame-fault layer of the link stack (WithInjector):
+// it sits directly on the endpoint, below the reliable-link layer, so
+// its verdicts damage the wire. On a reliable link the ARQ above
+// recovers what they break; on a raw one the damage stands — the
+// teaching contrast of reliable.go: a dropped frame is simply gone (the
+// run stalls until a heartbeat, op timeout or watchdog notices), a
+// corrupted frame is delivered with a silently flipped payload bit —
+// without a checksum the application computes a wrong answer — and a
+// reordered frame breaks the non-overtaking guarantee.
+type faultLayer struct {
+	w    *World
+	next transport
+	// held is the reorder holdback, one frame per link [src*size+dst]:
+	// the next frame delivered on the link overtakes it.
+	held []atomic.Pointer[envelope]
+}
+
+// withFrameFaults stacks the frame-fault layer on next when the world
+// has an injector.
+func withFrameFaults(w *World, next transport) transport {
+	if w.opts.injector == nil {
+		return next
+	}
+	return &faultLayer{w: w, next: next, held: make([]atomic.Pointer[envelope], w.size*w.size)}
+}
+
+func (f *faultLayer) deliver(e *envelope) error {
+	if !crossLink(e, f.w.size) {
+		return f.next.deliver(e)
+	}
+	held := &f.held[e.wsrc*f.w.size+e.wdst]
+	switch f.w.frameVerdict(e) {
+	case FrameDrop:
+		relFramesDropped.Add(1)
+		dropEnv(e)
+		return nil
+	case FrameReorder:
+		if old := held.Swap(e); old != nil {
+			// One frame is held at a time; the older one goes out now,
+			// still behind whatever was delivered since it was parked.
+			return f.next.deliver(old)
+		}
+		return nil
+	case FrameCorrupt:
+		// Flip one covered bit: a payload bit, or the checksum of an
+		// envelope without one.
+		relFramesCorrupt.Add(1)
+		if len(e.data) > 0 {
+			e.data[len(e.data)/2] ^= 0x20
+		} else {
+			e.crc ^= 0x20
+		}
+	case FrameDup:
+		_ = f.next.deliver(cloneEnv(e))
+	}
+	err := f.next.deliver(e)
+	if old := held.Swap(nil); old != nil {
+		_ = f.next.deliver(old)
+	}
+	return err
+}
+
+// close closes the endpoint, then recycles every frame still held.
+func (f *faultLayer) close() error {
+	err := f.next.close()
+	for i := range f.held {
+		if e := f.held[i].Swap(nil); e != nil {
+			dropEnv(e)
+		}
+	}
+	return err
+}
+
+func (f *faultLayer) notifyAbort(cause error) { f.next.notifyAbort(cause) }
+
+// supportsDeadlockDetection is false: a delayed or held frame is
+// invisibly in flight.
+func (f *faultLayer) supportsDeadlockDetection() bool { return false }
 
 // dialRetry dials addr with bounded exponential backoff: each attempt is
 // limited to attemptTimeout, the whole sequence to total, and cancelling

@@ -380,35 +380,37 @@ func TestOpTimeoutAlltoallWithdrawsReceive(t *testing.T) {
 }
 
 // TestFrameDropSurfacesAsTimeout: the injector eats the only data frame
-// 0→1 on the TCP transport; with a per-op deadline the receiver reports
-// the lossy link as ErrTimeout instead of hanging until the watchdog.
+// 0→1 of a raw link; with a per-op deadline the receiver reports the
+// lossy link as ErrTimeout instead of hanging until the watchdog.
 func TestFrameDropSurfacesAsTimeout(t *testing.T) {
-	defer leakcheck.Snapshot(t, poolGauge()).Check()
-	var dropped atomic.Int32
-	in := &testInjector{
-		atFrame: func(src, dst int) (FrameAction, time.Duration) {
-			if src == 0 && dst == 1 && dropped.CompareAndSwap(0, 1) {
-				return FrameDrop, 0
+	onBothEndpoints(t, func(t *testing.T, run runFunc) {
+		defer leakcheck.Snapshot(t, poolGauge()).Check()
+		var dropped atomic.Int32
+		in := &testInjector{
+			atFrame: func(src, dst int) (FrameAction, time.Duration) {
+				if src == 0 && dst == 1 && dropped.CompareAndSwap(0, 1) {
+					return FrameDrop, 0
+				}
+				return FrameDeliver, 0
+			},
+		}
+		err := run(2, func(c *Comm) error {
+			if c.Rank() == 0 {
+				return c.SendBytes([]byte("lost"), 1, 4) // eager: completes although the frame dies
 			}
-			return FrameDeliver, 0
-		},
-	}
-	err := RunTCP(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			return c.SendBytes([]byte("lost"), 1, 4) // eager: completes although the frame dies
+			_, _, err := c.RecvBytes(0, 4)
+			if !errors.Is(err, ErrTimeout) {
+				return fmt.Errorf("got %v, want ErrTimeout", err)
+			}
+			return nil
+		}, WithInjector(in), WithOpTimeout(300*time.Millisecond))
+		if err != nil {
+			t.Fatal(err)
 		}
-		_, _, err := c.RecvBytes(0, 4)
-		if !errors.Is(err, ErrTimeout) {
-			return fmt.Errorf("got %v, want ErrTimeout", err)
+		if dropped.Load() != 1 {
+			t.Fatalf("injector dropped %d frames, want 1", dropped.Load())
 		}
-		return nil
-	}, WithInjector(in), WithOpTimeout(300*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dropped.Load() != 1 {
-		t.Fatalf("injector dropped %d frames, want 1", dropped.Load())
-	}
+	})
 }
 
 // TestFrameDupIsHarmless: duplicating a frame must not corrupt matching —
@@ -416,33 +418,35 @@ func TestFrameDropSurfacesAsTimeout(t *testing.T) {
 // with the world. Here the receiver posts exactly one receive and
 // verifies its payload.
 func TestFrameDupIsHarmless(t *testing.T) {
-	defer leakcheck.Snapshot(t, poolGauge()).Check()
-	var dup atomic.Int32
-	in := &testInjector{
-		atFrame: func(src, dst int) (FrameAction, time.Duration) {
-			if src == 0 && dst == 1 && dup.CompareAndSwap(0, 1) {
-				return FrameDup, 0
+	onBothEndpoints(t, func(t *testing.T, run runFunc) {
+		defer leakcheck.Snapshot(t, poolGauge()).Check()
+		var dup atomic.Int32
+		in := &testInjector{
+			atFrame: func(src, dst int) (FrameAction, time.Duration) {
+				if src == 0 && dst == 1 && dup.CompareAndSwap(0, 1) {
+					return FrameDup, 0
+				}
+				return FrameDeliver, 0
+			},
+		}
+		err := run(2, func(c *Comm) error {
+			if c.Rank() == 0 {
+				return c.SendBytes([]byte("once"), 1, 4)
 			}
-			return FrameDeliver, 0
-		},
-	}
-	err := RunTCP(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			return c.SendBytes([]byte("once"), 1, 4)
-		}
-		b, _, err := c.RecvBytes(0, 4)
+			b, _, err := c.RecvBytes(0, 4)
+			if err != nil {
+				return err
+			}
+			if string(b) != "once" {
+				return fmt.Errorf("payload corrupted: %q", b)
+			}
+			Release(b)
+			return nil
+		}, WithInjector(in))
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		if string(b) != "once" {
-			return fmt.Errorf("payload corrupted: %q", b)
-		}
-		Release(b)
-		return nil
-	}, WithInjector(in))
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 // TestAbortPropagationChannel / TCP: a blocked Recv observes ErrAborted

@@ -5,11 +5,11 @@ import (
 	"time"
 )
 
-// latencyTransport wraps any transport with a deterministic link-latency
-// emulator (WithLinkLatency): every cross-rank envelope is stamped with
-// a due time on entry and held on its source rank's FIFO pipe until
-// then, so messages spend a realistic wire-transit interval invisibly
-// in flight. Two properties matter:
+// latencyTransport is the top layer of the link stack, a deterministic
+// link-latency emulator (WithLinkLatency): every cross-rank envelope is
+// stamped with a due time on entry and held on its source rank's FIFO
+// pipe until then, so messages spend a realistic wire-transit interval
+// invisibly in flight. Two properties matter:
 //
 //   - The sender never blocks. deliver enqueues and returns, exactly
 //     like a NIC accepting a frame — so an overlapped schedule can ride
@@ -44,8 +44,14 @@ type latencyPipe struct {
 	held int64
 }
 
-func newLatencyTransport(inner transport, delay time.Duration, np int) *latencyTransport {
-	t := &latencyTransport{inner: inner, delay: delay, pipes: make([]*latencyPipe, np)}
+// withLatency stacks the latency emulator on inner when the world sets
+// WithLinkLatency. It is the top of the link stack, so reclaimLent finds
+// it as the world's transport.
+func withLatency(w *World, inner transport) transport {
+	if w.opts.linkLatency <= 0 {
+		return inner
+	}
+	t := &latencyTransport{inner: inner, delay: w.opts.linkLatency, pipes: make([]*latencyPipe, w.size)}
 	for i := range t.pipes {
 		p := &latencyPipe{}
 		p.cond = sync.NewCond(&p.mu)
@@ -57,9 +63,7 @@ func newLatencyTransport(inner transport, delay time.Duration, np int) *latencyT
 }
 
 func (t *latencyTransport) deliver(e *envelope) error {
-	// Self-sends never cross the wire; out-of-range sources (none today)
-	// fall through to the inner transport's own validation.
-	if e.wsrc == e.wdst || e.wsrc < 0 || e.wsrc >= len(t.pipes) {
+	if !crossLink(e, len(t.pipes)) {
 		return t.inner.deliver(e)
 	}
 	p := t.pipes[e.wsrc]

@@ -136,7 +136,8 @@ func newMailbox(rank int, w *World) *mailbox {
 	return mb
 }
 
-// post delivers an envelope to the mailbox. Called by transports. A
+// post delivers an envelope to the mailbox, at the end of the arrival
+// path every endpoint hands its envelopes to (World.arrive). A
 // rendezvous envelope that matches an already-posted receive is
 // acknowledged immediately — MPI's progress guarantee: a posted MPI_Irecv
 // must complete a matching synchronous send even if the receiving rank is

@@ -105,7 +105,7 @@ type options struct {
 	opTimeout       time.Duration // per-operation deadline; 0 = none
 	heartbeat       time.Duration // failure-detection interval; 0 = off
 	linkLatency     time.Duration // emulated one-way wire latency; 0 = off (latency.go)
-	reliableLinks   bool          // ARQ + CRC link layer on the socket transport (reliable.go)
+	reliableLinks   bool          // ARQ + CRC link layer (reliable.go)
 }
 
 // Option configures a World created by Run or RunTCP.
@@ -125,14 +125,15 @@ func WithSynchronousSends() Option {
 }
 
 // WithDeadlockDetection toggles the deadlock detector (default on for the
-// channel transport, unavailable over TCP).
+// channel transport, unavailable over TCP or any layered link stack).
 func WithDeadlockDetection(on bool) Option {
 	return func(o *options) { o.detectDeadlock = on }
 }
 
 // WithWatchdog aborts the world if no rank completes an operation for d.
-// It is a backstop for the TCP transport, where exact deadlock detection
-// is not available.
+// It is the backstop wherever exact deadlock detection is not available
+// — over TCP, or under latency, reliable links or an injector — and
+// defaults to 30 seconds there.
 func WithWatchdog(d time.Duration) Option {
 	return func(o *options) { o.watchdogTimeout = d }
 }
@@ -145,7 +146,8 @@ func WithWatchdog(d time.Duration) Option {
 // this is how the latency-hiding modules expose a realistic gap between
 // blocking and overlapped communication schedules on one host. The
 // precise deadlock detector is unavailable while frames can be
-// invisibly in flight (as over TCP); use WithWatchdog as the backstop.
+// invisibly in flight (as over TCP); the watchdog (WithWatchdog) is the
+// backstop.
 func WithLinkLatency(d time.Duration) Option {
 	return func(o *options) { o.linkLatency = d }
 }

@@ -201,6 +201,15 @@ func dropEnv(e *envelope) {
 	putEnv(e)
 }
 
+// cloneEnv returns an owned copy of e: a fresh envelope with e's fields
+// and a pooled copy of its payload.
+func cloneEnv(e *envelope) *envelope {
+	c := getEnv()
+	*c = *e
+	c.data, c.lent = copyToPooled(e.data), false
+	return c
+}
+
 // putEnv recycles an envelope. The caller must have extracted every field
 // it still needs and must own e.data separately — putEnv deliberately
 // does not release the payload, because receive paths hand it to the

@@ -43,12 +43,15 @@ const (
 	envProg  = "REPROMPI_PROG"
 )
 
+// procTimeout bounds a multi-process run's registration and is its
+// workers' default progress watchdog.
+const procTimeout = 60 * time.Second
+
 // ProcOption configures RunProcesses.
 type ProcOption func(*procOptions)
 
 type procOptions struct {
 	childArgs []string
-	timeout   time.Duration
 	mpiOpts   []Option
 	stdout    io.Writer
 	stderr    io.Writer
@@ -58,11 +61,6 @@ type procOptions struct {
 // (tests pass -test.run filters here).
 func WithChildArgs(args ...string) ProcOption {
 	return func(o *procOptions) { o.childArgs = append(o.childArgs, args...) }
-}
-
-// WithProcTimeout bounds the whole multi-process run (default 60s).
-func WithProcTimeout(d time.Duration) ProcOption {
-	return func(o *procOptions) { o.timeout = d }
 }
 
 // WithChildOutput redirects the children's stdout and stderr (default:
@@ -84,10 +82,11 @@ func InWorker() bool { return os.Getenv(envRank) != "" }
 // In the parent it spawns the children and waits; in a child it joins the
 // mesh, runs its rank, and returns worker=true so the caller can skip
 // parent-only work. The mesh is RunTCP's with one rank hosted per process
-// instead of all of them in one, and the progress watchdog defaults to
-// the run's timeout (WithProcTimeout, 60 seconds) instead of 30 seconds.
+// instead of all of them in one. Registration and the coordinator dial
+// are bounded by a 60-second run timeout, which is also the progress
+// watchdog's default (instead of RunTCP's 30 seconds).
 func RunProcesses(np int, name string, ps Programs, opts ...ProcOption) (worker bool, err error) {
-	o := procOptions{timeout: 60 * time.Second, stdout: os.Stdout, stderr: os.Stderr}
+	o := procOptions{stdout: os.Stdout, stderr: os.Stderr}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -139,7 +138,7 @@ func runCoordinator(np int, name string, o procOptions) error {
 	// Registration: every child reports "rank addr\n".
 	addrs := make([]string, np)
 	conns := make([]net.Conn, np)
-	deadline := time.Now().Add(o.timeout)
+	deadline := time.Now().Add(procTimeout)
 	registered := 0
 	for registered < np {
 		if tl, ok := ln.(*net.TCPListener); ok {
@@ -217,7 +216,7 @@ func runWorker(fn func(*Comm) error, o procOptions) error {
 		return fmt.Errorf("mpi: worker listen: %w", err)
 	}
 	defer ln.Close()
-	cc, err := dialRetry(context.Background(), "tcp", coord, 10*time.Second, o.timeout, nil)
+	cc, err := dialRetry(context.Background(), "tcp", coord, 10*time.Second, procTimeout, nil)
 	if err != nil {
 		return fmt.Errorf("mpi: dialing coordinator: %w", err)
 	}
@@ -237,7 +236,7 @@ func runWorker(fn func(*Comm) error, o procOptions) error {
 
 	lns := make([]net.Listener, np)
 	lns[rank] = ln
-	opts := append([]Option{WithWatchdog(o.timeout)}, o.mpiOpts...)
+	opts := append([]Option{WithWatchdog(procTimeout)}, o.mpiOpts...)
 	return run(np, []int{rank}, fn, func(w *World) (transport, error) {
 		return newSocketTransport(w, lns, addrs)
 	}, opts...)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -23,9 +24,6 @@ func RunTCP(np int, fn func(*Comm) error, opts ...Option) error {
 	o := defaultOptions()
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.watchdogTimeout == 0 {
-		opts = append(opts, WithWatchdog(30*time.Second))
 	}
 	if o.injector != nil && o.heartbeat == 0 {
 		// Fault-injection runs need a failure detector: without one a
@@ -50,194 +48,109 @@ const tcpBufSize = 64 << 10
 // length prefix cannot drive an arbitrarily large allocation.
 const maxPayloadLen = 1 << 30
 
+// linkPrefixLen is the link prefix every frame of a world with reliable
+// links starts with: the envelope's link sequence number and checksum
+// (reliable.go). Without reliable links frames start with the length.
+//
+//	[8B lseq][4B crc]  (reliable links only)
+//	[4B frame length][envelope header][payload]
+const linkPrefixLen = 8 + 4
+
+// errBadFrame marks a frame whose framing itself is broken: no later
+// frame on the stream can be trusted, so the reader aborts the world.
+var errBadFrame = errors.New("mpi: bad wire frame")
+
 // tcpConn serializes concurrent senders onto one socket. Frames are
-// written in two pieces — the length prefix and header into the
+// written in two pieces — the prefix, length and header into the
 // connection's scratch buffer, then the payload directly — so no
 // per-send frame assembly or allocation happens. Flushes coalesce: each
 // writer registers in pending before taking the lock, and only the writer
 // that observes no successor flushes, so a burst of sends from several
 // goroutines hits the socket with one syscall.
-//
-// With WithReliableLinks the connection additionally carries the ARQ
-// state of reliable.go (rel non-nil) and every frame is link-framed;
-// without it the wire format and the zero-alloc write path are
-// untouched. The choice is made once per direction: in send and in
-// readFrames. rawHeld is the FrameReorder holdback on a raw link: one
-// assembled frame waiting to be overtaken by its successor.
 type tcpConn struct {
 	mu      sync.Mutex
 	w       *bufio.Writer
 	c       net.Conn
 	pending atomic.Int32
-	hdr     [4 + envelopeHeaderLen]byte // guarded by mu
-	rel     *relState                   // nil unless WithReliableLinks
-	rawHeld []byte                      // guarded by mu
+	hdr     [linkPrefixLen + 4 + envelopeHeaderLen]byte // guarded by mu
+	pre     int                                         // link prefix bytes per frame: linkPrefixLen or 0
 }
 
-// send puts e on the wire under the injector's verdict act and consumes
-// it: the envelope's journey ends at the socket (the receiver
-// materializes a fresh one), so the payload buffer and the envelope
-// return to their pools here. On a reliable link the verdict applies at
-// the wire level and the ARQ recovers whatever it damages; on a raw link
-// the damage stands.
-func (tc *tcpConn) send(e *envelope, act FrameAction) error {
-	var err error
-	if tc.rel != nil {
-		err = tc.writeReliable(e, act)
-	} else {
-		err = tc.writeRaw(e, act)
+// send writes e's frame and consumes e: its journey ends at the socket
+// (the receiver materializes a fresh one), so the payload buffer and the
+// envelope return to their pools here.
+func (tc *tcpConn) send(e *envelope) error {
+	tc.pending.Add(1)
+	tc.mu.Lock()
+	h := tc.hdr[:tc.pre+4+envelopeHeaderLen]
+	if tc.pre > 0 {
+		binary.LittleEndian.PutUint64(h[0:], e.lseq)
+		binary.LittleEndian.PutUint32(h[8:], e.crc)
 	}
+	binary.LittleEndian.PutUint32(h[tc.pre:], uint32(envelopeHeaderLen+len(e.data)))
+	putHeader(h[tc.pre+4:], e)
+	_, err := tc.w.Write(h)
+	if err == nil && len(e.data) > 0 {
+		_, err = tc.w.Write(e.data)
+	}
+	// If another sender is already queued on this connection it will
+	// reach this same decision point after us, so the flush can be left
+	// to the last writer of the burst.
+	if tc.pending.Add(-1) == 0 && err == nil {
+		err = tc.w.Flush()
+	}
+	tc.mu.Unlock()
 	putBuf(e.data)
 	putEnv(e)
 	return err
 }
 
-// writeRaw applies the verdict on a raw (unguarded) connection — the
-// teaching contrast to reliable.go: a dropped frame is simply gone (the
-// run stalls until a heartbeat or timeout notices), a corrupted frame is
-// delivered with a silently flipped payload bit — without a checksum the
-// application computes a wrong answer — and a reordered frame breaks the
-// non-overtaking guarantee.
-func (tc *tcpConn) writeRaw(e *envelope, act FrameAction) error {
-	switch act {
-	case FrameDrop:
-		relFramesDropped.Add(1)
-		return nil
-	case FrameReorder:
-		tc.holdRaw(e)
-		return nil
-	case FrameCorrupt:
-		relFramesCorrupt.Add(1)
-		if len(e.data) > 0 {
-			e.data[len(e.data)/2] ^= 0x20
-		}
-	case FrameDup:
-		_ = tc.writeFrame(e)
+// readFrame reads one frame of a world of np ranks off r. The prefix,
+// length and header land in hdr (pre+4+envelopeHeaderLen bytes) and the
+// payload is read directly into an exactly-sized pooled buffer — the
+// frame is never materialized as a whole, and the payload bytes are
+// written once. io.ReadFull takes hdr through an interface, so it lives
+// on the heap: the reader loop owns one for its lifetime instead of
+// allocating one per frame. A stream error is returned as is; a frame
+// whose framing is broken wraps errBadFrame.
+func readFrame(r *bufio.Reader, hdr []byte, pre, np int) (*envelope, error) {
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return nil, err
 	}
-	return tc.writeFrame(e)
-}
-
-// writeFrame writes e's frame as one of possibly several concurrent
-// senders on the connection.
-func (tc *tcpConn) writeFrame(e *envelope) error {
-	tc.pending.Add(1)
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	return tc.writeFrameLocked(e)
-}
-
-// writeFrameLocked writes e's length-prefixed frame, releases any
-// reorder holdback behind it, and applies the coalesced-flush protocol.
-// The caller holds tc.mu and has already registered in tc.pending.
-func (tc *tcpConn) writeFrameLocked(e *envelope) error {
-	binary.LittleEndian.PutUint32(tc.hdr[:4], uint32(envelopeHeaderLen+len(e.data)))
-	putHeader(tc.hdr[4:], e)
-	if _, err := tc.w.Write(tc.hdr[:]); err != nil {
-		tc.pending.Add(-1)
-		return err
+	e := getEnv()
+	if pre > 0 {
+		e.lseq = binary.LittleEndian.Uint64(hdr[0:])
+		e.crc = binary.LittleEndian.Uint32(hdr[8:])
 	}
-	if len(e.data) > 0 {
-		if _, err := tc.w.Write(e.data); err != nil {
-			tc.pending.Add(-1)
-			return err
-		}
+	frameLen := binary.LittleEndian.Uint32(hdr[pre:])
+	payloadLen := parseHeader(hdr[pre+4:], e)
+	var err error
+	switch {
+	case frameLen < envelopeHeaderLen || frameLen-envelopeHeaderLen > maxPayloadLen || payloadLen != int(frameLen-envelopeHeaderLen):
+		err = fmt.Errorf("%w: %d payload bytes declared in a %d-byte frame", errBadFrame, payloadLen, frameLen)
+	case e.wsrc < 0 || e.wsrc >= np || e.wdst < 0 || e.wdst >= np:
+		err = fmt.Errorf("%w: envelope %d->%d outside a world of %d ranks", errBadFrame, e.wsrc, e.wdst, np)
 	}
-	if h := tc.rawHeld; h != nil {
-		tc.rawHeld = nil
-		_, err := tc.w.Write(h)
-		putBuf(h)
-		if err != nil {
-			tc.pending.Add(-1)
-			return err
-		}
-	}
-	// If another sender is already queued on this connection it will
-	// reach this same decision point after us, so the flush can be left
-	// to the last writer of the burst.
-	if tc.pending.Add(-1) > 0 {
-		return nil
-	}
-	return tc.w.Flush()
-}
-
-// holdRaw assembles e's frame into a pooled buffer and parks it on the
-// connection: the next frame written overtakes it (writeFrameLocked
-// releases the holdback after its own bytes).
-func (tc *tcpConn) holdRaw(e *envelope) {
-	buf := getBuf(4 + envelopeHeaderLen + len(e.data))
-	binary.LittleEndian.PutUint32(buf[:4], uint32(envelopeHeaderLen+len(e.data)))
-	putHeader(buf[4:], e)
-	copy(buf[4+envelopeHeaderLen:], e.data)
-	tc.mu.Lock()
-	if old := tc.rawHeld; old != nil {
-		// Only one frame is held at a time; the older one goes out now,
-		// still behind whatever was written since it was parked.
-		tc.w.Write(old)
-		putBuf(old)
-	}
-	tc.rawHeld = buf
-	tc.mu.Unlock()
-}
-
-// readFrames consumes frames from one connection and posts them to the
-// destination mailboxes until the connection closes. On a reliable link
-// (tc.rel non-nil) traffic is link-framed and flows through the ARQ
-// reader; otherwise frames are bare and forwarded as-is.
-func readFrames(r *bufio.Reader, tc *tcpConn, w *World) {
-	if tc.rel != nil {
-		readFramesReliable(r, tc, w)
-		return
-	}
-	var hdr [4 + envelopeHeaderLen]byte
-	for readOneRawFrame(r, w, &hdr) {
-	}
-}
-
-// readOneRawFrame reads one length-prefixed envelope frame. The header
-// lands in hdr and the payload is read directly into an exactly-sized
-// pooled buffer — the frame is never materialized as a whole, and the
-// payload bytes are written once. io.ReadFull takes hdr through an
-// interface, so it lives on the heap: the reader loop owns one for its
-// lifetime instead of allocating one per frame. Returns false when the
-// stream ends or the world aborts.
-func readOneRawFrame(r *bufio.Reader, w *World, hdr *[4 + envelopeHeaderLen]byte) bool {
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return false // connection closed
-	}
-	frameLen := binary.LittleEndian.Uint32(hdr[:4])
-	if frameLen < envelopeHeaderLen {
-		w.abort(fmt.Errorf("mpi: wire frame of %d bytes shorter than header", frameLen))
-		return false
-	}
-	env := getEnv()
-	payloadLen := parseHeader(hdr[4:], env)
-	if payloadLen != int(frameLen)-envelopeHeaderLen || payloadLen > maxPayloadLen {
-		putEnv(env)
-		w.abort(fmt.Errorf("mpi: wire frame declares %d payload bytes in a %d-byte frame", payloadLen, frameLen))
-		return false
-	}
-	if env.wdst < 0 || env.wdst >= len(w.mailboxes) {
-		putEnv(env)
-		w.abort(fmt.Errorf("mpi: envelope for unknown rank %d", env.wdst))
-		return false
+	if err != nil {
+		putEnv(e)
+		return nil, err
 	}
 	if payloadLen > 0 {
-		env.data = getBuf(payloadLen)
-		if _, err := io.ReadFull(r, env.data); err != nil {
-			putBuf(env.data)
-			putEnv(env)
-			return false
+		e.data = getBuf(payloadLen)
+		if _, err := io.ReadFull(r, e.data); err != nil {
+			putBuf(e.data)
+			putEnv(e)
+			return nil, err
 		}
 	}
-	w.mailboxes[env.wdst].post(env)
-	return true
+	return e, nil
 }
 
 // socketTransport is a full mesh of TCP connections between the np ranks
 // of a world, of which the ranks in world.localRanks live in this process.
 // conns[r][p] is the connection local rank r uses to send to rank p (rows
-// exist for local ranks only); every connection has one reader that posts
-// parsed envelopes to the destination rank's mailbox. RunTCP is the mesh
+// exist for local ranks only); every connection has one reader that hands
+// parsed envelopes to the world's arrival path. RunTCP is the mesh
 // with every rank local, a RunProcesses worker the mesh with one.
 type socketTransport struct {
 	world     *World
@@ -356,30 +269,39 @@ func (t *socketTransport) connect(ctx context.Context, r int, addrs []string) er
 	return nil
 }
 
-// linkSeed derives the deterministic retransmit-jitter seed of the
-// (src → dst) link endpoint.
-func linkSeed(src, dst int) int64 { return int64(src)*1_000_003 + int64(dst) }
-
 // startReader records c as rank r's connection to peer and starts the
-// goroutine that consumes the envelopes arriving on it. Which rank sent
-// them is carried inside each envelope, so one reader per connection
-// suffices. The reader is paired with the writer half of the same socket,
-// so link acks it emits travel back to the peer whose ARQ window covers
-// this traffic.
+// goroutine that hands the envelopes arriving on it to the world's
+// arrival path. Which rank sent them is carried inside each envelope, so
+// one reader per connection suffices.
 func (t *socketTransport) startReader(r, peer int, c net.Conn) {
-	tc := newTCPConn(c, t.world.opts.reliableLinks, linkSeed(r, peer))
+	w := t.world
+	tc := &tcpConn{c: c, w: bufio.NewWriterSize(c, tcpBufSize)}
+	if w.linkPrefix {
+		tc.pre = linkPrefixLen
+	}
 	t.conns[r][peer] = tc
 	t.readers.Add(1)
 	go func() {
 		defer t.readers.Done()
-		readFrames(bufio.NewReaderSize(c, tcpBufSize), tc, t.world)
+		br := bufio.NewReaderSize(c, tcpBufSize)
+		hdr := make([]byte, tc.pre+4+envelopeHeaderLen)
+		for {
+			e, err := readFrame(br, hdr, tc.pre, w.size)
+			if err != nil {
+				if errors.Is(err, errBadFrame) {
+					w.abort(err)
+				}
+				return // connection closed
+			}
+			w.inbound.arrive(e)
+		}
 	}()
 }
 
 func (t *socketTransport) deliver(e *envelope) error {
 	if e.wdst == e.wsrc {
 		// Self-sends short-circuit the socket.
-		t.world.mailboxes[e.wdst].post(e)
+		t.world.inbound.arrive(e)
 		return nil
 	}
 	var tc *tcpConn
@@ -389,7 +311,7 @@ func (t *socketTransport) deliver(e *envelope) error {
 	if tc == nil {
 		return fmt.Errorf("mpi: no connection %d→%d", e.wsrc, e.wdst)
 	}
-	return tc.send(e, t.world.frameVerdict(e))
+	return tc.send(e)
 }
 
 // notifyAbort forwards a local abort to every rank hosted by another
@@ -407,37 +329,32 @@ func (t *socketTransport) notifyAbort(cause error) {
 		e.kind = kindAbort
 		e.src, e.wsrc, e.wdst = r, r, peer
 		e.data = copyToPooled(msg)
-		_ = tc.send(e, FrameDeliver) // best effort: the peer may already be gone
+		_ = tc.send(e) // best effort: the peer may already be gone
 	}
 }
 
 // closeGrace bounds what close waits for on behalf of peers: link acks
-// still owed to this side, writes a reader still owes the other.
+// still owed to this side (reliable.go), writes a reader still owes the
+// other.
 const closeGrace = time.Second
 
 // close is the transport's MPI_Finalize. The local ranks have returned,
-// but their last frames may not have been acknowledged yet, and a reader
-// that has just matched a rendezvous message wakes the receiver before it
-// writes the acknowledgement a peer process's send is waiting on. So:
-// let the reliable links drain, expire the reads instead of closing under
-// the readers, let each finish the frame it is delivering (its writes
+// and with reliable links the layer above has already let its windows
+// drain. But a reader that has just matched a rendezvous message wakes
+// the receiver before it writes the acknowledgement a peer process's send
+// is waiting on. So: expire the reads instead of closing under the
+// readers, let each finish the frame it is delivering (its writes
 // bounded, in case the peer has stopped reading), then close.
 func (t *socketTransport) close() error {
 	closeListeners(t.listeners)
 	grace := time.Now().Add(closeGrace)
-	if !t.world.aborted.Load() { // an aborted world owes nobody delivery
-		t.eachConn(func(tc *tcpConn) { tc.awaitAcks(grace) })
-	}
 	t.eachConn(func(tc *tcpConn) {
 		// A failure here means the connection is already closed.
 		_ = tc.c.SetReadDeadline(time.Now())
 		_ = tc.c.SetWriteDeadline(grace)
 	})
 	t.readers.Wait()
-	t.eachConn(func(tc *tcpConn) {
-		tc.c.Close()
-		tc.shutdownRel()
-	})
+	t.eachConn(func(tc *tcpConn) { tc.c.Close() })
 	return nil
 }
 

@@ -1,6 +1,10 @@
 package mpi
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -126,4 +130,42 @@ func TestTCPManyRanks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestReadFrameRejects: a frame whose framing is broken is refused with
+// errBadFrame before any payload is read — including a declared length
+// of 2³¹ or more, which on a 32-bit host wraps negative as an int — and
+// so is an envelope naming a rank outside the world.
+func TestReadFrameRejects(t *testing.T) {
+	frame := func(frameLen, payloadLen uint32, wsrc, wdst int) []byte {
+		b := make([]byte, 4+envelopeHeaderLen)
+		binary.LittleEndian.PutUint32(b, frameLen)
+		putHeader(b[4:], &envelope{wsrc: wsrc, wdst: wdst})
+		binary.LittleEndian.PutUint32(b[4+37:], payloadLen) // the header's payload length field
+		return b
+	}
+	cases := []struct {
+		name string
+		b    []byte
+	}{
+		{"shorter than header", frame(envelopeHeaderLen-1, 0, 0, 1)},
+		{"length mismatch", frame(envelopeHeaderLen+8, 4, 0, 1)},
+		{"2^31 payload", frame(envelopeHeaderLen+1<<31, 1<<31, 0, 1)},
+		{"over the cap", frame(envelopeHeaderLen+maxPayloadLen+1, maxPayloadLen+1, 0, 1)},
+		{"wsrc out of range", frame(envelopeHeaderLen, 0, 2, 1)},
+		{"wdst out of range", frame(envelopeHeaderLen, 0, 0, -1)},
+	}
+	for _, tc := range cases {
+		hdr := make([]byte, 4+envelopeHeaderLen)
+		e, err := readFrame(bufio.NewReader(bytes.NewReader(tc.b)), hdr, 0, 2)
+		if !errors.Is(err, errBadFrame) {
+			t.Errorf("%s: got (%v, %v), want errBadFrame", tc.name, e, err)
+		}
+	}
+	hdr := make([]byte, 4+envelopeHeaderLen)
+	e, err := readFrame(bufio.NewReader(bytes.NewReader(frame(envelopeHeaderLen, 0, 0, 1))), hdr, 0, 2)
+	if err != nil || e.wsrc != 0 || e.wdst != 1 {
+		t.Fatalf("well-formed frame: got (%v, %v)", e, err)
+	}
+	putEnv(e)
 }

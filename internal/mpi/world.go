@@ -25,17 +25,31 @@ type transport interface {
 	supportsDeadlockDetection() bool
 }
 
-// channelTransport posts envelopes directly into the destination mailbox
-// under its lock; there is never an envelope in transit.
+// crossLink reports whether e crosses a link of an np-rank world, the
+// test every layer of the link stack applies first: a self-send does
+// not, and an out-of-range rank is left to the endpoint's validation.
+func crossLink(e *envelope, np int) bool {
+	return e.wsrc != e.wdst && uint(e.wsrc) < uint(np) && uint(e.wdst) < uint(np)
+}
+
+// arrival is where an endpoint hands every inbound envelope: the World
+// itself, or with reliable links the ARQ's receive half in front of it.
+type arrival interface {
+	arrive(e *envelope)
+}
+
+// channelTransport is the in-memory endpoint: it hands each envelope
+// straight to the arrival path, which posts it into the destination
+// mailbox under its lock; there is never an envelope in transit.
 type channelTransport struct {
-	mailboxes []*mailbox
+	w *World
 }
 
 func (t *channelTransport) deliver(e *envelope) error {
-	if e.wdst < 0 || e.wdst >= len(t.mailboxes) {
-		return fmt.Errorf("%w: destination %d of world size %d", ErrRankOutOfRange, e.wdst, len(t.mailboxes))
+	if e.wdst < 0 || e.wdst >= t.w.size {
+		return fmt.Errorf("%w: destination %d of world size %d", ErrRankOutOfRange, e.wdst, t.w.size)
 	}
-	t.mailboxes[e.wdst].post(e)
+	t.w.inbound.arrive(e)
 	return nil
 }
 
@@ -59,11 +73,16 @@ type World struct {
 	size      int
 	opts      options
 	mailboxes []*mailbox
-	transport transport
+	transport transport // the top of the link stack (run)
+	inbound   arrival   // where the endpoint hands arrivals
 	stats     *WorldStats
 
-	// sharedMem is true on the in-process channel transport, with or
-	// without the latency decorator: the link moves envelope objects, not
+	// linkPrefix is set with reliable links: every socket frame then
+	// carries the envelope's link sequence number and checksum (tcp.go).
+	linkPrefix bool
+
+	// sharedMem is true on the in-process channel transport, whatever
+	// layers are stacked on it: the link moves envelope objects, not
 	// bytes, and every rank's memory lives in this address space. So
 	// one-sided operations may take the direct shared-memory fast path
 	// (rma.go) instead of a mailbox round trip, and a rendezvous send
@@ -167,23 +186,27 @@ func run(np int, local []int, fn func(*Comm) error, mkTransport func(*World) (tr
 		w.mailboxes[r] = newMailbox(r, w)
 	}
 	w.initFaultState(local)
-	var t transport
+	w.inbound = w
+	arq := newARQ(w) // nil without WithReliableLinks
+	var end transport
 	if mkTransport == nil {
-		t = &channelTransport{mailboxes: w.mailboxes}
+		end = &channelTransport{w: w}
 	} else {
 		var err error
-		if t, err = mkTransport(w); err != nil {
+		if end, err = mkTransport(w); err != nil {
 			return err
 		}
 	}
-	_, w.sharedMem = t.(*channelTransport)
-	if o.linkLatency > 0 {
-		// The emulated interconnect wraps whichever transport was built;
-		// sharedMem stays as resolved above, since RMA's direct path is a
-		// window-memory access, not a wire crossing.
-		t = newLatencyTransport(t, o.linkLatency, np)
+	// sharedMem is the endpoint's property whatever is stacked on it:
+	// RMA's direct path is a window-memory access, not a wire crossing.
+	_, w.sharedMem = end.(*channelTransport)
+	// The link stack, top to bottom: latency, reliable links, frame
+	// faults, endpoint. Each layer exists only when its option is set,
+	// so a clean world hands envelopes to its endpoint directly.
+	w.transport = withLatency(w, arq.over(withFrameFaults(w, end), end))
+	if o.watchdogTimeout == 0 && !w.transport.supportsDeadlockDetection() {
+		w.opts.watchdogTimeout = defaultWatchdog
 	}
-	w.transport = t
 	// LIFO: the transport closes first (readers drain), then leftover
 	// queued envelopes — orphaned by kills and recoveries — return to
 	// the pool so leak checks balance.
@@ -195,7 +218,7 @@ func run(np int, local []int, fn func(*Comm) error, mkTransport func(*World) (tr
 	} else {
 		close(w.detectorDone)
 	}
-	if o.watchdogTimeout > 0 {
+	if w.opts.watchdogTimeout > 0 {
 		w.watchdogCh = make(chan struct{})
 		go w.watchdog()
 	}
@@ -297,6 +320,10 @@ func compactErrs(errs []error) []error {
 	}
 	return out
 }
+
+// arrive posts an inbound envelope to its destination mailbox: the end
+// of the arrival path.
+func (w *World) arrive(e *envelope) { w.mailboxes[e.wdst].post(e) }
 
 // deliver routes an envelope through the transport with traffic accounting.
 // A killed sender's envelopes are discarded: a crashed rank sends nothing.
@@ -488,9 +515,14 @@ func (w *World) verifyDeadlock() bool {
 	return anyWaiting
 }
 
+// defaultWatchdog is the progress watchdog run installs when the link
+// stack cannot support the precise deadlock detector and the caller set
+// no WithWatchdog.
+const defaultWatchdog = 30 * time.Second
+
 // watchdog aborts the world when no envelope is delivered for the
-// configured timeout. It is the TCP transport's coarse substitute for the
-// precise detector.
+// configured timeout. It is the coarse substitute for the precise
+// detector wherever envelopes can be invisibly in flight.
 func (w *World) watchdog() {
 	last := w.progress.Load()
 	ticker := time.NewTicker(w.opts.watchdogTimeout)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 )
 
 func TestSplitByParity(t *testing.T) {
@@ -312,5 +313,44 @@ func TestConcurrentSubCommunicatorCollectives(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWatchdogDefault pins the watchdog run resolves: none where the
+// precise deadlock detector runs (a clean Run), the 30-second default
+// wherever the link stack cannot support it — any layer over the
+// in-memory link, or the sockets — and the caller's own value always.
+func TestWatchdogDefault(t *testing.T) {
+	cases := []struct {
+		name string
+		run  runFunc
+		opts []Option
+		want time.Duration
+	}{
+		{"Run", Run, nil, 0},
+		{"Run/latency", Run, []Option{WithLinkLatency(time.Millisecond)}, defaultWatchdog},
+		{"Run/reliable", Run, []Option{WithReliableLinks()}, defaultWatchdog},
+		{"Run/injector", Run, []Option{WithInjector(&testInjector{})}, defaultWatchdog},
+		{"Run/latency/explicit", Run, []Option{WithLinkLatency(time.Millisecond), WithWatchdog(5 * time.Second)}, 5 * time.Second},
+		{"RunTCP", RunTCP, nil, defaultWatchdog},
+		{"RunTCP/explicit", RunTCP, []Option{WithWatchdog(time.Minute)}, time.Minute},
+	}
+	if defaultWatchdog != 30*time.Second {
+		t.Fatalf("defaultWatchdog = %v, want 30s", defaultWatchdog)
+	}
+	for _, tc := range cases {
+		var got time.Duration
+		err := tc.run(2, func(c *Comm) error {
+			if c.Rank() == 0 {
+				got = c.world.opts.watchdogTimeout
+			}
+			return nil
+		}, tc.opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: watchdog %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
