@@ -85,9 +85,11 @@ faults:
 # race detector. Every test is deterministic by seed, so one failure in
 # twenty is a bug, not noise. distsort is here because its exchange lays
 # the bucket out by source rank: the arrival order must not matter; the
-# chaos soak because its double-kill plans once lost recovery races.
+# chaos soak because its double-kill plans once lost recovery races;
+# prof for its message-flow timestamps and telemetry for pages written
+# while ranks observe.
 flake:
-	$(GO) test -race -count=20 ./internal/mpi ./internal/modules/ddp ./internal/modules/distsort ./internal/chaos
+	$(GO) test -race -count=20 ./internal/mpi ./internal/modules/ddp ./internal/modules/distsort ./internal/chaos ./internal/prof ./internal/telemetry
 
 build:
 	$(GO) build ./...

@@ -104,7 +104,7 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.DurationVar(&o.heartbeat, "heartbeat", 0, "failure-detection heartbeat interval on the tcp transport (0 = default when -inject is set)")
 	fs.DurationVar(&o.opTimeout, "op-timeout", 0, "per-operation timeout: blocked primitives fail with a timeout instead of hanging (0 = off)")
 	fs.DurationVar(&o.latency, "latency", 0, "emulate an interconnect with this one-way wire latency on every cross-rank message (e.g. 1ms; 0 = off)")
-	fs.BoolVar(&o.reliable, "reliable", false, "reliable links on the tcp transport: per-link sequencing, acks, retransmission and CRC32C checksums (survives -inject frame drop/dup/corrupt/reorder)")
+	fs.BoolVar(&o.reliable, "reliable", false, "reliable links on either transport: per-link sequencing, acks, retransmission and CRC32C checksums (survives -inject frame drop/dup/corrupt/reorder)")
 	fs.BoolVar(&o.respawn, "respawn", false, "run the Module-5 k-means through respawn recovery: a killed rank (see -inject) is replaced at full width from the latest checkpoint, bit-identical to the failure-free run")
 	fs.BoolVar(&o.metrics, "metrics", false, "serve per-rank /metrics + /debug/pprof/ endpoints (ephemeral ports) during each activity and print the cross-rank merged snapshot")
 	return fs
@@ -492,41 +492,18 @@ func launch(a core.Activity, o *options, tcp bool, faultOpts []mpi.Option, job i
 		pc = prof.New()
 	}
 	var set *telemetry.MPISet
-	var servers []*telemetry.Server
-	var merged *telemetry.Merged
 	if o.metrics {
 		np := o.np
 		if np <= 0 {
 			np = a.DefaultNP
 		}
 		set = telemetry.NewMPISet(np)
-		var serr error
-		servers, serr = telemetry.ServeRanks("127.0.0.1:0", set)
-		if serr != nil {
-			return serr
+		servers, err := telemetry.ServeRanks("127.0.0.1:0", set)
+		if err != nil {
+			return err
 		}
 		defer telemetry.CloseAll(servers)
 		fmt.Fprint(os.Stderr, telemetry.ListenMap(servers))
-		// Wrap this launch's copy of the activity so the registry
-		// snapshots are gathered to rank 0 as the final collective.
-		orig := a.Run
-		var mu sync.Mutex
-		a.Run = func(c *mpi.Comm) (string, error) {
-			s, err := orig(c)
-			if err != nil {
-				return s, err
-			}
-			m, gerr := set.Gather(c, 0)
-			if gerr != nil {
-				return s, fmt.Errorf("telemetry gather: %w", gerr)
-			}
-			if c.Rank() == 0 {
-				mu.Lock()
-				merged = m
-				mu.Unlock()
-			}
-			return s, nil
-		}
 	}
 	var hooks []mpi.Hook
 	if pc != nil {
@@ -547,14 +524,9 @@ func launch(a core.Activity, o *options, tcp bool, faultOpts []mpi.Option, job i
 		fmt.Print(snap.String())
 	}
 	if set != nil {
-		if lerr := telemetry.SelfScrape(servers[0].URL()); lerr != nil {
-			return fmt.Errorf("metrics self-scrape: %w", lerr)
-		}
-		fmt.Fprintf(os.Stderr, "metrics: rank 0 page scrape-valid (%s)\n", servers[0].URL())
-		if merged != nil {
-			fmt.Print(merged.Table(8))
-			fmt.Print(merged.StragglerReport())
-		}
+		merged := set.Merge()
+		fmt.Print(merged.Table(8))
+		fmt.Print(merged.StragglerReport())
 	}
 	if pc == nil {
 		return nil

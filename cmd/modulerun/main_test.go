@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -153,5 +154,63 @@ func TestRunRejectsInjectWithScale(t *testing.T) {
 	fs := newFlagSet(&options{})
 	if err := run(&o, fs); err == nil {
 		t.Fatal("expected -inject with -scale to be rejected")
+	}
+}
+
+// stdoutOf runs fn with os.Stdout redirected and returns what it printed.
+func stdoutOf(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	read := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		read <- string(b)
+	}()
+	err = fn()
+	os.Stdout = saved
+	w.Close()
+	out := <-read
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	return out
+}
+
+// TestMetricsLeaveAccountingUnchanged: -metrics observes a run without
+// joining it. `-activity ping-pong -np 2 -stats` prints the same calls,
+// messages and wire bytes with and without -metrics, and no collective
+// the program never called.
+func TestMetricsLeaveAccountingUnchanged(t *testing.T) {
+	accounting := func(metrics bool) (string, string) {
+		o := options{activity: "ping-pong", np: 2, transport: "channel", stats: true, metrics: metrics}
+		out := stdoutOf(t, func() error { return run(&o, newFlagSet(&options{})) })
+		var acct []string
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "world size ") || strings.HasPrefix(line, "  rank ") || strings.HasPrefix(line, "  MPI_") {
+				acct = append(acct, line)
+			}
+		}
+		return strings.Join(acct, "\n"), out
+	}
+	plain, _ := accounting(false)
+	metered, out := accounting(true)
+	if !strings.HasPrefix(plain, "world size 2, 204 messages, ") {
+		t.Fatalf("unexpected accounting without -metrics:\n%s", plain)
+	}
+	if metered != plain {
+		t.Errorf("-metrics changed the accounting:\n--- without ---\n%s\n--- with ---\n%s", plain, metered)
+	}
+	if strings.Contains(out, "MPI_Gatherv") {
+		t.Errorf("-metrics run shows an MPI_Gatherv the program never calls:\n%s", out)
+	}
+	for _, want := range []string{"mpi_calls_total{prim=MPI_Send}", "straggler detector:"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("-metrics output is missing %q:\n%s", want, out)
+		}
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/faults"
@@ -78,7 +77,7 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.StringVar(&o.inject, "inject", "", "deterministic fault plan, e.g. rank=2:call=50:kill or frame=drop:prob=0.01:seed=7")
 	fs.DurationVar(&o.heartbeat, "heartbeat", 0, "failure-detection heartbeat interval on the tcp transport (0 = default when -inject is set)")
 	fs.DurationVar(&o.opTimeout, "op-timeout", 0, "per-operation timeout: blocked primitives fail with a timeout instead of hanging (0 = off)")
-	fs.BoolVar(&o.reliable, "reliable", false, "reliable links on the tcp transport: per-link sequencing, acks, retransmission and CRC32C checksums (survives -inject frame drop/dup/corrupt/reorder)")
+	fs.BoolVar(&o.reliable, "reliable", false, "reliable links on either transport: per-link sequencing, acks, retransmission and CRC32C checksums (survives -inject frame drop/dup/corrupt/reorder)")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve per-rank /metrics + /debug/pprof/ endpoints at HOST:PORT (port 0 = ephemeral per rank, fixed port P = P+rank) and print the cross-rank merged snapshot at exit")
 	return fs
 }
@@ -132,17 +131,15 @@ func main() {
 		collector = prof.New()
 	}
 	var set *telemetry.MPISet
-	var servers []*telemetry.Server
 	if o.metricsAddr != "" {
 		if *procs {
 			fmt.Fprintln(os.Stderr, "mpirun: -metrics-addr is unavailable with -procs (per-rank registries live in the launching process)")
 			os.Exit(1)
 		}
 		set = telemetry.NewMPISet(ranks)
-		var serr error
-		servers, serr = telemetry.ServeRanks(o.metricsAddr, set)
-		if serr != nil {
-			fmt.Fprintln(os.Stderr, "mpirun:", serr)
+		servers, err := telemetry.ServeRanks(o.metricsAddr, set)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "mpirun:", err)
 			os.Exit(1)
 		}
 		defer telemetry.CloseAll(servers)
@@ -157,7 +154,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mpirun:", err)
 		os.Exit(1)
 	}
-	var merged *telemetry.Merged
 	if *procs {
 		ps := make(mpi.Programs)
 		for _, p := range programs() {
@@ -182,32 +178,11 @@ func main() {
 		if hook := mpi.MultiHook(hooks...); hook != nil {
 			opts = append(opts, mpi.WithHook(hook))
 		}
-		run := prog.run
-		if set != nil {
-			// Gather every rank's registry snapshot to rank 0 as the
-			// program's final collective; rank 0 keeps the merged view.
-			var mu sync.Mutex
-			run = func(c *mpi.Comm) error {
-				if err := prog.run(c); err != nil {
-					return err
-				}
-				m, err := set.Gather(c, 0)
-				if err != nil {
-					return fmt.Errorf("telemetry gather: %w", err)
-				}
-				if c.Rank() == 0 {
-					mu.Lock()
-					merged = m
-					mu.Unlock()
-				}
-				return nil
-			}
-		}
 		switch *transport {
 		case "channel":
-			err = mpi.Run(ranks, run, opts...)
+			err = mpi.Run(ranks, prog.run, opts...)
 		case "tcp":
-			err = mpi.RunTCP(ranks, run, opts...)
+			err = mpi.RunTCP(ranks, prog.run, opts...)
 		default:
 			err = fmt.Errorf("unknown transport %q", *transport)
 		}
@@ -224,17 +199,11 @@ func main() {
 		}
 	}
 	if set != nil {
-		if lerr := telemetry.SelfScrape(servers[0].URL()); lerr != nil {
-			fmt.Fprintln(os.Stderr, "mpirun: metrics self-scrape:", lerr)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "metrics: rank 0 page scrape-valid (%s)\n", servers[0].URL())
-		if merged != nil {
-			fmt.Println()
-			fmt.Println("cross-rank telemetry (merged at Finalize):")
-			fmt.Print(merged.Table(12))
-			fmt.Print(merged.StragglerReport())
-		}
+		merged := set.Merge()
+		fmt.Println()
+		fmt.Println("cross-rank telemetry (merged in process at exit):")
+		fmt.Print(merged.Table(12))
+		fmt.Print(merged.StragglerReport())
 	}
 	if collector != nil {
 		if *profile {

@@ -95,11 +95,6 @@ func main() {
 	}
 	err := run(&o, fs, g)
 	if srv != nil {
-		if lerr := telemetry.SelfScrape(srv.URL()); lerr != nil {
-			fmt.Fprintln(os.Stderr, "sbatch: metrics self-scrape:", lerr)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "metrics: scheduler page scrape-valid (%s)\n", srv.URL())
 		_ = srv.Close()
 	}
 	if err != nil {

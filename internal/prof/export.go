@@ -1,8 +1,6 @@
 package prof
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 	"time"
 
@@ -11,9 +9,11 @@ import (
 )
 
 // Flows pairs matched send and receive events by message id into
-// directed edges for the Chrome exporter. The arrow is anchored at the
-// end of the sending primitive and the end of the consuming one — the
-// moment each side let go of the message.
+// directed edges for the Chrome exporter. The arrow's head is the end of
+// the consuming primitive. Its tail is the end of the sending one, or
+// the receive's end if that came first: an eager receive can complete
+// before the sender reads its clock, and an arrow must not arrive before
+// it leaves. Either way the tail lies inside the sending slice.
 func Flows(events []mpi.Event) []trace.Flow {
 	type end struct {
 		rank int
@@ -40,11 +40,15 @@ func Flows(events []mpi.Event) []trace.Flow {
 		if !ok {
 			continue
 		}
+		from := s.at
+		if r.at.Before(from) {
+			from = r.at
+		}
 		out = append(out, trace.Flow{
 			ID:       id,
 			Name:     s.prim.String(),
 			FromRank: s.rank,
-			FromTime: s.at,
+			FromTime: from,
 			ToRank:   r.rank,
 			ToTime:   r.at,
 		})
@@ -61,53 +65,4 @@ func Flows(events []mpi.Event) []trace.Flow {
 func (p *Collector) WriteChromeTrace(w io.Writer, pid int, name string) error {
 	events := p.Events()
 	return trace.WriteChrome(w, pid, name, p.Epoch(), Intervals(events), Flows(events), p.Markers())
-}
-
-// jsonEvent is the stable external form of one profiling event. Times
-// are microseconds from the collector epoch so logs are trivially
-// plottable.
-type jsonEvent struct {
-	Rank      int     `json:"rank"`
-	Prim      string  `json:"prim"`
-	Peer      int     `json:"peer"`
-	Tag       int     `json:"tag"`
-	Bytes     int     `json:"bytes"`
-	StartUS   float64 `json:"start_us"`
-	DurUS     float64 `json:"dur_us"`
-	BlockedUS float64 `json:"blocked_us"`
-	QueuedUS  float64 `json:"queued_us"`
-	SendID    int64   `json:"send_id,omitempty"`
-	RecvID    int64   `json:"recv_id,omitempty"`
-}
-
-// WriteJSON exports the raw event log as one JSON document:
-// {"events": [...]}, ordered as recorded.
-func (p *Collector) WriteJSON(w io.Writer) error {
-	p.mu.Lock()
-	epoch := p.epoch
-	events := append([]mpi.Event(nil), p.events...)
-	p.mu.Unlock()
-
-	us := func(d time.Duration) float64 { return float64(d.Microseconds()) }
-	out := make([]jsonEvent, 0, len(events))
-	for _, e := range events {
-		out = append(out, jsonEvent{
-			Rank:      e.Rank,
-			Prim:      e.Prim.String(),
-			Peer:      e.Peer,
-			Tag:       e.Tag,
-			Bytes:     e.Bytes,
-			StartUS:   us(e.Start.Sub(epoch)),
-			DurUS:     us(e.Dur),
-			BlockedUS: us(e.Blocked),
-			QueuedUS:  us(e.Queued),
-			SendID:    e.SendID,
-			RecvID:    e.RecvID,
-		})
-	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(map[string]any{"events": out}); err != nil {
-		return fmt.Errorf("prof: encoding event log: %w", err)
-	}
-	return nil
 }

@@ -7,8 +7,8 @@
 //     late-receiver and collective-wait attribution per rank pair);
 //   - a critical-path and load-imbalance summary (max/mean rank time,
 //     wait fractions, top wait edges);
-//   - exporters: ASCII profile tables, Chrome trace-event JSON with
-//     message-flow arrows for Perfetto, and a raw JSON event log;
+//   - exporters: ASCII profile tables and Chrome trace-event JSON with
+//     message-flow arrows for Perfetto;
 //   - interval derivation, so any module gets the compute/communication
 //     Gantt chart and splits of internal/trace without bespoke
 //     instrumentation.

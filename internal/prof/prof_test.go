@@ -306,6 +306,31 @@ func TestFlows(t *testing.T) {
 	}
 }
 
+// TestFlowTailInsideSendSlice is TestFlows' race made deterministic: an
+// eager receive that completes before the sender reads its end clock.
+// The arrow must still leave no later than it arrives, from inside the
+// sending slice.
+func TestFlowTailInsideSendSlice(t *testing.T) {
+	t0 := time.Now()
+	send := mpi.Event{Rank: 0, Prim: mpi.PrimSend, Peer: 1, Start: t0, Dur: 10 * time.Microsecond, SendID: 1}
+	recv := mpi.Event{Rank: 1, Prim: mpi.PrimRecv, Peer: 0, Start: t0.Add(time.Microsecond), Dur: 2 * time.Microsecond, RecvID: 1}
+	flows := Flows([]mpi.Event{send, recv})
+	if len(flows) != 1 {
+		t.Fatalf("got %d flows, want 1", len(flows))
+	}
+	f := flows[0]
+	if want := t0.Add(3 * time.Microsecond); !f.FromTime.Equal(want) || !f.ToTime.Equal(want) {
+		t.Errorf("flow leaves at +%v and arrives at +%v, want both at the receive's end (+3µs)",
+			f.FromTime.Sub(t0), f.ToTime.Sub(t0))
+	}
+	// The usual order keeps the sender's end as the tail.
+	recv.Start = t0.Add(20 * time.Microsecond)
+	f = Flows([]mpi.Event{send, recv})[0]
+	if want := t0.Add(10 * time.Microsecond); !f.FromTime.Equal(want) {
+		t.Errorf("flow leaves at +%v, want the send's end (+10µs)", f.FromTime.Sub(t0))
+	}
+}
+
 // TestWriteChromeTrace checks the exported trace is valid JSON carrying
 // slices, flow-start/flow-finish pairs and the caller's pid.
 func TestWriteChromeTrace(t *testing.T) {
@@ -355,30 +380,6 @@ func TestWriteChromeTrace(t *testing.T) {
 		if v[0] != 1 || v[1] != 1 {
 			t.Errorf("flow id %d has %d starts and %d finishes, want 1+1", id, v[0], v[1])
 		}
-	}
-}
-
-// TestWriteJSON round-trips the raw event log.
-func TestWriteJSON(t *testing.T) {
-	pc := runPingPong(t)
-	var buf bytes.Buffer
-	if err := pc.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Events []struct {
-			Rank int    `json:"rank"`
-			Prim string `json:"prim"`
-		} `json:"events"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("event log is not valid JSON: %v", err)
-	}
-	if len(doc.Events) != len(pc.Events()) {
-		t.Fatalf("log has %d events, collector has %d", len(doc.Events), len(pc.Events()))
-	}
-	if doc.Events[0].Prim == "" {
-		t.Error("events are missing primitive names")
 	}
 }
 

@@ -231,26 +231,6 @@ func Summarize(events []mpi.Event) Summary {
 	return s
 }
 
-// BlockedRanking returns the ranks ordered by total blocked time
-// ascending, ties broken by rank. The first element is the rank the
-// others waited on — the same verdict the telemetry subsystem's merged
-// snapshot reaches from its mpi_blocked_seconds_total spread, which is
-// what lets the live straggler detector and this post-mortem view
-// cross-validate each other on one run.
-func (s Summary) BlockedRanking() []int {
-	out := make([]int, s.Ranks)
-	for r := range out {
-		out[r] = r
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if s.Blocked[out[i]] != s.Blocked[out[j]] {
-			return s.Blocked[out[i]] < s.Blocked[out[j]]
-		}
-		return out[i] < out[j]
-	})
-	return out
-}
-
 // WaitFraction returns rank r's blocked time as a share of its time
 // inside primitives, or 0 for an idle rank.
 func (s Summary) WaitFraction(r int) float64 {

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -91,6 +92,41 @@ func TestPrometheusMPISetLints(t *testing.T) {
 	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
+// TestPageLintsWhileObserving writes pages while another goroutine
+// observes into the histogram they render — what a mid-run scrape of a
+// rank sees. Every page must lint: its _count equals its +Inf bucket.
+func TestPageLintsWhileObserving(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("live_seconds", "Observed while scraped.", nil)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				h.Observe(time.Duration(i%2000) * time.Microsecond)
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	for h.Count() == 0 {
+		runtime.Gosched()
+	}
+	var buf bytes.Buffer
+	for i := 0; i < 500; i++ {
+		buf.Reset()
+		if err := WritePrometheus(&buf, reg); err != nil {
+			t.Fatal(err)
+		}
+		if err := Lint(buf.Bytes()); err != nil {
+			t.Fatalf("page %d fails lint: %v\n%s", i, err, buf.Bytes())
 		}
 	}
 }

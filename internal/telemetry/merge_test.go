@@ -2,8 +2,8 @@ package telemetry
 
 import (
 	"errors"
+	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -26,9 +26,22 @@ func imbalancedWorkload(c *mpi.Comm) error {
 	return nil
 }
 
+// leastBlocked is the profiler's straggler verdict over the same event
+// stream: the rank with the least summed Blocked time, ties to the
+// lower rank.
+func leastBlocked(s prof.Summary) int {
+	best := 0
+	for r, b := range s.Blocked {
+		if b < s.Blocked[best] {
+			best = r
+		}
+	}
+	return best
+}
+
 // TestGatherMergedStragglerAgreesWithProf is the acceptance check: the
-// Finalize-time merged snapshot's imbalance verdict must agree with the
-// profiler's wait-state ranking of the same run, on both transports.
+// merged view's imbalance verdict must agree with the profiler's
+// wait-state view of the same run, on both transports.
 func TestGatherMergedStragglerAgreesWithProf(t *testing.T) {
 	const np = 4
 	for _, tc := range []struct {
@@ -41,29 +54,12 @@ func TestGatherMergedStragglerAgreesWithProf(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			set := NewMPISet(np)
 			collector := prof.New()
-			var mu sync.Mutex
-			var merged *Merged
-			err := tc.run(np, func(c *mpi.Comm) error {
-				if err := imbalancedWorkload(c); err != nil {
-					return err
-				}
-				m, err := set.Gather(c, 0)
-				if err != nil {
-					return err
-				}
-				if c.Rank() == 0 {
-					mu.Lock()
-					merged = m
-					mu.Unlock()
-				}
-				return nil
-			}, mpi.WithHook(mpi.MultiHook(collector, set)), mpi.WithWatchdog(time.Minute))
+			err := tc.run(np, imbalancedWorkload,
+				mpi.WithHook(mpi.MultiHook(collector, set)), mpi.WithWatchdog(time.Minute))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if merged == nil {
-				t.Fatal("rank 0 received no merged snapshot")
-			}
+			merged := set.Merge()
 			if merged.Ranks != np {
 				t.Fatalf("merged %d ranks, want %d", merged.Ranks, np)
 			}
@@ -79,19 +75,18 @@ func TestGatherMergedStragglerAgreesWithProf(t *testing.T) {
 
 			// The profiler's independent verdict over the same event stream.
 			summary := prof.Summarize(collector.Events())
-			ranking := summary.BlockedRanking()
-			if ranking[0] != straggler {
-				t.Errorf("prof wait-state ranking %v disagrees with telemetry straggler %d", ranking, straggler)
+			if r := leastBlocked(summary); r != straggler {
+				t.Errorf("prof blocked least on rank %d (%v), telemetry straggler is %d", r, summary.Blocked, straggler)
 			}
 
-			// Both views integrate the same Blocked durations, so per-rank
-			// values agree up to the gather-collective's own blocking
-			// (recorded by prof after telemetry snapshotted).
+			// Both views integrate the same Blocked durations of the same
+			// events, and the merge adds no traffic of its own, so the
+			// per-rank values agree to rounding.
 			blocked := merged.BlockedSeconds()
 			for r := 0; r < np; r++ {
 				profSec := summary.Blocked[r].Seconds()
-				if diff := profSec - blocked[r]; diff < -0.001 || diff > 0.050 {
-					t.Errorf("rank %d blocked: telemetry %.4fs vs prof %.4fs", r, blocked[r], profSec)
+				if diff := profSec - blocked[r]; diff < -1e-9 || diff > 1e-9 {
+					t.Errorf("rank %d blocked: telemetry %.9fs vs prof %.9fs", r, blocked[r], profSec)
 				}
 			}
 
@@ -109,7 +104,7 @@ func TestGatherMergedStragglerAgreesWithProf(t *testing.T) {
 
 // TestGatherMergedResilienceCounters: the reliability and recovery
 // counters must be visible end to end — scraped from the process
-// registry and folded into the Finalize-time merge. A lossy run over
+// registry and folded into the post-run merge. A lossy run over
 // reliable TCP links must move the wire counters (drops force
 // retransmits; every data frame is eventually acked; corruption is
 // CRC-rejected and counted), and a kill + RunResilient run must move
@@ -124,8 +119,6 @@ func TestGatherMergedResilienceCounters(t *testing.T) {
 
 	set := NewMPISet(np)
 	before := mpi.ReliabilityStats()
-	var mu sync.Mutex
-	var merged *Merged
 	err := mpi.RunTCP(np, func(c *mpi.Comm) error {
 		buf := make([]float64, 64)
 		for it := 0; it < 30; it++ {
@@ -133,15 +126,6 @@ func TestGatherMergedResilienceCounters(t *testing.T) {
 			if err := mpi.AllreduceInto(c, buf, mpi.OpSum); err != nil {
 				return err
 			}
-		}
-		m, err := set.Gather(c, 0)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			mu.Lock()
-			merged = m
-			mu.Unlock()
 		}
 		return nil
 	},
@@ -151,9 +135,7 @@ func TestGatherMergedResilienceCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merged == nil {
-		t.Fatal("rank 0 received no merged snapshot")
-	}
+	merged := set.Merge()
 	for _, name := range resilience {
 		if merged.Lookup(name) == nil {
 			t.Errorf("merged view is missing %s", name)
@@ -211,29 +193,45 @@ func TestGatherMergedResilienceCounters(t *testing.T) {
 	}
 }
 
-// TestMergeSnapshotsUnion: series missing on some rank read as zero, and
-// histogram series merge count+sum per rank.
-func TestMergeSnapshotsUnion(t *testing.T) {
-	a := RegSnapshot{Rank: 0, Series: []SeriesSnap{
-		{Name: "x_total", Kind: "counter", Value: 5},
-		{Name: "h_seconds", Kind: "histogram", Count: 3, Sum: 0.5},
-	}}
-	b := RegSnapshot{Rank: 1, Series: []SeriesSnap{
-		{Name: "y_total", Kind: "counter", Value: 7},
-	}}
-	m, err := MergeSnapshots([]RegSnapshot{a, b})
-	if err != nil {
-		t.Fatal(err)
+// TestMergeReadsRegistries pins what the merge reads: each rank's
+// counters in its own column, a histogram's count and sum, and the
+// process-wide resilience counters repeated in every column.
+func TestMergeReadsRegistries(t *testing.T) {
+	set := NewMPISet(3)
+	set.Event(mpi.Event{Rank: 0, Prim: mpi.PrimSend, Bytes: 64, Dur: 2 * time.Microsecond, Blocked: time.Microsecond})
+	set.Event(mpi.Event{Rank: 0, Prim: mpi.PrimSend, Bytes: 64, Dur: 4 * time.Microsecond})
+	set.Event(mpi.Event{Rank: 2, Prim: mpi.PrimRecv, Bytes: 128, Dur: 3 * time.Microsecond, Blocked: 3 * time.Microsecond})
+	m := set.Merge()
+	if m.Ranks != 3 {
+		t.Fatalf("merged %d ranks, want 3", m.Ranks)
 	}
-	if got := m.Lookup("x_total").Value; got[0] != 5 || got[1] != 0 {
-		t.Fatalf("x_total = %v", got)
+	for key, want := range map[string][]float64{
+		"mpi_calls_total{prim=MPI_Send}":     {2, 0, 0},
+		"mpi_bytes_total{prim=MPI_Recv}":     {0, 0, 128},
+		"mpi_latency_seconds{prim=MPI_Send}": {2, 0, 0},
+		"mpi_blocked_seconds_total":          {1e-6, 0, 3e-6},
+	} {
+		s := m.Lookup(key)
+		if s == nil {
+			t.Errorf("merge is missing %s", key)
+			continue
+		}
+		if fmt.Sprint(s.Value) != fmt.Sprint(want) {
+			t.Errorf("%s = %v, want %v", key, s.Value, want)
+		}
 	}
-	if got := m.Lookup("y_total").Value; got[0] != 0 || got[1] != 7 {
-		t.Fatalf("y_total = %v", got)
+	if h := m.Lookup("mpi_latency_seconds{prim=MPI_Send}"); h != nil && h.Sum[0] != 6e-6 {
+		t.Errorf("MPI_Send latency sum on rank 0 = %g s, want 6e-06", h.Sum[0])
 	}
-	h := m.Lookup("h_seconds")
-	if h.Value[0] != 3 || h.Sum[0] != 0.5 {
-		t.Fatalf("h_seconds = %+v", h)
+	s := m.Lookup("mpi_retransmits_total")
+	if s == nil {
+		t.Fatal("merge is missing mpi_retransmits_total")
+	}
+	if s.Value[0] != s.Value[1] || s.Value[1] != s.Value[2] {
+		t.Errorf("process-wide counter differs across columns: %v", s.Value)
+	}
+	if m.Lookup("mpi_pool_hits_total") != nil {
+		t.Error("merge holds a process series outside the resilience set")
 	}
 }
 
@@ -252,8 +250,6 @@ func TestStragglerKmeansImbalance(t *testing.T) {
 	)
 	set := NewMPISet(np)
 	collector := prof.New()
-	var mu sync.Mutex
-	var merged *Merged
 	err := mpi.Run(np, func(c *mpi.Comm) error {
 		n := base
 		if c.Rank() == 0 {
@@ -294,26 +290,18 @@ func TestStragglerKmeansImbalance(t *testing.T) {
 				}
 			}
 		}
-		m, err := set.Gather(c, 0)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			mu.Lock()
-			merged = m
-			mu.Unlock()
-		}
 		return nil
 	}, mpi.WithHook(mpi.MultiHook(collector, set)), mpi.WithWatchdog(time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
+	merged := set.Merge()
 	straggler, _, imb := merged.Straggler()
 	if straggler != 0 {
 		t.Fatalf("straggler = rank %d, want 0 (blocked: %v)", straggler, merged.BlockedSeconds())
 	}
-	if ranking := prof.Summarize(collector.Events()).BlockedRanking(); ranking[0] != 0 {
-		t.Fatalf("prof ranking %v does not agree", ranking)
+	if r := leastBlocked(prof.Summarize(collector.Events())); r != 0 {
+		t.Fatalf("prof blocked least on rank %d, which does not agree", r)
 	}
 	t.Logf("straggler gauges on imbalanced kmeans: blocked=%v imbalance=%.1f%%",
 		merged.BlockedSeconds(), imb*100)
@@ -338,10 +326,11 @@ func TestBalancedKmeansControl(t *testing.T) {
 				return err
 			}
 		}
-		_, err := set.Gather(c, 0)
-		return err
+		return nil
 	}, mpi.WithHook(set), mpi.WithWatchdog(time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, _, imb := set.Merge().Straggler()
+	t.Logf("balanced kmeans: blocked-time spread %.1f%%", imb*100)
 }

@@ -102,9 +102,9 @@ func NewMPISet(np int) *MPISet {
 }
 
 // resilienceSeries are the process-wide reliability/recovery counters
-// that Gather folds into the cross-rank merge alongside the per-rank
-// series, so the Finalize-time table shows what the wire and the
-// recovery layer did during the run.
+// that Merge folds into the cross-rank view alongside the per-rank
+// series, so the end-of-run table shows what the wire and the recovery
+// layer did during the run.
 var resilienceSeries = map[string]bool{
 	"mpi_retransmits_total":    true,
 	"mpi_acks_total":           true,
@@ -128,7 +128,7 @@ func (s *MPISet) RankRegistry(r int) *Registry {
 func (s *MPISet) ProcessRegistry() *Registry { return s.proc }
 
 // Event implements mpi.Hook: the per-call hot path. Budget: two bounds
-// checks, five atomic adds and one bucket scan — no locks, no
+// checks, at most five atomic adds and one bucket scan — no locks, no
 // allocations.
 func (s *MPISet) Event(e mpi.Event) {
 	if e.Rank < 0 || e.Rank >= len(s.ranks) {

@@ -1,8 +1,8 @@
 // Package telemetry is the live-metrics substrate of the runtime: an
 // allocation-conscious registry of atomic counters, gauges and
-// fixed-bucket latency histograms, Prometheus text-format exposition
-// with a built-in lint pass, per-rank HTTP endpoints (metrics + pprof),
-// and a Finalize-time cross-rank merge gathered over MPI itself.
+// fixed-bucket latency histograms, Prometheus text-format exposition,
+// per-rank HTTP endpoints (metrics + pprof), and a cross-rank merge
+// built in process from the per-rank registries once the run returns.
 //
 // Unlike internal/prof — which records every primitive event for
 // post-mortem analysis — telemetry maintains O(1) state per series and
@@ -45,8 +45,8 @@ func (k Kind) String() string {
 // Telemetry has no dynamic label cardinality: every series is fully
 // identified up front, which is what keeps the update path lock-free.
 type Label struct {
-	Key   string `json:"k"`
-	Value string `json:"v"`
+	Key   string
+	Value string
 }
 
 // L builds a Label; the short name keeps registration sites readable.
@@ -68,11 +68,11 @@ type series struct {
 
 	// histogram state: bounds are inclusive upper edges in nanoseconds;
 	// counts has len(bounds)+1 entries, the last being the +Inf bucket.
-	// Counts are stored non-cumulative and cumulated at exposition.
+	// Counts are stored non-cumulative and cumulated at exposition; the
+	// observation count is their sum, so it cannot disagree with them.
 	bounds []int64
 	counts []atomic.Int64
 	sum    atomic.Int64 // nanoseconds
-	count  atomic.Int64
 }
 
 // key uniquely identifies a series inside a registry.
@@ -214,7 +214,7 @@ var DefBuckets = []time.Duration{
 }
 
 // Histogram is a fixed-bucket latency distribution. Observations are
-// three uncontended atomic adds plus a short linear scan over the
+// two uncontended atomic adds plus a short linear scan over the
 // bounds — no locks, no allocation.
 type Histogram struct{ s *series }
 
@@ -249,11 +249,17 @@ func (h Histogram) Observe(d time.Duration) {
 	}
 	s.counts[i].Add(1)
 	s.sum.Add(n)
-	s.count.Add(1)
 }
 
-// Count returns the number of observations recorded.
-func (h Histogram) Count() int64 { return h.s.count.Load() }
+// Count returns the number of observations recorded: the sum of the
+// buckets.
+func (h Histogram) Count() int64 {
+	var n int64
+	for i := range h.s.counts {
+		n += h.s.counts[i].Load()
+	}
+	return n
+}
 
 // Sum returns the total of all observations.
 func (h Histogram) Sum() time.Duration { return time.Duration(h.s.sum.Load()) }

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -91,27 +90,6 @@ func ListenMap(servers []*Server) string {
 		fmt.Fprintf(&b, "metrics: rank %d %s (pprof: http://%s/debug/pprof/)\n", s.Rank, s.URL(), s.Addr)
 	}
 	return b.String()
-}
-
-// SelfScrape validates a live endpoint the way a monitoring agent
-// would: GET the page and run it through the built-in exposition
-// linter. The launchers call this against their own rank-0 endpoint
-// before exiting.
-func SelfScrape(url string) error {
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: %s", url, resp.Status)
-	}
-	page, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	return Lint(page)
 }
 
 // CloseAll shuts every server down.
