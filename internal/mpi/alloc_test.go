@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -25,9 +26,9 @@ func TestAllocFreeEagerPingPong(t *testing.T) {
 }
 
 // TestAllocFreeEagerPingPongTCP holds the socket transport to the same
-// guarantee: the writer frames into its bufio buffer and the reader loop
-// reuses one header buffer, so a round trip over loopback TCP allocates
-// nothing either.
+// guarantee: the writer sends each frame from its scratch header and the
+// payload in one vectored write and the reader loop reuses one header
+// buffer, so a round trip over loopback TCP allocates nothing either.
 func TestAllocFreeEagerPingPongTCP(t *testing.T) {
 	assertAllocFreePingPong(t, RunTCP)
 }
@@ -89,6 +90,36 @@ func assertAllocFreePingPong(t *testing.T, run func(int, func(*Comm) error, ...O
 	}
 	if avg >= 0.5 {
 		t.Fatalf("eager ping-pong allocates %.2f allocs/op, want 0", avg)
+	}
+}
+
+// TestAllocTCPLaunch pins what a RunTCP launch costs: four ranks that
+// build the loopback mesh, meet at one Barrier and tear it down allocate
+// at most 128 KiB per launch. Most of it is listening, dialing and
+// accepting; each of the twelve connection ends adds one small read
+// buffer. A 64 KiB reader and writer per end would cost 1.5 MiB.
+func TestAllocTCPLaunch(t *testing.T) {
+	const warmup, launches = 3, 20
+	launch := func() {
+		if err := RunTCP(4, func(c *Comm) error { return c.Barrier() }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < warmup; i++ {
+		launch()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < launches; i++ {
+		launch()
+	}
+	runtime.ReadMemStats(&after)
+	kib := float64(after.TotalAlloc-before.TotalAlloc) / launches / 1024
+	if raceEnabled {
+		t.Skipf("race detector instrumentation allocates; launches ran clean (%.1f KiB not asserted)", kib)
+	}
+	if kib > 128 {
+		t.Fatalf("RunTCP(4) around one Barrier allocates %.1f KiB per launch, want <= 128", kib)
 	}
 }
 

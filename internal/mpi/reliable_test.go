@@ -427,7 +427,7 @@ func TestReliableLinksClean(t *testing.T) {
 type wireTap struct{ buf bytes.Buffer }
 
 func (w *wireTap) deliver(e *envelope) error {
-	tc := &tcpConn{w: bufio.NewWriter(&w.buf), pre: linkPrefixLen}
+	tc := &tcpConn{w: &w.buf, pre: linkPrefixLen}
 	return tc.send(e)
 }
 func (w *wireTap) close() error                    { return nil }

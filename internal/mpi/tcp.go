@@ -9,7 +9,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -39,10 +38,11 @@ func RunTCP(np int, fn func(*Comm) error, opts ...Option) error {
 	}, opts...)
 }
 
-// tcpBufSize sizes the per-connection bufio reader and writer. 64 KiB
-// holds a full eager burst (many small frames) or one large-payload write
-// without an intermediate syscall.
-const tcpBufSize = 64 << 10
+// tcpBufSize sizes each connection's read buffer. A frame averages a
+// few hundred bytes, so 4 KiB batches many small frames per read; a
+// payload longer than the buffer is read straight into its own pooled
+// buffer once the buffered bytes run out.
+const tcpBufSize = 4 << 10
 
 // maxPayloadLen caps a frame's declared payload so a corrupt or hostile
 // length prefix cannot drive an arbitrarily large allocation.
@@ -60,45 +60,44 @@ const linkPrefixLen = 8 + 4
 // frame on the stream can be trusted, so the reader aborts the world.
 var errBadFrame = errors.New("mpi: bad wire frame")
 
-// tcpConn serializes concurrent senders onto one socket. Frames are
-// written in two pieces — the prefix, length and header into the
-// connection's scratch buffer, then the payload directly — so no
-// per-send frame assembly or allocation happens. Flushes coalesce: each
-// writer registers in pending before taking the lock, and only the writer
-// that observes no successor flushes, so a burst of sends from several
-// goroutines hits the socket with one syscall.
+// tcpConn serializes concurrent senders onto one stream. Each frame goes
+// out in one vectored write (writev on a socket) of two pieces — the
+// prefix, length and header from the connection's scratch buffer, then
+// the payload as it is — so a send neither copies the payload nor
+// allocates. Frames are not coalesced: almost every send finds no other
+// queued on its connection. The first failed write poisons the
+// connection: its frame may be torn, so every later send returns that
+// error and writes nothing.
 type tcpConn struct {
-	mu      sync.Mutex
-	w       *bufio.Writer
-	c       net.Conn
-	pending atomic.Int32
-	hdr     [linkPrefixLen + 4 + envelopeHeaderLen]byte // guarded by mu
-	pre     int                                         // link prefix bytes per frame: linkPrefixLen or 0
+	mu  sync.Mutex
+	w   io.Writer // the socket; any stream in tests
+	c   net.Conn
+	err error                                       // first write error; guarded by mu
+	iov [2][]byte                                   // the frame's two pieces while it is written; guarded by mu
+	vec net.Buffers                                 // the write's cursor over iov, here so it stays off the heap; guarded by mu
+	hdr [linkPrefixLen + 4 + envelopeHeaderLen]byte // guarded by mu
+	pre int                                         // link prefix bytes per frame: linkPrefixLen or 0
 }
 
 // send writes e's frame and consumes e: its journey ends at the socket
 // (the receiver materializes a fresh one), so the payload buffer and the
 // envelope return to their pools here.
 func (tc *tcpConn) send(e *envelope) error {
-	tc.pending.Add(1)
 	tc.mu.Lock()
-	h := tc.hdr[:tc.pre+4+envelopeHeaderLen]
-	if tc.pre > 0 {
-		binary.LittleEndian.PutUint64(h[0:], e.lseq)
-		binary.LittleEndian.PutUint32(h[8:], e.crc)
+	if tc.err == nil {
+		h := tc.hdr[:tc.pre+4+envelopeHeaderLen]
+		if tc.pre > 0 {
+			binary.LittleEndian.PutUint64(h[0:], e.lseq)
+			binary.LittleEndian.PutUint32(h[8:], e.crc)
+		}
+		binary.LittleEndian.PutUint32(h[tc.pre:], uint32(envelopeHeaderLen+len(e.data)))
+		putHeader(h[tc.pre+4:], e)
+		tc.iov = [2][]byte{h, e.data}
+		tc.vec = tc.iov[:]
+		_, tc.err = tc.vec.WriteTo(tc.w)
+		tc.iov = [2][]byte{} // the payload goes back to the pool below
 	}
-	binary.LittleEndian.PutUint32(h[tc.pre:], uint32(envelopeHeaderLen+len(e.data)))
-	putHeader(h[tc.pre+4:], e)
-	_, err := tc.w.Write(h)
-	if err == nil && len(e.data) > 0 {
-		_, err = tc.w.Write(e.data)
-	}
-	// If another sender is already queued on this connection it will
-	// reach this same decision point after us, so the flush can be left
-	// to the last writer of the burst.
-	if tc.pending.Add(-1) == 0 && err == nil {
-		err = tc.w.Flush()
-	}
+	err := tc.err
 	tc.mu.Unlock()
 	putBuf(e.data)
 	putEnv(e)
@@ -275,7 +274,7 @@ func (t *socketTransport) connect(ctx context.Context, r int, addrs []string) er
 // one reader per connection suffices.
 func (t *socketTransport) startReader(r, peer int, c net.Conn) {
 	w := t.world
-	tc := &tcpConn{c: c, w: bufio.NewWriterSize(c, tcpBufSize)}
+	tc := &tcpConn{w: c, c: c}
 	if w.linkPrefix {
 		tc.pre = linkPrefixLen
 	}

@@ -6,9 +6,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/leakcheck"
 )
 
 func TestTCPPingPong(t *testing.T) {
@@ -168,4 +172,174 @@ func TestReadFrameRejects(t *testing.T) {
 		t.Fatalf("well-formed frame: got (%v, %v)", e, err)
 	}
 	putEnv(e)
+}
+
+// loopbackPair returns the two ends of one loopback TCP connection.
+func loopbackPair(t *testing.T) (client, server net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	client, err = net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err = ln.Accept()
+	if err != nil {
+		client.Close()
+		t.Fatal(err)
+	}
+	return client, server
+}
+
+// framePattern is byte i of the payload sender s puts in its frame seq.
+func framePattern(s, seq, i int) byte { return byte(s*31 + seq*7 + i) }
+
+// TestFramesWholeUnderConcurrentSenders: several goroutines share one
+// connection's writer, and the reader loop's readFrame returns every
+// frame whole and in each sender's order — for payloads on both sides of
+// the read buffer's size (as payload and as whole frame), the eager
+// threshold, and messages far larger than the buffer.
+func TestFramesWholeUnderConcurrentSenders(t *testing.T) {
+	for _, pre := range []int{0, linkPrefixLen} {
+		t.Run(fmt.Sprintf("prefix=%d", pre), func(t *testing.T) {
+			defer leakcheck.Snapshot(t, poolGauge()).Check()
+			client, server := loopbackPair(t)
+			defer client.Close()
+			defer server.Close()
+			const senders, rounds = 4, 2
+			over := pre + 4 + envelopeHeaderLen // frame bytes besides the payload
+			sizes := []int{
+				0, 1,
+				tcpBufSize - 1, tcpBufSize, tcpBufSize + 1,
+				tcpBufSize - over - 1, tcpBufSize - over, tcpBufSize - over + 1,
+				DefaultEagerThreshold, 64<<10 + 1, 1 << 20,
+			}
+			tc := &tcpConn{w: client, c: client, pre: pre}
+			errc := make(chan error, senders)
+			for s := 0; s < senders; s++ {
+				go func(s int) {
+					for seq := 0; seq < rounds*len(sizes); seq++ {
+						e := getEnv()
+						e.kind = kindData
+						e.src, e.wsrc, e.wdst = s, s, 0
+						e.tag = int32(seq)
+						e.lseq, e.crc = uint64(seq)<<8|uint64(s), uint32(s)
+						e.data = getBuf(sizes[seq%len(sizes)])
+						for i := range e.data {
+							e.data[i] = framePattern(s, seq, i)
+						}
+						if err := tc.send(e); err != nil {
+							errc <- err
+							return
+						}
+					}
+					errc <- nil
+				}(s)
+			}
+			br := bufio.NewReaderSize(server, tcpBufSize)
+			hdr := make([]byte, pre+4+envelopeHeaderLen)
+			next := make([]int, senders)
+			for got := 0; got < senders*rounds*len(sizes); got++ {
+				e, err := readFrame(br, hdr, pre, senders)
+				if err != nil {
+					t.Fatalf("frame %d: %v", got, err)
+				}
+				s, seq := e.wsrc, int(e.tag)
+				if seq != next[s] {
+					t.Fatalf("sender %d: frame %d arrived, want %d", s, seq, next[s])
+				}
+				next[s]++
+				if n := sizes[seq%len(sizes)]; len(e.data) != n {
+					t.Fatalf("sender %d frame %d: %d payload bytes, want %d", s, seq, len(e.data), n)
+				}
+				for i, b := range e.data {
+					if b != framePattern(s, seq, i) {
+						t.Fatalf("sender %d frame %d: payload byte %d is %d, want %d", s, seq, i, b, framePattern(s, seq, i))
+					}
+				}
+				if pre > 0 && (e.lseq != uint64(seq)<<8|uint64(s) || e.crc != uint32(s)) {
+					t.Fatalf("sender %d frame %d: link prefix (%d, %d)", s, seq, e.lseq, e.crc)
+				}
+				putBuf(e.data)
+				putEnv(e)
+			}
+			for s := 0; s < senders; s++ {
+				if err := <-errc; err != nil {
+					t.Fatalf("send: %v", err)
+				}
+			}
+		})
+	}
+}
+
+// tornWriter takes the first room bytes written to it, then fails.
+type tornWriter struct {
+	bytes.Buffer
+	room int
+}
+
+var errTorn = errors.New("torn")
+
+func (w *tornWriter) Write(p []byte) (int, error) {
+	if len(p) > w.room {
+		n, _ := w.Buffer.Write(p[:w.room])
+		w.room = 0
+		return n, errTorn
+	}
+	w.room -= len(p)
+	return w.Buffer.Write(p)
+}
+
+// TestFrameShortWritePoisonsConn: after a write fails, the frame may be
+// torn, so every later send on the connection returns the first error and
+// puts no bytes on the stream — even once the stream would take them.
+func TestFrameShortWritePoisonsConn(t *testing.T) {
+	defer leakcheck.Snapshot(t, poolGauge()).Check()
+	frame := func() *envelope {
+		e := getEnv()
+		e.kind = kindData
+		e.wdst = 1
+		e.data = copyToPooled([]byte("payload"))
+		return e
+	}
+	t.Run("deadline", func(t *testing.T) {
+		client, server := loopbackPair(t)
+		defer client.Close()
+		defer server.Close()
+		tc := &tcpConn{w: client, c: client}
+		_ = client.SetWriteDeadline(time.Now().Add(-time.Second))
+		first := tc.send(frame())
+		if first == nil {
+			t.Fatal("send past the write deadline succeeded")
+		}
+		_ = client.SetWriteDeadline(time.Time{})
+		if err := tc.send(frame()); err != first {
+			t.Fatalf("second send: %v, want the first error %v", err, first)
+		}
+		client.Close()
+		if b, err := io.ReadAll(server); err != nil || len(b) != 0 {
+			t.Fatalf("stream carries %d bytes (%v), want none", len(b), err)
+		}
+	})
+	t.Run("torn", func(t *testing.T) {
+		torn := 4 + envelopeHeaderLen + 3 // the write fails three bytes into the payload
+		w := &tornWriter{room: torn}
+		tc := &tcpConn{w: w}
+		if err := tc.send(frame()); err != errTorn {
+			t.Fatalf("first send: %v, want %v", err, errTorn)
+		}
+		if tc.iov[0] != nil || tc.iov[1] != nil {
+			t.Fatal("the connection still references the torn frame, whose payload went back to the pool")
+		}
+		w.room = 1 << 20
+		if err := tc.send(frame()); err != errTorn {
+			t.Fatalf("second send: %v, want the first error %v", err, errTorn)
+		}
+		if w.Len() != torn {
+			t.Fatalf("stream carries %d bytes, want the torn frame's %d", w.Len(), torn)
+		}
+	})
 }
