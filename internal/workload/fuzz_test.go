@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -8,6 +9,8 @@ import (
 // FuzzWorkloadSpec throws arbitrary spec strings at the parser: invalid
 // specs must error (never panic), and any spec that parses must drive a
 // generator that emits a sane, deterministic, monotone arrival stream.
+// Every float field of a parsed spec is finite, so a NaN fails at parse
+// time instead of stalling or collapsing the generator.
 func FuzzWorkloadSpec(f *testing.F) {
 	for _, seed := range []string{
 		DefaultSpec,
@@ -23,6 +26,10 @@ func FuzzWorkloadSpec(f *testing.F) {
 		"poisson:1/s;runtime=pareto:0.5,30s",
 		"nonsense",
 		"poisson:−5/s", // unicode minus
+		"poisson:1/s;tasks=zipf:8,NaN",
+		"poisson:1/s;runtime=pareto:NaN,30s",
+		"poisson:1/s;timelimit=NaNx",
+		"poisson:NaN/h",
 	} {
 		f.Add(seed)
 	}
@@ -31,6 +38,16 @@ func FuzzWorkloadSpec(f *testing.F) {
 		if err != nil {
 			return // invalid specs error; the contract is "never panic"
 		}
+		for _, v := range []float64{
+			spec.Arrival.Rate, spec.Arrival.Peak,
+			spec.Runtime.A, spec.Runtime.B, spec.Runtime.Alpha,
+			spec.Tasks.A, spec.Tasks.B, spec.Tasks.Alpha,
+			spec.TimeLimitFactor,
+		} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("%q: parsed spec has a non-finite field: %+v", raw, *spec)
+			}
+		}
 		a := NewGenerator(spec, 99)
 		b := NewGenerator(spec, 99)
 		var prev time.Duration
@@ -38,6 +55,9 @@ func FuzzWorkloadSpec(f *testing.F) {
 			x, y := a.Next(), b.Next()
 			if x.At != y.At || x.Spec.BaseTime != y.Spec.BaseTime || x.Spec.Tasks != y.Spec.Tasks {
 				t.Fatalf("%q: draw %d not deterministic: %+v vs %+v", raw, i, x, y)
+			}
+			if x.Spec.Name != refName(i+1) {
+				t.Fatalf("%q: draw %d named %q, want %q", raw, i, x.Spec.Name, refName(i+1))
 			}
 			if x.At < prev {
 				t.Fatalf("%q: arrival %d at %v before %v", raw, i, x.At, prev)

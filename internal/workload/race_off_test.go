@@ -53,12 +53,13 @@ func TestMillionJobDrain(t *testing.T) {
 }
 
 // TestAllocSchedulePassDrain budgets the two bench drains' allocations
-// per job. A drained job costs one allocation: its name. With retention
-// off the cluster reuses evicted records with their node arrays, and the
+// per job. A drained job costs no allocation of its own: its name is cut
+// from a block shared with the next arrivals, with retention off the
+// cluster reuses evicted records with their node arrays, and the
 // scheduling pass itself allocates nothing, so the knee's deep queue
 // costs no more per job than the stream's trivial one. The budgets leave
-// room for the amortised growth of the job table, the queue, the event
-// heap and the pool of records.
+// room for one name block per 256 jobs and the amortised growth of the
+// job table, the queue, the event heap and the pool of records.
 func TestAllocSchedulePassDrain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("streams 240k jobs")
@@ -67,8 +68,8 @@ func TestAllocSchedulePassDrain(t *testing.T) {
 		drain  drainCase
 		budget float64 // allocations per job
 	}{
-		{streamDrain, 1.1},
-		{kneeDrain, 1.1},
+		{streamDrain, 0.05},
+		{kneeDrain, 0.05},
 	} {
 		allocs := testing.AllocsPerRun(1, func() {
 			if _, err := tc.drain.run(1); err != nil {

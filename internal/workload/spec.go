@@ -286,7 +286,7 @@ func parseRuntimeDist(val string) (Dist, error) {
 			return bad("want pareto:ALPHA,XMIN[,CAP]")
 		}
 		alpha, err := strconv.ParseFloat(args[0], 64)
-		if err != nil || alpha <= 1 || math.IsInf(alpha, 0) {
+		if err != nil || !(alpha > 1) || math.IsInf(alpha, 0) {
 			return bad("shape alpha must be > 1 (finite mean)")
 		}
 		xmin, err := parsePositiveDuration(args[1])
@@ -347,7 +347,7 @@ func parseTasksDist(val string) (Dist, error) {
 		d := Dist{Kind: DistZipf, A: float64(max), Alpha: 1.4}
 		if len(args) == 2 {
 			skew, err := strconv.ParseFloat(args[1], 64)
-			if err != nil || skew <= 1 || math.IsInf(skew, 0) {
+			if err != nil || !(skew > 1) || math.IsInf(skew, 0) {
 				return bad("SKEW must be > 1")
 			}
 			d.Alpha = skew
@@ -361,7 +361,7 @@ func parseTasksDist(val string) (Dist, error) {
 func (s *Spec) parseTimeLimit(val string) error {
 	if f, ok := strings.CutSuffix(val, "x"); ok {
 		factor, err := strconv.ParseFloat(f, 64)
-		if err != nil || factor < 1 || math.IsInf(factor, 0) {
+		if err != nil || !(factor >= 1) || math.IsInf(factor, 0) {
 			return fmt.Errorf("workload: timelimit=%s: factor must be >= 1", val)
 		}
 		s.TimeLimitFactor = factor
@@ -382,7 +382,7 @@ func parseRate(v string) (float64, error) {
 		return 0, fmt.Errorf("rate %q: want NUMBER/h, NUMBER/m, or NUMBER/s", v)
 	}
 	n, err := strconv.ParseFloat(num, 64)
-	if err != nil || n <= 0 || math.IsInf(n, 0) {
+	if err != nil || !(n > 0) || math.IsInf(n, 0) {
 		return 0, fmt.Errorf("rate %q: want a positive number", v)
 	}
 	switch unit {

@@ -56,6 +56,11 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"poisson:1/s;timelimit=0.5x",         // factor < 1
 		"poisson:1/s;walltime=3m",            // unknown clause
 		"poisson:1/s;runtime",                // clause without value
+		// NaN compares false with every bound; let through, it
+		"poisson:1/s;tasks=zipf:8,NaN",       // hangs the first Next
+		"poisson:1/s;runtime=pareto:NaN,30s", // fails Run: no base time
+		"poisson:1/s;timelimit=NaNx",         // sets no time limit
+		"poisson:NaN/h",                      // puts every arrival at t = 0
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec); err == nil {
