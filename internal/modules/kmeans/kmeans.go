@@ -50,7 +50,9 @@ type Config struct {
 	K       int
 	MaxIter int
 	// Tol is the centroid-movement convergence threshold (squared
-	// Euclidean). Zero means exact: stop when no centroid moves.
+	// Euclidean). Zero means exact: stop when no centroid moves; a
+	// negative Tol never converges, +Inf stops after one iteration, and
+	// NaN is rejected.
 	Tol float64
 	// Option selects the communication scheme (default WeightedMeans).
 	Option CommOption
@@ -385,6 +387,9 @@ func validate(pts data.Points, cfg Config) error {
 	if cfg.MaxIter <= 0 {
 		return fmt.Errorf("kmeans: max iterations %d must be positive", cfg.MaxIter)
 	}
+	if math.IsNaN(cfg.Tol) { // every `dist > tol` would be false: converged at once
+		return fmt.Errorf("kmeans: tolerance is NaN")
+	}
 	return nil
 }
 
@@ -485,15 +490,23 @@ func initialCentroids(pts data.Points, k int, seed int64) data.Points {
 // float order, with NaN of either sign above +Inf — where `d < best`,
 // false for every NaN, leaves it too. An integer compare-and-select
 // compiles to conditional moves, so the scan has no branch that depends
-// on the data. It runs as two independent chains, over the even- and the
-// odd-indexed centroids, so neither waits on the other's arithmetic; each
-// keeps its own lowest index, and the merge lets the lower index win a
-// tie between them.
+// on the data.
 //
-// The scans are functions of their own, called once per point, for the
-// compiler's sake: it turns a select into a branch again when the
-// selected index goes on to address a load, as the winner does in the
-// sums, and inside the point loop it runs out of registers.
+// At dim 2 one scan over the centroids serves a block of four points:
+// each centroid is loaded once and measured against all four, whose
+// coordinates stay in registers, and each point keeps its own chain in
+// ascending centroid order, so the lowest index wins a tie. The block's
+// points are then added into the sums in point order. A last block of
+// fewer than four repeats its last point in the unused lanes and drops
+// their results. Any other dim scans once per point, in two independent
+// chains over the even- and the odd-indexed centroids, so neither waits
+// on the other's arithmetic; each keeps its own lowest index, and the
+// merge lets the lower index win a tie between them.
+//
+// The scans are functions of their own for the compiler's sake: it turns
+// a select into a branch again when the selected index goes on to address
+// a load, as the winner does in the sums, and inside the point loop it
+// runs out of registers.
 
 // infBits is the argmin's starting value: like `d < +Inf`, only a finite
 // distance compares below it.
@@ -509,14 +522,26 @@ func assignAndSum(pts, cent data.Points, assign []int, sums, counts []float64) {
 	dim, cc := pts.Dim, cent.Coords
 	pc := pts.Coords[:len(assign)*dim]
 	if dim == 2 { // the paper's and every in-tree activity's case
-		for i := range assign {
-			x, y := pc[2*i], pc[2*i+1]
-			best := nearest2(x, y, cc)
-			assign[i] = best
-			counts[best]++
-			s := sums[2*best : 2*best+2]
-			s[0] += x
-			s[1] += y
+		var tail [8]float64
+		for i := 0; i < len(assign); i += 4 {
+			blk := pc[2*i:]
+			if len(blk) < 8 {
+				// The tail block repeats the last point in its unused lanes.
+				for l := range tail {
+					tail[l] = blk[min(l, len(blk)-2+l%2)]
+				}
+				blk = tail[:]
+			}
+			p := (*[8]float64)(blk)
+			var best [4]int
+			best[0], best[1], best[2], best[3] = nearest2x4(p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7], cc)
+			for l, b := range best[:min(4, len(assign)-i)] {
+				assign[i+l] = b
+				counts[b]++
+				s := sums[2*b:][:2]
+				s[0] += p[2*l]
+				s[1] += p[2*l+1]
+			}
 		}
 		return
 	}
@@ -566,34 +591,42 @@ func nearest(p, cc []float64) int {
 	return mergeChains(len(cc)-even, evenBits, len(cc)-odd, oddBits, len(p))
 }
 
-// nearest2 is nearest for dim = 2, the point's coordinates in registers.
-func nearest2(x, y float64, cc []float64) int {
-	even, evenBits := len(cc), uint64(infBits)
-	odd, oddBits := len(cc), uint64(infBits)
-	q := cc
-	for ; len(q) >= 4; q = q[4:] {
-		dx0, dy0 := x-q[0], y-q[1]
-		dx1, dy1 := x-q[2], y-q[3]
-		b0 := math.Float64bits(dx0*dx0 + dy0*dy0)
-		b1 := math.Float64bits(dx1*dx1 + dy1*dy1)
-		if b0 < evenBits {
-			even = len(q)
+// nearest2x4 returns the indices of the centroids in cc nearest to the
+// four dim-2 points (x0, y0) … (x3, y3).
+func nearest2x4(x0, y0, x1, y1, x2, y2, x3, y3 float64, cc []float64) (int, int, int, int) {
+	// i0…i3 record the offset in cc where their point found its minimum.
+	i0, b0 := 0, uint64(infBits)
+	i1, b1 := 0, uint64(infBits)
+	i2, b2 := 0, uint64(infBits)
+	i3, b3 := 0, uint64(infBits)
+	for j := 0; j < len(cc)-1; j += 2 {
+		cx, cy := cc[j], cc[j+1]
+		dx0, dy0 := x0-cx, y0-cy
+		d0 := math.Float64bits(dx0*dx0 + dy0*dy0)
+		if d0 < b0 {
+			i0 = j
 		}
-		evenBits = min(b0, evenBits)
-		if b1 < oddBits {
-			odd = len(q)
+		b0 = min(b0, d0)
+		dx1, dy1 := x1-cx, y1-cy
+		d1 := math.Float64bits(dx1*dx1 + dy1*dy1)
+		if d1 < b1 {
+			i1 = j
 		}
-		oddBits = min(b1, oddBits)
+		b1 = min(b1, d1)
+		dx2, dy2 := x2-cx, y2-cy
+		d2 := math.Float64bits(dx2*dx2 + dy2*dy2)
+		if d2 < b2 {
+			i2 = j
+		}
+		b2 = min(b2, d2)
+		dx3, dy3 := x3-cx, y3-cy
+		d3 := math.Float64bits(dx3*dx3 + dy3*dy3)
+		if d3 < b3 {
+			i3 = j
+		}
+		b3 = min(b3, d3)
 	}
-	if len(q) >= 2 {
-		dx, dy := x-q[0], y-q[1]
-		b := math.Float64bits(dx*dx + dy*dy)
-		if b < evenBits {
-			even = len(q)
-		}
-		evenBits = min(b, evenBits)
-	}
-	return mergeChains(len(cc)-even, evenBits, len(cc)-odd, oddBits, 2)
+	return i0 >> 1, i1 >> 1, i2 >> 1, i3 >> 1
 }
 
 // mergeChains picks the winner of the two chains. evenOff and oddOff are

@@ -114,10 +114,27 @@ type oracleCase struct {
 // duplicated, so most minima are exact ties between distinct indices; a
 // layout where one centroid is out of every point's reach and its cluster
 // stays empty; and the mixture with NaN, +Inf and −Inf planted in points
-// and in centroids.
+// and in centroids. The dim-2 kernel scans the points in blocks of four,
+// so at dim 2 each dataset comes in four sizes, one per length of the
+// last block.
 func oracleCases(dim, k int, seed int64) []oracleCase {
+	sizes := []int{4*k + 37}
+	if dim == 2 {
+		sizes = append(sizes, 4*k+38, 4*k+39, 4*k+40)
+	}
+	var cases []oracleCase
+	for _, n := range sizes {
+		for _, tc := range oracleCasesOfSize(dim, k, n, seed) {
+			tc.name += fmt.Sprintf(" n=%d", n)
+			cases = append(cases, tc)
+		}
+	}
+	return cases
+}
+
+// oracleCasesOfSize builds oracleCases' four datasets with n points each.
+func oracleCasesOfSize(dim, k, n int, seed int64) []oracleCase {
 	rng := rand.New(rand.NewSource(seed))
-	n := 4*k + 37
 
 	mix, _ := data.GaussianMixture(n, dim, min(k, 5), 1.5, 40, seed)
 	cases := []oracleCase{{"mixture", mix, initialCentroids(mix, k, seed)}}
@@ -288,6 +305,14 @@ func FuzzNearest(f *testing.F) {
 	seed(3, 5, data.UniformPoints(20, 3, -1, 1, 31).Coords...)  // odd k, generic dim
 	seed(2, 17, data.UniformPoints(40, 2, -1, 1, 32).Coords...) // odd k, dim 2
 	seed(1, 1, 5e-324, -5e-324, math.Copysign(0, -1), math.MaxFloat64, -math.MaxFloat64, 1)
+	// dim 2 scans blocks of four points: 5, 6 and 7 points leave a last
+	// block one, two and three points long.
+	seed(2, 3, data.UniformPoints(3+5, 2, -1, 1, 33).Coords...)
+	seed(2, 3, data.UniformPoints(3+6, 2, -1, 1, 34).Coords...)
+	seed(2, 3, data.UniformPoints(3+7, 2, -1, 1, 35).Coords...)
+	// (1, 0) is equidistant from both centroids, in lanes 0 and 3 of the
+	// first block and alone in the second: centroid 0 must win each tie.
+	seed(2, 2, 0, 0, 2, 0, 1, 0, 5, 5, -3, 1, 1, 0, 1, 0)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) < 2 {
 			return
@@ -321,9 +346,10 @@ func FuzzNearest(f *testing.F) {
 // BenchmarkIteration times one iteration's local compute on one rank's
 // share of the end-to-end benchmark's k-means workload (2048 of 8192
 // points, k = 16), flat path against reference loops, at the paper's
-// dim 2 and at Module 2's dim 90. ns/dist is per point-centroid distance.
+// dim 2, at dim 3 (the generic body) and at Module 2's dim 90.
+// ns/dist is per point-centroid distance.
 func BenchmarkIteration(b *testing.B) {
-	for _, dim := range []int{2, 90} {
+	for _, dim := range []int{2, 3, 90} {
 		const n, k = 2048, 16
 		pts, _ := data.GaussianMixture(n, dim, 8, 2.0, 100, 7)
 		start := initialCentroids(pts, k, 7)

@@ -74,6 +74,31 @@ func TestValidation(t *testing.T) {
 	if _, _, err := Sequential(ragged, Config{K: 2, MaxIter: 10}); err == nil {
 		t.Fatal("ragged points (19 coordinates in 2-d) accepted")
 	}
+	// A NaN tolerance would report convergence after one iteration.
+	nanTol := Config{K: 2, MaxIter: 10, Tol: math.NaN()}
+	if _, _, err := Sequential(pts, nanTol); err == nil {
+		t.Fatal("NaN tolerance accepted by Sequential")
+	}
+	if _, _, err := SequentialWithCentroids(pts, initialCentroids(pts, 2, 0), nanTol); err == nil {
+		t.Fatal("NaN tolerance accepted by SequentialWithCentroids")
+	}
+	if err := mpi.Run(2, func(c *mpi.Comm) error {
+		_, _, _, err := Distributed(c, pts, nanTol)
+		return err
+	}); err == nil {
+		t.Fatal("NaN tolerance accepted by Distributed")
+	}
+	// The infinities stay legal: −Inf never converges, +Inf stops after one.
+	for _, tc := range []struct {
+		tol       float64
+		iters     int
+		converged bool
+	}{{math.Inf(-1), 10, false}, {math.Inf(1), 1, true}} {
+		res, _, err := Sequential(pts, Config{K: 2, MaxIter: 10, Tol: tc.tol})
+		if err != nil || res.Iterations != tc.iters || res.Converged != tc.converged {
+			t.Fatalf("Tol=%v: %d iterations, converged %v, err %v; want %d, %v", tc.tol, res.Iterations, res.Converged, err, tc.iters, tc.converged)
+		}
+	}
 }
 
 func TestDistributedMatchesSequentialBothOptions(t *testing.T) {
