@@ -88,6 +88,11 @@ func TestCheckInvariantsCatches(t *testing.T) {
 		{"retention off keeps a finished job", func(c *Cluster) { c.retainFinished = false }, "retention off"},
 		{"live record kept for reuse", func(c *Cluster) { c.free = append(c.free, c.running[0]) }, "kept for reuse"},
 		{"table record kept for reuse", func(c *Cluster) { c.free = append(c.free, c.jobs[1]) }, "kept for reuse"},
+		{"submitted after now", func(c *Cluster) { c.order[0].SubmitTime = c.now + 1 }, "stamped after now"},
+		{"started after now", func(c *Cluster) { c.running[0].StartTime = c.now + 1 }, "stamped after now"},
+		{"settled after now", func(c *Cluster) { c.running[0].settledAt = c.now + 1 }, "stamped after now"},
+		{"ended after now", func(c *Cluster) { c.jobs[1].EndTime = c.now + 1 }, "stamped after now"},
+		{"finished count", func(c *Cluster) { c.jobs[1].State = TimedOut }, "Stats counts"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newTestCluster(t, 1)

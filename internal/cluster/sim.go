@@ -354,21 +354,35 @@ func truncate(s string, n int) string {
 // CheckInvariants validates the scheduler's bookkeeping: per-node free
 // cores must equal capacity minus the tasks of resident jobs, exclusive
 // nodes host exactly one job, every running job's nodes list it, no node
-// is oversubscribed and only running jobs hold nodes. Every submitted
-// job is pending, running or counted once as finished; with retention
-// off the table holds exactly the pending and running jobs, and no
-// record kept for reuse is live or in the table. Tests call it after
-// every event (or, at million-job scale, on a sampled subset of events —
-// it is O(jobs)).
+// is oversubscribed and only running jobs hold nodes. No record is
+// stamped after the current time. Every submitted job is pending,
+// running or counted once as finished; with retention on all along the
+// finished counts of Stats equal the table's records in each state;
+// with retention off the table holds exactly the pending and running
+// jobs, and no record kept for reuse is live or in the table. Tests
+// call it after every event (or, at million-job scale, on a sampled
+// subset of events — it is O(jobs)).
 func (c *Cluster) CheckInvariants() error {
 	type nodeLoad struct {
 		tasks int
 		jobs  int
 	}
 	load := make([]nodeLoad, len(c.nodes))
+	var terminal [NodeFail + 1]int
 	for id, j := range c.jobs {
 		if j.ID != id {
 			return fmt.Errorf("cluster: table entry %d holds job %d", id, j.ID)
+		}
+		if j.SubmitTime > c.now || j.StartTime > c.now || j.settledAt > c.now {
+			return fmt.Errorf("cluster: job %d stamped after now (%v): submitted %v, started %v, settled %v",
+				j.ID, c.now, j.SubmitTime, j.StartTime, j.settledAt)
+		}
+		switch j.State {
+		case Completed, Cancelled, TimedOut, NodeFail:
+			if j.EndTime > c.now {
+				return fmt.Errorf("cluster: %v job %d stamped after now (%v): ended %v", j.State, j.ID, c.now, j.EndTime)
+			}
+			terminal[j.State]++
 		}
 		if j.State != Running {
 			if len(j.Nodes) > 0 || len(j.tasksOn) > 0 {
@@ -439,6 +453,21 @@ func (c *Cluster) CheckInvariants() error {
 	for _, j := range c.order {
 		if j.State != Pending || c.jobs[j.ID] != j {
 			return fmt.Errorf("cluster: queued job %d is %v or missing from the table", j.ID, j.State)
+		}
+	}
+	// A requeued job is pending again and maybeRequeue backed its
+	// NodeFail out of the aggregate, so each terminal count is the
+	// records in that state now. The recount needs every record ever
+	// submitted: retention on, and on all along (a table thinned while it
+	// was off holds fewer records than were submitted).
+	if c.retainFinished && len(c.jobs) == a.submitted {
+		for _, st := range [...]struct {
+			state JobState
+			n     int
+		}{{Completed, a.completed}, {TimedOut, a.timedOut}, {Cancelled, a.cancelled}, {NodeFail, a.nodeFailed}} {
+			if terminal[st.state] != st.n {
+				return fmt.Errorf("cluster: Stats counts %d %v jobs, the table holds %d", st.n, st.state, terminal[st.state])
+			}
 		}
 	}
 	if live := len(c.order) + len(c.running); !c.retainFinished && len(c.jobs) != live {

@@ -4,6 +4,7 @@ package hashjoin
 
 import (
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -74,5 +75,63 @@ func TestAllocLocalKernels(t *testing.T) {
 		if avg := testing.AllocsPerRun(5, func() { flatJoin(t, build, probe) }); avg > 6 {
 			t.Fatalf("build + probe of %d tuples allocates %.0f times, want <= 6", n, avg)
 		}
+	}
+}
+
+// TestAllocJoinBytes bounds what one join allocates: its output, 16 B a
+// match, plus at most scratch × 16 B per input tuple. The relations are
+// the join-rma benchmark's shape scaled down, five build tuples per key.
+// The scratch is one buffer per live phase: the probe partitions into
+// the build's partition buffer, Join's probe stream is received into
+// the build's, and the probe records its runs over its stream's keys.
+// With a buffer per phase instead, both joins read about 3.1 × 16 B per
+// input tuple here; this layout reads 1.8 (Join) and 2.3 (JoinRMA, whose
+// window and Put batches hold the build once more).
+func TestAllocJoinBytes(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const (
+		ranks, perRank = 4, 10_000
+		keys           = ranks * perRank / 5
+		joins          = 5
+	)
+	build, probe := dealt(ranks, perRank, keys)
+	for _, tc := range []struct {
+		name    string
+		join    func(*mpi.Comm, []Tuple, []Tuple) ([]Pair, Result, error)
+		scratch float64
+	}{
+		{"Join", Join, 2.0},
+		{"JoinRMA", JoinRMA, 2.5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var matches int64
+			joinOnce := func() {
+				err := mpi.Run(ranks, func(c *mpi.Comm) error {
+					_, res, err := tc.join(c, build[c.Rank()], probe[c.Rank()])
+					if c.Rank() == 0 {
+						matches = res.Matches
+					}
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			joinOnce()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < joins; i++ {
+				joinOnce()
+			}
+			runtime.ReadMemStats(&after)
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / joins
+			inputs := float64(2 * ranks * perRank)
+			scratch := (bytes - tupleBytes*float64(matches)) / (tupleBytes * inputs)
+			t.Logf("%.0f KiB per join: %d matches' output + %.2f x 16 B per input tuple", bytes/1024, matches, scratch)
+			if scratch > tc.scratch {
+				t.Fatalf("a join of %.0f tuples with %d matches allocates %.0f bytes: %.2f x 16 B per input tuple past its output, want <= %.1f",
+					inputs, matches, bytes, scratch, tc.scratch)
+			}
+		})
 	}
 }

@@ -76,19 +76,14 @@ func Join(c *mpi.Comm, build, probe []Tuple) ([]Pair, Result, error) {
 	start := time.Now()
 	res := Result{NP: p, BuildN: len(build), ProbeN: len(probe)}
 
-	// Partition both relations by key hash and exchange.
+	// Partition the build relation by key hash, exchange it and build.
 	partStart := time.Now()
-	myBuild, err := exchange(c, build, tagBuild)
+	myBuild, part, err := exchange(c, build, tagBuild, nil, nil)
 	if err != nil {
 		return nil, res, fmt.Errorf("hashjoin: build exchange: %w", err)
 	}
-	myProbe, err := exchange(c, probe, tagProbe)
-	if err != nil {
-		return nil, res, fmt.Errorf("hashjoin: probe exchange: %w", err)
-	}
 	res.PartitionDur = time.Since(partStart)
 
-	// Build.
 	buildStart := time.Now()
 	myBuildN := len(myBuild) / 2
 	tbl, err := buildTable(myBuildN, func(i int) (key, payload int64) {
@@ -99,7 +94,16 @@ func Join(c *mpi.Comm, build, probe []Tuple) ([]Pair, Result, error) {
 	}
 	res.BuildDur = time.Since(buildStart)
 
-	// Probe.
+	// The build's buffers are dead now: exchange returned after every
+	// send that read the partition completed, and the table holds its
+	// own copy of the stream. The probe exchange reuses both.
+	partStart = time.Now()
+	myProbe, _, err := exchange(c, probe, tagProbe, part, myBuild)
+	if err != nil {
+		return nil, res, fmt.Errorf("hashjoin: probe exchange: %w", err)
+	}
+	res.PartitionDur += time.Since(partStart)
+
 	probeStart := time.Now()
 	out := tbl.probe(myProbe)
 	res.ProbeDur = time.Since(probeStart)
@@ -145,18 +149,24 @@ const tupleBytes = 16
 // counts[dst] how many. Count, prefix-sum, scatter: one histogram pass
 // sizes one backing array exactly, and every part is a sub-slice of it
 // with its capacity clipped to its own share, so a scatter that overran
-// the histogram would panic rather than spill into the neighbour.
-func partition(tuples []Tuple, p int) (parts [][]byte, counts []int64) {
+// the histogram would panic rather than spill into the neighbour. The
+// backing array is spare when spare has room for every tuple, and a
+// fresh one otherwise; it is returned as buf, so that a later partition
+// can reuse it once nothing reads the parts.
+func partition(tuples []Tuple, p int, spare []byte) (parts [][]byte, counts []int64, buf []byte) {
 	counts = make([]int64, p)
 	for _, t := range tuples {
 		counts[hashKey(t.Key, p)]++
 	}
-	backing := make([]byte, len(tuples)*tupleBytes)
+	buf = spare[:0]
+	if n := len(tuples) * tupleBytes; cap(buf) < n {
+		buf = make([]byte, 0, n)
+	}
 	parts = make([][]byte, p)
 	lo := 0
 	for dst, n := range counts {
 		hi := lo + int(n)*tupleBytes
-		parts[dst] = backing[lo:lo:hi]
+		parts[dst] = buf[lo:lo:hi]
 		lo = hi
 	}
 	for _, t := range tuples {
@@ -167,7 +177,7 @@ func partition(tuples []Tuple, p int) (parts [][]byte, counts []int64) {
 		binary.LittleEndian.PutUint64(b[n+8:], uint64(t.Payload))
 		parts[dst] = b
 	}
-	return parts, counts
+	return parts, counts, buf
 }
 
 // tupleAt decodes the tuple at the head of b.
@@ -178,10 +188,13 @@ func tupleAt(b []byte) (key, payload int64) {
 // exchange hash-partitions tuples by key and redistributes them with the
 // module-level point-to-point pattern (Isend all partitions, receive one
 // block from every peer). It returns this rank's share as a flat stream:
-// tuple i is flat[2i] (key), flat[2i+1] (payload).
-func exchange(c *mpi.Comm, tuples []Tuple, tag int) ([]int64, error) {
+// tuple i is flat[2i] (key), flat[2i+1] (payload). part and flat are
+// spare buffers for the partition and the stream, each used when it has
+// room; the partition's buffer is returned too, and is dead on return,
+// since exchange waits for every send that reads it.
+func exchange(c *mpi.Comm, tuples []Tuple, tag int, part []byte, flat []int64) ([]int64, []byte, error) {
 	p, r := c.Size(), c.Rank()
-	parts, _ := partition(tuples, p)
+	parts, _, part := partition(tuples, p, part)
 	reqs := make([]*mpi.Request, 0, p-1)
 	for dst := 0; dst < p; dst++ {
 		if dst == r {
@@ -189,7 +202,7 @@ func exchange(c *mpi.Comm, tuples []Tuple, tag int) ([]int64, error) {
 		}
 		req, err := mpi.Isend(c, parts[dst], dst, tag)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		reqs = append(reqs, req)
 	}
@@ -199,16 +212,18 @@ func exchange(c *mpi.Comm, tuples []Tuple, tag int) ([]int64, error) {
 	// into its spare capacity: UnmarshalInto fills dst's backing array
 	// when the block fits, so then the block is already in place. Under
 	// skew it does not fit, arrives in a fresh slice and is appended.
-	flat := make([]int64, 0, 2*(len(tuples)+len(tuples)/8))
-	flat, err := mpi.UnmarshalInto(flat, parts[r])
+	if want := 2 * (len(tuples) + len(tuples)/8); cap(flat) < want {
+		flat = make([]int64, 0, want)
+	}
+	flat, err := mpi.UnmarshalInto(flat[:0], parts[r])
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for i := 0; i < p-1; i++ {
 		spare := cap(flat) - len(flat)
 		blk, _, err := mpi.RecvInto(c, flat[len(flat):len(flat)], mpi.AnySource, tag)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if len(blk) <= spare {
 			flat = flat[:len(flat)+len(blk)]
@@ -217,12 +232,12 @@ func exchange(c *mpi.Comm, tuples []Tuple, tag int) ([]int64, error) {
 		}
 	}
 	if err := mpi.Waitall(reqs...); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(flat)%2 != 0 {
-		return nil, fmt.Errorf("hashjoin: odd tuple stream length %d", len(flat))
+		return nil, nil, fmt.Errorf("hashjoin: odd tuple stream length %d", len(flat))
 	}
-	return flat, nil
+	return flat, part, nil
 }
 
 // table is the build side's hash table, flat (CSR): distinct keys are
@@ -336,19 +351,20 @@ func (t *table) run(key int64) (lo, hi uint32) {
 	return t.off[s], t.off[s+1]
 }
 
-// probe joins a flat probe stream against the table: one lookup pass
-// records each probe tuple's run (start and length, packed in a word)
-// and adds up the lengths, the output is allocated at exactly that size,
-// and the fill copies the recorded runs into it by index — probe order,
-// and build order within one probe tuple, the order a map of appended
-// slices would give. A miss records an empty run, so no marker can
-// collide with a real one.
+// probe joins a flat probe stream against the table, and consumes the
+// stream: one lookup pass records each probe tuple's run (start and
+// length, packed in a word) over the tuple's key, which the lookup is
+// the last to read, and adds up the lengths; the output is allocated at
+// exactly that size, and the fill copies the recorded runs into it by
+// index — probe order, and build order within one probe tuple, the order
+// a map of appended slices would give. A miss records an empty run, so
+// no marker can collide with a real one.
 func (t *table) probe(probe []int64) []Pair {
-	runs := make([]uint64, len(probe)/2)
+	n := len(probe) / 2
 	total := 0
-	for i := range runs {
+	for i := 0; i < n; i++ {
 		lo, hi := t.run(probe[2*i])
-		runs[i] = uint64(lo)<<32 | uint64(hi-lo)
+		probe[2*i] = int64(uint64(lo)<<32 | uint64(hi-lo))
 		total += int(hi - lo)
 	}
 	if total == 0 {
@@ -356,7 +372,8 @@ func (t *table) probe(probe []int64) []Pair {
 	}
 	out := make([]Pair, total)
 	j := 0
-	for i, r := range runs {
+	for i := 0; i < n; i++ {
+		r := uint64(probe[2*i])
 		lo := uint32(r >> 32)
 		run := t.payloads[lo : lo+uint32(r)]
 		dst, pp := out[j:j+len(run)], probe[2*i+1]
@@ -451,7 +468,7 @@ func JoinRMA(c *mpi.Comm, build, probe []Tuple) ([]Pair, Result, error) {
 	// owner, and after the Allreduce perOwner[r] is exactly how many
 	// tuples rank r will own, so each region is provisioned tight — a
 	// tail counter in the first 8 bytes plus that many tuple slots.
-	parts, mine := partition(build, p)
+	parts, mine, part := partition(build, p, nil)
 	perOwner := append([]int64(nil), mine...)
 	if err := mpi.AllreduceInto(c, perOwner, mpi.OpSum); err != nil {
 		return nil, res, fmt.Errorf("hashjoin: rma sizing: %w", err)
@@ -467,7 +484,9 @@ func JoinRMA(c *mpi.Comm, build, probe []Tuple) ([]Pair, Result, error) {
 	// at most np attempts: every failure means another rank reserved its
 	// run), then Put the whole run at the reserved offset. The partition
 	// is already in wire format and Put captures the bytes into the
-	// target's batch before returning, so nothing is marshalled here.
+	// target's batch before returning, so nothing is marshalled here, and
+	// the partition is dead once the last Put returns: the probe exchange
+	// reuses its buffer.
 	for owner := 0; owner < p; owner++ {
 		n := mine[owner]
 		if n == 0 {
@@ -503,7 +522,7 @@ func JoinRMA(c *mpi.Comm, build, probe []Tuple) ([]Pair, Result, error) {
 	}
 	res.BuildDur = time.Since(buildStart)
 
-	return probeAndFinish(c, win, tbl, probe, &res, myBuildN, start)
+	return probeAndFinish(c, win, tbl, probe, part, &res, myBuildN, start)
 }
 
 // JoinRMAPerTuple is the un-optimized one-sided build the module's
@@ -587,15 +606,15 @@ func JoinRMAPerTuple(c *mpi.Comm, build, probe []Tuple) ([]Pair, Result, error) 
 	}
 	res.BuildDur = time.Since(buildStart)
 
-	return probeAndFinish(c, win, tbl, probe, &res, len(claimed), start)
+	return probeAndFinish(c, win, tbl, probe, nil, &res, len(claimed), start)
 }
 
 // probeAndFinish is the tail both one-sided joins share: the two-sided
-// probe exchange, the local probe, window retirement and the global
-// reductions.
-func probeAndFinish(c *mpi.Comm, win *mpi.Win, tbl table, probe []Tuple, res *Result, myBuildN int, start time.Time) ([]Pair, Result, error) {
+// probe exchange (partitioning into part when it has room), the local
+// probe, window retirement and the global reductions.
+func probeAndFinish(c *mpi.Comm, win *mpi.Win, tbl table, probe []Tuple, part []byte, res *Result, myBuildN int, start time.Time) ([]Pair, Result, error) {
 	partStart := time.Now()
-	myProbe, err := exchange(c, probe, tagProbe)
+	myProbe, _, err := exchange(c, probe, tagProbe, part, nil)
 	if err != nil {
 		return nil, *res, fmt.Errorf("hashjoin: probe exchange: %w", err)
 	}

@@ -32,6 +32,8 @@ func refLocalJoin(build, probe []int64) []Pair {
 }
 
 // flatJoin runs the same streams through buildTable and table.probe.
+// The probe consumes its stream, and callers reuse theirs, so it probes
+// with a clone.
 func flatJoin(t testing.TB, build, probe []int64) []Pair {
 	t.Helper()
 	tbl, err := buildTable(len(build)/2, func(i int) (key, payload int64) {
@@ -40,7 +42,7 @@ func flatJoin(t testing.TB, build, probe []int64) []Pair {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tbl.probe(probe)
+	return tbl.probe(slices.Clone(probe))
 }
 
 // stream pairs each key with its index (offset by base) as the payload,
@@ -151,7 +153,8 @@ func estimatorBits(n int) int {
 // sizedJoin builds the table over the build stream and checks what every
 // size must keep: load <= 0.5, a slot array no larger than the
 // tuple-sized nextPow2(2n), and the oracle's output pair for pair. It
-// returns the slot count.
+// returns the slot count. The probe consumes its stream, so it probes
+// with a clone.
 func sizedJoin(t *testing.T, build, probe []int64) int {
 	t.Helper()
 	n := len(build) / 2
@@ -169,7 +172,7 @@ func sizedJoin(t *testing.T, build, probe []int64) int {
 		t.Fatalf("%d tuples over %d distinct keys got %d slots: want load <= 0.5 and at most nextPow2(2n) = %d",
 			n, len(distinct), slots, nextPow2(2*n))
 	}
-	if got, want := tbl.probe(probe), refLocalJoin(build, probe); !reflect.DeepEqual(got, want) {
+	if got, want := tbl.probe(slices.Clone(probe)), refLocalJoin(build, probe); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%d slots: %d pairs, the map oracle %d, or in another order", len(tbl.keys), len(got), len(want))
 	}
 	return len(tbl.keys)

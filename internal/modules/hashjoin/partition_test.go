@@ -15,7 +15,7 @@ func TestPartitionExact(t *testing.T) {
 	build, _ := makeRelations(5000, 0, 700, 41)
 	for _, p := range []int{1, 2, 4, 7} {
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
-			parts, counts := partition(build, p)
+			parts, counts, _ := partition(build, p, nil)
 			if len(parts) != p || len(counts) != p {
 				t.Fatalf("%d parts, %d counts, want %d", len(parts), len(counts), p)
 			}
@@ -47,7 +47,7 @@ func TestPartitionExact(t *testing.T) {
 			}
 		})
 	}
-	parts, counts := partition(nil, 3)
+	parts, counts, _ := partition(nil, 3, nil)
 	for dst := range parts {
 		if len(parts[dst]) != 0 || counts[dst] != 0 {
 			t.Fatalf("empty input gave part %d %d bytes, count %d", dst, len(parts[dst]), counts[dst])
@@ -78,7 +78,7 @@ func TestExchangeSkewFallsBack(t *testing.T) {
 		for i := c.Rank(); i < len(build); i += ranks {
 			lb = append(lb, build[i])
 		}
-		flat, err := exchange(c, lb, tagBuild)
+		flat, _, err := exchange(c, lb, tagBuild, nil, nil)
 		if err != nil {
 			return err
 		}
