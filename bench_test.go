@@ -21,7 +21,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/curriculum"
 	"repro/internal/data"
-	"repro/internal/kdtree"
 	"repro/internal/mapreduce"
 	"repro/internal/metrics"
 	"repro/internal/modules/comm"
@@ -34,7 +33,6 @@ import (
 	"repro/internal/modules/rangequery"
 	"repro/internal/mpi"
 	"repro/internal/perfmodel"
-	"repro/internal/quadtree"
 	"repro/internal/quiz"
 	"repro/internal/rtree"
 	"repro/internal/warmup"
@@ -275,13 +273,12 @@ func BenchmarkModule3_Sort(b *testing.B) {
 
 // ---- Module 4: range queries ----
 
-// BenchmarkModule4_Query compares the four search structures (brute
-// force, R-tree, and the cited kd-tree/quadtree alternatives): the
+// BenchmarkModule4_Query compares brute force with the R-tree: the
 // efficiency-vs-scalability claim's efficiency half.
 func BenchmarkModule4_Query(b *testing.B) {
 	pts := data.UniformPoints(50_000, 2, 0, 100, 5)
 	queries := data.UniformRects(500, 2, 0, 100, 4, 6)
-	for _, m := range []rangequery.Method{rangequery.BruteForce, rangequery.RTree, rangequery.KDTree, rangequery.QuadTree} {
+	for _, m := range []rangequery.Method{rangequery.BruteForce, rangequery.RTree} {
 		b.Run(m.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := rangequery.Sequential(pts, queries, m); err != nil {
@@ -298,20 +295,6 @@ func BenchmarkModule4_IndexBuild(b *testing.B) {
 	b.Run("r-tree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := rtree.Bulk(pts, rtree.DefaultMaxEntries); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("kd-tree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := kdtree.Build(pts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("quadtree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := quadtree.Bulk(pts, quadtree.DefaultCapacity); err != nil {
 				b.Fatal(err)
 			}
 		}

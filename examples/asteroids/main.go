@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/data"
 	"repro/internal/modules/rangequery"
@@ -18,11 +20,17 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	const nAsteroids = 60_000
 	catalog := data.AsteroidCatalog(nAsteroids, 2026)
 	pts := data.AsteroidPoints(catalog)
 	query := rangequery.AsteroidQuery()
-	fmt.Printf("catalog: %d asteroids; query: amplitude %.1f–%.1f mag, period %.0f–%.0f h\n\n",
+	fmt.Fprintf(w, "catalog: %d asteroids; query: amplitude %.1f–%.1f mag, period %.0f–%.0f h\n\n",
 		nAsteroids, query.Min[0], query.Max[0], query.Min[1], query.Max[1])
 
 	// Mix the headline query with a broader survey workload.
@@ -41,29 +49,30 @@ func main() {
 				return err
 			}
 			if c.Rank() == 0 {
-				fmt.Printf("%-12v %8d hits  build %-10v search %-10v pruned %.1f%%\n",
+				fmt.Fprintf(w, "%-12v %8d hits  build %-10v search %-10v pruned %.1f%%\n",
 					res.Method, res.TotalHits, res.BuildDur, res.SearchDur, res.WorkPruned*100)
 			}
 			return nil
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
 	// The module's activity-3 lesson, on the modeled cluster: the
 	// memory-bound R-tree search gains from spreading over two nodes.
-	fmt.Println("\nresource-allocation study (roofline model, 16 ranks):")
+	fmt.Fprintln(w, "\nresource-allocation study (roofline model, 16 ranks):")
 	m := perfmodel.DefaultMachine()
 	brute, indexed := rangequery.Kernels(nAsteroids, len(queries), 2, 0.95)
 	for _, k := range []perfmodel.Kernel{brute, indexed} {
 		one, two, err := rangequery.NodePlacementStudy(m, k, 16)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  %-14s 1 node: %-12v 2 nodes: %-12v gain %.2fx\n",
+		fmt.Fprintf(w, "  %-14s 1 node: %-12v 2 nodes: %-12v gain %.2fx\n",
 			k.Name, one, two, float64(one)/float64(two))
 	}
-	fmt.Println("\nthe indexed search is memory-bound: doubling aggregate memory")
-	fmt.Println("bandwidth (2 nodes) speeds it up; the compute-bound scan barely moves.")
+	fmt.Fprintln(w, "\nthe indexed search is memory-bound: doubling aggregate memory")
+	fmt.Fprintln(w, "bandwidth (2 nodes) speeds it up; the compute-bound scan barely moves.")
+	return nil
 }

@@ -176,16 +176,6 @@ func Registry() []Activity {
 			Run:         queryActivity(rangequery.RTree),
 		},
 		{
-			Module: 4, Name: "range-query-kdtree", DefaultNP: 4, Discretionary: true,
-			Description: "ablation: kd-tree index (cited alternative)",
-			Run:         queryActivity(rangequery.KDTree),
-		},
-		{
-			Module: 4, Name: "range-query-quadtree", DefaultNP: 4, Discretionary: true,
-			Description: "ablation: quadtree index (cited alternative)",
-			Run:         queryActivity(rangequery.QuadTree),
-		},
-		{
 			Module: 5, Name: "kmeans-weighted-means", DefaultNP: 4,
 			Description: "distributed k-means, weighted-means communication option",
 			Run:         kmeansActivity(kmeans.WeightedMeans),

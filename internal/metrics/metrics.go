@@ -1,13 +1,12 @@
 // Package metrics computes the performance measures the modules teach
-// students to reason about: speedup, parallel efficiency, Amdahl and
-// Gustafson projections, and the Karp–Flatt experimentally determined
-// serial fraction. These back every scaling figure in EXPERIMENTS.md and
-// the Figure 1 reproduction.
+// students to reason about: speedup, parallel efficiency, the Karp–Flatt
+// experimentally determined serial fraction and the Amdahl fit built on
+// it. These back every scaling figure in EXPERIMENTS.md and the Figure 1
+// reproduction.
 package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"time"
@@ -98,18 +97,6 @@ func (s Series) KarpFlatt() (map[int]float64, error) {
 	return out, nil
 }
 
-// AmdahlSpeedup returns the speedup Amdahl's law predicts for serial
-// fraction f at p ranks: S = 1 / (f + (1-f)/p).
-func AmdahlSpeedup(f float64, p int) float64 {
-	return 1 / (f + (1-f)/float64(p))
-}
-
-// GustafsonSpeedup returns the scaled speedup of Gustafson's law:
-// S = p - f·(p-1).
-func GustafsonSpeedup(f float64, p int) float64 {
-	return float64(p) - f*float64(p-1)
-}
-
 // FitAmdahl estimates the serial fraction that best explains the series,
 // by least squares over the Karp–Flatt estimates (which are exactly the
 // per-point Amdahl inversions).
@@ -150,59 +137,4 @@ func (s Series) Table() (string, error) {
 		fmt.Fprintf(&b, "%6d %14v %9.2f %10.1f%%\n", pt.P, pt.Time.Round(time.Microsecond), sp[i], eff[i]*100)
 	}
 	return b.String(), nil
-}
-
-// Crossover returns the smallest P at which series a becomes faster than
-// series b (comparing observations at equal P), or -1 if it never does.
-// Module 4's "R-tree vs brute force" and Module 5's "multiple nodes vs
-// one" analyses are crossover questions.
-func Crossover(a, b Series) int {
-	ta := make(map[int]time.Duration)
-	for _, pt := range a.Points {
-		ta[pt.P] = pt.Time
-	}
-	var ps []int
-	for _, pt := range b.sorted() {
-		if _, ok := ta[pt.P]; ok {
-			ps = append(ps, pt.P)
-		}
-	}
-	sort.Ints(ps)
-	for _, p := range ps {
-		var tb time.Duration
-		for _, pt := range b.Points {
-			if pt.P == p {
-				tb = pt.Time
-			}
-		}
-		if ta[p] < tb {
-			return p
-		}
-	}
-	return -1
-}
-
-// RelativeChange returns (a-b)/b — the paper's "mean relative performance
-// increase/decrease" building block, reused by the quiz statistics.
-func RelativeChange(a, b float64) (float64, error) {
-	if b == 0 {
-		return 0, fmt.Errorf("metrics: relative change against zero baseline")
-	}
-	return (a - b) / b, nil
-}
-
-// GeoMean returns the geometric mean of positive values, the conventional
-// aggregate for speedup ratios.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("metrics: geomean of empty slice")
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("metrics: geomean requires positive values, got %v", x)
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs))), nil
 }

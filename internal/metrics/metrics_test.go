@@ -90,55 +90,6 @@ func TestKarpFlattConstantForAmdahl(t *testing.T) {
 	}
 }
 
-func TestAmdahlGustafson(t *testing.T) {
-	if got := AmdahlSpeedup(0, 16); math.Abs(got-16) > 1e-9 {
-		t.Fatalf("Amdahl f=0: %v", got)
-	}
-	if got := AmdahlSpeedup(1, 16); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("Amdahl f=1: %v", got)
-	}
-	if got := GustafsonSpeedup(0, 16); got != 16 {
-		t.Fatalf("Gustafson f=0: %v", got)
-	}
-	if got := GustafsonSpeedup(1, 16); got != 1 {
-		t.Fatalf("Gustafson f=1: %v", got)
-	}
-	// Amdahl is always ≤ Gustafson for 0<f<1, p>1.
-	for _, f := range []float64{0.05, 0.3, 0.7} {
-		for _, p := range []int{2, 8, 32} {
-			if AmdahlSpeedup(f, p) > GustafsonSpeedup(f, p)+1e-12 {
-				t.Fatalf("Amdahl > Gustafson at f=%v p=%d", f, p)
-			}
-		}
-	}
-}
-
-func TestCrossover(t *testing.T) {
-	// Brute force: slower at low p, scales linearly. Indexed: faster
-	// everywhere here, so crossover(brute, indexed) never happens, and
-	// indexed beats brute from p=1.
-	brute := Series{Name: "brute", Points: []Point{
-		{P: 1, Time: 1000 * time.Millisecond}, {P: 2, Time: 500 * time.Millisecond}, {P: 4, Time: 250 * time.Millisecond},
-	}}
-	indexed := Series{Name: "rtree", Points: []Point{
-		{P: 1, Time: 100 * time.Millisecond}, {P: 2, Time: 70 * time.Millisecond}, {P: 4, Time: 55 * time.Millisecond},
-	}}
-	if got := Crossover(indexed, brute); got != 1 {
-		t.Fatalf("indexed beats brute from p=%d, want 1", got)
-	}
-	if got := Crossover(brute, indexed); got != -1 {
-		t.Fatalf("brute never beats indexed, got %d", got)
-	}
-}
-
-func TestCrossoverMidSeries(t *testing.T) {
-	a := Series{Points: []Point{{P: 1, Time: 10 * time.Second}, {P: 4, Time: 1 * time.Second}}}
-	b := Series{Points: []Point{{P: 1, Time: 2 * time.Second}, {P: 4, Time: 2 * time.Second}}}
-	if got := Crossover(a, b); got != 4 {
-		t.Fatalf("crossover at %d, want 4", got)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	s := linear("demo", 1, 2)
 	tbl, err := s.Table()
@@ -147,29 +98,6 @@ func TestTableRendering(t *testing.T) {
 	}
 	if !strings.Contains(tbl, "demo") || !strings.Contains(tbl, "speedup") {
 		t.Fatalf("table missing headers:\n%s", tbl)
-	}
-}
-
-func TestRelativeChange(t *testing.T) {
-	got, err := RelativeChange(148, 100)
-	if err != nil || math.Abs(got-0.48) > 1e-12 {
-		t.Fatalf("relative change %v, %v", got, err)
-	}
-	if _, err := RelativeChange(1, 0); err == nil {
-		t.Fatal("zero baseline accepted")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	got, err := GeoMean([]float64{1, 4, 16})
-	if err != nil || math.Abs(got-4) > 1e-9 {
-		t.Fatalf("geomean %v, %v", got, err)
-	}
-	if _, err := GeoMean(nil); err == nil {
-		t.Fatal("empty geomean accepted")
-	}
-	if _, err := GeoMean([]float64{1, -1}); err == nil {
-		t.Fatal("negative geomean accepted")
 	}
 }
 

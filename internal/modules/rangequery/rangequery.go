@@ -12,10 +12,8 @@ import (
 	"time"
 
 	"repro/internal/data"
-	"repro/internal/kdtree"
 	"repro/internal/mpi"
 	"repro/internal/perfmodel"
-	"repro/internal/quadtree"
 	"repro/internal/rtree"
 )
 
@@ -27,10 +25,6 @@ const (
 	BruteForce Method = iota
 	// RTree prunes with the Guttman R-tree supplied by the module.
 	RTree
-	// KDTree and QuadTree are the cited alternatives, used in the
-	// ablation bench.
-	KDTree
-	QuadTree
 	// RTreeSTR is the bulk-packed R-tree (outcome 15: improving the
 	// supplied index's construction).
 	RTreeSTR
@@ -43,10 +37,6 @@ func (m Method) String() string {
 		return "brute-force"
 	case RTree:
 		return "r-tree"
-	case KDTree:
-		return "kd-tree"
-	case QuadTree:
-		return "quadtree"
 	case RTreeSTR:
 		return "r-tree-str"
 	default:
@@ -67,7 +57,7 @@ type Result struct {
 	WorkPruned float64 // fraction of point tests avoided vs brute force
 }
 
-// searcher abstracts the four implementations.
+// searcher abstracts the three implementations.
 type searcher interface {
 	Search(q data.Rect, dst []int) []int
 }
@@ -88,15 +78,47 @@ func (b *bruteSearcher) Search(q data.Rect, dst []int) []int {
 	return dst
 }
 
+// newSearcher validates the points and every query, then builds method's
+// searcher over pts. It also returns the searcher's work counter: the
+// point or entry tests its searches have made so far, which WorkPruned
+// compares with brute force's. The input is checked before anything is
+// built, so in Distributed every rank rejects the same input before the
+// collective.
+func newSearcher(pts data.Points, queries []data.Rect, method Method) (searcher, func() int64, error) {
+	if err := pts.Validate(); err != nil {
+		return nil, nil, err
+	}
+	for i, q := range queries {
+		if len(q.Min) != pts.Dim || len(q.Max) != pts.Dim {
+			return nil, nil, fmt.Errorf("rangequery: query %d has %d-d min and %d-d max, points are %d-d",
+				i, len(q.Min), len(q.Max), pts.Dim)
+		}
+	}
+	var tr *rtree.Tree
+	var err error
+	switch method {
+	case BruteForce:
+		bs := &bruteSearcher{pts: pts}
+		return bs, func() int64 { return bs.tested }, nil
+	case RTree:
+		tr, err = rtree.Bulk(pts, rtree.DefaultMaxEntries)
+	case RTreeSTR:
+		tr, err = rtree.BulkSTR(pts, rtree.DefaultMaxEntries)
+	default:
+		return nil, nil, fmt.Errorf("rangequery: unknown method %d", int(method))
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return tr, func() int64 { return tr.Stats().EntriesTested }, nil
+}
+
 // Distributed runs the module's distributed query workload: every rank
 // holds the full input dataset (as the module prescribes) and searches
 // its contiguous share of the query set; the global hit count is reduced
 // onto rank 0 with MPI_Reduce — the module's one required primitive.
 // Only rank 0's TotalHits is meaningful.
 func Distributed(c *mpi.Comm, pts data.Points, queries []data.Rect, method Method) (Result, error) {
-	if err := pts.Validate(); err != nil {
-		return Result{}, err
-	}
 	p, r := c.Size(), c.Rank()
 	start := time.Now()
 
@@ -104,46 +126,11 @@ func Distributed(c *mpi.Comm, pts data.Points, queries []data.Rect, method Metho
 	qLo := r * len(queries) / p
 	qHi := (r + 1) * len(queries) / p
 
-	buildStart := time.Now()
-	var s searcher
-	var testedBefore func() int64
-	switch method {
-	case BruteForce:
-		bs := &bruteSearcher{pts: pts}
-		s = bs
-		testedBefore = func() int64 { return bs.tested }
-	case RTree:
-		tr, err := rtree.Bulk(pts, rtree.DefaultMaxEntries)
-		if err != nil {
-			return Result{}, err
-		}
-		s = tr
-		testedBefore = func() int64 { return tr.Stats().EntriesTested }
-	case RTreeSTR:
-		tr, err := rtree.BulkSTR(pts, rtree.DefaultMaxEntries)
-		if err != nil {
-			return Result{}, err
-		}
-		s = tr
-		testedBefore = func() int64 { return tr.Stats().EntriesTested }
-	case KDTree:
-		tr, err := kdtree.Build(pts)
-		if err != nil {
-			return Result{}, err
-		}
-		s = tr
-		testedBefore = func() int64 { return tr.Stats().NodesVisited }
-	case QuadTree:
-		tr, err := quadtree.Bulk(pts, quadtree.DefaultCapacity)
-		if err != nil {
-			return Result{}, err
-		}
-		s = tr
-		testedBefore = func() int64 { return tr.Stats().PointsTested + tr.Stats().NodesVisited }
-	default:
-		return Result{}, fmt.Errorf("rangequery: unknown method %d", int(method))
+	s, tested, err := newSearcher(pts, queries, method)
+	if err != nil {
+		return Result{}, err
 	}
-	buildDur := time.Since(buildStart)
+	buildDur := time.Since(start)
 
 	searchStart := time.Now()
 	var hits int64
@@ -153,9 +140,8 @@ func Distributed(c *mpi.Comm, pts data.Points, queries []data.Rect, method Metho
 		hits += int64(len(buf))
 	}
 	searchDur := time.Since(searchStart)
-	tested := testedBefore()
 
-	total := []int64{hits, tested}
+	total := []int64{hits, tested()}
 	if err := mpi.ReduceInto(c, total, mpi.OpSum, 0); err != nil {
 		return Result{}, err
 	}
@@ -183,39 +169,12 @@ func Distributed(c *mpi.Comm, pts data.Points, queries []data.Rect, method Metho
 
 // Sequential answers all queries on one process, the scaling baseline.
 func Sequential(pts data.Points, queries []data.Rect, method Method) (int64, time.Duration, error) {
-	var hits int64
 	start := time.Now()
-	var s searcher
-	switch method {
-	case BruteForce:
-		s = &bruteSearcher{pts: pts}
-	case RTree:
-		tr, err := rtree.Bulk(pts, rtree.DefaultMaxEntries)
-		if err != nil {
-			return 0, 0, err
-		}
-		s = tr
-	case RTreeSTR:
-		tr, err := rtree.BulkSTR(pts, rtree.DefaultMaxEntries)
-		if err != nil {
-			return 0, 0, err
-		}
-		s = tr
-	case KDTree:
-		tr, err := kdtree.Build(pts)
-		if err != nil {
-			return 0, 0, err
-		}
-		s = tr
-	case QuadTree:
-		tr, err := quadtree.Bulk(pts, quadtree.DefaultCapacity)
-		if err != nil {
-			return 0, 0, err
-		}
-		s = tr
-	default:
-		return 0, 0, fmt.Errorf("rangequery: unknown method %d", int(method))
+	s, _, err := newSearcher(pts, queries, method)
+	if err != nil {
+		return 0, 0, err
 	}
+	var hits int64
 	var buf []int
 	for _, q := range queries {
 		buf = s.Search(q, buf[:0])

@@ -36,7 +36,7 @@ type Tree struct {
 	stats Stats
 }
 
-// Stats counts work performed by searches since the last Reset — the
+// Stats counts work performed by searches since the tree was built — the
 // module's stand-in for hardware memory-access counters.
 type Stats struct {
 	NodesVisited  int64 // internal + leaf nodes touched
@@ -159,8 +159,8 @@ func (t *Tree) Len() int { return t.size }
 // Stats returns the cumulative search statistics.
 func (t *Tree) Stats() Stats { return t.stats }
 
-// ResetStats clears the search statistics.
-func (t *Tree) ResetStats() { t.stats = Stats{} }
+// resetStats clears the search statistics.
+func (t *Tree) resetStats() { t.stats = Stats{} }
 
 // InsertPoint indexes a point with the given id.
 func (t *Tree) InsertPoint(pt []float64, id int) error {
@@ -342,8 +342,8 @@ func (t *Tree) search(n *node, q data.Rect, dst []int) []int {
 	return dst
 }
 
-// Height returns the number of levels in the tree (1 for a lone leaf).
-func (t *Tree) Height() int {
+// height returns the number of levels in the tree (1 for a lone leaf).
+func (t *Tree) height() int {
 	h := 1
 	for n := t.root; !n.leaf; n = n.entries[0].child {
 		h++

@@ -111,8 +111,8 @@ func TestInvariantsAfterManyInserts(t *testing.T) {
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatalf("fanout %d final: %v", fanout, err)
 		}
-		if tr.Height() < 2 {
-			t.Fatalf("3000 points produced height %d", tr.Height())
+		if tr.height() < 2 {
+			t.Fatalf("3000 points produced height %d", tr.height())
 		}
 	}
 }
@@ -172,7 +172,7 @@ func TestRectItems(t *testing.T) {
 func TestStatsAccumulateAndReset(t *testing.T) {
 	pts := data.UniformPoints(1000, 2, 0, 10, 9)
 	tr, _ := Bulk(pts, 8)
-	tr.ResetStats()
+	tr.resetStats()
 	q := data.Rect{Min: []float64{2, 2}, Max: []float64{3, 3}}
 	n := len(tr.Search(q, nil))
 	st := tr.Stats()
@@ -186,7 +186,7 @@ func TestStatsAccumulateAndReset(t *testing.T) {
 	if st.EntriesTested >= 1000 {
 		t.Fatalf("no pruning: %d entries tested of 1000 points", st.EntriesTested)
 	}
-	tr.ResetStats()
+	tr.resetStats()
 	if tr.Stats() != (Stats{}) {
 		t.Fatal("reset failed")
 	}
@@ -195,7 +195,7 @@ func TestStatsAccumulateAndReset(t *testing.T) {
 func TestHeightGrowsLogarithmically(t *testing.T) {
 	pts := data.UniformPoints(5000, 2, 0, 1, 21)
 	tr, _ := Bulk(pts, 16)
-	h := tr.Height()
+	h := tr.height()
 	if h < 3 || h > 10 {
 		t.Fatalf("implausible height %d for 5000 points at fanout 16", h)
 	}
@@ -258,8 +258,8 @@ func TestBulkSTRTighterOrEqualSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := data.Rect{Min: []float64{40, 40}, Max: []float64{42, 42}}
-	ins.ResetStats()
-	str.ResetStats()
+	ins.resetStats()
+	str.resetStats()
 	a := ins.Search(q, nil)
 	b := str.Search(q, nil)
 	if !sortedEqual(a, b) {
