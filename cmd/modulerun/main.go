@@ -101,7 +101,7 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.StringVar(&o.overlap, "overlap", "on", "ddp activities: overlap bucket collectives with backward compute (on or off)")
 	fs.IntVar(&o.bucketBytes, "bucket-bytes", 0, "ddp activities: gradient bucket byte cap (0 = module default, 256 KiB)")
 	fs.StringVar(&o.inject, "inject", "", "deterministic fault plan for the run, e.g. rank=2:call=50:kill or frame=drop:prob=0.01:seed=7")
-	fs.DurationVar(&o.heartbeat, "heartbeat", 0, "failure-detection heartbeat interval on the tcp transport (0 = default when -inject is set)")
+	fs.DurationVar(&o.heartbeat, "heartbeat", 0, "failure-detection heartbeat interval (0 = off, but the default on the tcp transport when -inject is set)")
 	fs.DurationVar(&o.opTimeout, "op-timeout", 0, "per-operation timeout: blocked primitives fail with a timeout instead of hanging (0 = off)")
 	fs.DurationVar(&o.latency, "latency", 0, "emulate an interconnect with this one-way wire latency on every cross-rank message (e.g. 1ms; 0 = off)")
 	fs.BoolVar(&o.reliable, "reliable", false, "reliable links on either transport: per-link sequencing, acks, retransmission and CRC32C checksums (survives -inject frame drop/dup/corrupt/reorder)")

@@ -75,7 +75,7 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.BoolVar(&o.profile, "profile", false, "attach the PMPI-style profiler and print the wait-state profile")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write a Chrome/Perfetto trace with message-flow arrows to FILE")
 	fs.StringVar(&o.inject, "inject", "", "deterministic fault plan, e.g. rank=2:call=50:kill or frame=drop:prob=0.01:seed=7")
-	fs.DurationVar(&o.heartbeat, "heartbeat", 0, "failure-detection heartbeat interval on the tcp transport (0 = default when -inject is set)")
+	fs.DurationVar(&o.heartbeat, "heartbeat", 0, "failure-detection heartbeat interval (0 = off, but the default on the tcp transport when -inject is set)")
 	fs.DurationVar(&o.opTimeout, "op-timeout", 0, "per-operation timeout: blocked primitives fail with a timeout instead of hanging (0 = off)")
 	fs.BoolVar(&o.reliable, "reliable", false, "reliable links on either transport: per-link sequencing, acks, retransmission and CRC32C checksums (survives -inject frame drop/dup/corrupt/reorder)")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve per-rank /metrics + /debug/pprof/ endpoints at HOST:PORT (port 0 = ephemeral per rank, fixed port P = P+rank) and print the cross-rank merged snapshot at exit")

@@ -38,13 +38,13 @@ type Plan struct {
 	Reorder float64
 }
 
-// Derive expands one seed into a plan. np is the world size, maxCall
+// derive expands one seed into a plan. np is the world size, maxCall
 // the latest call a kill may target (a kill scheduled past the module's
 // last primitive never fires and would weaken the run), and allowKills
 // gates rank kills for modules without a resilient wrapper.
 //
 // Same seed, same arguments → same plan, always.
-func Derive(seed int64, np, maxCall int, allowKills bool) Plan {
+func derive(seed int64, np, maxCall int, allowKills bool) Plan {
 	rng := rand.New(rand.NewSource(seed))
 	p := Plan{Seed: seed}
 	if allowKills {
@@ -96,9 +96,9 @@ func (p Plan) Spec() string {
 // CHAOS_SEEDS environment variable.
 var DefaultSeeds = []int64{1, 2}
 
-// Seeds returns the seed sweep: CHAOS_SEEDS as a comma-separated list
+// seedSweep returns the seeds to run: CHAOS_SEEDS as a comma-separated list
 // of integers when set, DefaultSeeds otherwise.
-func Seeds() ([]int64, error) {
+func seedSweep() ([]int64, error) {
 	env := strings.TrimSpace(os.Getenv("CHAOS_SEEDS"))
 	if env == "" {
 		return DefaultSeeds, nil

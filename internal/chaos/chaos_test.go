@@ -139,7 +139,7 @@ func runDDP(tcp bool, spec string) (map[int]any, error) {
 // deadlock, abort, corruption-induced divergence, goroutine leak, or
 // pool-buffer leak fails the seed.
 func TestChaosSoak(t *testing.T) {
-	seeds, err := Seeds()
+	seeds, err := seedSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestChaosSoak(t *testing.T) {
 			}
 		}
 		for _, seed := range sweep {
-			plan := Derive(seed, np, m.maxCall, m.allowKills)
+			plan := derive(seed, np, m.maxCall, m.allowKills)
 			spec := plan.Spec()
 			for _, tcp := range []bool{false, true} {
 				transport := "channel"
@@ -210,8 +210,8 @@ func TestChaosSoak(t *testing.T) {
 // a pure function; two derivations of the same seed must agree exactly.
 func TestDeriveDeterministic(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
-		a := Derive(seed, np, 8, true)
-		b := Derive(seed, np, 8, true)
+		a := derive(seed, np, 8, true)
+		b := derive(seed, np, 8, true)
 		if !reflect.DeepEqual(a, b) || a.Spec() != b.Spec() {
 			t.Fatalf("seed %d derived two different plans:\n%+v\n%+v", seed, a, b)
 		}

@@ -49,9 +49,6 @@ func NewFile(path string) *FileCheckpointer {
 	return &FileCheckpointer{path: path}
 }
 
-// Path returns the checkpoint file location.
-func (f *FileCheckpointer) Path() string { return f.path }
-
 // Save atomically replaces the checkpoint with (step, payload): the new
 // checkpoint is staged in a temporary file in the same directory,
 // synced, and renamed over the destination, so a crash mid-save leaves

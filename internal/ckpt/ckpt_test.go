@@ -121,3 +121,6 @@ func TestSaveRejectsNegativeStep(t *testing.T) {
 		t.Fatal("negative step accepted")
 	}
 }
+
+// Path returns the checkpoint file location.
+func (f *FileCheckpointer) Path() string { return f.path }

@@ -230,6 +230,9 @@ type Cluster struct {
 	order   []*Job // pending jobs in submission order
 	nextID  int
 	now     time.Duration
+	// checkedNow is now at the last CheckInvariants call, which fails
+	// if virtual time has run backwards since.
+	checkedNow time.Duration
 
 	// events is the unified min-heap (completions, walltime kills,
 	// requeue expiries, node failures/repairs); eventSeq numbers the

@@ -107,17 +107,6 @@ func (c *Cluster) RepairNode(id int) error {
 	return nil
 }
 
-// DownNodes lists the ids of nodes currently out of service.
-func (c *Cluster) DownNodes() []int {
-	var out []int
-	for _, n := range c.nodes {
-		if n.down {
-			out = append(out, n.id)
-		}
-	}
-	return out
-}
-
 // maybeRequeue resubmits a NodeFail job if its spec opted in and the
 // requeue budget is not exhausted. The job keeps its id and original
 // submit time; it becomes eligible to start after an exponential

@@ -294,3 +294,14 @@ func TestBackoffHeadHoldsNoReservation(t *testing.T) {
 		}
 	})
 }
+
+// DownNodes lists the ids of nodes currently out of service.
+func (c *Cluster) DownNodes() []int {
+	var out []int
+	for _, n := range c.nodes {
+		if n.down {
+			out = append(out, n.id)
+		}
+	}
+	return out
+}

@@ -93,6 +93,13 @@ func TestCheckInvariantsCatches(t *testing.T) {
 		{"settled after now", func(c *Cluster) { c.running[0].settledAt = c.now + 1 }, "stamped after now"},
 		{"ended after now", func(c *Cluster) { c.jobs[1].EndTime = c.now + 1 }, "stamped after now"},
 		{"finished count", func(c *Cluster) { c.jobs[1].State = TimedOut }, "Stats counts"},
+		{"now moved back", func(c *Cluster) {
+			// Checked an hour on, then back a minute: no record is
+			// stamped after either time.
+			c.now += time.Hour
+			_ = c.CheckInvariants()
+			c.now -= time.Minute
+		}, "now moved back"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newTestCluster(t, 1)

@@ -354,8 +354,9 @@ func truncate(s string, n int) string {
 // CheckInvariants validates the scheduler's bookkeeping: per-node free
 // cores must equal capacity minus the tasks of resident jobs, exclusive
 // nodes host exactly one job, every running job's nodes list it, no node
-// is oversubscribed and only running jobs hold nodes. No record is
-// stamped after the current time. Every submitted job is pending,
+// is oversubscribed and only running jobs hold nodes. The current time
+// has not moved back since the previous call, and no record is stamped
+// after it. Every submitted job is pending,
 // running or counted once as finished; with retention on all along the
 // finished counts of Stats equal the table's records in each state;
 // with retention off the table holds exactly the pending and running
@@ -363,6 +364,10 @@ func truncate(s string, n int) string {
 // call it after every event (or, at million-job scale, on a sampled
 // subset of events — it is O(jobs)).
 func (c *Cluster) CheckInvariants() error {
+	if c.now < c.checkedNow {
+		return fmt.Errorf("cluster: now moved back from %v to %v since the last check", c.checkedNow, c.now)
+	}
+	c.checkedNow = c.now
 	type nodeLoad struct {
 		tasks int
 		jobs  int

@@ -15,15 +15,6 @@ import (
 // NumModules is the number of pedagogic modules.
 const NumModules = 5
 
-// ModuleNames gives the modules' short names, 1-based at index-1.
-var ModuleNames = [NumModules]string{
-	"MPI Communication",
-	"Distance Matrix",
-	"Distribution Sort",
-	"Range Queries",
-	"k-means Clustering",
-}
-
 // Bloom is a Bloom-taxonomy level as used in Table I.
 type Bloom byte
 

@@ -149,11 +149,3 @@ func TestBloomAndRequirementStrings(t *testing.T) {
 		t.Fatal("requirement strings")
 	}
 }
-
-func TestModuleNames(t *testing.T) {
-	for m, name := range ModuleNames {
-		if name == "" {
-			t.Fatalf("module %d unnamed", m+1)
-		}
-	}
-}

@@ -180,17 +180,6 @@ func (r Rect) Area() float64 {
 	return area
 }
 
-// Enlarged returns the minimal rectangle covering both r and o.
-func (r Rect) Enlarged(o Rect) Rect {
-	mn := make([]float64, len(r.Min))
-	mx := make([]float64, len(r.Max))
-	for d := range mn {
-		mn[d] = math.Min(r.Min[d], o.Min[d])
-		mx[d] = math.Max(r.Max[d], o.Max[d])
-	}
-	return Rect{Min: mn, Max: mx}
-}
-
 // EnlargedArea returns the area of the union of r and o without
 // allocating — the hot operation of R-tree insertion.
 func EnlargedArea(r, o Rect) float64 {
@@ -255,6 +244,3 @@ func SquaredDistance(a, b []float64) float64 {
 	}
 	return s
 }
-
-// Distance returns the Euclidean distance between two points.
-func Distance(a, b []float64) float64 { return math.Sqrt(SquaredDistance(a, b)) }

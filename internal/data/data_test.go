@@ -6,6 +6,18 @@ import (
 	"testing/quick"
 )
 
+// Enlarged returns the minimal rectangle covering both r and o: the
+// allocating reference that EnlargedArea and ExpandToInclude are held to.
+func (r Rect) Enlarged(o Rect) Rect {
+	mn := make([]float64, len(r.Min))
+	mx := make([]float64, len(r.Max))
+	for d := range mn {
+		mn[d] = math.Min(r.Min[d], o.Min[d])
+		mx[d] = math.Max(r.Max[d], o.Max[d])
+	}
+	return Rect{Min: mn, Max: mx}
+}
+
 func TestUniformPointsShapeAndRange(t *testing.T) {
 	p := UniformPoints(100, 90, -5, 5, 1)
 	if p.N() != 100 || p.Dim != 90 {
@@ -110,7 +122,7 @@ func TestGaussianMixtureTightClusters(t *testing.T) {
 	var nSame, nDiff int
 	for i := 0; i < 100; i++ {
 		for j := i + 1; j < 100; j++ {
-			d := Distance(pts.At(i), pts.At(j))
+			d := math.Sqrt(SquaredDistance(pts.At(i), pts.At(j)))
 			if labels[i] == labels[j] {
 				same += d
 				nSame++
@@ -203,9 +215,6 @@ func TestSquaredDistance(t *testing.T) {
 	b := []float64{4, 6, 3}
 	if got := SquaredDistance(a, b); got != 25 {
 		t.Fatalf("squared distance %v, want 25", got)
-	}
-	if got := Distance(a, b); got != 5 {
-		t.Fatalf("distance %v, want 5", got)
 	}
 	if got := SquaredDistance(a, a); got != 0 {
 		t.Fatalf("self distance %v", got)

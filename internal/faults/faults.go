@@ -327,23 +327,9 @@ func (p *Plan) Kills() []KillRule {
 	return out
 }
 
-// FrameRules returns the compiled frame rules in spec order.
-func (p *Plan) FrameRules() []FrameRule {
-	out := make([]FrameRule, len(p.frames))
-	for i, fs := range p.frames {
-		out[i] = fs.rule
-	}
-	return out
-}
-
 // NodeEvents returns the scheduled node failures sorted by time.
 func (p *Plan) NodeEvents() []NodeEvent {
 	return append([]NodeEvent(nil), p.nodes...)
-}
-
-// Empty reports whether the plan injects nothing at all.
-func (p *Plan) Empty() bool {
-	return len(p.kills) == 0 && len(p.frames) == 0 && len(p.nodes) == 0
 }
 
 // String returns the original specification text.

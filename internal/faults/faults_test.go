@@ -47,9 +47,6 @@ func TestParseMultiRule(t *testing.T) {
 	if len(ne) != 1 || ne[0] != (NodeEvent{Node: 4, At: 90 * time.Second}) {
 		t.Fatalf("node events: %v", ne)
 	}
-	if p.Empty() {
-		t.Fatal("plan reported empty")
-	}
 }
 
 func TestParseEmpty(t *testing.T) {
@@ -57,7 +54,7 @@ func TestParseEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Empty() {
+	if len(p.kills) != 0 || len(p.frames) != 0 || len(p.nodes) != 0 {
 		t.Fatal("blank spec should compile to an empty plan")
 	}
 	if act, d := p.AtFrame(0, 1); act != mpi.FrameDeliver || d != 0 {
@@ -248,4 +245,13 @@ func TestPlanDrivesRuntime(t *testing.T) {
 	if err == nil || !errors.Is(err, mpi.ErrRankKilled) {
 		t.Fatalf("plan-driven run: %v", err)
 	}
+}
+
+// FrameRules returns the compiled frame rules in spec order.
+func (p *Plan) FrameRules() []FrameRule {
+	out := make([]FrameRule, len(p.frames))
+	for i, fs := range p.frames {
+		out[i] = fs.rule
+	}
+	return out
 }

@@ -37,60 +37,6 @@ func sumReducer(key string, values []string, emit func(k, v string)) error {
 	return nil
 }
 
-// InvertedIndex maps "docID\ttext" splits to term → sorted unique doc
-// list, the other classic teaching job.
-func InvertedIndex() Job {
-	return Job{
-		Name: "inverted-index",
-		Map: func(split string, emit func(k, v string)) error {
-			id, text, ok := strings.Cut(split, "\t")
-			if !ok {
-				return fmt.Errorf("split %q is not docID\\ttext", truncate(split, 40))
-			}
-			seen := make(map[string]bool)
-			for _, w := range Tokenize(text) {
-				if !seen[w] {
-					seen[w] = true
-					emit(w, id)
-				}
-			}
-			return nil
-		},
-		Reduce: func(key string, values []string, emit func(k, v string)) error {
-			uniq := values[:0]
-			var last string
-			for i, v := range values { // values arrive sorted
-				if i == 0 || v != last {
-					uniq = append(uniq, v)
-				}
-				last = v
-			}
-			emit(key, strings.Join(uniq, ","))
-			return nil
-		},
-	}
-}
-
-// Grep emits every split containing the pattern, keyed by the pattern —
-// the selection job from the original MapReduce paper.
-func Grep(pattern string) Job {
-	return Job{
-		Name: "grep",
-		Map: func(split string, emit func(k, v string)) error {
-			if strings.Contains(split, pattern) {
-				emit(pattern, split)
-			}
-			return nil
-		},
-		Reduce: func(key string, values []string, emit func(k, v string)) error {
-			for _, v := range values {
-				emit(key, v)
-			}
-			return nil
-		},
-	}
-}
-
 // Tokenize splits text into lower-cased maximal letter runs.
 func Tokenize(text string) []string {
 	var out []string
@@ -111,11 +57,4 @@ func Tokenize(text string) []string {
 		out = append(out, strings.ToLower(text[start:]))
 	}
 	return out
-}
-
-func truncate(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n-1] + "…"
 }

@@ -109,59 +109,6 @@ func TestCombinerReducesShuffleVolume(t *testing.T) {
 	}
 }
 
-func TestInvertedIndex(t *testing.T) {
-	docs := []string{
-		"d1\tparallel computing with message passing",
-		"d2\tdistributed computing and parallel algorithms",
-		"d3\tmessage passing interface",
-	}
-	var got []KV
-	err := mpi.Run(3, func(c *mpi.Comm) error {
-		out, _, err := Run(c, InvertedIndex(), docs)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			got = out
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := kvMap(got)
-	if idx["parallel"] != "d1,d2" {
-		t.Fatalf("parallel → %q", idx["parallel"])
-	}
-	if idx["message"] != "d1,d3" {
-		t.Fatalf("message → %q", idx["message"])
-	}
-	if idx["interface"] != "d3" {
-		t.Fatalf("interface → %q", idx["interface"])
-	}
-}
-
-func TestInvertedIndexRejectsBadSplit(t *testing.T) {
-	if _, err := Sequential(InvertedIndex(), []string{"no-tab-here"}); err == nil {
-		t.Fatal("malformed split accepted")
-	}
-}
-
-func TestGrep(t *testing.T) {
-	out, err := Sequential(Grep("fox"), corpus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 {
-		t.Fatalf("grep found %d lines, want 2", len(out))
-	}
-	for _, kv := range out {
-		if !strings.Contains(kv.Value, "fox") {
-			t.Fatalf("grep returned %q", kv.Value)
-		}
-	}
-}
-
 func TestRunValidation(t *testing.T) {
 	if _, err := Sequential(Job{Name: "empty"}, corpus); err == nil {
 		t.Fatal("job without map/reduce accepted")

@@ -296,19 +296,6 @@ func randomComm(c *mpi.Comm, msgsPerRank int, seed int64, anySource bool) (Rando
 	}, nil
 }
 
-// ExpectedRandomChecksum computes the checksum RandomKnownSources and
-// RandomAnySource must produce for a world of size p: every rank r sends
-// payloads r*1e6+i for i in [0, msgsPerRank).
-func ExpectedRandomChecksum(p, msgsPerRank int) int64 {
-	var sum int64
-	for r := 0; r < p; r++ {
-		for i := 0; i < msgsPerRank; i++ {
-			sum += int64(r*1_000_000 + i)
-		}
-	}
-	return sum
-}
-
 // DeadlockDemo intentionally runs the head-to-head blocking exchange that
 // Module 1 uses to teach deadlock: every rank synchronously sends to its
 // partner before receiving. Returns the error produced by the runtime's

@@ -212,3 +212,16 @@ func TestPingPongOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// ExpectedRandomChecksum computes the checksum RandomKnownSources and
+// RandomAnySource must produce for a world of size p: every rank r sends
+// payloads r*1e6+i for i in [0, msgsPerRank).
+func ExpectedRandomChecksum(p, msgsPerRank int) int64 {
+	var sum int64
+	for r := 0; r < p; r++ {
+		for i := 0; i < msgsPerRank; i++ {
+			sum += int64(r*1_000_000 + i)
+		}
+	}
+	return sum
+}

@@ -9,6 +9,7 @@ package rangequery
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/data"
@@ -88,10 +89,22 @@ func newSearcher(pts data.Points, queries []data.Rect, method Method) (searcher,
 	if err := pts.Validate(); err != nil {
 		return nil, nil, err
 	}
+	// Rect.Contains and Intersects take a NaN for inside, so a NaN
+	// coordinate or bound would match everything.
+	for i, v := range pts.Coords {
+		if math.IsNaN(v) {
+			return nil, nil, fmt.Errorf("rangequery: point %d has a NaN coordinate", i/pts.Dim)
+		}
+	}
 	for i, q := range queries {
 		if len(q.Min) != pts.Dim || len(q.Max) != pts.Dim {
 			return nil, nil, fmt.Errorf("rangequery: query %d has %d-d min and %d-d max, points are %d-d",
 				i, len(q.Min), len(q.Max), pts.Dim)
+		}
+		for d := range q.Min {
+			if math.IsNaN(q.Min[d]) || math.IsNaN(q.Max[d]) {
+				return nil, nil, fmt.Errorf("rangequery: query %d has a NaN bound", i)
+			}
 		}
 	}
 	var tr *rtree.Tree

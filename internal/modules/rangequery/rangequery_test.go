@@ -3,6 +3,7 @@ package rangequery
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/data"
@@ -115,6 +116,9 @@ func TestMalformedInputRejected(t *testing.T) {
 		{"3-d query", pts, []data.Rect{good, {Min: []float64{0, 0, 0}, Max: []float64{5, 5, 5}}}},
 		{"1-d query", pts, []data.Rect{{Min: []float64{0}, Max: []float64{5}}, good}},
 		{"min max differ", pts, []data.Rect{good, {Min: []float64{0, 0}, Max: []float64{5, 5, 5}}}},
+		{"NaN min", pts, []data.Rect{good, {Min: []float64{math.NaN(), 0}, Max: []float64{5, 5}}}},
+		{"NaN max", pts, []data.Rect{good, {Min: []float64{0, 0}, Max: []float64{5, math.NaN()}}}},
+		{"NaN point", data.Points{Dim: 2, Coords: []float64{1, 1, 2, math.NaN()}}, []data.Rect{good}},
 	} {
 		for _, m := range allMethods {
 			t.Run(fmt.Sprintf("%s/%v", tc.name, m), func(t *testing.T) {

@@ -593,63 +593,6 @@ func alltoallPairwise[T Scalar](c *Comm, block func(to int) []T, arrive func(fro
 	return nil
 }
 
-// Allgatherv concatenates variable-sized contributions on every rank
-// (MPI_Allgatherv): a linear gather onto rank 0 followed by a binomial
-// broadcast of the counts and the flattened payload.
-func Allgatherv[T Scalar](c *Comm, data []T) ([][]T, error) {
-	sp := c.begin(PrimAllgather)
-	out, err := allgathervLinear(c, data)
-	bytes := 0
-	for _, b := range out {
-		bytes += len(b)
-	}
-	sp.end(-1, -1, bytes*scalarSize[T](), 0, 0, 0)
-	return out, err
-}
-
-func allgathervLinear[T Scalar](c *Comm, data []T) ([][]T, error) {
-	blocks, err := gatherBlocks(c, data, 0)
-	if err != nil {
-		return nil, err
-	}
-	// Both broadcasts are in place: every rank knows there are p counts,
-	// and the counts tell every rank how long the payload is.
-	p := len(c.members)
-	counts := make([]int64, p)
-	for i, b := range blocks {
-		counts[i] = int64(len(b))
-	}
-	if _, err := runSched(c, schedBcast, 0, counts, nil, inPlace); err != nil {
-		releaseBlocks(blocks)
-		return nil, err
-	}
-	total := 0
-	for _, n := range counts {
-		total += int(n)
-	}
-	flat := getBuf(total)
-	defer putBuf(flat)
-	off := 0
-	for _, b := range blocks {
-		off += copy(flat[off:], b)
-	}
-	releaseBlocks(blocks)
-	if _, err := runSched(c, schedBcast, 0, flat, nil, inPlace); err != nil {
-		return nil, err
-	}
-	out := make([][]T, p)
-	off = 0
-	for i, n := range counts {
-		xs, err := Unmarshal[T](flat[off : off+int(n)])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = xs
-		off += int(n)
-	}
-	return out, nil
-}
-
 // Exscan computes the exclusive prefix reduction (MPI_Exscan): rank r
 // receives the op-fold of ranks 0..r-1; rank 0's result is the zero-value
 // slice (MPI leaves it undefined; zeros are the defined choice here).

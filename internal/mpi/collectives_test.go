@@ -496,38 +496,6 @@ func TestMixedCollectiveAndP2PTraffic(t *testing.T) {
 	}
 }
 
-func TestAllgatherv(t *testing.T) {
-	forSizes(t, func(t *testing.T, np int) {
-		err := Run(np, func(c *Comm) error {
-			mine := make([]int, c.Rank()+1) // rank r contributes r+1 values
-			for i := range mine {
-				mine[i] = c.Rank()*100 + i
-			}
-			all, err := Allgatherv(c, mine)
-			if err != nil {
-				return err
-			}
-			if len(all) != np {
-				return fmt.Errorf("%d blocks", len(all))
-			}
-			for r, blk := range all {
-				if len(blk) != r+1 {
-					return fmt.Errorf("block %d has %d values, want %d", r, len(blk), r+1)
-				}
-				for i, v := range blk {
-					if v != r*100+i {
-						return fmt.Errorf("block %d value %d = %d", r, i, v)
-					}
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 func TestExscan(t *testing.T) {
 	forSizes(t, func(t *testing.T, np int) {
 		err := Run(np, func(c *Comm) error {

@@ -44,10 +44,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in the communicator.
 func (c *Comm) Size() int { return len(c.members) }
 
-// WorldRank returns the caller's rank in the world communicator, which can
-// differ from Rank for communicators produced by Split.
-func (c *Comm) WorldRank() int { return c.worldRank }
-
 // Stats returns a snapshot of the world's communication accounting.
 func (c *Comm) Stats() Snapshot { return c.world.stats.Snapshot() }
 
@@ -140,7 +136,7 @@ func (c *Comm) recvEnvelope(ctx int32, src, tag int, dst []byte) (*envelope, Sta
 }
 
 // sendChecked runs the accounting, profiling and delivery shared by
-// SendBytes, SsendBytes and the typed send wrappers; peer and tag must
+// SendBytes and the typed send wrappers; peer and tag must
 // already be validated. data stays the caller's: it is lent or copied
 // (lendOrCopy), and either way reusable once the send returns.
 func sendChecked[T Scalar](c *Comm, data []T, dest, tag int, sync bool) error {
@@ -164,18 +160,6 @@ func (c *Comm) SendBytes(data []byte, dest, tag int) error {
 		return err
 	}
 	return sendChecked(c, data, dest, tag, false)
-}
-
-// SsendBytes is the explicitly synchronous send (MPI_Ssend): it always
-// blocks until the receiver has matched the message.
-func (c *Comm) SsendBytes(data []byte, dest, tag int) error {
-	if err := c.checkPeer(dest, false); err != nil {
-		return err
-	}
-	if err := checkTag(tag, false); err != nil {
-		return err
-	}
-	return sendChecked(c, data, dest, tag, true)
 }
 
 // RecvBytes receives a message matching (src, tag), which may use
@@ -238,8 +222,8 @@ func (c *Comm) IsendBytes(data []byte, dest, tag int) (*Request, error) {
 	return isendChecked(c, data, dest, tag)
 }
 
-// IrecvBytes starts a nonblocking receive (MPI_Irecv).
-func (c *Comm) IrecvBytes(src, tag int) (*Request, error) {
+// irecv starts a nonblocking receive (MPI_Irecv).
+func (c *Comm) irecv(src, tag int) (*Request, error) {
 	if err := c.checkPeer(src, true); err != nil {
 		return nil, err
 	}
@@ -448,9 +432,9 @@ func Isend[T Scalar](c *Comm, data []T, dest, tag int) (*Request, error) {
 }
 
 // Irecv starts a nonblocking typed receive (MPI_Irecv); complete it with
-// WaitRecv.
+// WaitRecvInto.
 func Irecv[T Scalar](c *Comm, src, tag int) (*Request, error) {
-	return c.IrecvBytes(src, tag)
+	return c.irecv(src, tag)
 }
 
 // Sendrecv performs a combined typed send and receive (MPI_Sendrecv).

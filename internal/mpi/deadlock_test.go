@@ -201,7 +201,7 @@ func TestPostedIrecvUnblocksRendezvousCycle(t *testing.T) {
 		if err := Send(c, big, right, 0); err != nil { // rendezvous: blocks until matched
 			return err
 		}
-		got, _, err := WaitRecv[float64](req)
+		got, _, err := WaitRecvInto[float64](req, nil)
 		if err != nil {
 			return err
 		}

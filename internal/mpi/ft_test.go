@@ -231,7 +231,7 @@ func TestOpTimeoutRendezvous(t *testing.T) {
 	release := make(chan struct{})
 	err := Run(2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			err := c.SsendBytes([]byte("payload"), 1, 3)
+			err := Ssend(c, []byte("payload"), 1, 3)
 			close(release)
 			if !errors.Is(err, ErrTimeout) {
 				return fmt.Errorf("got %v, want ErrTimeout", err)

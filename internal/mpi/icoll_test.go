@@ -651,7 +651,7 @@ func TestAllocHygieneWaitall(t *testing.T) {
 		}
 		var reqs []*Request
 		for i := 0; i < 3; i++ {
-			r, err := c.IrecvBytes(victim, 5)
+			r, err := Irecv[byte](c, victim, 5)
 			if err != nil {
 				return err
 			}

@@ -118,16 +118,11 @@ func WithEagerThreshold(n int) Option {
 }
 
 // WithSynchronousSends forces every Send to use the rendezvous protocol
-// regardless of size, mirroring MPI_Ssend semantics. Useful for
-// demonstrating deadlock with small messages (Module 1).
+// regardless of size, mirroring MPI_Ssend semantics. Tests use it to run
+// a program's small messages down the matched, lent-buffer path that
+// only large ones take by default.
 func WithSynchronousSends() Option {
 	return func(o *options) { o.synchronousSend = true }
-}
-
-// WithDeadlockDetection toggles the deadlock detector (default on for the
-// channel transport, unavailable over TCP or any layered link stack).
-func WithDeadlockDetection(on bool) Option {
-	return func(o *options) { o.detectDeadlock = on }
 }
 
 // WithWatchdog aborts the world if no rank completes an operation for d.

@@ -164,7 +164,7 @@ func TestIsendIrecvWait(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		xs, st, err := WaitRecv[float64](req)
+		xs, st, err := WaitRecvInto[float64](req, nil)
 		if err != nil {
 			return err
 		}
@@ -191,11 +191,11 @@ func TestIrecvOverlap(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			x1, st1, err := WaitRecv[int](r1)
+			x1, st1, err := WaitRecvInto[int](r1, nil)
 			if err != nil {
 				return err
 			}
-			x2, st2, err := WaitRecv[int](r2)
+			x2, st2, err := WaitRecvInto[int](r2, nil)
 			if err != nil {
 				return err
 			}
@@ -498,7 +498,7 @@ func TestIsendRendezvousTestPolling(t *testing.T) {
 
 func TestReduceOpsProdMinMax(t *testing.T) {
 	err := Run(3, func(c *Comm) error {
-		prod, err := Allreduce(c, []int{c.Rank() + 2}, OpProd) // 2*3*4
+		prod, err := Allreduce(c, []int{c.Rank() + 2}, opProd) // 2*3*4
 		if err != nil {
 			return err
 		}

@@ -13,9 +13,6 @@ type Op[T Scalar] func(a, b T) T
 // OpSum is the MPI_SUM analogue.
 func OpSum[T Scalar](a, b T) T { return a + b }
 
-// OpProd is the MPI_PROD analogue.
-func OpProd[T Scalar](a, b T) T { return a * b }
-
 // OpMax is the MPI_MAX analogue.
 func OpMax[T Scalar](a, b T) T {
 	if a > b {

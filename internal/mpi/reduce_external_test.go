@@ -19,7 +19,7 @@ func TestSumFoldRecognisedAcrossPackages(t *testing.T) {
 	if mpi.IsSum[float64](userSum) {
 		t.Fatal("a user-written a+b was taken for mpi.OpSum")
 	}
-	if mpi.IsSum(mpi.OpMax[float64]) || mpi.IsSum(mpi.OpProd[int64]) {
+	if mpi.IsSum(mpi.OpMax[float64]) || mpi.IsSum(mpi.OpMin[int64]) {
 		t.Fatal("another predefined operator was taken for mpi.OpSum")
 	}
 

@@ -13,7 +13,7 @@ const (
 
 // Request represents an outstanding nonblocking operation started by
 // Isend, Irecv, Win.PutAsync or Win.GetAsync, mirroring MPI_Request.
-// Complete it with Wait, WaitRecv (typed) or poll it with Test.
+// Complete it with Wait, WaitRecvInto (typed) or poll it with Test.
 type Request struct {
 	comm *Comm
 	kind reqKind
@@ -198,18 +198,6 @@ func Waitall(reqs ...*Request) error {
 		}
 	}
 	return firstErr
-}
-
-// WaitRecv completes a typed nonblocking receive started with Irecv. The
-// wire buffer stays attached to the request (repeated Wait calls return
-// it again), so it is not recycled; use WaitRecvInto in hot loops.
-func WaitRecv[T Scalar](r *Request) ([]T, Status, error) {
-	b, st, err := r.Wait()
-	if err != nil {
-		return nil, st, err
-	}
-	xs, err := Unmarshal[T](b)
-	return xs, st, err
 }
 
 // WaitRecvInto completes a typed nonblocking receive, decoding into dst's

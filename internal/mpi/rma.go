@@ -3,7 +3,6 @@ package mpi
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -102,19 +101,13 @@ const (
 	rmaUnlock
 )
 
-// Element kinds for Accumulate, packed into the header's dtype nibble.
-const (
-	rmaElemInt64 byte = iota
-	rmaElemFloat64
-)
-
 // Frame format (kindRMAReq payload): a back-to-back run of entries, each
 // a fixed header followed by its payload.
 //
 //	op(1) dtype(1) offset(8, LE) msgid(8, LE) len(4, LE) payload(len)
 //
 // The payload is op-specific: the bytes to write for Put; whole 8-byte
-// elements for Accumulate, whose dtype packs element kind<<4 | AccOp;
+// int64 elements for Accumulate, whose dtype is the AccOp;
 // the requested length as an int64 for Get; compare‖swap for
 // CompareAndSwap; nothing for Lock, whose dtype is the shared flag, and
 // Unlock. A frame is either a run of Put/Accumulate entries, confirmed by
@@ -164,7 +157,7 @@ func rmaBatchNext(b []byte) (op, dtype byte, offset, msgid int64, data []byte, o
 	case rmaPut:
 		ok = true
 	case rmaAcc:
-		ok = dtype>>4 <= rmaElemFloat64 && AccOp(dtype&0x0f) <= AccMin && n%8 == 0
+		ok = AccOp(dtype) <= AccMin && n%8 == 0
 	case rmaGet:
 		ok = n == 8 && int64(binary.LittleEndian.Uint64(data)) >= 0
 	case rmaCas:
@@ -657,16 +650,8 @@ func (w *Win) directTarget(target int) *winTarget {
 // encoding. Like Put it completes locally at once; the target applies
 // each Accumulate atomically with respect to other RMA operations.
 func (w *Win) Accumulate(target, offset int, vals []int64, op AccOp) error {
-	return w.accumulate(target, offset, rmaElemInt64, marshalPooled(vals), op, len(vals))
-}
-
-// AccumulateFloat64 is Accumulate over float64 elements.
-func (w *Win) AccumulateFloat64(target, offset int, vals []float64, op AccOp) error {
-	return w.accumulate(target, offset, rmaElemFloat64, marshalPooled(vals), op, len(vals))
-}
-
-func (w *Win) accumulate(target, offset int, elem byte, payload []byte, op AccOp, nvals int) error {
 	sp := w.c.begin(PrimRMAAcc)
+	payload := marshalPooled(vals)
 	var (
 		msgid int64
 		err   error
@@ -674,10 +659,10 @@ func (w *Win) accumulate(target, offset int, elem byte, payload []byte, op AccOp
 	if op > AccMin {
 		err = fmt.Errorf("mpi: Accumulate: unknown op %v", op)
 	} else {
-		msgid, err = w.queueOp(target, offset, rmaAcc, elem<<4|byte(op), payload)
+		msgid, err = w.queueOp(target, offset, rmaAcc, byte(op), payload)
 	}
 	putBuf(payload)
-	sp.end(w.peerOf(target), -1, 8*nvals, msgid, 0, 0)
+	sp.end(w.peerOf(target), -1, 8*len(vals), msgid, 0, 0)
 	return err
 }
 
@@ -981,7 +966,7 @@ func (w *World) applyRMA(t *winTarget, target, origin int, seq int64, frame []by
 			}
 		case rmaAcc:
 			if inWindow(size, offset, int64(len(data))) {
-				applyAccumulate(t.buf[offset:], dtype>>4, AccOp(dtype&0x0f), data)
+				applyAccumulate(t.buf[offset:], AccOp(dtype), data)
 			}
 		case rmaGet:
 			if n := int64(binary.LittleEndian.Uint64(data)); inWindow(size, offset, n) {
@@ -1065,46 +1050,19 @@ func (t *winTarget) releaseLocked() (granted []lockWaiter) {
 // applyAccumulate combines payload into dst element by element. Both are
 // at least as long as payload, a whole number of 8-byte elements
 // (rmaBatchNext validated that), in the canonical little-endian encoding.
-func applyAccumulate(dst []byte, elem byte, op AccOp, payload []byte) {
+func applyAccumulate(dst []byte, op AccOp, payload []byte) {
 	for i := 0; i+8 <= len(payload); i += 8 {
-		cur := binary.LittleEndian.Uint64(dst[i:])
-		val := binary.LittleEndian.Uint64(payload[i:])
-		var out uint64
-		if elem == rmaElemFloat64 {
-			c, v := math.Float64frombits(cur), math.Float64frombits(val)
-			var r float64
-			switch op {
-			case AccReplace:
-				r = v
-			case AccSum:
-				r = c + v
-			case AccMax:
-				r = math.Max(c, v)
-			case AccMin:
-				r = math.Min(c, v)
-			}
-			out = math.Float64bits(r)
-		} else {
-			c, v := int64(cur), int64(val)
-			var r int64
-			switch op {
-			case AccReplace:
-				r = v
-			case AccSum:
-				r = c + v
-			case AccMax:
-				r = c
-				if v > c {
-					r = v
-				}
-			case AccMin:
-				r = c
-				if v < c {
-					r = v
-				}
-			}
-			out = uint64(r)
+		c := int64(binary.LittleEndian.Uint64(dst[i:]))
+		v := int64(binary.LittleEndian.Uint64(payload[i:]))
+		r := v
+		switch op {
+		case AccSum:
+			r = c + v
+		case AccMax:
+			r = max(c, v)
+		case AccMin:
+			r = min(c, v)
 		}
-		binary.LittleEndian.PutUint64(dst[i:], out)
+		binary.LittleEndian.PutUint64(dst[i:], uint64(r))
 	}
 }

@@ -410,7 +410,7 @@ func TestRMAApplyOverflow(t *testing.T) {
 		frame []byte
 	}{
 		{"put", appendBatchEntry(nil, rmaPut, 0, off, 0, make([]byte, 8))},
-		{"acc", appendBatchEntry(nil, rmaAcc, rmaElemInt64<<4|byte(AccSum), off, 0, le64s(1))},
+		{"acc", appendBatchEntry(nil, rmaAcc, byte(AccSum), off, 0, le64s(1))},
 		{"get", appendBatchEntry(nil, rmaGet, 0, off, 0, le64s(8))},
 		{"get-huge-length", appendBatchEntry(nil, rmaGet, 0, 8, 0, le64s(math.MaxInt64))},
 		{"cas", appendBatchEntry(nil, rmaCas, 0, off, 0, le64s(0, 1))},
@@ -438,8 +438,8 @@ func FuzzRMABatchFrame(f *testing.F) {
 	f.Add(one)
 	var multi []byte
 	multi = appendBatchEntry(multi, rmaPut, 0, 64, 2, make([]byte, 16))
-	multi = appendBatchEntry(multi, rmaAcc, rmaElemInt64<<4|byte(AccSum), 8, 3, make([]byte, 8))
-	multi = appendBatchEntry(multi, rmaAcc, rmaElemFloat64<<4|byte(AccMax), 16, 0, make([]byte, 24))
+	multi = appendBatchEntry(multi, rmaAcc, byte(AccSum), 8, 3, make([]byte, 8))
+	multi = appendBatchEntry(multi, rmaAcc, byte(AccMax), 16, 0, make([]byte, 24))
 	f.Add(multi)
 	f.Add(appendBatchEntry(nil, rmaPut, 0, 1<<40, 0, nil))
 	f.Add(appendBatchEntry(nil, rmaGet, 0, 0, 0, nil)) // a Get without its length: must be rejected

@@ -171,47 +171,6 @@ func TestRMAAccumulate(t *testing.T) {
 	})
 }
 
-// TestRMAAccumulateFloat64 checks the float64 element kind.
-func TestRMAAccumulateFloat64(t *testing.T) {
-	const np = 3
-	rmaTransports(t, np, func(c *Comm) error {
-		w, err := c.WinCreate(16)
-		if err != nil {
-			return err
-		}
-		v := 0.5 * float64(c.Rank()+1)
-		if err := w.AccumulateFloat64(0, 0, []float64{v}, AccSum); err != nil {
-			return err
-		}
-		if err := w.AccumulateFloat64(0, 8, []float64{v}, AccMax); err != nil {
-			return err
-		}
-		if err := w.Fence(); err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			sum, err := w.Get(0, 0, 16)
-			if err != nil {
-				return err
-			}
-			defer Release(sum)
-			gotSum := float64frombytes(sum[0:])
-			gotMax := float64frombytes(sum[8:])
-			if gotSum != 0.5+1.0+1.5 {
-				return fmt.Errorf("float SUM = %v, want 3.0", gotSum)
-			}
-			if gotMax != 1.5 {
-				return fmt.Errorf("float MAX = %v, want 1.5", gotMax)
-			}
-		}
-		return w.Free()
-	})
-}
-
-func float64frombytes(b []byte) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
-}
-
 // TestRMACompareAndSwap: all ranks race a CAS on rank 0's slot; exactly
 // one must win, and the slot must hold the winner's stamp.
 func TestRMACompareAndSwap(t *testing.T) {
@@ -749,8 +708,8 @@ func TestRMAAccessOverflow(t *testing.T) {
 func FuzzRMAFrame(f *testing.F) {
 	f.Add(appendBatchEntry(nil, rmaPut, 0, 0, 0, []byte("hello")))
 	f.Add(appendBatchEntry(nil, rmaGet, 0, 16, 0, le64s(8)))
-	f.Add(appendBatchEntry(nil, rmaAcc, rmaElemInt64<<4|byte(AccSum), 0, 0, make([]byte, 16)))
-	f.Add(appendBatchEntry(nil, rmaAcc, rmaElemFloat64<<4|byte(AccMax), 8, 0, make([]byte, 8)))
+	f.Add(appendBatchEntry(nil, rmaAcc, byte(AccSum), 0, 0, make([]byte, 16)))
+	f.Add(appendBatchEntry(nil, rmaAcc, 1<<4|byte(AccMax), 8, 0, make([]byte, 8))) // an element kind beside int64: must be rejected
 	f.Add(appendBatchEntry(nil, rmaCas, 0, 0, 0, le64s(42, 0)))
 	f.Add(appendBatchEntry(nil, rmaLock, 1, 0, 0, nil))
 	f.Add(appendBatchEntry(nil, rmaUnlock, 0, 0, 0, nil))

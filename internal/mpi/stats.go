@@ -145,16 +145,6 @@ func IcollStats() IcollCounters {
 	}
 }
 
-// PrimitiveByName resolves an MPI-style name ("MPI_Send") to a Primitive.
-func PrimitiveByName(name string) (Primitive, bool) {
-	for i, n := range primitiveNames {
-		if n == name {
-			return Primitive(i), true
-		}
-	}
-	return 0, false
-}
-
 // rankStats holds one rank's counters. Fields are atomics because the
 // world aggregates while ranks run (e.g. a registry snapshotting mid-run).
 type rankStats struct {

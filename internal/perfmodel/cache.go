@@ -13,14 +13,12 @@ import (
 
 // Cache is a set-associative cache with LRU replacement. Addresses are
 // byte addresses; a simulation maps array elements to addresses and plays
-// the exact access stream of a kernel through the cache. An optional next
-// level services misses, so hierarchies compose.
+// the exact access stream of a kernel through the cache.
 type Cache struct {
 	lineSize uint64
 	sets     uint64
 	ways     int
 	tags     [][]uint64 // tags[set] is LRU-ordered, most recent first
-	next     *Cache
 
 	accesses int64
 	misses   int64
@@ -48,13 +46,6 @@ func NewCache(sizeBytes, lineSize, ways int) (*Cache, error) {
 	return c, nil
 }
 
-// WithNextLevel chains a larger cache behind this one; misses here access
-// the next level. Returns c for fluent construction.
-func (c *Cache) WithNextLevel(next *Cache) *Cache {
-	c.next = next
-	return c
-}
-
 // Access simulates one access to the byte address and reports a hit.
 func (c *Cache) Access(addr uint64) bool {
 	c.accesses++
@@ -71,9 +62,6 @@ func (c *Cache) Access(addr uint64) bool {
 		}
 	}
 	c.misses++
-	if c.next != nil {
-		c.next.Access(addr)
-	}
 	if len(ways) < c.ways {
 		ways = append(ways, 0)
 	}
@@ -112,7 +100,4 @@ func (c *Cache) Reset() {
 		c.tags[i] = nil
 	}
 	c.accesses, c.misses = 0, 0
-	if c.next != nil {
-		c.next.Reset()
-	}
 }

@@ -1,9 +1,6 @@
 package perfmodel
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Job is a program competing for a node's shared memory bandwidth in the
 // co-scheduling model behind the Section IV-B quiz question and the
@@ -100,14 +97,6 @@ func (m Machine) CoScheduleChoice(programs [2]Job, theirs Job) (choice int, slow
 	return 0, slowdowns, nil
 }
 
-// TwinsSlowdown reports the degradation of running two copies of the same
-// job on one node — the "terrible twins" experiment. Memory-bound jobs
-// approach 2×; compute-bound jobs stay near 1×.
-func (m Machine) TwinsSlowdown(j Job) (float64, error) {
-	s, _, err := m.CoSchedule(j, j)
-	return s, err
-}
-
 // MemoryBoundKernel builds a kernel with low arithmetic intensity (the
 // Figure 1 "Program 1" shape): ai flops per byte over the given working
 // set.
@@ -143,6 +132,3 @@ func (m Machine) ScalingCurve(k Kernel, ranks []int, nodes int) (map[int]float64
 	}
 	return out, nil
 }
-
-// FormatDuration pretty-prints a modeled duration for report output.
-func FormatDuration(d time.Duration) string { return d.Round(time.Microsecond).String() }

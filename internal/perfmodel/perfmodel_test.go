@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestNewCacheValidation(t *testing.T) {
@@ -98,21 +97,6 @@ func TestCacheWorkingSetSweep(t *testing.T) {
 	misses2 := c.Misses() - before
 	if misses2 < int64(big/64/2) {
 		t.Fatalf("oversized working set should thrash, second pass missed only %d", misses2)
-	}
-}
-
-func TestCacheHierarchy(t *testing.T) {
-	l2, _ := NewCache(256*1024, 64, 8)
-	l1, _ := NewCache(32*1024, 64, 8)
-	l1.WithNextLevel(l2)
-	l1.AccessRange(0, 64*1024) // misses in L1 populate L2
-	l1.Reset()                 // Reset propagates
-	if l2.Accesses() != 0 {
-		t.Fatal("reset did not propagate to next level")
-	}
-	l1.AccessRange(0, 64*1024)
-	if l2.Accesses() != l1.Misses() {
-		t.Fatalf("L2 accesses %d != L1 misses %d", l2.Accesses(), l1.Misses())
 	}
 }
 
@@ -251,11 +235,11 @@ func TestTerribleTwins(t *testing.T) {
 	memJob := Job{Name: "mem", Kernel: MemoryBoundKernel("mem", 1e11, 0.1), Ranks: 10}
 	cpuJob := Job{Name: "cpu", Kernel: ComputeBoundKernel("cpu", 1e12, 100), Ranks: 10}
 
-	memTwins, err := m.TwinsSlowdown(memJob)
+	memTwins, _, err := m.CoSchedule(memJob, memJob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpuTwins, err := m.TwinsSlowdown(cpuJob)
+	cpuTwins, _, err := m.CoSchedule(cpuJob, cpuJob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,12 +313,6 @@ func TestScalingCurve(t *testing.T) {
 	}
 	if curve[20] < curve[16] {
 		t.Fatalf("curve not monotone: %v", curve)
-	}
-}
-
-func TestFormatDuration(t *testing.T) {
-	if got := FormatDuration(1234567 * time.Nanosecond); got != "1.235ms" {
-		t.Fatalf("FormatDuration = %q", got)
 	}
 }
 

@@ -43,7 +43,7 @@ func parityWorkload(c *mpi.Comm) error {
 	if err != nil {
 		return err
 	}
-	rreq, err := c.IrecvBytes(left, tag+1)
+	rreq, err := mpi.Irecv[byte](c, left, tag+1)
 	if err != nil {
 		return err
 	}
@@ -189,7 +189,7 @@ func TestLateReceiverFixture(t *testing.T) {
 	pc := New()
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
-			return c.SsendBytes([]byte("eager-but-sync"), 1, 0)
+			return mpi.Ssend(c, []byte("eager-but-sync"), 1, 0)
 		}
 		time.Sleep(delay)
 		_, _, err := c.RecvBytes(0, 0)
