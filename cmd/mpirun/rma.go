@@ -17,6 +17,9 @@ import (
 //   - races a CompareAndSwap on the leader cell, which exactly one rank
 //     wins.
 //
+// After the fence every rank reads the sum cell back with a one-sided
+// Get and checks it against the closed form.
+//
 // A second epoch repeats the Put nonblocking: every rank PutAsyncs a
 // scaled value over its own cell and holds the request — it completes
 // only when the fence closes the epoch, which the demo makes visible by
@@ -57,6 +60,13 @@ func rmaDemo(c *mpi.Comm) error {
 	if old == 0 {
 		fmt.Printf("rank %d won the CAS race for the leader cell\n", c.Rank())
 	}
+	want := int64(n) * int64(n+1) / 2
+	if err := win.GetInto(cell[:], 0, sumCell); err != nil {
+		return err
+	}
+	if got := int64(binary.LittleEndian.Uint64(cell[:])); got != want {
+		return fmt.Errorf("rma demo: rank %d read accumulate cell %d, want %d", c.Rank(), got, want)
+	}
 	if c.Rank() == 0 {
 		local := win.Local()
 		var puts int64
@@ -65,7 +75,6 @@ func rmaDemo(c *mpi.Comm) error {
 		}
 		sum := int64(binary.LittleEndian.Uint64(local[sumCell:]))
 		leader := int64(binary.LittleEndian.Uint64(local[leaderCell:]))
-		want := int64(n) * int64(n+1) / 2
 		fmt.Printf("window after fence: put cells sum %d, accumulate cell %d (want %d), leader rank %d\n",
 			puts, sum, want, leader-1)
 		if puts != want || sum != want || leader < 1 || leader > int64(n) {
@@ -107,10 +116,9 @@ func rmaDemo(c *mpi.Comm) error {
 		for r := 0; r < n; r++ {
 			puts += int64(binary.LittleEndian.Uint64(local[r*8:]))
 		}
-		want := 10 * int64(n) * int64(n+1) / 2
-		fmt.Printf("window after async epoch: put cells sum %d (want %d)\n", puts, want)
-		if puts != want {
-			return fmt.Errorf("rma demo: async epoch inconsistent (puts=%d want=%d)", puts, want)
+		fmt.Printf("window after async epoch: put cells sum %d (want %d)\n", puts, 10*want)
+		if puts != 10*want {
+			return fmt.Errorf("rma demo: async epoch inconsistent (puts=%d want=%d)", puts, 10*want)
 		}
 		d := mpi.RMABatchStats().Sub(start)
 		ratio := float64(0)

@@ -120,7 +120,7 @@ var TableII = []PrimitiveRow{
 
 // SendRecvVariants lists the primitives the "variants" row of Table II
 // covers in this implementation.
-var SendRecvVariants = []string{"MPI_Isend", "MPI_Irecv", "MPI_Wait", "MPI_Sendrecv", "MPI_Probe", "MPI_Iprobe"}
+var SendRecvVariants = []string{"MPI_Isend", "MPI_Irecv", "MPI_Wait", "MPI_Sendrecv", "MPI_Probe"}
 
 // RequirementFor looks up the Table II cell for a primitive name and a
 // 1-based module. A primitive whose direct row does not cover the module

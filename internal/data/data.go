@@ -35,11 +35,6 @@ func (p Points) At(i int) []float64 {
 	return p.Coords[i*p.Dim : (i+1)*p.Dim]
 }
 
-// Slice returns points [lo, hi) as a view sharing storage.
-func (p Points) Slice(lo, hi int) Points {
-	return Points{Dim: p.Dim, Coords: p.Coords[lo*p.Dim : hi*p.Dim]}
-}
-
 // Validate checks structural invariants.
 func (p Points) Validate() error {
 	if p.Dim <= 0 {

@@ -305,3 +305,8 @@ func TestCloneIsDeep(t *testing.T) {
 		t.Fatal("clone shares storage")
 	}
 }
+
+// Slice returns points [lo, hi) as a view sharing storage.
+func (p Points) Slice(lo, hi int) Points {
+	return Points{Dim: p.Dim, Coords: p.Coords[lo*p.Dim : hi*p.Dim]}
+}

@@ -27,13 +27,6 @@ import (
 	"repro/internal/mpi"
 )
 
-// KillRule fires once: rank Rank is killed upon entering its Call-th
-// counted MPI primitive (1-based).
-type KillRule struct {
-	Rank int
-	Call int
-}
-
 // FrameRule perturbs data frames on a link. Each candidate
 // frame matching the Src/Dst filters (−1 matches any rank) is faulted
 // with probability Prob using the rule's seeded PRNG; Count, when
@@ -310,21 +303,6 @@ func (p *Plan) AtFrame(src, dst int) (mpi.FrameAction, time.Duration) {
 		}
 	}
 	return mpi.FrameDeliver, 0
-}
-
-// Kills returns the compiled kill rules, sorted by rank then call.
-func (p *Plan) Kills() []KillRule {
-	out := make([]KillRule, 0, len(p.kills))
-	for k := range p.kills {
-		out = append(out, KillRule{Rank: k[0], Call: k[1]})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Rank != out[j].Rank {
-			return out[i].Rank < out[j].Rank
-		}
-		return out[i].Call < out[j].Call
-	})
-	return out
 }
 
 // NodeEvents returns the scheduled node failures sorted by time.

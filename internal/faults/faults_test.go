@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"sort"
 	"testing"
 	"time"
 
@@ -253,5 +254,27 @@ func (p *Plan) FrameRules() []FrameRule {
 	for i, fs := range p.frames {
 		out[i] = fs.rule
 	}
+	return out
+}
+
+// KillRule fires once: rank Rank is killed upon entering its Call-th
+// counted MPI primitive (1-based).
+type KillRule struct {
+	Rank int
+	Call int
+}
+
+// Kills returns the compiled kill rules, sorted by rank then call.
+func (p *Plan) Kills() []KillRule {
+	out := make([]KillRule, 0, len(p.kills))
+	for k := range p.kills {
+		out = append(out, KillRule{Rank: k[0], Call: k[1]})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Rank != out[j].Rank {
+			return out[i].Rank < out[j].Rank
+		}
+		return out[i].Call < out[j].Call
+	})
 	return out
 }

@@ -137,32 +137,6 @@ func Run(c *mpi.Comm, job Job, splits []string) ([]KV, Stats, error) {
 	return all, st, nil
 }
 
-// Sequential executes the job on one process — the reference the tests
-// compare distributed runs against.
-func Sequential(job Job, splits []string) ([]KV, error) {
-	if job.Map == nil || job.Reduce == nil {
-		return nil, fmt.Errorf("mapreduce: job %q needs Map and Reduce", job.Name)
-	}
-	var mapOut []KV
-	emit := func(k, v string) { mapOut = append(mapOut, KV{k, v}) }
-	for i, split := range splits {
-		if err := job.Map(split, emit); err != nil {
-			return nil, fmt.Errorf("mapreduce: map split %d: %w", i, err)
-		}
-	}
-	out, err := reduceByKey(mapOut, job.Reduce)
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Key != out[j].Key {
-			return out[i].Key < out[j].Key
-		}
-		return out[i].Value < out[j].Value
-	})
-	return out, nil
-}
-
 // reduceByKey groups pairs by key (sorting first) and applies the
 // reducer to each group.
 func reduceByKey(kvs []KV, reduce Reducer) ([]KV, error) {

@@ -1,15 +1,21 @@
 package mapreduce
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/mpi"
 )
+
+// errStop is what a rank returns, once it has seen the error under
+// test, to stop the world and release peers blocked in a collective.
+var errStop = errors.New("stop the world")
 
 var corpus = []string{
 	"the quick brown fox jumps over the lazy dog",
@@ -274,12 +280,13 @@ func TestReducerErrorPropagates(t *testing.T) {
 		if !strings.Contains(err.Error(), "fox") {
 			return fmt.Errorf("unhelpful error: %v", err)
 		}
-		// Only the rank owning "fox" fails; abort so peers blocked in
-		// the gather are released.
-		c.Abort(nil)
-		return nil
+		// Only the rank owning "fox" fails; returning an error aborts
+		// the world, so peers blocked in the gather are released.
+		return errStop
 	})
-	_ = err // world necessarily reports the abort; assertions above are the test
+	if !errors.Is(err, errStop) {
+		t.Fatalf("the failing rank did not see the reducer's error: %v", err)
+	}
 }
 
 func TestMapperErrorPropagates(t *testing.T) {
@@ -290,4 +297,30 @@ func TestMapperErrorPropagates(t *testing.T) {
 	if _, err := Sequential(job, corpus); err == nil || !strings.Contains(err.Error(), "mapper exploded") {
 		t.Fatalf("mapper error: %v", err)
 	}
+}
+
+// Sequential executes the job on one process — the reference the tests
+// compare distributed runs against.
+func Sequential(job Job, splits []string) ([]KV, error) {
+	if job.Map == nil || job.Reduce == nil {
+		return nil, fmt.Errorf("mapreduce: job %q needs Map and Reduce", job.Name)
+	}
+	var mapOut []KV
+	emit := func(k, v string) { mapOut = append(mapOut, KV{k, v}) }
+	for i, split := range splits {
+		if err := job.Map(split, emit); err != nil {
+			return nil, fmt.Errorf("mapreduce: map split %d: %w", i, err)
+		}
+	}
+	out, err := reduceByKey(mapOut, job.Reduce)
+	if err != nil {
+		return nil, err
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Key != out[j].Key {
+			return out[i].Key < out[j].Key
+		}
+		return out[i].Value < out[j].Value
+	})
+	return out, nil
 }

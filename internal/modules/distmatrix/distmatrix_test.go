@@ -268,3 +268,30 @@ func TestTileSweepValidation(t *testing.T) {
 		t.Fatal("zero tile accepted")
 	}
 }
+
+// TilePoint is one entry of a tile-size sweep.
+type TilePoint struct {
+	Tile     int
+	MissRate float64
+}
+
+// TileSweep replays the tiled kernel's access stream for each tile size
+// and reports the simulated miss rate — the learning-outcome-6 experiment
+// ("performance trade-offs between small and large tile sizes"): small
+// tiles approach the row-wise stream's behaviour on the i side and pay
+// loop overhead in wall clock; tiles whose working set exceeds the cache
+// thrash again.
+func TileSweep(cache *perfmodel.Cache, n, dim, rows int, tiles []int) ([]TilePoint, error) {
+	out := make([]TilePoint, 0, len(tiles))
+	for _, tile := range tiles {
+		if tile <= 0 {
+			return nil, fmt.Errorf("distmatrix: tile %d must be positive", tile)
+		}
+		rep, err := SimulateCache(cache, n, dim, rows, tile)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, TilePoint{Tile: tile, MissRate: rep.TiledMissRate})
+	}
+	return out, nil
+}

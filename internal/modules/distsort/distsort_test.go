@@ -1,6 +1,7 @@
 package distsort
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,6 +12,10 @@ import (
 	"repro/internal/data"
 	"repro/internal/mpi"
 )
+
+// errStop is what a rank returns, once it has seen the error under
+// test, to stop the world and release peers blocked in a collective.
+var errStop = errors.New("stop the world")
 
 // runSort executes the distributed sort across np ranks over the given
 // global key set (dealt round-robin to ranks) and returns the
@@ -102,6 +107,31 @@ func TestSampledSplitterAblation(t *testing.T) {
 	}
 }
 
+// TestOutlierDefeatsRangeSplitters pins the lesson of a single outlier:
+// one key at 1e300 among 100k uniform keys per rank in [0, 1000)
+// stretches the global range, so EqualWidth's buckets and the
+// histogram's bins over that range put every other key on one rank
+// (imbalance p), while the regular sample never sees the range at all.
+func TestOutlierDefeatsRangeSplitters(t *testing.T) {
+	const np = 4
+	keys := data.UniformKeys(np*100_000, 0, 1000, 1)
+	keys[0] = 1e300
+	for _, tc := range []struct {
+		splitter Splitter
+		lo, hi   float64
+	}{
+		{EqualWidth, np - 0.001, np + 0.001},
+		{Histogram, np - 0.001, np + 0.001},
+		{Sampled, 1, 1.05},
+	} {
+		all, results := runSort(t, np, keys, tc.splitter)
+		assertSorted(t, all, keys)
+		if imb := results[0].Imbalance; imb < tc.lo || imb > tc.hi {
+			t.Errorf("%v with an outlier: imbalance %.4f, want %.3f to %.3f", tc.splitter, imb, tc.lo, tc.hi)
+		}
+	}
+}
+
 func TestAllSplittersAllSizes(t *testing.T) {
 	keys := data.UniformKeys(9_999, -50, 50, 5) // odd size, negative keys
 	for _, np := range []int{1, 2, 3, 5, 8} {
@@ -158,10 +188,11 @@ func TestUnknownSplitterRejected(t *testing.T) {
 		if err == nil {
 			return fmt.Errorf("unknown splitter accepted")
 		}
-		c.Abort(nil) // peers may be mid-collective; stop the world
-		return nil
+		return errStop // peers may be mid-collective; the error stops the world
 	})
-	_ = err
+	if !errors.Is(err, errStop) {
+		t.Fatalf("unknown splitter not rejected: %v", err)
+	}
 }
 
 func TestSequentialSort(t *testing.T) {

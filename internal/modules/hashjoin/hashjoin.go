@@ -408,16 +408,16 @@ func Sequential(build, probe []Tuple) []Pair {
 // sends, every rank deposits its build tuples directly into the owning
 // rank's window, and the owner builds its table over the window bytes.
 // The probe side stays two-sided, so the equivalence tests compare
-// exactly the phase the ISSUE swaps. Two deposit strategies are
+// exactly the phase that differs. Two deposit strategies are
 // implemented — they are the before and after of the module's measure →
 // explain → optimize study:
 //
-//   - JoinRMAPerTuple claims a window slot per tuple with
-//     CompareAndSwap and Puts the tuple body into it: a distributed
-//     open-addressing hash table, and a faithful rendition of the naive
-//     one-sided pattern. Every claim is a synchronous round trip, so
-//     the build phase pays per-op latency × tuples and loses to the
-//     two-sided exchange by an order of magnitude.
+//   - JoinRMAPerTuple claims a window slot per tuple by advancing the
+//     owner's tail counter with CompareAndSwap and Puts the tuple body
+//     into it: a faithful rendition of the naive one-sided pattern.
+//     Every claim is a synchronous round trip, so the build phase pays
+//     per-op latency × tuples and loses to the two-sided exchange by an
+//     order of magnitude.
 //
 //   - JoinRMA reserves one contiguous run of slots per owner — a single
 //     CompareAndSwap loop on a tail counter — and deposits the whole
@@ -426,13 +426,9 @@ func Sequential(build, probe []Tuple) []Pair {
 //     build costs O(ranks) round trips instead of O(tuples), and the
 //     one-sided build reaches parity with the two-sided exchange.
 
-// slotBytes is the window footprint of one build tuple: state, key,
-// payload — three little-endian int64 words.
-const slotBytes = 24
-
-// hashSlot maps a key to its home slot, in the build table and in the
-// per-tuple window, with a different mixer than hashKey, so the owner
-// assignment and the slot position are independent.
+// hashSlot maps a key to its home slot in the build table, with a
+// different mixer than hashKey, so the owner assignment and the slot
+// position are independent.
 func hashSlot(k int64, slots int) int {
 	x := uint64(k) * 0xbf58476d1ce4e5b9
 	x ^= x >> 31
@@ -526,23 +522,23 @@ func JoinRMA(c *mpi.Comm, build, probe []Tuple) ([]Pair, Result, error) {
 }
 
 // JoinRMAPerTuple is the un-optimized one-sided build the module's
-// performance study starts from: a distributed open-addressing hash
-// table where every tuple claims its own 24-byte slot with
-// CompareAndSwap (linear probing on contention) before its body is Put.
-// Each claim is a synchronous round trip to the owner, so the build
-// phase pays per-op latency × tuples — the behavior whose profile
-// (rma-target-wait dominating) motivates the batched deposit JoinRMA
-// uses. It produces output identical to Join and JoinRMA; it is kept so
-// the before/after gap stays reproducible.
+// performance study starts from: every tuple claims its own slot on the
+// owner's tail counter with CompareAndSwap, as JoinRMA claims a run,
+// before its body is Put there. Each claim is a synchronous round trip
+// to the owner, so the build phase pays per-op latency × tuples — the
+// behavior whose profile (rma-target-wait dominating) motivates the
+// batched deposit JoinRMA uses. A claim costs one CompareAndSwap plus
+// one per claim another rank made on the same owner since this rank's
+// last, so the build stays linear in tuples whatever the keys. It
+// produces output identical to Join and JoinRMA; it is kept so the
+// before/after gap stays reproducible.
 func JoinRMAPerTuple(c *mpi.Comm, build, probe []Tuple) ([]Pair, Result, error) {
 	p := c.Size()
 	start := time.Now()
 	res := Result{NP: p, BuildN: len(build), ProbeN: len(probe)}
 
-	// Size the table: every rank counts its build tuples per owner, an
-	// Allreduce sums the vector, and the window is provisioned for twice
-	// the most loaded owner (load factor <= 0.5, uniform across ranks so
-	// slot arithmetic needs no per-target metadata).
+	// Size each region exactly, as JoinRMA does: a tail counter plus
+	// one slot per tuple the owner will hold.
 	perOwner := make([]int64, p)
 	for _, t := range build {
 		perOwner[hashKey(t.Key, p)]++
@@ -550,63 +546,51 @@ func JoinRMAPerTuple(c *mpi.Comm, build, probe []Tuple) ([]Pair, Result, error) 
 	if err := mpi.AllreduceInto(c, perOwner, mpi.OpSum); err != nil {
 		return nil, res, fmt.Errorf("hashjoin: rma sizing: %w", err)
 	}
-	maxLoad := int64(1)
-	for _, n := range perOwner {
-		if n > maxLoad {
-			maxLoad = n
-		}
-	}
-	slots := nextPow2(int(2 * maxLoad))
 
 	buildStart := time.Now()
-	win, err := c.WinCreate(slots * slotBytes)
+	win, err := c.WinCreate(8 + int(perOwner[c.Rank()])*tupleBytes)
 	if err != nil {
 		return nil, res, fmt.Errorf("hashjoin: rma window: %w", err)
 	}
-	// Deposit: claim a slot at the owner with CAS (linear probing on
-	// contention), then Put the tuple body. The kv scratch is reused, so
-	// the deposit loop does not allocate per tuple.
+	// Deposit: claim the owner's next slot with CAS, starting from the
+	// tail this rank last saw there, then Put the tuple body. The kv
+	// scratch is reused, so the deposit loop does not allocate per tuple.
+	tail := make([]int64, p)
 	var kv []byte
 	for _, t := range build {
 		owner := hashKey(t.Key, p)
-		slot := hashSlot(t.Key, slots)
 		for {
-			old, err := win.CompareAndSwap(owner, slot*slotBytes, 0, 1)
+			old, err := win.CompareAndSwap(owner, 0, tail[owner], tail[owner]+1)
 			if err != nil {
 				return nil, res, fmt.Errorf("hashjoin: rma claim: %w", err)
 			}
-			if old == 0 {
+			if old == tail[owner] {
 				break
 			}
-			slot = (slot + 1) & (slots - 1)
+			tail[owner] = old
 		}
 		kv = mpi.AppendMarshal(kv[:0], []int64{t.Key, t.Payload})
-		if err := win.Put(owner, slot*slotBytes+8, kv); err != nil {
+		if err := win.Put(owner, 8+int(tail[owner])*tupleBytes, kv); err != nil {
 			return nil, res, fmt.Errorf("hashjoin: rma put: %w", err)
 		}
+		tail[owner]++
 	}
 	if err := win.Fence(); err != nil {
 		return nil, res, fmt.Errorf("hashjoin: rma fence: %w", err)
 	}
-	// Scan the local region: every claimed slot holds one build tuple
-	// owned by this rank, perOwner[rank] of them. Build over them in
-	// place, in slot order.
+	// Build over the local region in place: the tuples are dense from
+	// offset 8, as many as the tail counter says.
 	local := win.Local()
-	claimed := make([]int, 0, perOwner[c.Rank()])
-	for s := 0; s < slots; s++ {
-		if binary.LittleEndian.Uint64(local[s*slotBytes:]) != 0 {
-			claimed = append(claimed, s)
-		}
-	}
-	tbl, err := buildTable(len(claimed), func(i int) (key, payload int64) {
-		return tupleAt(local[claimed[i]*slotBytes+8:])
+	myBuildN := int(binary.LittleEndian.Uint64(local))
+	tbl, err := buildTable(myBuildN, func(i int) (key, payload int64) {
+		return tupleAt(local[8+i*tupleBytes:])
 	})
 	if err != nil {
 		return nil, res, err
 	}
 	res.BuildDur = time.Since(buildStart)
 
-	return probeAndFinish(c, win, tbl, probe, nil, &res, len(claimed), start)
+	return probeAndFinish(c, win, tbl, probe, nil, &res, myBuildN, start)
 }
 
 // probeAndFinish is the tail both one-sided joins share: the two-sided

@@ -36,9 +36,7 @@ type relation struct {
 
 // reuseRelations are key sets under which the probe's partition is
 // sometimes larger and sometimes smaller than the build's it reuses, on
-// some ranks and not others. JoinRMAPerTuple claims a duplicate's slot
-// by probing past its twins one CompareAndSwap at a time, so the
-// duplicate-heavy sets stay small.
+// some ranks and not others.
 func reuseRelations() []relation {
 	rng := rand.New(rand.NewSource(43))
 	tuples := func(n int, key func(i int) int64, base int64) []Tuple {
@@ -63,11 +61,11 @@ func reuseRelations() []relation {
 	}
 	return []relation{
 		{"uniform", tuples(3000, uniform(600), 0), tuples(3000, uniform(600), 1_000_000)},
-		{"duplicates", tuples(300, uniform(6), 0), tuples(900, uniform(6), 1_000_000)},
+		{"duplicates", tuples(3000, uniform(6), 0), tuples(900, uniform(6), 1_000_000)},
 		{"small-build", tuples(400, uniform(300), 0), tuples(5000, uniform(300), 1_000_000)},
 		{"large-build", tuples(5000, uniform(3000), 0), tuples(400, uniform(3000), 1_000_000)},
 		{"skewed-probe", tuples(3000, uniform(1000), 0), tuples(3000, skewed(1000), 1_000_000)},
-		{"skewed-build", tuples(800, skewed(1000), 0), tuples(2000, uniform(1000), 1_000_000)},
+		{"skewed-build", tuples(3000, skewed(1000), 0), tuples(2000, uniform(1000), 1_000_000)},
 	}
 }
 
@@ -129,5 +127,34 @@ func TestJoinBufferReuse(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPerTupleClaimsStayLinear bounds JoinRMAPerTuple's CompareAndSwap
+// count on a build of many duplicates. A claim fails only when another
+// rank claimed on the same owner since this rank's last claim there, so
+// np ranks make at most np CASes per tuple, however few the keys.
+func TestPerTupleClaimsStayLinear(t *testing.T) {
+	const ranks, n = 4, 4000
+	build := make([]Tuple, n)
+	for i := range build {
+		build[i] = Tuple{Key: int64(i % 5), Payload: int64(i)}
+	}
+	lb := unevenDeal(build, ranks)
+	var cas int64
+	err := mpi.Run(ranks, func(c *mpi.Comm) error {
+		if _, _, err := JoinRMAPerTuple(c, lb[c.Rank()], nil); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			cas = c.Stats().TotalCalls(mpi.PrimRMACas)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cas < n || cas > ranks*n {
+		t.Fatalf("%d CompareAndSwaps for %d build tuples on %d ranks, want %d to %d", cas, n, ranks, n, ranks*n)
 	}
 }

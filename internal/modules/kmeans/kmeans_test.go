@@ -1,6 +1,7 @@
 package kmeans
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -12,6 +13,10 @@ import (
 	"repro/internal/prof"
 	"repro/internal/trace"
 )
+
+// errStop is what a rank returns, once it has seen the error under
+// test, to stop the world and release peers blocked in a collective.
+var errStop = errors.New("stop the world")
 
 func TestSequentialConverges(t *testing.T) {
 	pts, _ := data.GaussianMixture(1200, 2, 4, 0.5, 100, 1)
@@ -270,12 +275,13 @@ func TestDistributedRequiresDivisibleN(t *testing.T) {
 			if err == nil {
 				return fmt.Errorf("indivisible N accepted")
 			}
-			c.Abort(nil)
-			return nil
+			return errStop // the error stops the world, releasing its peers
 		}
 		return nil
 	})
-	_ = err
+	if !errors.Is(err, errStop) {
+		t.Fatalf("indivisible N accepted: %v", err)
+	}
 }
 
 // TestProfilerRecordsPhases checks that the runtime's hook layer alone —

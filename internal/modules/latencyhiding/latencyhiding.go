@@ -237,20 +237,3 @@ func finishExchange(c *mpi.Comm, u []float64, hr haloReqs, n int, hs *haloScratc
 	}
 	return mpi.Waitall(hr.sends...)
 }
-
-// Sequential advances the same global field on one process: the reference
-// for correctness tests. Returns the final field (without ghosts).
-func Sequential(p, cellsPerRank, steps int, alpha float64) []float64 {
-	n := p * cellsPerRank
-	u := make([]float64, n+2)
-	next := make([]float64, n+2)
-	for r := 0; r < p; r++ {
-		u[1+r*cellsPerRank+cellsPerRank/2] = 1
-	}
-	for step := 0; step < steps; step++ {
-		u[0], u[n+1] = 0, 0
-		stencil(u, next, 1, n+1, alpha)
-		u, next = next, u
-	}
-	return u[1 : n+1]
-}

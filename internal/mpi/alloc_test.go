@@ -347,7 +347,7 @@ func TestAllocHygieneAfterAbort(t *testing.T) {
 	err := Run(4, func(c *Comm) error {
 		if c.Rank() == 3 {
 			_ = hygieneTraffic(c, 2)
-			c.Abort(cause)
+			c.world.abort(cause)
 			return cause
 		}
 		return hygieneTraffic(c, 50)

@@ -154,88 +154,46 @@ func Bcast[T Scalar](c *Comm, data []T, root int) ([]T, error) {
 }
 
 // Scatter splits root's buffer into equal contiguous chunks and delivers
-// the i-th chunk to rank i (MPI_Scatter). len(data) must be a multiple of
-// the communicator size at the root; other ranks pass nil.
+// the i-th chunk to rank i (MPI_Scatter), one message each. len(data)
+// must be a multiple of the communicator size at the root; other ranks
+// pass nil.
 func Scatter[T Scalar](c *Comm, data []T, root int) ([]T, error) {
-	return scatter(c, data, nil, false, root)
-}
-
-// Scatterv scatters variable-sized contiguous chunks from root
-// (MPI_Scatterv). counts is significant only at the root and must sum to
-// len(data).
-func Scatterv[T Scalar](c *Comm, data []T, counts []int, root int) ([]T, error) {
-	return scatter(c, data, counts, true, root)
-}
-
-// scatter is the instrumented body of Scatter and Scatterv.
-func scatter[T Scalar](c *Comm, data []T, counts []int, variable bool, root int) ([]T, error) {
 	if err := c.checkPeer(root, false); err != nil {
 		return nil, err
 	}
 	p := len(c.members)
-	prim := PrimScatterv
-	if !variable {
-		if c.rank == root && len(data)%p != 0 {
-			return nil, fmt.Errorf("%w: Scatter buffer of %d elements across %d ranks", ErrLengthMismatch, len(data), p)
-		}
-		prim = PrimScatter
+	if c.rank == root && len(data)%p != 0 {
+		return nil, fmt.Errorf("%w: Scatter buffer of %d elements across %d ranks", ErrLengthMismatch, len(data), p)
 	}
-	sp := c.begin(prim)
-	out, err := scatterLinear(c, data, counts, variable, root)
-	bytes := len(out)
-	if c.rank == root {
-		bytes = len(data)
+	sp := c.begin(PrimScatter)
+	tag := c.nextCollTag()
+	var (
+		out []T
+		err error
+	)
+	bytes := len(data)
+	if c.rank != root {
+		var b []byte
+		if b, err = c.collRecv(root, tag); err == nil {
+			out, err = Unmarshal[T](b)
+			putBuf(b)
+		}
+		bytes = len(out)
+	} else {
+		n := len(data) / p
+		for i := 0; i < p && err == nil; i++ {
+			if chunk := data[i*n : (i+1)*n]; i == root {
+				out = append([]T(nil), chunk...)
+			} else {
+				err = collSend(c, chunk, i, tag)
+			}
+		}
 	}
 	sp.end(c.members[root], -1, bytes*scalarSize[T](), 0, 0, 0)
-	return out, err
-}
-
-// scatterLinear is the one body of Scatter and Scatterv: the root sends
-// its i-th contiguous chunk to rank i, one message each — counts[i]
-// elements with variable set, len(data)/p without.
-func scatterLinear[T Scalar](c *Comm, data []T, counts []int, variable bool, root int) ([]T, error) {
-	p := len(c.members)
-	tag := c.nextCollTag()
-	if c.rank != root {
-		b, err := c.collRecv(root, tag)
-		if err != nil {
-			return nil, err
-		}
-		xs, err := Unmarshal[T](b)
-		putBuf(b)
-		return xs, err
+	if err != nil {
+		return nil, err
 	}
-	if variable {
-		if len(counts) != p {
-			return nil, fmt.Errorf("%w: Scatterv got %d counts for %d ranks", ErrLengthMismatch, len(counts), p)
-		}
-		total := 0
-		for _, n := range counts {
-			if n < 0 {
-				return nil, fmt.Errorf("%w: Scatterv negative count", ErrLengthMismatch)
-			}
-			total += n
-		}
-		if total != len(data) {
-			return nil, fmt.Errorf("%w: Scatterv counts sum to %d, buffer has %d", ErrLengthMismatch, total, len(data))
-		}
-	}
-	var own []T
-	for i, off := 0, 0; i < p; i++ {
-		n := len(data) / p
-		if variable {
-			n = counts[i]
-		}
-		chunk := data[off : off+n]
-		if i == root {
-			own = make([]T, n)
-			copy(own, chunk)
-		} else if err := collSend(c, chunk, i, tag); err != nil {
-			return nil, err
-		}
-		off += n
-	}
-	return own, nil
+	return out, nil
 }
 
 // Gather collects equal-sized contributions onto root (MPI_Gather),
@@ -454,95 +412,6 @@ func AllreduceRing[T Scalar](c *Comm, data []T, op Op[T]) ([]T, error) {
 	return out, err
 }
 
-// Scan computes the inclusive prefix reduction (MPI_Scan): rank r receives
-// op-fold of the buffers of ranks 0..r. Linear chain algorithm.
-func Scan[T Scalar](c *Comm, data []T, op Op[T]) ([]T, error) {
-	return scan(c, data, op, false)
-}
-
-// scan is the instrumented body of Scan and Exscan.
-func scan[T Scalar](c *Comm, data []T, op Op[T], exclusive bool) ([]T, error) {
-	sp := c.begin(PrimScan)
-	out, err := scanChain(c, data, op, exclusive)
-	sp.end(-1, -1, len(data)*scalarSize[T](), 0, 0, 0)
-	return out, err
-}
-
-// scanChain is the one body of Scan and Exscan, a linear chain: rank r
-// receives the prefix of ranks 0..r-1 from the left and forwards
-// op(prefix, mine) — the inclusive fold — to the right. Scan returns that
-// fold, Exscan the received prefix (zeros on rank 0).
-func scanChain[T Scalar](c *Comm, data []T, op Op[T], exclusive bool) ([]T, error) {
-	tag := c.nextCollTag()
-	p, r := len(c.members), c.rank
-	var prefix, acc []T
-	if exclusive {
-		prefix = make([]T, len(data))
-	}
-	// The fold is needed as Scan's result and, on every rank but the
-	// last, as what travels right.
-	fold := !exclusive || r < p-1
-	if fold {
-		acc = append([]T(nil), data...)
-	}
-	if r > 0 {
-		b, err := c.collRecv(r-1, tag)
-		if err != nil {
-			return nil, err
-		}
-		if len(b) != len(data)*scalarSize[T]() {
-			putBuf(b)
-			return nil, fmt.Errorf("%w: scan rank %d passed %d bytes, expected %d elements", ErrLengthMismatch, r-1, len(b), len(data))
-		}
-		if exclusive {
-			err = decodeInto(prefix, b)
-		}
-		if err == nil && fold {
-			// The wire operand is the accumulated prefix of ranks 0..r-1,
-			// folded in from the left: acc[i] = op(prefix[i], data[i]).
-			err = reduceFromWireLeft(acc, b, op)
-		}
-		putBuf(b)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if r < p-1 {
-		if err := collSend(c, acc, r+1, tag); err != nil {
-			return nil, err
-		}
-	}
-	if exclusive {
-		return prefix, nil
-	}
-	return acc, nil
-}
-
-// Alltoall sends the i-th equal-sized block of data to rank i and returns
-// the blocks received from every rank, concatenated in rank order
-// (MPI_Alltoall). len(data) must be a multiple of the communicator size.
-func Alltoall[T Scalar](c *Comm, data []T) ([]T, error) {
-	p, r := len(c.members), c.rank
-	if len(data)%p != 0 {
-		return nil, fmt.Errorf("%w: Alltoall buffer of %d elements across %d ranks", ErrLengthMismatch, len(data), p)
-	}
-	sp := c.begin(PrimAlltoall)
-	n, size := len(data)/p, scalarSize[T]()
-	out := make([]T, len(data))
-	copy(out[r*n:(r+1)*n], data[r*n:(r+1)*n])
-	err := alltoallPairwise(c, func(to int) []T { return data[to*n : (to+1)*n] }, func(from int, b []byte) error {
-		if len(b) != n*size {
-			return fmt.Errorf("%w: Alltoall rank %d sent %d bytes, expected %d elements", ErrLengthMismatch, from, len(b), n)
-		}
-		return decodeInto(out[from*n:(from+1)*n], b)
-	})
-	sp.end(-1, -1, len(data)*size, 0, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Alltoallv performs a personalized all-to-all exchange with per-peer
 // block sizes (MPI_Alltoallv). blocks[i] is sent to rank i; the return
 // value holds one received block per source rank. It is the shuffle
@@ -555,10 +424,18 @@ func Alltoallv[T Scalar](c *Comm, blocks [][]T) ([][]T, error) {
 	sp := c.begin(PrimAlltoallv)
 	out := make([][]T, p)
 	out[r] = append([]T(nil), blocks[r]...)
-	err := alltoallPairwise(c, func(to int) []T { return blocks[to] }, func(from int, b []byte) (err error) {
-		out[from], err = Unmarshal[T](b)
-		return err
-	})
+	// p-1 pairwise steps: at step s rank r sends its block to rank r+s
+	// and decodes what rank r-s sent.
+	tag := c.nextCollTag()
+	var err error
+	for step := 1; step < p && err == nil; step++ {
+		to, from := (r+step)%p, (r-step+p)%p
+		var b []byte
+		if b, err = collExchange(c, blocks[to], to, from, tag); err == nil {
+			out[from], err = Unmarshal[T](b)
+			putBuf(b)
+		}
+	}
 	bytes := 0
 	for _, b := range blocks {
 		bytes += len(b)
@@ -568,36 +445,6 @@ func Alltoallv[T Scalar](c *Comm, blocks [][]T) ([][]T, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// alltoallPairwise is the one exchange under Alltoall and Alltoallv: p-1
-// steps, at step s rank r sends block(r+s) to rank r+s and hands what
-// rank r-s sent to arrive, which decodes it. The wire buffer is recycled
-// either way.
-func alltoallPairwise[T Scalar](c *Comm, block func(to int) []T, arrive func(from int, b []byte) error) error {
-	p, r := len(c.members), c.rank
-	tag := c.nextCollTag()
-	for step := 1; step < p; step++ {
-		to := (r + step) % p
-		from := (r - step + p) % p
-		b, err := collExchange(c, block(to), to, from, tag)
-		if err != nil {
-			return err
-		}
-		err = arrive(from, b)
-		putBuf(b)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Exscan computes the exclusive prefix reduction (MPI_Exscan): rank r
-// receives the op-fold of ranks 0..r-1; rank 0's result is the zero-value
-// slice (MPI leaves it undefined; zeros are the defined choice here).
-func Exscan[T Scalar](c *Comm, data []T, op Op[T]) ([]T, error) {
-	return scan(c, data, op, true)
 }
 
 // runSched is the blocking driver: it runs this rank's schedule for one

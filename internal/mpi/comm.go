@@ -327,24 +327,6 @@ func (c *Comm) Probe(src, tag int) (Status, error) {
 	return st, err
 }
 
-// Iprobe is the nonblocking probe (MPI_Iprobe).
-func (c *Comm) Iprobe(src, tag int) (Status, bool, error) {
-	if err := c.checkPeer(src, true); err != nil {
-		return Status{}, false, err
-	}
-	if err := checkTag(tag, true); err != nil {
-		return Status{}, false, err
-	}
-	sp := c.begin(PrimIprobe)
-	st, ok := c.mb.iprobe(c.ctx, src, tag)
-	peer := -1
-	if ok {
-		peer = c.members[st.Source]
-	}
-	sp.end(peer, tag, st.Bytes, 0, 0, 0)
-	return st, ok, nil
-}
-
 // GetCount returns the element count of a received message, mirroring
 // MPI_Get_count, and records the primitive use for Table II accounting.
 func (c *Comm) GetCount(st Status, elemSize int) (int, error) {
@@ -352,14 +334,6 @@ func (c *Comm) GetCount(st Status, elemSize int) (int, error) {
 	n, err := st.Count(elemSize)
 	sp.end(-1, st.Tag, st.Bytes, 0, 0, 0)
 	return n, err
-}
-
-// Abort stops the whole world with the given error (MPI_Abort).
-func (c *Comm) Abort(err error) {
-	if err == nil {
-		err = fmt.Errorf("rank %d called Abort", c.rank)
-	}
-	c.world.abort(err)
 }
 
 // Send sends a typed slice (MPI_Send). See SendBytes for blocking

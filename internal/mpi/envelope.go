@@ -90,33 +90,6 @@ func parseHeader(b []byte, e *envelope) int {
 	return int(binary.LittleEndian.Uint32(b[37:]))
 }
 
-// appendWire serializes the envelope as one contiguous blob (header then
-// payload). The TCP writer no longer assembles full frames — it streams
-// header and payload separately — but the format is shared with it via
-// putHeader, and tests and fuzzing exercise the round trip here.
-func (e *envelope) appendWire(b []byte) []byte {
-	var hdr [envelopeHeaderLen]byte
-	putHeader(hdr[:], e)
-	return append(append(b, hdr[:]...), e.data...)
-}
-
-// parseWire decodes an envelope serialized by appendWire. The input must
-// contain exactly one envelope.
-func parseWire(b []byte) (*envelope, error) {
-	if len(b) < envelopeHeaderLen {
-		return nil, fmt.Errorf("mpi: short envelope: %d bytes", len(b))
-	}
-	e := &envelope{}
-	n := parseHeader(b, e)
-	if len(b) != envelopeHeaderLen+n {
-		return nil, fmt.Errorf("mpi: envelope length mismatch: header says %d payload bytes, have %d", n, len(b)-envelopeHeaderLen)
-	}
-	if n > 0 {
-		e.data = append([]byte(nil), b[envelopeHeaderLen:]...)
-	}
-	return e, nil
-}
-
 // wireBytes returns the on-wire size of the envelope, counted by the
 // traffic accounting regardless of transport.
 func (e *envelope) wireBytes() int { return envelopeHeaderLen + len(e.data) }
@@ -169,11 +142,6 @@ func namedScalarSize[T Scalar]() int {
 	return width / 8
 }
 
-// Marshal encodes a slice of scalars into the canonical wire format.
-func Marshal[T Scalar](xs []T) []byte {
-	return AppendMarshal(make([]byte, 0, scalarSize[T]()*len(xs)), xs)
-}
-
 // marshalPooled encodes xs into a pooled buffer sized exactly to the
 // payload. The result is exclusively owned by the caller, who must hand
 // it to an owned-send or return it with putBuf.
@@ -221,8 +189,7 @@ func memBytes[T Scalar](xs []T) []byte {
 
 // AppendMarshal appends the canonical wire encoding of xs to dst and
 // returns the extended slice, allocating only when dst lacks capacity.
-// It is the zero-copy building block under Marshal and the typed send
-// wrappers.
+// It is the zero-copy building block under the typed send wrappers.
 func AppendMarshal[T Scalar](dst []byte, xs []T) []byte {
 	size := scalarSize[T]()
 	if nativeWire[T](size) {

@@ -2,6 +2,8 @@ package mpi
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math"
 	"reflect"
 	"testing"
@@ -10,7 +12,7 @@ import (
 
 func TestMarshalRoundTripFloat64(t *testing.T) {
 	in := []float64{0, 1, -1, math.Pi, math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, math.MaxFloat64}
-	out, err := Unmarshal[float64](Marshal(in))
+	out, err := Unmarshal[float64](AppendMarshal(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +22,7 @@ func TestMarshalRoundTripFloat64(t *testing.T) {
 }
 
 func TestMarshalRoundTripNaN(t *testing.T) {
-	out, err := Unmarshal[float64](Marshal([]float64{math.NaN()}))
+	out, err := Unmarshal[float64](AppendMarshal(nil, []float64{math.NaN()}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +33,7 @@ func TestMarshalRoundTripNaN(t *testing.T) {
 
 func TestMarshalRoundTripInts(t *testing.T) {
 	ints := []int{0, 1, -1, math.MaxInt, math.MinInt, 42}
-	got, err := Unmarshal[int](Marshal(ints))
+	got, err := Unmarshal[int](AppendMarshal(nil, ints))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func TestMarshalRoundTripAllWidths(t *testing.T) {
 
 func checkRT[T Scalar](t *testing.T, in []T) {
 	t.Helper()
-	got, err := Unmarshal[T](Marshal(in))
+	got, err := Unmarshal[T](AppendMarshal(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +75,8 @@ func TestMarshalNamedTypes(t *testing.T) {
 }
 
 func TestMarshalEmptyAndNil(t *testing.T) {
-	if got := Marshal[float64](nil); len(got) != 0 {
-		t.Fatalf("Marshal(nil) = %v, want empty", got)
+	if got := AppendMarshal[float64](nil, nil); len(got) != 0 {
+		t.Fatalf("AppendMarshal(nil, nil) = %v, want empty", got)
 	}
 	out, err := Unmarshal[float64](nil)
 	if err != nil || len(out) != 0 {
@@ -90,7 +92,7 @@ func TestUnmarshalBadLength(t *testing.T) {
 
 func TestMarshalQuickFloat64(t *testing.T) {
 	f := func(xs []float64) bool {
-		got, err := Unmarshal[float64](Marshal(xs))
+		got, err := Unmarshal[float64](AppendMarshal(nil, xs))
 		if err != nil {
 			return false
 		}
@@ -111,7 +113,7 @@ func TestMarshalQuickFloat64(t *testing.T) {
 
 func TestMarshalQuickInt(t *testing.T) {
 	f := func(xs []int64) bool {
-		got, err := Unmarshal[int64](Marshal(xs))
+		got, err := Unmarshal[int64](AppendMarshal(nil, xs))
 		return err == nil && reflect.DeepEqual(normalizeEmpty(got), normalizeEmpty(xs))
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -127,55 +129,56 @@ func normalizeEmpty[T any](xs []T) []T {
 }
 
 func TestEnvelopeWireRoundTrip(t *testing.T) {
-	e := &envelope{
-		kind: kindData, src: 3, wsrc: 7, wdst: 2, ctx: 12, tag: 99, seq: 1 << 40,
-		data: []byte("hello, world"),
-	}
-	got, err := parseWire(e.appendWire(nil))
+	data := []byte("hello, world")
+	got, err := readBareFrame(bareFrame(testEnvelope(kindData, 3, 1, 2, 12, 99, 1<<40, data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.kind != e.kind || got.src != e.src || got.wsrc != e.wsrc ||
-		got.wdst != e.wdst || got.ctx != e.ctx || got.tag != e.tag || got.seq != e.seq {
-		t.Fatalf("header mismatch: %+v != %+v", got, e)
+	if got.kind != kindData || got.src != 3 || got.wsrc != 1 ||
+		got.wdst != 2 || got.ctx != 12 || got.tag != 99 || got.seq != 1<<40 {
+		t.Fatalf("header mismatch: %+v", got)
 	}
-	if !bytes.Equal(got.data, e.data) {
-		t.Fatalf("payload mismatch: %q != %q", got.data, e.data)
+	if !bytes.Equal(got.data, data) {
+		t.Fatalf("payload mismatch: %q != %q", got.data, data)
 	}
+	dropEnv(got)
 }
 
 func TestEnvelopeWireEmptyPayload(t *testing.T) {
-	e := &envelope{kind: kindAck, src: 0, wsrc: 0, wdst: 1, seq: 5}
-	got, err := parseWire(e.appendWire(nil))
+	got, err := readBareFrame(bareFrame(testEnvelope(kindAck, 0, 0, 1, 0, 0, 5, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.seq != 5 || got.kind != kindAck || len(got.data) != 0 {
 		t.Fatalf("empty payload round trip: %+v", got)
 	}
+	dropEnv(got)
 }
 
-func TestParseWireErrors(t *testing.T) {
-	if _, err := parseWire([]byte{1, 2}); err == nil {
-		t.Fatal("want error for truncated header")
+// TestReadFrameTruncated: a stream that ends inside a frame's header or
+// payload is a stream error, not a frame.
+func TestReadFrameTruncated(t *testing.T) {
+	if _, err := readBareFrame([]byte{1, 2}); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated header: got %v, want io.ErrUnexpectedEOF", err)
 	}
-	e := &envelope{kind: kindData, data: []byte("abc")}
-	wire := e.appendWire(nil)
-	if _, err := parseWire(wire[:len(wire)-1]); err == nil {
-		t.Fatal("want error for truncated payload")
+	wire := bareFrame(testEnvelope(kindData, 0, 0, 1, 0, 0, 0, []byte("abc")))
+	if _, err := readBareFrame(wire[:len(wire)-1]); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated payload: got %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 
 func TestEnvelopeWireQuick(t *testing.T) {
-	f := func(src, wsrc, wdst int32, ctx, tag int32, seq int64, data []byte) bool {
-		e := &envelope{kind: kindData, src: int(src), wsrc: int(wsrc), wdst: int(wdst), ctx: ctx, tag: tag, seq: seq, data: data}
-		got, err := parseWire(e.appendWire(nil))
+	f := func(src, wsrc, wdst uint8, ctx, tag int32, seq int64, data []byte) bool {
+		e := testEnvelope(kindData, int(src), int(wsrc%4), int(wdst%4), ctx, tag, seq, data)
+		want := *e
+		got, err := readBareFrame(bareFrame(e))
 		if err != nil {
 			return false
 		}
-		return got.src == e.src && got.wsrc == e.wsrc && got.wdst == e.wdst &&
-			got.ctx == e.ctx && got.tag == e.tag && got.seq == e.seq &&
-			bytes.Equal(got.data, e.data)
+		defer dropEnv(got)
+		return got.src == want.src && got.wsrc == want.wsrc && got.wdst == want.wdst &&
+			got.ctx == want.ctx && got.tag == want.tag && got.seq == want.seq &&
+			bytes.Equal(got.data, data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

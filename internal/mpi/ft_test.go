@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -250,22 +251,11 @@ func TestOpTimeoutRendezvous(t *testing.T) {
 // times out must take its posted receive back. Left posted, the orphan
 // matches the next message on (src, recvTag) — here the one rank 1 sends
 // after the timeout — and both the message and its pooled buffer are
-// lost to the application. Rank 1 only polls with Iprobe before its
+// lost to the application. Rank 1 only polls its mailbox before its
 // sends: a blocking wait would hit the operation deadline itself.
 func TestOpTimeoutSendrecvWithdrawsReceive(t *testing.T) {
 	defer leakcheck.Snapshot(t, poolGauge()).Check()
 	const tagBig, tagReply, tagTimedOut, tagReplied = 1, 2, 3, 4
-	awaitTag := func(c *Comm, src, tag int) error {
-		for {
-			if _, ok, err := c.Iprobe(src, tag); err != nil || ok {
-				return err
-			}
-			if err := c.world.stopErr(); err != nil { // the peer failed the test
-				return err
-			}
-			runtime.Gosched()
-		}
-	}
 	recvRelease := func(c *Comm, src, tag int) error {
 		b, _, err := c.RecvBytes(src, tag)
 		Release(b)
@@ -273,7 +263,7 @@ func TestOpTimeoutSendrecvWithdrawsReceive(t *testing.T) {
 	}
 	err := Run(2, func(c *Comm) error {
 		if c.Rank() == 1 {
-			if err := awaitTag(c, 0, tagTimedOut); err != nil {
+			if err := awaitQueued(c, 0, tagTimedOut); err != nil {
 				return err
 			}
 			if err := recvRelease(c, 0, tagTimedOut); err != nil {
@@ -302,7 +292,7 @@ func TestOpTimeoutSendrecvWithdrawsReceive(t *testing.T) {
 		}
 		// Once tagReplied is visible the reply sent before it has been
 		// delivered too, so the receive below never waits.
-		if err := awaitTag(c, 1, tagReplied); err != nil {
+		if err := awaitQueued(c, 1, tagReplied); err != nil {
 			return err
 		}
 		if err := recvRelease(c, 1, tagReplied); err != nil {
@@ -315,67 +305,66 @@ func TestOpTimeoutSendrecvWithdrawsReceive(t *testing.T) {
 	}
 }
 
+// queued reports whether a message from src with tag waits unreceived
+// in c's mailbox: the nonblocking probe.
+func queued(c *Comm, src, tag int) bool {
+	c.mb.mu.Lock()
+	defer c.mb.mu.Unlock()
+	return slices.ContainsFunc(c.mb.unexpected, func(e *envelope) bool { return matches(e, c.ctx, src, tag) })
+}
+
+// awaitQueued polls, never blocks, until a message from src with tag
+// waits unreceived in c's mailbox, or the world stops.
+func awaitQueued(c *Comm, src, tag int) error {
+	for {
+		if queued(c, src, tag) {
+			return nil
+		}
+		if err := c.world.stopErr(); err != nil { // the peer failed the test
+			return err
+		}
+		runtime.Gosched()
+	}
+}
+
 // TestOpTimeoutAlltoallWithdrawsReceive: each step of the pairwise
 // all-to-all posts its receive before its send. When the send half fails
 // — here a rendezvous-sized block to a rank that never joins times out —
 // the receive must be taken back, or it swallows a later message on
-// (source, tag) together with its pooled buffer. Alltoall and Alltoallv,
-// on both transports.
+// (source, tag) together with its pooled buffer. On both transports.
 func TestOpTimeoutAlltoallWithdrawsReceive(t *testing.T) {
 	const n, tagTimedOut = 1 << 17, 1 // n float64s: a 1 MiB block, far above the eager threshold
-	exchanges := []struct {
-		name string
-		run  func(c *Comm, big []float64) error
-	}{
-		{"Alltoall", func(c *Comm, big []float64) error {
-			_, err := Alltoall(c, big)
-			return err
-		}},
-		{"Alltoallv", func(c *Comm, big []float64) error {
-			_, err := Alltoallv(c, [][]float64{big[:n], big[n:]})
-			return err
-		}},
-	}
 	for _, tr := range []struct {
 		name string
 		run  func(int, func(*Comm) error, ...Option) error
 	}{{"channel", Run}, {"tcp", RunTCP}} {
-		for _, ex := range exchanges {
-			t.Run(tr.name+"/"+ex.name, func(t *testing.T) {
-				defer leakcheck.Snapshot(t, poolGauge()).Check()
-				err := tr.run(2, func(c *Comm) error {
-					if c.Rank() == 1 {
-						// Poll, never block: a blocking wait would hit the
-						// operation deadline itself.
-						for {
-							if _, ok, err := c.Iprobe(0, tagTimedOut); err != nil || ok {
-								break
-							}
-							if err := c.world.stopErr(); err != nil {
-								return err
-							}
-							runtime.Gosched()
-						}
-						b, _, err := c.RecvBytes(0, tagTimedOut)
-						Release(b)
+		t.Run(tr.name+"/Alltoallv", func(t *testing.T) {
+			defer leakcheck.Snapshot(t, poolGauge()).Check()
+			err := tr.run(2, func(c *Comm) error {
+				if c.Rank() == 1 {
+					if err := awaitQueued(c, 0, tagTimedOut); err != nil {
 						return err
 					}
-					if err := ex.run(c, make([]float64, 2*n)); !errors.Is(err, ErrTimeout) {
-						return fmt.Errorf("%s to an absent rank: got %v, want ErrTimeout", ex.name, err)
-					}
-					c.mb.mu.Lock()
-					posted := len(c.mb.pending)
-					c.mb.mu.Unlock()
-					if posted != 0 {
-						return fmt.Errorf("%d receive(s) still posted after the failed %s", posted, ex.name)
-					}
-					return c.SendBytes(nil, 1, tagTimedOut)
-				}, WithOpTimeout(50*time.Millisecond))
-				if err != nil {
-					t.Fatal(err)
+					b, _, err := c.RecvBytes(0, tagTimedOut)
+					Release(b)
+					return err
 				}
-			})
-		}
+				big := make([]float64, 2*n)
+				if _, err := Alltoallv(c, [][]float64{big[:n], big[n:]}); !errors.Is(err, ErrTimeout) {
+					return fmt.Errorf("Alltoallv to an absent rank: got %v, want ErrTimeout", err)
+				}
+				c.mb.mu.Lock()
+				posted := len(c.mb.pending)
+				c.mb.mu.Unlock()
+				if posted != 0 {
+					return fmt.Errorf("%d receive(s) still posted after the failed Alltoallv", posted)
+				}
+				return c.SendBytes(nil, 1, tagTimedOut)
+			}, WithOpTimeout(50*time.Millisecond))
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -463,7 +452,7 @@ func testAbortPropagation(t *testing.T, runner func(int, func(*Comm) error, ...O
 	err := runner(2, func(c *Comm) error {
 		if c.Rank() == 1 {
 			time.Sleep(20 * time.Millisecond)
-			c.Abort(cause)
+			c.world.abort(cause)
 			return nil
 		}
 		_, _, err := c.RecvBytes(1, 9)

@@ -1,25 +1,78 @@
 package mpi
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"testing"
 )
 
-// FuzzParseWire hardens the TCP transport's envelope decoder against
-// malformed frames: it must never panic, and any frame it accepts must
-// re-encode to the same bytes.
-func FuzzParseWire(f *testing.F) {
+// bareFrame returns e's socket frame without a link prefix, as the
+// writer frames it. It consumes e, as a send does.
+func bareFrame(e *envelope) []byte {
+	var b bytes.Buffer
+	_ = (&tcpConn{w: &b}).send(e)
+	return b.Bytes()
+}
+
+// readBareFrame parses b as the socket reader of a four-rank world
+// without reliable links does.
+func readBareFrame(b []byte) (*envelope, error) {
+	hdr := make([]byte, 4+envelopeHeaderLen)
+	return readFrame(bufio.NewReader(bytes.NewReader(b)), hdr, 0, 4)
+}
+
+// testEnvelope is a pooled envelope with the given fields, as a sender
+// would hand it to the transport.
+func testEnvelope(kind int8, src, wsrc, wdst int, ctx, tag int32, seq int64, data []byte) *envelope {
+	e := getEnv()
+	e.kind, e.src, e.wsrc, e.wdst, e.ctx, e.tag, e.seq = kind, src, wsrc, wdst, ctx, tag, seq
+	e.data = copyToPooled(data)
+	return e
+}
+
+// FuzzReadFrame hardens the socket reader against malformed streams: it
+// must never panic; a frame whose length, declared payload or ranks are
+// broken must fail with errBadFrame; a stream that ends inside a frame
+// must fail with an EOF; and every frame it accepts must re-encode to
+// the bytes it was read from.
+func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
-	f.Add((&envelope{kind: kindData, src: 1, wsrc: 1, wdst: 0, ctx: 2, tag: 3, seq: 4, data: []byte("hi")}).appendWire(nil))
-	f.Add((&envelope{kind: kindAck, seq: 9}).appendWire(nil))
-	f.Fuzz(func(t *testing.T, frame []byte) {
-		e, err := parseWire(frame)
-		if err != nil {
-			return
+	f.Add(bareFrame(testEnvelope(kindData, 1, 1, 0, 2, 3, 4, []byte("hi"))))
+	f.Add(bareFrame(testEnvelope(kindAck, 0, 0, 0, 0, 0, 9, nil)))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		const np, h = 4, envelopeHeaderLen
+		var frameLen uint64
+		broken := false
+		if len(b) >= 4+h {
+			frameLen = uint64(binary.LittleEndian.Uint32(b))
+			payloadLen := uint64(binary.LittleEndian.Uint32(b[4+37:]))
+			wsrc := int32(binary.LittleEndian.Uint32(b[4+5:]))
+			wdst := int32(binary.LittleEndian.Uint32(b[4+9:]))
+			broken = frameLen < h || frameLen-h > maxPayloadLen || payloadLen != frameLen-h ||
+				wsrc < 0 || wsrc >= np || wdst < 0 || wdst >= np
+			if !broken && 4+frameLen > uint64(len(b))+1<<16 {
+				return // a truncated frame this long only costs the reader a large buffer
+			}
 		}
-		back := e.appendWire(nil)
-		if !bytes.Equal(back, frame) {
-			t.Fatalf("accepted frame does not round-trip: %x → %x", frame, back)
+		e, err := readBareFrame(b)
+		switch {
+		case broken:
+			if !errors.Is(err, errBadFrame) {
+				t.Fatalf("broken framing read as (%v, %v), want errBadFrame", e, err)
+			}
+		case len(b) < 4+h || uint64(len(b)) < 4+frameLen:
+			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("truncated stream read as (%v, %v), want an EOF", e, err)
+			}
+		case err != nil:
+			t.Fatalf("well-formed frame rejected: %v", err)
+		default:
+			if back := bareFrame(e); !bytes.Equal(back, b[:4+frameLen]) {
+				t.Fatalf("accepted frame does not round-trip: %x → %x", b[:4+frameLen], back)
+			}
 		}
 	})
 }
@@ -28,7 +81,7 @@ func FuzzParseWire(f *testing.F) {
 // either error or decode to a slice that re-encodes identically.
 func FuzzUnmarshalFloat64(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(Marshal([]float64{1.5, -2.25}))
+	f.Add(AppendMarshal(nil, []float64{1.5, -2.25}))
 	f.Add([]byte{1, 2, 3}) // not a multiple of 8
 	f.Fuzz(func(t *testing.T, b []byte) {
 		xs, err := Unmarshal[float64](b)
@@ -38,7 +91,7 @@ func FuzzUnmarshalFloat64(f *testing.F) {
 			}
 			return
 		}
-		if !bytes.Equal(Marshal(xs), b) {
+		if !bytes.Equal(AppendMarshal(nil, xs), b) {
 			t.Fatal("decode/encode not idempotent")
 		}
 	})

@@ -3,7 +3,6 @@ package mpi
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 // eventLog is a minimal thread-safe Hook for the tests below.
@@ -28,11 +27,21 @@ func (l *eventLog) byPrim() map[Primitive][]Event {
 	return m
 }
 
-// hookWorkload invokes every Primitive at least once, on any world of two
-// or more ranks: blocking and nonblocking point-to-point, sendrecv,
-// probe/iprobe/get-count, wait, every blocking collective with its
-// into/ring/v variants, the five nonblocking collectives, and the
-// one-sided surface including the request-returning PutAsync/GetAsync.
+// retiredPrims are the primitives no entry point emits any more. Their
+// numbers and names stay, so the ranges the primitive table is read by
+// keep their meaning.
+var retiredPrims = map[Primitive]bool{
+	PrimScatterv: true, PrimScan: true, PrimAlltoall: true, PrimIprobe: true,
+	PrimRMALock: true, PrimRMAUnlock: true,
+	PrimIbcast: true, PrimIreduce: true, PrimIbarrier: true,
+}
+
+// hookWorkload invokes every Primitive but the retired ones at least
+// once, on any world of two or more ranks: blocking and nonblocking
+// point-to-point, sendrecv, probe/get-count, wait, every blocking
+// collective with its into/ring/v variants, the two nonblocking
+// collectives, and the one-sided surface including the request-returning
+// PutAsync.
 func hookWorkload(c *Comm) error {
 	const tag = 3
 	payload := []byte("twelve bytes")
@@ -63,16 +72,6 @@ func hookWorkload(c *Comm) error {
 		}
 		if err := c.SendBytes(payload, 0, tag); err != nil {
 			return err
-		}
-		// Iprobe before posting the receive: a posted Irecv would match
-		// (and hide) the incoming message from the probe.
-		for {
-			if _, ok, err := c.Iprobe(0, tag+1); err != nil {
-				return err
-			} else if ok {
-				break
-			}
-			time.Sleep(100 * time.Microsecond)
 		}
 		req, err := Irecv[byte](c, 0, tag+1)
 		if err != nil {
@@ -107,9 +106,6 @@ func hookWorkload(c *Comm) error {
 	if _, err := Reduce(c, buf, OpSum, 0); err != nil {
 		return err
 	}
-	if _, err := Scan(c, buf, OpSum); err != nil {
-		return err
-	}
 	if err := hookWorkloadCollectives(c); err != nil {
 		return err
 	}
@@ -117,33 +113,20 @@ func hookWorkload(c *Comm) error {
 }
 
 // hookWorkloadCollectives covers the collectives hookWorkload's opening
-// does not: the linear rooted ones, the all-to-alls, the into/ring/v
-// variants and the nonblocking five.
+// does not: the linear rooted ones, the all-to-all, the into/ring/v
+// variants and the nonblocking two.
 func hookWorkloadCollectives(c *Comm) error {
 	p, r := c.Size(), c.Rank()
 	one := []float64{float64(r)}
 	vec := func() []float64 { return make([]float64, p) }
 	var atRoot []float64
-	counts := make([]int, p)
 	if r == 0 {
 		atRoot = make([]float64, 2*p)
-		for i := range counts {
-			counts[i] = 2
-		}
 	}
 	if _, err := Scatter(c, atRoot, 0); err != nil {
 		return err
 	}
-	if _, err := Scatterv(c, atRoot, counts, 0); err != nil {
-		return err
-	}
 	if _, err := Gatherv(c, one, 0); err != nil {
-		return err
-	}
-	if _, err := Exscan(c, one, OpSum); err != nil {
-		return err
-	}
-	if _, err := Alltoall(c, vec()); err != nil {
 		return err
 	}
 	blocks := make([][]float64, p)
@@ -162,9 +145,6 @@ func hookWorkloadCollectives(c *Comm) error {
 	if err := ReduceInto(c, vec(), OpSum, 0); err != nil {
 		return err
 	}
-	if _, err := ReduceScatter(c, vec(), OpSum); err != nil {
-		return err
-	}
 	if err := ReduceScatterInto(c, vec(), OpSum); err != nil {
 		return err
 	}
@@ -176,30 +156,15 @@ func hookWorkloadCollectives(c *Comm) error {
 	if err := cr.Wait(); err != nil {
 		return err
 	}
-	// The other four stay outstanding together and complete as a batch.
-	var crs []*CollRequest
-	started := func(cr *CollRequest, err error) error {
-		crs = append(crs, cr)
+	if cr, err = Iallgather(c, vec()); err != nil {
 		return err
 	}
-	if err := started(Ibcast(c, vec(), 0)); err != nil {
-		return err
-	}
-	if err := started(Ireduce(c, vec(), OpSum, 0)); err != nil {
-		return err
-	}
-	if err := started(Ibarrier(c)); err != nil {
-		return err
-	}
-	if err := started(Iallgather(c, vec())); err != nil {
-		return err
-	}
-	return WaitallColl(crs...)
+	return WaitallColl(cr)
 }
 
-// hookWorkloadRMA covers the ten one-sided primitives, each rank
-// targeting its right neighbour, in an active-target epoch and then a
-// passive-target one. PutAsync and GetAsync complete through Waitall.
+// hookWorkloadRMA covers the eight one-sided primitives, each rank
+// targeting its right neighbour, in fenced epochs and a flushed one.
+// PutAsync completes through Waitall.
 func hookWorkloadRMA(c *Comm) error {
 	next := (c.Rank() + 1) % c.Size()
 	word := make([]byte, 8)
@@ -232,35 +197,16 @@ func hookWorkloadRMA(c *Comm) error {
 	if err := win.GetInto(word, next, 8); err != nil {
 		return err
 	}
-	greq, err := win.GetAsync(next, 16, 8)
-	if err != nil {
-		return err
-	}
-	if err := Waitall(greq); err != nil {
-		return err
-	}
 	if _, err := win.CompareAndSwap(next, 32, 0, 1); err != nil {
 		return err
 	}
 	if err := win.Fence(); err != nil {
 		return err
 	}
-	if err := win.Lock(next); err != nil {
-		return err
-	}
 	if err := win.Put(next, 40, word); err != nil {
 		return err
 	}
 	if err := win.Flush(); err != nil {
-		return err
-	}
-	if err := win.Unlock(next); err != nil {
-		return err
-	}
-	if err := win.LockShared(next); err != nil {
-		return err
-	}
-	if err := win.Unlock(next); err != nil {
 		return err
 	}
 	return win.Free()
@@ -275,8 +221,10 @@ func TestHookFiresEveryPrimitive(t *testing.T) {
 	}
 	got := log.byPrim()
 	for _, p := range Primitives() {
-		if len(got[p]) == 0 {
+		if n := len(got[p]); n == 0 && !retiredPrims[p] {
 			t.Errorf("no hook event for %v", p)
+		} else if n > 0 && retiredPrims[p] {
+			t.Errorf("%d hook events for the retired %v", n, p)
 		}
 	}
 	log.mu.Lock()
@@ -353,8 +301,8 @@ func TestHookOneCallOneEvent(t *testing.T) {
 					t.Errorf("%s: rank %d %v: %d calls counted, %d events", tc.name, r, p, calls[r][p], events[r][p])
 				}
 			}
-			if total == 0 {
-				t.Errorf("%s: no rank called %v", tc.name, p)
+			if (total == 0) != retiredPrims[p] {
+				t.Errorf("%s: %d calls of %v", tc.name, total, p)
 			}
 		}
 	}

@@ -6,14 +6,13 @@ import (
 	"sync/atomic"
 )
 
-// Nonblocking collectives (MPI-3 style). Iallreduce, Ibcast, Ireduce,
-// Ibarrier and Iallgather return a *CollRequest that progresses in the
-// background: every hop is sent eagerly and every arrival advances the
-// collective on the delivering goroutine, so it completes while the
-// owning rank computes. The owner drives remaining steps from Wait/Test
-// when no arrival is pending.
+// Nonblocking collectives (MPI-3 style). Iallreduce and Iallgather
+// return a *CollRequest that progresses in the background: every hop is
+// sent eagerly and every arrival advances the collective on the
+// delivering goroutine, so it completes while the owning rank computes.
+// The owner drives remaining steps from Wait when no arrival is pending.
 //
-// None of the five spells out its communication here. Each builds the
+// Neither spells out its communication here. Each builds the
 // schedule value for its pattern (sched.go) and hands it to schedOp, the
 // nonblocking driver: the one collOp implementation, with one step() and
 // one cleanup(). It is the twin of the blocking driver runSched
@@ -34,17 +33,17 @@ import (
 //
 // The ring allreduce's reduce-scatter phase leaves rank r owning the
 // fully reduced segment r — the layout ZeRO-style optimizer sharding
-// wants — and the blocking ReduceScatter[Into] at the end of this file
+// wants — and the blocking ReduceScatterInto at the end of this file
 // is the same schedule value under the other driver, so Iallreduce
 // results, reduce-scatter shards and any training loop built on either
 // are bit-identical.
 
 // CollRequest is an outstanding nonblocking collective, the collective
-// analogue of Request. Complete it with Wait, poll it with Test, or
-// batch-complete with WaitallColl. The buffer passed to the initiating
-// call must not be touched until the request completes. Requests are
-// never reused, so Wait and Test on a completed request return its own
-// result at once, however many requests have run since.
+// analogue of Request. Complete it with Wait, or batch-complete with
+// WaitallColl. The buffer passed to the initiating call must not be
+// touched until the request completes. Requests are never reused, so
+// Wait on a completed request returns its own result at once, however
+// many requests have run since.
 type CollRequest struct {
 	comm  *Comm
 	prim  Primitive
@@ -59,7 +58,7 @@ type CollRequest struct {
 	op  collOp
 	err error
 	// done is the completion flag: stored after err/result writes, read
-	// by Wait/Test/the deadlock detector.
+	// by Wait and the deadlock detector.
 	done atomic.Bool
 
 	// unconsumed counts matched-but-unconsumed arrivals, guarded by the
@@ -144,31 +143,27 @@ type collReq[T Scalar] struct {
 // startColl is the shared body of the I* entry points: account the
 // initiation, build the request and its driver over buf, and run the
 // schedule as far as it goes without waiting.
-func startColl[T Scalar](c *Comm, prim Primitive, kind schedKind, root int, buf []T, op Op[T]) *CollRequest {
+func startColl[T Scalar](c *Comm, prim Primitive, kind schedKind, buf []T, op Op[T]) *CollRequest {
 	sp := c.begin(prim)
 	bytes := len(buf) * scalarSize[T]()
 	r := &collReq[T]{CollRequest: CollRequest{comm: c, prim: prim, bytes: bytes, msgid: c.world.flowID()}}
 	cr := &r.CollRequest
 	icollStarted.Add(1)
 	r.sop = schedOp[T]{
-		hopRun: hopRun[T]{s: newSched(kind, len(c.members), c.rank, root), buf: buf, op: op},
+		hopRun: hopRun[T]{s: newSched(kind, len(c.members), c.rank, noRoot), buf: buf, op: op},
 		cr:     cr,
 		tag:    int32(c.nextCollTag()),
 	}
 	cr.op = &r.sop
 	cr.advance()
-	peer := -1
-	if root != noRoot {
-		peer = c.members[root]
-	}
-	sp.end(peer, -1, bytes, cr.msgid, 0, 0)
+	sp.end(-1, -1, bytes, cr.msgid, 0, 0)
 	return cr
 }
 
 // advance drives the state machine: it acquires the strand, steps until
 // the machine is waiting on an arrival (or finished), and hands off via
 // the dirty flag when another goroutine raced in. Called at initiation
-// (owner), on every arrival (delivering goroutine) and from Wait/Test
+// (owner), on every arrival (delivering goroutine) and from Wait
 // (owner). The world-level collActive gate keeps the deadlock detector
 // from declaring victory while a step is mid-flight outside any rank's
 // blocked census.
@@ -320,19 +315,6 @@ func (cr *CollRequest) wait() error {
 	return cr.err
 }
 
-// Test reports whether the collective has completed, without blocking
-// (MPI_Test). It opportunistically drives the state machine, so a loop
-// of Test calls makes progress even with no background arrivals.
-func (cr *CollRequest) Test() (bool, error) {
-	if !cr.done.Load() {
-		cr.advance()
-		if !cr.done.Load() {
-			return false, nil
-		}
-	}
-	return true, cr.err
-}
-
 // WaitallColl completes every nonblocking collective, returning the
 // first error after attempting all of them — the collective analogue of
 // Waitall. Failed requests release their pooled hop buffers internally,
@@ -356,36 +338,7 @@ func WaitallColl(reqs ...*CollRequest) error {
 // runs in the background, directly on buf; the steady-state hop path is
 // allocation-free apart from pooled buffers.
 func Iallreduce[T Scalar](c *Comm, buf []T, op Op[T]) (*CollRequest, error) {
-	return startColl(c, PrimIallreduce, schedAllreduceRing, noRoot, buf, op), nil
-}
-
-// Ibcast starts a nonblocking in-place broadcast along the binomial tree
-// (MPI_Ibcast): after Wait, every rank's buf holds root's buf. All ranks
-// must pass equal-length buffers.
-func Ibcast[T Scalar](c *Comm, buf []T, root int) (*CollRequest, error) {
-	if err := c.checkPeer(root, false); err != nil {
-		return nil, err
-	}
-	return startColl(c, PrimIbcast, schedBcast, root, buf, nil), nil
-}
-
-// Ireduce starts a nonblocking in-place reduction onto root along the
-// binomial tree (MPI_Ireduce with MPI_IN_PLACE). After Wait the root's
-// buf holds the reduction; on other ranks buf's contents are unspecified
-// (they have been folded into a parent). The fold order matches the
-// blocking ReduceInto exactly.
-func Ireduce[T Scalar](c *Comm, buf []T, op Op[T], root int) (*CollRequest, error) {
-	if err := c.checkPeer(root, false); err != nil {
-		return nil, err
-	}
-	return startColl(c, PrimIreduce, schedReduce, root, buf, op), nil
-}
-
-// Ibarrier starts a nonblocking barrier (MPI_Ibarrier): Wait returns
-// once every rank of the communicator has entered it. Dissemination
-// algorithm, ceil(log2 p) background rounds.
-func Ibarrier(c *Comm) (*CollRequest, error) {
-	return startColl[byte](c, PrimIbarrier, schedBarrier, noRoot, nil, nil), nil
+	return startColl(c, PrimIallreduce, schedAllreduceRing, buf, op), nil
 }
 
 // Iallgather starts a nonblocking in-place ring allgather
@@ -397,7 +350,7 @@ func Iallgather[T Scalar](c *Comm, buf []T) (*CollRequest, error) {
 	if len(buf)%p != 0 {
 		return nil, fmt.Errorf("%w: Iallgather buffer of %d elements across %d ranks", ErrLengthMismatch, len(buf), p)
 	}
-	return startColl(c, PrimIallgather, schedAllgather, noRoot, buf, nil), nil
+	return startColl(c, PrimIallgather, schedAllgather, buf, nil), nil
 }
 
 // ReduceScatterInto reduces every rank's buf elementwise with op and
@@ -418,24 +371,4 @@ func ReduceScatterInto[T Scalar](c *Comm, buf []T, op Op[T]) error {
 	_, err := runSched(c, schedReduceScatter, noRoot, buf, op, inPlace)
 	sp.end(-1, -1, len(buf)*scalarSize[T](), 0, 0, 0)
 	return err
-}
-
-// ReduceScatter is ReduceScatterInto returning rank r's freshly
-// allocated reduced segment, leaving data untouched.
-func ReduceScatter[T Scalar](c *Comm, data []T, op Op[T]) ([]T, error) {
-	p := len(c.members)
-	if len(data)%p != 0 {
-		return nil, fmt.Errorf("%w: ReduceScatter buffer of %d elements across %d ranks", ErrLengthMismatch, len(data), p)
-	}
-	sp := c.begin(PrimReduceScatter)
-	buf := append([]T(nil), data...)
-	_, err := runSched(c, schedReduceScatter, noRoot, buf, op, inPlace)
-	sp.end(-1, -1, len(data)*scalarSize[T](), 0, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	seg := len(data) / p
-	out := make([]T, seg)
-	copy(out, buf[c.rank*seg:(c.rank+1)*seg])
-	return out, nil
 }

@@ -70,8 +70,8 @@ func TestLinkLatencyFIFO(t *testing.T) {
 
 // TestLinkLatencyNonblockingInitiation: the sender must not pay the wire
 // delay — Iallreduce's initiation returns while its first segments are
-// still in flight, so a Test immediately after must see an incomplete
-// request (the ring needs at least one transit per hop).
+// still in flight, so driving the request immediately after must leave
+// it incomplete (the ring needs at least one transit per hop).
 func TestLinkLatencyNonblockingInitiation(t *testing.T) {
 	const d = 100 * time.Millisecond
 	err := Run(2, func(c *Comm) error {
@@ -81,11 +81,8 @@ func TestLinkLatencyNonblockingInitiation(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		done, err := req.Test()
-		if err != nil {
-			return err
-		}
-		if done && time.Since(start) < d {
+		req.advance()
+		if req.done.Load() && time.Since(start) < d {
 			return fmt.Errorf("ring completed in %v, under one %v transit: latency bypassed", time.Since(start), d)
 		}
 		if err := req.Wait(); err != nil {
@@ -118,12 +115,11 @@ func TestLinkLatencyCollectives(t *testing.T) {
 		for i := range in {
 			in[i] = int64(c.Rank())
 		}
-		shard, err := ReduceScatter(c, in, OpSum)
-		if err != nil {
+		if err := ReduceScatterInto(c, in, OpSum); err != nil {
 			return err
 		}
-		if shard[0] != np*(np-1)/2 {
-			return fmt.Errorf("reduce-scatter got %d", shard[0])
+		if shard := in[c.Rank()]; shard != np*(np-1)/2 {
+			return fmt.Errorf("reduce-scatter got %d", shard)
 		}
 		return c.Barrier()
 	}, WithLinkLatency(time.Millisecond))

@@ -389,9 +389,8 @@ func expectErr(err, target error) error {
 // wait that no op timeout cuts short.
 func spinProbe(c *Comm, src, tag int) error {
 	for {
-		_, ok, err := c.Iprobe(src, tag)
-		if ok || err != nil {
-			return err
+		if queued(c, src, tag) {
+			return nil
 		}
 		runtime.Gosched()
 	}
@@ -459,7 +458,7 @@ func TestLentDiscardPaths(t *testing.T) {
 		{"abort-with-envelope-queued", 2, nil, func(c *Comm, x []float64) error {
 			if c.Rank() == 1 {
 				awaitMailbox(c.world.mailboxes[0], parkedInAck)
-				c.Abort(errors.New("abort with a lent envelope queued"))
+				c.world.abort(errors.New("abort with a lent envelope queued"))
 				return nil
 			}
 			err := Send(c, x, 1, 0)

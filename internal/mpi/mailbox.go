@@ -450,18 +450,6 @@ func (mb *mailbox) probe(ctx int32, src, tag int) (Status, error) {
 	}
 }
 
-// iprobe is the nonblocking variant of probe.
-func (mb *mailbox) iprobe(ctx int32, src, tag int) (Status, bool) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for _, e := range mb.unexpected {
-		if matches(e, ctx, src, tag) {
-			return Status{Source: e.src, Tag: int(e.tag), Bytes: len(e.data)}, true
-		}
-	}
-	return Status{}, false
-}
-
 // waitAck blocks until the rendezvous acknowledgement for seq arrives.
 func (mb *mailbox) waitAck(seq int64) error {
 	dl := mb.opDeadline()
@@ -499,19 +487,6 @@ func (mb *mailbox) waitRMAResp(seq int64) ([]byte, error) {
 		}
 		mb.block(waitInfo{kind: waitRMA, seq: seq})
 	}
-}
-
-// tryRMAResp reports whether the one-sided reply for seq has arrived,
-// without blocking; on success ownership of the payload passes to the
-// caller, exactly as with waitRMAResp.
-func (mb *mailbox) tryRMAResp(seq int64) ([]byte, bool) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	b, ok := mb.rmaResp[seq]
-	if ok {
-		delete(mb.rmaResp, seq)
-	}
-	return b, ok
 }
 
 // tryAck reports whether the acknowledgement for seq has arrived, without

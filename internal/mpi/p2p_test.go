@@ -290,32 +290,6 @@ func TestProbeAndGetCount(t *testing.T) {
 	}
 }
 
-func TestIprobe(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			if err := Send(c, []int{1}, 1, 0); err != nil {
-				return err
-			}
-			return c.Barrier()
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		st, ok, err := c.Iprobe(0, 0)
-		if err != nil {
-			return err
-		}
-		if !ok || st.Source != 0 {
-			return fmt.Errorf("Iprobe after barrier: ok=%v st=%+v", ok, st)
-		}
-		_, _, err = Recv[int](c, 0, 0)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRendezvousBlocksUntilMatched(t *testing.T) {
 	var recvStarted atomic.Bool
 	big := make([]float64, 100_000) // well past the eager threshold

@@ -123,7 +123,7 @@ var multiProcPrograms = Programs{
 		if c.Rank() == 1 {
 			time.Sleep(50 * time.Millisecond)
 			cause := fmt.Errorf("deliberate mp abort")
-			c.Abort(cause)
+			c.world.abort(cause)
 			return cause
 		}
 		_, _, err := c.RecvBytes(1, 99) // rank 1 never sends on tag 99

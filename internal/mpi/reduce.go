@@ -117,25 +117,3 @@ func reduceFromWire[T Scalar](dst []T, b []byte, op Op[T]) error {
 	}
 	return nil
 }
-
-// reduceFromWireLeft is reduceFromWire with the wire operand on the left:
-// dst[i] = op(decode(b, i), dst[i]). Scan's chain folds the incoming
-// prefix from the left, an order that matters for non-commutative
-// operators, so it gets its own kernel rather than reusing the
-// commutative-friendly one.
-func reduceFromWireLeft[T Scalar](dst []T, b []byte, op Op[T]) error {
-	size := scalarSize[T]()
-	if len(b) != len(dst)*size {
-		return decodeInto(dst, b)
-	}
-	if w, ok := wireView[T](b, size); ok {
-		for i := range dst {
-			dst[i] = op(w[i], dst[i])
-		}
-		return nil
-	}
-	for i := range dst {
-		dst[i] = op(scalarFromBytes[T](b[i*size:], size), dst[i])
-	}
-	return nil
-}

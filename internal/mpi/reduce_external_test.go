@@ -29,7 +29,7 @@ func TestSumFoldRecognisedAcrossPackages(t *testing.T) {
 	want := []float64{2.5, math.Inf(-1), 0, 5 * tiny}
 	for _, op := range []mpi.Op[float64]{mpi.OpSum[float64], userSum} {
 		dst := []float64{1, 3, 0, 2 * tiny}
-		if err := mpi.ReduceFromWire(dst, mpi.Marshal(src), op); err != nil {
+		if err := mpi.ReduceFromWire(dst, mpi.AppendMarshal(nil, src), op); err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
@@ -39,7 +39,7 @@ func TestSumFoldRecognisedAcrossPackages(t *testing.T) {
 		}
 	}
 	ints := []int64{math.MaxInt64, 7}
-	if err := mpi.ReduceFromWire(ints, mpi.Marshal([]int64{1, -8}), mpi.OpSum[int64]); err != nil {
+	if err := mpi.ReduceFromWire(ints, mpi.AppendMarshal(nil, []int64{1, -8}), mpi.OpSum[int64]); err != nil {
 		t.Fatal(err)
 	}
 	if ints[0] != math.MinInt64 || ints[1] != -1 {

@@ -61,7 +61,7 @@ func checkSumFold[T float64 | int64](t *testing.T, rng *rand.Rand, sum Op[T], dr
 			slow[i] = fast[i]
 			src[i] = draw(rng)
 		}
-		wire := Marshal(src)
+		wire := AppendMarshal(nil, src)
 		if err := reduceFromWire(fast, wire, sum); err != nil {
 			t.Fatal(err)
 		}

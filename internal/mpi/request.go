@@ -1,18 +1,15 @@
 package mpi
 
-import "fmt"
-
 type reqKind int8
 
 const (
 	reqSend reqKind = iota
 	reqRecv
 	reqRMAPut // Win.PutAsync: done when its issue epoch has closed
-	reqRMAGet // Win.GetAsync: done when the fetched bytes arrive
 )
 
 // Request represents an outstanding nonblocking operation started by
-// Isend, Irecv, Win.PutAsync or Win.GetAsync, mirroring MPI_Request.
+// Isend, Irecv or Win.PutAsync, mirroring MPI_Request.
 // Complete it with Wait, WaitRecvInto (typed) or poll it with Test.
 type Request struct {
 	comm *Comm
@@ -34,9 +31,7 @@ type Request struct {
 
 	// one-sided requests
 	win    *Win
-	issued int64  // reqRMAPut: window epoch the op joined
-	n      int    // reqRMAGet: requested length
-	buf    []byte // reqRMAGet: fetched payload, pooled
+	issued int64 // reqRMAPut: window epoch the op joined
 }
 
 // Wait blocks until the request completes (MPI_Wait). For receive
@@ -82,19 +77,6 @@ func (r *Request) wait() ([]byte, Status, error) {
 		}
 		r.done = true
 		return nil, Status{}, nil
-	case reqRMAGet:
-		b, err := r.comm.mb.waitRMAResp(r.seq)
-		if err != nil {
-			return nil, Status{}, err
-		}
-		if len(b) != r.n {
-			putBuf(b)
-			return nil, Status{}, fmt.Errorf("mpi: RMA get of %d bytes rejected by target %d (window freed or out of range)", r.n, r.peer)
-		}
-		r.buf = b
-		r.st = Status{Source: r.peer, Tag: -1, Bytes: len(b)}
-		r.done = true
-		return b, r.st, nil
 	default: // reqRecv
 		env, err := r.comm.finishRecv(r.pr)
 		if err != nil {
@@ -122,26 +104,13 @@ func (r *Request) Test() (bool, []byte, Status, error) {
 		return false, nil, Status{}, nil
 	case reqRMAPut:
 		// Never blocks and never closes the epoch itself: complete only
-		// once a Fence/Flush/Unlock/Wait has moved the window past the
+		// once a Fence/Flush/Wait has moved the window past the
 		// epoch this Put joined.
 		if r.win.epoch > r.issued {
 			r.done = true
 			return true, nil, Status{}, nil
 		}
 		return false, nil, Status{}, nil
-	case reqRMAGet:
-		b, ok := r.comm.mb.tryRMAResp(r.seq)
-		if !ok {
-			return false, nil, Status{}, nil
-		}
-		if len(b) != r.n {
-			putBuf(b)
-			return true, nil, Status{}, fmt.Errorf("mpi: RMA get of %d bytes rejected by target %d (window freed or out of range)", r.n, r.peer)
-		}
-		r.buf = b
-		r.st = Status{Source: r.peer, Tag: -1, Bytes: len(b)}
-		r.done = true
-		return true, b, r.st, nil
 	default: // reqRecv
 		env, ok := r.comm.mb.tryRecv(r.pr)
 		if !ok {
@@ -164,7 +133,7 @@ func (r *Request) payload() []byte {
 	if r.env != nil {
 		return r.env.data
 	}
-	return r.buf // non-nil only for completed GetAsync requests
+	return nil
 }
 
 // Waitall completes every request (MPI_Waitall), returning the first error
@@ -191,10 +160,6 @@ func Waitall(reqs ...*Request) error {
 				putBuf(r.env.data)
 				r.env.data = nil
 			}
-			if r.buf != nil {
-				putBuf(r.buf)
-				r.buf = nil
-			}
 		}
 	}
 	return firstErr
@@ -213,7 +178,6 @@ func WaitRecvInto[T Scalar](r *Request, dst []T) ([]T, Status, error) {
 	if r.env != nil {
 		r.env.data = nil
 	}
-	r.buf = nil
 	putBuf(b)
 	return xs, st, err
 }

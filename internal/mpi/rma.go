@@ -17,46 +17,40 @@ import (
 // fixed-header entries, op(1) dtype(1) offset(8) msgid(8) len(4) payload —
 // inside a kindRMAReq envelope, and every target-side effect is written
 // once, in applyRMA: it walks a frame under the region's mutex and applies
-// Put, Accumulate, Get, CompareAndSwap, Lock and Unlock alike. The
+// Put, Accumulate, Get and CompareAndSwap alike. The
 // progress engine, handleRMAReq, calls it from mailbox.post on the
 // delivering goroutine: on the channel transport that is the origin's own
 // goroutine (delivery is synchronous), on the socket transport the
 // connection reader; either way the target's application thread never
 // participates, which is the defining property of one-sided semantics.
-// Completion reuses the rendezvous machinery: Put/Accumulate/Lock/Unlock
-// are confirmed with kindAck, Get/CompareAndSwap return data in a
+// Completion reuses the rendezvous machinery: Put/Accumulate are
+// confirmed with kindAck, Get/CompareAndSwap return data in a
 // kindRMAResp envelope.
 //
-// Synchronization follows MPI's two epoch models. Active target:
-// Win.Fence drains outstanding acknowledgements and barriers, making all
-// prior accesses visible everywhere. Passive target: Win.Lock /
-// Win.LockShared open an access epoch on one target (exclusive or
-// shared), Win.Unlock completes pending operations there and releases
-// it; contended locks queue FIFO at the target and are granted by
-// deferred acknowledgement.
+// Synchronization is MPI's active-target epoch: Win.Fence drains
+// outstanding acknowledgements and barriers, making all prior accesses
+// visible everywhere. Win.Flush completes this rank's operations without
+// the barrier.
 //
 // Put and Accumulate do not travel one request per call. Inside an
 // epoch they coalesce into per-target batches — entries encoded back to
 // back in a pooled buffer — and the whole batch crosses as one frame,
 // confirmed by one acknowledgement, when the epoch closes (Fence, Flush,
-// Unlock, Free) or the batch reaches rmaBatchMaxBytes. That turns the
+// Free) or the batch reaches rmaBatchMaxBytes. That turns the
 // dominant one-sided cost, a round trip per operation, into a round trip
 // per (target, epoch): the hash-join module's before/after study
 // measures it. Ordering within a batch is program order; visibility
 // remains epoch-based, exactly as in MPI (a Get of a location Put earlier
-// in the same unflushed epoch is undefined). Get, CompareAndSwap, Lock
-// and Unlock each need a reply, so each travels alone as a one-entry
-// frame. PutAsync and GetAsync are the request-returning variants
-// (MPI_Rput/MPI_Rget): GetAsync issues immediately and completes when
-// the reply lands, PutAsync completes on the epoch boundary.
+// in the same unflushed epoch is undefined). Get and CompareAndSwap each
+// need a reply, so each travels alone as a one-entry frame. PutAsync is
+// the request-returning Put (MPI_Rput): it completes on the epoch
+// boundary.
 //
 // On the in-process channel transport every window region lives in this
 // address space, so batch flushes, Get and CompareAndSwap take a
 // shared-memory fast path: the origin calls applyRMA on the target region
 // itself — the same function, under the same mutex, that the progress
-// engine runs — skipping the mailbox round trip entirely. The lock-grant
-// protocol (Lock/Unlock) stays on the mailbox path so grant queueing and
-// deadlock detection are identical on every transport, and hook events
+// engine runs — skipping the mailbox round trip entirely. Hook events
 // are the ones applyRMA emits on either path, which the channel-vs-TCP
 // parity tests pin down.
 //
@@ -97,8 +91,6 @@ const (
 	rmaGet
 	rmaAcc
 	rmaCas
-	rmaLock
-	rmaUnlock
 )
 
 // Frame format (kindRMAReq payload): a back-to-back run of entries, each
@@ -109,9 +101,8 @@ const (
 // The payload is op-specific: the bytes to write for Put; whole 8-byte
 // int64 elements for Accumulate, whose dtype is the AccOp;
 // the requested length as an int64 for Get; compare‖swap for
-// CompareAndSwap; nothing for Lock, whose dtype is the shared flag, and
-// Unlock. A frame is either a run of Put/Accumulate entries, confirmed by
-// one acknowledgement, or exactly one Get, CompareAndSwap, Lock or Unlock
+// CompareAndSwap. A frame is either a run of Put/Accumulate entries,
+// confirmed by one acknowledgement, or exactly one Get or CompareAndSwap
 // entry, replied to on its own.
 //
 // msgid is the per-logical-op flow id: the target re-emits one mirror
@@ -162,10 +153,6 @@ func rmaBatchNext(b []byte) (op, dtype byte, offset, msgid int64, data []byte, o
 		ok = n == 8 && int64(binary.LittleEndian.Uint64(data)) >= 0
 	case rmaCas:
 		ok = n == 16
-	case rmaLock:
-		ok = n == 0 && dtype <= 1
-	case rmaUnlock:
-		ok = n == 0
 	}
 	if !ok || offset < 0 {
 		return 0, 0, 0, 0, nil, false
@@ -183,12 +170,8 @@ func rmaEvent(op byte, data []byte) (Primitive, int) {
 		return PrimRMAAcc, len(data)
 	case rmaGet:
 		return PrimRMAGet, int(binary.LittleEndian.Uint64(data))
-	case rmaCas:
-		return PrimRMACas, 8
-	case rmaLock:
-		return PrimRMALock, 0
 	}
-	return PrimRMAUnlock, 0
+	return PrimRMACas, 8
 }
 
 // inWindow reports whether [offset, offset+n) lies inside a region of
@@ -246,23 +229,13 @@ type winKey struct {
 	seq int32
 }
 
-// lockWaiter is a queued passive-target lock request awaiting its grant.
-type lockWaiter struct {
-	origin int // world rank to acknowledge on grant
-	seq    int64
-	shared bool
-}
-
 // winTarget is the target-side state of one rank's window region. Only
 // applyRMA touches it, under mu, which is released before any mailbox
 // lock is acquired for the reply; the owning rank may read and write buf
 // directly between epochs (Win.Local).
 type winTarget struct {
-	mu     sync.Mutex
-	buf    []byte
-	excl   bool // an exclusive lock is held
-	shared int  // count of shared locks held
-	queue  []lockWaiter
+	mu  sync.Mutex
+	buf []byte
 }
 
 // winState is the world-side record of one window: one target per world
@@ -314,12 +287,12 @@ type Win struct {
 	// local is this rank's own region (st.targets[worldRank]).
 	local *winTarget
 	// pend holds the open Put/Accumulate batch per communicator rank.
-	// Entries accumulate until the epoch closes (Fence, Flush, Unlock,
-	// Free) or a batch reaches rmaBatchMaxBytes, then travel as one
-	// frame confirmed by one acknowledgement.
+	// Entries accumulate until the epoch closes (Fence, Flush, Free) or
+	// a batch reaches rmaBatchMaxBytes, then travel as one frame
+	// confirmed by one acknowledgement.
 	pend []rmaPending
 	// pendingAcks are outstanding batch-frame confirmations, drained by
-	// Fence, Flush, Unlock and Free. The slice is reused across epochs,
+	// Fence, Flush and Free. The slice is reused across epochs,
 	// keeping the flush path allocation-free.
 	pendingAcks []int64
 	// epoch counts completed epochs (successful completePending calls).
@@ -377,8 +350,7 @@ func (w *Win) Free() error {
 }
 
 // Local returns this rank's own window region. The owner may read and
-// write it freely between epochs (after a Fence, or while holding its
-// own lock); touching it while remote accesses are in flight is a data
+// write it freely between epochs (after a Fence); touching it while remote accesses are in flight is a data
 // race, exactly as in MPI.
 func (w *Win) Local() []byte { return w.local.buf }
 
@@ -437,30 +409,31 @@ func (w *Win) send(target int, frame []byte) (int64, error) {
 	return seq, c.world.deliver(env)
 }
 
-// request issues one reply-needing op (Get, CompareAndSwap, Lock or
-// Unlock) as a one-entry frame under a fresh flow id. A Get or
-// CompareAndSwap on shared memory is applied in place and its result
-// returned with seq 0; everything else crosses the mailbox, and the
-// caller awaits the reply under seq.
-func (w *Win) request(target int, op, dtype byte, offset int, payload []byte) (resp []byte, seq, msgid int64, err error) {
+// request issues one Get or CompareAndSwap as a one-entry frame under a
+// fresh flow id and returns the target's reply: nil when the target
+// rejected the access. On shared memory the op is applied in place;
+// otherwise it crosses the mailbox and request awaits the reply.
+func (w *Win) request(target int, op byte, offset int, payload []byte) (resp []byte, msgid int64, err error) {
 	msgid = w.c.world.flowID()
-	if t := w.directTarget(target); t != nil && (op == rmaGet || op == rmaCas) {
+	if t := w.directTarget(target); t != nil {
 		var frame [rmaBatchEntryLen + 16]byte
-		putRMAEntry(frame[:], op, dtype, int64(offset), msgid, payload)
-		r := w.c.world.applyRMA(t, w.c.members[target], w.c.worldRank, 0, frame[:rmaBatchEntryLen+len(payload)])
-		return r.resp, 0, msgid, nil
+		putRMAEntry(frame[:], op, 0, int64(offset), msgid, payload)
+		return w.c.world.applyRMA(t, w.c.members[target], w.c.worldRank, frame[:rmaBatchEntryLen+len(payload)]), msgid, nil
 	}
 	frame := getBuf(rmaBatchEntryLen + len(payload))
-	putRMAEntry(frame, op, dtype, int64(offset), msgid, payload)
-	seq, err = w.send(target, frame)
-	return nil, seq, msgid, err
+	putRMAEntry(frame, op, 0, int64(offset), msgid, payload)
+	seq, err := w.send(target, frame)
+	if err == nil {
+		resp, err = w.c.mb.waitRMAResp(seq)
+	}
+	return resp, msgid, err
 }
 
 // Put copies data into the target rank's window at byte offset
 // (MPI_Put). The bytes are captured into the target's open batch before
 // Put returns, so data is immediately reusable by the caller; the batch
 // crosses as a single frame when the epoch closes. Remote completion is
-// established by Fence, Flush or Unlock, which also surface a target
+// established by Fence or Flush, which also surface a target
 // failure as a RankFailedError. Invalid accesses (bad rank, range
 // outside the target region, freed window) still fail here, at call
 // time.
@@ -472,7 +445,7 @@ func (w *Win) Put(target, offset int, data []byte) error {
 // PutAsync is the request-returning Put (MPI_Rput). The data is queued
 // exactly like Put; the returned Request completes once the epoch the
 // operation was issued in has closed. Wait closes the epoch itself if
-// nothing else — Fence, Flush, Unlock, Free — has yet; Test never
+// nothing else — Fence, Flush, Free — has yet; Test never
 // blocks, reporting completion only after such a close.
 func (w *Win) PutAsync(target, offset int, data []byte) (*Request, error) {
 	msgid, err := w.put(target, offset, data)
@@ -552,7 +525,9 @@ func (w *Win) peerOf(target int) int {
 // (MPI_Get). It blocks until the data arrives; the returned buffer is
 // caller-owned and may be recycled with Release.
 func (w *Win) Get(target, offset, n int) ([]byte, error) {
-	b, _, _, err := w.get(target, offset, n, true)
+	sp := w.c.begin(PrimRMAGet)
+	b, msgid, err := w.getChecked(target, offset, n)
+	sp.end(w.peerOf(target), -1, len(b), msgid, 0, 0)
 	return b, err
 }
 
@@ -568,62 +543,24 @@ func (w *Win) GetInto(dst []byte, target, offset int) error {
 	return nil
 }
 
-// GetAsync is the request-returning Get (MPI_Rget): the fetch is issued
-// immediately and the returned Request's Wait blocks for the reply,
-// whose payload is the fetched bytes (pooled; recycle with Release or
-// WaitRecvInto). Unlike Put, a Get is never batched — it needs a reply —
-// so GetAsync overlaps the round trip with origin-side work.
-func (w *Win) GetAsync(target, offset, n int) (*Request, error) {
-	b, seq, msgid, err := w.get(target, offset, n, false)
-	if err != nil {
-		return nil, err
-	}
-	peer := w.peerOf(target)
-	r := &Request{comm: w.c, kind: reqRMAGet, win: w, peer: peer, tag: -1, seq: seq, msgid: msgid, n: n}
-	if seq == 0 {
-		// The shared-memory fast path already fetched the bytes.
-		r.done, r.buf, r.st = true, b, Status{Source: peer, Tag: -1, Bytes: n}
-	}
-	return r, nil
-}
-
-// get is the instrumented body of Get and GetAsync. With wait it blocks
-// for the reply inside the span and reports the bytes fetched; without,
-// it reports the bytes requested and returns the reply's sequence for the
-// caller's Request (zero when the fast path already produced b).
-func (w *Win) get(target, offset, n int, wait bool) (b []byte, seq, msgid int64, err error) {
-	sp := w.c.begin(PrimRMAGet)
-	b, seq, msgid, err = w.getChecked(target, offset, n, wait)
-	bytes := n
-	if wait {
-		bytes = len(b)
-	}
-	sp.end(w.peerOf(target), -1, bytes, msgid, 0, 0)
-	return b, seq, msgid, err
-}
-
-func (w *Win) getChecked(target, offset, n int, wait bool) (b []byte, seq, msgid int64, err error) {
+func (w *Win) getChecked(target, offset, n int) ([]byte, int64, error) {
 	if err := w.checkAccess(target, offset, n); err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	if err := w.c.rmaLiveErr(); err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	var length [8]byte
 	binary.LittleEndian.PutUint64(length[:], uint64(n))
-	b, seq, msgid, err = w.request(target, rmaGet, 0, offset, length[:])
-	if err != nil || seq == 0 || !wait {
-		return b, seq, msgid, err
-	}
-	b, err = w.c.mb.waitRMAResp(seq)
+	b, msgid, err := w.request(target, rmaGet, offset, length[:])
 	if err != nil {
-		return nil, seq, msgid, err
+		return nil, msgid, err
 	}
 	if len(b) != n {
 		putBuf(b)
-		return nil, seq, msgid, fmt.Errorf("mpi: RMA get of %d bytes at offset %d rejected by target %d (window freed or out of range)", n, offset, target)
+		return nil, msgid, fmt.Errorf("mpi: RMA get of %d bytes at offset %d rejected by target %d (window freed or out of range)", n, offset, target)
 	}
-	return b, seq, msgid, nil
+	return b, msgid, nil
 }
 
 // directTarget returns the target-side window state when the
@@ -686,10 +623,7 @@ func (w *Win) casChecked(target, offset int, compare, swap int64) (int64, int64,
 	var args [16]byte
 	binary.LittleEndian.PutUint64(args[:], uint64(compare))
 	binary.LittleEndian.PutUint64(args[8:], uint64(swap))
-	b, seq, msgid, err := w.request(target, rmaCas, 0, offset, args[:])
-	if err == nil && seq != 0 {
-		b, err = w.c.mb.waitRMAResp(seq)
-	}
+	b, msgid, err := w.request(target, rmaCas, offset, args[:])
 	if err != nil {
 		return 0, msgid, err
 	}
@@ -718,8 +652,8 @@ func (w *Win) Fence() error {
 
 // Flush completes all outstanding Put/Accumulate operations issued by
 // this rank — flushing queued batches first — on every target, without
-// synchronizing ranks (MPI_Win_flush_all). Inside a lock epoch it
-// guarantees remote completion of prior operations.
+// synchronizing ranks (MPI_Win_flush_all): on return they are complete
+// at their targets.
 func (w *Win) Flush() error {
 	sp := w.c.begin(PrimRMAFlush)
 	err := w.completePending()
@@ -745,7 +679,7 @@ func (w *Win) flushTarget(target int) error {
 	c := w.c
 	if t := w.directTarget(target); t != nil {
 		rmaBatchDirect.Add(1)
-		c.world.applyRMA(t, c.members[target], c.worldRank, 0, buf)
+		c.world.applyRMA(t, c.members[target], c.worldRank, buf)
 		putBuf(buf)
 		return nil
 	}
@@ -820,58 +754,6 @@ func (w *Win) drainAcks() error {
 	return err
 }
 
-// Lock opens an exclusive passive-target access epoch on the target
-// rank's region (MPI_Win_lock with MPI_LOCK_EXCLUSIVE). It blocks until
-// the target's progress engine grants the lock; contended requests queue
-// FIFO at the target.
-func (w *Win) Lock(target int) error { return w.lock(target, false) }
-
-// LockShared opens a shared passive-target access epoch
-// (MPI_LOCK_SHARED): any number of ranks may hold it concurrently, but
-// it excludes — and is excluded by — Lock holders.
-func (w *Win) LockShared(target int) error { return w.lock(target, true) }
-
-func (w *Win) lock(target int, shared bool) error {
-	var flag byte
-	if shared {
-		flag = 1
-	}
-	return w.lockOp(PrimRMALock, target, rmaLock, flag)
-}
-
-// Unlock closes the passive-target epoch on target (MPI_Win_unlock):
-// outstanding operations are completed first, then the lock is released,
-// which may grant queued waiters.
-func (w *Win) Unlock(target int) error { return w.lockOp(PrimRMAUnlock, target, rmaUnlock, 0) }
-
-// lockOp is the instrumented body of Lock, LockShared and Unlock: one
-// request, confirmed by an ack the target defers until it can grant.
-func (w *Win) lockOp(prim Primitive, target int, op, flag byte) error {
-	sp := w.c.begin(prim)
-	msgid, err := w.lockChecked(target, op, flag)
-	sp.end(w.peerOf(target), -1, 0, msgid, 0, 0)
-	return err
-}
-
-func (w *Win) lockChecked(target int, op, flag byte) (int64, error) {
-	if err := w.checkAccess(target, 0, 0); err != nil {
-		return 0, err
-	}
-	if op == rmaUnlock {
-		if err := w.completePending(); err != nil {
-			return 0, err
-		}
-	}
-	if err := w.c.rmaLiveErr(); err != nil {
-		return 0, err
-	}
-	_, seq, msgid, err := w.request(target, op, flag, 0, nil)
-	if err != nil {
-		return msgid, err
-	}
-	return msgid, w.c.mb.waitAck(seq)
-}
-
 // handleRMAReq is the progress engine: it applies one frame to the
 // target's window region and replies. Called from mailbox.post on the
 // delivering goroutine, before any mailbox lock; mb is the target's
@@ -896,23 +778,19 @@ func (w *World) handleRMAReq(mb *mailbox, e *envelope) {
 	}
 	w.winMu.Unlock()
 	// A Get or CompareAndSwap is answered with data, nil when it was
-	// rejected; everything else with an ack. An unknown or already-freed
-	// window is answered too, so a misordered origin errors instead of
-	// hanging.
+	// rejected; a Put/Accumulate run with an ack. An unknown or
+	// already-freed window is answered too, so a misordered origin
+	// errors instead of hanging.
 	respond := len(frame) > 0 && (frame[0] == rmaGet || frame[0] == rmaCas)
-	var r rmaReply
+	var resp []byte
 	if t != nil {
-		r = w.applyRMA(t, target, origin, seq, frame)
+		resp = w.applyRMA(t, target, origin, frame)
 	}
 	putBuf(frame)
-	switch {
-	case respond:
-		w.rmaRespond(target, origin, key, seq, r.resp)
-	case !r.deferred:
+	if respond {
+		w.rmaRespond(target, origin, key, seq, resp)
+	} else {
 		mb.sendAck(origin, key.ctx, seq)
-	}
-	for _, g := range r.granted {
-		mb.sendAck(g.origin, key.ctx, g.seq)
 	}
 }
 
@@ -931,23 +809,16 @@ func (w *World) rmaRespond(target, origin int, key winKey, seq int64, data []byt
 	_ = w.deliver(env)
 }
 
-// rmaReply is what the target owes the origin once a frame is applied.
-type rmaReply struct {
-	resp     []byte       // Get/CompareAndSwap result; nil when the access was rejected
-	deferred bool         // a queued Lock: the Unlock that grants it sends the ack
-	granted  []lockWaiter // waiters an Unlock promoted, each owed an ack
-}
-
 // applyRMA is the target side of every one-sided op, for the progress
 // engine (mailbox path) and the origin itself (shared-memory fast path)
 // alike: it walks a frame under the region mutex and applies each entry.
 // An entry outside the region is dropped (a Get or CompareAndSwap then
 // answers nil); a malformed entry, or a reply-needing one that is not
 // alone in its frame, stops the walk with everything before it applied.
-// seq is the request's sequence, which a queued Lock is granted under.
-// One target-side mirror event per applied entry is emitted after the
-// mutex is released, so coalescing is invisible in the hook stream.
-func (w *World) applyRMA(t *winTarget, target, origin int, seq int64, frame []byte) (r rmaReply) {
+// It returns a Get's or CompareAndSwap's reply. One target-side mirror
+// event per applied entry is emitted after the mutex is released, so
+// coalescing is invisible in the hook stream.
+func (w *World) applyRMA(t *winTarget, target, origin int, frame []byte) (resp []byte) {
 	applied := 0
 	t.mu.Lock()
 	for rest := frame; len(rest) > 0; {
@@ -970,8 +841,8 @@ func (w *World) applyRMA(t *winTarget, target, origin int, seq int64, frame []by
 			}
 		case rmaGet:
 			if n := int64(binary.LittleEndian.Uint64(data)); inWindow(size, offset, n) {
-				r.resp = getBuf(int(n))
-				copy(r.resp, t.buf[offset:])
+				resp = getBuf(int(n))
+				copy(resp, t.buf[offset:])
 			}
 		case rmaCas:
 			if inWindow(size, offset, 8) {
@@ -979,25 +850,15 @@ func (w *World) applyRMA(t *winTarget, target, origin int, seq int64, frame []by
 				if old == binary.LittleEndian.Uint64(data) {
 					copy(t.buf[offset:], data[8:])
 				}
-				r.resp = getBuf(8)
-				binary.LittleEndian.PutUint64(r.resp, old)
+				resp = getBuf(8)
+				binary.LittleEndian.PutUint64(resp, old)
 			}
-		case rmaLock:
-			shared := dtype == 1
-			if len(t.queue) == 0 && t.grantableLocked(shared) {
-				t.acquireLocked(shared)
-			} else {
-				t.queue = append(t.queue, lockWaiter{origin: origin, seq: seq, shared: shared})
-				r.deferred = true
-			}
-		case rmaUnlock:
-			r.granted = t.releaseLocked()
 		}
 		applied++
 	}
 	t.mu.Unlock()
 	if !w.hooked() {
-		return r
+		return resp
 	}
 	for rest := frame; applied > 0; applied-- {
 		op, _, _, msgid, data, _ := rmaBatchNext(rest)
@@ -1005,46 +866,7 @@ func (w *World) applyRMA(t *winTarget, target, origin int, seq int64, frame []by
 		w.mirror(target, prim, origin, bytes, msgid)
 		rest = rest[rmaBatchEntryLen+len(data):]
 	}
-	return r
-}
-
-// grantableLocked reports whether a new lock of the given mode is
-// compatible with the holders. Caller holds t.mu.
-func (t *winTarget) grantableLocked(shared bool) bool {
-	if shared {
-		return !t.excl
-	}
-	return !t.excl && t.shared == 0
-}
-
-func (t *winTarget) acquireLocked(shared bool) {
-	if shared {
-		t.shared++
-	} else {
-		t.excl = true
-	}
-}
-
-// releaseLocked releases one holder and promotes queued waiters in FIFO
-// order — a run of consecutive shared requests is granted together.
-// Caller holds t.mu; the returned waiters must be acknowledged after it
-// is released.
-func (t *winTarget) releaseLocked() (granted []lockWaiter) {
-	if t.excl {
-		t.excl = false
-	} else if t.shared > 0 {
-		t.shared--
-	}
-	for len(t.queue) > 0 {
-		next := t.queue[0]
-		if !t.grantableLocked(next.shared) {
-			break
-		}
-		t.acquireLocked(next.shared)
-		granted = append(granted, next)
-		t.queue = t.queue[1:]
-	}
-	return granted
+	return resp
 }
 
 // applyAccumulate combines payload into dst element by element. Both are

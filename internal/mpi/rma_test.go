@@ -221,85 +221,6 @@ func TestRMACompareAndSwap(t *testing.T) {
 	})
 }
 
-// TestRMALockExclusiveCounter is the classic passive-target mutual
-// exclusion test: every rank increments a shared counter under Lock, in
-// a read-modify-write cycle that is only correct if the exclusive lock
-// actually excludes.
-func TestRMALockExclusiveCounter(t *testing.T) {
-	const np, rounds = 4, 8
-	rmaTransports(t, np, func(c *Comm) error {
-		w, err := c.WinCreate(8)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < rounds; i++ {
-			if err := w.Lock(0); err != nil {
-				return err
-			}
-			v, err := getInt64(w, 0, 0)
-			if err != nil {
-				return err
-			}
-			if err := putInt64(w, 0, 0, v+1); err != nil {
-				return err
-			}
-			if err := w.Unlock(0); err != nil {
-				return err
-			}
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			got := int64(binary.LittleEndian.Uint64(w.Local()))
-			if got != np*rounds {
-				return fmt.Errorf("counter = %d, want %d (exclusive lock failed to exclude)", got, np*rounds)
-			}
-		}
-		return w.Free()
-	})
-}
-
-// TestRMALockShared: an exclusive writer publishes a value, then every
-// rank reads it under a shared lock — all shared holders may overlap.
-func TestRMALockShared(t *testing.T) {
-	const np = 4
-	rmaTransports(t, np, func(c *Comm) error {
-		w, err := c.WinCreate(8)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			if err := w.Lock(0); err != nil {
-				return err
-			}
-			if err := putInt64(w, 0, 0, 4242); err != nil {
-				return err
-			}
-			if err := w.Unlock(0); err != nil {
-				return err
-			}
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		if err := w.LockShared(0); err != nil {
-			return err
-		}
-		v, err := getInt64(w, 0, 0)
-		if err != nil {
-			return err
-		}
-		if v != 4242 {
-			return fmt.Errorf("rank %d read %d under shared lock, want 4242", c.Rank(), v)
-		}
-		if err := w.Unlock(0); err != nil {
-			return err
-		}
-		return w.Free()
-	})
-}
-
 // TestRMASelfOps: one-sided operations where origin == target flow
 // through the same request path and must behave identically.
 func TestRMASelfOps(t *testing.T) {
@@ -514,32 +435,6 @@ func TestRMAPutToFailedRank(t *testing.T) {
 	})
 }
 
-// TestRMALockDeadlockDetected: rank 1's queued lock request can never be
-// granted because the holder (rank 0) blocks forever in a Recv nobody
-// matches. The deadlock detector must flag the cycle rather than hang.
-func TestRMALockDeadlockDetected(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		w, err := c.WinCreate(8)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			if err := w.Lock(0); err != nil {
-				return err
-			}
-			_, _, err := c.RecvBytes(1, 9) // never sent: holder wedges with the lock held
-			return err
-		}
-		if err := c.Barrier(); err != nil { // let rank 0 acquire first
-			return err
-		}
-		return w.Lock(0) // queues behind rank 0, blocks forever
-	})
-	if err == nil || !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("want ErrDeadlock, got %v", err)
-	}
-}
-
 // TestRMAEventParity: the profiling layer must report the same RMA event
 // multiset — kind, origin/target counts and byte totals — on both
 // transports. Mirror events (target side, SendID == 0) are included, so
@@ -570,12 +465,6 @@ func TestRMAEventParity(t *testing.T) {
 		if _, err := w.CompareAndSwap((c.Rank()+1)%np, 0, -1, -2); err != nil {
 			return err
 		}
-		if err := w.Lock((c.Rank() + 1) % np); err != nil {
-			return err
-		}
-		if err := w.Unlock((c.Rank() + 1) % np); err != nil {
-			return err
-		}
 		return w.Free()
 	}
 	signature := func(events []Event) map[string]int {
@@ -585,7 +474,7 @@ func TestRMAEventParity(t *testing.T) {
 				continue
 			}
 			side := "origin"
-			if e.SendID == 0 && e.Prim <= PrimRMAUnlock && e.Prim != PrimRMAFence {
+			if e.SendID == 0 && e.Prim <= PrimRMACas {
 				side = "target"
 			}
 			sig[fmt.Sprintf("%s/%s/rank%d/bytes%d", e.Prim, side, e.Rank, e.Bytes)]++
@@ -700,9 +589,25 @@ func TestRMAAccessOverflow(t *testing.T) {
 	})
 }
 
+// TestRMAOpCodes pins the op codes on the wire: Put, Get, Accumulate
+// and CompareAndSwap are 1 to 4, and every other code, 5 and 6 (once
+// Lock and Unlock) among them, is a malformed entry.
+func TestRMAOpCodes(t *testing.T) {
+	if got := []byte{rmaPut, rmaGet, rmaAcc, rmaCas}; !bytes.Equal(got, []byte{1, 2, 3, 4}) {
+		t.Fatalf("op codes %v, want [1 2 3 4]", got)
+	}
+	for _, op := range []byte{0, 5, 6, 255} {
+		for _, dtype := range []byte{0, 1} {
+			if _, _, _, _, _, ok := rmaBatchNext(appendBatchEntry(nil, op, dtype, 0, 0, nil)); ok {
+				t.Errorf("op %d dtype %d accepted", op, dtype)
+			}
+		}
+	}
+}
+
 // FuzzRMAFrame fuzzes the decode of a single one-sided request, as a
-// lone Put, Get, Accumulate, CompareAndSwap, Lock or Unlock travels: one
-// entry of the frame format. Arbitrary bytes must never panic, and an
+// lone Put, Get, Accumulate or CompareAndSwap travels: one entry of the
+// frame format. Arbitrary bytes must never panic, and an
 // accepted entry must re-encode to the original prefix (round-trip
 // property) with its data lying inside the frame.
 func FuzzRMAFrame(f *testing.F) {
@@ -711,8 +616,8 @@ func FuzzRMAFrame(f *testing.F) {
 	f.Add(appendBatchEntry(nil, rmaAcc, byte(AccSum), 0, 0, make([]byte, 16)))
 	f.Add(appendBatchEntry(nil, rmaAcc, 1<<4|byte(AccMax), 8, 0, make([]byte, 8))) // an element kind beside int64: must be rejected
 	f.Add(appendBatchEntry(nil, rmaCas, 0, 0, 0, le64s(42, 0)))
-	f.Add(appendBatchEntry(nil, rmaLock, 1, 0, 0, nil))
-	f.Add(appendBatchEntry(nil, rmaUnlock, 0, 0, 0, nil))
+	f.Add(appendBatchEntry(nil, 5, 1, 0, 0, nil)) // the retired Lock code: must be rejected
+	f.Add(appendBatchEntry(nil, 6, 0, 0, 0, nil)) // the retired Unlock code: must be rejected
 	f.Add([]byte{})
 	f.Add([]byte{255})
 	f.Fuzz(func(t *testing.T, b []byte) {

@@ -57,7 +57,7 @@ func TestMarshalNamedWidthsRoundTrip(t *testing.T) {
 
 func checkNamedRT[T Scalar](t *testing.T, in []T, width int) {
 	t.Helper()
-	wire := Marshal(in)
+	wire := AppendMarshal(nil, in)
 	if len(wire) != width*len(in) {
 		t.Fatalf("%T encoded to %d bytes, want %d (width %d)", in, len(wire), width*len(in), width)
 	}
@@ -94,7 +94,7 @@ func TestAppendMarshalNoReallocWithCapacity(t *testing.T) {
 }
 
 func TestUnmarshalIntoReusesCapacity(t *testing.T) {
-	wire := Marshal([]float64{1, 2, 3})
+	wire := AppendMarshal(nil, []float64{1, 2, 3})
 	dst := make([]float64, 0, 8)
 	out, err := UnmarshalInto(dst, wire)
 	if err != nil {

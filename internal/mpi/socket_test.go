@@ -288,7 +288,7 @@ func testAbortSplit(t *testing.T, opts ...Option) {
 				}
 				Release(b)
 			}
-			c.Abort(cause)
+			c.world.abort(cause)
 			return nil
 		}
 		if err := c.SendBytes(nil, 1, tagReady); err != nil {

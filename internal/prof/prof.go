@@ -87,15 +87,6 @@ func (p *Collector) Epoch() time.Time {
 	return p.epoch
 }
 
-// Reset clears recorded events and restarts the time axis.
-func (p *Collector) Reset() {
-	p.mu.Lock()
-	p.events = p.events[:0]
-	p.lifecycle = p.lifecycle[:0]
-	p.epoch = time.Now()
-	p.mu.Unlock()
-}
-
 // Intervals derives trace intervals from the event stream: every
 // primitive invocation becomes a communication interval, and the gap
 // between consecutive primitives on the same rank becomes a compute

@@ -92,10 +92,7 @@ func parityWorkload(c *mpi.Comm) error {
 	if _, err := mpi.Allreduce(c, buf, mpi.OpSum); err != nil {
 		return err
 	}
-	if _, err := mpi.Scan(c, buf, mpi.OpSum); err != nil {
-		return err
-	}
-	if _, err := mpi.Alltoall(c, make([]float64, n)); err != nil {
+	if _, err := mpi.Alltoallv(c, make([][]float64, n)); err != nil {
 		return err
 	}
 	if _, err := mpi.Scatter(c, make([]float64, n), 0); err != nil {
@@ -488,42 +485,25 @@ func TestLifecycleMarkers(t *testing.T) {
 	}
 }
 
-// TestRMATargetWaitFixture: rank 1 holds an exclusive lock on its own
-// window while rank 0's Lock request queues at the target. Rank 0's
-// blocked time must be attributed to the (0 waits on 1) rma-target-wait
-// edge.
+// TestRMATargetWaitFixture: rank 0 fetches from rank 1's window over a
+// link that holds every frame for delay, so its Get waits out the
+// request's and the reply's transit. Rank 0's blocked time must be
+// attributed to the (0 waits on 1) rma-target-wait edge.
 func TestRMATargetWaitFixture(t *testing.T) {
 	const delay = 50 * time.Millisecond
 	pc := New()
-	err := mpi.Run(2, func(c *mpi.Comm) error {
+	err := mpi.RunTCP(2, func(c *mpi.Comm) error {
 		w, err := c.WinCreate(8)
 		if err != nil {
 			return err
 		}
-		if c.Rank() == 1 {
-			if err := w.Lock(1); err != nil {
-				return err
-			}
-			if err := c.Barrier(); err != nil { // rank 0 may now contend
-				return err
-			}
-			time.Sleep(delay)
-			if err := w.Unlock(1); err != nil {
-				return err
-			}
-		} else {
-			if err := c.Barrier(); err != nil {
-				return err
-			}
-			if err := w.Lock(1); err != nil { // queues behind the holder
-				return err
-			}
-			if err := w.Unlock(1); err != nil {
+		if c.Rank() == 0 {
+			if err := w.GetInto(make([]byte, 8), 1, 0); err != nil {
 				return err
 			}
 		}
 		return w.Free()
-	}, mpi.WithHook(pc))
+	}, mpi.WithHook(pc), mpi.WithLinkLatency(delay))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,4 +532,13 @@ func TestAccountRMAMirrorSkip(t *testing.T) {
 	if a.CommBytes != 124 {
 		t.Fatalf("CommBytes = %d, want 124 (origin Put 100 + origin Acc 24, mirrors skipped)", a.CommBytes)
 	}
+}
+
+// Reset clears recorded events and restarts the time axis.
+func (p *Collector) Reset() {
+	p.mu.Lock()
+	p.events = p.events[:0]
+	p.lifecycle = p.lifecycle[:0]
+	p.epoch = time.Now()
+	p.mu.Unlock()
 }

@@ -24,7 +24,7 @@ const (
 	CollectiveWait
 	// RMATargetWait: a one-sided operation blocked on the target's
 	// progress engine — a fetch (Get, CompareAndSwap) awaiting its reply,
-	// a Lock awaiting its grant, or a Flush/Unlock draining completions.
+	// or a Flush draining completions.
 	RMATargetWait
 )
 
@@ -128,12 +128,10 @@ func classify(e mpi.Event) (WaitKind, int, bool) {
 			return LateReceiver, e.Peer, true
 		}
 		return LateSender, -1, true
-	case mpi.PrimBarrier, mpi.PrimBcast, mpi.PrimScatter, mpi.PrimScatterv,
-		mpi.PrimGather, mpi.PrimGatherv, mpi.PrimAllgather, mpi.PrimReduce,
-		mpi.PrimAllreduce, mpi.PrimScan, mpi.PrimAlltoall, mpi.PrimAlltoallv,
-		mpi.PrimReduceScatter, mpi.PrimIallreduce, mpi.PrimIbcast,
-		mpi.PrimIreduce, mpi.PrimIbarrier, mpi.PrimIallgather,
-		mpi.PrimWaitColl:
+	case mpi.PrimBarrier, mpi.PrimBcast, mpi.PrimScatter, mpi.PrimGather,
+		mpi.PrimGatherv, mpi.PrimAllgather, mpi.PrimReduce, mpi.PrimAllreduce,
+		mpi.PrimAlltoallv, mpi.PrimReduceScatter, mpi.PrimIallreduce,
+		mpi.PrimIallgather, mpi.PrimWaitColl:
 		// Nonblocking-collective initiations rarely block; MPI_Wait_coll
 		// carries the time the rank actually stalled on the collective.
 		return CollectiveWait, -1, true
@@ -142,7 +140,7 @@ func classify(e mpi.Event) (WaitKind, int, bool) {
 		// members arriving, not any single target being slow.
 		return CollectiveWait, -1, true
 	case mpi.PrimRMAPut, mpi.PrimRMAGet, mpi.PrimRMAAcc, mpi.PrimRMACas,
-		mpi.PrimRMALock, mpi.PrimRMAUnlock, mpi.PrimRMAFlush:
+		mpi.PrimRMAFlush:
 		if e.SendID == 0 && e.Peer >= 0 && e.Dur == 0 {
 			// Target-side mirror event: the progress engine never blocks.
 			return 0, 0, false

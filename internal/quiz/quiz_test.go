@@ -1,6 +1,7 @@
 package quiz
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -174,4 +175,20 @@ func TestBankDerivesAllAnswers(t *testing.T) {
 			t.Fatalf("quiz %d answer %d, want %d", q.Quiz, q.Answer, wantAnswers[i])
 		}
 	}
+}
+
+// Validate checks structural invariants: scores within [0, 1].
+func (d Dataset) Validate() error {
+	for s := 0; s < NumStudents; s++ {
+		for q := 0; q < NumQuizzes; q++ {
+			p := d.Scores[s][q]
+			if !p.Valid {
+				continue
+			}
+			if p.Pre < 0 || p.Pre > 1 || p.Post < 0 || p.Post > 1 {
+				return fmt.Errorf("quiz: student %d quiz %d scores (%v, %v) outside [0,1]", s+1, q+1, p.Pre, p.Post)
+			}
+		}
+	}
+	return nil
 }

@@ -159,9 +159,6 @@ func (t *Tree) Len() int { return t.size }
 // Stats returns the cumulative search statistics.
 func (t *Tree) Stats() Stats { return t.stats }
 
-// resetStats clears the search statistics.
-func (t *Tree) resetStats() { t.stats = Stats{} }
-
 // InsertPoint indexes a point with the given id.
 func (t *Tree) InsertPoint(pt []float64, id int) error {
 	return t.Insert(data.PointRect(pt), id)
@@ -340,52 +337,4 @@ func (t *Tree) search(n *node, q data.Rect, dst []int) []int {
 		}
 	}
 	return dst
-}
-
-// height returns the number of levels in the tree (1 for a lone leaf).
-func (t *Tree) height() int {
-	h := 1
-	for n := t.root; !n.leaf; n = n.entries[0].child {
-		h++
-	}
-	return h
-}
-
-// CheckInvariants validates structural invariants: bounding boxes cover
-// children, occupancy bounds hold (root exempt), and all leaves are at the
-// same depth. Used by property tests.
-func (t *Tree) CheckInvariants() error {
-	depths := make(map[int]bool)
-	var walk func(n *node, depth int, isRoot bool) error
-	walk = func(n *node, depth int, isRoot bool) error {
-		if !isRoot && !t.packed && (len(n.entries) < t.min || len(n.entries) > t.max) {
-			return fmt.Errorf("rtree: node occupancy %d outside [%d, %d]", len(n.entries), t.min, t.max)
-		}
-		if len(n.entries) > t.max {
-			return fmt.Errorf("rtree: node overflow: %d > %d", len(n.entries), t.max)
-		}
-		if n.leaf {
-			depths[depth] = true
-			return nil
-		}
-		for _, e := range n.entries {
-			box := boundingBox(e.child)
-			for d := 0; d < t.dim; d++ {
-				if box.Min[d] < e.rect.Min[d]-1e-12 || box.Max[d] > e.rect.Max[d]+1e-12 {
-					return fmt.Errorf("rtree: entry box does not cover child on axis %d", d)
-				}
-			}
-			if err := walk(e.child, depth+1, false); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(t.root, 0, true); err != nil {
-		return err
-	}
-	if len(depths) > 1 {
-		return fmt.Errorf("rtree: leaves at %d distinct depths", len(depths))
-	}
-	return nil
 }

@@ -73,9 +73,6 @@ func parityWorkload(c *mpi.Comm) error {
 	if _, err := mpi.Allgather(c, buf); err != nil {
 		return err
 	}
-	if _, err := mpi.Scan(c, buf, mpi.OpSum); err != nil {
-		return err
-	}
 	if err := c.Barrier(); err != nil {
 		return err
 	}

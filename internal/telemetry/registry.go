@@ -175,9 +175,6 @@ func (c Counter) Inc() { c.s.val.Add(1) }
 // counter; this is not checked on the hot path).
 func (c Counter) Add(n int64) { c.s.val.Add(n) }
 
-// Value returns the raw (unscaled) count.
-func (c Counter) Value() int64 { return c.s.val.Load() }
-
 // Gauge is a series that can go up and down.
 type Gauge struct{ s *series }
 
@@ -193,12 +190,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() int64, labels ...Label
 
 // Set stores v.
 func (g Gauge) Set(v int64) { g.s.val.Store(v) }
-
-// Add adjusts the gauge by d.
-func (g Gauge) Add(d int64) { g.s.val.Add(d) }
-
-// Value returns the raw gauge value.
-func (g Gauge) Value() int64 { return g.s.val.Load() }
 
 // DefBuckets are the default latency bucket upper bounds: a 1-2.5-5
 // decade ladder from 1µs to 1s, wide enough for an in-process channel
@@ -260,6 +251,3 @@ func (h Histogram) Count() int64 {
 	}
 	return n
 }
-
-// Sum returns the total of all observations.
-func (h Histogram) Sum() time.Duration { return time.Duration(h.s.sum.Load()) }

@@ -118,3 +118,15 @@ func TestConcurrentUpdates(t *testing.T) {
 		t.Fatalf("histogram lost updates: %d != %d", h.Count(), workers*per)
 	}
 }
+
+// Value returns the raw (unscaled) count.
+func (c Counter) Value() int64 { return c.s.val.Load() }
+
+// Add adjusts the gauge by d.
+func (g Gauge) Add(d int64) { g.s.val.Add(d) }
+
+// Value returns the raw gauge value.
+func (g Gauge) Value() int64 { return g.s.val.Load() }
+
+// Sum returns the total of all observations.
+func (h Histogram) Sum() time.Duration { return time.Duration(h.s.sum.Load()) }

@@ -1,38 +1,32 @@
 package repro_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// surfaceKeep lists the exported names in internal/ that no non-test
-// file uses, each with the reason it stays exported. A name is written
+// surfaceKeep lists the declarations in internal/ that no binary
+// reaches but that stay, each with the reason. A declaration is written
 // as its package directory under internal/, then the name, with the
-// receiver type between them for a method: "mpi.Win.GetInto".
+// receiver type between them for a method: "mpi.Win.GetInto". Each
+// entry is a root of the reachability walk, so what a kept declaration
+// uses counts as reached too.
 var surfaceKeep = map[string]string{
-	"mpi.Exscan":                   "DESIGN.md lists it with the collectives",
-	"mpi.Win.GetInto":              "README.md teaches it with the one-sided operations",
-	"mpi.Win.LockShared":           "README.md teaches it with the passive-target epochs",
-	"mpi.Win.GetAsync":             "README.md teaches it as MPI_Rget",
-	"mpi.Comm.Abort":               "README.md teaches it with the failure semantics",
-	"mpi.Ibcast":                   "README.md teaches it with the nonblocking collectives",
-	"mpi.Ireduce":                  "README.md teaches it with the nonblocking collectives",
-	"mpi.Ibarrier":                 "README.md teaches it with the nonblocking collectives",
-	"mpi.ReduceScatter":            "README.md teaches it with the nonblocking collectives",
-	"mpi.Alltoall":                 "README.md and DESIGN.md list it with the collectives",
-	"cluster.Cluster.Cancel":       "DESIGN.md teaches it as scancel",
-	"modules/distmatrix.TileSweep": "DESIGN.md teaches it as outcome 6's tile sweep",
-	"mpi.Comm.Iprobe":              "curriculum.SendRecvVariants names MPI_Iprobe",
-	"mpi.Scatterv":                 "PrimScatterv is in the primitive table",
-
-	// Seams that tests in other packages set, so export_test.go
-	// cannot hold them.
+	// Seams that tests in other packages set or call, so a _test.go
+	// file of the declaring package cannot hold them.
 	"mpi.WithEagerThreshold":                 "hashjoin, latencyhiding and the root benchmarks set it",
 	"mpi.WithSynchronousSends":               "hashjoin and latencyhiding tests set it",
 	"mpi.WithChildArgs":                      "cmd/mpirun's tests set it",
@@ -41,117 +35,186 @@ var surfaceKeep = map[string]string{
 	"modules/distsort.SortResilient":         "the distsort and chaos tests respawn through it",
 	"modules/kmeans.PlusPlusCentroids":       "the kmeans tests and root benchmarks seed with it",
 	"modules/kmeans.SequentialWithCentroids": "the kmeans tests and root benchmarks run it",
+	"cluster.Cluster.Cancel":                 "bench/workloads.go reads Stats.Cancelled, which only Cancel moves",
+	"cluster.Cluster.Now":                    "the workload tests step the clock from it",
+	"curriculum.Validate":                    "the root benchmarks check the registry with it",
+	"faults.MustParse":                       "tests in mpirun, chaos, distsort, kmeans, telemetry and workload build plans with it",
+	"modules/rangequery.Sequential":          "the root benchmarks compare against it",
+	"mpi.ReliabilityCounters.Sub":            "the faults and telemetry tests bracket the link counters with it",
 
+	"leakcheck.Snapshot":    "the leakcheck package exists for tests",
 	"leakcheck.State.Check": "the leakcheck package exists for tests",
 }
 
-// TestExportedSurfaceHasCallers fails when an exported func, type,
-// const or var in internal/, or an exported method of an exported type
-// there, has no use in any non-test file of the module and is not in
-// surfaceKeep, and when an entry of surfaceKeep names a declaration
-// that is gone or has gained a use.
+// ifaceMethodNames are the method names of the standard-library
+// interfaces whose implementations the runtime calls for us (fmt,
+// sort, heap, flag, io, encoding/json, errors), so no call site names them.
+var ifaceMethodNames = []string{
+	"Error", "String", "Format", "Len", "Less", "Swap", "Push", "Pop",
+	"Set", "Read", "Write", "Close", "MarshalJSON", "Is", "Unwrap",
+}
+
+// TestSurfaceReachable fails when a non-test declaration in internal/
+// (a func, method, type, const or var, exported or not) is not reached
+// from a binary and surfaceKeep does not name it, and when an entry of
+// surfaceKeep names a declaration that is gone or that a binary reaches.
 //
-// Uses are found by name, from the syntax alone: any identifier with
-// the declared name, in any non-test file, other than a declaration's
-// own name. So a name that shares its spelling with a used one (two
-// packages' Sequential) counts as used.
-func TestExportedSurfaceHasCallers(t *testing.T) {
-	type file struct {
-		dir string
-		f   *ast.File
-	}
-	fset := token.NewFileSet()
-	var files []file
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		files = append(files, file{filepath.ToSlash(filepath.Dir(path)), f})
-		return nil
-	})
+// The roots are the main and init functions of cmd/, bench/ and
+// examples/, every init function, every package-level var initialiser
+// and, after the stale-entry check, the surfaceKeep entries. A reached
+// declaration marks every func, method, type, const and var it names
+// (resolved by go/types, so two packages' Sequential are told apart).
+// A method is also reached when its receiver type is, and its name is
+// a method of an interface declared in the module or of one in
+// ifaceMethodNames. A const of an iota block is reached with its block.
+func TestSurfaceReachable(t *testing.T) {
+	pkgs, fset := loadModule(t)
+	dir, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Exported declarations in internal/, keyed as in surfaceKeep.
-	decls := map[string]*ast.Ident{}
-	add := func(dir, key string, id *ast.Ident) {
-		if ast.IsExported(id.Name) {
-			decls[strings.TrimPrefix(dir, "internal/")+"."+key] = id
-		}
+	decls := map[types.Object]*surfaceDecl{}
+	byKey := map[string]*surfaceDecl{}
+	type root struct {
+		node ast.Node
+		info *types.Info
 	}
-	for _, fl := range files {
-		if !strings.HasPrefix(fl.dir, "internal/") {
-			continue
+	var roots []root
+	ifaceNames := map[string]bool{}
+	for _, n := range ifaceMethodNames {
+		ifaceNames[n] = true
+	}
+	// methods lists each named type's methods, for the interface rule.
+	methods := map[types.Object][]*surfaceDecl{}
+	for _, p := range pkgs {
+		pkgDir := strings.TrimPrefix(p.ImportPath, "repro/")
+		internal := strings.HasPrefix(pkgDir, "internal/")
+		binary := p.Name == "main"
+		// add records a declaration; the names of one iota block share
+		// the block's declaration.
+		var block *surfaceDecl
+		add := func(id *ast.Ident, node ast.Node, key string) *surfaceDecl {
+			d := block
+			if d == nil {
+				d = &surfaceDecl{node: node, info: p.info}
+			}
+			if d.where == "" {
+				pos := fset.Position(id.Pos())
+				rel, _ := filepath.Rel(dir, pos.Filename)
+				d.where = fmt.Sprintf("%s:%d", filepath.ToSlash(rel), pos.Line)
+			}
+			if internal {
+				key = strings.TrimPrefix(pkgDir, "internal/") + "." + key
+				d.keys = append(d.keys, key)
+				byKey[key] = d
+			}
+			decls[p.info.Defs[id]] = d
+			return d
 		}
-		for _, d := range fl.f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil {
-					add(fl.dir, d.Name.Name, d.Name)
-					continue
-				}
-				recv := receiverType(d.Recv.List[0].Type)
-				if ast.IsExported(recv) {
-					add(fl.dir, recv+"."+d.Name.Name, d.Name)
-				}
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						add(fl.dir, s.Name.Name, s.Name)
-					case *ast.ValueSpec:
-						for _, id := range s.Names {
-							add(fl.dir, id.Name, id)
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				block = nil
+				switch decl := decl.(type) {
+				case *ast.FuncDecl:
+					if decl.Recv == nil {
+						if decl.Name.Name == "init" || (binary && decl.Name.Name == "main") {
+							roots = append(roots, root{decl, p.info})
+							continue
+						}
+						add(decl.Name, decl, decl.Name.Name)
+						continue
+					}
+					recv := surfaceRecv(decl.Recv.List[0].Type)
+					d := add(decl.Name, decl, recv.Name+"."+decl.Name.Name)
+					d.method = decl.Name.Name
+					tn := p.info.Uses[recv]
+					methods[tn] = append(methods[tn], d)
+				case *ast.GenDecl:
+					if decl.Tok == token.CONST && surfaceUsesIota(decl) {
+						block = &surfaceDecl{node: decl, info: p.info}
+					}
+					for _, s := range decl.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							add(s.Name, s, s.Name.Name)
+							if it, ok := s.Type.(*ast.InterfaceType); ok {
+								for _, m := range it.Methods.List {
+									for _, n := range m.Names {
+										ifaceNames[n.Name] = true
+									}
+								}
+							}
+						case *ast.ValueSpec:
+							if decl.Tok == token.VAR {
+								for _, v := range s.Values {
+									roots = append(roots, root{v, p.info})
+								}
+							}
+							for _, id := range s.Names {
+								if id.Name != "_" {
+									add(id, s, id.Name)
+								}
+							}
 						}
 					}
 				}
 			}
 		}
 	}
-
-	// Uses: every identifier of every non-test file but the declared
-	// names themselves.
-	declared := map[*ast.Ident]bool{}
-	for _, id := range decls {
-		declared[id] = true
+	// Walk: a reached declaration names others through info.Uses; a
+	// reached type brings along its methods that implement an interface.
+	var work []*surfaceDecl
+	reach := func(d *surfaceDecl) {
+		if d != nil && !d.reached {
+			d.reached = true
+			work = append(work, d)
+		}
 	}
-	used := map[string]bool{}
-	for _, fl := range files {
-		ast.Inspect(fl.f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				used[id.Name] = true
+	visit := func(n ast.Node, info *types.Info) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				reach(decls[surfaceOrigin(info.Uses[id])])
 			}
 			return true
 		})
 	}
-
-	var problems []string
-	for key, id := range decls {
-		_, kept := surfaceKeep[key]
-		switch {
-		case !used[id.Name] && !kept:
-			problems = append(problems, key+" is exported, but no non-test file uses it: delete it, unexport it, or say in surfaceKeep why it stays")
-		case used[id.Name] && kept:
-			problems = append(problems, "surfaceKeep lists "+key+", but a non-test file uses it now: drop the entry")
+	drain := func() {
+		for len(work) > 0 {
+			d := work[len(work)-1]
+			work = work[:len(work)-1]
+			visit(d.node, d.info)
+			if tn := d.typeName(); tn != nil {
+				for _, m := range methods[tn] {
+					if ifaceNames[m.method] {
+						reach(m)
+					}
+				}
+			}
 		}
 	}
+	for _, r := range roots {
+		visit(r.node, r.info)
+	}
+	drain()
+
+	var problems []string
 	for key := range surfaceKeep {
-		if _, ok := decls[key]; !ok {
-			problems = append(problems, "surfaceKeep lists "+key+", which is not an exported declaration in internal/: drop the entry")
+		d := byKey[key]
+		switch {
+		case d == nil:
+			problems = append(problems, "surfaceKeep lists "+key+", which is not a declaration in internal/: drop the entry")
+		case d.reached:
+			problems = append(problems, fmt.Sprintf("surfaceKeep lists %s (%s), but a binary reaches it now: drop the entry", key, d.where))
+		default:
+			reach(d)
+		}
+	}
+	drain()
+	for key, d := range byKey {
+		if !d.reached && d.keys[0] == key {
+			key = strings.Join(d.keys, ", ")
+			problems = append(problems, fmt.Sprintf("%s (%s) is reached from no binary: delete it, move it into a _test.go file, or say in surfaceKeep why it stays", key, d.where))
 		}
 	}
 	sort.Strings(problems)
@@ -160,9 +223,120 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 	}
 }
 
-// receiverType returns the name of a method's receiver type, without
-// pointer or type parameters.
-func receiverType(x ast.Expr) string {
+// surfaceDecl is one package-level declaration of the module: its
+// syntax (a whole iota block for a const in one), and whether the walk
+// has reached it.
+type surfaceDecl struct {
+	keys    []string // its names, for internal/ declarations only
+	method  string   // the method name, for a method
+	where   string   // file:line of its first name
+	node    ast.Node
+	info    *types.Info
+	reached bool
+}
+
+// typeName returns the declared type name of a TypeSpec, or nil.
+func (d *surfaceDecl) typeName() types.Object {
+	if s, ok := d.node.(*ast.TypeSpec); ok {
+		return d.info.Defs[s.Name]
+	}
+	return nil
+}
+
+// surfacePkg is one type-checked package of the module.
+type surfacePkg struct {
+	ImportPath string
+	Name       string
+	Dir        string
+	GoFiles    []string
+	Export     string
+	Module     *struct{ Main bool }
+
+	files []*ast.File
+	info  *types.Info
+}
+
+// loadModule lists the module's packages with their dependencies and
+// type-checks each module package from its non-test source, in
+// dependency order, importing everything else from export data.
+func loadModule(t *testing.T) ([]*surfacePkg, *token.FileSet) {
+	t.Helper()
+	out, err := exec.Command("go", "list", "-deps", "-export", "-json=ImportPath,Name,Dir,GoFiles,Export,Module", "./...").Output()
+	if err != nil {
+		if ee, ok := err.(*exec.ExitError); ok {
+			t.Fatalf("go list: %v\n%s", err, ee.Stderr)
+		}
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	export := map[string]string{}
+	var pkgs []*surfacePkg
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		p := new(surfacePkg)
+		if err := dec.Decode(p); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if p.Module != nil && p.Module.Main {
+			if len(p.GoFiles) > 0 { // else a package of tests only
+				pkgs = append(pkgs, p)
+			}
+		} else {
+			export[p.ImportPath] = p.Export
+		}
+	}
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if f, ok := export[path]; ok && f != "" {
+			return os.Open(f)
+		}
+		return nil, fmt.Errorf("no export data for %s", path)
+	})
+	checked := map[string]*types.Package{}
+	imp := surfaceImporter(func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		return std.Import(path)
+	})
+	for _, p := range pkgs {
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.files = append(p.files, f)
+		}
+		p.info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		conf := types.Config{Importer: imp}
+		tp, err := conf.Check(p.ImportPath, fset, p.files, p.info)
+		if err != nil {
+			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
+		}
+		checked[p.ImportPath] = tp
+	}
+	return pkgs, fset
+}
+
+type surfaceImporter func(string) (*types.Package, error)
+
+func (f surfaceImporter) Import(path string) (*types.Package, error) { return f(path) }
+
+// surfaceOrigin maps a method or field of an instantiated generic type
+// back to its declaration.
+func surfaceOrigin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// surfaceRecv returns a method's receiver type name, without pointer
+// or type parameters.
+func surfaceRecv(x ast.Expr) *ast.Ident {
 	for {
 		switch e := x.(type) {
 		case *ast.StarExpr:
@@ -174,9 +348,21 @@ func receiverType(x ast.Expr) string {
 		case *ast.ParenExpr:
 			x = e.X
 		case *ast.Ident:
-			return e.Name
+			return e
 		default:
-			return ""
+			panic(fmt.Sprintf("receiver %T", x))
 		}
 	}
+}
+
+// surfaceUsesIota reports whether a const block numbers with iota.
+func surfaceUsesIota(d *ast.GenDecl) bool {
+	found := false
+	ast.Inspect(d, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && id.Name == "iota" {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
