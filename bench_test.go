@@ -429,7 +429,7 @@ func BenchmarkAblation_EagerVsRendezvous(b *testing.B) {
 		err := mpi.Run(2, func(c *mpi.Comm) error {
 			for i := 0; i < b.N; i++ {
 				if c.Rank() == 0 {
-					if err := c.SendBytes(payload, 1, 0); err != nil {
+					if err := mpi.Send(c, payload, 1, 0); err != nil {
 						return err
 					}
 					buf, _, err := c.RecvBytes(1, 0)
@@ -442,7 +442,7 @@ func BenchmarkAblation_EagerVsRendezvous(b *testing.B) {
 					if err != nil {
 						return err
 					}
-					err = c.SendBytes(buf, 0, 0)
+					err = mpi.Send(c, buf, 0, 0)
 					mpi.Release(buf)
 					if err != nil {
 						return err

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/modules/comm"
 	"repro/internal/mpi"
 	"repro/internal/prof"
 	"repro/internal/telemetry"
@@ -257,6 +258,8 @@ func hello(c *mpi.Comm) error {
 	return nil
 }
 
+// latency sweeps Module 1's ping-pong over message sizes 1 B to 1 MiB
+// and prints the one-way latency, half the mean round trip.
 func latency(c *mpi.Comm) error {
 	if c.Size() < 2 {
 		return fmt.Errorf("latency needs 2 ranks")
@@ -269,31 +272,12 @@ func latency(c *mpi.Comm) error {
 		if size >= 1<<16 {
 			iters = 100
 		}
-		buf := make([]byte, size)
-		if err := c.Barrier(); err != nil {
+		res, err := comm.PingPong(c, iters, size)
+		if err != nil {
 			return err
 		}
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if c.Rank() == 0 {
-				if err := c.SendBytes(buf, 1, 0); err != nil {
-					return err
-				}
-				if _, _, err := c.RecvBytes(1, 0); err != nil {
-					return err
-				}
-			} else if c.Rank() == 1 {
-				b, _, err := c.RecvBytes(0, 0)
-				if err != nil {
-					return err
-				}
-				if err := c.SendBytes(b, 0, 0); err != nil {
-					return err
-				}
-			}
-		}
 		if c.Rank() == 0 {
-			fmt.Printf("%10d %14v\n", size, time.Since(start)/time.Duration(2*iters))
+			fmt.Printf("%10d %14v\n", size, res.AvgRTT/2)
 		}
 	}
 	return nil
@@ -318,7 +302,7 @@ func bandwidth(c *mpi.Comm) error {
 			if c.Rank() == 0 {
 				reqs := make([]*mpi.Request, 0, window)
 				for w := 0; w < window; w++ {
-					req, err := c.IsendBytes(buf, 1, 0)
+					req, err := mpi.Isend(c, buf, 1, 0)
 					if err != nil {
 						return err
 					}
@@ -336,7 +320,7 @@ func bandwidth(c *mpi.Comm) error {
 						return err
 					}
 				}
-				if err := c.SendBytes(nil, 0, 1); err != nil {
+				if err := mpi.Send[byte](c, nil, 0, 1); err != nil {
 					return err
 				}
 			}

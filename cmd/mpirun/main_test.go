@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/mpi"
@@ -177,5 +178,40 @@ func TestProcsForwardsRunOptions(t *testing.T) {
 	}
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLatencySizes runs the latency program on two ranks and checks that
+// it prints one row per size, 1 B to 1 MiB in steps of 4×.
+func TestLatencySizes(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	runErr := mpi.Run(2, latency)
+	os.Stdout = saved
+	w.Close()
+	got := strings.Split(strings.TrimSpace(string(<-out)), "\n")
+	r.Close()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	if len(got) != 12 || strings.Fields(got[0])[0] != "bytes" {
+		t.Fatalf("want a header and 11 rows, got:\n%s", strings.Join(got, "\n"))
+	}
+	for i, line := range got[1:] {
+		f := strings.Fields(line)
+		if want := fmt.Sprint(1 << (2 * i)); len(f) != 2 || f[0] != want {
+			t.Errorf("row %d = %q, want size %s and a latency", i, line, want)
+		} else if d, err := time.ParseDuration(f[1]); err != nil || d <= 0 {
+			t.Errorf("row %d = %q: latency is not a positive duration", i, line)
+		}
 	}
 }

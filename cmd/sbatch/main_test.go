@@ -3,12 +3,16 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -92,5 +96,76 @@ func TestSaturationConfig(t *testing.T) {
 	o.policy = "sjf"
 	if _, err := saturationConfig(o); err == nil {
 		t.Error("invalid policy accepted")
+	}
+}
+
+// captureStdout returns what fn prints on standard output.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	runErr := fn()
+	os.Stdout = saved
+	w.Close()
+	got := <-out
+	r.Close()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return string(got)
+}
+
+// TestWorkloadMetricsSameRun: -workload prints the same report with and
+// without -metrics, and the gauges -metrics fills describe the one
+// simulation the report comes from.
+func TestWorkloadMetricsSameRun(t *testing.T) {
+	var o options
+	args := []string{"-workload", "poisson:900/h;tasks=fixed:16", "-nodes", "2", "-njobs", "400",
+		"-seed", "3", "-faults", "node=0:at=30m", "-repair", "1h"}
+	if err := newFlagSet(&o).Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	plain := captureStdout(t, func() error { return runWorkload(&o, nil) })
+	reg := telemetry.NewRegistry()
+	metered := captureStdout(t, func() error { return runWorkload(&o, cluster.NewGauges(reg)) })
+	if plain != metered {
+		t.Fatalf("-metrics changed the report:\nwithout:\n%s\nwith:\n%s", plain, metered)
+	}
+
+	cfg, err := saturationConfig(&o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, c, err := workload.Evaluate(cfg, o.mult)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if !strings.Contains(plain, fmt.Sprintf("(%d completed, %d timed out, %d node-failed, %d requeues)",
+		st.Completed, st.TimedOut, st.NodeFailed, st.Requeues)) {
+		t.Fatalf("report does not show the simulation's stats %+v:\n%s", st, plain)
+	}
+	var buf bytes.Buffer
+	if err := telemetry.WritePrometheus(&buf, reg); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int{
+		"cluster_jobs_completed_total": st.Completed,
+		"cluster_requeues_total":       st.Requeues,
+		"cluster_queue_depth":          0,
+		"cluster_jobs_running":         0,
+	} {
+		if line := fmt.Sprintf("%s %d\n", name, want); !strings.Contains(buf.String(), line) {
+			t.Errorf("gauges lack %q:\n%s", strings.TrimSpace(line), buf.String())
+		}
 	}
 }

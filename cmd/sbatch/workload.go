@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
-	"repro/internal/perfmodel"
 	"repro/internal/workload"
 )
 
@@ -68,23 +67,11 @@ func runWorkload(o *options, g *cluster.Gauges) error {
 		return runSweep(o, cfg)
 	}
 
-	point, err := workload.Evaluate(cfg, o.mult)
+	point, c, err := workload.Evaluate(cfg, o.mult)
 	if err != nil {
 		return err
 	}
-	// Re-run with gauges attached when -metrics is on: Evaluate builds
-	// its own cluster, so the observable run is a separate (identical,
-	// deterministic) replay.
-	if g != nil {
-		c, gen, err := buildRun(cfg, o.mult)
-		if err != nil {
-			return err
-		}
-		if _, err := workload.Run(c, gen, cfg.Jobs); err != nil {
-			return err
-		}
-		g.Observe(c)
-	}
+	observe(g, c)
 	st := point.Stats
 	fmt.Printf("workload %q ×%g on %d nodes, policy %s, seed %d\n",
 		cfg.Spec, o.mult, cfg.Nodes, cfg.Policy, cfg.Seed)
@@ -99,31 +86,6 @@ func runWorkload(o *options, g *cluster.Gauges) error {
 		fmt.Println("  SATURATED: queueing delay has overtaken service time")
 	}
 	return nil
-}
-
-// buildRun constructs the cluster+generator pair Evaluate would use, for
-// the metrics replay.
-func buildRun(cfg workload.SaturationConfig, mult float64) (*cluster.Cluster, *workload.Generator, error) {
-	c, err := cluster.New(cfg.Nodes, perfmodel.DefaultMachine())
-	if err != nil {
-		return nil, nil, err
-	}
-	c.SetPolicy(cfg.Policy)
-	c.SetBackfillLimit(workload.DefaultBackfillLimit)
-	c.SetRetainFinished(false)
-	for _, ev := range cfg.Faults {
-		if err := c.ScheduleNodeFail(ev.Node, ev.At); err != nil {
-			return nil, nil, err
-		}
-		if cfg.RepairAfter > 0 {
-			if err := c.ScheduleNodeRepair(ev.Node, ev.At+cfg.RepairAfter); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	gen := workload.NewGenerator(cfg.Spec, cfg.Seed)
-	gen.SetRateMultiplier(mult)
-	return c, gen, nil
 }
 
 // runSweep evaluates the workload across arrival-rate multipliers:
@@ -148,7 +110,7 @@ func runSweep(o *options, cfg workload.SaturationConfig) error {
 		if err != nil || m <= 0 {
 			return fmt.Errorf("sweep point %q: want a positive multiplier", f)
 		}
-		p, err := workload.Evaluate(cfg, m)
+		p, _, err := workload.Evaluate(cfg, m)
 		if err != nil {
 			return err
 		}

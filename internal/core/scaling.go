@@ -19,19 +19,26 @@ import (
 // of the number of process ranks", learning outcome 8). Each point is the
 // median of reps runs to damp scheduler noise.
 func ScalingStudy(a Activity, rankCounts []int, reps int, tcp bool) (metrics.Series, error) {
+	return study(a.Name, rankCounts, reps, tcp, func(int) Activity { return a })
+}
+
+// study is the loop both scaling studies run: at each rank count it
+// builds the activity and records the median wall time of reps launches.
+func study(name string, rankCounts []int, reps int, tcp bool, build func(np int) Activity) (metrics.Series, error) {
 	if reps <= 0 {
 		reps = 3
 	}
-	series := metrics.Series{Name: a.Name}
+	series := metrics.Series{Name: name}
 	for _, np := range rankCounts {
 		if np <= 0 {
 			return metrics.Series{}, fmt.Errorf("core: rank count %d", np)
 		}
+		a := build(np)
 		times := make([]time.Duration, 0, reps)
 		for rep := 0; rep < reps; rep++ {
 			start := time.Now()
 			if _, _, err := a.Launch(np, tcp); err != nil {
-				return metrics.Series{}, fmt.Errorf("core: %s at np=%d: %w", a.Name, np, err)
+				return metrics.Series{}, fmt.Errorf("core: %s at np=%d: %w", name, np, err)
 			}
 			times = append(times, time.Since(start))
 		}
@@ -150,26 +157,7 @@ func FindSized(name string) (SizedActivity, bool) {
 // per rank held constant) and returns the series. Weak efficiency is
 // T(base)/T(p): 100% means perfect Gustafson scaling.
 func WeakScalingStudy(sa SizedActivity, rankCounts []int, reps int, tcp bool) (metrics.Series, error) {
-	if reps <= 0 {
-		reps = 3
-	}
-	series := metrics.Series{Name: sa.Name + " (weak)"}
-	for _, np := range rankCounts {
-		if np <= 0 {
-			return metrics.Series{}, fmt.Errorf("core: rank count %d", np)
-		}
-		a := sa.Build(np)
-		times := make([]time.Duration, 0, reps)
-		for rep := 0; rep < reps; rep++ {
-			start := time.Now()
-			if _, _, err := a.Launch(np, tcp); err != nil {
-				return metrics.Series{}, fmt.Errorf("core: %s at np=%d: %w", sa.Name, np, err)
-			}
-			times = append(times, time.Since(start))
-		}
-		series.Points = append(series.Points, metrics.Point{P: np, Time: median(times)})
-	}
-	return series, nil
+	return study(sa.Name+" (weak)", rankCounts, reps, tcp, sa.Build)
 }
 
 // WeakScalingReport renders the weak-scaling series: time per rank count

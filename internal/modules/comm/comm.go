@@ -51,7 +51,7 @@ func PingPong(c *mpi.Comm, rounds, msgBytes int) (PingPongResult, error) {
 	switch c.Rank() {
 	case 0:
 		for i := 0; i < rounds; i++ {
-			if err := c.SendBytes(payload, 1, tagPingPong); err != nil {
+			if err := mpi.Send(c, payload, 1, tagPingPong); err != nil {
 				return PingPongResult{}, err
 			}
 			back, _, err := c.RecvBytes(1, tagPingPong)
@@ -69,7 +69,7 @@ func PingPong(c *mpi.Comm, rounds, msgBytes int) (PingPongResult, error) {
 			if err != nil {
 				return PingPongResult{}, err
 			}
-			err = c.SendBytes(b, 0, tagPingPong)
+			err = mpi.Send(c, b, 0, tagPingPong)
 			mpi.Release(b)
 			if err != nil {
 				return PingPongResult{}, err

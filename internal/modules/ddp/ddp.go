@@ -270,43 +270,21 @@ func Train(c *mpi.Comm, cfg Config) (Result, error) {
 	// Restart: rank 0 restores (step, params, momentum) and broadcasts;
 	// every rank fast-forwards its batch stream so step startStep draws
 	// the exact samples the uninterrupted run would have drawn.
+	proto := ckpt.Protocol{CP: cfg.Checkpoint, Every: cfg.CheckpointEvery, Module: "ddp", Unit: "step"}
 	startStep := 0
 	if cfg.Restart {
-		var state []float64
-		if c.Rank() == 0 {
-			if cfg.Checkpoint == nil {
-				return Result{}, fmt.Errorf("ddp: Restart requires a Checkpointer on rank 0")
-			}
-			step, payload, ok, lerr := cfg.Checkpoint.Load()
-			if lerr != nil {
-				return Result{}, lerr
-			}
-			if ok {
-				vals, derr := ckpt.DecodeFloat64s(payload)
-				if derr != nil {
-					return Result{}, derr
-				}
-				if len(vals) != 2*t.Params() {
-					return Result{}, fmt.Errorf("ddp: checkpoint holds %d values, want %d (model shape changed?)", len(vals), 2*t.Params())
-				}
-				state = append([]float64{float64(step)}, vals...)
-			} else {
-				state = []float64{-1} // no checkpoint yet: cold start
-			}
-		}
-		state, err = mpi.Bcast(c, state, 0)
+		n := t.Params()
+		step, state, err := proto.Restore(c, 2*n)
 		if err != nil {
 			return Result{}, err
 		}
-		if state[0] >= 0 {
-			startStep = int(state[0])
-			n := t.Params()
-			t.m.setFlatParams(state[1 : 1+n])
-			t.m.setFlatVel(state[1+n : 1+2*n])
+		if state != nil {
+			startStep = step
+			t.m.setFlatParams(state[:n])
+			t.m.setFlatVel(state[n:])
 			for s := 0; s < startStep; s++ {
 				t.nextBatch() // replay the rng stream, discard the batches
 			}
-			c.Lifecycle(mpi.LifeRecovery, fmt.Sprintf("ddp restart from step %d", startStep))
 		}
 	}
 
@@ -326,12 +304,8 @@ func Train(c *mpi.Comm, cfg Config) (Result, error) {
 
 		// The snapshot captures the post-step state: a restart resumes
 		// at step s+1 with these exact parameters and momentum.
-		if c.Rank() == 0 && cfg.Checkpoint != nil && cfg.CheckpointEvery > 0 && (s+1)%cfg.CheckpointEvery == 0 {
-			snap := append(t.m.flatParams(), t.m.flatVel()...)
-			if err := cfg.Checkpoint.Save(s+1, ckpt.EncodeFloat64s(snap)); err != nil {
-				return Result{}, err
-			}
-			c.Lifecycle(mpi.LifeCheckpoint, fmt.Sprintf("ddp step %d", s+1))
+		if err := proto.Save(c, s+1, func() []float64 { return append(t.m.flatParams(), t.m.flatVel()...) }); err != nil {
+			return Result{}, err
 		}
 	}
 	res.Elapsed = time.Since(start)

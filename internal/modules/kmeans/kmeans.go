@@ -159,38 +159,16 @@ func Distributed(c *mpi.Comm, pts data.Points, cfg Config) (Result, []int, int, 
 	// (iteration, centroids); every rank resumes mid-trajectory. The
 	// remaining iterations recompute exactly what the uninterrupted run
 	// would have, so the final centroids are bit-identical.
+	proto := ckpt.Protocol{CP: cfg.Checkpoint, Every: cfg.CheckpointEvery, Module: "kmeans", Unit: "iteration"}
 	startIter := 0
 	if cfg.Restart {
-		var state []float64
-		if r == 0 {
-			if cfg.Checkpoint == nil {
-				return Result{}, nil, 0, fmt.Errorf("kmeans: Restart requires a Checkpointer on rank 0")
-			}
-			step, payload, ok, lerr := cfg.Checkpoint.Load()
-			if lerr != nil {
-				return Result{}, nil, 0, lerr
-			}
-			if ok {
-				coords, derr := ckpt.DecodeFloat64s(payload)
-				if derr != nil {
-					return Result{}, nil, 0, derr
-				}
-				if len(coords) != cfg.K*dim {
-					return Result{}, nil, 0, fmt.Errorf("kmeans: checkpoint holds %d centroid values, want %d (k or dim changed?)", len(coords), cfg.K*dim)
-				}
-				state = append([]float64{float64(step)}, coords...)
-			} else {
-				state = []float64{-1} // no checkpoint yet: cold start
-			}
-		}
-		state, err = mpi.Bcast(c, state, 0)
+		step, state, err := proto.Restore(c, cfg.K*dim)
 		if err != nil {
 			return Result{}, nil, 0, err
 		}
-		if state[0] >= 0 {
-			startIter = int(state[0])
-			copy(cent.Coords, state[1:])
-			c.Lifecycle(mpi.LifeRecovery, fmt.Sprintf("kmeans restart from iteration %d", startIter))
+		if state != nil {
+			startIter = step
+			copy(cent.Coords, state)
 		}
 	}
 
@@ -241,11 +219,8 @@ func Distributed(c *mpi.Comm, pts data.Points, cfg Config) (Result, []int, int, 
 
 		// The checkpoint captures the post-update state: a restart
 		// resumes at iteration it+1 with these exact centroids.
-		if r == 0 && cfg.Checkpoint != nil && cfg.CheckpointEvery > 0 && (it+1)%cfg.CheckpointEvery == 0 {
-			if err := cfg.Checkpoint.Save(it+1, ckpt.EncodeFloat64s(cent.Coords)); err != nil {
-				return Result{}, nil, 0, err
-			}
-			c.Lifecycle(mpi.LifeCheckpoint, fmt.Sprintf("kmeans iteration %d", it+1))
+		if err := proto.Save(c, it+1, func() []float64 { return cent.Coords }); err != nil {
+			return Result{}, nil, 0, err
 		}
 		if !moved {
 			res.Converged = true

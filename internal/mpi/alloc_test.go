@@ -19,7 +19,7 @@ import (
 // caller's half.
 
 // TestAllocFreeEagerPingPong asserts the headline guarantee: an eager
-// SendBytes/RecvBytes round trip on the channel transport allocates
+// Send/RecvBytes round trip on the channel transport allocates
 // nothing once the pools are primed.
 func TestAllocFreeEagerPingPong(t *testing.T) {
 	assertAllocFreePingPong(t, Run)
@@ -44,7 +44,7 @@ func assertAllocFreePingPong(t *testing.T, run func(int, func(*Comm) error, ...O
 	err := run(2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			roundTrip := func() error {
-				if err := c.SendBytes(payload, 1, tag); err != nil {
+				if err := Send(c, payload, 1, tag); err != nil {
 					return err
 				}
 				b, _, err := c.RecvBytes(1, tag)
@@ -74,7 +74,7 @@ func assertAllocFreePingPong(t *testing.T, run func(int, func(*Comm) error, ...O
 			if err != nil {
 				return err
 			}
-			err = c.SendBytes(b, 0, tag)
+			err = Send(c, b, 0, tag)
 			Release(b)
 			if err != nil {
 				return err
@@ -260,7 +260,7 @@ func TestAllocReleaseOptional(t *testing.T) {
 		const tag = 3
 		if c.Rank() == 0 {
 			for i := 0; i < 10; i++ {
-				if err := c.SendBytes([]byte{byte(i)}, 1, tag); err != nil {
+				if err := Send(c, []byte{byte(i)}, 1, tag); err != nil {
 					return err
 				}
 			}
@@ -304,7 +304,7 @@ func hygieneTraffic(c *Comm, rounds int) error {
 			out[j] = byte(me ^ i ^ j)
 		}
 		if me%2 == 0 {
-			if err := c.SendBytes(out, peer, tag); err != nil {
+			if err := Send(c, out, peer, tag); err != nil {
 				Release(out)
 				return err
 			}
@@ -331,7 +331,7 @@ func hygieneTraffic(c *Comm, rounds int) error {
 				}
 			}
 			Release(b)
-			if err := c.SendBytes(out, peer, tag); err != nil {
+			if err := Send(c, out, peer, tag); err != nil {
 				return err
 			}
 		}
@@ -387,7 +387,7 @@ func TestAllocHygieneAfterDeadlock(t *testing.T) {
 		buf := getBuf(8192) // rendezvous-sized: blocks until the peer receives
 		defer Release(buf)
 		peer := 1 - c.Rank()
-		if err := c.SendBytes(buf, peer, tag); err != nil {
+		if err := Send(c, buf, peer, tag); err != nil {
 			return err
 		}
 		b, _, err := c.RecvBytes(peer, tag)

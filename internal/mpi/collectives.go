@@ -15,7 +15,7 @@ import "fmt"
 // (sched.go — the same value its nonblocking twin in icoll.go builds) and
 // hands it to runSched, the blocking driver at the end of this file. What
 // is left in this file is the entry points' accounting and the linear
-// collectives (scatter, gather, scan, all-to-all), each of which has one
+// collectives (scatter, gather and all-to-allv), each of which has one
 // body and no nonblocking twin.
 //
 // Everything runs on the zero-copy data path: hop payloads are encoded

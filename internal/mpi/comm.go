@@ -135,31 +135,23 @@ func (c *Comm) recvEnvelope(ctx int32, src, tag int, dst []byte) (*envelope, Sta
 	return env, Status{Source: env.src, Tag: int(env.tag), Bytes: len(env.data)}, nil
 }
 
-// sendChecked runs the accounting, profiling and delivery shared by
-// SendBytes and the typed send wrappers; peer and tag must
-// already be validated. data stays the caller's: it is lent or copied
-// (lendOrCopy), and either way reusable once the send returns.
+// sendChecked is the body of Send and Ssend: it validates the peer and
+// tag, then runs the accounting, profiling and delivery. data stays the
+// caller's: it is lent or copied (lendOrCopy), and either way reusable
+// once the send returns.
 func sendChecked[T Scalar](c *Comm, data []T, dest, tag int, sync bool) error {
-	n := len(data) * scalarSize[T]()
-	payload, lent := lendOrCopy(c, data, c.rendezvous(n, sync))
-	sp := c.begin(PrimSend)
-	msgid, err := c.sendEnvelopeOwned(c.ctx, payload, lent, dest, tag, sync)
-	sp.end(c.members[dest], tag, n, msgid, 0, 0)
-	return err
-}
-
-// SendBytes sends a raw payload to dest with the given tag (MPI_Send). The
-// call returns once the buffer is reusable: immediately for eager-size
-// messages, after the receiver matches for rendezvous-size messages. data
-// stays owned by the caller.
-func (c *Comm) SendBytes(data []byte, dest, tag int) error {
 	if err := c.checkPeer(dest, false); err != nil {
 		return err
 	}
 	if err := checkTag(tag, false); err != nil {
 		return err
 	}
-	return sendChecked(c, data, dest, tag, false)
+	n := len(data) * scalarSize[T]()
+	payload, lent := lendOrCopy(c, data, c.rendezvous(n, sync))
+	sp := c.begin(PrimSend)
+	msgid, err := c.sendEnvelopeOwned(c.ctx, payload, lent, dest, tag, sync)
+	sp.end(c.members[dest], tag, n, msgid, 0, 0)
+	return err
 }
 
 // RecvBytes receives a message matching (src, tag), which may use
@@ -189,37 +181,6 @@ func (c *Comm) recvChecked(src, tag int, dst []byte) ([]byte, Status, error) {
 	putEnv(env)
 	sp.end(wsrc, etag, len(data), 0, msgid, queued)
 	return data, st, nil
-}
-
-// isendChecked is the body shared by IsendBytes and the typed Isend. A
-// rendezvous-size data is lent until the request completes, on
-// acknowledgement; an eager one is copied and the request is complete at
-// once.
-func isendChecked[T Scalar](c *Comm, data []T, dest, tag int) (*Request, error) {
-	n := len(data) * scalarSize[T]()
-	rdv := c.rendezvous(n, false)
-	payload, lent := lendOrCopy(c, data, rdv)
-	sp := c.begin(PrimIsend)
-	seq, msgid, err := c.deliverData(c.ctx, payload, lent, dest, tag, rdv, true)
-	sp.end(c.members[dest], tag, n, msgid, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &Request{comm: c, kind: reqSend, seq: seq, done: seq == 0, lent: lent, peer: c.members[dest], tag: tag, msgid: msgid}, nil
-}
-
-// IsendBytes starts a nonblocking send (MPI_Isend). As MPI_Isend's rule
-// says, data belongs to the runtime until Wait or Test reports the
-// request complete: a rendezvous-size message may be read from it up to
-// the match. Eager-size data is copied and immediately reusable.
-func (c *Comm) IsendBytes(data []byte, dest, tag int) (*Request, error) {
-	if err := c.checkPeer(dest, false); err != nil {
-		return nil, err
-	}
-	if err := checkTag(tag, false); err != nil {
-		return nil, err
-	}
-	return isendChecked(c, data, dest, tag)
 }
 
 // irecv starts a nonblocking receive (MPI_Irecv).
@@ -336,28 +297,19 @@ func (c *Comm) GetCount(st Status, elemSize int) (int, error) {
 	return n, err
 }
 
-// Send sends a typed slice (MPI_Send). See SendBytes for blocking
-// semantics. An eager slice is encoded directly into a pooled wire
-// buffer; on the channel transport a rendezvous one is read in place by
-// the receiver's match while Send waits for it.
+// Send sends a typed slice to dest with the given tag (MPI_Send); a
+// []byte is sent as it is. The call returns once data is reusable:
+// immediately for eager-size messages, after the receiver matches for
+// rendezvous-size messages. data stays owned by the caller. An eager
+// slice is encoded directly into a pooled wire buffer; on the channel
+// transport a rendezvous one is read in place by the receiver's match
+// while Send waits for it.
 func Send[T Scalar](c *Comm, data []T, dest, tag int) error {
-	if err := c.checkPeer(dest, false); err != nil {
-		return err
-	}
-	if err := checkTag(tag, false); err != nil {
-		return err
-	}
 	return sendChecked(c, data, dest, tag, false)
 }
 
 // Ssend sends a typed slice with forced synchronous semantics (MPI_Ssend).
 func Ssend[T Scalar](c *Comm, data []T, dest, tag int) error {
-	if err := c.checkPeer(dest, false); err != nil {
-		return err
-	}
-	if err := checkTag(tag, false); err != nil {
-		return err
-	}
 	return sendChecked(c, data, dest, tag, true)
 }
 
@@ -393,8 +345,10 @@ func RecvInto[T Scalar](c *Comm, dst []T, src, tag int) ([]T, Status, error) {
 	return xs, st, err
 }
 
-// Isend starts a nonblocking typed send (MPI_Isend). data belongs to the
-// runtime until Wait or Test completes the request; see IsendBytes.
+// Isend starts a nonblocking typed send (MPI_Isend). As MPI_Isend's rule
+// says, data belongs to the runtime until Wait or Test reports the
+// request complete: a rendezvous-size message may be read from it up to
+// the match. Eager-size data is copied and immediately reusable.
 func Isend[T Scalar](c *Comm, data []T, dest, tag int) (*Request, error) {
 	if err := c.checkPeer(dest, false); err != nil {
 		return nil, err
@@ -402,7 +356,16 @@ func Isend[T Scalar](c *Comm, data []T, dest, tag int) (*Request, error) {
 	if err := checkTag(tag, false); err != nil {
 		return nil, err
 	}
-	return isendChecked(c, data, dest, tag)
+	n := len(data) * scalarSize[T]()
+	rdv := c.rendezvous(n, false)
+	payload, lent := lendOrCopy(c, data, rdv)
+	sp := c.begin(PrimIsend)
+	seq, msgid, err := c.deliverData(c.ctx, payload, lent, dest, tag, rdv, true)
+	sp.end(c.members[dest], tag, n, msgid, 0, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &Request{comm: c, kind: reqSend, seq: seq, done: seq == 0, lent: lent, peer: c.members[dest], tag: tag, msgid: msgid}, nil
 }
 
 // Irecv starts a nonblocking typed receive (MPI_Irecv); complete it with

@@ -187,7 +187,7 @@ func TestAgreeAfterFailure(t *testing.T) {
 		// After agreement the failure is acknowledged: survivors can keep
 		// using the original communicator point-to-point.
 		if c.Rank() == 0 {
-			return c.SendBytes([]byte{7}, 2, 5)
+			return Send(c, []byte{7}, 2, 5)
 		}
 		b, _, err := c.RecvBytes(0, 5)
 		if err != nil {
@@ -272,10 +272,10 @@ func TestOpTimeoutSendrecvWithdrawsReceive(t *testing.T) {
 			if err := recvRelease(c, 0, tagBig); err != nil { // queued since before the timeout
 				return err
 			}
-			if err := c.SendBytes([]byte("reply"), 0, tagReply); err != nil {
+			if err := Send(c, []byte("reply"), 0, tagReply); err != nil {
 				return err
 			}
-			return c.SendBytes(nil, 0, tagReplied)
+			return Send[byte](c, nil, 0, tagReplied)
 		}
 		big := make([]byte, 1<<20) // rendezvous: the send half waits for a match
 		if _, _, err := c.SendrecvBytes(big, 1, tagBig, 1, tagReply); !errors.Is(err, ErrTimeout) {
@@ -287,7 +287,7 @@ func TestOpTimeoutSendrecvWithdrawsReceive(t *testing.T) {
 		if posted != 0 {
 			return fmt.Errorf("%d receive(s) still posted after the failed Sendrecv", posted)
 		}
-		if err := c.SendBytes(nil, 1, tagTimedOut); err != nil {
+		if err := Send[byte](c, nil, 1, tagTimedOut); err != nil {
 			return err
 		}
 		// Once tagReplied is visible the reply sent before it has been
@@ -359,7 +359,7 @@ func TestOpTimeoutAlltoallWithdrawsReceive(t *testing.T) {
 				if posted != 0 {
 					return fmt.Errorf("%d receive(s) still posted after the failed Alltoallv", posted)
 				}
-				return c.SendBytes(nil, 1, tagTimedOut)
+				return Send[byte](c, nil, 1, tagTimedOut)
 			}, WithOpTimeout(50*time.Millisecond))
 			if err != nil {
 				t.Fatal(err)
@@ -385,7 +385,7 @@ func TestFrameDropSurfacesAsTimeout(t *testing.T) {
 		}
 		err := run(2, func(c *Comm) error {
 			if c.Rank() == 0 {
-				return c.SendBytes([]byte("lost"), 1, 4) // eager: completes although the frame dies
+				return Send(c, []byte("lost"), 1, 4) // eager: completes although the frame dies
 			}
 			_, _, err := c.RecvBytes(0, 4)
 			if !errors.Is(err, ErrTimeout) {
@@ -420,7 +420,7 @@ func TestFrameDupIsHarmless(t *testing.T) {
 		}
 		err := run(2, func(c *Comm) error {
 			if c.Rank() == 0 {
-				return c.SendBytes([]byte("once"), 1, 4)
+				return Send(c, []byte("once"), 1, 4)
 			}
 			b, _, err := c.RecvBytes(0, 4)
 			if err != nil {

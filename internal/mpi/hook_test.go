@@ -27,32 +27,22 @@ func (l *eventLog) byPrim() map[Primitive][]Event {
 	return m
 }
 
-// retiredPrims are the primitives no entry point emits any more. Their
-// numbers and names stay, so the ranges the primitive table is read by
-// keep their meaning.
-var retiredPrims = map[Primitive]bool{
-	PrimScatterv: true, PrimScan: true, PrimAlltoall: true, PrimIprobe: true,
-	PrimRMALock: true, PrimRMAUnlock: true,
-	PrimIbcast: true, PrimIreduce: true, PrimIbarrier: true,
-}
-
-// hookWorkload invokes every Primitive but the retired ones at least
-// once, on any world of two or more ranks: blocking and nonblocking
-// point-to-point, sendrecv, probe/get-count, wait, every blocking
-// collective with its into/ring/v variants, the two nonblocking
-// collectives, and the one-sided surface including the request-returning
-// PutAsync.
+// hookWorkload invokes every Primitive at least once, on any world of
+// two or more ranks: blocking and nonblocking point-to-point, sendrecv,
+// probe/get-count, wait, every blocking collective with its
+// into/ring/v variants, the two nonblocking collectives, and the
+// one-sided surface including the request-returning PutAsync.
 func hookWorkload(c *Comm) error {
 	const tag = 3
 	payload := []byte("twelve bytes")
 	if c.Rank() == 0 {
-		if err := c.SendBytes(payload, 1, tag); err != nil {
+		if err := Send(c, payload, 1, tag); err != nil {
 			return err
 		}
 		if _, _, err := c.RecvBytes(1, tag); err != nil {
 			return err
 		}
-		req, err := c.IsendBytes(payload, 1, tag+1)
+		req, err := Isend(c, payload, 1, tag+1)
 		if err != nil {
 			return err
 		}
@@ -70,7 +60,7 @@ func hookWorkload(c *Comm) error {
 		if _, _, err := c.RecvBytes(0, tag); err != nil {
 			return err
 		}
-		if err := c.SendBytes(payload, 0, tag); err != nil {
+		if err := Send(c, payload, 0, tag); err != nil {
 			return err
 		}
 		req, err := Irecv[byte](c, 0, tag+1)
@@ -221,10 +211,8 @@ func TestHookFiresEveryPrimitive(t *testing.T) {
 	}
 	got := log.byPrim()
 	for _, p := range Primitives() {
-		if n := len(got[p]); n == 0 && !retiredPrims[p] {
+		if len(got[p]) == 0 {
 			t.Errorf("no hook event for %v", p)
-		} else if n > 0 && retiredPrims[p] {
-			t.Errorf("%d hook events for the retired %v", n, p)
 		}
 	}
 	log.mu.Lock()
@@ -301,7 +289,7 @@ func TestHookOneCallOneEvent(t *testing.T) {
 					t.Errorf("%s: rank %d %v: %d calls counted, %d events", tc.name, r, p, calls[r][p], events[r][p])
 				}
 			}
-			if (total == 0) != retiredPrims[p] {
+			if total == 0 {
 				t.Errorf("%s: %d calls of %v", tc.name, total, p)
 			}
 		}
@@ -326,7 +314,7 @@ func TestHookFlowCorrelation(t *testing.T) {
 			log := &eventLog{}
 			err := tc.run(2, func(c *Comm) error {
 				if c.Rank() == 0 {
-					return c.SendBytes([]byte("flow"), 1, 5)
+					return Send(c, []byte("flow"), 1, 5)
 				}
 				_, _, err := c.RecvBytes(0, 5)
 				return err
@@ -359,7 +347,7 @@ func TestHookNilFastPath(t *testing.T) {
 	var allocated int64
 	err := Run(2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			if err := c.SendBytes([]byte("x"), 1, 0); err != nil {
+			if err := Send(c, []byte("x"), 1, 0); err != nil {
 				return err
 			}
 		} else {

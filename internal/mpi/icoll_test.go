@@ -516,13 +516,13 @@ func TestAllocHygieneWaitall(t *testing.T) {
 		if c.Rank() == victim {
 			payload := make([]byte, msgBytes)
 			// Two sends complete; the third primitive is the injected kill.
-			if err := c.SendBytes(payload, 0, 5); err != nil {
+			if err := Send(c, payload, 0, 5); err != nil {
 				return err
 			}
-			if err := c.SendBytes(payload, 0, 5); err != nil {
+			if err := Send(c, payload, 0, 5); err != nil {
 				return err
 			}
-			err := c.SendBytes(payload, 0, 5)
+			err := Send(c, payload, 0, 5)
 			if !errors.Is(err, ErrRankKilled) {
 				return fmt.Errorf("victim got %v, want ErrRankKilled", err)
 			}

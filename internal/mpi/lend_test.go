@@ -146,7 +146,7 @@ func TestLentSendAliasing(t *testing.T) {
 			x := lentPattern(0)
 			b := memBytes(x)
 			if c.Rank() == 0 {
-				err := c.SendBytes(b, 1, 0)
+				err := Send(c, b, 1, 0)
 				scribble(x)
 				return err
 			}

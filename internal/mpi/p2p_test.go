@@ -366,6 +366,15 @@ func TestInvalidArguments(t *testing.T) {
 		if err := Send(c, []int{1}, 0, MaxUserTag+1); !errors.Is(err, ErrTagOutOfRange) {
 			return fmt.Errorf("oversized tag: %v", err)
 		}
+		if err := Ssend(c, []int{1}, -1, 0); !errors.Is(err, ErrRankOutOfRange) {
+			return fmt.Errorf("Ssend bad dest: %v", err)
+		}
+		if _, err := Isend(c, []int{1}, 1, 0); !errors.Is(err, ErrRankOutOfRange) {
+			return fmt.Errorf("Isend bad dest: %v", err)
+		}
+		if _, err := Isend(c, []int{1}, 0, AnyTag); !errors.Is(err, ErrTagOutOfRange) {
+			return fmt.Errorf("Isend wildcard tag: %v", err)
+		}
 		return nil
 	})
 	if err != nil {

@@ -134,7 +134,7 @@ func TestWireBuffersAligned(t *testing.T) {
 					if c.Rank() == 0 {
 						// Bytes the caller owns, and a typed payload the
 						// runtime marshals itself.
-						if err := c.SendBytes(make([]byte, n), 1, 2*i); err != nil {
+						if err := Send(c, make([]byte, n), 1, 2*i); err != nil {
 							return err
 						}
 						if err := Send(c, make([]float64, n), 1, 2*i+1); err != nil {

@@ -291,7 +291,7 @@ func testAbortSplit(t *testing.T, opts ...Option) {
 			c.world.abort(cause)
 			return nil
 		}
-		if err := c.SendBytes(nil, 1, tagReady); err != nil {
+		if err := Send[byte](c, nil, 1, tagReady); err != nil {
 			return err
 		}
 		_, _, err := c.RecvBytes(1, 9) // rank 1 never sends on tag 9

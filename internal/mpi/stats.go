@@ -19,19 +19,15 @@ const (
 	PrimWait
 	PrimBcast
 	PrimScatter
-	PrimScatterv
 	PrimGather
 	PrimGatherv
 	PrimAllgather
 	PrimReduce
 	PrimAllreduce
-	PrimScan
-	PrimAlltoall
 	PrimAlltoallv
 	PrimBarrier
 	PrimSendrecv
 	PrimProbe
-	PrimIprobe
 	PrimGetCount
 	// One-sided (RMA) primitives. Only Discretionary activities may use
 	// them: they are outside the paper's Table II matrix.
@@ -40,17 +36,12 @@ const (
 	PrimRMAAcc
 	PrimRMACas
 	PrimRMAFence
-	PrimRMALock
-	PrimRMAUnlock
 	PrimRMAFlush
 	PrimRMAWinCreate
 	PrimRMAWinFree
 	// Nonblocking collectives (icoll.go). Appended after the RMA block so
 	// the [PrimRMAPut, PrimRMAWinFree] range checks stay valid.
 	PrimIallreduce
-	PrimIbcast
-	PrimIreduce
-	PrimIbarrier
 	PrimIallgather
 	PrimReduceScatter
 	PrimWaitColl
@@ -59,15 +50,13 @@ const (
 
 var primitiveNames = [numPrimitives]string{
 	"MPI_Send", "MPI_Recv", "MPI_Isend", "MPI_Irecv", "MPI_Wait",
-	"MPI_Bcast", "MPI_Scatter", "MPI_Scatterv", "MPI_Gather", "MPI_Gatherv",
-	"MPI_Allgather", "MPI_Reduce", "MPI_Allreduce", "MPI_Scan",
-	"MPI_Alltoall", "MPI_Alltoallv", "MPI_Barrier", "MPI_Sendrecv",
-	"MPI_Probe", "MPI_Iprobe", "MPI_Get_count",
+	"MPI_Bcast", "MPI_Scatter", "MPI_Gather", "MPI_Gatherv",
+	"MPI_Allgather", "MPI_Reduce", "MPI_Allreduce", "MPI_Alltoallv",
+	"MPI_Barrier", "MPI_Sendrecv", "MPI_Probe", "MPI_Get_count",
 	"MPI_Put", "MPI_Get", "MPI_Accumulate", "MPI_Compare_and_swap",
-	"MPI_Win_fence", "MPI_Win_lock", "MPI_Win_unlock", "MPI_Win_flush",
-	"MPI_Win_create", "MPI_Win_free",
-	"MPI_Iallreduce", "MPI_Ibcast", "MPI_Ireduce", "MPI_Ibarrier",
-	"MPI_Iallgather", "MPI_Reduce_scatter", "MPI_Wait_coll",
+	"MPI_Win_fence", "MPI_Win_flush", "MPI_Win_create", "MPI_Win_free",
+	"MPI_Iallreduce", "MPI_Iallgather", "MPI_Reduce_scatter",
+	"MPI_Wait_coll",
 }
 
 // String returns the MPI-style name of the primitive.

@@ -48,6 +48,12 @@ const tcpBufSize = 4 << 10
 // length prefix cannot drive an arbitrarily large allocation.
 const maxPayloadLen = 1 << 30
 
+// trustedPayloadLen is the largest payload readFrame allocates in full
+// before reading it. A longer one grows its buffer as its bytes arrive,
+// so a header that declares more than the stream holds costs memory in
+// proportion to the bytes that did arrive, not to the declared length.
+const trustedPayloadLen = 64 << 10
+
 // linkPrefixLen is the link prefix every frame of a world with reliable
 // links starts with: the envelope's link sequence number and checksum
 // (reliable.go). Without reliable links frames start with the length.
@@ -106,9 +112,8 @@ func (tc *tcpConn) send(e *envelope) error {
 
 // readFrame reads one frame of a world of np ranks off r. The prefix,
 // length and header land in hdr (pre+4+envelopeHeaderLen bytes) and the
-// payload is read directly into an exactly-sized pooled buffer — the
-// frame is never materialized as a whole, and the payload bytes are
-// written once. io.ReadFull takes hdr through an interface, so it lives
+// payload is read directly into a pooled buffer (readPayload) — the
+// frame is never materialized as a whole. io.ReadFull takes hdr through an interface, so it lives
 // on the heap: the reader loop owns one for its lifetime instead of
 // allocating one per frame. A stream error is returned as is; a frame
 // whose framing is broken wraps errBadFrame.
@@ -135,14 +140,35 @@ func readFrame(r *bufio.Reader, hdr []byte, pre, np int) (*envelope, error) {
 		return nil, err
 	}
 	if payloadLen > 0 {
-		e.data = getBuf(payloadLen)
-		if _, err := io.ReadFull(r, e.data); err != nil {
-			putBuf(e.data)
+		if e.data, err = readPayload(r, payloadLen); err != nil {
 			putEnv(e)
 			return nil, err
 		}
 	}
 	return e, nil
+}
+
+// readPayload reads an n-byte payload into a pooled buffer. Up to
+// trustedPayloadLen it is one exactly-sized read, so the bytes are
+// written once; a longer payload doubles its buffer each time the last
+// one fills.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	b := getBuf(min(n, trustedPayloadLen))
+	filled := 0
+	for {
+		if _, err := io.ReadFull(r, b[filled:]); err != nil {
+			putBuf(b)
+			return nil, err
+		}
+		if len(b) == n {
+			return b, nil
+		}
+		filled = len(b)
+		grown := getBuf(min(2*filled, n))
+		copy(grown, b)
+		putBuf(b)
+		b = grown
+	}
 }
 
 // socketTransport is a full mesh of TCP connections between the np ranks

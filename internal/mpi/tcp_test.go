@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -172,6 +173,47 @@ func TestReadFrameRejects(t *testing.T) {
 		t.Fatalf("well-formed frame: got (%v, %v)", e, err)
 	}
 	putEnv(e)
+}
+
+// TestReadFrameDeclaredHugeShortStream: a header that declares a 1 GiB
+// payload, followed by a stream that ends after 100 KiB of it, fails
+// with an EOF and allocates for the bytes that arrived, not for the
+// gibibyte the header declared.
+func TestReadFrameDeclaredHugeShortStream(t *testing.T) {
+	b := make([]byte, 4+envelopeHeaderLen, 4+envelopeHeaderLen+100<<10)
+	binary.LittleEndian.PutUint32(b, envelopeHeaderLen+maxPayloadLen)
+	putHeader(b[4:], &envelope{wsrc: 0, wdst: 1})
+	binary.LittleEndian.PutUint32(b[4+37:], maxPayloadLen) // the header's payload length field
+	b = b[:cap(b)]
+	r := bufio.NewReader(bytes.NewReader(b))
+	hdr := make([]byte, 4+envelopeHeaderLen)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e, err := readFrame(r, hdr, 0, 2)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("got (%v, %v), want an EOF", e, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
+		t.Fatalf("read of a truncated 1 GiB frame allocated %d bytes, want < 4 MiB", got)
+	}
+}
+
+// TestReadFrameLongPayload: a payload longer than trustedPayloadLen,
+// read through the growing buffer, arrives whole and in order.
+func TestReadFrameLongPayload(t *testing.T) {
+	data := make([]byte, 3*trustedPayloadLen+5)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	e, err := readBareFrame(bareFrame(testEnvelope(kindData, 0, 0, 1, 0, 0, 0, data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(e.data, data) {
+		t.Fatal("long payload corrupted")
+	}
+	dropEnv(e)
 }
 
 // loopbackPair returns the two ends of one loopback TCP connection.

@@ -175,12 +175,10 @@ func isRMA(p mpi.Primitive) bool {
 func sendsPayload(p mpi.Primitive) bool {
 	switch p {
 	case mpi.PrimSend, mpi.PrimIsend, mpi.PrimSendrecv,
-		mpi.PrimBcast, mpi.PrimScatter, mpi.PrimScatterv,
+		mpi.PrimBcast, mpi.PrimScatter,
 		mpi.PrimGather, mpi.PrimGatherv, mpi.PrimAllgather,
-		mpi.PrimReduce, mpi.PrimAllreduce, mpi.PrimScan,
-		mpi.PrimAlltoall, mpi.PrimAlltoallv,
-		mpi.PrimIallreduce, mpi.PrimIbcast, mpi.PrimIreduce,
-		mpi.PrimIallgather, mpi.PrimReduceScatter,
+		mpi.PrimReduce, mpi.PrimAllreduce, mpi.PrimAlltoallv,
+		mpi.PrimIallreduce, mpi.PrimIallgather, mpi.PrimReduceScatter,
 		mpi.PrimRMAPut, mpi.PrimRMAAcc, mpi.PrimRMACas:
 		return true
 	}

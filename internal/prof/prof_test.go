@@ -25,7 +25,7 @@ func parityWorkload(c *mpi.Comm) error {
 	payload := make([]byte, 64)
 	right, left := (me+1)%n, (me+n-1)%n
 	if me%2 == 0 {
-		if err := c.SendBytes(payload, right, tag); err != nil {
+		if err := mpi.Send(c, payload, right, tag); err != nil {
 			return err
 		}
 		if _, _, err := c.RecvBytes(left, tag); err != nil {
@@ -35,11 +35,11 @@ func parityWorkload(c *mpi.Comm) error {
 		if _, _, err := c.RecvBytes(left, tag); err != nil {
 			return err
 		}
-		if err := c.SendBytes(payload, right, tag); err != nil {
+		if err := mpi.Send(c, payload, right, tag); err != nil {
 			return err
 		}
 	}
-	sreq, err := c.IsendBytes(payload, right, tag+1)
+	sreq, err := mpi.Isend(c, payload, right, tag+1)
 	if err != nil {
 		return err
 	}
@@ -57,7 +57,7 @@ func parityWorkload(c *mpi.Comm) error {
 		return err
 	}
 	if me == 0 {
-		if err := c.SendBytes(payload, 1, 9); err != nil {
+		if err := mpi.Send(c, payload, 1, 9); err != nil {
 			return err
 		}
 	}
@@ -160,7 +160,7 @@ func TestLateSenderFixture(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		if c.Rank() == 1 {
 			time.Sleep(delay)
-			return c.SendBytes([]byte("late"), 0, 0)
+			return mpi.Send(c, []byte("late"), 0, 0)
 		}
 		_, _, err := c.RecvBytes(1, 0)
 		return err
@@ -168,7 +168,7 @@ func TestLateSenderFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := WaitStates(pc.Events(), 0)
+	ws := WaitStates(pc.Events())
 	got, ok := findWait(ws, LateSender, 0, 1)
 	if !ok {
 		t.Fatalf("no late-sender state for (waiter 0, peer 1); states: %+v", ws)
@@ -195,7 +195,7 @@ func TestLateReceiverFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := WaitStates(pc.Events(), 0)
+	ws := WaitStates(pc.Events())
 	got, ok := findWait(ws, LateReceiver, 0, 1)
 	if !ok {
 		t.Fatalf("no late-receiver state for (waiter 0, peer 1); states: %+v", ws)
@@ -219,7 +219,7 @@ func TestCollectiveWaitFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := WaitStates(pc.Events(), 0)
+	ws := WaitStates(pc.Events())
 	got, ok := findWait(ws, CollectiveWait, 0, -1)
 	if !ok {
 		t.Fatalf("no collective-wait state for rank 0; states: %+v", ws)
@@ -236,7 +236,7 @@ func TestQueueLatency(t *testing.T) {
 	pc := New()
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
-			return c.SendBytes([]byte("parked"), 1, 0)
+			return mpi.Send(c, []byte("parked"), 1, 0)
 		}
 		time.Sleep(delay)
 		_, _, err := c.RecvBytes(0, 0)
@@ -263,7 +263,7 @@ func runPingPong(t *testing.T) *Collector {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		for i := 0; i < 3; i++ {
 			if c.Rank() == 0 {
-				if err := c.SendBytes([]byte("ping"), 1, 0); err != nil {
+				if err := mpi.Send(c, []byte("ping"), 1, 0); err != nil {
 					return err
 				}
 				if _, _, err := c.RecvBytes(1, 0); err != nil {
@@ -273,7 +273,7 @@ func runPingPong(t *testing.T) *Collector {
 				if _, _, err := c.RecvBytes(0, 0); err != nil {
 					return err
 				}
-				if err := c.SendBytes([]byte("pong"), 0, 0); err != nil {
+				if err := mpi.Send(c, []byte("pong"), 0, 0); err != nil {
 					return err
 				}
 			}
@@ -507,7 +507,7 @@ func TestRMATargetWaitFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := WaitStates(pc.Events(), 0)
+	ws := WaitStates(pc.Events())
 	got, ok := findWait(ws, RMATargetWait, 0, 1)
 	if !ok {
 		t.Fatalf("no rma-target-wait state for (waiter 0, peer 1); states: %+v", ws)

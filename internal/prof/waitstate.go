@@ -55,9 +55,8 @@ type WaitState struct {
 
 // WaitStates attributes every event's blocked time to a wait-state class
 // and aggregates per (kind, waiter, peer), sorted by total wait
-// descending. Events blocked less than minBlock are ignored so scheduler
-// noise doesn't pollute the table.
-func WaitStates(events []mpi.Event, minBlock time.Duration) []WaitState {
+// descending.
+func WaitStates(events []mpi.Event) []WaitState {
 	type key struct {
 		kind   WaitKind
 		waiter int
@@ -75,7 +74,7 @@ func WaitStates(events []mpi.Event, minBlock time.Duration) []WaitState {
 		ws.Count++
 	}
 	for _, e := range events {
-		if e.Blocked <= 0 || e.Blocked < minBlock {
+		if e.Blocked <= 0 {
 			continue
 		}
 		kind, peer, ok := classify(e)
@@ -225,7 +224,7 @@ func Summarize(events []mpi.Event) Summary {
 	if s.MeanSpan > 0 {
 		s.Imbalance = float64(s.MaxSpan)/float64(s.MeanSpan) - 1
 	}
-	s.TopWaits = WaitStates(events, 0)
+	s.TopWaits = WaitStates(events)
 	return s
 }
 
@@ -324,6 +323,6 @@ func Report(events []mpi.Event) string {
 	b.WriteString("\n== per-rank summary ==\n")
 	b.WriteString(RenderSummary(Summarize(events)))
 	b.WriteString("\n== wait states (top 10) ==\n")
-	b.WriteString(RenderWaitStates(WaitStates(events, 0), 10))
+	b.WriteString(RenderWaitStates(WaitStates(events), 10))
 	return b.String()
 }

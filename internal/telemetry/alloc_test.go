@@ -25,7 +25,7 @@ func TestAllocFreeEagerPingPongWithTelemetry(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			roundTrip := func() error {
-				if err := c.SendBytes(payload, 1, tag); err != nil {
+				if err := mpi.Send(c, payload, 1, tag); err != nil {
 					return err
 				}
 				b, _, err := c.RecvBytes(1, tag)
@@ -55,7 +55,7 @@ func TestAllocFreeEagerPingPongWithTelemetry(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			err = c.SendBytes(b, 0, tag)
+			err = mpi.Send(c, b, 0, tag)
 			mpi.Release(b)
 			if err != nil {
 				return err

@@ -25,7 +25,7 @@ func parityWorkload(c *mpi.Comm) error {
 
 	for _, payload := range [][]byte{small, large} {
 		if me%2 == 0 {
-			if err := c.SendBytes(payload, next, tag); err != nil {
+			if err := mpi.Send(c, payload, next, tag); err != nil {
 				return err
 			}
 			b, _, err := c.RecvBytes(prev, tag)
@@ -39,12 +39,12 @@ func parityWorkload(c *mpi.Comm) error {
 				return err
 			}
 			mpi.Release(b)
-			if err := c.SendBytes(payload, next, tag); err != nil {
+			if err := mpi.Send(c, payload, next, tag); err != nil {
 				return err
 			}
 		}
 	}
-	req, err := c.IsendBytes(small, next, tag+1)
+	req, err := mpi.Isend(c, small, next, tag+1)
 	if err != nil {
 		return err
 	}

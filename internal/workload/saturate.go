@@ -56,13 +56,9 @@ type SaturationConfig struct {
 	// growth at overload is linear in jobs) but cost linearly.
 	Jobs  int
 	Nodes int
-	// Machine defaults to perfmodel.DefaultMachine().
-	Machine *perfmodel.Machine
-	Policy  cluster.Policy
-	// BackfillLimit caps the backfill scan depth (0 = DefaultBackfillLimit).
-	// An uncapped scan over a diverging queue makes overloaded points
-	// quadratic, which is exactly where the sweep spends its time.
-	BackfillLimit int
+	// Policy schedules the cluster, a perfmodel.DefaultMachine() per
+	// node, with its backfill scan capped at DefaultBackfillLimit.
+	Policy cluster.Policy
 	// Faults schedules node failures from a fault plan (node=K:at=DUR
 	// rules); RepairAfter, when set, returns each failed node to
 	// service that long after its failure.
@@ -73,16 +69,15 @@ type SaturationConfig struct {
 	// Tol is the relative bracket width that stops the bisection
 	// (default 0.1: the knee is located to within 10%).
 	Tol float64
-	// Saturated decides whether a point is past the knee. Default: the
-	// mean wait exceeds twice the mean runtime — queueing delay has
-	// overtaken service time, the operator's classic overload signal.
-	Saturated func(cluster.WorkloadStats) bool
 }
 
 // SaturationPoint is one evaluated rate multiplier.
 type SaturationPoint struct {
-	Mult      float64
-	Stats     cluster.WorkloadStats
+	Mult  float64
+	Stats cluster.WorkloadStats
+	// Saturated marks a point past the knee: the mean wait exceeds twice
+	// the mean runtime, so queueing delay has overtaken service time —
+	// the operator's classic overload signal.
 	Saturated bool
 }
 
@@ -98,8 +93,9 @@ type SaturationResult struct {
 	Bracket [2]float64
 }
 
-// DefaultBackfillLimit is the backfill scan cap used when the config
-// leaves it zero.
+// DefaultBackfillLimit caps the backfill scan depth of every saturation
+// run. An uncapped scan over a diverging queue makes overloaded points
+// quadratic, which is exactly where the sweep spends its time.
 const DefaultBackfillLimit = 64
 
 func (cfg *SaturationConfig) defaults() (SaturationConfig, error) {
@@ -113,16 +109,9 @@ func (cfg *SaturationConfig) defaults() (SaturationConfig, error) {
 	if c.Nodes <= 0 {
 		c.Nodes = 8
 	}
-	if c.Machine == nil {
-		m := perfmodel.DefaultMachine()
-		c.Machine = &m
-	}
-	if c.Spec.MaxTasks() > c.Nodes*c.Machine.CoresPerNode {
+	if cores := perfmodel.DefaultMachine().CoresPerNode; c.Spec.MaxTasks() > c.Nodes*cores {
 		return c, fmt.Errorf("workload: widest job (%d tasks) exceeds cluster capacity (%d nodes × %d cores)",
-			c.Spec.MaxTasks(), c.Nodes, c.Machine.CoresPerNode)
-	}
-	if c.BackfillLimit <= 0 {
-		c.BackfillLimit = DefaultBackfillLimit
+			c.Spec.MaxTasks(), c.Nodes, cores)
 	}
 	if c.Lo <= 0 {
 		c.Lo = 0.25
@@ -136,38 +125,36 @@ func (cfg *SaturationConfig) defaults() (SaturationConfig, error) {
 	if c.Tol <= 0 {
 		c.Tol = 0.1
 	}
-	if c.Saturated == nil {
-		c.Saturated = func(st cluster.WorkloadStats) bool {
-			return st.MeanWait > 2*st.MeanRuntime
-		}
-	}
 	return c, nil
 }
 
 // Evaluate runs the workload at one rate multiplier on a fresh cluster.
-func Evaluate(cfg SaturationConfig, mult float64) (SaturationPoint, error) {
+// It also returns the drained cluster, so a caller can read gauges off
+// the run the point reports.
+func Evaluate(cfg SaturationConfig, mult float64) (SaturationPoint, *cluster.Cluster, error) {
 	c, err := cfg.defaults()
 	if err != nil {
-		return SaturationPoint{}, err
+		return SaturationPoint{}, nil, err
 	}
 	return c.evaluate(mult)
 }
 
-func (cfg *SaturationConfig) evaluate(mult float64) (SaturationPoint, error) {
-	c, err := cluster.New(cfg.Nodes, *cfg.Machine)
+// evaluate is the one place a saturation run is built and simulated.
+func (cfg *SaturationConfig) evaluate(mult float64) (SaturationPoint, *cluster.Cluster, error) {
+	c, err := cluster.New(cfg.Nodes, perfmodel.DefaultMachine())
 	if err != nil {
-		return SaturationPoint{}, err
+		return SaturationPoint{}, nil, err
 	}
 	c.SetPolicy(cfg.Policy)
-	c.SetBackfillLimit(cfg.BackfillLimit)
+	c.SetBackfillLimit(DefaultBackfillLimit)
 	c.SetRetainFinished(false)
 	for _, ev := range cfg.Faults {
 		if err := c.ScheduleNodeFail(ev.Node, ev.At); err != nil {
-			return SaturationPoint{}, err
+			return SaturationPoint{}, nil, err
 		}
 		if cfg.RepairAfter > 0 {
 			if err := c.ScheduleNodeRepair(ev.Node, ev.At+cfg.RepairAfter); err != nil {
-				return SaturationPoint{}, err
+				return SaturationPoint{}, nil, err
 			}
 		}
 	}
@@ -175,9 +162,10 @@ func (cfg *SaturationConfig) evaluate(mult float64) (SaturationPoint, error) {
 	g.SetRateMultiplier(mult)
 	res, err := Run(c, g, cfg.Jobs)
 	if err != nil {
-		return SaturationPoint{}, err
+		return SaturationPoint{}, nil, err
 	}
-	return SaturationPoint{Mult: mult, Stats: res.Stats, Saturated: cfg.Saturated(res.Stats)}, nil
+	st := res.Stats
+	return SaturationPoint{Mult: mult, Stats: st, Saturated: st.MeanWait > 2*st.MeanRuntime}, c, nil
 }
 
 // FindKnee bisects the arrival-rate multiplier where the workload tips
@@ -193,7 +181,7 @@ func FindKnee(config SaturationConfig) (SaturationResult, error) {
 	}
 	var out SaturationResult
 	eval := func(m float64) (SaturationPoint, error) {
-		p, err := cfg.evaluate(m)
+		p, _, err := cfg.evaluate(m)
 		if err == nil {
 			out.Points = append(out.Points, p)
 		}

@@ -376,7 +376,7 @@ func TestEvaluateRejectsOversizedJobs(t *testing.T) {
 		Spec:  MustParse("poisson:10/h;tasks=fixed:1000"),
 		Nodes: 2,
 	}
-	if _, err := Evaluate(cfg, 1); err == nil {
+	if _, _, err := Evaluate(cfg, 1); err == nil {
 		t.Error("Evaluate accepted a 1000-task job on a 2-node cluster")
 	}
 }
