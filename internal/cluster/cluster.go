@@ -178,6 +178,22 @@ type node struct {
 	jobs      []int // running job ids
 }
 
+// state is the node's scheduler state as sinfo prints it and the
+// cluster_nodes gauge labels it.
+func (n *node) state() string {
+	switch {
+	case n.down:
+		return "down"
+	case n.exclusive:
+		return "allocated(excl)"
+	case n.freeCores == 0:
+		return "allocated"
+	case len(n.jobs) > 0:
+		return "mixed"
+	}
+	return "idle"
+}
+
 // avail is the part of a node's state that placement depends on.
 func (n *node) avail() nodeAvail {
 	return nodeAvail{free: n.freeCores, occupied: len(n.jobs), excl: n.exclusive || n.down}

@@ -308,18 +308,7 @@ func (c *Cluster) Sinfo() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-8s %6s %6s %s\n", "NODE", "CORES", "FREE", "STATE")
 	for _, n := range c.nodes {
-		state := "idle"
-		switch {
-		case n.down:
-			state = "down"
-		case n.exclusive:
-			state = "allocated(excl)"
-		case n.freeCores == 0:
-			state = "allocated"
-		case len(n.jobs) > 0:
-			state = "mixed"
-		}
-		fmt.Fprintf(&b, "n%03d     %6d %6d %s\n", n.id, c.machine.CoresPerNode, n.freeCores, state)
+		fmt.Fprintf(&b, "n%03d     %6d %6d %s\n", n.id, c.machine.CoresPerNode, n.freeCores, n.state())
 	}
 	return b.String()
 }
@@ -590,7 +579,8 @@ type WorkloadStats struct {
 	MaxWait    time.Duration
 	// P99Wait is the 99th-percentile wait, estimated from a log₂
 	// millisecond histogram (reported as the upper bound of the bucket
-	// holding the percentile — ≤2× resolution, O(1) memory).
+	// holding the percentile, capped at MaxWait — ≤2× resolution, O(1)
+	// memory).
 	P99Wait     time.Duration
 	MeanRuntime time.Duration // start → end, over finished jobs
 	// Utilization is the core-time actually allocated divided by
@@ -616,7 +606,8 @@ func (c *Cluster) Stats() WorkloadStats {
 	if a.started > 0 {
 		st.MeanWait = a.waitSum / time.Duration(a.started)
 		st.MeanRuntime = a.runSum / time.Duration(a.started)
-		st.P99Wait = waitPercentile(&a.waitHist, a.started, 0.99)
+		// A bucket's upper bound can pass the largest wait in it.
+		st.P99Wait = min(waitPercentile(&a.waitHist, a.started, 0.99), a.maxWait)
 	}
 	if st.Makespan > 0 {
 		capacity := st.Makespan * time.Duration(len(c.nodes)*c.machine.CoresPerNode)

@@ -51,20 +51,9 @@ func (g *Gauges) Observe(c *Cluster) {
 	g.completed.Set(int64(c.agg.completed))
 	g.requeues.Set(int64(c.agg.requeues))
 
-	counts := map[string]int64{"idle": 0, "allocated": 0, "allocated(excl)": 0, "mixed": 0, "down": 0}
+	counts := make(map[string]int64, len(g.nodeStates))
 	for _, n := range c.nodes {
-		state := "idle"
-		switch {
-		case n.down:
-			state = "down"
-		case n.exclusive:
-			state = "allocated(excl)"
-		case n.freeCores == 0:
-			state = "allocated"
-		case len(n.jobs) > 0:
-			state = "mixed"
-		}
-		counts[state]++
+		counts[n.state()]++
 	}
 	for st, gauge := range g.nodeStates {
 		gauge.Set(counts[st])

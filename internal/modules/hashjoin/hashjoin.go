@@ -503,22 +503,7 @@ func JoinRMA(c *mpi.Comm, build, probe []Tuple) ([]Pair, Result, error) {
 			return nil, res, fmt.Errorf("hashjoin: rma put: %w", err)
 		}
 	}
-	if err := win.Fence(); err != nil {
-		return nil, res, fmt.Errorf("hashjoin: rma fence: %w", err)
-	}
-	// Build over the local region in place: the tail counter says how
-	// many tuples landed; they are dense from offset 8.
-	local := win.Local()
-	myBuildN := int(binary.LittleEndian.Uint64(local))
-	tbl, err := buildTable(myBuildN, func(i int) (key, payload int64) {
-		return tupleAt(local[8+i*tupleBytes:])
-	})
-	if err != nil {
-		return nil, res, err
-	}
-	res.BuildDur = time.Since(buildStart)
-
-	return probeAndFinish(c, win, tbl, probe, part, &res, myBuildN, start)
+	return buildAndProbe(c, win, probe, part, res, start, buildStart)
 }
 
 // JoinRMAPerTuple is the un-optimized one-sided build the module's
@@ -575,11 +560,19 @@ func JoinRMAPerTuple(c *mpi.Comm, build, probe []Tuple) ([]Pair, Result, error) 
 		}
 		tail[owner]++
 	}
+	return buildAndProbe(c, win, probe, nil, res, start, buildStart)
+}
+
+// buildAndProbe is the tail both one-sided joins share once their
+// deposits are issued: the Fence that completes them, the build over the
+// local region in place (the tail counter says how many tuples landed,
+// dense from offset 8), the two-sided probe exchange (partitioning into
+// part when it has room), the local probe, window retirement and the
+// global reductions.
+func buildAndProbe(c *mpi.Comm, win *mpi.Win, probe []Tuple, part []byte, res Result, start, buildStart time.Time) ([]Pair, Result, error) {
 	if err := win.Fence(); err != nil {
 		return nil, res, fmt.Errorf("hashjoin: rma fence: %w", err)
 	}
-	// Build over the local region in place: the tuples are dense from
-	// offset 8, as many as the tail counter says.
 	local := win.Local()
 	myBuildN := int(binary.LittleEndian.Uint64(local))
 	tbl, err := buildTable(myBuildN, func(i int) (key, payload int64) {
@@ -590,17 +583,10 @@ func JoinRMAPerTuple(c *mpi.Comm, build, probe []Tuple) ([]Pair, Result, error) 
 	}
 	res.BuildDur = time.Since(buildStart)
 
-	return probeAndFinish(c, win, tbl, probe, nil, &res, myBuildN, start)
-}
-
-// probeAndFinish is the tail both one-sided joins share: the two-sided
-// probe exchange (partitioning into part when it has room), the local
-// probe, window retirement and the global reductions.
-func probeAndFinish(c *mpi.Comm, win *mpi.Win, tbl table, probe []Tuple, part []byte, res *Result, myBuildN int, start time.Time) ([]Pair, Result, error) {
 	partStart := time.Now()
 	myProbe, _, err := exchange(c, probe, tagProbe, part, nil)
 	if err != nil {
-		return nil, *res, fmt.Errorf("hashjoin: probe exchange: %w", err)
+		return nil, res, fmt.Errorf("hashjoin: probe exchange: %w", err)
 	}
 	res.PartitionDur = time.Since(partStart)
 
@@ -610,11 +596,11 @@ func probeAndFinish(c *mpi.Comm, win *mpi.Win, tbl table, probe []Tuple, part []
 	res.LocalMatches = len(out)
 
 	if err := win.Free(); err != nil {
-		return nil, *res, fmt.Errorf("hashjoin: rma free: %w", err)
+		return nil, res, fmt.Errorf("hashjoin: rma free: %w", err)
 	}
-	if err := finishStats(c, res, len(out), myBuildN); err != nil {
-		return nil, *res, err
+	if err := finishStats(c, &res, len(out), myBuildN); err != nil {
+		return nil, res, err
 	}
 	res.Elapsed = time.Since(start)
-	return out, *res, nil
+	return out, res, nil
 }

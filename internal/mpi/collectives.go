@@ -72,7 +72,7 @@ func (c *Comm) collRecv(src, tag int) ([]byte, error) {
 
 // collIrecv posts an internal receive on the shadow context.
 func (c *Comm) collIrecv(src, tag int) *pendingRecv {
-	return c.mb.postRecv(c.collCtx(), src, tag, nil)
+	return c.mb.postRecv(c.collCtx(), src, tag, nil, nil)
 }
 
 // collFinish completes a collIrecv and returns the payload, recycling the

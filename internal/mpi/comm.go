@@ -127,7 +127,7 @@ func (c *Comm) sendEnvelopeOwned(ctx int32, payload []byte, lent bool, dest, tag
 // envelope (and its payload) and is responsible for recycling it with
 // putEnv.
 func (c *Comm) recvEnvelope(ctx int32, src, tag int, dst []byte) (*envelope, Status, error) {
-	pr := c.mb.postRecv(ctx, src, tag, dst)
+	pr := c.mb.postRecv(ctx, src, tag, dst, nil)
 	env, err := c.finishRecv(pr)
 	if err != nil {
 		return nil, Status{}, err
@@ -192,7 +192,7 @@ func (c *Comm) irecv(src, tag int) (*Request, error) {
 		return nil, err
 	}
 	sp := c.begin(PrimIrecv)
-	pr := c.mb.postRecv(c.ctx, src, tag, nil)
+	pr := c.mb.postRecv(c.ctx, src, tag, nil, nil)
 	peer := -1
 	if src != AnySource {
 		peer = c.members[src]
@@ -234,7 +234,7 @@ func sendrecvChecked[T Scalar](c *Comm, data []T, dest, sendTag, src, recvTag in
 	n := len(data) * scalarSize[T]()
 	payload, lent := lendOrCopy(c, data, c.rendezvous(n, false))
 	sp := c.begin(PrimSendrecv)
-	pr := c.mb.postRecv(c.ctx, src, recvTag, nil)
+	pr := c.mb.postRecv(c.ctx, src, recvTag, nil, nil)
 	msgid, err := c.sendEnvelopeOwned(c.ctx, payload, lent, dest, sendTag, false)
 	var env *envelope
 	if err == nil {
@@ -255,13 +255,9 @@ func sendrecvChecked[T Scalar](c *Comm, data []T, dest, sendTag, src, recvTag in
 // record from the posted queue, recycles it, and returns the matched
 // envelope (owned by the caller).
 func (c *Comm) finishRecv(pr *pendingRecv) (*envelope, error) {
-	env, ok := c.mb.tryRecv(pr)
-	if !ok {
-		e, err := c.mb.waitRecv(pr)
-		if err != nil {
-			return nil, err
-		}
-		env = e
+	env, err := c.mb.waitRecv(pr)
+	if err != nil {
+		return nil, err
 	}
 	putPR(pr)
 	return env, nil

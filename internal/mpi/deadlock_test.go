@@ -168,6 +168,24 @@ func TestDeadlockMismatchedTag(t *testing.T) {
 	}
 }
 
+// TestDeadlockProbe: a Probe that no message can satisfy is a blocked
+// wait like a receive. Both ranks probe for a tag nobody sends, and the
+// message of another tag queued at rank 1 must not satisfy its probe.
+func TestDeadlockProbe(t *testing.T) {
+	err := Run(2, func(c *Comm) error {
+		if c.Rank() == 0 {
+			if err := Send(c, []int{1}, 1, 3); err != nil {
+				return err
+			}
+		}
+		_, err := c.Probe(1-c.Rank(), 4)
+		return err
+	})
+	if !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("want ErrDeadlock, got %v", err)
+	}
+}
+
 // TestDetectionDisabled: with the detector off, the watchdog must still
 // rescue an otherwise-hung world.
 func TestDetectionDisabledWatchdogRescues(t *testing.T) {

@@ -400,38 +400,21 @@ func (w *World) heartbeatMonitor() {
 }
 
 // blockedSnapshot renders the blocked-state of every local mailbox, the
-// same per-rank waitKind records the deadlock detector verifies, for the
+// same per-rank wait records the deadlock detector verifies, for the
 // watchdog's diagnostic.
 func (w *World) blockedSnapshot() string {
 	var sb strings.Builder
-	n := 0
 	for _, mb := range w.mailboxes {
 		mb.mu.Lock()
-		var desc string
 		if wi := mb.waiting; wi != nil {
-			switch wi.kind {
-			case waitRecv:
-				desc = fmt.Sprintf("rank %d blocked in recv(src=%d, tag=%d)", mb.rank, wi.pr.src, wi.pr.tag)
-			case waitProbe:
-				desc = fmt.Sprintf("rank %d blocked in probe(src=%d, tag=%d)", mb.rank, wi.src, wi.tag)
-			case waitAck:
-				desc = fmt.Sprintf("rank %d blocked in send-ack(seq=%d)", mb.rank, wi.seq)
-			case waitRMA:
-				desc = fmt.Sprintf("rank %d blocked in rma-fetch(seq=%d)", mb.rank, wi.seq)
-			case waitColl:
-				desc = fmt.Sprintf("rank %d blocked in %s wait", mb.rank, wi.coll.prim)
-			}
-		}
-		mb.mu.Unlock()
-		if desc != "" {
-			if n > 0 {
+			if sb.Len() > 0 {
 				sb.WriteString("; ")
 			}
-			sb.WriteString(desc)
-			n++
+			fmt.Fprintf(&sb, "rank %d blocked in %v", mb.rank, *wi)
 		}
+		mb.mu.Unlock()
 	}
-	if n == 0 {
+	if sb.Len() == 0 {
 		return "no ranks blocked at snapshot time"
 	}
 	return sb.String()

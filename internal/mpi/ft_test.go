@@ -247,6 +247,57 @@ func TestOpTimeoutRendezvous(t *testing.T) {
 	}
 }
 
+// TestOpTimeoutEveryWait: each kind of blocking wait gives up with
+// ErrTimeout once the per-operation deadline passes, and its message
+// names the wait as the watchdog's diagnostic does (waitInfo.String).
+// Rank 1 stays alive and silent until rank 0's wait has returned.
+func TestOpTimeoutEveryWait(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		wait       func(c *Comm) error
+	}{
+		{"recv", "recv(src=1, tag=3)", func(c *Comm) error {
+			_, _, err := c.RecvBytes(1, 3)
+			return err
+		}},
+		{"probe", "probe(src=1, tag=3)", func(c *Comm) error {
+			_, err := c.Probe(1, 3)
+			return err
+		}},
+		{"ack", "send-ack(seq=", func(c *Comm) error {
+			return Ssend(c, []byte("payload"), 1, 3)
+		}},
+		{"icoll", PrimIallreduce.String() + " wait", func(c *Comm) error {
+			req, err := Iallreduce(c, []float64{1}, OpSum)
+			if err != nil {
+				return err
+			}
+			return req.Wait()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			onBothEndpoints(t, func(t *testing.T, run runFunc) {
+				release := make(chan struct{})
+				err := run(2, func(c *Comm) error {
+					if c.Rank() == 1 {
+						<-release
+						return nil
+					}
+					err := tc.wait(c)
+					close(release)
+					if !errors.Is(err, ErrTimeout) || !strings.Contains(err.Error(), tc.want) {
+						return fmt.Errorf("got %v, want ErrTimeout naming %s", err, tc.want)
+					}
+					return nil
+				}, WithOpTimeout(100*time.Millisecond), WithDeadlockDetection(false))
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
+	}
+}
+
 // TestOpTimeoutSendrecvWithdrawsReceive: a Sendrecv whose send half
 // times out must take its posted receive back. Left posted, the orphan
 // matches the next message on (src, recvTag) — here the one rank 1 sends

@@ -94,7 +94,7 @@ func (o *schedOp[T]) step() (bool, error) {
 	c := o.cr.comm
 	for {
 		if o.pr != nil {
-			env, ok := c.mb.takeColl(o.cr, o.pr)
+			env, ok := c.mb.tryRecv(o.pr)
 			if !ok {
 				return false, nil
 			}
@@ -113,7 +113,7 @@ func (o *schedOp[T]) step() (bool, error) {
 		}
 		o.h = h
 		if h.recv != recvNone {
-			o.pr = c.mb.postRecvColl(c.collCtx(), int(h.from), int(o.tag), o.cr)
+			o.pr = c.mb.postRecv(c.collCtx(), int(h.from), int(o.tag), nil, o.cr)
 		}
 		if h.send != sendNone {
 			b, lent := o.payload(c, h, &o.wire, true)
@@ -272,33 +272,20 @@ func (cr *CollRequest) Wait() error {
 
 func (cr *CollRequest) wait() error {
 	cr.advance()
-	if cr.done.Load() {
-		return cr.err
-	}
 	mb := cr.comm.mb
+	wi := waitInfo{kind: waitColl, coll: cr}
 	dl := mb.opDeadline()
 	mb.mu.Lock()
 	for !cr.done.Load() {
-		if err := mb.stopErrLocked(); err != nil {
+		if err := mb.stopErrLocked(wi, dl); err != nil {
 			mb.mu.Unlock()
 			cr.fail(err)
 			mb.mu.Lock()
-			if cr.done.Load() {
-				break
+			if !cr.done.Load() {
+				// A background stepper holds the strand; it will absorb
+				// the failure and broadcast completion.
+				mb.block(wi)
 			}
-			// A background stepper holds the strand; it will absorb the
-			// failure and broadcast completion.
-			mb.block(waitInfo{kind: waitColl, coll: cr})
-			continue
-		}
-		if deadlineExceeded(dl) {
-			mb.mu.Unlock()
-			cr.fail(fmt.Errorf("%w after %v: %s wait", ErrTimeout, mb.world.opts.opTimeout, cr.prim))
-			mb.mu.Lock()
-			if cr.done.Load() {
-				break
-			}
-			mb.block(waitInfo{kind: waitColl, coll: cr})
 			continue
 		}
 		if cr.unconsumed > 0 {
@@ -309,7 +296,7 @@ func (cr *CollRequest) wait() error {
 			mb.mu.Lock()
 			continue
 		}
-		mb.block(waitInfo{kind: waitColl, coll: cr})
+		mb.block(wi)
 	}
 	mb.mu.Unlock()
 	return cr.err

@@ -506,6 +506,28 @@ func TestIcollDeadlockDetected(t *testing.T) {
 	}
 }
 
+// TestIcollDeadlockAfterProgress: a collective that consumed an arrival
+// and then stalls is still a deadlock. At np = 3 rank 2 never joins, so
+// rank 1 takes its first ring hop from rank 0 and then waits for a second
+// that never comes: consuming that hop must clear its credit, or the
+// detector would count rank 1 as ready forever.
+func TestIcollDeadlockAfterProgress(t *testing.T) {
+	err := Run(3, func(c *Comm) error {
+		if c.Rank() < 2 {
+			cr, err := Iallreduce(c, []int64{1, 2, 3}, OpSum)
+			if err != nil {
+				return err
+			}
+			return cr.Wait()
+		}
+		_, _, err := c.RecvBytes(0, 99)
+		return err
+	})
+	if !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("want ErrDeadlock, got %v", err)
+	}
+}
+
 // TestAllocHygieneWaitall: when Waitall returns an error, the payloads of
 // the receives that DID complete must go back to the pool — the caller
 // only sees the error and can never Release them itself.

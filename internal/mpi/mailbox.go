@@ -7,8 +7,9 @@ import (
 	"time"
 )
 
-// waitKind classifies what a blocked rank is waiting for. The deadlock
-// detector uses it to decide whether the wait could ever be satisfied.
+// waitKind classifies what a blocked rank is waiting for. ready decides
+// whether such a wait can finish, for the waiter and for the deadlock
+// detector alike.
 type waitKind int8
 
 const (
@@ -20,22 +21,6 @@ const (
 	waitColl           // blocked in CollRequest.Wait on a nonblocking collective
 )
 
-func (k waitKind) String() string {
-	switch k {
-	case waitRecv:
-		return "recv"
-	case waitProbe:
-		return "probe"
-	case waitAck:
-		return "ack"
-	case waitRMA:
-		return "rma"
-	case waitColl:
-		return "icoll"
-	}
-	return "none"
-}
-
 // waitInfo records the blocking state of a rank, guarded by its mailbox
 // mutex. Exactly one of the fields past kind is meaningful.
 type waitInfo struct {
@@ -44,8 +29,26 @@ type waitInfo struct {
 	ctx  int32        // waitProbe
 	src  int          // waitProbe
 	tag  int          // waitProbe
-	seq  int64        // waitAck
+	seq  int64        // waitAck, waitRMA
 	coll *CollRequest // waitColl
+}
+
+// String names the wait as ErrTimeout messages and the watchdog's
+// diagnostic print it.
+func (wi waitInfo) String() string {
+	switch wi.kind {
+	case waitRecv:
+		return fmt.Sprintf("recv(src=%d, tag=%d)", wi.pr.src, wi.pr.tag)
+	case waitProbe:
+		return fmt.Sprintf("probe(src=%d, tag=%d)", wi.src, wi.tag)
+	case waitAck:
+		return fmt.Sprintf("send-ack(seq=%d)", wi.seq)
+	case waitRMA:
+		return fmt.Sprintf("rma-fetch(seq=%d)", wi.seq)
+	case waitColl:
+		return fmt.Sprintf("%s wait", wi.coll.prim)
+	}
+	return "none"
 }
 
 // pendingRecv is a posted receive awaiting a matching envelope. env is set
@@ -142,16 +145,19 @@ func newMailbox(rank int, w *World) *mailbox {
 // acknowledged immediately — MPI's progress guarantee: a posted MPI_Irecv
 // must complete a matching synchronous send even if the receiving rank is
 // itself blocked in a send (the ring collectives depend on this). The
-// acknowledgement is dispatched by ackMatched after the mailbox lock is
+// acknowledgement is dispatched by sendAck after the mailbox lock is
 // released, so concurrent cross-posts cannot order-deadlock on mailbox
 // mutexes.
 func (mb *mailbox) post(e *envelope) {
+	if mb.world.opts.heartbeat > 0 {
+		// Any traffic proves the sender alive.
+		mb.world.noteHeard(e.wsrc)
+	}
 	switch e.kind {
 	case kindHeartbeat:
 		// Pure liveness signal: absorb and recycle without touching the
 		// matching engine (heartbeats never carry a payload).
 		hbRecv.Add(1)
-		mb.world.noteHeard(e.wsrc)
 		putEnv(e)
 		return
 	case kindAbort:
@@ -170,15 +176,9 @@ func (mb *mailbox) post(e *envelope) {
 		// the per-window progress engine — without involving the target
 		// rank's application thread and before any mailbox lock (the
 		// handler replies through deliver, which takes mailbox locks).
-		if mb.world.opts.heartbeat > 0 {
-			mb.world.noteHeard(e.wsrc)
-		}
 		mb.world.handleRMAReq(mb, e)
 		return
 	case kindRMAResp:
-		if mb.world.opts.heartbeat > 0 {
-			mb.world.noteHeard(e.wsrc)
-		}
 		mb.mu.Lock()
 		if mb.dead {
 			mb.mu.Unlock()
@@ -194,10 +194,6 @@ func (mb *mailbox) post(e *envelope) {
 		mb.mu.Unlock()
 		putEnv(e)
 		return
-	}
-	if mb.world.opts.heartbeat > 0 {
-		// Any traffic proves the sender alive.
-		mb.world.noteHeard(e.wsrc)
 	}
 	if e.kind == kindData && mb.world.hooked() {
 		// Receiver-side arrival stamp for queue-latency attribution; taken
@@ -222,14 +218,8 @@ func (mb *mailbox) post(e *envelope) {
 	}
 	for _, pr := range mb.pending {
 		if pr.env == nil && matches(e, pr.ctx, pr.src, pr.tag) {
-			claim(e, pr.dst)
-			pr.env = e
-			coll := pr.coll
-			if coll != nil {
-				coll.unconsumed++
-			}
-			seq, wsrc, ctx := e.seq, e.wsrc, e.ctx
-			e.seq = 0 // consumed: completion paths must not double-ack
+			wsrc, ctx, coll := e.wsrc, e.ctx, pr.coll
+			seq := pr.fill(e)
 			mb.cond.Broadcast()
 			mb.mu.Unlock()
 			mb.sendAck(wsrc, ctx, seq)
@@ -246,6 +236,20 @@ func (mb *mailbox) post(e *envelope) {
 	mb.unexpected = append(mb.unexpected, e)
 	mb.cond.Broadcast()
 	mb.mu.Unlock()
+}
+
+// fill completes pr with its match e under mu: the lent payload's one
+// copy (claim), the owning collective's credit, and the rendezvous
+// acknowledgement now owed, returned as seq (0 if none) for the caller
+// to send once mu is released.
+func (pr *pendingRecv) fill(e *envelope) (seq int64) {
+	claim(e, pr.dst)
+	pr.env = e
+	if pr.coll != nil {
+		pr.coll.unconsumed++
+	}
+	seq, e.seq = e.seq, 0 // consumed: completion paths must not double-ack
+	return seq
 }
 
 // claim makes a lent message's one copy at its match, before the ack
@@ -287,77 +291,97 @@ func (mb *mailbox) sendAck(wdst int, ctx int32, seq int64) {
 // the returned pendingRecv is complete (and any rendezvous sender is
 // acknowledged); otherwise it joins the posted queue in FIFO order. dst
 // is where a lent message is copied when it holds it (claim), or nil.
-func (mb *mailbox) postRecv(ctx int32, src, tag int, dst []byte) *pendingRecv {
+// coll, when non-nil, is the nonblocking collective whose state machine
+// owns the receive: attached before the record becomes visible, so every
+// match credits it and can advance the machine.
+func (mb *mailbox) postRecv(ctx int32, src, tag int, dst []byte, coll *CollRequest) *pendingRecv {
 	pr := getPR(ctx, src, tag)
-	pr.dst = dst
+	pr.dst, pr.coll = dst, coll
 	mb.mu.Lock()
-	for i, e := range mb.unexpected {
-		if matches(e, ctx, src, tag) {
-			mb.unexpected = append(mb.unexpected[:i], mb.unexpected[i+1:]...)
-			claim(e, dst)
-			pr.env = e
-			seq, wsrc := e.seq, e.wsrc
-			e.seq = 0
-			mb.mu.Unlock()
-			mb.sendAck(wsrc, ctx, seq)
-			return pr
-		}
+	i := mb.firstMatch(ctx, src, tag)
+	if i < 0 {
+		mb.pending = append(mb.pending, pr)
+		mb.mu.Unlock()
+		return pr
 	}
-	mb.pending = append(mb.pending, pr)
+	e := mb.unexpected[i]
+	mb.unexpected = append(mb.unexpected[:i], mb.unexpected[i+1:]...)
+	wsrc := e.wsrc
+	seq := pr.fill(e)
 	mb.mu.Unlock()
+	mb.sendAck(wsrc, ctx, seq)
 	return pr
 }
 
-// postRecvColl registers a receive owned by a nonblocking collective's
-// state machine. Unlike postRecv it attaches cr before the record becomes
-// visible to the matching engine, so an arrival can credit cr.unconsumed
-// and advance the state machine; the caller (the machine itself) consumes
-// completions through takeColl.
-func (mb *mailbox) postRecvColl(ctx int32, src, tag int, cr *CollRequest) *pendingRecv {
-	pr := getPR(ctx, src, tag)
-	pr.coll = cr
-	mb.mu.Lock()
+// firstMatch returns the index of the oldest unexpected arrival matching
+// (ctx, src, tag), or -1. Callers hold mu.
+func (mb *mailbox) firstMatch(ctx int32, src, tag int) int {
 	for i, e := range mb.unexpected {
 		if matches(e, ctx, src, tag) {
-			mb.unexpected = append(mb.unexpected[:i], mb.unexpected[i+1:]...)
-			claim(e, nil)
-			pr.env = e
-			cr.unconsumed++
-			seq, wsrc := e.seq, e.wsrc
-			e.seq = 0
-			mb.mu.Unlock()
-			mb.sendAck(wsrc, ctx, seq)
-			return pr
+			return i
 		}
 	}
-	mb.pending = append(mb.pending, pr)
-	mb.mu.Unlock()
-	return pr
+	return -1
 }
 
-// takeColl consumes a completed collective receive: on match it removes
-// pr from the posted queue, debits cr's unconsumed credit and returns the
-// envelope (owned by the caller). The credit accounting keeps the
-// deadlock detector sound: a rank blocked in waitColl is satisfiable
-// exactly while a matched-but-unconsumed arrival exists.
-func (mb *mailbox) takeColl(cr *CollRequest, pr *pendingRecv) (*envelope, bool) {
+// tryRecv consumes pr if it has completed, without blocking: it removes
+// pr from the posted queue, debits its collective's credit and returns
+// the envelope (owned by the caller). The debit keeps the deadlock
+// detector sound: a rank blocked in waitColl is ready exactly while a
+// matched-but-unconsumed arrival exists.
+func (mb *mailbox) tryRecv(pr *pendingRecv) (*envelope, bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	if pr.env == nil {
 		return nil, false
 	}
 	mb.dropPending(pr)
-	if cr.unconsumed > 0 {
+	if cr := pr.coll; cr != nil && cr.unconsumed > 0 {
 		cr.unconsumed--
 	}
 	return pr.env, true
 }
 
-// stopErrLocked reports why this rank's blocked operation must give up,
-// or nil: the rank was killed, the world stopped (deadlock/abort), or the
-// failure epoch advanced past what the rank has acknowledged. Callers
-// hold mu.
-func (mb *mailbox) stopErrLocked() error {
+// dropPending removes pr from the posted queue. Callers hold mu.
+func (mb *mailbox) dropPending(pr *pendingRecv) {
+	for i, p := range mb.pending {
+		if p == pr {
+			mb.pending = append(mb.pending[:i], mb.pending[i+1:]...)
+			return
+		}
+	}
+}
+
+// ready reports whether the wait wi can finish given present mailbox
+// state. It is the one readiness rule: await parks until it holds, and
+// the deadlock detector (satisfiableLocked) declares deadlock only when
+// it holds for no waiting rank. Callers hold mu.
+func (mb *mailbox) ready(wi *waitInfo) bool {
+	switch wi.kind {
+	case waitRecv:
+		return wi.pr.env != nil
+	case waitProbe:
+		return mb.firstMatch(wi.ctx, wi.src, wi.tag) >= 0
+	case waitAck:
+		return mb.acks[wi.seq]
+	case waitRMA:
+		_, ok := mb.rmaResp[wi.seq]
+		return ok
+	case waitColl:
+		// Ready once the collective has finished (the waiter just has not
+		// observed it yet) or holds a matched arrival its state machine
+		// has not consumed. A mid-step background advance is covered by
+		// the world-level collActive gate in verifyDeadlock.
+		return wi.coll.done.Load() || wi.coll.unconsumed > 0
+	}
+	return true
+}
+
+// stopErrLocked reports why the blocked wait wi must give up, or nil: the
+// rank was killed, the world stopped (deadlock/abort), the failure epoch
+// advanced past what the rank has acknowledged, or the operation
+// deadline dl (opDeadline) passed. Callers hold mu.
+func (mb *mailbox) stopErrLocked(wi waitInfo, dl time.Time) error {
 	if mb.dead {
 		return ErrRankKilled
 	}
@@ -366,6 +390,9 @@ func (mb *mailbox) stopErrLocked() error {
 	}
 	if mb.world.failEpoch.Load() > mb.failAck.Load() {
 		return mb.world.rankFailedError()
+	}
+	if !dl.IsZero() && time.Now().After(dl) {
+		return fmt.Errorf("%w after %v: %v", ErrTimeout, mb.world.opts.opTimeout, wi)
 	}
 	return nil
 }
@@ -380,113 +407,70 @@ func (mb *mailbox) opDeadline() time.Time {
 	return time.Time{}
 }
 
-func deadlineExceeded(dl time.Time) bool {
-	return !dl.IsZero() && time.Now().After(dl)
-}
-
-// waitRecv blocks until pr completes, the world stops, a failure is
-// observed, or the operation deadline passes. On success it removes pr
-// from the posted queue and returns its envelope.
-func (mb *mailbox) waitRecv(pr *pendingRecv) (*envelope, error) {
+// await is the mailbox waits' one blocking loop: it returns nil once wi
+// is ready, or the error that makes it give up, parking in between. It
+// is called with mu held and returns with mu held, so the caller
+// consumes what it waited for under the same lock. CollRequest.wait
+// keeps its own loop: after it injects a failure it must still park
+// until the collective's stepper finishes.
+func (mb *mailbox) await(wi waitInfo) error {
 	dl := mb.opDeadline()
+	for !mb.ready(&wi) {
+		if err := mb.stopErrLocked(wi, dl); err != nil {
+			return err
+		}
+		mb.block(wi)
+	}
+	return nil
+}
+
+// waitRecv blocks until pr completes and returns its envelope. Either
+// way pr leaves the posted queue.
+func (mb *mailbox) waitRecv(pr *pendingRecv) (*envelope, error) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	for pr.env == nil {
-		if err := mb.stopErrLocked(); err != nil {
-			mb.dropPending(pr)
-			return nil, err
-		}
-		if deadlineExceeded(dl) {
-			mb.dropPending(pr)
-			return nil, fmt.Errorf("%w after %v: recv(src=%d, tag=%d)", ErrTimeout, mb.world.opts.opTimeout, pr.src, pr.tag)
-		}
-		mb.block(waitInfo{kind: waitRecv, pr: pr})
-	}
+	err := mb.await(waitInfo{kind: waitRecv, pr: pr})
 	mb.dropPending(pr)
+	if err != nil {
+		return nil, err
+	}
 	return pr.env, nil
-}
-
-// tryRecv reports whether pr has completed, without blocking. On success
-// the pendingRecv is removed from the posted queue.
-func (mb *mailbox) tryRecv(pr *pendingRecv) (*envelope, bool) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	if pr.env == nil {
-		return nil, false
-	}
-	mb.dropPending(pr)
-	return pr.env, true
-}
-
-// dropPending removes pr from the posted queue. Callers hold mu.
-func (mb *mailbox) dropPending(pr *pendingRecv) {
-	for i, p := range mb.pending {
-		if p == pr {
-			mb.pending = append(mb.pending[:i], mb.pending[i+1:]...)
-			return
-		}
-	}
 }
 
 // probe blocks until an unexpected message matches (ctx, src, tag) and
 // returns its Status without consuming it.
 func (mb *mailbox) probe(ctx int32, src, tag int) (Status, error) {
-	dl := mb.opDeadline()
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	for {
-		for _, e := range mb.unexpected {
-			if matches(e, ctx, src, tag) {
-				return Status{Source: e.src, Tag: int(e.tag), Bytes: len(e.data)}, nil
-			}
-		}
-		if err := mb.stopErrLocked(); err != nil {
-			return Status{}, err
-		}
-		if deadlineExceeded(dl) {
-			return Status{}, fmt.Errorf("%w after %v: probe(src=%d, tag=%d)", ErrTimeout, mb.world.opts.opTimeout, src, tag)
-		}
-		mb.block(waitInfo{kind: waitProbe, ctx: ctx, src: src, tag: tag})
+	if err := mb.await(waitInfo{kind: waitProbe, ctx: ctx, src: src, tag: tag}); err != nil {
+		return Status{}, err
 	}
+	e := mb.unexpected[mb.firstMatch(ctx, src, tag)]
+	return Status{Source: e.src, Tag: int(e.tag), Bytes: len(e.data)}, nil
 }
 
 // waitAck blocks until the rendezvous acknowledgement for seq arrives.
 func (mb *mailbox) waitAck(seq int64) error {
-	dl := mb.opDeadline()
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	for !mb.acks[seq] {
-		if err := mb.stopErrLocked(); err != nil {
-			return err
-		}
-		if deadlineExceeded(dl) {
-			return fmt.Errorf("%w after %v: rendezvous send (seq=%d)", ErrTimeout, mb.world.opts.opTimeout, seq)
-		}
-		mb.block(waitInfo{kind: waitAck, seq: seq})
+	err := mb.await(waitInfo{kind: waitAck, seq: seq})
+	if err == nil {
+		delete(mb.acks, seq)
 	}
-	delete(mb.acks, seq)
-	return nil
+	return err
 }
 
 // waitRMAResp blocks until the one-sided reply for seq arrives and returns
 // its payload, whose ownership passes to the caller.
 func (mb *mailbox) waitRMAResp(seq int64) ([]byte, error) {
-	dl := mb.opDeadline()
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	for {
-		if b, ok := mb.rmaResp[seq]; ok {
-			delete(mb.rmaResp, seq)
-			return b, nil
-		}
-		if err := mb.stopErrLocked(); err != nil {
-			return nil, err
-		}
-		if deadlineExceeded(dl) {
-			return nil, fmt.Errorf("%w after %v: rma fetch (seq=%d)", ErrTimeout, mb.world.opts.opTimeout, seq)
-		}
-		mb.block(waitInfo{kind: waitRMA, seq: seq})
+	if err := mb.await(waitInfo{kind: waitRMA, seq: seq}); err != nil {
+		return nil, err
 	}
+	b := mb.rmaResp[seq]
+	delete(mb.rmaResp, seq)
+	return b, nil
 }
 
 // tryAck reports whether the acknowledgement for seq has arrived, without
@@ -503,10 +487,10 @@ func (mb *mailbox) tryAck(seq int64) bool {
 
 // block parks the goroutine on the mailbox condition variable with its
 // blocking state exposed to the deadlock detector. Callers hold mu and
-// re-check their predicate after block returns. The wait record is
-// stored in the mailbox's reusable slot (a rank waits on one thing at a
-// time), keeping the blocking path allocation-free. This is the one
-// place a rank parks, so it is also where Event.Blocked is measured.
+// re-check ready after block returns. The wait record is stored in the
+// mailbox's reusable slot (a rank waits on one thing at a time), keeping
+// the blocking path allocation-free. This is the one place a rank parks,
+// so it is also where Event.Blocked is measured.
 func (mb *mailbox) block(wi waitInfo) {
 	mb.wi = wi
 	mb.waiting = &mb.wi
@@ -532,40 +516,13 @@ func (mb *mailbox) markFinished() {
 	mb.mu.Unlock()
 }
 
-// satisfiableLocked reports whether the rank's current wait could complete
-// given present mailbox state. The deadlock detector calls it while
-// holding mu for every mailbox in the world. A rank that is neither
-// finished nor waiting is running, which also counts as satisfiable
-// (progress is possible).
+// satisfiableLocked reports whether the rank could make progress given
+// present mailbox state. The deadlock detector calls it while holding mu
+// for every mailbox in the world. A rank that is neither finished nor
+// waiting is running, which counts as satisfiable.
 func (mb *mailbox) satisfiableLocked() bool {
 	if mb.finished {
 		return false // cannot act, but also not stuck
 	}
-	wi := mb.waiting
-	if wi == nil {
-		return true // running: progress possible
-	}
-	switch wi.kind {
-	case waitRecv:
-		return wi.pr.env != nil
-	case waitProbe:
-		for _, e := range mb.unexpected {
-			if matches(e, wi.ctx, wi.src, wi.tag) {
-				return true
-			}
-		}
-		return false
-	case waitAck:
-		return mb.acks[wi.seq]
-	case waitRMA:
-		_, ok := mb.rmaResp[wi.seq]
-		return ok
-	case waitColl:
-		// Satisfiable while the collective has finished (the waiter just
-		// has not observed it yet) or holds a matched arrival its state
-		// machine has not consumed. A mid-step background advance is
-		// covered by the world-level collActive gate in verifyDeadlock.
-		return wi.coll.done.Load() || wi.coll.unconsumed > 0
-	}
-	return true
+	return mb.waiting == nil || mb.ready(mb.waiting)
 }

@@ -80,7 +80,7 @@ func NewMPISet(np int) *MPISet {
 		func() int64 { return mpi.RMABatchStats().Bytes })
 	s.proc.CounterFunc("mpi_rma_batch_direct_total", "Batch flushes that took the shared-memory fast path instead of the mailbox.",
 		func() int64 { return mpi.RMABatchStats().DirectApplies })
-	s.proc.CounterFunc("mpi_icoll_started_total", "Nonblocking collectives initiated (Iallreduce, Ibcast, Ireduce, Ibarrier, Iallgather).",
+	s.proc.CounterFunc("mpi_icoll_started_total", "Nonblocking collectives initiated (Iallreduce, Iallgather).",
 		func() int64 { return mpi.IcollStats().Started })
 	s.proc.CounterFunc("mpi_icoll_completed_total", "Nonblocking collectives completed (successfully or with an error).",
 		func() int64 { return mpi.IcollStats().Completed })

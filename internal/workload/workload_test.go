@@ -380,3 +380,26 @@ func TestEvaluateRejectsOversizedJobs(t *testing.T) {
 		t.Error("Evaluate accepted a 1000-task job on a 2-node cluster")
 	}
 }
+
+// TestP99WaitCappedAtMax: the log₂ bucket holding the 99th-percentile
+// wait can end past the longest wait, and P99Wait must not. The run is
+// `sbatch -workload "poisson:900/h;tasks=fixed:16" -nodes 2 -njobs 400
+// -seed 3 -faults node=0:at=30m -repair 1h`, whose P99 bucket ends at
+// 2h19m48.608s against a longest wait of 1h44m13.273s.
+func TestP99WaitCappedAtMax(t *testing.T) {
+	pt, _, err := Evaluate(SaturationConfig{
+		Spec:        MustParse("poisson:900/h;tasks=fixed:16"),
+		Seed:        3,
+		Jobs:        400,
+		Nodes:       2,
+		Policy:      cluster.PolicyBackfill,
+		Faults:      faults.MustParse("node=0:at=30m").NodeEvents(),
+		RepairAfter: time.Hour,
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := pt.Stats; st.P99Wait > st.MaxWait {
+		t.Errorf("P99Wait %v exceeds MaxWait %v", st.P99Wait, st.MaxWait)
+	}
+}
