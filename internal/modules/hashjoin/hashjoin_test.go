@@ -1,9 +1,10 @@
 package hashjoin
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/mpi"
@@ -23,11 +24,11 @@ func makeRelations(nb, np int, keyRange int64, seed int64) (build, probe []Tuple
 }
 
 func sortPairs(ps []Pair) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].BuildPayload != ps[j].BuildPayload {
-			return ps[i].BuildPayload < ps[j].BuildPayload
+	slices.SortFunc(ps, func(a, b Pair) int {
+		if c := cmp.Compare(a.BuildPayload, b.BuildPayload); c != 0 {
+			return c
 		}
-		return ps[i].ProbePayload < ps[j].ProbePayload
+		return cmp.Compare(a.ProbePayload, b.ProbePayload)
 	})
 }
 

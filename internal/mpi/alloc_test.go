@@ -123,6 +123,41 @@ func TestAllocTCPLaunch(t *testing.T) {
 	}
 }
 
+// TestAllocTCPLaunchObjects pins the launch profile of the same
+// RunTCP(4) + Barrier world by objects and bytes. It reads ~256 objects
+// and ~16 KiB per launch: listening and dialing *net.TCPAddr values
+// keeps the mesh off the resolver, the first dial attempt needs no
+// context, and the twelve connection readers come from readerPool. The
+// bounds leave ~13 % and 50 % headroom, so resolving the address
+// strings (~40 objects), a deadline context per dial (~50 more) or a
+// fresh 4 KiB reader per connection end (~48 KiB) each break one.
+func TestAllocTCPLaunchObjects(t *testing.T) {
+	const warmup, launches = 3, 20
+	launch := func() {
+		if err := RunTCP(4, func(c *Comm) error { return c.Barrier() }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < warmup; i++ {
+		launch()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < launches; i++ {
+		launch()
+	}
+	runtime.ReadMemStats(&after)
+	objects := float64(after.Mallocs-before.Mallocs) / launches
+	kib := float64(after.TotalAlloc-before.TotalAlloc) / launches / 1024
+	t.Logf("RunTCP(4) launch: %.1f objects, %.1f KiB", objects, kib)
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates; bounds not asserted")
+	}
+	if objects > 290 || kib > 24 {
+		t.Fatalf("RunTCP(4) around one Barrier allocates %.1f objects and %.1f KiB per launch, want <= 290 and <= 24", objects, kib)
+	}
+}
+
 // TestAllocTreeAllreduceBound bounds world-wide allocations of an
 // in-place tree allreduce at 4 ranks with an 8 KiB (rendezvous-path)
 // buffer: 6 hops total (3 reduce + 3 broadcast), each allowed at most 2

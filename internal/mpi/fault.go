@@ -531,20 +531,20 @@ func (f *faultLayer) notifyAbort(cause error) { f.next.notifyAbort(cause) }
 // invisibly in flight.
 func (f *faultLayer) supportsDeadlockDetection() bool { return false }
 
-// dialRetry dials addr with bounded exponential backoff: each attempt is
-// limited to attemptTimeout, the whole sequence to total, and cancelling
-// ctx abandons it. onRetry, when non-nil, observes every failed attempt
-// before its backoff sleep.
-func dialRetry(ctx context.Context, network, addr string, attemptTimeout, total time.Duration, onRetry func(attempt int, err error)) (net.Conn, error) {
+// dialRetry dials addr with bounded exponential backoff: the whole
+// sequence is limited to total, and cancelling ctx abandons it between
+// attempts. An attempt is a plain connect, without a deadline context:
+// addr is a loopback listener's, which accepts or refuses it at once.
+// onRetry, when non-nil, observes every failed attempt before its
+// backoff sleep.
+func dialRetry(ctx context.Context, addr *net.TCPAddr, total time.Duration, onRetry func(attempt int, err error)) (net.Conn, error) {
 	deadline := time.Now().Add(total)
 	backoff := 25 * time.Millisecond
 	for attempt := 1; ; attempt++ {
-		remain := time.Until(deadline)
-		if remain <= 0 {
+		if time.Until(deadline) <= 0 {
 			return nil, fmt.Errorf("mpi: dial %s: retry budget %v exhausted after %d attempts", addr, total, attempt-1)
 		}
-		d := net.Dialer{Timeout: min(attemptTimeout, remain)}
-		conn, err := d.DialContext(ctx, network, addr)
+		conn, err := net.DialTCP("tcp", nil, addr)
 		if err == nil {
 			return conn, nil
 		}

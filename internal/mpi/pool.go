@@ -170,24 +170,46 @@ func copyToPooled(data []byte) []byte {
 	return b
 }
 
-const maxFreeEnvelopes = 1024
-
-var envPool struct {
+// freeList is a bounded stack of recycled objects: the free lists of
+// envelopes, posted receives and socket readers.
+type freeList[T any] struct {
 	mu   sync.Mutex
-	free []*envelope
+	free []*T
+	max  int // objects kept; put leaves the excess to the garbage collector
 }
+
+// get pops a recycled object, or returns nil when the list is empty.
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	m := len(l.free)
+	if m == 0 {
+		l.mu.Unlock()
+		return nil
+	}
+	x := l.free[m-1]
+	l.free[m-1] = nil
+	l.free = l.free[:m-1]
+	l.mu.Unlock()
+	return x
+}
+
+// put pushes x, which no one else may still touch, unless the list is
+// full.
+func (l *freeList[T]) put(x *T) {
+	l.mu.Lock()
+	if len(l.free) < l.max {
+		l.free = append(l.free, x)
+	}
+	l.mu.Unlock()
+}
+
+var envPool = freeList[envelope]{max: 1024}
 
 // getEnv returns a zeroed envelope from the pool.
 func getEnv() *envelope {
-	envPool.mu.Lock()
-	if m := len(envPool.free); m > 0 {
-		e := envPool.free[m-1]
-		envPool.free[m-1] = nil
-		envPool.free = envPool.free[:m-1]
-		envPool.mu.Unlock()
+	if e := envPool.get(); e != nil {
 		return e
 	}
-	envPool.mu.Unlock()
 	return &envelope{}
 }
 
@@ -216,32 +238,17 @@ func cloneEnv(e *envelope) *envelope {
 // application after freeing the envelope.
 func putEnv(e *envelope) {
 	*e = envelope{}
-	envPool.mu.Lock()
-	if len(envPool.free) < maxFreeEnvelopes {
-		envPool.free = append(envPool.free, e)
-	}
-	envPool.mu.Unlock()
+	envPool.put(e)
 }
 
-const maxFreePendingRecvs = 256
-
-var prPool struct {
-	mu   sync.Mutex
-	free []*pendingRecv
-}
+var prPool = freeList[pendingRecv]{max: 256}
 
 // getPR returns an initialized posted-receive record from the pool.
 func getPR(ctx int32, src, tag int) *pendingRecv {
-	prPool.mu.Lock()
-	if m := len(prPool.free); m > 0 {
-		pr := prPool.free[m-1]
-		prPool.free[m-1] = nil
-		prPool.free = prPool.free[:m-1]
-		prPool.mu.Unlock()
+	if pr := prPool.get(); pr != nil {
 		pr.ctx, pr.src, pr.tag = ctx, src, tag
 		return pr
 	}
-	prPool.mu.Unlock()
 	return &pendingRecv{ctx: ctx, src: src, tag: tag}
 }
 
@@ -249,9 +256,5 @@ func getPR(ctx int32, src, tag int) *pendingRecv {
 // is no longer in any mailbox queue and no other goroutine can touch it.
 func putPR(pr *pendingRecv) {
 	*pr = pendingRecv{}
-	prPool.mu.Lock()
-	if len(prPool.free) < maxFreePendingRecvs {
-		prPool.free = append(prPool.free, pr)
-	}
-	prPool.mu.Unlock()
+	prPool.put(pr)
 }

@@ -106,7 +106,7 @@ func RunProcesses(np int, name string, ps Programs, opts ...ProcOption) (worker 
 // runCoordinator listens for worker registrations, spawns the children,
 // brokers the address table, and waits for every child to exit.
 func runCoordinator(np int, name string, o procOptions) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.ListenTCP("tcp", loopback)
 	if err != nil {
 		return fmt.Errorf("mpi: coordinator listen: %w", err)
 	}
@@ -141,9 +141,7 @@ func runCoordinator(np int, name string, o procOptions) error {
 	deadline := time.Now().Add(procTimeout)
 	registered := 0
 	for registered < np {
-		if tl, ok := ln.(*net.TCPListener); ok {
-			tl.SetDeadline(deadline)
-		}
+		ln.SetDeadline(deadline)
 		conn, err := ln.Accept()
 		if err != nil {
 			killAll(cmds)
@@ -208,15 +206,18 @@ func runWorker(fn func(*Comm) error, o procOptions) error {
 	if rank < 0 || rank >= np {
 		return fmt.Errorf("mpi: %s=%d outside world of size %d", envRank, rank, np)
 	}
-	coord := os.Getenv(envCoord)
+	coord, err := parseListenAddr(os.Getenv(envCoord))
+	if err != nil {
+		return fmt.Errorf("mpi: bad %s: %w", envCoord, err)
+	}
 
 	// Listen for peers, register with the coordinator, learn the table.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.ListenTCP("tcp", loopback)
 	if err != nil {
-		return fmt.Errorf("mpi: worker listen: %w", err)
+		return fmt.Errorf("mpi: tcp listen for rank %d: %w", rank, err)
 	}
 	defer ln.Close()
-	cc, err := dialRetry(context.Background(), "tcp", coord, 10*time.Second, procTimeout, nil)
+	cc, err := dialRetry(context.Background(), coord, procTimeout, nil)
 	if err != nil {
 		return fmt.Errorf("mpi: dialing coordinator: %w", err)
 	}
@@ -229,9 +230,15 @@ func runWorker(fn func(*Comm) error, o procOptions) error {
 	if err != nil {
 		return fmt.Errorf("mpi: reading address table: %w", err)
 	}
-	addrs := strings.Fields(line)
-	if len(addrs) != np {
-		return fmt.Errorf("mpi: address table has %d entries, want %d", len(addrs), np)
+	table := strings.Fields(line)
+	if len(table) != np {
+		return fmt.Errorf("mpi: address table has %d entries, want %d", len(table), np)
+	}
+	addrs := make([]*net.TCPAddr, np)
+	for p, entry := range table {
+		if addrs[p], err = parseListenAddr(entry); err != nil {
+			return fmt.Errorf("mpi: rank %d: address table entry for rank %d is %q: %w", rank, p, entry, err)
+		}
 	}
 
 	lns := make([]net.Listener, np)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -31,7 +32,7 @@ func TestBadHelloRejected(t *testing.T) {
 			}
 			// The stray connection sits in rank 1's accept backlog ahead of
 			// rank 0's dial, so it is the first hello rank 1 reads.
-			stray, err := net.Dial("tcp", addrs[1])
+			stray, err := net.DialTCP("tcp", nil, addrs[1])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,6 +57,84 @@ func TestBadHelloRejected(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBadAddrTableFailsFast: the address table a worker receives from
+// its coordinator is outside input too. A worker whose table holds a
+// malformed entry next to its own good one must fail at once, naming its
+// rank and the entry, not dial the entry until its 30 s budget runs out;
+// and it must close its listener and leave nothing running. The test
+// plays the coordinator in-process and runs rank 0's worker path.
+func TestBadAddrTableFailsFast(t *testing.T) {
+	for _, bad := range []string{"not-an-address", "127.0.0.1", "127.0.0.1:99999"} {
+		t.Run(bad, func(t *testing.T) {
+			coord, err := net.ListenTCP("tcp", loopback)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			// Snapshot after the coordinator's listener opens, and check
+			// before it closes, so every descriptor counted is the worker's.
+			defer leakcheck.Snapshot(t, poolGauge(), openFilesGauge(t)).Check()
+			t.Setenv(envRank, "0")
+			t.Setenv(envSize, "2")
+			t.Setenv(envCoord, coord.Addr().String())
+			t.Setenv(envProg, "p")
+			registered := make(chan bool, 1)
+			go func() {
+				defer close(registered)
+				conn, err := coord.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				var rank int
+				var addr string
+				if _, err := fmt.Fscanf(conn, "%d %s\n", &rank, &addr); err != nil {
+					return
+				}
+				fmt.Fprintf(conn, "%s %s\n", addr, bad)
+				registered <- true
+			}()
+			ran := false
+			start := time.Now()
+			worker, err := RunProcesses(2, "p", Programs{"p": func(*Comm) error { ran = true; return nil }})
+			elapsed := time.Since(start)
+			if !worker {
+				t.Fatal("RunProcesses did not take the worker path")
+			}
+			want := fmt.Sprintf("rank 0: address table entry for rank 1 is %q", bad)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("worker with table entry %q returned %v, want an error containing %q", bad, err, want)
+			}
+			if elapsed > time.Second {
+				t.Fatalf("worker took %v to reject table entry %q, want < 1s", elapsed, bad)
+			}
+			if ran {
+				t.Fatal("the rank ran on a table it could not parse")
+			}
+			if !<-registered {
+				t.Fatal("the worker never registered")
+			}
+		})
+	}
+}
+
+// openFilesGauge counts this process's open descriptors. A listener
+// left open shows in it; dialing the freed port would not tell, since
+// the kernel may already have given the port to another listener.
+func openFilesGauge(t *testing.T) leakcheck.Gauge {
+	count := func() (int64, error) {
+		fds, err := os.ReadDir("/proc/self/fd")
+		return int64(len(fds)), err
+	}
+	if _, err := count(); err != nil {
+		t.Skipf("cannot count open descriptors: %v", err)
+	}
+	return leakcheck.Gauge{
+		Name: "open_fds",
+		Read: func() int64 { n, _ := count(); return n },
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 )
@@ -44,6 +45,12 @@ func RunTCP(np int, fn func(*Comm) error, opts ...Option) error {
 // buffer once the buffered bytes run out.
 const tcpBufSize = 4 << 10
 
+// readerPool recycles connection readers across worlds: a mesh of np
+// ranks has np·(np−1) connection ends, each reading through a 4 KiB
+// buffer. It keeps at most 64 readers (256 KiB), every reader of an
+// 8-rank mesh.
+var readerPool = freeList[bufio.Reader]{max: 64}
+
 // maxPayloadLen caps a frame's declared payload so a corrupt or hostile
 // length prefix cannot drive an arbitrarily large allocation.
 const maxPayloadLen = 1 << 30
@@ -75,14 +82,15 @@ var errBadFrame = errors.New("mpi: bad wire frame")
 // connection: its frame may be torn, so every later send returns that
 // error and writes nothing.
 type tcpConn struct {
-	mu  sync.Mutex
-	w   io.Writer // the socket; any stream in tests
-	c   net.Conn
-	err error                                       // first write error; guarded by mu
-	iov [2][]byte                                   // the frame's two pieces while it is written; guarded by mu
-	vec net.Buffers                                 // the write's cursor over iov, here so it stays off the heap; guarded by mu
-	hdr [linkPrefixLen + 4 + envelopeHeaderLen]byte // guarded by mu
-	pre int                                         // link prefix bytes per frame: linkPrefixLen or 0
+	mu   sync.Mutex
+	w    io.Writer // the socket; any stream in tests
+	c    net.Conn
+	err  error                                       // first write error; guarded by mu
+	iov  [2][]byte                                   // the frame's two pieces while it is written; guarded by mu
+	vec  net.Buffers                                 // the write's cursor over iov, here so it stays off the heap; guarded by mu
+	hdr  [linkPrefixLen + 4 + envelopeHeaderLen]byte // guarded by mu
+	rhdr [linkPrefixLen + 4 + envelopeHeaderLen]byte // the reader's header scratch; the reader goroutine's alone
+	pre  int                                         // link prefix bytes per frame: linkPrefixLen or 0
 }
 
 // send writes e's frame and consumes e: its journey ends at the socket
@@ -113,10 +121,11 @@ func (tc *tcpConn) send(e *envelope) error {
 // readFrame reads one frame of a world of np ranks off r. The prefix,
 // length and header land in hdr (pre+4+envelopeHeaderLen bytes) and the
 // payload is read directly into a pooled buffer (readPayload) — the
-// frame is never materialized as a whole. io.ReadFull takes hdr through an interface, so it lives
-// on the heap: the reader loop owns one for its lifetime instead of
-// allocating one per frame. A stream error is returned as is; a frame
-// whose framing is broken wraps errBadFrame.
+// frame is never materialized as a whole. io.ReadFull takes hdr through
+// an interface, so it lives on the heap: the reader loop passes its
+// connection's scratch (tcpConn.rhdr) instead of allocating one per
+// frame. A stream error is returned as is; a frame whose framing is
+// broken wraps errBadFrame.
 func readFrame(r *bufio.Reader, hdr []byte, pre, np int) (*envelope, error) {
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
@@ -184,20 +193,39 @@ type socketTransport struct {
 	readers   sync.WaitGroup
 }
 
+// loopback is the address every rank's listener binds; port 0 lets the
+// kernel pick a free port. Listening and dialing *net.TCPAddr values
+// keeps the mesh build off the resolver.
+var loopback = &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)}
+
 // listenLoopback opens one loopback listener per rank and returns them
 // with the address table they form.
-func listenLoopback(np int) ([]net.Listener, []string, error) {
+func listenLoopback(np int) ([]net.Listener, []*net.TCPAddr, error) {
 	lns := make([]net.Listener, np)
-	addrs := make([]string, np)
+	addrs := make([]*net.TCPAddr, np)
 	for r := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		ln, err := net.ListenTCP("tcp", loopback)
 		if err != nil {
 			closeListeners(lns)
 			return nil, nil, fmt.Errorf("mpi: tcp listen for rank %d: %w", r, err)
 		}
-		lns[r], addrs[r] = ln, ln.Addr().String()
+		lns[r], addrs[r] = ln, ln.Addr().(*net.TCPAddr)
 	}
 	return lns, addrs, nil
+}
+
+// parseListenAddr parses one address-table entry: the ip:port literal
+// of a loopback listener, as listenLoopback and a worker open them. Anything else fails
+// here, before a dial could retry it for the whole budget.
+func parseListenAddr(s string) (*net.TCPAddr, error) {
+	ap, err := netip.ParseAddrPort(s)
+	if err != nil {
+		return nil, err
+	}
+	if !ap.Addr().IsLoopback() || ap.Port() == 0 {
+		return nil, fmt.Errorf("%s is not a loopback listener's address", s)
+	}
+	return net.TCPAddrFromAddrPort(ap), nil
 }
 
 func closeListeners(lns []net.Listener) {
@@ -214,7 +242,7 @@ func closeListeners(lns []net.Listener) {
 // rank to fail stops the others: every listener and established
 // connection is closed and every connect and reader goroutine has exited
 // before the error is returned.
-func newSocketTransport(w *World, lns []net.Listener, addrs []string) (*socketTransport, error) {
+func newSocketTransport(w *World, lns []net.Listener, addrs []*net.TCPAddr) (*socketTransport, error) {
 	t := &socketTransport{world: w, listeners: lns, conns: make([][]*tcpConn, w.size)}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -255,11 +283,11 @@ const helloTimeout = 10 * time.Second
 // open before any rank connects (an address table implies it): the dials
 // then complete out of the accept backlog and no rank waits on another's
 // progress.
-func (t *socketTransport) connect(ctx context.Context, r int, addrs []string) error {
+func (t *socketTransport) connect(ctx context.Context, r int, addrs []*net.TCPAddr) error {
 	w := t.world
 	var hello [4]byte
 	for peer := r + 1; peer < w.size; peer++ {
-		conn, err := dialRetry(ctx, "tcp", addrs[peer], 10*time.Second, 30*time.Second, func(attempt int, err error) {
+		conn, err := dialRetry(ctx, addrs[peer], 30*time.Second, func(attempt int, err error) {
 			w.emitLifecycle(r, LifeRetry, fmt.Sprintf("mesh dial %d->%d attempt %d: %v", r, peer, attempt, err))
 		})
 		if err != nil {
@@ -297,7 +325,8 @@ func (t *socketTransport) connect(ctx context.Context, r int, addrs []string) er
 // startReader records c as rank r's connection to peer and starts the
 // goroutine that hands the envelopes arriving on it to the world's
 // arrival path. Which rank sent them is carried inside each envelope, so
-// one reader per connection suffices.
+// one reader per connection suffices. The goroutine's bufio.Reader comes
+// from readerPool and goes back when the connection ends.
 func (t *socketTransport) startReader(r, peer int, c net.Conn) {
 	w := t.world
 	tc := &tcpConn{w: c, c: c}
@@ -308,8 +337,18 @@ func (t *socketTransport) startReader(r, peer int, c net.Conn) {
 	t.readers.Add(1)
 	go func() {
 		defer t.readers.Done()
-		br := bufio.NewReaderSize(c, tcpBufSize)
-		hdr := make([]byte, tc.pre+4+envelopeHeaderLen)
+		br := readerPool.get()
+		if br == nil {
+			br = bufio.NewReaderSize(c, tcpBufSize)
+		} else {
+			br.Reset(c)
+		}
+		defer func() {
+			// Drops the buffered bytes: readFrame copied out every frame it returned.
+			br.Reset(nil)
+			readerPool.put(br)
+		}()
+		hdr := tc.rhdr[:tc.pre+4+envelopeHeaderLen]
 		for {
 			e, err := readFrame(br, hdr, tc.pre, w.size)
 			if err != nil {
