@@ -164,25 +164,3 @@ func (m *MemCheckpointer) Saves() int {
 	defer m.mu.Unlock()
 	return m.saves
 }
-
-// EncodeFloat64s serializes a float64 slice little-endian — the payload
-// format the modules use for centroids and key buckets.
-func EncodeFloat64s(vals []float64) []byte {
-	buf := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	return buf
-}
-
-// DecodeFloat64s inverts EncodeFloat64s.
-func DecodeFloat64s(buf []byte) ([]float64, error) {
-	if len(buf)%8 != 0 {
-		return nil, fmt.Errorf("ckpt: float64 payload of %d bytes is not a multiple of 8", len(buf))
-	}
-	out := make([]float64, len(buf)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return out, nil
-}

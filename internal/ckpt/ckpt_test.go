@@ -1,9 +1,13 @@
 package ckpt
 
 import (
+	"encoding/hex"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"repro/internal/mpi"
 )
 
 func TestFileRoundTrip(t *testing.T) {
@@ -11,7 +15,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if _, _, ok, err := fc.Load(); err != nil || ok {
 		t.Fatalf("fresh checkpointer: ok=%v err=%v", ok, err)
 	}
-	payload := EncodeFloat64s([]float64{1.5, -2.25, 3e-9})
+	payload := mpi.AppendMarshal(nil, []float64{1.5, -2.25, 3e-9})
 	if err := fc.Save(17, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +26,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if step != 17 {
 		t.Fatalf("step = %d, want 17", step)
 	}
-	vals, err := DecodeFloat64s(got)
+	vals, err := mpi.Unmarshal[float64](got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +111,44 @@ func TestMemCheckpointer(t *testing.T) {
 }
 
 func TestDecodeRejectsBadLength(t *testing.T) {
-	if _, err := DecodeFloat64s(make([]byte, 12)); err == nil {
+	if _, err := mpi.Unmarshal[float64](make([]byte, 12)); err == nil {
 		t.Fatal("12-byte payload decoded as float64s")
+	}
+}
+
+// TestFileLoadsFloat64Format pins the bytes of a checkpoint file of two
+// float64s, written out by hand: magic, step 7, payload length 16, the
+// payload's CRC-32 and 1.5 and -2.25 as little-endian IEEE bits. The
+// modules save their state with mpi.AppendMarshal and restore it with
+// mpi.Unmarshal, so a codec change that moved these bytes would strand
+// every checkpoint already on disk.
+func TestFileLoadsFloat64Format(t *testing.T) {
+	raw, err := hex.DecodeString("5250434b5054310a" + "0700000000000000" + "1000000000000000" + "0928fab7" +
+		"000000000000f83f" + "00000000000002c0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "state.ckpt")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	step, payload, ok, err := NewFile(path).Load()
+	if err != nil || !ok || step != 7 {
+		t.Fatalf("load: step=%d ok=%v err=%v", step, ok, err)
+	}
+	vals, err := mpi.Unmarshal[float64](payload)
+	if err != nil || !slices.Equal(vals, []float64{1.5, -2.25}) {
+		t.Fatalf("decoded %v, %v; want [1.5 -2.25]", vals, err)
+	}
+	if again := mpi.AppendMarshal(nil, vals); string(again) != string(payload) {
+		t.Fatalf("re-encoded payload %x, want %x", again, payload)
+	}
+	fc := NewFile(filepath.Join(t.TempDir(), "resaved.ckpt"))
+	if err := fc.Save(7, mpi.AppendMarshal(nil, vals)); err != nil {
+		t.Fatal(err)
+	}
+	if resaved, err := os.ReadFile(fc.path); err != nil || string(resaved) != string(raw) {
+		t.Fatalf("a save of the same state wrote %x, %v; want %x", resaved, err, raw)
 	}
 }
 

@@ -34,7 +34,7 @@ func (p Protocol) Restore(c *mpi.Comm, n int) (int, []float64, error) {
 			return 0, nil, err
 		}
 		if ok {
-			vals, err := DecodeFloat64s(payload)
+			vals, err := mpi.Unmarshal[float64](payload)
 			if err != nil {
 				return 0, nil, err
 			}
@@ -66,7 +66,7 @@ func (p Protocol) Save(c *mpi.Comm, step int, snapshot func() []float64) error {
 	if c.Rank() != 0 || p.CP == nil || p.Every <= 0 || step%p.Every != 0 {
 		return nil
 	}
-	if err := p.CP.Save(step, EncodeFloat64s(snapshot())); err != nil {
+	if err := p.CP.Save(step, mpi.AppendMarshal(nil, snapshot())); err != nil {
 		return err
 	}
 	c.Lifecycle(mpi.LifeCheckpoint, fmt.Sprintf("%s %s %d", p.Module, p.Unit, step))

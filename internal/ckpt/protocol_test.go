@@ -92,7 +92,7 @@ func TestProtocolSaveRestore(t *testing.T) {
 // error on rank 0, not a state read at the wrong shape.
 func TestProtocolLengthMismatch(t *testing.T) {
 	mem := NewMem()
-	if err := mem.Save(3, EncodeFloat64s([]float64{1, 2, 3})); err != nil {
+	if err := mem.Save(3, mpi.AppendMarshal(nil, []float64{1, 2, 3})); err != nil {
 		t.Fatal(err)
 	}
 	p := Protocol{CP: mem, Every: 1, Module: "mod", Unit: "step"}

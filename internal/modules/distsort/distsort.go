@@ -116,7 +116,7 @@ func SortOpts(c *mpi.Comm, local []float64, splitter Splitter, opt Options) ([]f
 		if phase != ckptPhaseSorted {
 			return nil, Result{}, fmt.Errorf("distsort: rank %d checkpoint at unknown phase %d", c.Rank(), phase)
 		}
-		mine, err := ckpt.DecodeFloat64s(payload)
+		mine, err := mpi.Unmarshal[float64](payload)
 		if err != nil {
 			return nil, Result{}, err
 		}
@@ -211,7 +211,7 @@ func SortOpts(c *mpi.Comm, local []float64, splitter Splitter, opt Options) ([]f
 	// saved, a restart skips boundary computation, the all-to-all
 	// exchange, and the local sort.
 	if opt.Checkpoint != nil {
-		if err := opt.Checkpoint.Save(ckptPhaseSorted, ckpt.EncodeFloat64s(mine)); err != nil {
+		if err := opt.Checkpoint.Save(ckptPhaseSorted, mpi.AppendMarshal(nil, mine)); err != nil {
 			return nil, Result{}, err
 		}
 		c.Lifecycle(mpi.LifeCheckpoint, fmt.Sprintf("distsort post-sort: %d keys", len(mine)))

@@ -207,6 +207,14 @@ func alignedAt(n, off int) []byte {
 	return memBytes(words)[off : off+n]
 }
 
+// bitsOf is x's wire encoding read as a number, to compare and print
+// elements bit for bit.
+func bitsOf[T Scalar](x T) uint64 {
+	var b [8]byte
+	appendScalar(b[:0], x, scalarSize[T]())
+	return binary.LittleEndian.Uint64(b[:])
+}
+
 // sameBits reports the first index at which a and b differ in their bits,
 // or -1.
 func sameBits[T Scalar](a, b []T) int {
@@ -217,7 +225,7 @@ func sameBits[T Scalar](a, b []T) int {
 		return -1
 	}
 	for i := range a {
-		if asUint64(a[i]) != asUint64(b[i]) {
+		if bitsOf(a[i]) != bitsOf(b[i]) {
 			return i
 		}
 	}
@@ -282,7 +290,7 @@ func checkWire[T Scalar](t *testing.T, wire []byte, off int, acc []T, ops []Op[T
 		}
 		if i := sameBits(fast, slow); i >= 0 {
 			t.Fatalf("%T n=%d off=%d op %d: fold differs from the oracle at element %d: %#x vs %#x",
-				z, n, off, k, i, asUint64(fast[i]), asUint64(slow[i]))
+				z, n, off, k, i, bitsOf(fast[i]), bitsOf(slow[i]))
 		}
 	}
 	if n > 0 && off == 0 {

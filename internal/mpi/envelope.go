@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
 	"time"
 	"unsafe"
 )
@@ -119,27 +120,19 @@ func scalarSize[T Scalar]() int {
 	return namedScalarSize[T]()
 }
 
-// namedScalarSize probes the width of a named scalar type without
-// reflection. Floats are told apart by precision — float32 cannot
-// distinguish 1 from 1+2⁻³⁰ — and integer widths by wraparound: Go
-// integer overflow wraps, so repeatedly doubling 1 reaches zero after
-// exactly `width` steps for both signed and unsigned types.
+// namedScalarSize is the width of a named scalar type, taken from its
+// kind, so a named int or uint encodes at 8 bytes on every host, as int
+// and uint do.
 func namedScalarSize[T Scalar]() int {
-	if isFloat[T]() {
-		eps := T(1)
-		for i := 0; i < 30; i++ {
-			eps /= 2
-		}
-		if T(1)+eps == T(1) {
-			return 4
-		}
-		return 8
+	switch reflect.TypeFor[T]().Kind() {
+	case reflect.Uint8:
+		return 1
+	case reflect.Int16, reflect.Uint16:
+		return 2
+	case reflect.Int32, reflect.Uint32, reflect.Float32:
+		return 4
 	}
-	width := 0
-	for x := T(1); x != 0; x *= 2 {
-		width++
-	}
-	return width / 8
+	return 8
 }
 
 // marshalPooled encodes xs into a pooled buffer sized exactly to the
@@ -174,7 +167,7 @@ var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 // nativeWire reports whether a []T's memory image is its canonical wire
 // encoding: the host is little-endian and a T occupies its wire width
 // (size) in memory. That holds for every Scalar, named ones included,
-// except int and uint on 32-bit hosts.
+// except ~int and ~uint on 32-bit hosts.
 func nativeWire[T Scalar](size int) bool {
 	var z T
 	return hostLittleEndian && unsafe.Sizeof(z) == uintptr(size)
@@ -201,67 +194,27 @@ func AppendMarshal[T Scalar](dst []byte, xs []T) []byte {
 	return dst
 }
 
+// appendScalar appends x's size-byte wire encoding: a float's IEEE
+// bits, an integer's two's complement cut to size bytes.
 func appendScalar[T Scalar](out []byte, x T, size int) []byte {
+	var bits uint64
+	switch {
+	case !isFloat[T]():
+		bits = uint64(x)
+	case size == 4:
+		bits = uint64(math.Float32bits(float32(x)))
+	default:
+		bits = math.Float64bits(float64(x))
+	}
 	switch size {
 	case 1:
-		return append(out, byte(asUint64(x)))
+		return append(out, byte(bits))
 	case 2:
-		return binary.LittleEndian.AppendUint16(out, uint16(asUint64(x)))
+		return binary.LittleEndian.AppendUint16(out, uint16(bits))
 	case 4:
-		return binary.LittleEndian.AppendUint32(out, uint32(asUint64(x)))
+		return binary.LittleEndian.AppendUint32(out, uint32(bits))
 	default:
-		return binary.LittleEndian.AppendUint64(out, asUint64(x))
-	}
-}
-
-// asUint64 reinterprets a scalar's bits as uint64 without unsafe.
-func asUint64[T Scalar](x T) uint64 {
-	switch v := any(x).(type) {
-	case float64:
-		return math.Float64bits(v)
-	case float32:
-		return uint64(math.Float32bits(v))
-	case byte:
-		return uint64(v)
-	case int16:
-		return uint64(uint16(v))
-	case uint16:
-		return uint64(v)
-	case int32:
-		return uint64(uint32(v))
-	case uint32:
-		return uint64(v)
-	case int64:
-		return uint64(v)
-	case uint64:
-		return v
-	case int:
-		return uint64(int64(v))
-	case uint:
-		return uint64(v)
-	default:
-		// Named scalar type: round-trip through the underlying kind.
-		return namedAsUint64(x)
-	}
-}
-
-func namedAsUint64[T Scalar](x T) uint64 {
-	if isFloat[T]() {
-		if scalarSize[T]() == 4 {
-			return uint64(math.Float32bits(float32(x)))
-		}
-		return math.Float64bits(float64(x))
-	}
-	// The conversions below are valid for every integer type in Scalar.
-	switch scalarSize[T]() {
-	case 1:
-		return uint64(uint8(x))
-	case 2:
-		return uint64(uint16(x))
-	case 4:
-		return uint64(uint32(x))
-	default:
-		return uint64(x)
+		return binary.LittleEndian.AppendUint64(out, bits)
 	}
 }
 

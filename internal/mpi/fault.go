@@ -284,31 +284,6 @@ func (w *World) noteHeard(r int) {
 	}
 }
 
-// startAux launches the failure detector and the op-timeout ticker when
-// configured; stopAux tears them down after the ranks return.
-func (w *World) startAux() {
-	if w.opts.opTimeout <= 0 && w.opts.heartbeat <= 0 {
-		return
-	}
-	w.auxStop = make(chan struct{})
-	if w.opts.opTimeout > 0 {
-		w.auxWG.Add(1)
-		go w.opTimeoutTicker()
-	}
-	if w.opts.heartbeat > 0 {
-		w.auxWG.Add(2)
-		go w.heartbeatSender()
-		go w.heartbeatMonitor()
-	}
-}
-
-func (w *World) stopAux() {
-	if w.auxStop != nil {
-		close(w.auxStop)
-		w.auxWG.Wait()
-	}
-}
-
 // tickPeriod derives a polling period from a timeout: a quarter of it,
 // floored at 1ms so tight test timeouts do not spin.
 func tickPeriod(d time.Duration) time.Duration {
@@ -319,82 +294,50 @@ func tickPeriod(d time.Duration) time.Duration {
 	return p
 }
 
-// opTimeoutTicker periodically wakes every blocked rank so the wait loops
-// re-check their per-operation deadlines.
-func (w *World) opTimeoutTicker() {
-	defer w.auxWG.Done()
-	t := time.NewTicker(tickPeriod(w.opts.opTimeout))
-	defer t.Stop()
-	for {
-		select {
-		case <-w.auxStop:
-			return
-		case <-t.C:
-			w.broadcastAll()
+// sendHeartbeats is the heartbeat sender's tick (WithHeartbeat), run at
+// a quarter of the detection interval: a kindHeartbeat envelope from
+// every live local rank to every peer. Heartbeats go straight to the
+// transport — they bypass traffic accounting and the watchdog's progress
+// counter, so a heartbeating-but-stuck world still trips the watchdog. A
+// rank whose function returned keeps heartbeating (the "MPI runtime
+// process" stays alive until the world closes), so a finished peer is
+// not mistaken for a dead one.
+func (w *World) sendHeartbeats() {
+	for _, r := range w.localRanks {
+		if w.isKilled(r) {
+			continue
 		}
-	}
-}
-
-// heartbeatSender emits kindHeartbeat envelopes from every live local
-// rank to every peer at a quarter of the detection interval. Heartbeats
-// go straight to the transport — they bypass traffic accounting and the
-// watchdog's progress counter, so a heartbeating-but-stuck world still
-// trips the watchdog. The sender keeps heartbeating on behalf of ranks
-// whose functions returned (the "MPI runtime process" stays alive until
-// the world closes), so a finished peer is not mistaken for a dead one.
-func (w *World) heartbeatSender() {
-	defer w.auxWG.Done()
-	t := time.NewTicker(tickPeriod(w.opts.heartbeat))
-	defer t.Stop()
-	for {
-		select {
-		case <-w.auxStop:
-			return
-		case <-t.C:
-			for _, r := range w.localRanks {
-				if w.isKilled(r) {
-					continue
-				}
-				for peer := 0; peer < w.size; peer++ {
-					if peer == r {
-						continue
-					}
-					hb := getEnv()
-					hb.kind = kindHeartbeat
-					hb.src, hb.wsrc, hb.wdst = r, r, peer
-					hbSent.Add(1)
-					_ = w.transport.deliver(hb)
-				}
+		for peer := 0; peer < w.size; peer++ {
+			if peer == r {
+				continue
 			}
+			hb := getEnv()
+			hb.kind = kindHeartbeat
+			hb.src, hb.wsrc, hb.wdst = r, r, peer
+			hbSent.Add(1)
+			_ = w.transport.deliver(hb)
 		}
 	}
 }
 
-// heartbeatMonitor declares failed any rank silent for longer than the
-// heartbeat interval — except a live rank of this World, whose liveness
-// is known exactly: silence measured across a stall of this process
-// (the scheduler or the OS not running it) says nothing about it.
-func (w *World) heartbeatMonitor() {
-	defer w.auxWG.Done()
+// heartbeatMonitor returns the heartbeat monitor's tick, run at the
+// sender's period: it declares failed any rank silent for longer than
+// the interval — except a live rank of this World, whose liveness is
+// known exactly: silence measured across a stall of this process (the
+// scheduler or the OS not running it) says nothing about it.
+func (w *World) heartbeatMonitor() func() {
 	hb := w.opts.heartbeat
 	local := make([]bool, w.size)
 	for _, r := range w.localRanks {
 		local[r] = true
 	}
-	t := time.NewTicker(tickPeriod(hb))
-	defer t.Stop()
-	for {
-		select {
-		case <-w.auxStop:
-			return
-		case <-t.C:
-			now := time.Now().UnixNano()
-			for r := 0; r < w.size; r++ {
-				if (local[r] && !w.isKilled(r)) || now-w.lastHeard[r].Load() <= hb.Nanoseconds() {
-					continue
-				}
-				w.failRank(r, fmt.Sprintf("no heartbeat for %v", hb))
+	return func() {
+		now := time.Now().UnixNano()
+		for r := 0; r < w.size; r++ {
+			if (local[r] && !w.isKilled(r)) || now-w.lastHeard[r].Load() <= hb.Nanoseconds() {
+				continue
 			}
+			w.failRank(r, fmt.Sprintf("no heartbeat for %v", hb))
 		}
 	}
 }
@@ -524,12 +467,6 @@ func (f *faultLayer) close() error {
 	}
 	return err
 }
-
-func (f *faultLayer) notifyAbort(cause error) { f.next.notifyAbort(cause) }
-
-// supportsDeadlockDetection is false: a delayed or held frame is
-// invisibly in flight.
-func (f *faultLayer) supportsDeadlockDetection() bool { return false }
 
 // dialRetry dials addr with bounded exponential backoff: the whole
 // sequence is limited to total, and cancelling ctx abandons it between

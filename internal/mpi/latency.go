@@ -145,12 +145,3 @@ func (t *latencyTransport) close() error {
 	t.wg.Wait()
 	return t.inner.close()
 }
-
-// notifyAbort bypasses the pipes: an abort is not application traffic, and
-// the sooner remote ranks hear of it the better.
-func (t *latencyTransport) notifyAbort(cause error) { t.inner.notifyAbort(cause) }
-
-// supportsDeadlockDetection is false: like TCP, the emulated link holds
-// envelopes invisibly in flight, so the precise blocked-census verdict
-// would be unsound.
-func (t *latencyTransport) supportsDeadlockDetection() bool { return false }

@@ -167,8 +167,8 @@ type arqLayer struct {
 	// instead.
 	wire    transport
 	stacked atomic.Bool
-	stop    chan struct{}
-	done    chan struct{}
+	stop    chan struct{} // ends the retransmit timer
+	timer   sync.WaitGroup
 }
 
 // newARQ builds the reliable-link layer when WithReliableLinks is set:
@@ -193,8 +193,8 @@ func (a *arqLayer) over(next, wire transport) transport {
 	}
 	a.next, a.wire = next, wire
 	a.stacked.Store(true)
-	a.stop, a.done = make(chan struct{}), make(chan struct{})
-	go a.retransmitLoop()
+	a.stop = make(chan struct{})
+	every(&a.timer, a.stop, relRetransmitTick, a.retransmitTick)
 	return a
 }
 
@@ -352,22 +352,13 @@ func (l *arqLink) ackThrough(seq uint64) {
 	}
 }
 
-// retransmitLoop drives the ARQ timer for every link leaving a local
-// rank until the layer closes.
-func (a *arqLayer) retransmitLoop() {
-	defer close(a.done)
-	t := time.NewTicker(relRetransmitTick)
-	defer t.Stop()
-	for {
-		select {
-		case <-a.stop:
-			return
-		case <-t.C:
-			for _, src := range a.w.localRanks {
-				for dst := 0; dst < a.w.size; dst++ {
-					a.retransmitDue(src, dst)
-				}
-			}
+// retransmitTick is the ARQ timer's tick over every link leaving a
+// local rank. It runs until the layer closes, so it keeps resending
+// while close waits for the windows to drain.
+func (a *arqLayer) retransmitTick() {
+	for _, src := range a.w.localRanks {
+		for dst := 0; dst < a.w.size; dst++ {
+			a.retransmitDue(src, dst)
 		}
 	}
 }
@@ -440,7 +431,7 @@ func (a *arqLayer) close() error {
 		}
 	}
 	close(a.stop)
-	<-a.done
+	a.timer.Wait()
 	err := a.next.close()
 	for i := range a.links {
 		for _, f := range a.links[i].unacked {
@@ -449,9 +440,3 @@ func (a *arqLayer) close() error {
 	}
 	return err
 }
-
-func (a *arqLayer) notifyAbort(cause error) { a.next.notifyAbort(cause) }
-
-// supportsDeadlockDetection is false: a retained frame waiting for its
-// retransmission is invisibly in flight.
-func (a *arqLayer) supportsDeadlockDetection() bool { return false }

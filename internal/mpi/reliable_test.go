@@ -430,9 +430,7 @@ func (w *wireTap) deliver(e *envelope) error {
 	tc := &tcpConn{w: &w.buf, pre: linkPrefixLen}
 	return tc.send(e)
 }
-func (w *wireTap) close() error                    { return nil }
-func (w *wireTap) notifyAbort(error)               {}
-func (w *wireTap) supportsDeadlockDetection() bool { return false }
+func (w *wireTap) close() error { return nil }
 
 // readLinkFrame parses b as the socket reader of a four-rank reliable
 // world does.

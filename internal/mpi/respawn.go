@@ -211,33 +211,19 @@ func (w *World) resetRank(r int, members []int, failed []byte) error {
 // spawnReplacement launches the goroutine standing in for member cr of
 // the rebuilt communicator nc: its handle is nc's, seen from slot cr. It
 // first waits for the resetter's go-ahead, then runs the recovery
-// function. Its terminal bookkeeping mirrors run()'s rank wrapper, so the
-// world's detector and teardown treat replacements exactly like original
-// ranks.
+// function.
 func (w *World) spawnReplacement(nc *Comm, cr, resetter int, fn func(*Comm) error) {
 	wr := nc.members[cr]
 	rc := *nc
 	rc.worldRank, rc.rank, rc.mb = wr, cr, w.mailboxes[wr]
-	w.respawnWG.Add(1)
-	go func() {
-		defer w.respawnWG.Done()
+	w.launch(wr, &rc, func(rc *Comm) error {
 		err := rc.respawnGoAhead(resetter)
 		if err == nil || errors.Is(err, ErrRankFailed) {
 			// A failed go-ahead means yet another rank died during the
 			// rebuild; fn (typically a RunResilient loop) observes it on
 			// its first operation and recovers like any other failure.
-			err = fn(&rc)
+			err = fn(rc)
 		}
-		w.mailboxes[wr].markFinished()
-		w.finishedCount.Add(1)
-		w.signalDetector()
-		if err != nil {
-			w.respawnMu.Lock()
-			w.respawnErrs = append(w.respawnErrs, fmt.Errorf("respawned rank %d: %w", wr, err))
-			w.respawnMu.Unlock()
-			if !errors.Is(err, ErrRankKilled) {
-				w.abort(err)
-			}
-		}
-	}()
+		return err
+	})
 }

@@ -3,14 +3,14 @@ package mpi
 import (
 	"math"
 	"reflect"
-	"strconv"
 	"testing"
 )
 
 // Named scalar types of every sub-8-byte width. Before the underlying-kind
 // probe these all mis-sized to the 8-byte default, quietly inflating wire
 // traffic (and breaking cross-type length checks) for any module that
-// defines its own key type.
+// defines its own key type. A named int or uint encodes at 8 bytes, as
+// int and uint do, on 32-bit hosts too.
 type (
 	nByte    byte
 	nInt16   int16
@@ -19,6 +19,7 @@ type (
 	nUint32  uint32
 	nFloat32 float32
 	nInt     int
+	nUint    uint
 	nFloat64 float64
 )
 
@@ -34,7 +35,8 @@ func TestScalarSizeNamedTypes(t *testing.T) {
 		{"nInt32", 4, scalarSize[nInt32]()},
 		{"nUint32", 4, scalarSize[nUint32]()},
 		{"nFloat32", 4, scalarSize[nFloat32]()},
-		{"nInt", strconv.IntSize / 8, scalarSize[nInt]()},
+		{"nInt", 8, scalarSize[nInt]()},
+		{"nUint", 8, scalarSize[nUint]()},
 		{"nFloat64", 8, scalarSize[nFloat64]()},
 	}
 	for _, c := range cases {
@@ -51,7 +53,8 @@ func TestMarshalNamedWidthsRoundTrip(t *testing.T) {
 	checkNamedRT(t, []nInt32{-1 << 31, -1, 0, 1<<31 - 1}, 4)
 	checkNamedRT(t, []nUint32{0, 1, 1<<32 - 1}, 4)
 	checkNamedRT(t, []nFloat32{0, -1.5, 3.25e10}, 4)
-	checkNamedRT(t, []nInt{math.MinInt, -1, 0, math.MaxInt}, strconv.IntSize/8)
+	checkNamedRT(t, []nInt{math.MinInt, -1, 0, math.MaxInt}, 8)
+	checkNamedRT(t, []nUint{0, 1, math.MaxUint}, 8)
 	checkNamedRT(t, []nFloat64{0, -1e300, 2.5}, 8)
 }
 

@@ -21,16 +21,12 @@ import (
 // sockets (envelopes can be in flight); a 30-second progress watchdog is
 // installed unless the caller provides one via WithWatchdog.
 func RunTCP(np int, fn func(*Comm) error, opts ...Option) error {
-	o := defaultOptions()
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.injector != nil && o.heartbeat == 0 {
-		// Fault-injection runs need a failure detector: without one a
-		// killed rank would only surface through the coarse watchdog.
-		opts = append(opts, WithHeartbeat(DefaultHeartbeat))
-	}
 	return run(np, nil, fn, func(w *World) (transport, error) {
+		if w.opts.injector != nil && w.opts.heartbeat == 0 {
+			// Fault-injection runs need a failure detector: without one a
+			// killed rank would only surface through the coarse watchdog.
+			w.opts.heartbeat = DefaultHeartbeat
+		}
 		lns, addrs, err := listenLoopback(np)
 		if err != nil {
 			return nil, err
@@ -382,6 +378,8 @@ func (t *socketTransport) deliver(e *envelope) error {
 // process so its blocked ranks observe ErrAborted promptly (satisfying
 // MPI_Abort's whole-world semantics) instead of timing out on their
 // watchdogs. Local peers share this World and have already been woken.
+// It writes to the socket directly (abortWith): an abort is not
+// application traffic for the link stack to delay or sequence.
 func (t *socketTransport) notifyAbort(cause error) {
 	msg := []byte(cause.Error())
 	r := t.world.localRanks[0]
@@ -431,5 +429,3 @@ func (t *socketTransport) eachConn(f func(*tcpConn)) {
 		}
 	}
 }
-
-func (t *socketTransport) supportsDeadlockDetection() bool { return false }

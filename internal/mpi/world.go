@@ -8,21 +8,13 @@ import (
 	"time"
 )
 
-// transport moves envelopes between ranks. Implementations must preserve
+// transport moves envelopes between ranks: an endpoint, or a layer of
+// the link stack stacked on one (run). Implementations must preserve
 // per-(src,dst) FIFO order, which the matching engine relies on for MPI's
 // non-overtaking guarantee.
 type transport interface {
 	deliver(e *envelope) error
 	close() error
-	// notifyAbort forwards a locally-originated abort to ranks hosted by
-	// other processes, each of which has its own World: without it a
-	// remote rank blocked in Recv would only learn of the abort from its
-	// watchdog. A transport whose ranks all share this World does nothing.
-	notifyAbort(cause error)
-	// supportsDeadlockDetection reports whether delivery is synchronous
-	// enough for the precise detector to be sound (no envelopes can be
-	// invisible in transit while every rank is blocked).
-	supportsDeadlockDetection() bool
 }
 
 // crossLink reports whether e crosses a link of an np-rank world, the
@@ -53,9 +45,7 @@ func (t *channelTransport) deliver(e *envelope) error {
 	return nil
 }
 
-func (t *channelTransport) close() error                    { return nil }
-func (t *channelTransport) notifyAbort(error)               {}
-func (t *channelTransport) supportsDeadlockDetection() bool { return true }
+func (t *channelTransport) close() error { return nil }
 
 // ctxKey identifies a communicator created by Split, Shrink or
 // RespawnAndRestore so every member rank resolves the same context id.
@@ -77,6 +67,11 @@ type World struct {
 	inbound   arrival   // where the endpoint hands arrivals
 	stats     *WorldStats
 
+	// remote is the socket endpoint, through which a local abort reaches
+	// ranks hosted by other processes (abortWith). It is nil on the
+	// channel endpoint and while the mesh is still being built.
+	remote atomic.Pointer[socketTransport]
+
 	// linkPrefix is set with reliable links: every socket frame then
 	// carries the envelope's link sequence number and checksum (tcp.go).
 	linkPrefix bool
@@ -96,17 +91,23 @@ type World struct {
 
 	blockedCount  atomic.Int64
 	finishedCount atomic.Int64
-	progress      atomic.Int64 // bumped on every delivery; watchdog food
-	detectCh      chan struct{}
-	detectorDone  chan struct{}
+	progress      atomic.Int64  // bumped on every delivery; watchdog food
+	detectCh      chan struct{} // wakes the detector; nil when none runs
+
+	// The world's goroutines (run): ranks joins every rank, replacements
+	// included, and errs holds their errors (launch); bg joins the
+	// background loops, which run until stop closes.
+	ranks sync.WaitGroup
+	errs  []error
+	stop  chan struct{}
+	bg    sync.WaitGroup
 
 	seqCounter atomic.Int64 // rendezvous sequence allocator (starts at 1)
 	msgCounter atomic.Int64 // flow-id allocator (flowID, hook.go): starts at 1, untouched without a hook
 
-	ctxMu      sync.Mutex
-	ctxNext    int32
-	ctxByKey   map[ctxKey]int32
-	watchdogCh chan struct{}
+	ctxMu    sync.Mutex
+	ctxNext  int32
+	ctxByKey map[ctxKey]int32
 
 	// One-sided RMA window registry (rma.go). Keyed by (comm ctx, window
 	// sequence), which every member rank derives identically, so the key
@@ -124,8 +125,6 @@ type World struct {
 	killed     []atomic.Bool
 	lastHeard  []atomic.Int64
 	localRanks []int
-	auxStop    chan struct{}
-	auxWG      sync.WaitGroup
 
 	// collActive counts nonblocking-collective state machines currently
 	// mid-step (icoll.go). A background advance runs on a delivering
@@ -133,14 +132,9 @@ type World struct {
 	// verdict is unsound while one is in flight.
 	collActive atomic.Int64
 
-	// Respawn recovery state (respawn.go). canRespawn is true only when
-	// every rank lives in this process; respawnWG tracks replacement
-	// goroutines so run() outlives them; respawnErrs collects their
-	// terminal errors for the final join.
-	canRespawn  bool
-	respawnWG   sync.WaitGroup
-	respawnMu   sync.Mutex
-	respawnErrs []error
+	// canRespawn is true only when every rank lives in this process
+	// (respawn.go).
+	canRespawn bool
 }
 
 // Run launches fn on np goroutine ranks connected by the in-process channel
@@ -171,15 +165,15 @@ func run(np int, local []int, fn func(*Comm) error, mkTransport func(*World) (tr
 		}
 	}
 	w := &World{
-		size:         np,
-		opts:         o,
-		stats:        newWorldStats(np),
-		detectCh:     make(chan struct{}, 1),
-		detectorDone: make(chan struct{}),
-		ctxNext:      2, // 0/1 are the world's user/collective contexts
-		ctxByKey:     make(map[ctxKey]int32),
-		windows:      make(map[winKey]*winState),
-		canRespawn:   len(local) == np, // replacements are goroutines of this World
+		size:       np,
+		opts:       o,
+		stats:      newWorldStats(np),
+		errs:       make([]error, 2*np),
+		stop:       make(chan struct{}),
+		ctxNext:    2, // 0/1 are the world's user/collective contexts
+		ctxByKey:   make(map[ctxKey]int32),
+		windows:    make(map[winKey]*winState),
+		canRespawn: len(local) == np, // replacements are goroutines of this World
 	}
 	w.mailboxes = make([]*mailbox, np)
 	for r := 0; r < np; r++ {
@@ -197,6 +191,9 @@ func run(np int, local []int, fn func(*Comm) error, mkTransport func(*World) (tr
 			return err
 		}
 	}
+	if s, ok := end.(*socketTransport); ok {
+		w.remote.Store(s)
+	}
 	// sharedMem is the endpoint's property whatever is stacked on it:
 	// RMA's direct path is a window-memory access, not a wire crossing.
 	_, w.sharedMem = end.(*channelTransport)
@@ -204,7 +201,12 @@ func run(np int, local []int, fn func(*Comm) error, mkTransport func(*World) (tr
 	// faults, endpoint. Each layer exists only when its option is set,
 	// so a clean world hands envelopes to its endpoint directly.
 	w.transport = withLatency(w, arq.over(withFrameFaults(w, end), end))
-	if o.watchdogTimeout == 0 && !w.transport.supportsDeadlockDetection() {
+	// The precise deadlock detector is sound only on a bare channel
+	// endpoint. A socket, the latency pipe, an ARQ window and a held or
+	// delayed fault frame can each hold an envelope invisibly in flight
+	// while every rank is blocked; there a progress watchdog stands in.
+	precise := w.sharedMem && w.transport == end
+	if w.opts.watchdogTimeout == 0 && !precise {
 		w.opts.watchdogTimeout = defaultWatchdog
 	}
 	// LIFO: the transport closes first (readers drain), then leftover
@@ -213,52 +215,35 @@ func run(np int, local []int, fn func(*Comm) error, mkTransport func(*World) (tr
 	defer w.drainMailboxes()
 	defer w.transport.close()
 
-	if o.detectDeadlock && w.transport.supportsDeadlockDetection() {
+	// The background loops run until every rank has returned, and all
+	// of them have ended before the link stack closes.
+	if w.opts.detectDeadlock && precise {
+		w.detectCh = make(chan struct{}, 1)
+		w.bg.Add(1)
 		go w.detector()
-	} else {
-		close(w.detectorDone)
 	}
-	if w.opts.watchdogTimeout > 0 {
-		w.watchdogCh = make(chan struct{})
-		go w.watchdog()
+	if d := w.opts.watchdogTimeout; d > 0 {
+		every(&w.bg, w.stop, d, w.watchdog())
 	}
-	w.startAux()
-
-	errs := make([]error, np)
-	var wg sync.WaitGroup
+	if d := w.opts.opTimeout; d > 0 {
+		// Wake every blocked rank so its wait re-checks its deadline.
+		every(&w.bg, w.stop, tickPeriod(d), w.broadcastAll)
+	}
+	if d := w.opts.heartbeat; d > 0 {
+		// Two loops: a sender stalled on a congested link must not stall
+		// the monitor, which may be about to declare that link's peer
+		// failed.
+		every(&w.bg, w.stop, tickPeriod(d), w.sendHeartbeats)
+		every(&w.bg, w.stop, tickPeriod(d), w.heartbeatMonitor())
+	}
 	for _, r := range local {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			c := newWorldComm(w, rank)
-			err := fn(c)
-			w.mailboxes[rank].markFinished()
-			w.finishedCount.Add(1)
-			w.signalDetector()
-			if err != nil {
-				errs[rank] = fmt.Errorf("rank %d: %w", rank, err)
-				// A fault-injected kill simulates a crash: the survivors
-				// detect and handle it; the world must not abort. Any other
-				// failure aborts it, remote ranks included, so ranks blocked
-				// in Recv observe ErrAborted instead of their watchdogs.
-				if !errors.Is(err, ErrRankKilled) {
-					w.abort(err)
-				}
-			}
-		}(r)
+		w.launch(r, nil, fn)
 	}
-	wg.Wait()
-	// Replacement ranks spawned by RespawnAndRestore outlive their
-	// original goroutines; the world stays up until they return too.
-	w.respawnWG.Wait()
-	w.stopDetector()
-	if w.watchdogCh != nil {
-		close(w.watchdogCh)
-	}
-	w.stopAux()
-	w.respawnMu.Lock()
-	errs = append(errs, w.respawnErrs...)
-	w.respawnMu.Unlock()
+	w.ranks.Wait()
+	close(w.stop)
+	w.bg.Wait()
+
+	errs := w.errs
 	if w.deadlocked.Load() {
 		// Blocked ranks already returned wrapped ErrDeadlock errors;
 		// make sure at least one surfaces even if a rank swallowed it.
@@ -279,6 +264,65 @@ func run(np int, local []int, fn func(*Comm) error, mkTransport func(*World) (tr
 		}
 	}
 	return errors.Join(compactErrs(errs)...)
+}
+
+// launch starts the goroutine of world rank r running fn: an original
+// rank (run; c is nil and the goroutine builds its world handle) or a
+// replacement (spawnReplacement; c is its handle on the rebuilt
+// communicator). Both join w.ranks and end alike, so the detector and
+// the teardown treat a replacement exactly like the rank it stands in
+// for. A rank's error
+// goes to its slot of w.errs: the originals' np slots in rank order,
+// then one slot per rank for its replacements. The goroutines that
+// occupy one rank run one after another (resetRank waits for the last
+// to finish), so a slot has one writer at a time.
+func (w *World) launch(r int, c *Comm, fn func(*Comm) error) {
+	slot, label := r, "rank"
+	if c != nil {
+		slot, label = w.size+r, "respawned rank"
+	}
+	w.ranks.Add(1)
+	go func() {
+		defer w.ranks.Done()
+		h := c // assigning c itself would move it to a heap cell of its own
+		if h == nil {
+			h = newWorldComm(w, r)
+		}
+		err := fn(h)
+		if err != nil {
+			w.errs[slot] = errors.Join(w.errs[slot], fmt.Errorf("%s %d: %w", label, r, err))
+		}
+		w.mailboxes[r].markFinished()
+		w.finishedCount.Add(1)
+		w.signalDetector()
+		// A fault-injected kill simulates a crash: the survivors detect
+		// and handle it; the world must not abort. Any other failure
+		// aborts it, remote ranks included, so ranks blocked in Recv
+		// observe ErrAborted instead of their watchdogs.
+		if err != nil && !errors.Is(err, ErrRankKilled) {
+			w.abort(err)
+		}
+	}()
+}
+
+// every calls f each period on a goroutine that wg joins, until stop
+// closes: each periodic loop of a world (run) and the reliable links'
+// retransmit timer (reliable.go).
+func every(wg *sync.WaitGroup, stop <-chan struct{}, period time.Duration, f func()) {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		t := time.NewTicker(period)
+		defer t.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-t.C:
+				f()
+			}
+		}
+	}()
 }
 
 // drainMailboxes recycles envelopes still queued after the world ends:
@@ -377,8 +421,9 @@ func (w *World) ctxFor(key ctxKey) int32 {
 }
 
 // abort stops the world: every blocked rank returns ErrAborted. A
-// locally-originated abort is forwarded to remote peers when the
-// transport spans processes.
+// locally-originated abort is forwarded to the ranks other processes
+// host, each of which has its own World: without it a remote rank
+// blocked in Recv would only learn of the abort from its watchdog.
 func (w *World) abort(cause error) { w.abortWith(cause, true) }
 
 // abortRemote records an abort learned from a peer process; it is not
@@ -393,8 +438,8 @@ func (w *World) abortWith(cause error, local bool) {
 	}
 	w.abortMu.Unlock()
 	w.aborted.Store(true)
-	if first && local && w.transport != nil { // nil: a reader aborting while the mesh is still being built
-		w.transport.notifyAbort(cause)
+	if s := w.remote.Load(); first && local && s != nil {
+		s.notifyAbort(cause)
 	}
 	w.broadcastAll()
 }
@@ -446,27 +491,20 @@ func (w *World) signalDetector() {
 	}
 }
 
-// stopDetector wakes the detector so it observes that every rank has
-// finished and exits, then waits for it. Called after all ranks returned,
-// so finishedCount == size and the detector's first check fires.
-func (w *World) stopDetector() {
-	select {
-	case <-w.detectorDone:
-		return
-	default:
-	}
-	w.signalDetector()
-	<-w.detectorDone
-}
-
 // detector is the deadlock-detection goroutine. It wakes when the blocked
 // census suggests everyone is parked, then re-verifies under every mailbox
 // lock: the verdict is sound because any state transition requires the
-// owning mailbox's mutex, all of which the detector holds.
+// owning mailbox's mutex, all of which the detector holds. It runs until
+// the ranks have returned, the world aborts or it finds a deadlock.
 func (w *World) detector() {
-	defer close(w.detectorDone)
-	for range w.detectCh {
-		if w.finishedCount.Load() >= int64(w.size) || w.aborted.Load() || w.deadlocked.Load() {
+	defer w.bg.Done()
+	for {
+		select {
+		case <-w.stop:
+			return
+		case <-w.detectCh:
+		}
+		if w.aborted.Load() {
 			return
 		}
 		if w.blockedCount.Load()+w.finishedCount.Load() < int64(w.size) {
@@ -520,24 +558,17 @@ func (w *World) verifyDeadlock() bool {
 // no WithWatchdog.
 const defaultWatchdog = 30 * time.Second
 
-// watchdog aborts the world when no envelope is delivered for the
-// configured timeout. It is the coarse substitute for the precise
-// detector wherever envelopes can be invisibly in flight.
-func (w *World) watchdog() {
+// watchdog returns the progress watchdog's tick, run every configured
+// timeout: it aborts the world when no envelope was delivered since the
+// last tick while a rank is blocked. It is the coarse substitute for the
+// precise detector wherever envelopes can be invisibly in flight.
+func (w *World) watchdog() func() {
 	last := w.progress.Load()
-	ticker := time.NewTicker(w.opts.watchdogTimeout)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-w.watchdogCh:
-			return
-		case <-ticker.C:
-			cur := w.progress.Load()
-			if cur == last && w.blockedCount.Load() > 0 {
-				w.abort(fmt.Errorf("mpi: watchdog: no progress for %v; %s", w.opts.watchdogTimeout, w.blockedSnapshot()))
-				return
-			}
-			last = cur
+	return func() {
+		cur := w.progress.Load()
+		if cur == last && w.blockedCount.Load() > 0 && !w.aborted.Load() {
+			w.abort(fmt.Errorf("mpi: watchdog: no progress for %v; %s", w.opts.watchdogTimeout, w.blockedSnapshot()))
 		}
+		last = cur
 	}
 }
