@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -18,8 +17,8 @@ type Accounting struct {
 // may be called at any point in the job's lifecycle; Sacct reports
 // whatever has been attached by render time.
 func (c *Cluster) AttachAccounting(id int, a Accounting) error {
-	j, ok := c.jobs[id]
-	if !ok {
+	j := c.lookup(id)
+	if j == nil {
 		return fmt.Errorf("cluster: no job %d", id)
 	}
 	j.Acct = &a
@@ -34,9 +33,7 @@ func (c *Cluster) Sacct() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%6s %-16s %5s %10s %7s %12s %6s\n",
 		"JOBID", "JOBNAME", "STATE", "ELAPSED", "NNODES", "COMMBYTES", "WAIT%")
-	jobs := c.Jobs()
-	sort.Slice(jobs, func(a, b int) bool { return jobs[a].ID < jobs[b].ID })
-	for _, j := range jobs {
+	for _, j := range c.Jobs() {
 		if j.State == Pending {
 			continue
 		}

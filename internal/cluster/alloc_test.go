@@ -3,6 +3,7 @@
 package cluster
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -49,7 +50,7 @@ func TestAllocSchedulePass(t *testing.T) {
 			for i := 1; i < depth; i++ {
 				submit(t, c, held, Pending)
 			}
-			// The Job record, plus the job table's and the queue's
+			// The Job record, plus the id index's and the queue's
 			// amortised growth.
 			if avg := testing.AllocsPerRun(100, func() { c.Submit(held) }); avg > 2 {
 				t.Fatalf("Submit into a %d-deep queue allocates %.0f times, want <= 2", depth, avg)
@@ -117,4 +118,37 @@ func TestAllocSchedulePass(t *testing.T) {
 				st.Completed, len(c.order), runs+1)
 		}
 	})
+}
+
+// TestAllocRetainedDrainBytes bounds the bytes a drain allocates per job
+// with every record retained (BenchmarkClusterDrain's jobs=100k row). It
+// reads 317: the record (256-B size class), its 16-B node array and ~45 B
+// for its slot in the id index, which grows by a quarter at a time. A
+// record past 256 B moves to the 288-B class and fails it.
+func TestAllocRetainedDrainBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drains 100k jobs")
+	}
+	const jobs, budget = 100_000, 340 // bytes per job
+	arrivals := benchWorkload(jobs)
+	c := newTestCluster(t, 8)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, a := range arrivals {
+		c.RunUntil(a.at)
+		if _, err := c.Submit(a.spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Drain()
+	runtime.ReadMemStats(&after)
+	if st := c.Stats(); st.Completed+st.TimedOut != jobs || c.LiveJobs() != jobs {
+		t.Fatalf("%d completed, %d timed out, %d records held; want all %d finished and held",
+			st.Completed, st.TimedOut, c.LiveJobs(), jobs)
+	}
+	perJob := float64(after.TotalAlloc-before.TotalAlloc) / jobs
+	t.Logf("retained drain: %.0f B/job", perJob)
+	if perJob > budget {
+		t.Errorf("retained drain allocates %.0f B/job, budget %d", perJob, budget)
+	}
 }

@@ -12,7 +12,7 @@ import (
 // Drain benchmarks for the event core, heap vs the seed's linear scan.
 //
 // The linear baseline below reproduces the pre-heap engine faithfully:
-// every Step scanned the WHOLE retained job table twice — once to find
+// every Step scanned EVERY retained job record twice — once to find
 // the earliest completion/timeout, once to drain progress in advanceTo —
 // so a workload of n jobs cost O(n) per event and O(n²) to drain. The
 // heap engine finds the next event in O(log n) and advances the clock in
@@ -176,7 +176,7 @@ func linearNextJobEvent(c *Cluster) (time.Duration, *Job, bool) {
 	nextAt := maxDuration
 	var victim *Job
 	var timeout bool
-	for _, j := range c.jobs {
+	for _, j := range c.records {
 		if j.State != Running {
 			continue
 		}
@@ -206,7 +206,7 @@ func linearAdvanceTo(c *Cluster, t time.Duration) {
 	if dt < 0 {
 		return
 	}
-	for _, j := range c.jobs {
+	for _, j := range c.records {
 		if j.State == Running {
 			j.remaining -= j.rate * (t - j.settledAt).Seconds()
 			if j.remaining < 0 {

@@ -173,9 +173,9 @@ type Job struct {
 type node struct {
 	id        int
 	freeCores int
-	exclusive bool  // currently held exclusively
-	down      bool  // failed; excluded from placement until repaired
-	jobs      []int // running job ids
+	exclusive bool   // currently held exclusively
+	down      bool   // failed; excluded from placement until repaired
+	jobs      []*Job // resident (running) jobs
 }
 
 // state is the node's scheduler state as sinfo prints it and the
@@ -230,18 +230,25 @@ type release struct {
 type Cluster struct {
 	machine perfmodel.Machine
 	nodes   []*node
-	// jobs indexes the retained records by id for the calls that take
-	// one (Status, Cancel, AttachAccounting, FailNode's residents); the
-	// event path reaches a job through its heap entry instead.
-	jobs map[int]*Job
+	// records holds the retained records at index id−1 while retention is
+	// on, for the calls that take an id (Status, Cancel,
+	// AttachAccounting) and for Jobs and Sacct. Ids are dense from 1 and
+	// never reused; a requeued job keeps its id. With retention off it is
+	// nil: the live set is order + running, and those calls scan it. The
+	// event path reaches a job through its heap entry, order, running or
+	// its nodes, never by id.
+	records []*Job
+	// holes counts the nil slots of records: ids whose records were
+	// dropped while retention was off, before it was turned back on.
+	holes int
 	// free holds records evicted with retention off, for enqueue to
 	// reuse with their node arrays. Stale heap entries may still point
 	// at them; the generation keeps those stale.
 	free []*Job
 	// running holds the currently-running jobs, each at its runIdx, so
-	// rate recomputation and backfill reservations never scan the full
-	// (possibly evicted) job table. A finishing job's slot is refilled
-	// from the end: the order depends on the event history alone.
+	// rate recomputation and backfill reservations never scan the
+	// retained records. A finishing job's slot is refilled from the end:
+	// the order depends on the event history alone.
 	running []*Job
 	order   []*Job // pending jobs in submission order
 	nextID  int
@@ -285,9 +292,9 @@ type Cluster struct {
 	// uncapped scan is quadratic in queue depth.
 	backfillLimit int
 
-	// retainFinished keeps terminal jobs in the job table for Status /
-	// Jobs / Sacct (the default). Workload streaming turns it off so
-	// memory stays bounded by in-flight jobs.
+	// retainFinished keeps terminal jobs in records for Status / Jobs /
+	// Sacct (the default). Workload streaming turns it off so memory
+	// stays bounded by in-flight jobs.
 	retainFinished bool
 
 	agg statsAgg
@@ -306,7 +313,6 @@ func New(n int, m perfmodel.Machine) (*Cluster, error) {
 	}
 	c := &Cluster{
 		machine:        m,
-		jobs:           make(map[int]*Job),
 		nextID:         1,
 		retainFinished: true,
 		demand:         make([]float64, n),
@@ -331,23 +337,78 @@ func (c *Cluster) SetPolicy(p Policy) { c.policy = p }
 // it so a diverging queue cannot make every event quadratic.
 func (c *Cluster) SetBackfillLimit(n int) { c.backfillLimit = n }
 
-// SetRetainFinished controls whether terminal jobs stay in the job
-// table. With retention off, finished jobs are evicted as soon as they
-// can no longer be requeued: Stats stays exact (it accumulates
-// incrementally), but Status/Jobs/Sacct only see live jobs. Streaming
-// workloads turn retention off so memory is bounded by in-flight jobs.
+// SetRetainFinished controls whether terminal jobs are kept. With
+// retention off, finished jobs are evicted as soon as they can no longer
+// be requeued: Stats stays exact (it accumulates incrementally), but
+// Status/Jobs/Sacct only see live jobs. Streaming workloads turn
+// retention off so memory is bounded by in-flight jobs. Turning it off
+// evicts the jobs that finished while it was on; turning it back on
+// keeps the live jobs and every later one.
 func (c *Cluster) SetRetainFinished(keep bool) {
-	c.retainFinished = keep
-	for _, j := range c.jobs {
-		c.evict(j) // jobs that finished while retention was on
+	if keep == c.retainFinished {
+		return
 	}
+	if keep {
+		c.records = make([]*Job, c.nextID-1)
+		for _, run := range c.held() { // retention is still off: the live set
+			for _, j := range run {
+				c.records[j.ID-1] = j
+			}
+		}
+		c.holes = len(c.records) - c.LiveJobs()
+		c.retainFinished = true
+		return
+	}
+	c.retainFinished = false
+	for _, j := range c.records {
+		if j != nil {
+			c.evict(j)
+		}
+	}
+	c.records, c.holes = nil, 0
 }
 
-// LiveJobs reports how many jobs the cluster's table currently holds —
-// with retention off this is the in-flight set (pending + running),
-// which the workload memory-bound test asserts stays small while
-// millions of jobs stream through.
-func (c *Cluster) LiveJobs() int { return len(c.jobs) }
+// LiveJobs reports how many job records the cluster holds — with
+// retention off this is the in-flight set (pending + running), which the
+// workload memory-bound test asserts stays small while millions of jobs
+// stream through.
+func (c *Cluster) LiveJobs() int {
+	if c.retainFinished {
+		return len(c.records) - c.holes
+	}
+	return len(c.order) + len(c.running)
+}
+
+// held returns the records the cluster holds as two runs: with retention
+// on, the index in id order (nil at its holes); with it off, the pending
+// jobs in queue order and the running ones.
+func (c *Cluster) held() [2][]*Job {
+	if c.retainFinished {
+		return [2][]*Job{c.records}
+	}
+	return [2][]*Job{c.order, c.running}
+}
+
+// lookup finds the held record of job id, or nil: an index read with
+// retention on, a scan of the live set with it off. The event path never
+// calls it. The scan runs newest first: a job just submitted sits at the
+// back of the queue, or of the running set if it started at once.
+func (c *Cluster) lookup(id int) *Job {
+	if c.retainFinished {
+		if id < 1 || id > len(c.records) {
+			return nil
+		}
+		return c.records[id-1]
+	}
+	for _, run := range c.held() {
+		for i := len(run) - 1; i >= 0; i-- {
+			if run[i].ID == id {
+				return run[i]
+			}
+		}
+	}
+	return nil
+}
 
 // Submit queues a job and immediately tries to schedule, returning the
 // job id (like `sbatch` printing "Submitted batch job N").
@@ -388,7 +449,9 @@ func (c *Cluster) enqueue(spec JobSpec) (*Job, error) {
 	*j = Job{ID: c.nextID, Spec: spec, State: Pending, SubmitTime: c.now, remaining: 1,
 		gen: j.gen + 1, tasksOn: j.tasksOn[:0]}
 	c.nextID++
-	c.jobs[j.ID] = j
+	if c.retainFinished {
+		c.records = append(c.records, j)
+	}
 	c.order = append(c.order, j)
 	c.agg.submitted++
 	c.agg.offeredCoreSec += float64(spec.Tasks) * spec.BaseTime.Seconds()
@@ -397,8 +460,8 @@ func (c *Cluster) enqueue(spec JobSpec) (*Job, error) {
 
 // Cancel removes a pending job or kills a running one (`scancel`).
 func (c *Cluster) Cancel(id int) error {
-	j, ok := c.jobs[id]
-	if !ok {
+	j := c.lookup(id)
+	if j == nil {
 		return fmt.Errorf("cluster: no job %d", id)
 	}
 	switch j.State {
@@ -407,7 +470,7 @@ func (c *Cluster) Cancel(id int) error {
 		j.EndTime = c.now
 		j.gen++ // invalidate a pending requeue-backoff event
 		c.dropPendingIdx(slices.Index(c.order, j))
-		c.accountTerminal(j)
+		c.accountTerminal(j, false)
 		c.evict(j)
 	case Running:
 		c.finish(j, Cancelled)
@@ -422,8 +485,8 @@ func (c *Cluster) Cancel(id int) error {
 // Status returns a copy of the job record. With retention off, finished
 // jobs are evicted and no longer found.
 func (c *Cluster) Status(id int) (Job, error) {
-	j, ok := c.jobs[id]
-	if !ok {
+	j := c.lookup(id)
+	if j == nil {
 		return Job{}, fmt.Errorf("cluster: no job %d", id)
 	}
 	return j.copyOut(), nil
@@ -446,15 +509,14 @@ func (c *Cluster) dropPendingIdx(i int) {
 	c.order = slices.Delete(c.order, i, i+1)
 }
 
-// evict drops a terminal job from the table when retention is off and
-// keeps its record for reuse.
+// evict keeps a terminal job's record for reuse when retention is off.
+// The job has already left order and running, so nothing holds it.
 func (c *Cluster) evict(j *Job) {
 	if c.retainFinished {
 		return
 	}
 	switch j.State {
 	case Completed, Cancelled, TimedOut, NodeFail:
-		delete(c.jobs, j.ID)
 		c.free = append(c.free, j)
 	}
 }
@@ -644,7 +706,12 @@ func (c *Cluster) earliestStart(head *Job) time.Duration {
 	for _, j := range c.running {
 		eta := c.now + c.predictRemaining(j)
 		for i, nid := range j.Nodes {
-			c.rel = append(c.rel, release{at: eta, node: nid, cores: j.tasksOn[i]})
+			// An exclusive job frees its whole node, as finish does.
+			cores := j.tasksOn[i]
+			if j.Spec.Exclusive {
+				cores = c.machine.CoresPerNode
+			}
+			c.rel = append(c.rel, release{at: eta, node: nid, cores: cores})
 		}
 	}
 	// Replay order: by time, ties releasing lower node ids first. Two
@@ -724,7 +791,7 @@ func (c *Cluster) start(j *Job, nodes, tasks []int) {
 	for i, nid := range nodes {
 		n := c.nodes[nid]
 		n.freeCores -= tasks[i]
-		n.jobs = append(n.jobs, j.ID)
+		n.jobs = append(n.jobs, j)
 		if j.Spec.Exclusive {
 			n.exclusive = true
 			n.freeCores = 0
@@ -779,11 +846,8 @@ func (c *Cluster) finish(j *Job, state JobState) {
 		} else {
 			n.freeCores += j.tasksOn[i]
 		}
-		for k, id := range n.jobs {
-			if id == j.ID {
-				n.jobs = append(n.jobs[:k], n.jobs[k+1:]...)
-				break
-			}
+		if k := slices.Index(n.jobs, j); k >= 0 {
+			n.jobs = slices.Delete(n.jobs, k, k+1)
 		}
 	}
 	j.Nodes, j.tasksOn = nil, j.tasksOn[:0]
@@ -792,7 +856,7 @@ func (c *Cluster) finish(j *Job, state JobState) {
 	c.running[j.runIdx], moved.runIdx = moved, j.runIdx
 	c.running[last] = nil
 	c.running = c.running[:last]
-	c.accountTerminal(j)
+	c.accountTerminal(j, true)
 	if j.Spec.Kernel != nil {
 		c.kernelRunning--
 	}

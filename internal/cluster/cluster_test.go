@@ -448,3 +448,110 @@ func TestWorkloadStatsEmpty(t *testing.T) {
 		t.Fatalf("empty stats %+v", st)
 	}
 }
+
+// TestStatsCancelRequeuedInBackoff: a requeued job cancelled while it
+// waits out its backoff was pending when it ended, so it adds nothing to
+// the runtime, makespan or utilization figures, although its record still
+// carries its first run's start.
+func TestStatsCancelRequeuedInBackoff(t *testing.T) {
+	c := newTestCluster(t, 1)
+	c.RunUntil(time.Minute)
+	id, err := c.Submit(JobSpec{Name: "rq", Tasks: 1, BaseTime: time.Hour, Requeue: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ScheduleNodeFail(0, 2*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	c.RunUntil(3 * time.Minute)
+	if j, _ := c.Status(id); j.State != Pending || j.Restarts != 1 || j.StartTime != time.Minute {
+		t.Fatalf("setup: job is %v after %d restarts, started %v; want pending in backoff after a run from 1m",
+			j.State, j.Restarts, j.StartTime)
+	}
+	if err := c.Cancel(id); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.Cancelled != 1 || st.MeanRuntime != 0 || st.MeanWait != 0 || st.Makespan != 0 || st.Utilization != 0 {
+		t.Fatalf("stats %+v: a job cancelled in backoff counts as started", st)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStatsCancelRunningStartedAtZero: a job that starts at time 0 and is
+// cancelled while running counts as started, like one started a second
+// later.
+func TestStatsCancelRunningStartedAtZero(t *testing.T) {
+	c := newTestCluster(t, 1)
+	id, err := c.Submit(JobSpec{Name: "zero", Tasks: 1, BaseTime: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RunUntil(10 * time.Minute)
+	if err := c.Cancel(id); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	cores := perfmodel.DefaultMachine().CoresPerNode
+	if st.Cancelled != 1 || st.MeanRuntime != 10*time.Minute || st.Makespan != 10*time.Minute ||
+		st.Utilization != 1/float64(cores) {
+		t.Fatalf("stats %+v: want a 10m run on 1 of %d cores", st, cores)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReservationFreesExclusiveNode: an exclusive job's end frees its
+// whole node, whatever its task count, so the head's reservation falls at
+// that end and a fill job that would outlast it is refused.
+func TestReservationFreesExclusiveNode(t *testing.T) {
+	cores := perfmodel.DefaultMachine().CoresPerNode
+	submit := func(t *testing.T, c *Cluster, spec JobSpec, want JobState) *Job {
+		t.Helper()
+		id, err := c.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := c.lookup(id)
+		if j.State != want {
+			t.Fatalf("job %q is %v, want %v", spec.Name, j.State, want)
+		}
+		return j
+	}
+	excl := JobSpec{Name: "excl", Tasks: 1, Exclusive: true, BaseTime: time.Hour, TimeLimit: time.Hour}
+	wide := JobSpec{Name: "head", Tasks: cores, BaseTime: time.Hour, TimeLimit: time.Hour}
+
+	t.Run("one node", func(t *testing.T) {
+		c := newTestCluster(t, 1)
+		submit(t, c, excl, Running)
+		head := submit(t, c, wide, Pending)
+		if got := c.earliestStart(head); got != time.Hour {
+			t.Fatalf("head's reservation at %v, want 1h", got)
+		}
+	})
+
+	// Node 0 is held by the exclusive job until 1h; node 1 runs a half-node
+	// job until 3h. Replaying the exclusive job's release as one core puts
+	// the head's reservation at 3h, and the 2h fill job on node 1's free
+	// half would start.
+	t.Run("two nodes", func(t *testing.T) {
+		c := newTestCluster(t, 2)
+		submit(t, c, excl, Running)
+		submit(t, c, JobSpec{Name: "half", Tasks: cores / 2, BaseTime: 3 * time.Hour, TimeLimit: 3 * time.Hour}, Running)
+		head := submit(t, c, wide, Pending)
+		if got := c.earliestStart(head); got != time.Hour {
+			t.Fatalf("head's reservation at %v, want 1h", got)
+		}
+		fill := submit(t, c, JobSpec{Name: "fill", Tasks: 1, BaseTime: 2 * time.Hour, TimeLimit: 2 * time.Hour}, Pending)
+		c.Drain()
+		if head.StartTime != time.Hour || fill.StartTime != time.Hour {
+			t.Fatalf("head started at %v, fill at %v; want both at 1h", head.StartTime, fill.StartTime)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

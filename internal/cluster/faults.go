@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -76,13 +77,8 @@ func (c *Cluster) FailNode(id int) error {
 		return nil
 	}
 	n.down = true
-	// Kill resident jobs. Copy the id list: finish mutates n.jobs.
-	victims := append([]int(nil), n.jobs...)
-	for _, jid := range victims {
-		j := c.jobs[jid]
-		if j.State != Running {
-			continue
-		}
+	// Kill resident jobs. Copy the list: finish mutates n.jobs.
+	for _, j := range slices.Clone(n.jobs) {
 		c.finish(j, NodeFail)
 		c.maybeRequeue(j)
 		if j.State == NodeFail {

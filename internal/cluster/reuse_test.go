@@ -34,11 +34,11 @@ func TestCopiesSurviveRecordReuse(t *testing.T) {
 			listed = j
 		}
 	}
-	rec := c.jobs[a]
+	rec := c.lookup(a)
 	submit(32, time.Hour) // waits for node 1
 	c.Step()              // a ends; the waiting job takes node 1
 	b := submit(4, time.Hour)
-	if c.jobs[b] != rec || !slices.Equal(c.jobs[b].Nodes, []int{0}) {
+	if c.lookup(b) != rec || !slices.Equal(rec.Nodes, []int{0}) {
 		t.Fatalf("setup: job %d does not hold job %d's record on node 0", b, a)
 	}
 	for _, cp := range []struct {
@@ -52,8 +52,8 @@ func TestCopiesSurviveRecordReuse(t *testing.T) {
 }
 
 // TestRetentionOffEvictsFinished: turning retention off evicts the jobs
-// that finished while it was on, so the table again holds exactly the
-// live ones and their records become reusable.
+// that finished while it was on and drops the index, so the cluster again
+// holds exactly the live ones and their records become reusable.
 func TestRetentionOffEvictsFinished(t *testing.T) {
 	c := newTestCluster(t, 1)
 	done, _ := c.Submit(JobSpec{Name: "done", Tasks: 32, BaseTime: time.Minute})
@@ -69,6 +69,35 @@ func TestRetentionOffEvictsFinished(t *testing.T) {
 	}
 }
 
+// TestRetentionBackOnIndexesLive: turning retention back on indexes the
+// live jobs under their ids and keeps every later one; the ids evicted
+// meanwhile stay unknown.
+func TestRetentionBackOnIndexesLive(t *testing.T) {
+	c := newTestCluster(t, 1)
+	done, _ := c.Submit(JobSpec{Name: "done", Tasks: 32, BaseTime: time.Minute})
+	c.Step()
+	c.SetRetainFinished(false)
+	run, _ := c.Submit(JobSpec{Name: "run", Tasks: 32, BaseTime: time.Hour})
+	wait, _ := c.Submit(JobSpec{Name: "wait", Tasks: 32, BaseTime: time.Hour})
+	c.SetRetainFinished(true)
+	late, _ := c.Submit(JobSpec{Name: "late", Tasks: 32, BaseTime: time.Hour})
+	var ids []int
+	for _, j := range c.Jobs() {
+		ids = append(ids, j.ID)
+	}
+	if _, err := c.Status(done); err == nil || c.LiveJobs() != 3 || !slices.Equal(ids, []int{run, wait, late}) {
+		t.Fatalf("after turning retention back on: %d jobs held, Jobs lists %v, Status(%d) err %v; want 3, [%d %d %d], an error",
+			c.LiveJobs(), ids, done, err, run, wait, late)
+	}
+	c.Drain()
+	if c.LiveJobs() != 3 {
+		t.Fatalf("%d jobs held after the drain, want the 3 retained", c.LiveJobs())
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCheckInvariantsCatches corrupts one piece of bookkeeping per case
 // and requires CheckInvariants to name it. The cluster holds a finished
 // job (retained), a running one and a pending one.
@@ -78,7 +107,7 @@ func TestCheckInvariantsCatches(t *testing.T) {
 		corrupt func(c *Cluster)
 		want    string
 	}{
-		{"table key", func(c *Cluster) { c.jobs[99] = c.running[0] }, "table entry 99"},
+		{"index slot", func(c *Cluster) { c.records[0] = c.running[0] }, "index slot of job 1"},
 		{"pending job holds nodes", func(c *Cluster) {
 			j := c.order[0]
 			j.Nodes, j.tasksOn = []int{0}, []int{1}
@@ -87,12 +116,19 @@ func TestCheckInvariantsCatches(t *testing.T) {
 		{"queued job not pending", func(c *Cluster) { c.order[0].State = Cancelled }, "queued job"},
 		{"retention off keeps a finished job", func(c *Cluster) { c.retainFinished = false }, "retention off"},
 		{"live record kept for reuse", func(c *Cluster) { c.free = append(c.free, c.running[0]) }, "kept for reuse"},
-		{"table record kept for reuse", func(c *Cluster) { c.free = append(c.free, c.jobs[1]) }, "kept for reuse"},
+		{"indexed record kept for reuse", func(c *Cluster) { c.free = append(c.free, c.records[0]) }, "kept for reuse"},
 		{"submitted after now", func(c *Cluster) { c.order[0].SubmitTime = c.now + 1 }, "stamped after now"},
 		{"started after now", func(c *Cluster) { c.running[0].StartTime = c.now + 1 }, "stamped after now"},
 		{"settled after now", func(c *Cluster) { c.running[0].settledAt = c.now + 1 }, "stamped after now"},
-		{"ended after now", func(c *Cluster) { c.jobs[1].EndTime = c.now + 1 }, "stamped after now"},
-		{"finished count", func(c *Cluster) { c.jobs[1].State = TimedOut }, "Stats counts"},
+		{"ended after now", func(c *Cluster) { c.records[0].EndTime = c.now + 1 }, "stamped after now"},
+		{"finished count", func(c *Cluster) { c.records[0].State = TimedOut }, "Stats counts"},
+		{"started count", func(c *Cluster) { c.agg.started++ }, "started jobs"},
+		{"wait sum", func(c *Cluster) { c.agg.waitSum += time.Second }, "wait sum"},
+		{"max wait", func(c *Cluster) { c.agg.maxWait += time.Second }, "max wait"},
+		{"runtime sum", func(c *Cluster) { c.agg.runSum += time.Second }, "runtime sum"},
+		{"core time", func(c *Cluster) { c.agg.coreTime += time.Second }, "core time"},
+		{"makespan", func(c *Cluster) { c.agg.makespan += time.Second }, "makespan"},
+		{"wait histogram", func(c *Cluster) { c.agg.waitHist[3]++ }, "wait histogram"},
 		{"now moved back", func(c *Cluster) {
 			// Checked an hour on, then back a minute: no record is
 			// stamped after either time.

@@ -16,12 +16,14 @@ import (
 // oracle. refSchedule, refTryPlace and refEarliestStart are the pass as it
 // stood before it was made allocation-free (the candidate list, sort.Slice
 // and replay arrays built afresh on every call, the head re-checked with a
-// full tryPlace), carrying the one behavioural fix that landed with the
-// rewrite: the reservation holder and the scan cap start at the first
-// eligible pending job. Only the element types of c.order and c.running
-// differ from that text. ScheduleTwin drives two clusters through the same
-// operations, one scheduled by the production pass and one by the
-// reference, and requires identical schedules after every event.
+// full tryPlace), carrying two behavioural fixes: the reservation holder
+// and the scan cap start at the first eligible pending job (landed with
+// the rewrite), and an exclusive job's release in refEarliestStart frees
+// its whole node, not its task count. Otherwise only the element types of
+// c.order and c.running differ from that text. ScheduleTwin drives two
+// clusters through the same operations, one scheduled by the production
+// pass and one by the reference, and requires identical schedules after
+// every event.
 
 func refTryPlace(c *Cluster, j *Job) ([]int, []int) {
 	perNode := j.Spec.TasksPerNode
@@ -167,7 +169,11 @@ func refEarliestStart(c *Cluster, head *Job) time.Duration {
 	for _, j := range c.running {
 		eta := c.now + c.predictRemaining(j)
 		for i, nid := range j.Nodes {
-			rel = append(rel, release{at: eta, node: nid, cores: j.tasksOn[i]})
+			cores := j.tasksOn[i]
+			if j.Spec.Exclusive {
+				cores = c.machine.CoresPerNode // the fix: the whole node comes free
+			}
+			rel = append(rel, release{at: eta, node: nid, cores: cores})
 		}
 	}
 	sort.Slice(rel, func(a, b int) bool {
@@ -276,8 +282,9 @@ func (w *ScheduleTwin) Cancel(id int) {
 	w.t.Helper()
 	errGot := w.got.Cancel(id)
 	hidden := w.ref.order
+	j := w.ref.lookup(id) // before the queue is hidden: lookup may scan it
 	w.ref.order = nil
-	if j := w.ref.jobs[id]; j != nil && j.State == Pending {
+	if j != nil && j.State == Pending {
 		w.ref.order = []*Job{j}
 		hidden = slices.DeleteFunc(hidden, func(p *Job) bool { return p == j })
 	}
@@ -369,22 +376,28 @@ func (w *ScheduleTwin) compare(after string) {
 	if w.got.now != w.ref.now {
 		fail("clock %v vs reference %v", w.got.now, w.ref.now)
 	}
-	if len(w.got.jobs) != len(w.ref.jobs) {
-		fail("%d jobs vs reference %d", len(w.got.jobs), len(w.ref.jobs))
+	if g, r := w.got.LiveJobs(), w.ref.LiveJobs(); g != r {
+		fail("%d jobs vs reference %d", g, r)
 	}
-	for id, g := range w.got.jobs {
-		r := w.ref.jobs[id]
-		if r == nil {
-			fail("job %d unknown to the reference", id)
-		}
-		// The fields of jobFingerprint, compared without formatting them
-		// (this runs for every job after every event), and the allocation.
-		if g.State != r.State || g.SubmitTime != r.SubmitTime || g.StartTime != r.StartTime ||
-			g.EndTime != r.EndTime || g.NumNodes != r.NumNodes || g.Restarts != r.Restarts {
-			fail("job %d:\n  production %s\n  reference  %s", id, jobFingerprint(*g), jobFingerprint(*r))
-		}
-		if !slices.Equal(g.Nodes, r.Nodes) || !slices.Equal(g.tasksOn, r.tasksOn) {
-			fail("job %d allocation %v %v vs reference %v %v", id, g.Nodes, g.tasksOn, r.Nodes, r.tasksOn)
+	for _, run := range w.got.held() {
+		for _, g := range run {
+			if g == nil {
+				continue
+			}
+			id := g.ID
+			r := w.ref.lookup(id)
+			if r == nil {
+				fail("job %d unknown to the reference", id)
+			}
+			// The fields of jobFingerprint, compared without formatting them
+			// (this runs for every job after every event), and the allocation.
+			if g.State != r.State || g.SubmitTime != r.SubmitTime || g.StartTime != r.StartTime ||
+				g.EndTime != r.EndTime || g.NumNodes != r.NumNodes || g.Restarts != r.Restarts {
+				fail("job %d:\n  production %s\n  reference  %s", id, jobFingerprint(*g), jobFingerprint(*r))
+			}
+			if !slices.Equal(g.Nodes, r.Nodes) || !slices.Equal(g.tasksOn, r.tasksOn) {
+				fail("job %d allocation %v %v vs reference %v %v", id, g.Nodes, g.tasksOn, r.Nodes, r.tasksOn)
+			}
 		}
 	}
 	if len(w.got.order) != len(w.ref.order) {
@@ -515,14 +528,14 @@ func TestScheduleOracleCancel(t *testing.T) {
 				w.RunUntil(w.got.now + time.Duration(rng.Intn(15))*time.Second)
 				id := w.Submit(s)
 				ids = append(ids, id)
-				if j := w.got.jobs[id]; seen[j] {
+				if j := w.got.lookup(id); seen[j] {
 					reused++
 				} else {
 					seen[j] = true
 				}
 				if rng.Intn(3) == 0 {
 					victim := ids[rng.Intn(len(ids))]
-					if j := w.got.jobs[victim]; j != nil && (j.State == Pending || j.State == Running) {
+					if j := w.got.lookup(victim); j != nil && (j.State == Pending || j.State == Running) {
 						cancelled++
 					}
 					w.Cancel(victim)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 	"unicode/utf8"
@@ -264,11 +264,17 @@ func (c *Cluster) EventProbe() (dispatched, stale int) {
 // Jobs returns copies of all retained job records sorted by id. With
 // retention off (SetRetainFinished(false)) this is the in-flight set.
 func (c *Cluster) Jobs() []Job {
-	out := make([]Job, 0, len(c.jobs))
-	for _, j := range c.jobs {
-		out = append(out, j.copyOut())
+	out := make([]Job, 0, c.LiveJobs())
+	for _, run := range c.held() {
+		for _, j := range run {
+			if j != nil {
+				out = append(out, j.copyOut())
+			}
+		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
+	if !c.retainFinished { // the index is in id order already
+		slices.SortFunc(out, func(a, b Job) int { return a.ID - b.ID })
+	}
 	return out
 }
 
@@ -345,83 +351,97 @@ func truncate(s string, n int) string {
 // nodes host exactly one job, every running job's nodes list it, no node
 // is oversubscribed and only running jobs hold nodes. The current time
 // has not moved back since the previous call, and no record is stamped
-// after it. Every submitted job is pending,
-// running or counted once as finished; with retention on all along the
-// finished counts of Stats equal the table's records in each state;
-// with retention off the table holds exactly the pending and running
-// jobs, and no record kept for reuse is live or in the table. Tests
-// call it after every event (or, at million-job scale, on a sampled
-// subset of events — it is O(jobs)).
+// after it. Every submitted job is pending, running or counted once as
+// finished. With retention on, slot id−1 of the index holds job id (or
+// nothing, for an id dropped while retention was off) and every live job
+// is in it; with retention on all along, Stats' finished counts and its
+// started, wait, runtime, core-time, makespan and wait-histogram figures
+// equal a recount of the records. With retention off there is no index. No record kept
+// for reuse is live or indexed. Tests call it after every event (or, at
+// million-job scale, on a sampled subset of events — it is O(jobs)).
 func (c *Cluster) CheckInvariants() error {
 	if c.now < c.checkedNow {
 		return fmt.Errorf("cluster: now moved back from %v to %v since the last check", c.checkedNow, c.now)
 	}
 	c.checkedNow = c.now
+	if c.retainFinished && len(c.records) != c.nextID-1 {
+		return fmt.Errorf("cluster: index has %d slots for %d ids", len(c.records), c.nextID-1)
+	}
+	if !c.retainFinished && c.records != nil {
+		return fmt.Errorf("cluster: retention off keeps an index of %d records", len(c.records))
+	}
 	type nodeLoad struct {
 		tasks int
 		jobs  int
 	}
 	load := make([]nodeLoad, len(c.nodes))
 	var terminal [NodeFail + 1]int
-	for id, j := range c.jobs {
-		if j.ID != id {
-			return fmt.Errorf("cluster: table entry %d holds job %d", id, j.ID)
-		}
-		if j.SubmitTime > c.now || j.StartTime > c.now || j.settledAt > c.now {
-			return fmt.Errorf("cluster: job %d stamped after now (%v): submitted %v, started %v, settled %v",
-				j.ID, c.now, j.SubmitTime, j.StartTime, j.settledAt)
-		}
-		switch j.State {
-		case Completed, Cancelled, TimedOut, NodeFail:
-			if j.EndTime > c.now {
-				return fmt.Errorf("cluster: %v job %d stamped after now (%v): ended %v", j.State, j.ID, c.now, j.EndTime)
+	var recount statsAgg // the started jobs' figures, from the records
+	running := 0
+	for _, run := range c.held() {
+		for i, j := range run {
+			if j == nil {
+				continue
 			}
-			terminal[j.State]++
-		}
-		if j.State != Running {
-			if len(j.Nodes) > 0 || len(j.tasksOn) > 0 {
-				return fmt.Errorf("cluster: %v job %d holds nodes %v", j.State, j.ID, j.Nodes)
+			if c.retainFinished && j.ID != i+1 {
+				return fmt.Errorf("cluster: index slot of job %d holds job %d", i+1, j.ID)
 			}
-			continue
-		}
-		if j.runIdx >= len(c.running) || c.running[j.runIdx] != j {
-			return fmt.Errorf("cluster: running job %d missing from running index", j.ID)
-		}
-		if len(j.Nodes) != len(j.tasksOn) {
-			return fmt.Errorf("cluster: job %d has %d nodes but %d task entries", j.ID, len(j.Nodes), len(j.tasksOn))
-		}
-		total := 0
-		for i, nid := range j.Nodes {
-			if nid < 0 || nid >= len(c.nodes) {
-				return fmt.Errorf("cluster: job %d allocated to bogus node %d", j.ID, nid)
+			if j.SubmitTime > c.now || j.StartTime > c.now || j.settledAt > c.now {
+				return fmt.Errorf("cluster: job %d stamped after now (%v): submitted %v, started %v, settled %v",
+					j.ID, c.now, j.SubmitTime, j.StartTime, j.settledAt)
 			}
-			load[nid].tasks += j.tasksOn[i]
-			load[nid].jobs++
-			total += j.tasksOn[i]
-			found := false
-			for _, id := range c.nodes[nid].jobs {
-				if id == j.ID {
-					found = true
-					break
+			switch j.State {
+			case Completed, Cancelled, TimedOut, NodeFail:
+				if j.EndTime > c.now {
+					return fmt.Errorf("cluster: %v job %d stamped after now (%v): ended %v", j.State, j.ID, c.now, j.EndTime)
+				}
+				terminal[j.State]++
+				// A cancelled job ran if it holds an allocation width from
+				// a start after its last backoff (a requeue sets eligibleAt
+				// past the previous start).
+				if j.State != NodeFail && (j.State != Cancelled || j.NumNodes > 0 && j.StartTime >= j.eligibleAt) {
+					recount.addRun(j)
 				}
 			}
-			if !found {
-				return fmt.Errorf("cluster: node %d does not list resident job %d", nid, j.ID)
+			if j.State != Running {
+				if len(j.Nodes) > 0 || len(j.tasksOn) > 0 {
+					return fmt.Errorf("cluster: %v job %d holds nodes %v", j.State, j.ID, j.Nodes)
+				}
+				continue
+			}
+			running++
+			if j.runIdx >= len(c.running) || c.running[j.runIdx] != j {
+				return fmt.Errorf("cluster: running job %d missing from running index", j.ID)
+			}
+			if len(j.Nodes) != len(j.tasksOn) {
+				return fmt.Errorf("cluster: job %d has %d nodes but %d task entries", j.ID, len(j.Nodes), len(j.tasksOn))
+			}
+			total := 0
+			for i, nid := range j.Nodes {
+				if nid < 0 || nid >= len(c.nodes) {
+					return fmt.Errorf("cluster: job %d allocated to bogus node %d", j.ID, nid)
+				}
+				load[nid].tasks += j.tasksOn[i]
+				load[nid].jobs++
+				total += j.tasksOn[i]
+				if !slices.Contains(c.nodes[nid].jobs, j) {
+					return fmt.Errorf("cluster: node %d does not list resident job %d", nid, j.ID)
+				}
+			}
+			if total != j.Spec.Tasks {
+				return fmt.Errorf("cluster: job %d placed %d of %d tasks", j.ID, total, j.Spec.Tasks)
 			}
 		}
-		if total != j.Spec.Tasks {
-			return fmt.Errorf("cluster: job %d placed %d of %d tasks", j.ID, total, j.Spec.Tasks)
-		}
 	}
-	if len(c.running) != c.countRunningRetained() {
-		return fmt.Errorf("cluster: running index has %d jobs, table has %d", len(c.running), c.countRunningRetained())
+	if len(c.running) != running {
+		return fmt.Errorf("cluster: running index has %d jobs, %d records are running", len(c.running), running)
 	}
 	for i, n := range c.nodes {
 		if load[i].tasks > c.machine.CoresPerNode {
 			return fmt.Errorf("cluster: node %d oversubscribed: %d tasks on %d cores", i, load[i].tasks, c.machine.CoresPerNode)
 		}
 		if n.down && len(n.jobs) > 0 {
-			return fmt.Errorf("cluster: down node %d still hosts jobs %v", i, n.jobs)
+			return fmt.Errorf("cluster: down node %d still hosts %d jobs", i, len(n.jobs))
 		}
 		if !n.exclusive {
 			want := c.machine.CoresPerNode - load[i].tasks
@@ -445,47 +465,61 @@ func (c *Cluster) CheckInvariants() error {
 		return fmt.Errorf("cluster: %d jobs submitted, %d pending, running or finished", a.submitted, held)
 	}
 	for _, j := range c.order {
-		if j.State != Pending || c.jobs[j.ID] != j {
-			return fmt.Errorf("cluster: queued job %d is %v or missing from the table", j.ID, j.State)
+		if j.State != Pending {
+			return fmt.Errorf("cluster: queued job %d is %v", j.ID, j.State)
+		}
+	}
+	if c.retainFinished {
+		for _, run := range [...][]*Job{c.order, c.running} {
+			for _, j := range run {
+				if c.lookup(j.ID) != j {
+					return fmt.Errorf("cluster: live job %d missing from the index", j.ID)
+				}
+			}
 		}
 	}
 	// A requeued job is pending again and maybeRequeue backed its
 	// NodeFail out of the aggregate, so each terminal count is the
 	// records in that state now. The recount needs every record ever
-	// submitted: retention on, and on all along (a table thinned while it
-	// was off holds fewer records than were submitted).
-	if c.retainFinished && len(c.jobs) == a.submitted {
+	// submitted: retention on, and on all along (an index rebuilt after
+	// retention was off has holes).
+	if c.retainFinished && c.holes == 0 {
 		for _, st := range [...]struct {
 			state JobState
 			n     int
 		}{{Completed, a.completed}, {TimedOut, a.timedOut}, {Cancelled, a.cancelled}, {NodeFail, a.nodeFailed}} {
 			if terminal[st.state] != st.n {
-				return fmt.Errorf("cluster: Stats counts %d %v jobs, the table holds %d", st.n, st.state, terminal[st.state])
+				return fmt.Errorf("cluster: Stats counts %d %v jobs, the records hold %d", st.n, st.state, terminal[st.state])
 			}
 		}
+		if a.started != recount.started {
+			return fmt.Errorf("cluster: Stats counts %d started jobs, the records %d", a.started, recount.started)
+		}
+		for _, sum := range [...]struct {
+			name     string
+			got, rec time.Duration
+		}{
+			{"wait sum", a.waitSum, recount.waitSum}, {"max wait", a.maxWait, recount.maxWait},
+			{"runtime sum", a.runSum, recount.runSum}, {"core time", a.coreTime, recount.coreTime},
+			{"makespan", a.makespan, recount.makespan},
+		} {
+			if sum.got != sum.rec {
+				return fmt.Errorf("cluster: Stats %s is %v, the records recount %v", sum.name, sum.got, sum.rec)
+			}
+		}
+		if a.waitHist != recount.waitHist {
+			return fmt.Errorf("cluster: Stats wait histogram differs from the records' recount")
+		}
 	}
-	if live := len(c.order) + len(c.running); !c.retainFinished && len(c.jobs) != live {
-		return fmt.Errorf("cluster: table holds %d jobs with retention off, want the %d pending and running", len(c.jobs), live)
-	}
-	// Queued and running records are live and table ones sit under their
-	// own id, so a free record that is neither live nor in the table is
+	// Queued and running records are live and indexed ones sit under
+	// their own id, so a free record that is neither live nor indexed is
 	// reachable from none of them.
 	for _, j := range c.free {
-		if j.State == Pending || j.State == Running || c.jobs[j.ID] == j {
+		if j.State == Pending || j.State == Running || c.retainFinished && c.lookup(j.ID) == j {
 			return fmt.Errorf("cluster: record of job %d kept for reuse is %v and reachable", j.ID, j.State)
 		}
 	}
 	return nil
-}
-
-func (c *Cluster) countRunningRetained() int {
-	n := 0
-	for _, j := range c.jobs {
-		if j.State == Running {
-			n++
-		}
-	}
-	return n
 }
 
 // waitBuckets is the size of the log₂-spaced wait-time histogram backing
@@ -493,7 +527,7 @@ func (c *Cluster) countRunningRetained() int {
 const waitBuckets = 48
 
 // statsAgg accumulates workload statistics incrementally at submit and
-// finish so Stats is O(1) and never rescans the job table (which may
+// finish so Stats is O(1) and never rescans the job records (which may
 // have been evicted anyway).
 type statsAgg struct {
 	submitted  int
@@ -517,11 +551,14 @@ type statsAgg struct {
 }
 
 // accountTerminal folds a job that just reached a terminal state into the
-// aggregate. A NodeFail job that is later requeued is backed out again by
-// maybeRequeue (it only contributed the NodeFailed count — wait/runtime
-// figures are only accumulated for Completed/TimedOut/started-Cancelled
-// jobs, which never return to the queue).
-func (c *Cluster) accountTerminal(j *Job) {
+// aggregate; ran says whether it was running when it ended. A NodeFail job
+// that is later requeued is backed out again by maybeRequeue (it only
+// contributed the NodeFailed count — wait/runtime figures are only
+// accumulated for Completed/TimedOut/running-Cancelled jobs, which never
+// return to the queue). The caller knows whether the job ran; StartTime
+// alone cannot tell, since a job can start at time 0 and a requeued job
+// cancelled in backoff keeps its previous run's start.
+func (c *Cluster) accountTerminal(j *Job, ran bool) {
 	a := &c.agg
 	switch j.State {
 	case Completed:
@@ -536,9 +573,13 @@ func (c *Cluster) accountTerminal(j *Job) {
 	default:
 		return
 	}
-	if j.State == Cancelled && j.StartTime == 0 {
-		return // cancelled while pending: never started
+	if ran {
+		a.addRun(j)
 	}
+}
+
+// addRun folds the wait and run of a job that ended while running.
+func (a *statsAgg) addRun(j *Job) {
 	wait := j.StartTime - j.SubmitTime
 	a.waitSum += wait
 	if wait > a.maxWait {

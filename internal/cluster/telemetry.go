@@ -44,7 +44,7 @@ func NewGauges(reg *telemetry.Registry) *Gauges {
 
 // Observe snapshots c into the gauges. Call it from the goroutine driving
 // the simulation. It reads the incremental stats aggregate rather than
-// scanning the job table, so it stays O(nodes) at million-job scale.
+// scanning the job records, so it stays O(nodes) at million-job scale.
 func (g *Gauges) Observe(c *Cluster) {
 	g.queueDepth.Set(int64(len(c.order)))
 	g.jobsRunning.Set(int64(len(c.running)))

@@ -59,7 +59,7 @@ func TestMillionJobDrain(t *testing.T) {
 // scheduling pass itself allocates nothing, so the knee's deep queue
 // costs no more per job than the stream's trivial one. The budgets leave
 // room for one name block per 256 jobs and the amortised growth of the
-// job table, the queue, the event heap and the pool of records.
+// queue, the running set, the event heap and the pool of records.
 func TestAllocSchedulePassDrain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("streams 240k jobs")

@@ -14,9 +14,10 @@ import (
 // RunResult summarizes one pumped workload.
 type RunResult struct {
 	Stats cluster.WorkloadStats
-	// PeakLive is the largest job-table size seen while streaming; with
-	// retention off it bounds the simulator's memory (in-flight jobs),
-	// independent of how many jobs flowed through.
+	// PeakLive is the most job records the cluster held at once while
+	// streaming (Cluster.LiveJobs); with retention off it is the largest
+	// in-flight set, which bounds the simulator's memory independent of
+	// how many jobs flowed through.
 	PeakLive int
 	// Events and Stale are the heap's dispatch/discard counters.
 	Events, Stale int
