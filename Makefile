@@ -52,7 +52,7 @@ check: faults chaos
 	$(GO) test -race -run NONE -bench '$(MPI_BENCHES)' -benchtime=1x .
 	$(GO) test -race -run NONE -bench '$(RMA_BENCHES)' -benchtime=1x .
 	$(GO) test -race -run NONE -bench '$(DDP_BENCHES)' -benchtime=1x .
-	$(GO) test -run 'TestAllocSchedulePass|TestAllocRetainedDrain|TestAllocJoin|TestAllocLocalKernels|TestAllocSort|TestAllocRadixScratch|TestAllocKmeansSteady|TestAllocFreeEagerPingPong|TestAllocTCPLaunch|TestAllocStackBuffer|TestAllocCodec|TestAllocRMA|TestAllocDDP|TestAllocMLP|TestAllocNewTrainer' ./internal/cluster ./internal/workload ./internal/modules/hashjoin ./internal/modules/distsort ./internal/modules/kmeans ./internal/modules/ddp ./internal/mpi
+	$(GO) test -run 'TestAllocSchedulePass|TestAllocRetainedDrain|TestAllocJoin|TestAllocLocalKernels|TestAllocSort|TestAllocRadixScratch|TestAllocKmeansSteady|TestAllocFreeEagerPingPong|TestAllocTCPLaunch|TestAllocStackBuffer|TestAllocCodec|TestAllocRMA|TestAllocTreeAllreduceBound|TestAllocReleaseOptional|TestAllocIallreduceSteady|TestAllocDDP|TestAllocMLP|TestAllocNewTrainer' ./internal/cluster ./internal/workload ./internal/modules/hashjoin ./internal/modules/distsort ./internal/modules/kmeans ./internal/modules/ddp ./internal/mpi
 	$(GO) test -run 'TestHelpGolden' ./cmd/sbatch ./cmd/modulerun
 	$(GO) run ./cmd/sbatch -workload "poisson:600/h;runtime=exp:60s;tasks=fixed:8" -njobs 100000 -nodes 4
 

@@ -26,7 +26,8 @@ func (c *Cluster) AttachAccounting(id int, a Accounting) error {
 }
 
 // Sacct renders the accounting ledger like `sacct`: one row per job that
-// has left the queue, with elapsed time, allocation width and — for jobs
+// has left the queue, with elapsed time (zero for a job cancelled while
+// it was not running), allocation width and — for jobs
 // with attached profiling accounting — communication volume and wait
 // fraction.
 func (c *Cluster) Sacct() string {
@@ -42,7 +43,7 @@ func (c *Cluster) Sacct() string {
 		case Running:
 			elapsed = c.now - j.StartTime
 		case Completed, TimedOut, Cancelled, NodeFail:
-			if j.EndTime >= j.StartTime {
+			if j.endedRunning() {
 				elapsed = j.EndTime - j.StartTime
 			}
 		}
@@ -56,4 +57,12 @@ func (c *Cluster) Sacct() string {
 			j.NumNodes, comm, wait)
 	}
 	return b.String()
+}
+
+// endedRunning reports whether a terminal job was running when it ended:
+// every one but a job cancelled in the queue or in requeue backoff. A
+// cancelled job ran if it holds an allocation width from a start after
+// its last backoff (a requeue sets eligibleAt past the previous start).
+func (j *Job) endedRunning() bool {
+	return j.State != Cancelled || j.NumNodes > 0 && j.StartTime >= j.eligibleAt
 }

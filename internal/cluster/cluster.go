@@ -238,9 +238,6 @@ type Cluster struct {
 	// event path reaches a job through its heap entry, order, running or
 	// its nodes, never by id.
 	records []*Job
-	// holes counts the nil slots of records: ids whose records were
-	// dropped while retention was off, before it was turned back on.
-	holes int
 	// free holds records evicted with retention off, for enqueue to
 	// reuse with their node arrays. Stale heap entries may still point
 	// at them; the generation keeps those stale.
@@ -341,31 +338,14 @@ func (c *Cluster) SetBackfillLimit(n int) { c.backfillLimit = n }
 // retention off, finished jobs are evicted as soon as they can no longer
 // be requeued: Stats stays exact (it accumulates incrementally), but
 // Status/Jobs/Sacct only see live jobs. Streaming workloads turn
-// retention off so memory is bounded by in-flight jobs. Turning it off
-// evicts the jobs that finished while it was on; turning it back on
-// keeps the live jobs and every later one.
+// retention off so memory is bounded by in-flight jobs. Retention is
+// chosen once, before the first Submit; a later call is a programmer
+// error and panics.
 func (c *Cluster) SetRetainFinished(keep bool) {
-	if keep == c.retainFinished {
-		return
+	if c.nextID > 1 {
+		panic("cluster: SetRetainFinished after the first Submit")
 	}
-	if keep {
-		c.records = make([]*Job, c.nextID-1)
-		for _, run := range c.held() { // retention is still off: the live set
-			for _, j := range run {
-				c.records[j.ID-1] = j
-			}
-		}
-		c.holes = len(c.records) - c.LiveJobs()
-		c.retainFinished = true
-		return
-	}
-	c.retainFinished = false
-	for _, j := range c.records {
-		if j != nil {
-			c.evict(j)
-		}
-	}
-	c.records, c.holes = nil, 0
+	c.retainFinished = keep
 }
 
 // LiveJobs reports how many job records the cluster holds — with
@@ -374,14 +354,14 @@ func (c *Cluster) SetRetainFinished(keep bool) {
 // stream through.
 func (c *Cluster) LiveJobs() int {
 	if c.retainFinished {
-		return len(c.records) - c.holes
+		return len(c.records)
 	}
 	return len(c.order) + len(c.running)
 }
 
 // held returns the records the cluster holds as two runs: with retention
-// on, the index in id order (nil at its holes); with it off, the pending
-// jobs in queue order and the running ones.
+// on, the index in id order; with it off, the pending jobs in queue order
+// and the running ones.
 func (c *Cluster) held() [2][]*Job {
 	if c.retainFinished {
 		return [2][]*Job{c.records}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -109,6 +110,48 @@ func TestRequeueWithBackoff(t *testing.T) {
 	st := c.Stats()
 	if st.Requeues != 1 || st.Completed != 1 || st.NodeFailed != 0 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestSacctElapsedZeroUnlessRunning: ELAPSED is a job's run time, so a
+// job cancelled in the queue or in requeue backoff shows 0 however long
+// it waited or ran before its requeue, while a job cancelled running
+// shows its run.
+func TestSacctElapsedZeroUnlessRunning(t *testing.T) {
+	c := newFaultCluster(t, 2)
+	cores := perfmodel.DefaultMachine().CoresPerNode
+	spec := JobSpec{Tasks: cores, TasksPerNode: cores, BaseTime: time.Hour}
+	spec.Name = "running"
+	running, _ := c.Submit(spec) // node 0
+	spec.Name, spec.Requeue = "requeued", true
+	requeued, _ := c.Submit(spec) // node 1
+	spec.Name, spec.Requeue = "queued", false
+	queued, _ := c.Submit(spec) // waits
+	c.RunUntil(5 * time.Minute)
+	j, _ := c.Status(requeued)
+	if err := c.FailNode(j.Nodes[0]); err != nil { // requeued goes into backoff
+		t.Fatal(err)
+	}
+	c.RunUntil(5*time.Minute + requeueBackoff(1)/2)
+	for _, id := range []int{queued, requeued, running} {
+		if err := c.Cancel(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]string{queued: "0s", requeued: "0s", running: (5*time.Minute + requeueBackoff(1)/2).String()}
+	for _, line := range strings.Split(strings.TrimSpace(c.Sacct()), "\n")[1:] {
+		f := strings.Fields(line)
+		id, _ := strconv.Atoi(f[0])
+		if f[2] != "CA" || f[3] != want[id] {
+			t.Errorf("sacct row %q: want CA with ELAPSED %s", line, want[id])
+		}
+		delete(want, id)
+	}
+	if len(want) != 0 {
+		t.Errorf("sacct lists no row for jobs %v:\n%s", want, c.Sacct())
 	}
 }
 

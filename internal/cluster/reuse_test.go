@@ -51,50 +51,28 @@ func TestCopiesSurviveRecordReuse(t *testing.T) {
 	}
 }
 
-// TestRetentionOffEvictsFinished: turning retention off evicts the jobs
-// that finished while it was on and drops the index, so the cluster again
-// holds exactly the live ones and their records become reusable.
-func TestRetentionOffEvictsFinished(t *testing.T) {
-	c := newTestCluster(t, 1)
-	done, _ := c.Submit(JobSpec{Name: "done", Tasks: 32, BaseTime: time.Minute})
-	c.Step()
-	c.Submit(JobSpec{Name: "run", Tasks: 32, BaseTime: time.Hour})
-	c.SetRetainFinished(false)
-	if _, err := c.Status(done); err == nil || c.LiveJobs() != 1 || len(c.free) != 1 {
-		t.Fatalf("after turning retention off: %d live jobs, %d free records, Status(%d) err %v; want 1, 1, an error",
-			c.LiveJobs(), len(c.free), done, err)
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRetentionBackOnIndexesLive: turning retention back on indexes the
-// live jobs under their ids and keeps every later one; the ids evicted
-// meanwhile stay unknown.
-func TestRetentionBackOnIndexesLive(t *testing.T) {
-	c := newTestCluster(t, 1)
-	done, _ := c.Submit(JobSpec{Name: "done", Tasks: 32, BaseTime: time.Minute})
-	c.Step()
-	c.SetRetainFinished(false)
-	run, _ := c.Submit(JobSpec{Name: "run", Tasks: 32, BaseTime: time.Hour})
-	wait, _ := c.Submit(JobSpec{Name: "wait", Tasks: 32, BaseTime: time.Hour})
-	c.SetRetainFinished(true)
-	late, _ := c.Submit(JobSpec{Name: "late", Tasks: 32, BaseTime: time.Hour})
-	var ids []int
-	for _, j := range c.Jobs() {
-		ids = append(ids, j.ID)
-	}
-	if _, err := c.Status(done); err == nil || c.LiveJobs() != 3 || !slices.Equal(ids, []int{run, wait, late}) {
-		t.Fatalf("after turning retention back on: %d jobs held, Jobs lists %v, Status(%d) err %v; want 3, [%d %d %d], an error",
-			c.LiveJobs(), ids, done, err, run, wait, late)
-	}
-	c.Drain()
-	if c.LiveJobs() != 3 {
-		t.Fatalf("%d jobs held after the drain, want the 3 retained", c.LiveJobs())
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
+// TestRetentionFixedAtFirstSubmit: retention is chosen before the first
+// Submit, and a later call to SetRetainFinished, with either value, is a
+// programmer error that panics.
+func TestRetentionFixedAtFirstSubmit(t *testing.T) {
+	for _, keep := range []bool{false, true} {
+		c := newTestCluster(t, 1)
+		c.SetRetainFinished(false)
+		c.SetRetainFinished(true) // before any Submit: the last call wins
+		if _, err := c.Submit(JobSpec{Name: "j", Tasks: 32, BaseTime: time.Minute}); err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetRetainFinished(%v) after the first Submit did not panic", keep)
+				}
+			}()
+			c.SetRetainFinished(keep)
+		}()
+		if !c.retainFinished {
+			t.Errorf("retention changed by the call that panicked")
+		}
 	}
 }
 

@@ -267,9 +267,7 @@ func (c *Cluster) Jobs() []Job {
 	out := make([]Job, 0, c.LiveJobs())
 	for _, run := range c.held() {
 		for _, j := range run {
-			if j != nil {
-				out = append(out, j.copyOut())
-			}
+			out = append(out, j.copyOut())
 		}
 	}
 	if !c.retainFinished { // the index is in id order already
@@ -352,13 +350,13 @@ func truncate(s string, n int) string {
 // is oversubscribed and only running jobs hold nodes. The current time
 // has not moved back since the previous call, and no record is stamped
 // after it. Every submitted job is pending, running or counted once as
-// finished. With retention on, slot id−1 of the index holds job id (or
-// nothing, for an id dropped while retention was off) and every live job
-// is in it; with retention on all along, Stats' finished counts and its
-// started, wait, runtime, core-time, makespan and wait-histogram figures
-// equal a recount of the records. With retention off there is no index. No record kept
-// for reuse is live or indexed. Tests call it after every event (or, at
-// million-job scale, on a sampled subset of events — it is O(jobs)).
+// finished. With retention on, slot id−1 of the index holds job id and
+// every live job is in it, and Stats' finished counts and its started,
+// wait, runtime, core-time, makespan and wait-histogram figures equal a
+// recount of the records. With retention off there is no index. No
+// record kept for reuse is live or indexed. Tests call it after every
+// event (or, at million-job scale, on a sampled subset of events — it is
+// O(jobs)).
 func (c *Cluster) CheckInvariants() error {
 	if c.now < c.checkedNow {
 		return fmt.Errorf("cluster: now moved back from %v to %v since the last check", c.checkedNow, c.now)
@@ -380,9 +378,6 @@ func (c *Cluster) CheckInvariants() error {
 	running := 0
 	for _, run := range c.held() {
 		for i, j := range run {
-			if j == nil {
-				continue
-			}
 			if c.retainFinished && j.ID != i+1 {
 				return fmt.Errorf("cluster: index slot of job %d holds job %d", i+1, j.ID)
 			}
@@ -396,10 +391,7 @@ func (c *Cluster) CheckInvariants() error {
 					return fmt.Errorf("cluster: %v job %d stamped after now (%v): ended %v", j.State, j.ID, c.now, j.EndTime)
 				}
 				terminal[j.State]++
-				// A cancelled job ran if it holds an allocation width from
-				// a start after its last backoff (a requeue sets eligibleAt
-				// past the previous start).
-				if j.State != NodeFail && (j.State != Cancelled || j.NumNodes > 0 && j.StartTime >= j.eligibleAt) {
+				if j.State != NodeFail && j.endedRunning() {
 					recount.addRun(j)
 				}
 			}
@@ -469,6 +461,10 @@ func (c *Cluster) CheckInvariants() error {
 			return fmt.Errorf("cluster: queued job %d is %v", j.ID, j.State)
 		}
 	}
+	// A requeued job is pending again and maybeRequeue backed its
+	// NodeFail out of the aggregate, so each terminal count is the
+	// records in that state now. The recount needs every record ever
+	// submitted: retention on.
 	if c.retainFinished {
 		for _, run := range [...][]*Job{c.order, c.running} {
 			for _, j := range run {
@@ -477,13 +473,6 @@ func (c *Cluster) CheckInvariants() error {
 				}
 			}
 		}
-	}
-	// A requeued job is pending again and maybeRequeue backed its
-	// NodeFail out of the aggregate, so each terminal count is the
-	// records in that state now. The recount needs every record ever
-	// submitted: retention on, and on all along (an index rebuilt after
-	// retention was off has holes).
-	if c.retainFinished && c.holes == 0 {
 		for _, st := range [...]struct {
 			state JobState
 			n     int

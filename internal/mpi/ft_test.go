@@ -298,6 +298,26 @@ func TestOpTimeoutEveryWait(t *testing.T) {
 	}
 }
 
+// TestOpTimeoutSpansCollWait: one op-timeout deadline covers a whole
+// collective Wait, not each of its turns. A 4-rank ring Iallreduce needs
+// six dependent hops, each a 30 ms link transit: no single hop takes the
+// 50 ms timeout, the Wait as a whole does, so every rank must time out.
+func TestOpTimeoutSpansCollWait(t *testing.T) {
+	err := Run(4, func(c *Comm) error {
+		req, err := Iallreduce(c, make([]float64, 8), OpSum)
+		if err != nil {
+			return err
+		}
+		if err := req.Wait(); !errors.Is(err, ErrTimeout) {
+			return fmt.Errorf("rank %d: Wait = %v, want ErrTimeout", c.Rank(), err)
+		}
+		return nil
+	}, WithLinkLatency(30*time.Millisecond), WithOpTimeout(50*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestOpTimeoutSendrecvWithdrawsReceive: a Sendrecv whose send half
 // times out must take its posted receive back. Left posted, the orphan
 // matches the next message on (src, recvTag) — here the one rank 1 sends

@@ -29,7 +29,8 @@ import (
 // running on a foreign delivering goroutine must never block on a
 // rendezvous acknowledgement. In-flight volume stays bounded by the
 // schedules' lockstep structure (at most one outstanding hop per
-// request).
+// request). Wait parks through the mailbox's one wait loop (await), and
+// a failure it observes enters the strand through advance.
 //
 // The ring allreduce's reduce-scatter phase leaves rank r owning the
 // fully reduced segment r — the layout ZeRO-style optimizer sharding
@@ -155,7 +156,7 @@ func startColl[T Scalar](c *Comm, prim Primitive, kind schedKind, buf []T, op Op
 		tag:    int32(c.nextCollTag()),
 	}
 	cr.op = &r.sop
-	cr.advance()
+	cr.advance(nil)
 	sp.end(-1, -1, bytes, cr.msgid, 0, 0)
 	return cr
 }
@@ -164,30 +165,38 @@ func startColl[T Scalar](c *Comm, prim Primitive, kind schedKind, buf []T, op Op
 // the machine is waiting on an arrival (or finished), and hands off via
 // the dirty flag when another goroutine raced in. Called at initiation
 // (owner), on every arrival (delivering goroutine) and from Wait
-// (owner). The world-level collActive gate keeps the deadlock detector
+// (owner). A non-nil fail is an external failure (rank killed, world
+// stopped, peer failure epoch, deadline) recorded on the request: the
+// strand absorbs it at its next entry or turn, cleaning up instead of
+// stepping. The world-level collActive gate keeps the deadlock detector
 // from declaring victory while a step is mid-flight outside any rank's
 // blocked census.
-func (cr *CollRequest) advance() {
+func (cr *CollRequest) advance(fail error) {
 	if cr.done.Load() {
 		return
 	}
 	w := cr.comm.world
 	w.collActive.Add(1)
+	defer w.collActive.Add(-1)
 	cr.mu.Lock()
+	if cr.failErr == nil {
+		cr.failErr = fail
+	}
 	if cr.done.Load() || cr.running {
 		cr.dirty = true
 		cr.mu.Unlock()
-		w.collActive.Add(-1)
 		return
 	}
-	cr.running = true
-	cr.dirty = false
-	cr.mu.Unlock()
-	for {
-		icollSteps.Add(1)
-		done, err := cr.op.step()
+	cr.running = true // never cleared once done: done closes the strand
+	for err, done := cr.failErr, false; ; {
+		cr.dirty = false
+		cr.mu.Unlock()
+		if err == nil {
+			icollSteps.Add(1)
+			done, err = cr.op.step()
+		}
 		cr.mu.Lock()
-		if err == nil && cr.failErr != nil {
+		if err == nil {
 			err = cr.failErr
 		}
 		if err != nil || done {
@@ -195,66 +204,24 @@ func (cr *CollRequest) advance() {
 			if err != nil {
 				cr.op.cleanup()
 			}
-			cr.complete(err)
-			cr.mu.Lock()
-			cr.running = false
-			cr.mu.Unlock()
-			w.collActive.Add(-1)
+			// err (and the op's output buffer) are published before the
+			// done flag, so a waiter that observes done reads consistent
+			// results; the broadcast wakes a Wait parked on the owner.
+			cr.err = err
+			cr.done.Store(true)
+			icollCompleted.Add(1)
+			mb := cr.comm.mb
+			mb.mu.Lock()
+			mb.cond.Broadcast()
+			mb.mu.Unlock()
 			return
 		}
 		if !cr.dirty {
 			cr.running = false
 			cr.mu.Unlock()
-			w.collActive.Add(-1)
 			return
 		}
-		cr.dirty = false
-		cr.mu.Unlock()
 	}
-}
-
-// complete finalizes the request and wakes a Wait blocked on the owner's
-// mailbox. err (and the op's output buffer) are published before the
-// done flag, so a waiter that observes done reads consistent results.
-func (cr *CollRequest) complete(err error) {
-	cr.err = err
-	cr.done.Store(true)
-	icollCompleted.Add(1)
-	mb := cr.comm.mb
-	mb.mu.Lock()
-	mb.cond.Broadcast()
-	mb.mu.Unlock()
-}
-
-// fail injects an external failure (rank killed, world stopped, peer
-// failure epoch, deadline). If a stepper is running the error is left
-// for it to absorb; otherwise cleanup and completion happen here.
-func (cr *CollRequest) fail(err error) {
-	w := cr.comm.world
-	w.collActive.Add(1)
-	cr.mu.Lock()
-	if cr.done.Load() {
-		cr.mu.Unlock()
-		w.collActive.Add(-1)
-		return
-	}
-	if cr.failErr == nil {
-		cr.failErr = err
-	}
-	if cr.running {
-		cr.dirty = true
-		cr.mu.Unlock()
-		w.collActive.Add(-1)
-		return
-	}
-	cr.running = true
-	cr.mu.Unlock()
-	cr.op.cleanup()
-	cr.complete(err)
-	cr.mu.Lock()
-	cr.running = false
-	cr.mu.Unlock()
-	w.collActive.Add(-1)
 }
 
 // Wait blocks until the collective completes (MPI_Wait on a collective
@@ -263,42 +230,32 @@ func (cr *CollRequest) fail(err error) {
 // MPI_Wait_coll event whose RecvID pairs with the initiation event's
 // SendID, which is how the wait-state analysis attributes overlap.
 func (cr *CollRequest) Wait() error {
-	c := cr.comm
+	c, mb := cr.comm, cr.comm.mb
 	sp := c.begin(PrimWaitColl)
-	err := cr.wait()
-	sp.end(-1, -1, cr.bytes, 0, cr.msgid, 0)
-	return err
-}
-
-func (cr *CollRequest) wait() error {
-	cr.advance()
-	mb := cr.comm.mb
+	// await parks until a matched arrival awaits consumption or the
+	// request is done, under one deadline for the whole Wait; each ready
+	// turn drives the machine here instead of waiting for (or racing) the
+	// delivering goroutine. A stop error is recorded on the request
+	// through the strand, and Wait parks until the strand's holder, this
+	// goroutine or a background stepper, has completed it.
 	wi := waitInfo{kind: waitColl, coll: cr}
 	dl := mb.opDeadline()
-	mb.mu.Lock()
-	for !cr.done.Load() {
-		if err := mb.stopErrLocked(wi, dl); err != nil {
-			mb.mu.Unlock()
-			cr.fail(err)
-			mb.mu.Lock()
-			if !cr.done.Load() {
-				// A background stepper holds the strand; it will absorb
-				// the failure and broadcast completion.
-				mb.block(wi)
-			}
-			continue
-		}
-		if cr.unconsumed > 0 {
-			// A matched arrival awaits consumption: drive the machine here
-			// instead of waiting for (or racing) the delivering goroutine.
-			mb.mu.Unlock()
-			cr.advance()
-			mb.mu.Lock()
-			continue
-		}
-		mb.block(wi)
+	var err error
+	for err == nil && !cr.done.Load() {
+		cr.advance(nil)
+		mb.mu.Lock()
+		err = mb.await(wi, dl)
+		mb.mu.Unlock()
 	}
-	mb.mu.Unlock()
+	if err != nil {
+		cr.advance(err)
+		mb.mu.Lock()
+		for !cr.done.Load() {
+			mb.block(wi)
+		}
+		mb.mu.Unlock()
+	}
+	sp.end(-1, -1, cr.bytes, 0, cr.msgid, 0)
 	return cr.err
 }
 

@@ -81,7 +81,7 @@ func TestLinkLatencyNonblockingInitiation(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		req.advance()
+		req.advance(nil)
 		if req.done.Load() && time.Since(start) < d {
 			return fmt.Errorf("ring completed in %v, under one %v transit: latency bypassed", time.Since(start), d)
 		}

@@ -228,7 +228,7 @@ func (mb *mailbox) post(e *envelope) {
 				// machine on the delivering goroutine, so the owning rank
 				// can keep computing while its collective completes.
 				icollArrivals.Add(1)
-				coll.advance()
+				coll.advance(nil)
 			}
 			return
 		}
@@ -377,12 +377,15 @@ func (mb *mailbox) ready(wi *waitInfo) bool {
 	return true
 }
 
-// stopErrLocked reports why the blocked wait wi must give up, or nil: the
-// rank was killed, the world stopped (deadlock/abort), the failure epoch
-// advanced past what the rank has acknowledged, or the operation
-// deadline dl (opDeadline) passed. Callers hold mu.
-func (mb *mailbox) stopErrLocked(wi waitInfo, dl time.Time) error {
-	if mb.dead {
+// liveErr reports why the rank may not go on, or nil: it was killed,
+// the world stopped (deadlock/abort), or the failure epoch advanced past
+// what the rank has acknowledged. It takes no lock, so one-sided
+// operations fast-fail through it and a Put to a failed rank surfaces a
+// RankFailedError instead of silently blackholing. The kill flag is the
+// world's: killRank sets it before mb.dead and resetRank clears it after,
+// so it covers every moment mb.dead is set.
+func (mb *mailbox) liveErr() error {
+	if mb.world.isKilled(mb.rank) {
 		return ErrRankKilled
 	}
 	if err := mb.world.stopErr(); err != nil {
@@ -390,6 +393,16 @@ func (mb *mailbox) stopErrLocked(wi waitInfo, dl time.Time) error {
 	}
 	if mb.world.failEpoch.Load() > mb.failAck.Load() {
 		return mb.world.rankFailedError()
+	}
+	return nil
+}
+
+// stopErrLocked reports why the blocked wait wi must give up, or nil:
+// liveErr's reasons, or the operation deadline dl (opDeadline) passed.
+// Callers hold mu.
+func (mb *mailbox) stopErrLocked(wi waitInfo, dl time.Time) error {
+	if err := mb.liveErr(); err != nil {
+		return err
 	}
 	if !dl.IsZero() && time.Now().After(dl) {
 		return fmt.Errorf("%w after %v: %v", ErrTimeout, mb.world.opts.opTimeout, wi)
@@ -407,14 +420,13 @@ func (mb *mailbox) opDeadline() time.Time {
 	return time.Time{}
 }
 
-// await is the mailbox waits' one blocking loop: it returns nil once wi
-// is ready, or the error that makes it give up, parking in between. It
-// is called with mu held and returns with mu held, so the caller
-// consumes what it waited for under the same lock. CollRequest.wait
-// keeps its own loop: after it injects a failure it must still park
-// until the collective's stepper finishes.
-func (mb *mailbox) await(wi waitInfo) error {
-	dl := mb.opDeadline()
+// await is every blocking wait's one loop: it returns nil once wi is
+// ready, or the error that makes it give up by the deadline dl, parking
+// in between. It is called with mu held and returns with mu held, so the
+// caller consumes what it waited for under the same lock. The mailbox's
+// waits pass opDeadline(); CollRequest.Wait passes one deadline for all
+// the turns of its loop.
+func (mb *mailbox) await(wi waitInfo, dl time.Time) error {
 	for !mb.ready(&wi) {
 		if err := mb.stopErrLocked(wi, dl); err != nil {
 			return err
@@ -429,7 +441,7 @@ func (mb *mailbox) await(wi waitInfo) error {
 func (mb *mailbox) waitRecv(pr *pendingRecv) (*envelope, error) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	err := mb.await(waitInfo{kind: waitRecv, pr: pr})
+	err := mb.await(waitInfo{kind: waitRecv, pr: pr}, mb.opDeadline())
 	mb.dropPending(pr)
 	if err != nil {
 		return nil, err
@@ -442,7 +454,7 @@ func (mb *mailbox) waitRecv(pr *pendingRecv) (*envelope, error) {
 func (mb *mailbox) probe(ctx int32, src, tag int) (Status, error) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	if err := mb.await(waitInfo{kind: waitProbe, ctx: ctx, src: src, tag: tag}); err != nil {
+	if err := mb.await(waitInfo{kind: waitProbe, ctx: ctx, src: src, tag: tag}, mb.opDeadline()); err != nil {
 		return Status{}, err
 	}
 	e := mb.unexpected[mb.firstMatch(ctx, src, tag)]
@@ -453,7 +465,7 @@ func (mb *mailbox) probe(ctx int32, src, tag int) (Status, error) {
 func (mb *mailbox) waitAck(seq int64) error {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	err := mb.await(waitInfo{kind: waitAck, seq: seq})
+	err := mb.await(waitInfo{kind: waitAck, seq: seq}, mb.opDeadline())
 	if err == nil {
 		delete(mb.acks, seq)
 	}
@@ -465,7 +477,7 @@ func (mb *mailbox) waitAck(seq int64) error {
 func (mb *mailbox) waitRMAResp(seq int64) ([]byte, error) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	if err := mb.await(waitInfo{kind: waitRMA, seq: seq}); err != nil {
+	if err := mb.await(waitInfo{kind: waitRMA, seq: seq}, mb.opDeadline()); err != nil {
 		return nil, err
 	}
 	b := mb.rmaResp[seq]

@@ -32,10 +32,11 @@ import (
 //     putBuf a lent payload; a site that discards an envelope goes
 //     through dropEnv.
 //
-// Mutex-guarded free lists are used instead of sync.Pool for two reasons:
-// putting a []byte into a sync.Pool boxes the slice header (one
-// allocation per Put, defeating the 0 allocs/op fast path), and GC-driven
-// pool clearing would make the AllocsPerRun regression tests flaky.
+// The free lists are freeList values, mutex-guarded stacks, instead of
+// sync.Pool for two reasons: putting a []byte into a sync.Pool boxes the
+// slice header (one allocation per Put, defeating the 0 allocs/op fast
+// path), and GC-driven pool clearing would make the AllocsPerRun
+// regression tests flaky.
 
 const (
 	minBufClassBits = 6  // smallest pooled buffer: 64 B
@@ -43,13 +44,19 @@ const (
 	numBufClasses   = maxBufClassBits - minBufClassBits + 1
 )
 
-// bufClass is one power-of-two size class of recycled payload buffers.
-type bufClass struct {
-	mu   sync.Mutex
-	free [][]byte
-}
+// bufClasses are the power-of-two size classes of recycled payload
+// buffers, one free list each. Retention is bounded per class so the pool
+// cannot grow without limit: many small buffers, a handful of large ones.
+var bufClasses [numBufClasses]freeList[[]byte]
 
-var bufClasses [numBufClasses]bufClass
+func init() {
+	for i := range bufClasses {
+		bufClasses[i].max = 4
+		if i+minBufClassBits <= 16 { // up to 64 KiB
+			bufClasses[i].max = 32
+		}
+	}
+}
 
 // Pool telemetry: hits are getBuf calls satisfied from a free list,
 // misses fall through to make. inFlight tracks capacity bytes handed out
@@ -79,15 +86,6 @@ func PoolStats() PoolBufStats {
 	}
 }
 
-// maxFreePerClass bounds per-class retention so the pool cannot grow
-// without limit: many small buffers, a handful of large ones.
-func maxFreePerClass(class int) int {
-	if class+minBufClassBits <= 16 { // up to 64 KiB
-		return 32
-	}
-	return 4
-}
-
 // classFor returns the smallest class whose buffers hold n bytes, or -1
 // when n exceeds the largest class.
 func classFor(n int) int {
@@ -112,18 +110,11 @@ func getBuf(n int) []byte {
 		poolInFlight.Add(int64(n))
 		return make([]byte, n)
 	}
-	bc := &bufClasses[class]
-	bc.mu.Lock()
-	if m := len(bc.free); m > 0 {
-		b := bc.free[m-1]
-		bc.free[m-1] = nil
-		bc.free = bc.free[:m-1]
-		bc.mu.Unlock()
+	if b := bufClasses[class].get(); b != nil {
 		poolHits.Add(1)
 		poolInFlight.Add(int64(cap(b)))
 		return b[:n]
 	}
-	bc.mu.Unlock()
 	poolMisses.Add(1)
 	poolInFlight.Add(int64(1 << (minBufClassBits + class)))
 	return make([]byte, n, 1<<(minBufClassBits+class))
@@ -143,12 +134,7 @@ func putBuf(b []byte) {
 	if class >= numBufClasses {
 		class = numBufClasses - 1
 	}
-	bc := &bufClasses[class]
-	bc.mu.Lock()
-	if len(bc.free) < maxFreePerClass(class) {
-		bc.free = append(bc.free, b[:0])
-	}
-	bc.mu.Unlock()
+	bufClasses[class].put(b[:0])
 }
 
 // Release returns a payload buffer obtained from RecvBytes,
@@ -170,32 +156,32 @@ func copyToPooled(data []byte) []byte {
 	return b
 }
 
-// freeList is a bounded stack of recycled objects: the free lists of
-// envelopes, posted receives and socket readers.
+// freeList is a bounded stack of recycled values: the free lists of
+// payload buffers (one per size class), envelopes, posted receives and
+// socket readers. It holds T itself, so a []byte is stored without
+// boxing its header.
 type freeList[T any] struct {
 	mu   sync.Mutex
-	free []*T
-	max  int // objects kept; put leaves the excess to the garbage collector
+	free []T
+	max  int // values kept; put leaves the excess to the garbage collector
 }
 
-// get pops a recycled object, or returns nil when the list is empty.
-func (l *freeList[T]) get() *T {
+// get pops a recycled value, or returns the zero T when the list is
+// empty.
+func (l *freeList[T]) get() (x T) {
 	l.mu.Lock()
-	m := len(l.free)
-	if m == 0 {
-		l.mu.Unlock()
-		return nil
+	if m := len(l.free); m > 0 {
+		x = l.free[m-1]
+		clear(l.free[m-1:]) // the list keeps no reference to x
+		l.free = l.free[:m-1]
 	}
-	x := l.free[m-1]
-	l.free[m-1] = nil
-	l.free = l.free[:m-1]
 	l.mu.Unlock()
 	return x
 }
 
 // put pushes x, which no one else may still touch, unless the list is
 // full.
-func (l *freeList[T]) put(x *T) {
+func (l *freeList[T]) put(x T) {
 	l.mu.Lock()
 	if len(l.free) < l.max {
 		l.free = append(l.free, x)
@@ -203,7 +189,7 @@ func (l *freeList[T]) put(x *T) {
 	l.mu.Unlock()
 }
 
-var envPool = freeList[envelope]{max: 1024}
+var envPool = freeList[*envelope]{max: 1024}
 
 // getEnv returns a zeroed envelope from the pool.
 func getEnv() *envelope {
@@ -241,7 +227,7 @@ func putEnv(e *envelope) {
 	envPool.put(e)
 }
 
-var prPool = freeList[pendingRecv]{max: 256}
+var prPool = freeList[*pendingRecv]{max: 256}
 
 // getPR returns an initialized posted-receive record from the pool.
 func getPR(ctx int32, src, tag int) *pendingRecv {

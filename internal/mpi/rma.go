@@ -312,7 +312,7 @@ func (c *Comm) WinCreate(localSize int) (*Win, error) {
 		return nil, fmt.Errorf("mpi: WinCreate: negative window size %d", localSize)
 	}
 	sp := c.begin(PrimRMAWinCreate)
-	if err := c.rmaLiveErr(); err != nil {
+	if err := c.mb.liveErr(); err != nil {
 		sp.end(-1, -1, 0, 0, 0, 0)
 		return nil, err
 	}
@@ -353,23 +353,6 @@ func (w *Win) Free() error {
 // write it freely between epochs (after a Fence); touching it while remote accesses are in flight is a data
 // race, exactly as in MPI.
 func (w *Win) Local() []byte { return w.local.buf }
-
-// rmaLiveErr fast-fails a one-sided operation when the rank is dead, the
-// world stopped, or a failure epoch is unacknowledged — the lock-free
-// mirror of mailbox.stopErrLocked, so a Put to a failed rank surfaces a
-// RankFailedError instead of silently blackholing.
-func (c *Comm) rmaLiveErr() error {
-	if c.world.isKilled(c.worldRank) {
-		return ErrRankKilled
-	}
-	if err := c.world.stopErr(); err != nil {
-		return err
-	}
-	if c.world.failEpoch.Load() > c.mb.failAck.Load() {
-		return c.world.rankFailedError()
-	}
-	return nil
-}
 
 // checkAccess validates target rank and the [offset, offset+n) range.
 // The range check is origin-side when the target region is hosted in
@@ -470,7 +453,7 @@ func (w *Win) queueOp(target, offset int, op, dtype byte, data []byte) (int64, e
 	if err := w.checkAccess(target, offset, len(data)); err != nil {
 		return 0, err
 	}
-	if err := w.c.rmaLiveErr(); err != nil {
+	if err := w.c.mb.liveErr(); err != nil {
 		return 0, err
 	}
 	msgid := w.c.world.flowID()
@@ -547,7 +530,7 @@ func (w *Win) getChecked(target, offset, n int) ([]byte, int64, error) {
 	if err := w.checkAccess(target, offset, n); err != nil {
 		return nil, 0, err
 	}
-	if err := w.c.rmaLiveErr(); err != nil {
+	if err := w.c.mb.liveErr(); err != nil {
 		return nil, 0, err
 	}
 	var length [8]byte
@@ -617,7 +600,7 @@ func (w *Win) casChecked(target, offset int, compare, swap int64) (int64, int64,
 	if err := w.checkAccess(target, offset, 8); err != nil {
 		return 0, 0, err
 	}
-	if err := w.c.rmaLiveErr(); err != nil {
+	if err := w.c.mb.liveErr(); err != nil {
 		return 0, 0, err
 	}
 	var args [16]byte
@@ -722,7 +705,7 @@ func (w *Win) discardQueued() {
 // survivors can Shrink and continue on a fresh window. A successful
 // close advances the epoch counter PutAsync requests watch.
 func (w *Win) completePending() error {
-	if err := w.c.rmaLiveErr(); err != nil {
+	if err := w.c.mb.liveErr(); err != nil {
 		w.discardQueued()
 		w.pendingAcks = w.pendingAcks[:0]
 		return err

@@ -359,7 +359,7 @@ func rmaResilient(victim int, final []int64) func(*Comm) error {
 		// RankFailedError here. Otherwise keep issuing one-sided traffic
 		// at the victim until the failure surfaces: Flush forces remote
 		// completion, so the missing ack is observed; after detection
-		// rmaLiveErr fails the Put itself.
+		// the mailbox's liveErr fails the Put itself.
 		if err == nil {
 			deadline := time.Now().Add(10 * time.Second)
 			for {

@@ -45,7 +45,7 @@ const tcpBufSize = 4 << 10
 // ranks has np·(np−1) connection ends, each reading through a 4 KiB
 // buffer. It keeps at most 64 readers (256 KiB), every reader of an
 // 8-rank mesh.
-var readerPool = freeList[bufio.Reader]{max: 64}
+var readerPool = freeList[*bufio.Reader]{max: 64}
 
 // maxPayloadLen caps a frame's declared payload so a corrupt or hostile
 // length prefix cannot drive an arbitrarily large allocation.
