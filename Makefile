@@ -74,7 +74,7 @@ chaos:
 # node-failure/requeue path — all under the race detector.
 faults:
 	$(GO) vet ./...
-	$(GO) test -race -run 'TestFault|TestAgree|TestShrink|TestRespawn|TestRecovery|TestFrame|TestBadHello|TestBadAddrTable|TestSplitWorld|TestAbortPropagation|TestMultiProcessAbortPropagates|TestOpTimeout|TestWatchdogDiagnostic|TestAllocHygiene|TestRMAPutToFailedRank|TestLentDiscardPaths' ./internal/mpi
+	$(GO) test -race -run 'TestFault|TestAgree|TestShrink|TestRespawn|TestRecovery|TestFrame|TestBadHello|TestBadAddrTable|TestSplitWorld|TestAbortPropagation|TestMultiProcessAbortPropagates|TestOpTimeout|TestWatchdogDiagnostic|TestAllocHygiene|TestRMAPutToFailedRank|TestLentDiscardPaths|TestHookOneCallOneEvent' ./internal/mpi
 	$(GO) test -race -run 'TestResilient' ./cmd/mpirun
 	$(GO) test -race ./internal/faults ./internal/ckpt
 	$(GO) test -race -run 'TestRestart|TestRespawn|TestSortCheckpoint|TestSortRestart|TestSortResilient' ./internal/modules/kmeans ./internal/modules/distsort ./internal/modules/ddp

@@ -40,7 +40,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/prof"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/warmup"
 )
 
@@ -532,9 +531,8 @@ func launch(a core.Activity, o *options, tcp bool, faultOpts []mpi.Option, job i
 		return nil
 	}
 	if o.showTrace {
-		ivs := pc.Intervals()
-		fmt.Print(trace.GanttOf(ivs, 72))
-		fmt.Print(trace.SummaryOf(ivs))
+		fmt.Print(prof.GanttOf(pc.Intervals(), 72))
+		fmt.Print(prof.SummaryOf(prof.Summarize(pc.Events())))
 	}
 	if o.profile {
 		fmt.Print(prof.Report(pc.Events()))

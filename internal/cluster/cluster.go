@@ -590,19 +590,17 @@ func freeOrder(a, b *node) int {
 // schedule starts jobs according to the active policy. PolicyBackfill is
 // FIFO with EASY backfill: the head pending job gets a reservation at its
 // earliest possible start; later jobs may start now only if their
-// walltime estimate finishes before that reservation. PolicyFIFO stops at
-// the first eligible job that cannot be placed.
+// walltime estimate finishes before that reservation. PolicyFIFO is the
+// same pass with no backfill: it stops at the first eligible job that
+// cannot be placed.
 func (c *Cluster) schedule() {
-	if c.policy == PolicyFIFO {
-		c.scheduleFIFO()
-		return
-	}
 	for c.backfillPass() {
 	}
 }
 
 // backfillPass starts at most one job and reports whether it did; a start
 // changes what fits, so the caller runs passes until one starts nothing.
+// Under PolicyFIFO no job passes a head that did not fit.
 func (c *Cluster) backfillPass() bool {
 	// The head is the first eligible pending job: it holds the
 	// reservation. A requeued job still in backoff is not startable and
@@ -620,6 +618,9 @@ func (c *Cluster) backfillPass() bool {
 		if head == nil {
 			head = j
 		} else {
+			if c.policy == PolicyFIFO {
+				return false
+			}
 			scanned++
 			if c.backfillLimit > 0 && scanned > c.backfillLimit {
 				return false
@@ -649,31 +650,6 @@ func (c *Cluster) backfillPass() bool {
 		return true
 	}
 	return false
-}
-
-// scheduleFIFO starts eligible jobs strictly in submission order; the
-// first eligible job that cannot be placed blocks everything behind it
-// (requeued jobs still in backoff are held, not blocking).
-func (c *Cluster) scheduleFIFO() {
-	for {
-		idx := -1
-		for i, j := range c.order {
-			if j.eligibleAt <= c.now {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			return
-		}
-		j := c.order[idx]
-		if !c.canPlace(j) {
-			return
-		}
-		nodes, tasks := c.place(j)
-		c.start(j, nodes, tasks)
-		c.dropPendingIdx(idx)
-	}
 }
 
 // earliestStart estimates when the head job could start, assuming running

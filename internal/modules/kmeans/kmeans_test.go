@@ -11,7 +11,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/perfmodel"
 	"repro/internal/prof"
-	"repro/internal/trace"
 )
 
 // errStop is what a rank returns, once it has seen the error under
@@ -297,13 +296,13 @@ func TestProfilerRecordsPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	splits := trace.SplitsOf(pc.Intervals())
-	if len(splits) != 4 {
-		t.Fatalf("traced %d ranks", len(splits))
+	s := prof.Summarize(pc.Events())
+	if s.Ranks != 4 {
+		t.Fatalf("traced %d ranks", s.Ranks)
 	}
-	for _, s := range splits {
-		if s.Compute == 0 || s.Comm == 0 {
-			t.Fatalf("rank %d missing phases: %+v", s.Rank, s)
+	for r := 0; r < s.Ranks; r++ {
+		if compute := s.Span[r] - s.CommTime[r]; compute <= 0 || s.CommTime[r] == 0 {
+			t.Fatalf("rank %d missing phases: compute %v, comm %v", r, compute, s.CommTime[r])
 		}
 	}
 }

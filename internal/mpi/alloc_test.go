@@ -465,7 +465,7 @@ func TestAllocHygieneCollectiveErrors(t *testing.T) {
 		want error
 	}{
 		{"allgather-length-mismatch", func(c *Comm) error {
-			_, err := Allgather(c, skewed(c))
+			_, err := allgather(c, skewed(c))
 			return err
 		}, -1, ErrLengthMismatch},
 		{"gather-length-mismatch", gather, -1, ErrLengthMismatch},

@@ -9,7 +9,7 @@ import "fmt"
 // contract); the lockstep collective sequence number provides per-call tag
 // isolation.
 //
-// Barrier, Bcast, Reduce[Into], Allreduce[Into], Allgather,
+// Barrier, Bcast, Reduce[Into], Allreduce[Into], allgather,
 // AllreduceRing and ReduceScatter[Into] do not spell out their
 // communication here: each builds the schedule value for its pattern
 // (sched.go — the same value its nonblocking twin in icoll.go builds) and
@@ -135,8 +135,15 @@ func releaseBlocks(blocks [][]byte) {
 // (MPI_Barrier). Dissemination algorithm: ceil(log2 p) rounds.
 func (c *Comm) Barrier() error {
 	sp := c.begin(PrimBarrier)
-	_, err := runSched[byte](c, schedBarrier, noRoot, nil, nil, inPlace)
+	err := c.barrier()
 	sp.end(-1, -1, 0, 0, 0, 0)
+	return err
+}
+
+// barrier is Barrier's body, which the window calls synchronize with:
+// like MPI's internal PMPI_ calls, they count and report no MPI_Barrier.
+func (c *Comm) barrier() error {
+	_, err := runSched[byte](c, schedBarrier, noRoot, nil, nil, inPlace)
 	return err
 }
 
@@ -307,18 +314,15 @@ func gatherBlocks[T Scalar](c *Comm, data []T, root int) ([][]byte, error) {
 	return blocks, nil
 }
 
-// Allgather concatenates every rank's equal-sized contribution on every
-// rank (MPI_Allgather), using the ring algorithm: p-1 steps, each moving
-// one block to the right neighbour. Each received block is relayed
-// onward as-is — the pooled buffer itself travels around the ring.
-func Allgather[T Scalar](c *Comm, data []T) ([]T, error) {
-	sp := c.begin(PrimAllgather)
+// allgather concatenates every rank's equal-sized contribution on every
+// rank with the ring algorithm: p-1 steps, each relaying a received
+// pooled block as-is to the right neighbour. Split's exchange uses it, so
+// it counts no call and emits no event.
+func allgather[T Scalar](c *Comm, data []T) ([]T, error) {
 	n, r := len(data), c.rank
 	out := make([]T, n*len(c.members))
 	copy(out[r*n:(r+1)*n], data)
-	out, err := runSched(c, schedAllgather, noRoot, out, nil, inPlace)
-	sp.end(-1, -1, len(out)*scalarSize[T](), 0, 0, 0)
-	return out, err
+	return runSched(c, schedAllgather, noRoot, out, nil, inPlace)
 }
 
 // Reduce folds every rank's buffer elementwise with op onto root

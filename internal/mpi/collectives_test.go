@@ -201,7 +201,7 @@ func TestAllgather(t *testing.T) {
 	forSizes(t, func(t *testing.T, np int) {
 		err := Run(np, func(c *Comm) error {
 			mine := []int{c.Rank() * 10, c.Rank()*10 + 1}
-			all, err := Allgather(c, mine)
+			all, err := allgather(c, mine)
 			if err != nil {
 				return err
 			}

@@ -289,7 +289,11 @@ func TestOpTimeoutEveryWait(t *testing.T) {
 						return fmt.Errorf("got %v, want ErrTimeout naming %s", err, tc.want)
 					}
 					return nil
-				}, WithOpTimeout(100*time.Millisecond), WithDeadlockDetection(false))
+				}, WithOpTimeout(100*time.Millisecond), WithDeadlockDetection(false),
+					// With the detector off a bare channel world has no
+					// watchdog of its own: a wait that never reaches its
+					// deadline must fail, naming where rank 0 blocked.
+					WithWatchdog(10*time.Second))
 				if err != nil {
 					t.Fatal(err)
 				}

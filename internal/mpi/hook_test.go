@@ -31,7 +31,9 @@ func (l *eventLog) byPrim() map[Primitive][]Event {
 // two or more ranks: blocking and nonblocking point-to-point, sendrecv,
 // probe/get-count, wait, every blocking collective with its
 // into/ring/v variants, the two nonblocking collectives, and the
-// one-sided surface including the request-returning PutAsync.
+// one-sided surface including the request-returning PutAsync. It calls
+// Barrier once, and Split, whose exchange is no primitive of the
+// program's.
 func hookWorkload(c *Comm) error {
 	const tag = 3
 	payload := []byte("twelve bytes")
@@ -90,7 +92,7 @@ func hookWorkload(c *Comm) error {
 	if _, err := Gather(c, buf, 0); err != nil {
 		return err
 	}
-	if _, err := Allgather(c, buf); err != nil {
+	if _, err := c.Split(c.Rank()%2, 0); err != nil {
 		return err
 	}
 	if _, err := Reduce(c, buf, OpSum, 0); err != nil {
@@ -244,8 +246,11 @@ func isMirror(e Event) bool {
 // whole primitive surface and both transports: on every rank, for every
 // primitive, the Table II call counter equals the number of origin-side
 // hook events — a call cannot be counted without being reported, or the
-// reverse. Target-side mirrors are tallied apart (they belong to no call
-// of the reporting rank) and must agree across transports.
+// reverse. Every counted call is one the program made: Split and the
+// window calls synchronize without a primitive of their own, so each
+// rank counts hookWorkload's one Barrier. Target-side mirrors are
+// tallied apart (they belong to no call of the reporting rank) and must
+// agree across transports.
 func TestHookOneCallOneEvent(t *testing.T) {
 	const np = 3
 	var mirrors [2][np]primCount
@@ -279,6 +284,11 @@ func TestHookOneCallOneEvent(t *testing.T) {
 			mirrors[i][e.Rank][e.Prim]++
 			if e.Dur != 0 || e.SendID != 0 {
 				t.Errorf("%s: mirror event %+v has a duration or a SendID", tc.name, e)
+			}
+		}
+		for r := 0; r < np; r++ {
+			if n := calls[r][PrimBarrier]; n != 1 {
+				t.Errorf("%s: rank %d counts %d MPI_Barrier calls, want the program's 1", tc.name, r, n)
 			}
 		}
 		for _, p := range Primitives() {

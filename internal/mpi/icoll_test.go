@@ -296,7 +296,7 @@ func TestBlockingMatchesNonblockingBits(t *testing.T) {
 				for i := range orig {
 					orig[i] = rng.NormFloat64() * math.Exp(rng.NormFloat64()*8)
 				}
-				a, err := Allgather(c, orig)
+				a, err := allgather(c, orig)
 				if err != nil {
 					return err
 				}

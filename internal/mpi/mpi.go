@@ -15,8 +15,8 @@
 //     behaviour that lets Module 1 demonstrate communication deadlock;
 //   - a precise deadlock detector that fails fast (returning ErrDeadlock)
 //     instead of hanging when every rank is provably stuck;
-//   - collective operations (Barrier, Bcast, Scatter[v], Gather[v],
-//     Allgather, Reduce, Allreduce, Scan, Alltoall[v]) built on
+//   - collective operations (Barrier, Bcast, Scatter, Gather[v],
+//     Reduce, Allreduce, Alltoallv, ReduceScatterInto) built on
 //     point-to-point messaging with binomial-tree, ring and pairwise
 //     algorithms;
 //   - communicator splitting (Split) for node-local sub-communicators;

@@ -323,7 +323,7 @@ func (c *Comm) WinCreate(localSize int) (*Win, error) {
 	st.targets[c.worldRank] = t
 	c.world.winMu.Unlock()
 	win := &Win{c: c, st: st, local: t, pend: make([]rmaPending, len(c.members))}
-	err := c.Barrier()
+	err := c.barrier()
 	sp.end(-1, -1, localSize, 0, 0, 0)
 	if err != nil {
 		return nil, err
@@ -341,7 +341,7 @@ func (w *Win) Free() error {
 	sp := w.c.begin(PrimRMAWinFree)
 	err := w.completePending()
 	if err == nil {
-		err = w.c.Barrier()
+		err = w.c.barrier()
 	}
 	w.freed = true
 	w.c.world.dropWindow(w.st)
@@ -627,7 +627,7 @@ func (w *Win) Fence() error {
 	sp := w.c.begin(PrimRMAFence)
 	err := w.completePending()
 	if err == nil {
-		err = w.c.Barrier()
+		err = w.c.barrier()
 	}
 	sp.end(-1, -1, 0, 0, 0, 0)
 	return err

@@ -257,7 +257,7 @@ func TestRMABatchMidEpochKill(t *testing.T) {
 		return nil
 	}
 	t.Run("channel", func(t *testing.T) {
-		err := Run(np, body, WithInjector(killAtCall(victim, 3)), WithWatchdog(30*time.Second))
+		err := Run(np, body, WithInjector(killAtCall(victim, 2)), WithWatchdog(30*time.Second))
 		if err == nil || !errors.Is(err, ErrRankKilled) {
 			t.Fatalf("want the victim's ErrRankKilled in the world error, got %v", err)
 		}
@@ -266,7 +266,7 @@ func TestRMABatchMidEpochKill(t *testing.T) {
 		}
 	})
 	t.Run("tcp", func(t *testing.T) {
-		err := RunTCP(np, body, WithInjector(killAtCall(victim, 3)), WithWatchdog(30*time.Second))
+		err := RunTCP(np, body, WithInjector(killAtCall(victim, 2)), WithWatchdog(30*time.Second))
 		if err == nil || !errors.Is(err, ErrRankKilled) {
 			t.Fatalf("want the victim's ErrRankKilled in the world error, got %v", err)
 		}

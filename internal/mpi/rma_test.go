@@ -208,7 +208,7 @@ func TestRMACompareAndSwap(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		vals, err := Allgather(c, []int64{val})
+		vals, err := allgather(c, []int64{val})
 		if err != nil {
 			return err
 		}
@@ -343,8 +343,9 @@ func rmaResilient(victim int, final []int64) func(*Comm) error {
 			if err != nil {
 				return fmt.Errorf("victim WinCreate: %v", err)
 			}
-			// countCall sequence for this rank: WinCreate(1), Barrier(2)
-			// inside it, Fence(3) — the injector fires here.
+			// countCall sequence for this rank: WinCreate(1), whose
+			// barrier is no call of its own, Fence(2) — the injector
+			// fires here.
 			err := w.Fence()
 			if !errors.Is(err, ErrRankKilled) {
 				return fmt.Errorf("victim Fence: %v, want ErrRankKilled", err)
@@ -425,12 +426,12 @@ func TestRMAPutToFailedRank(t *testing.T) {
 	}
 	t.Run("channel", func(t *testing.T) {
 		final := make([]int64, np)
-		err := Run(np, rmaResilient(victim, final), WithInjector(killAtCall(victim, 3)))
+		err := Run(np, rmaResilient(victim, final), WithInjector(killAtCall(victim, 2)))
 		check(t, err, final)
 	})
 	t.Run("tcp", func(t *testing.T) {
 		final := make([]int64, np)
-		err := RunTCP(np, rmaResilient(victim, final), WithInjector(killAtCall(victim, 3)))
+		err := RunTCP(np, rmaResilient(victim, final), WithInjector(killAtCall(victim, 2)))
 		check(t, err, final)
 	})
 }

@@ -253,7 +253,7 @@ func TestSplitWorld(t *testing.T) {
 func TestSplitWorldUneven(t *testing.T) {
 	defer leakcheck.Snapshot(t, poolGauge()).Check()
 	errs := runSplit(t, 4, [][]int{{0, 1, 3}, {2}}, func(c *Comm) error {
-		all, err := Allgather(c, []int{c.Rank() * c.Rank()})
+		all, err := allgather(c, []int{c.Rank() * c.Rank()})
 		if err != nil {
 			return err
 		}

@@ -21,7 +21,6 @@ const (
 	PrimScatter
 	PrimGather
 	PrimGatherv
-	PrimAllgather
 	PrimReduce
 	PrimAllreduce
 	PrimAlltoallv
@@ -51,7 +50,7 @@ const (
 var primitiveNames = [numPrimitives]string{
 	"MPI_Send", "MPI_Recv", "MPI_Isend", "MPI_Irecv", "MPI_Wait",
 	"MPI_Bcast", "MPI_Scatter", "MPI_Gather", "MPI_Gatherv",
-	"MPI_Allgather", "MPI_Reduce", "MPI_Allreduce", "MPI_Alltoallv",
+	"MPI_Reduce", "MPI_Allreduce", "MPI_Alltoallv",
 	"MPI_Barrier", "MPI_Sendrecv", "MPI_Probe", "MPI_Get_count",
 	"MPI_Put", "MPI_Get", "MPI_Accumulate", "MPI_Compare_and_swap",
 	"MPI_Win_fence", "MPI_Win_flush", "MPI_Win_create", "MPI_Win_free",

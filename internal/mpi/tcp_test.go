@@ -51,7 +51,7 @@ func TestTCPCollectives(t *testing.T) {
 		if sum[0] != 10 {
 			return fmt.Errorf("allreduce over tcp: %d", sum[0])
 		}
-		all, err := Allgather(c, []int{c.Rank()})
+		all, err := allgather(c, []int{c.Rank()})
 		if err != nil {
 			return err
 		}

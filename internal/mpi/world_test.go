@@ -289,7 +289,7 @@ func TestConcurrentSubCommunicatorCollectives(t *testing.T) {
 			if sum[0] != 4 {
 				return fmt.Errorf("round %d: cross-talk between halves: %d", i, sum[0])
 			}
-			all, err := Allgather(half, []int{half.Rank()})
+			all, err := allgather(half, []int{half.Rank()})
 			if err != nil {
 				return err
 			}

@@ -1,26 +1,34 @@
 // Package prof is the PMPI-style profiling layer of the runtime. A
 // Collector attaches to a world via mpi.WithHook and records one
-// structured event per primitive invocation on every rank, identically
-// over the channel and TCP transports. On the event stream it provides:
+// structured event per primitive the program invokes, on every rank,
+// identically over the channel and TCP transports; the runtime's own
+// internal synchronizations are no primitives and emit nothing. On the
+// event stream it provides:
 //
 //   - wait-state analysis in the Scalasca style (late-sender,
 //     late-receiver and collective-wait attribution per rank pair);
 //   - a critical-path and load-imbalance summary (max/mean rank time,
-//     wait fractions, top wait edges);
+//     wait fractions, top wait edges) whose span and in-primitive time
+//     also give each rank's compute/communication split — which Module
+//     5 uses to show k-means flip from communication-bound (small k) to
+//     compute-bound (large k);
+//   - interval derivation: each primitive a communication interval and
+//     each gap between them a compute interval, so any module gets an
+//     ASCII Gantt chart of its alternating phases (the pattern learning
+//     outcome 11 of the paper asks students to recognize) without
+//     bespoke instrumentation;
 //   - exporters: ASCII profile tables and Chrome trace-event JSON with
-//     message-flow arrows for Perfetto;
-//   - interval derivation, so any module gets the compute/communication
-//     Gantt chart and splits of internal/trace without bespoke
-//     instrumentation.
+//     message-flow arrows and lifecycle markers for Perfetto.
 package prof
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/mpi"
-	"repro/internal/trace"
 )
 
 // Collector implements mpi.Hook by appending events under a mutex — the
@@ -62,17 +70,6 @@ func (p *Collector) LifecycleEvents() []mpi.LifecycleEvent {
 	return append([]mpi.LifecycleEvent(nil), p.lifecycle...)
 }
 
-// Markers converts the recorded lifecycle events into Chrome instant
-// markers for the trace exporter.
-func (p *Collector) Markers() []trace.Marker {
-	evs := p.LifecycleEvents()
-	out := make([]trace.Marker, len(evs))
-	for i, e := range evs {
-		out[i] = trace.Marker{Rank: e.Rank, Name: e.Kind, Note: e.Detail, At: e.Time}
-	}
-	return out
-}
-
 // Events returns a copy of everything recorded so far.
 func (p *Collector) Events() []mpi.Event {
 	p.mu.Lock()
@@ -80,34 +77,44 @@ func (p *Collector) Events() []mpi.Event {
 	return append([]mpi.Event(nil), p.events...)
 }
 
-// Epoch returns the collector's time-axis origin.
-func (p *Collector) Epoch() time.Time {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.epoch
+// Kind labels an interval.
+type Kind string
+
+const (
+	Compute Kind = "compute"
+	Comm    Kind = "comm"
+)
+
+// Interval is one traced span on one rank.
+type Interval struct {
+	Rank  int
+	Kind  Kind
+	Label string
+	Start time.Time
+	Dur   time.Duration
 }
 
 // Intervals derives trace intervals from the event stream: every
 // primitive invocation becomes a communication interval, and the gap
 // between consecutive primitives on the same rank becomes a compute
-// interval. This is how every module gets compute/communication splits
-// and Gantt charts without module-level instrumentation.
-func Intervals(events []mpi.Event) []trace.Interval {
+// interval. This is how every module gets Gantt charts and Chrome
+// slices without module-level instrumentation.
+func Intervals(events []mpi.Event) []Interval {
 	byRank := make(map[int][]mpi.Event)
 	for _, e := range events {
 		byRank[e.Rank] = append(byRank[e.Rank], e)
 	}
-	var out []trace.Interval
+	var out []Interval
 	for rank, evs := range byRank {
 		sort.Slice(evs, func(i, j int) bool { return evs[i].Start.Before(evs[j].Start) })
 		var lastEnd time.Time
 		for i, e := range evs {
 			if i > 0 {
 				if gap := e.Start.Sub(lastEnd); gap > 0 {
-					out = append(out, trace.Interval{Rank: rank, Kind: trace.Compute, Label: "compute", Start: lastEnd, Dur: gap})
+					out = append(out, Interval{Rank: rank, Kind: Compute, Label: "compute", Start: lastEnd, Dur: gap})
 				}
 			}
-			out = append(out, trace.Interval{Rank: rank, Kind: trace.Comm, Label: e.Prim.String(), Start: e.Start, Dur: e.Dur})
+			out = append(out, Interval{Rank: rank, Kind: Comm, Label: e.Prim.String(), Start: e.Start, Dur: e.Dur})
 			if end := e.Start.Add(e.Dur); end.After(lastEnd) {
 				lastEnd = end
 			}
@@ -123,7 +130,65 @@ func Intervals(events []mpi.Event) []trace.Interval {
 }
 
 // Intervals derives trace intervals from the collector's event stream.
-func (p *Collector) Intervals() []trace.Interval { return Intervals(p.Events()) }
+func (p *Collector) Intervals() []Interval { return Intervals(p.Events()) }
+
+// GanttOf renders an ASCII chart, one row per rank, width columns wide.
+// Compute intervals print as '#', communication as '~', idle as '.'.
+func GanttOf(ivs []Interval, width int) string {
+	if len(ivs) == 0 || width <= 0 {
+		return "(no trace)\n"
+	}
+	start := ivs[0].Start
+	end := ivs[0].Start.Add(ivs[0].Dur)
+	maxRank := 0
+	for _, iv := range ivs {
+		if iv.Start.Before(start) {
+			start = iv.Start
+		}
+		if e := iv.Start.Add(iv.Dur); e.After(end) {
+			end = e
+		}
+		if iv.Rank > maxRank {
+			maxRank = iv.Rank
+		}
+	}
+	span := end.Sub(start)
+	if span <= 0 {
+		span = time.Nanosecond
+	}
+	rows := make([][]byte, maxRank+1)
+	for r := range rows {
+		rows[r] = []byte(strings.Repeat(".", width))
+	}
+	for _, iv := range ivs {
+		lo := int(float64(iv.Start.Sub(start)) / float64(span) * float64(width))
+		hi := int(float64(iv.Start.Add(iv.Dur).Sub(start)) / float64(span) * float64(width))
+		if hi <= lo {
+			hi = lo + 1
+		}
+		if hi > width {
+			hi = width
+		}
+		ch := byte('#')
+		if iv.Kind == Comm {
+			ch = '~'
+		}
+		for i := lo; i < hi; i++ {
+			// Communication never overwrites compute drawn at the same
+			// column; compute is the rarer, more informative mark.
+			if ch == '~' && rows[iv.Rank][i] == '#' {
+				continue
+			}
+			rows[iv.Rank][i] = ch
+		}
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "trace over %v  (#=compute  ~=comm  .=idle)\n", span.Round(time.Microsecond))
+	for r, row := range rows {
+		fmt.Fprintf(&b, "rank %2d |%s|\n", r, row)
+	}
+	return b.String()
+}
 
 // Accounting condenses a profiled run into the figures an sacct-style
 // job ledger reports.
@@ -176,7 +241,7 @@ func sendsPayload(p mpi.Primitive) bool {
 	switch p {
 	case mpi.PrimSend, mpi.PrimIsend, mpi.PrimSendrecv,
 		mpi.PrimBcast, mpi.PrimScatter,
-		mpi.PrimGather, mpi.PrimGatherv, mpi.PrimAllgather,
+		mpi.PrimGather, mpi.PrimGatherv,
 		mpi.PrimReduce, mpi.PrimAllreduce, mpi.PrimAlltoallv,
 		mpi.PrimIallreduce, mpi.PrimIallgather, mpi.PrimReduceScatter,
 		mpi.PrimRMAPut, mpi.PrimRMAAcc, mpi.PrimRMACas:

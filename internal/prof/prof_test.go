@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/mpi"
-	"repro/internal/trace"
 )
 
 // parityWorkload touches blocking and nonblocking point-to-point,
@@ -83,7 +82,11 @@ func parityWorkload(c *mpi.Comm) error {
 	if _, err := mpi.Gather(c, buf, 0); err != nil {
 		return err
 	}
-	if _, err := mpi.Allgather(c, buf); err != nil {
+	cr, err := mpi.Iallgather(c, make([]float64, n))
+	if err != nil {
+		return err
+	}
+	if err := cr.Wait(); err != nil {
 		return err
 	}
 	if _, err := mpi.Reduce(c, buf, mpi.OpSum, 0); err != nil {
@@ -400,7 +403,7 @@ func TestIntervalsAndSummary(t *testing.T) {
 	ivs := pc.Intervals()
 	var computeByRank [2]time.Duration
 	for _, iv := range ivs {
-		if iv.Kind == trace.Compute {
+		if iv.Kind == Compute {
 			computeByRank[iv.Rank] += iv.Dur
 		}
 	}

@@ -128,7 +128,7 @@ func classify(e mpi.Event) (WaitKind, int, bool) {
 		}
 		return LateSender, -1, true
 	case mpi.PrimBarrier, mpi.PrimBcast, mpi.PrimScatter, mpi.PrimGather,
-		mpi.PrimGatherv, mpi.PrimAllgather, mpi.PrimReduce, mpi.PrimAllreduce,
+		mpi.PrimGatherv, mpi.PrimReduce, mpi.PrimAllreduce,
 		mpi.PrimAlltoallv, mpi.PrimReduceScatter, mpi.PrimIallreduce,
 		mpi.PrimIallgather, mpi.PrimWaitColl:
 		// Nonblocking-collective initiations rarely block; MPI_Wait_coll
@@ -314,6 +314,26 @@ func RenderSummary(s Summary) string {
 	return b.String()
 }
 
+// SummaryOf renders each active rank's compute/communication split as
+// text: comm is the rank's time inside primitives, compute the rest of
+// its span.
+func SummaryOf(s Summary) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%6s %14s %14s %8s\n", "rank", "compute", "comm", "comm%")
+	for r := 0; r < s.Ranks; r++ {
+		if s.Calls[r] == 0 {
+			continue
+		}
+		frac := 0.0
+		if s.Span[r] > 0 {
+			frac = float64(s.CommTime[r]) / float64(s.Span[r])
+		}
+		fmt.Fprintf(&b, "%6d %14v %14v %7.1f%%\n",
+			r, (s.Span[r] - s.CommTime[r]).Round(time.Microsecond), s.CommTime[r].Round(time.Microsecond), frac*100)
+	}
+	return b.String()
+}
+
 // Report renders the full ASCII profile: primitive table, per-rank
 // summary and the top wait-state edges — what `mpirun --profile` prints.
 func Report(events []mpi.Event) string {
@@ -321,8 +341,9 @@ func Report(events []mpi.Event) string {
 	b.WriteString("== per-primitive profile ==\n")
 	b.WriteString(RenderProfile(events))
 	b.WriteString("\n== per-rank summary ==\n")
-	b.WriteString(RenderSummary(Summarize(events)))
+	s := Summarize(events)
+	b.WriteString(RenderSummary(s))
 	b.WriteString("\n== wait states (top 10) ==\n")
-	b.WriteString(RenderWaitStates(WaitStates(events), 10))
+	b.WriteString(RenderWaitStates(s.TopWaits, 10))
 	return b.String()
 }

@@ -70,7 +70,11 @@ func parityWorkload(c *mpi.Comm) error {
 	if _, err := mpi.Gather(c, buf, 0); err != nil {
 		return err
 	}
-	if _, err := mpi.Allgather(c, buf); err != nil {
+	cr, err := mpi.Iallgather(c, make([]float64, len(buf)*n))
+	if err != nil {
+		return err
+	}
+	if err := cr.Wait(); err != nil {
 		return err
 	}
 	if err := c.Barrier(); err != nil {
