@@ -146,6 +146,7 @@ fuzz:
 	$(GO) test ./internal/mpi -fuzz=FuzzReliableFrame -fuzztime=10s
 	$(GO) test ./internal/cluster -fuzz=FuzzParseScript -fuzztime=10s
 	$(GO) test ./internal/cluster -fuzz=FuzzClusterFaultOps -fuzztime=10s
+	$(GO) test ./internal/cluster -fuzz=FuzzScheduleTwin -fuzztime=10s
 	$(GO) test ./internal/workload -fuzz=FuzzWorkloadSpec -fuzztime=10s
 	$(GO) test ./internal/modules/distsort -fuzz=FuzzEquiDepthBoundaries -fuzztime=10s
 	$(GO) test ./internal/modules/distsort -fuzz=FuzzRadixScratch -fuzztime=10s

@@ -13,10 +13,13 @@
 //
 // The event core is a min-heap of 32-byte events (completions, walltime
 // kills, requeue-backoff expiries, node failures/repairs unified in one
-// queue). A job's event points at the job's record and carries the
-// generation the job had when it was pushed; every state or rate change
-// bumps the generation, so superseded events are invalidated lazily —
-// dropped when they surface, never searched for or re-keyed. Progress is
+// queue); a running job holds one entry, for whichever of its completion
+// and its kill comes first. A job's event points at the job's record and
+// carries the generation the job had when it was pushed; every state or
+// rate change bumps the generation, so superseded events are invalidated
+// lazily — dropped when they surface, never searched for or re-keyed.
+// Each scheduling event walks the pending queue once, resuming after a
+// start where the pass left off. Progress is
 // settled lazily too: a job's remaining work is only drained when its
 // rate changes or it finishes, so advancing time is O(1) and a Drain
 // over n jobs costs O(events · log n) rather than the O(events · jobs)
@@ -253,6 +256,11 @@ type Cluster struct {
 	// checkedNow is now at the last CheckInvariants call, which fails
 	// if virtual time has run backwards since.
 	checkedNow time.Duration
+	// atFixpoint says the pending queue is as a scheduling pass left it
+	// under the current clock, policy and scan cap: schedule sets it and
+	// whatever moves one of the three clears it. CheckInvariants checks
+	// the fixpoint only then.
+	atFixpoint bool
 
 	// events is the unified min-heap (completions, walltime kills,
 	// requeue expiries, node failures/repairs); eventSeq numbers the
@@ -327,12 +335,12 @@ func (c *Cluster) Now() time.Duration { return c.now }
 
 // SetPolicy selects the scheduling policy. Changing it mid-run applies
 // from the next scheduling pass.
-func (c *Cluster) SetPolicy(p Policy) { c.policy = p }
+func (c *Cluster) SetPolicy(p Policy) { c.policy, c.atFixpoint = p, false }
 
 // SetBackfillLimit caps the backfill scan depth past the queue head
 // (0 = unlimited), like SLURM's bf_max_job_test. Saturation sweeps set
 // it so a diverging queue cannot make every event quadratic.
-func (c *Cluster) SetBackfillLimit(n int) { c.backfillLimit = n }
+func (c *Cluster) SetBackfillLimit(n int) { c.backfillLimit, c.atFixpoint = n, false }
 
 // SetRetainFinished controls whether terminal jobs are kept. With
 // retention off, finished jobs are evicted as soon as they can no longer
@@ -430,6 +438,11 @@ func (c *Cluster) enqueue(spec JobSpec) (*Job, error) {
 		gen: j.gen + 1, tasksOn: j.tasksOn[:0]}
 	c.nextID++
 	if c.retainFinished {
+		// Doubling, not append's quarter steps past 256 slots: the copies
+		// of a long retained drain's index then cost ~16 B a job, not ~45.
+		if len(c.records) == cap(c.records) {
+			c.records = slices.Grow(c.records, len(c.records))
+		}
 		c.records = append(c.records, j)
 	}
 	c.order = append(c.order, j)
@@ -591,27 +604,42 @@ func freeOrder(a, b *node) int {
 // FIFO with EASY backfill: the head pending job gets a reservation at its
 // earliest possible start; later jobs may start now only if their
 // walltime estimate finishes before that reservation. PolicyFIFO is the
-// same pass with no backfill: it stops at the first eligible job that
-// cannot be placed.
+// same scan with no backfill: it stops at the first eligible job that
+// cannot be placed. It returns at the fixpoint, where a fresh scan would
+// start nothing.
 func (c *Cluster) schedule() {
-	for c.backfillPass() {
+	for c.scan() {
 	}
+	c.atFixpoint = true
 }
 
-// backfillPass starts at most one job and reports whether it did; a start
-// changes what fits, so the caller runs passes until one starts nothing.
-// Under PolicyFIFO no job passes a head that did not fit.
-func (c *Cluster) backfillPass() bool {
+// scan walks the pending queue once, starting every job that may start,
+// and reports whether the queue must be walked again from its head. A
+// start only takes resources, so a job passed over earlier in the scan
+// still may not start, and the scan goes on at the next job:
+//   - after the head starts, the next eligible job is the head, with a
+//     reservation of its own;
+//   - after a backfilled job starts, the head's reservation stands: the
+//     job gives back all it took by now+TimeLimit ≤ headStart.
+//
+// A backfilled kernel job is the exception. Its start recomputes the
+// running jobs' rates, which can push the head's reservation later and
+// let a job passed over for it start, so the scan stops there and asks
+// for another.
+func (c *Cluster) scan() bool {
 	// The head is the first eligible pending job: it holds the
 	// reservation. A requeued job still in backoff is not startable and
 	// holds no reservation either, wherever it sits in the queue.
 	var head *Job
-	// The head's earliest start is invariant within one pass, so compute
-	// it at most once.
 	headStartDone := false
 	var headStart time.Duration
+	// bound caps what any job can be offered until the next start; it is
+	// computed at the first candidate past the head, so a scan that stops
+	// at its head pays nothing for it.
+	bound := -1
 	scanned := 0
-	for idx, j := range c.order {
+	for idx := 0; idx < len(c.order); idx++ {
+		j := c.order[idx]
 		if j.eligibleAt > c.now {
 			continue
 		}
@@ -625,6 +653,15 @@ func (c *Cluster) backfillPass() bool {
 			if c.backfillLimit > 0 && scanned > c.backfillLimit {
 				return false
 			}
+			if j.Spec.TimeLimit == 0 {
+				continue // no estimate: never backfill
+			}
+			if bound < 0 {
+				bound = c.freeBound()
+			}
+			if j.Spec.Tasks > bound {
+				continue
+			}
 		}
 		if !c.canPlace(j) {
 			continue
@@ -633,9 +670,6 @@ func (c *Cluster) backfillPass() bool {
 			// The head was examined first under this same state and did
 			// not fit, so the candidate must provably finish before the
 			// head's reservation.
-			if j.Spec.TimeLimit == 0 {
-				continue // no estimate: never backfill
-			}
 			if !headStartDone {
 				headStartDone = true
 				headStart = c.earliestStart(head)
@@ -647,9 +681,30 @@ func (c *Cluster) backfillPass() bool {
 		nodes, tasks := c.place(j)
 		c.start(j, nodes, tasks)
 		c.dropPendingIdx(idx)
-		return true
+		idx--
+		bound = -1
+		switch {
+		case j == head:
+			head, headStartDone, scanned = nil, false, 0
+		case j.Spec.Kernel != nil:
+			return true
+		default:
+			scanned--
+		}
 	}
 	return false
+}
+
+// freeBound is the free cores on nodes that are neither down nor held
+// exclusively: no job can be offered more.
+func (c *Cluster) freeBound() int {
+	free := 0
+	for _, n := range c.nodes {
+		if a := n.avail(); !a.excl {
+			free += a.free
+		}
+	}
+	return free
 }
 
 // earliestStart estimates when the head job could start, assuming running

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -156,5 +157,78 @@ func FuzzClusterFaultOps(f *testing.F) {
 		if ev.LiveJobs() != live {
 			t.Fatalf("retention off holds %d jobs after drain, want the %d pending", ev.LiveJobs(), live)
 		}
+	})
+}
+
+// FuzzScheduleTwin drives ScheduleTwin from fuzz bytes: the production
+// scheduler and refSchedule must make the same decisions after every
+// operation. The first byte picks the policy, the backfill scan cap (0, 1
+// or 64) and retention. Each further byte is one operation, its low three
+// bits the kind and the rest its sizes: a shared job with or without a
+// time limit, a memory-bound or compute-bound kernel job, an exclusive
+// job, a cancellation, a node failure with its repair, or an event step.
+// Half the jobs requeue after a node failure. The seed corpus holds two
+// inputs the fuzzer found against broken scans: one that skipped the
+// rescan after a kernel job's backfill start, one that counted a
+// backfilled job against the scan cap.
+func FuzzScheduleTwin(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for cfg := byte(0); cfg < 8; cfg++ {
+		ops := make([]byte, 96)
+		rng.Read(ops)
+		f.Add(append([]byte{cfg}, ops...))
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		if len(ops) > 129 {
+			ops = ops[:129] // bound simulation size
+		}
+		const nodes = 3
+		policy, limit := PolicyBackfill, []int{0, 1, 64, 0}[ops[0]%4]
+		if ops[0]%4 == 3 {
+			policy = PolicyFIFO
+		}
+		w := NewScheduleTwin(t, "fuzz", nodes, policy, limit, ops[0]&4 == 0)
+		cores := perfmodel.DefaultMachine().CoresPerNode
+		var ids []int
+		for _, op := range ops[1:] {
+			arg := int(op >> 3)
+			spec := JobSpec{Name: "fz", Tasks: 1 + arg*3%(nodes*cores),
+				BaseTime: time.Duration(1+arg%7) * time.Minute, Requeue: arg&4 != 0}
+			if arg%4 != 0 { // a limit below the runtime now and then: timeouts
+				spec.TimeLimit = time.Duration(arg%4) * 3 * time.Minute
+			}
+			switch op % 8 {
+			case 0: // shared job, with a limit when arg allows
+			case 1: // no estimate: it never backfills
+				spec.TimeLimit = 0
+			case 2: // up to ~40 min on the bus alone, with 8+ ranks
+				k := perfmodel.MemoryBoundKernel("stream", float64(1+arg%8)*3e13, 0.1)
+				spec.Kernel = &k
+			case 3:
+				k := perfmodel.ComputeBoundKernel("dgemm", float64(1+arg%8)*3e13, 100)
+				spec.Kernel = &k
+			case 4:
+				spec.Exclusive = true
+				spec.TasksPerNode = 1 + arg%cores
+				spec.Tasks = min(spec.Tasks, nodes*spec.TasksPerNode)
+			case 5:
+				if len(ids) > 0 {
+					w.Cancel(ids[arg%len(ids)])
+				}
+				continue
+			case 6:
+				failAt := w.got.Now() + time.Duration(arg%5)*10*time.Second
+				w.ScheduleNodeFail(arg%nodes, failAt, failAt+time.Duration(1+arg%4)*time.Minute)
+				continue
+			default:
+				w.Step()
+				continue
+			}
+			ids = append(ids, w.Submit(spec))
+		}
+		w.Drain()
 	})
 }

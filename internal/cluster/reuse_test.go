@@ -78,7 +78,8 @@ func TestRetentionFixedAtFirstSubmit(t *testing.T) {
 
 // TestCheckInvariantsCatches corrupts one piece of bookkeeping per case
 // and requires CheckInvariants to name it. The cluster holds a finished
-// job (retained), a running one and a pending one.
+// job (retained), a running one and two pending ones: a full-node head and
+// a one-core job that could backfill if a core were free.
 func TestCheckInvariantsCatches(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -107,6 +108,14 @@ func TestCheckInvariantsCatches(t *testing.T) {
 		{"core time", func(c *Cluster) { c.agg.coreTime += time.Second }, "core time"},
 		{"makespan", func(c *Cluster) { c.agg.makespan += time.Second }, "makespan"},
 		{"wait histogram", func(c *Cluster) { c.agg.waitHist[3]++ }, "wait histogram"},
+		{"head fits", func(c *Cluster) { c.finish(c.running[0], Completed) }, "pending job 3 fits"},
+		{"candidate fits", func(c *Cluster) {
+			// The running job gives back one core without a pass.
+			r := c.running[0]
+			r.Spec.Tasks--
+			r.tasksOn[0]--
+			c.nodes[0].freeCores++
+		}, "pending job 4 fits and ends by job 3's reservation"},
 		{"now moved back", func(c *Cluster) {
 			// Checked an hour on, then back a minute: no record is
 			// stamped after either time.
@@ -121,6 +130,7 @@ func TestCheckInvariantsCatches(t *testing.T) {
 				{Name: "done", Tasks: 32, BaseTime: time.Minute},
 				{Name: "run", Tasks: 32, BaseTime: time.Hour},
 				{Name: "wait", Tasks: 32, BaseTime: time.Hour},
+				{Name: "short", Tasks: 1, BaseTime: time.Minute, TimeLimit: 30 * time.Minute},
 			} {
 				if _, err := c.Submit(spec); err != nil {
 					t.Fatal(err)

@@ -551,3 +551,32 @@ func TestScheduleOracleCancel(t *testing.T) {
 		}
 	})
 }
+
+// TestScheduleOracleRateChangeRescan builds the one case in which a start
+// moves the head's reservation: a backfilled memory-bound kernel job lands
+// on the node of a running one, the bus saturates, and the running job's
+// predicted end, which the head waits for, moves later. A job passed over
+// earlier in the same pass, because it would have outlasted the old
+// reservation, now ends before the new one and must start in that pass.
+func TestScheduleOracleRateChangeRescan(t *testing.T) {
+	stream := func(seconds float64) *perfmodel.Kernel {
+		// 8 ranks draw 96 GB/s of the node's 100: alone, a stream job
+		// runs unslowed; two of them share the bus.
+		k := perfmodel.MemoryBoundKernel("stream", seconds*96e9, 0.1)
+		return &k
+	}
+	w := NewScheduleTwin(t, "rate change", 1, PolicyBackfill, 0, true)
+	w.Submit(JobSpec{Name: "bus", Tasks: 8, Kernel: stream(1000)})
+	head := w.Submit(JobSpec{Name: "head", Tasks: 32, BaseTime: time.Minute})
+	passed := w.Submit(JobSpec{Name: "passed", Tasks: 1, BaseTime: time.Minute, TimeLimit: 1100 * time.Second})
+	if j, _ := w.got.Status(passed); j.State != Pending {
+		t.Fatalf("setup: %q is %v before the contention, want pending behind the head's reservation", j.Spec.Name, j.State)
+	}
+	w.Submit(JobSpec{Name: "contender", Tasks: 8, Kernel: stream(100), TimeLimit: 500 * time.Second})
+	h, _ := w.got.Status(head)
+	p, _ := w.got.Status(passed)
+	if h.State != Pending || p.State != Running {
+		t.Fatalf("after the contender started, the head is %v and %q %v; want pending and running", h.State, p.Spec.Name, p.State)
+	}
+	w.Drain()
+}

@@ -122,19 +122,24 @@ func (c *Cluster) peekValid() (simEvent, bool) {
 	return simEvent{}, false
 }
 
-// pushJobEvents (re)schedules a running job's completion and walltime
-// kill under its current rate, invalidating whatever was scheduled
-// before.
+// pushJobEvents (re)schedules a running job's end under its current
+// rate, invalidating whatever was scheduled before. Only the end that
+// comes first is pushed: its completion, or its walltime kill when that
+// comes strictly earlier (a completion beats a kill at the same instant)
+// or the job has no positive rate. Every rate change pushes again, so the
+// other end needs no entry of its own.
 func (c *Cluster) pushJobEvents(j *Job) {
 	j.gen++
 	if j.State != Running {
 		return
 	}
-	if eta, ok := c.completionETA(j); ok {
-		c.pushEvent(jobEvent(eta, evJobDone, j))
+	at, ok := c.completionETA(j)
+	class := evJobDone
+	if kill := j.StartTime + j.Spec.TimeLimit; j.Spec.TimeLimit > 0 && (!ok || kill < at) {
+		at, class, ok = kill, evJobTimeout, true
 	}
-	if j.Spec.TimeLimit > 0 {
-		c.pushEvent(jobEvent(j.StartTime+j.Spec.TimeLimit, evJobTimeout, j))
+	if ok {
+		c.pushEvent(jobEvent(at, class, j))
 	}
 }
 
@@ -220,7 +225,7 @@ func (c *Cluster) Step() bool {
 // this is O(1) regardless of how many jobs are in flight.
 func (c *Cluster) advanceTo(t time.Duration) {
 	if t > c.now {
-		c.now = t
+		c.now, c.atFixpoint = t, false
 	}
 }
 
@@ -256,7 +261,10 @@ func (c *Cluster) RunUntil(t time.Duration) {
 // EventProbe reports how many heap events were dispatched and how many
 // stale (generation-mismatched) entries were discarded since the cluster
 // was created. Tests use it to pin the single-pop-per-event contract and
-// to bound invalidation churn.
+// to bound invalidation churn. A running job holds one entry, its first
+// end, so stale entries come only from rate changes, node failures,
+// cancellations and requeues: a drain of fixed-duration jobs without
+// faults discards none.
 func (c *Cluster) EventProbe() (dispatched, stale int) {
 	return c.probePops, c.probeStale
 }
@@ -354,9 +362,11 @@ func truncate(s string, n int) string {
 // every live job is in it, and Stats' finished counts and its started,
 // wait, runtime, core-time, makespan and wait-histogram figures equal a
 // recount of the records. With retention off there is no index. No
-// record kept for reuse is live or indexed. Tests call it after every
-// event (or, at million-job scale, on a sampled subset of events — it is
-// O(jobs)).
+// record kept for reuse is live or indexed. When nothing has moved the
+// clock, the policy or the scan cap since the last scheduling pass, the
+// queue is at that pass's fixpoint (checkFixpoint). Tests call it after
+// every event (or, at million-job scale, on a sampled subset of events —
+// it is O(jobs)).
 func (c *Cluster) CheckInvariants() error {
 	if c.now < c.checkedNow {
 		return fmt.Errorf("cluster: now moved back from %v to %v since the last check", c.checkedNow, c.now)
@@ -506,6 +516,43 @@ func (c *Cluster) CheckInvariants() error {
 	for _, j := range c.free {
 		if j.State == Pending || j.State == Running || c.retainFinished && c.lookup(j.ID) == j {
 			return fmt.Errorf("cluster: record of job %d kept for reuse is %v and reachable", j.ID, j.State)
+		}
+	}
+	if c.atFixpoint {
+		return c.checkFixpoint()
+	}
+	return nil
+}
+
+// checkFixpoint requires what a scheduling pass leaves behind, by its own
+// walk of the queue: the first eligible pending job does not fit, and under
+// PolicyBackfill no job in the scan window both fits and finishes before
+// that job's reservation, so a fresh pass would start nothing.
+func (c *Cluster) checkFixpoint() error {
+	var head *Job
+	var headStart time.Duration
+	scanned := 0
+	for _, j := range c.order {
+		if j.eligibleAt > c.now {
+			continue
+		}
+		if head == nil {
+			head = j
+			if c.canPlace(j) {
+				return fmt.Errorf("cluster: first eligible pending job %d fits but was not started", j.ID)
+			}
+			if c.policy == PolicyFIFO {
+				return nil
+			}
+			headStart = c.earliestStart(j)
+			continue
+		}
+		if scanned++; c.backfillLimit > 0 && scanned > c.backfillLimit {
+			return nil
+		}
+		if j.Spec.TimeLimit > 0 && c.now+j.Spec.TimeLimit <= headStart && c.canPlace(j) {
+			return fmt.Errorf("cluster: pending job %d fits and ends by job %d's reservation at %v but was not started",
+				j.ID, head.ID, headStart)
 		}
 	}
 	return nil
