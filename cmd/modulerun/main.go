@@ -333,11 +333,10 @@ func run(o *options, fs *flag.FlagSet) error {
 	}
 }
 
-// reportFault mirrors mpirun's kill-plan handling: the victim's own
-// ErrRankKilled is the expected outcome of a kill plan, not a failure of
-// the tool.
+// reportFault reports a kill plan that fired (faults.Plan.Fired) as
+// mpirun does, and passes any other error on.
 func reportFault(plan *faults.Plan, err error) error {
-	if err != nil && plan != nil && errors.Is(err, mpi.ErrRankKilled) && !errors.Is(err, mpi.ErrRankFailed) {
+	if plan.Fired(err) {
 		fmt.Fprintf(os.Stderr, "modulerun: fault plan %q fired: %v\n", plan, err)
 		return nil
 	}
@@ -441,7 +440,7 @@ func runRespawnKmeans(o *options, tcp bool, plan *faults.Plan, faultOpts []mpi.O
 	if err != nil {
 		return fmt.Errorf("failure-free reference run: %w", err)
 	}
-	before := mpi.RespawnsTotal()
+	before := mpi.ReliabilityStats()
 	recovered, err := attempt(faultOpts...)
 	if err = reportFault(plan, err); err != nil {
 		return err
@@ -457,7 +456,7 @@ func runRespawnKmeans(o *options, tcp bool, plan *faults.Plan, faultOpts []mpi.O
 	fmt.Printf("[module 5] kmeans (respawn recovery): %d iters (converged=%v), inertia %.1f\n",
 		recovered.Iterations, recovered.Converged, recovered.Inertia)
 	fmt.Printf("  ranks respawned: %d; centroids bit-identical to the failure-free run: %v\n",
-		mpi.RespawnsTotal()-before, identical)
+		mpi.ReliabilityStats().Sub(before).Respawns, identical)
 	if !identical {
 		return errors.New("recovered centroids diverged from the failure-free run")
 	}

@@ -189,7 +189,7 @@ func main() {
 		}
 	}
 	if err != nil {
-		if plan != nil && errors.Is(err, mpi.ErrRankKilled) && !errors.Is(err, mpi.ErrRankFailed) {
+		if plan.Fired(err) {
 			// The victim's own error is the expected outcome of a kill
 			// plan; survivors recovered (or the run would have failed
 			// with a different error).

@@ -10,7 +10,7 @@ import (
 // profiled run — the figures `sacct` reports beyond scheduler state.
 type Accounting struct {
 	CommBytes int64   // user payload bytes through communication primitives
-	WaitFrac  float64 // blocked share of rank time inside the runtime
+	WaitFrac  float64 // the ranks' summed blocked time over their summed spans (prof.Account)
 }
 
 // AttachAccounting records profiling-derived accounting for a job. It

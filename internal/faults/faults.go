@@ -16,6 +16,7 @@
 package faults
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -312,6 +313,14 @@ func (p *Plan) NodeEvents() []NodeEvent {
 
 // String returns the original specification text.
 func (p *Plan) String() string { return p.spec }
+
+// Fired reports whether a run's error is the expected outcome of the
+// plan's kills, not a failure of the launcher: a victim's own
+// ErrRankKilled, with no survivor failing on the rank it lost. A nil
+// plan fires nothing.
+func (p *Plan) Fired(err error) bool {
+	return p != nil && errors.Is(err, mpi.ErrRankKilled) && !errors.Is(err, mpi.ErrRankFailed)
+}
 
 // Options maps the fault-tolerance flags both launchers declare to
 // runtime options: -inject (a plan in this package's grammar, also

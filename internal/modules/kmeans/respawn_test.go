@@ -52,11 +52,11 @@ func TestRespawnBitIdentical(t *testing.T) {
 		t.Fatalf("clean run returned %d results", len(clean))
 	}
 
-	before := mpi.RespawnsTotal()
+	before := mpi.ReliabilityStats()
 	cfg.Checkpoint = ckpt.NewMem() // fresh store for the faulted run
 	faulted := respawnRun(t, np, pts, cfg, "rank=2:call=10:kill")
-	if got := mpi.RespawnsTotal() - before; got < 1 {
-		t.Fatalf("RespawnsTotal delta = %d, want >= 1", got)
+	if got := mpi.ReliabilityStats().Sub(before).Respawns; got < 1 {
+		t.Fatalf("Respawns delta = %d, want >= 1", got)
 	}
 	if len(faulted) != np-1 {
 		t.Fatalf("faulted run returned %d results, want %d survivors", len(faulted), np-1)

@@ -103,7 +103,7 @@ func (c *Comm) deliverData(ctx int32, payload []byte, lent bool, dest, tag int, 
 // lent send that fails first takes its view back before returning, so no
 // receiver reads the caller's slice once the send has given up.
 func (c *Comm) awaitAck(seq int64, wdst int, lent bool) error {
-	err := c.mb.waitAck(seq)
+	_, err := c.mb.waitReply(waitAck, seq)
 	if err != nil && lent {
 		c.world.reclaimLent(c.worldRank, wdst, seq)
 	}

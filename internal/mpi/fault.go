@@ -183,29 +183,18 @@ func (w *World) initFaultState(localRanks []int) {
 	w.localRanks = localRanks
 }
 
-// killRank simulates a crash of a local rank: its mailbox goes dead (no
-// more matches, acks or posts), queued state is discarded, and — when no
-// heartbeat detector runs — the failure is declared synchronously so
-// survivors unblock at once instead of deadlocking.
+// killRank simulates a crash of a local rank: once its kill flag is set
+// its mailbox goes dead (no more matches, acks or posts), queued state is
+// discarded, and — when no heartbeat detector runs — the failure is
+// declared synchronously so survivors unblock at once instead of
+// deadlocking.
 func (w *World) killRank(r int) {
 	if w.killed == nil || w.killed[r].Swap(true) {
 		return
 	}
 	mb := w.mailboxes[r]
 	mb.mu.Lock()
-	mb.dead = true
-	for _, e := range mb.unexpected {
-		dropEnv(e)
-	}
-	mb.unexpected = nil
-	mb.pending = nil // abandoned: the dying rank never completes them
-	for seq := range mb.acks {
-		delete(mb.acks, seq)
-	}
-	for seq, b := range mb.rmaResp {
-		putBuf(b)
-		delete(mb.rmaResp, seq)
-	}
+	mb.discardLocked()
 	mb.cond.Broadcast()
 	mb.mu.Unlock()
 	w.emitLifecycle(r, LifeFailure, "rank killed by fault injection")
@@ -297,8 +286,8 @@ func tickPeriod(d time.Duration) time.Duration {
 // sendHeartbeats is the heartbeat sender's tick (WithHeartbeat), run at
 // a quarter of the detection interval: a kindHeartbeat envelope from
 // every live local rank to every peer. Heartbeats go straight to the
-// transport — they bypass traffic accounting and the watchdog's progress
-// counter, so a heartbeating-but-stuck world still trips the watchdog. A
+// transport — they bypass the traffic accounting, which is the watchdog's
+// progress measure, so a heartbeating-but-stuck world still trips it. A
 // rank whose function returned keeps heartbeating (the "MPI runtime
 // process" stays alive until the world closes), so a finished peer is
 // not mistaken for a dead one.
@@ -314,7 +303,7 @@ func (w *World) sendHeartbeats() {
 			hb := getEnv()
 			hb.kind = kindHeartbeat
 			hb.src, hb.wsrc, hb.wdst = r, r, peer
-			hbSent.Add(1)
+			relHeartbeatsSent.Add(1)
 			_ = w.transport.deliver(hb)
 		}
 	}
@@ -349,11 +338,11 @@ func (w *World) blockedSnapshot() string {
 	var sb strings.Builder
 	for _, mb := range w.mailboxes {
 		mb.mu.Lock()
-		if wi := mb.waiting; wi != nil {
+		if mb.waiting.kind != waitNone {
 			if sb.Len() > 0 {
 				sb.WriteString("; ")
 			}
-			fmt.Fprintf(&sb, "rank %d blocked in %v", mb.rank, *wi)
+			fmt.Fprintf(&sb, "rank %d blocked in %v", mb.rank, mb.waiting)
 		}
 		mb.mu.Unlock()
 	}

@@ -322,6 +322,44 @@ func TestOpTimeoutSpansCollWait(t *testing.T) {
 	}
 }
 
+// TestOpTimeoutRMAFetch: a one-sided fetch gives up with ErrTimeout
+// naming its reply, and the reply that arrives later lands in the
+// mailbox's reply table, whose pooled payload teardown recycles. On Run a
+// Get takes the shared-memory path and never waits, so this runs on
+// RunTCP. Every link transit (300 ms) outlasts the timeout (100 ms), so
+// WinCreate's barrier times out on rank 1, which enters it first; its
+// region is registered before the barrier and serves the Get regardless.
+// Rank 0 enters only once rank 1's barrier message is queued, so its
+// barrier does not wait.
+func TestOpTimeoutRMAFetch(t *testing.T) {
+	defer leakcheck.Snapshot(t, poolGauge()).Check()
+	const size = 1024
+	release := make(chan struct{})
+	err := RunTCP(2, func(c *Comm) error {
+		if c.Rank() == 1 {
+			if _, err := c.WinCreate(size); !errors.Is(err, ErrTimeout) {
+				return fmt.Errorf("rank 1: WinCreate = %v, want ErrTimeout", err)
+			}
+			<-release
+			return nil
+		}
+		defer close(release)
+		awaitMailbox(c.mb, func(mb *mailbox) bool { return len(mb.unexpected) > 0 })
+		win, err := c.WinCreate(size)
+		if err != nil {
+			return err
+		}
+		if _, err := win.Get(1, 0, size); !errors.Is(err, ErrTimeout) || !strings.Contains(err.Error(), "rma-fetch(seq=") {
+			return fmt.Errorf("Get = %v, want ErrTimeout naming rma-fetch(seq=", err)
+		}
+		awaitMailbox(c.mb, func(mb *mailbox) bool { return len(mb.replies) > 0 })
+		return nil
+	}, WithLinkLatency(300*time.Millisecond), WithOpTimeout(100*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestOpTimeoutSendrecvWithdrawsReceive: a Sendrecv whose send half
 // times out must take its posted receive back. Left posted, the orphan
 // matches the next message on (src, recvTag) — here the one rank 1 sends

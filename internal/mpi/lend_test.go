@@ -66,7 +66,7 @@ func awaitMailbox(mb *mailbox, cond func(*mailbox) bool) {
 }
 
 func hasPosted(mb *mailbox) bool   { return len(mb.pending) > 0 }
-func parkedInAck(mb *mailbox) bool { return mb.waiting != nil && mb.waiting.kind == waitAck }
+func parkedInAck(mb *mailbox) bool { return mb.waiting.kind == waitAck }
 
 // sharesArray reports whether got shares dst's backing array.
 func sharesArray(got, dst []float64) bool {
@@ -445,7 +445,7 @@ func TestLentDiscardPaths(t *testing.T) {
 			if c.Rank() == 1 {
 				return c.Barrier() // call 1: killed on entry
 			}
-			awaitMailbox(c.world.mailboxes[1], func(mb *mailbox) bool { return mb.dead })
+			awaitMailbox(c.world.mailboxes[1], func(mb *mailbox) bool { return c.world.isKilled(mb.rank) })
 			return expectErr(Send(c, x, 1, 0), ErrRankFailed)
 		}, ErrRankKilled},
 		{"kill-while-parked", 2, []Option{killed(1)}, func(c *Comm, x []float64) error {

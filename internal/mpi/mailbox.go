@@ -92,29 +92,23 @@ type mailbox struct {
 
 	unexpected []*envelope    // FIFO of unmatched arrivals
 	pending    []*pendingRecv // FIFO of posted receives
-	acks       map[int64]bool // rendezvous acks received, by sequence
 
-	// rmaResp holds fetched payloads of one-sided Get/CompareAndSwap
-	// replies, keyed by request sequence. Entries are pooled buffers whose
-	// ownership passes to the waiting origin; allocated lazily because
-	// most worlds never issue RMA.
-	rmaResp map[int64][]byte
+	// replies holds what arrived for this rank's sends, keyed by the
+	// sequence the send drew (nextSeq): a rendezvous ack (nil) or the
+	// fetched payload of a one-sided Get/CompareAndSwap, a pooled buffer
+	// whose ownership passes to the waiting origin (nil when the target
+	// rejected the access).
+	replies map[int64][]byte
 
-	// waiting is non-nil while the rank's goroutine is blocked in
-	// cond.Wait; the deadlock detector reads it while holding mu. It
-	// always points at wi: a rank blocks on one thing at a time, so the
+	// waiting is the rank's wait while its goroutine is parked in
+	// cond.Wait (kind waitNone otherwise); the deadlock detector reads it
+	// while holding mu. A rank blocks on one thing at a time, so the
 	// record is reused in place instead of allocated per wait.
-	waiting *waitInfo
-	wi      waitInfo
+	waiting waitInfo
 
 	// finished is set when the rank's function has returned. A finished
 	// rank can never post again.
 	finished bool
-
-	// dead is set when fault injection kills the rank: arrivals are
-	// discarded, no acks are produced, and the rank's own blocked
-	// operations return ErrRankKilled.
-	dead bool
 
 	// failAck is the failure epoch this rank has acknowledged (by the
 	// agreement behind Shrink, Agree and RespawnAndRestore). While the
@@ -134,7 +128,7 @@ type mailbox struct {
 }
 
 func newMailbox(rank int, w *World) *mailbox {
-	mb := &mailbox{rank: rank, world: w, acks: make(map[int64]bool)}
+	mb := &mailbox{rank: rank, world: w, replies: make(map[int64][]byte)}
 	mb.cond = sync.NewCond(&mb.mu)
 	return mb
 }
@@ -157,7 +151,7 @@ func (mb *mailbox) post(e *envelope) {
 	case kindHeartbeat:
 		// Pure liveness signal: absorb and recycle without touching the
 		// matching engine (heartbeats never carry a payload).
-		hbRecv.Add(1)
+		relHeartbeatsReceived.Add(1)
 		putEnv(e)
 		return
 	case kindAbort:
@@ -178,22 +172,6 @@ func (mb *mailbox) post(e *envelope) {
 		// handler replies through deliver, which takes mailbox locks).
 		mb.world.handleRMAReq(mb, e)
 		return
-	case kindRMAResp:
-		mb.mu.Lock()
-		if mb.dead {
-			mb.mu.Unlock()
-			dropEnv(e)
-			return
-		}
-		if mb.rmaResp == nil {
-			mb.rmaResp = make(map[int64][]byte)
-		}
-		// Ownership of the fetched payload passes to the waiting origin.
-		mb.rmaResp[e.seq] = e.data
-		mb.cond.Broadcast()
-		mb.mu.Unlock()
-		putEnv(e)
-		return
 	}
 	if e.kind == kindData && mb.world.hooked() {
 		// Receiver-side arrival stamp for queue-latency attribution; taken
@@ -201,18 +179,19 @@ func (mb *mailbox) post(e *envelope) {
 		e.arrived = time.Now()
 	}
 	mb.mu.Lock()
-	if mb.dead {
+	if mb.world.isKilled(mb.rank) {
 		// A killed rank's mailbox is a black hole: no matches, no acks.
 		mb.mu.Unlock()
 		dropEnv(e)
 		return
 	}
-	if e.kind == kindAck {
-		mb.acks[e.seq] = true
+	if e.kind == kindAck || e.kind == kindRMAResp {
+		// The reply is absorbed into the table (an ack carries no
+		// payload; a fetch's passes to the waiting origin), so its
+		// envelope is recycled.
+		mb.replies[e.seq] = e.data
 		mb.cond.Broadcast()
 		mb.mu.Unlock()
-		// The ack's information is fully absorbed into the acks map;
-		// recycle its envelope (acks never carry a payload).
 		putEnv(e)
 		return
 	}
@@ -354,18 +333,17 @@ func (mb *mailbox) dropPending(pr *pendingRecv) {
 
 // ready reports whether the wait wi can finish given present mailbox
 // state. It is the one readiness rule: await parks until it holds, and
-// the deadlock detector (satisfiableLocked) declares deadlock only when
-// it holds for no waiting rank. Callers hold mu.
+// the deadlock detector (verifyDeadlock) declares deadlock only when it
+// holds for no waiting rank; a rank not waiting (waitNone) is running,
+// which counts as ready. Callers hold mu.
 func (mb *mailbox) ready(wi *waitInfo) bool {
 	switch wi.kind {
 	case waitRecv:
 		return wi.pr.env != nil
 	case waitProbe:
 		return mb.firstMatch(wi.ctx, wi.src, wi.tag) >= 0
-	case waitAck:
-		return mb.acks[wi.seq]
-	case waitRMA:
-		_, ok := mb.rmaResp[wi.seq]
+	case waitAck, waitRMA:
+		_, ok := mb.replies[wi.seq]
 		return ok
 	case waitColl:
 		// Ready once the collective has finished (the waiter just has not
@@ -381,9 +359,7 @@ func (mb *mailbox) ready(wi *waitInfo) bool {
 // the world stopped (deadlock/abort), or the failure epoch advanced past
 // what the rank has acknowledged. It takes no lock, so one-sided
 // operations fast-fail through it and a Put to a failed rank surfaces a
-// RankFailedError instead of silently blackholing. The kill flag is the
-// world's: killRank sets it before mb.dead and resetRank clears it after,
-// so it covers every moment mb.dead is set.
+// RankFailedError instead of silently blackholing.
 func (mb *mailbox) liveErr() error {
 	if mb.world.isKilled(mb.rank) {
 		return ErrRankKilled
@@ -461,27 +437,17 @@ func (mb *mailbox) probe(ctx int32, src, tag int) (Status, error) {
 	return Status{Source: e.src, Tag: int(e.tag), Bytes: len(e.data)}, nil
 }
 
-// waitAck blocks until the rendezvous acknowledgement for seq arrives.
-func (mb *mailbox) waitAck(seq int64) error {
+// waitReply blocks until the reply for seq arrives — kind waitAck for a
+// rendezvous ack, waitRMA for a one-sided fetch — and consumes it,
+// returning its payload, whose ownership passes to the caller.
+func (mb *mailbox) waitReply(kind waitKind, seq int64) ([]byte, error) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	err := mb.await(waitInfo{kind: waitAck, seq: seq}, mb.opDeadline())
-	if err == nil {
-		delete(mb.acks, seq)
-	}
-	return err
-}
-
-// waitRMAResp blocks until the one-sided reply for seq arrives and returns
-// its payload, whose ownership passes to the caller.
-func (mb *mailbox) waitRMAResp(seq int64) ([]byte, error) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	if err := mb.await(waitInfo{kind: waitRMA, seq: seq}, mb.opDeadline()); err != nil {
+	if err := mb.await(waitInfo{kind: kind, seq: seq}, mb.opDeadline()); err != nil {
 		return nil, err
 	}
-	b := mb.rmaResp[seq]
-	delete(mb.rmaResp, seq)
+	b := mb.replies[seq]
+	delete(mb.replies, seq)
 	return b, nil
 }
 
@@ -490,11 +456,9 @@ func (mb *mailbox) waitRMAResp(seq int64) ([]byte, error) {
 func (mb *mailbox) tryAck(seq int64) bool {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	if !mb.acks[seq] {
-		return false
-	}
-	delete(mb.acks, seq)
-	return true
+	_, ok := mb.replies[seq]
+	delete(mb.replies, seq)
+	return ok
 }
 
 // block parks the goroutine on the mailbox condition variable with its
@@ -504,8 +468,7 @@ func (mb *mailbox) tryAck(seq int64) bool {
 // the blocking path allocation-free. This is the one place a rank parks,
 // so it is also where Event.Blocked is measured.
 func (mb *mailbox) block(wi waitInfo) {
-	mb.wi = wi
-	mb.waiting = &mb.wi
+	mb.waiting = wi
 	mb.world.noteBlocked()
 	if mb.world.hooked() {
 		start := time.Now()
@@ -514,8 +477,23 @@ func (mb *mailbox) block(wi waitInfo) {
 	} else {
 		mb.cond.Wait()
 	}
-	mb.waiting = nil
+	mb.waiting = waitInfo{}
 	mb.world.noteUnblocked()
+}
+
+// discardLocked drops what the mailbox holds for a rank that will not
+// consume it: queued arrivals, posted receives and replies, recycling
+// their pooled payloads. Callers hold mu.
+func (mb *mailbox) discardLocked() {
+	for _, e := range mb.unexpected {
+		dropEnv(e)
+	}
+	mb.unexpected = nil
+	mb.pending = nil
+	for _, b := range mb.replies {
+		putBuf(b)
+	}
+	clear(mb.replies)
 }
 
 // markFinished records that the rank's function returned. Guarded by mu so
@@ -526,15 +504,4 @@ func (mb *mailbox) markFinished() {
 	mb.finished = true
 	mb.cond.Broadcast()
 	mb.mu.Unlock()
-}
-
-// satisfiableLocked reports whether the rank could make progress given
-// present mailbox state. The deadlock detector calls it while holding mu
-// for every mailbox in the world. A rank that is neither finished nor
-// waiting is running, which counts as satisfiable.
-func (mb *mailbox) satisfiableLocked() bool {
-	if mb.finished {
-		return false // cannot act, but also not stuck
-	}
-	return mb.waiting == nil || mb.ready(mb.waiting)
 }

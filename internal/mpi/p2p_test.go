@@ -512,7 +512,7 @@ func TestTracerRecordsRuntimeBlocking(t *testing.T) {
 		sender := c.world.mailboxes[0]
 		for parked := false; !parked; runtime.Gosched() {
 			sender.mu.Lock()
-			parked = sender.waiting != nil
+			parked = sender.waiting.kind != waitNone
 			sender.mu.Unlock()
 		}
 		_, _, err := Recv[float64](c, 0, 0)

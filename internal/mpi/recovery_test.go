@@ -36,7 +36,7 @@ func parked(w *World, r int) bool {
 	mb := w.mailboxes[r]
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	return mb.waiting != nil
+	return mb.waiting.kind != waitNone
 }
 
 // TestRecoveryRespawnPartialView forces the interleaving behind

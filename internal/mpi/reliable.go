@@ -66,41 +66,56 @@ var (
 	relFramesCorrupt  atomic.Int64
 	relDupsSuppressed atomic.Int64
 	relGiveUps        atomic.Int64
+
+	relHeartbeatsSent     atomic.Int64
+	relHeartbeatsReceived atomic.Int64
+	relRespawns           atomic.Int64
 )
 
-// ReliabilityCounters is a point-in-time view of the reliable link
-// layer's process-wide counters.
+// ReliabilityCounters is a point-in-time view of the process-wide
+// resilience counters: the reliable link layer's, the liveness layer's
+// heartbeats (which bypass the per-world traffic accounting by design)
+// and respawn recovery's.
 type ReliabilityCounters struct {
-	Retransmits    int64 // data frames re-sent after a retransmit timeout
-	AcksSent       int64 // cumulative link acks written
-	FramesDropped  int64 // outbound frames discarded by the fault injector (any link)
-	FramesCorrupt  int64 // frames corrupted by the injector: CRC-rejected on a reliable link, silently delivered on a raw one
-	DupsSuppressed int64 // duplicate deliveries absorbed by sequence tracking
-	GiveUps        int64 // links that exhausted their retransmit budget
+	Retransmits        int64 // data frames re-sent after a retransmit timeout
+	AcksSent           int64 // cumulative link acks written
+	FramesDropped      int64 // outbound frames discarded by the fault injector (any link)
+	FramesCorrupt      int64 // frames corrupted by the injector: CRC-rejected on a reliable link, silently delivered on a raw one
+	DupsSuppressed     int64 // duplicate deliveries absorbed by sequence tracking
+	GiveUps            int64 // links that exhausted their retransmit budget
+	HeartbeatsSent     int64 // heartbeat envelopes emitted (WithHeartbeat)
+	HeartbeatsReceived int64 // heartbeat envelopes absorbed by mailboxes
+	Respawns           int64 // ranks brought back at full width by RespawnAndRestore
 }
 
-// ReliabilityStats reports cumulative reliable-link counters for this
-// process.
+// ReliabilityStats reports cumulative resilience counters for this
+// process, across all worlds.
 func ReliabilityStats() ReliabilityCounters {
 	return ReliabilityCounters{
-		Retransmits:    relRetransmits.Load(),
-		AcksSent:       relAcksSent.Load(),
-		FramesDropped:  relFramesDropped.Load(),
-		FramesCorrupt:  relFramesCorrupt.Load(),
-		DupsSuppressed: relDupsSuppressed.Load(),
-		GiveUps:        relGiveUps.Load(),
+		Retransmits:        relRetransmits.Load(),
+		AcksSent:           relAcksSent.Load(),
+		FramesDropped:      relFramesDropped.Load(),
+		FramesCorrupt:      relFramesCorrupt.Load(),
+		DupsSuppressed:     relDupsSuppressed.Load(),
+		GiveUps:            relGiveUps.Load(),
+		HeartbeatsSent:     relHeartbeatsSent.Load(),
+		HeartbeatsReceived: relHeartbeatsReceived.Load(),
+		Respawns:           relRespawns.Load(),
 	}
 }
 
 // Sub returns the counter deltas accumulated since the earlier snapshot.
 func (c ReliabilityCounters) Sub(earlier ReliabilityCounters) ReliabilityCounters {
 	return ReliabilityCounters{
-		Retransmits:    c.Retransmits - earlier.Retransmits,
-		AcksSent:       c.AcksSent - earlier.AcksSent,
-		FramesDropped:  c.FramesDropped - earlier.FramesDropped,
-		FramesCorrupt:  c.FramesCorrupt - earlier.FramesCorrupt,
-		DupsSuppressed: c.DupsSuppressed - earlier.DupsSuppressed,
-		GiveUps:        c.GiveUps - earlier.GiveUps,
+		Retransmits:        c.Retransmits - earlier.Retransmits,
+		AcksSent:           c.AcksSent - earlier.AcksSent,
+		FramesDropped:      c.FramesDropped - earlier.FramesDropped,
+		FramesCorrupt:      c.FramesCorrupt - earlier.FramesCorrupt,
+		DupsSuppressed:     c.DupsSuppressed - earlier.DupsSuppressed,
+		GiveUps:            c.GiveUps - earlier.GiveUps,
+		HeartbeatsSent:     c.HeartbeatsSent - earlier.HeartbeatsSent,
+		HeartbeatsReceived: c.HeartbeatsReceived - earlier.HeartbeatsReceived,
+		Respawns:           c.Respawns - earlier.Respawns,
 	}
 }
 
@@ -181,7 +196,6 @@ func newARQ(w *World) *arqLayer {
 	}
 	a := &arqLayer{w: w, links: make([]arqLink, w.size*w.size)}
 	w.inbound = a
-	w.linkPrefix = true
 	return a
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -27,14 +26,6 @@ import (
 // cannot spawn replacement ranks — a multi-process launch, where each
 // rank is its own OS process.
 var ErrRespawnUnsupported = errors.New("mpi: RespawnAndRestore requires all ranks in one process (Run or RunTCP)")
-
-// respawnsTotal counts ranks brought back at full width, across all
-// worlds in the process (telemetry: mpi_respawns_total).
-var respawnsTotal atomic.Int64
-
-// RespawnsTotal returns the number of ranks respawned by
-// RespawnAndRestore process-wide.
-func RespawnsTotal() int64 { return respawnsTotal.Load() }
 
 // respawnResetTimeout bounds how long the resetting survivor waits for a
 // killed rank's goroutine to finish unwinding.
@@ -64,7 +55,7 @@ const respawnResetTimeout = 5 * time.Second
 // on the new one.
 func (c *Comm) RespawnAndRestore(fn func(*Comm) error) (*Comm, error) {
 	w := c.world
-	if !w.canRespawn {
+	if len(w.localRanks) != w.size { // replacements are goroutines of this World
 		return nil, ErrRespawnUnsupported
 	}
 	failed, _, err := c.agree("RespawnAndRestore", true)
@@ -190,11 +181,13 @@ func (w *World) resetRank(r int, members []int, failed []byte) error {
 			return fmt.Errorf("mpi: respawn: rank %d has not finished unwinding after %v", r, respawnResetTimeout)
 		}
 	}
-	mb.dead, mb.finished, mb.pending = false, false, nil
+	// The kill flag clears under mu, as post reads it: no arrival meant
+	// for the replacement is dropped as if the rank were still dead.
+	w.killed[r].Store(false)
+	mb.finished, mb.pending = false, nil
 	mb.mu.Unlock()
 
 	w.noteHeard(r)
-	w.killed[r].Store(false)
 	w.failMu.Lock()
 	w.failed[r] = false
 	w.failMu.Unlock()
@@ -203,7 +196,7 @@ func (w *World) resetRank(r int, members []int, failed []byte) error {
 		mb.failAck.Store(e)
 	}
 	w.finishedCount.Add(-1)
-	respawnsTotal.Add(1)
+	relRespawns.Add(1)
 	w.emitLifecycle(r, LifeRecovery, "rank respawned at full width")
 	return nil
 }

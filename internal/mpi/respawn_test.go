@@ -65,7 +65,7 @@ func checkRespawnSum(t *testing.T, finals map[int][]int64, np int) {
 // in-process transport — the acceptance-criteria scenario in miniature.
 func TestRespawnChannel(t *testing.T) {
 	defer leakcheck.Snapshot(t, poolGauge()).Check()
-	before := RespawnsTotal()
+	before := ReliabilityStats()
 	const np = 4
 	var mu sync.Mutex
 	finals := make(map[int][]int64)
@@ -77,8 +77,8 @@ func TestRespawnChannel(t *testing.T) {
 		t.Fatalf("recovery left residual errors: %v", err)
 	}
 	checkRespawnSum(t, finals, np)
-	if got := RespawnsTotal() - before; got != 1 {
-		t.Errorf("RespawnsTotal delta = %d, want 1", got)
+	if got := ReliabilityStats().Sub(before).Respawns; got != 1 {
+		t.Errorf("Respawns delta = %d, want 1", got)
 	}
 }
 
@@ -86,7 +86,7 @@ func TestRespawnChannel(t *testing.T) {
 // declared by heartbeat silence rather than synchronously.
 func TestRespawnTCP(t *testing.T) {
 	defer leakcheck.Snapshot(t, poolGauge()).Check()
-	before := RespawnsTotal()
+	before := ReliabilityStats()
 	const np = 4
 	var mu sync.Mutex
 	finals := make(map[int][]int64)
@@ -96,8 +96,8 @@ func TestRespawnTCP(t *testing.T) {
 		t.Fatalf("RunTCP = %v, want the killed rank's ErrRankKilled", err)
 	}
 	checkRespawnSum(t, finals, np)
-	if got := RespawnsTotal() - before; got != 1 {
-		t.Errorf("RespawnsTotal delta = %d, want 1", got)
+	if got := ReliabilityStats().Sub(before).Respawns; got != 1 {
+		t.Errorf("Respawns delta = %d, want 1", got)
 	}
 }
 
@@ -128,7 +128,7 @@ func inj2opts(in Injector, opts ...Option) []Option {
 // TestRespawnTwoRanks: two simultaneous kills revived in one rebuild.
 func TestRespawnTwoRanks(t *testing.T) {
 	defer leakcheck.Snapshot(t, poolGauge()).Check()
-	before := RespawnsTotal()
+	before := ReliabilityStats()
 	const np = 5
 	var mu sync.Mutex
 	finals := make(map[int][]int64)
@@ -140,8 +140,8 @@ func TestRespawnTwoRanks(t *testing.T) {
 		t.Fatalf("Run = %v, want killed ranks' ErrRankKilled", err)
 	}
 	checkRespawnSum(t, finals, np)
-	if got := RespawnsTotal() - before; got != 2 {
-		t.Errorf("RespawnsTotal delta = %d, want 2", got)
+	if got := ReliabilityStats().Sub(before).Respawns; got != 2 {
+		t.Errorf("Respawns delta = %d, want 2", got)
 	}
 }
 
@@ -163,7 +163,7 @@ func TestRespawnNoFailure(t *testing.T) {
 // TestRespawnCountersMergeReady: the respawn counter is visible through
 // the exported accessor the telemetry layer snapshots.
 func TestRespawnCountersMergeReady(t *testing.T) {
-	if RespawnsTotal() < 0 {
-		t.Fatal("RespawnsTotal must be non-negative")
+	if ReliabilityStats().Respawns < 0 {
+		t.Fatal("Respawns must be non-negative")
 	}
 }

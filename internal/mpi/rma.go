@@ -407,7 +407,7 @@ func (w *Win) request(target int, op byte, offset int, payload []byte) (resp []b
 	putRMAEntry(frame, op, 0, int64(offset), msgid, payload)
 	seq, err := w.send(target, frame)
 	if err == nil {
-		resp, err = w.c.mb.waitRMAResp(seq)
+		resp, err = w.c.mb.waitReply(waitRMA, seq)
 	}
 	return resp, msgid, err
 }
@@ -729,7 +729,7 @@ func (w *Win) drainAcks() error {
 	}
 	var err error
 	for _, seq := range w.pendingAcks {
-		if err = w.c.mb.waitAck(seq); err != nil {
+		if _, err = w.c.mb.waitReply(waitAck, seq); err != nil {
 			break
 		}
 	}

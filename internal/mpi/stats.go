@@ -77,19 +77,6 @@ func Primitives() []Primitive {
 	return out
 }
 
-// Heartbeat telemetry: process-wide counters for liveness envelopes,
-// which bypass the per-world traffic accounting by design.
-var (
-	hbSent atomic.Int64
-	hbRecv atomic.Int64
-)
-
-// HeartbeatStats reports the cumulative number of heartbeat envelopes
-// sent and absorbed by this process across all worlds.
-func HeartbeatStats() (sent, received int64) {
-	return hbSent.Load(), hbRecv.Load()
-}
-
 // Nonblocking-collective telemetry: process-wide counters for the
 // background progress engine (icoll.go), read by IcollStats. Steps per
 // completion is the figure of merit for overlap: arrival-driven advances

@@ -326,7 +326,7 @@ func (t *socketTransport) connect(ctx context.Context, r int, addrs []*net.TCPAd
 func (t *socketTransport) startReader(r, peer int, c net.Conn) {
 	w := t.world
 	tc := &tcpConn{w: c, c: c}
-	if w.linkPrefix {
+	if w.opts.reliableLinks {
 		tc.pre = linkPrefixLen
 	}
 	t.conns[r][peer] = tc

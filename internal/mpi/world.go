@@ -72,10 +72,6 @@ type World struct {
 	// channel endpoint and while the mesh is still being built.
 	remote atomic.Pointer[socketTransport]
 
-	// linkPrefix is set with reliable links: every socket frame then
-	// carries the envelope's link sequence number and checksum (tcp.go).
-	linkPrefix bool
-
 	// sharedMem is true on the in-process channel transport, whatever
 	// layers are stacked on it: the link moves envelope objects, not
 	// bytes, and every rank's memory lives in this address space. So
@@ -84,14 +80,15 @@ type World struct {
 	// lends its slice instead of copying it (lendOrCopy).
 	sharedMem bool
 
-	aborted    atomic.Bool
-	deadlocked atomic.Bool
-	abortMu    sync.Mutex
-	abortErr   error
+	// aborted is set once abortErr holds the first cause the world
+	// stopped for: a rank's error, a peer process's abort, the watchdog's
+	// diagnostic or the detector's ErrDeadlock.
+	aborted  atomic.Bool
+	abortMu  sync.Mutex
+	abortErr error
 
 	blockedCount  atomic.Int64
 	finishedCount atomic.Int64
-	progress      atomic.Int64  // bumped on every delivery; watchdog food
 	detectCh      chan struct{} // wakes the detector; nil when none runs
 
 	// The world's goroutines (run): ranks joins every rank, replacements
@@ -116,9 +113,12 @@ type World struct {
 	windows map[winKey]*winState
 
 	// Fault-tolerance state (fault.go). killed marks ranks crashed by
-	// injection; failed/failEpoch are the survivors' view of declared
-	// failures, written together under failMu; lastHeard feeds the
-	// heartbeat monitor.
+	// injection: a killed rank's mailbox discards arrivals and its
+	// blocked operations return ErrRankKilled. failed/failEpoch are the
+	// survivors' view of declared failures, written together under
+	// failMu; lastHeard feeds the heartbeat monitor. localRanks lists the
+	// ranks this World hosts; only a World hosting all of them can
+	// respawn (respawn.go).
 	failMu     sync.Mutex
 	failed     []bool
 	failEpoch  atomic.Int64
@@ -131,10 +131,6 @@ type World struct {
 	// goroutine, outside any rank's blocked census, so the deadlock
 	// verdict is unsound while one is in flight.
 	collActive atomic.Int64
-
-	// canRespawn is true only when every rank lives in this process
-	// (respawn.go).
-	canRespawn bool
 }
 
 // Run launches fn on np goroutine ranks connected by the in-process channel
@@ -165,15 +161,14 @@ func run(np int, local []int, fn func(*Comm) error, mkTransport func(*World) (tr
 		}
 	}
 	w := &World{
-		size:       np,
-		opts:       o,
-		stats:      newWorldStats(np),
-		errs:       make([]error, 2*np),
-		stop:       make(chan struct{}),
-		ctxNext:    2, // 0/1 are the world's user/collective contexts
-		ctxByKey:   make(map[ctxKey]int32),
-		windows:    make(map[winKey]*winState),
-		canRespawn: len(local) == np, // replacements are goroutines of this World
+		size:     np,
+		opts:     o,
+		stats:    newWorldStats(np),
+		errs:     make([]error, 2*np),
+		stop:     make(chan struct{}),
+		ctxNext:  2, // 0/1 are the world's user/collective contexts
+		ctxByKey: make(map[ctxKey]int32),
+		windows:  make(map[winKey]*winState),
 	}
 	w.mailboxes = make([]*mailbox, np)
 	for r := 0; r < np; r++ {
@@ -244,14 +239,10 @@ func run(np int, local []int, fn func(*Comm) error, mkTransport func(*World) (tr
 	w.bg.Wait()
 
 	errs := w.errs
-	if w.deadlocked.Load() {
-		// Blocked ranks already returned wrapped ErrDeadlock errors;
-		// make sure at least one surfaces even if a rank swallowed it.
-		errs = append(errs, ErrDeadlock)
-	}
 	if cause := w.abortCause(); cause != nil {
-		// Surface the abort cause (watchdog diagnostic, remote abort)
-		// unless some rank already returned exactly it.
+		// Surface the abort cause (deadlock, watchdog diagnostic, remote
+		// abort) unless some rank already returned it: blocked ranks
+		// return wrapped ErrDeadlock errors, but a rank may swallow one.
 		dup := false
 		for _, e := range errs {
 			if e != nil && errors.Is(e, cause) {
@@ -263,7 +254,7 @@ func run(np int, local []int, fn func(*Comm) error, mkTransport func(*World) (tr
 			errs = append(errs, cause)
 		}
 	}
-	return errors.Join(compactErrs(errs)...)
+	return errors.Join(errs...)
 }
 
 // launch starts the goroutine of world rank r running fn: an original
@@ -327,42 +318,16 @@ func every(wg *sync.WaitGroup, stop <-chan struct{}, period time.Duration, f fun
 
 // drainMailboxes recycles envelopes still queued after the world ends:
 // unexpected arrivals nobody received (orphaned by kills, aborts and
-// recoveries) and unclaimed RMA responses. Runs after the transport has
-// closed, so no reader can post concurrently; it keeps the buffer pool's
-// in-flight gauge balanced for leak checks.
+// recoveries) and unclaimed replies, such as a fetch that arrived after
+// its wait timed out. Runs after the transport has closed, so no reader
+// can post concurrently; it keeps the buffer pool's in-flight gauge
+// balanced for leak checks.
 func (w *World) drainMailboxes() {
 	for _, mb := range w.mailboxes {
 		mb.mu.Lock()
-		for _, e := range mb.unexpected {
-			dropEnv(e)
-		}
-		mb.unexpected = nil
-		for seq, b := range mb.rmaResp {
-			putBuf(b)
-			delete(mb.rmaResp, seq)
-		}
+		mb.discardLocked()
 		mb.mu.Unlock()
 	}
-}
-
-// compactErrs drops nils and deduplicates the bare ErrDeadlock sentinel so
-// Join output stays readable.
-func compactErrs(errs []error) []error {
-	out := errs[:0]
-	seenDeadlock := false
-	for _, e := range errs {
-		if e == nil {
-			continue
-		}
-		if errors.Is(e, ErrDeadlock) {
-			if seenDeadlock && e == ErrDeadlock {
-				continue
-			}
-			seenDeadlock = true
-		}
-		out = append(out, e)
-	}
-	return out
 }
 
 // arrive posts an inbound envelope to its destination mailbox: the end
@@ -377,7 +342,6 @@ func (w *World) deliver(e *envelope) error {
 		return ErrRankKilled
 	}
 	w.stats.addWire(e.wsrc, e.wdst, e.wireBytes())
-	w.progress.Add(1)
 	return w.transport.deliver(e)
 }
 
@@ -444,7 +408,8 @@ func (w *World) abortWith(cause error, local bool) {
 	w.broadcastAll()
 }
 
-// abortCause returns the first abort error recorded, or nil.
+// abortCause returns the first abort error recorded, or nil, taking no
+// lock until the world has stopped.
 func (w *World) abortCause() error {
 	if !w.aborted.Load() {
 		return nil
@@ -454,15 +419,18 @@ func (w *World) abortCause() error {
 	return w.abortErr
 }
 
-// stopErr reports why blocked operations must give up, or nil.
+// stopErr reports why blocked operations must give up, or nil: ErrDeadlock
+// if the world stopped for a deadlock, ErrAborted for any other cause.
+// Like abortCause, it takes no lock while the world runs.
 func (w *World) stopErr() error {
-	if w.deadlocked.Load() {
+	cause := w.abortCause()
+	if cause == nil {
+		return nil
+	}
+	if errors.Is(cause, ErrDeadlock) {
 		return ErrDeadlock
 	}
-	if w.aborted.Load() {
-		return ErrAborted
-	}
-	return nil
+	return ErrAborted
 }
 
 func (w *World) broadcastAll() {
@@ -511,8 +479,7 @@ func (w *World) detector() {
 			continue
 		}
 		if w.verifyDeadlock() {
-			w.deadlocked.Store(true)
-			w.broadcastAll()
+			w.abort(ErrDeadlock)
 			return
 		}
 	}
@@ -537,15 +504,13 @@ func (w *World) verifyDeadlock() bool {
 	anyWaiting := false
 	epoch := w.failEpoch.Load()
 	for _, mb := range w.mailboxes {
-		if mb.finished || mb.dead {
+		if mb.finished || w.isKilled(mb.rank) {
 			continue
 		}
-		if mb.waiting != nil && mb.failAck.Load() < epoch {
-			// The rank will observe a RankFailedError as soon as it
-			// re-checks its wait predicate: not a deadlock.
-			return false
-		}
-		if mb.waiting == nil || mb.satisfiableLocked() {
+		// A running rank (waitNone) is ready; a waiting one behind the
+		// failure epoch observes a RankFailedError as soon as it
+		// re-checks its wait predicate: neither is a deadlock.
+		if mb.ready(&mb.waiting) || mb.failAck.Load() < epoch {
 			return false
 		}
 		anyWaiting = true
@@ -560,12 +525,13 @@ const defaultWatchdog = 30 * time.Second
 
 // watchdog returns the progress watchdog's tick, run every configured
 // timeout: it aborts the world when no envelope was delivered since the
-// last tick while a rank is blocked. It is the coarse substitute for the
-// precise detector wherever envelopes can be invisibly in flight.
+// last tick (the accounting's message count did not move) while a rank
+// is blocked. It is the coarse substitute for the precise detector
+// wherever envelopes can be invisibly in flight.
 func (w *World) watchdog() func() {
-	last := w.progress.Load()
+	var last int64 // run builds the watchdog before any rank can deliver
 	return func() {
-		cur := w.progress.Load()
+		cur := w.stats.Snapshot().TotalMsgs
 		if cur == last && w.blockedCount.Load() > 0 && !w.aborted.Load() {
 			w.abort(fmt.Errorf("mpi: watchdog: no progress for %v; %s", w.opts.watchdogTimeout, w.blockedSnapshot()))
 		}

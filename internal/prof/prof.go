@@ -195,13 +195,13 @@ func GanttOf(ivs []Interval, width int) string {
 type Accounting struct {
 	Elapsed   time.Duration // span of the busiest rank (critical path)
 	CommBytes int64         // user payload bytes through communication primitives
-	WaitFrac  float64       // blocked time / total time inside primitives, worst over... aggregate
+	WaitFrac  float64       // blocked time summed over ranks / rank spans summed over ranks
 }
 
 // Account summarizes the event stream for per-job accounting: elapsed is
 // the longest rank span, CommBytes sums payload bytes through sending
-// and collective primitives, and WaitFrac is the world-wide blocked
-// share of rank time.
+// and collective primitives, and WaitFrac is the ranks' summed blocked
+// time over their summed spans (first primitive entry to last exit).
 func Account(events []mpi.Event) Accounting {
 	s := Summarize(events)
 	var a Accounting

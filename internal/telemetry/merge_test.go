@@ -163,7 +163,7 @@ func TestGatherMergedResilienceCounters(t *testing.T) {
 
 	// Kill a rank and recover at full width: the respawn counter —
 	// already shown present in the merge above — must advance.
-	respawnsBefore := mpi.RespawnsTotal()
+	respawnsBefore := mpi.ReliabilityStats().Respawns
 	err = mpi.Run(np, func(c *mpi.Comm) error {
 		return c.RunResilient(func(rc *mpi.Comm, restart bool) error {
 			for i := 0; i < 6; i++ {
@@ -177,7 +177,7 @@ func TestGatherMergedResilienceCounters(t *testing.T) {
 	if !errors.Is(err, mpi.ErrRankKilled) {
 		t.Fatalf("kill world returned %v, want the killed rank's ErrRankKilled", err)
 	}
-	if got := mpi.RespawnsTotal(); got <= respawnsBefore {
+	if got := mpi.ReliabilityStats().Respawns; got <= respawnsBefore {
 		t.Errorf("mpi_respawns_total = %d after a kill + RunResilient, want > %d", got, respawnsBefore)
 	}
 	// And the scrape path the /metrics endpoint serves: all five series

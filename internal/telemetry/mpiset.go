@@ -55,8 +55,8 @@ func NewMPISet(np int) *MPISet {
 	}
 
 	// Process-wide series: lifecycle counters fed by mpi.LifecycleHook,
-	// pool and heartbeat counters read from the runtime's package atomics
-	// at scrape time.
+	// pool, icoll, RMA batch and resilience counters read from the
+	// runtime's package atomics at scrape time.
 	s.lifecycle = make(map[string]Counter)
 	for _, kind := range []string{mpi.LifeFailure, mpi.LifeRetry, mpi.LifeCheckpoint, mpi.LifeRecovery, mpi.LifeInject} {
 		s.lifecycle[kind] = s.proc.Counter("mpi_lifecycle_total", "Fault-tolerance lifecycle events.", L("kind", kind))
@@ -69,9 +69,9 @@ func NewMPISet(np int) *MPISet {
 	s.proc.GaugeFunc("mpi_pool_bytes_in_flight", "Pooled capacity bytes checked out and not yet recycled.",
 		func() int64 { return mpi.PoolStats().BytesInFlight })
 	s.proc.CounterFunc("mpi_heartbeats_sent_total", "Heartbeat envelopes emitted by the liveness layer.",
-		func() int64 { sent, _ := mpi.HeartbeatStats(); return sent })
+		func() int64 { return mpi.ReliabilityStats().HeartbeatsSent })
 	s.proc.CounterFunc("mpi_heartbeats_received_total", "Heartbeat envelopes absorbed by mailboxes.",
-		func() int64 { _, recv := mpi.HeartbeatStats(); return recv })
+		func() int64 { return mpi.ReliabilityStats().HeartbeatsReceived })
 	s.proc.CounterFunc("mpi_rma_batch_flushes_total", "One-sided Put/Accumulate batches flushed (frames sent or applied directly).",
 		func() int64 { return mpi.RMABatchStats().Flushes })
 	s.proc.CounterFunc("mpi_rma_batch_ops_total", "Logical one-sided ops coalesced into batches; divide by flushes for the coalescing ratio.",
@@ -97,7 +97,7 @@ func NewMPISet(np int) *MPISet {
 	s.proc.CounterFunc("mpi_frames_corrupt_total", "Frames corrupted by the fault injector (CRC-rejected on reliable links).",
 		func() int64 { return mpi.ReliabilityStats().FramesCorrupt })
 	s.proc.CounterFunc("mpi_respawns_total", "Ranks brought back at full width by RespawnAndRestore.",
-		func() int64 { return mpi.RespawnsTotal() })
+		func() int64 { return mpi.ReliabilityStats().Respawns })
 	return s
 }
 

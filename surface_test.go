@@ -40,7 +40,6 @@ var surfaceKeep = map[string]string{
 	"curriculum.Validate":                    "the root benchmarks check the registry with it",
 	"faults.MustParse":                       "tests in mpirun, chaos, distsort, kmeans, telemetry and workload build plans with it",
 	"modules/rangequery.Sequential":          "the root benchmarks compare against it",
-	"mpi.ReliabilityCounters.Sub":            "the faults and telemetry tests bracket the link counters with it",
 
 	"leakcheck.Snapshot":    "the leakcheck package exists for tests",
 	"leakcheck.State.Check": "the leakcheck package exists for tests",
