@@ -70,12 +70,13 @@ chaos:
 # abort propagation in every launch mode and across the Worlds of a split
 # world, the deadlock verdict, which stops the world through the same
 # abort path, every path that discards or gives up on an envelope
-# carrying a lent send buffer), the resilient demo under its double-kill plan,
+# carrying a lent send buffer, the link stack built without a World under
+# a seeded drop/dup/corrupt/reorder plan), the resilient demo under its double-kill plan,
 # checkpoint/restart and respawn bit-identity, and the scheduler's
 # node-failure/requeue path — all under the race detector.
 faults:
 	$(GO) vet ./...
-	$(GO) test -race -run 'TestFault|TestAgree|TestShrink|TestRespawn|TestRecovery|TestFrame|TestBadHello|TestBadAddrTable|TestSplitWorld|TestAbortPropagation|TestMultiProcessAbortPropagates|TestOpTimeout|TestWatchdogDiagnostic|TestAllocHygiene|TestRMAPutToFailedRank|TestLentDiscardPaths|TestHookOneCallOneEvent|TestDeadlock' ./internal/mpi
+	$(GO) test -race -run 'TestFault|TestAgree|TestShrink|TestRespawn|TestRecovery|TestFrame|TestBadHello|TestBadAddrTable|TestSplitWorld|TestAbortPropagation|TestMultiProcessAbortPropagates|TestOpTimeout|TestWatchdogDiagnostic|TestAllocHygiene|TestRMAPutToFailedRank|TestLentDiscardPaths|TestHookOneCallOneEvent|TestDeadlock|TestLinkStackWithoutWorld' ./internal/mpi
 	$(GO) test -race -run 'TestResilient' ./cmd/mpirun
 	$(GO) test -race ./internal/faults ./internal/ckpt
 	$(GO) test -race -run 'TestRestart|TestRespawn|TestSortCheckpoint|TestSortRestart|TestSortResilient' ./internal/modules/kmeans ./internal/modules/distsort ./internal/modules/ddp

@@ -105,24 +105,6 @@ func collExchange[T Scalar](c *Comm, xs []T, dest, src, tag int) ([]byte, error)
 	return b, err
 }
 
-// cancelRecv withdraws a posted internal receive on an error path,
-// releasing a matched-but-unconsumed payload so the one-owner pool
-// contract holds. For a nonblocking collective's receive it runs on the
-// request's strand.
-func (mb *mailbox) cancelRecv(pr *pendingRecv) {
-	mb.mu.Lock()
-	if pr.env != nil {
-		dropEnv(pr.env)
-		pr.env = nil
-		if cr := pr.coll; cr != nil && cr.unconsumed > 0 {
-			cr.unconsumed--
-		}
-	}
-	mb.dropPending(pr)
-	mb.mu.Unlock()
-	putPR(pr)
-}
-
 // releaseBlocks recycles a gather's per-rank payload buffers.
 func releaseBlocks(blocks [][]byte) {
 	for i, b := range blocks {

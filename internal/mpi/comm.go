@@ -75,6 +75,18 @@ func (c *Comm) rendezvous(n int, sync bool) bool {
 	return sync || n > c.world.opts.eagerThreshold || c.world.opts.synchronousSend
 }
 
+// lendOrCopy returns the payload a send of xs puts in its envelope. A
+// send that waits for its ack (rdv) over a link that moves envelope
+// objects, not bytes, lends xs's memory image, which is its wire
+// encoding: the sender stays parked until the match has copied it
+// (claim). Every other send carries a pooled copy it owns.
+func lendOrCopy[T Scalar](c *Comm, xs []T, rdv bool) (payload []byte, lent bool) {
+	if rdv && c.world.sharedMem && nativeWire[T](scalarSize[T]()) {
+		return memBytes(xs), true
+	}
+	return marshalPooled(xs), false
+}
+
 // deliverData builds one data envelope from this rank to dest on ctx and
 // delivers it with traffic accounting. payload is owned, or lent until
 // the ack when lent (lendOrCopy). A rendezvous (rdv) envelope carries a

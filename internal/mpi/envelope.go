@@ -146,18 +146,6 @@ func marshalPooled[T Scalar](xs []T) []byte {
 	return AppendMarshal(getBuf(n)[:0], xs)
 }
 
-// lendOrCopy returns the payload a send of xs puts in its envelope. A
-// send that waits for its ack (rdv) over a link that moves envelope
-// objects, not bytes, lends xs's memory image, which is its wire
-// encoding: the sender stays parked until the match has copied it
-// (claim). Every other send carries a pooled copy it owns.
-func lendOrCopy[T Scalar](c *Comm, xs []T, rdv bool) (payload []byte, lent bool) {
-	if rdv && c.world.sharedMem && nativeWire[T](scalarSize[T]()) {
-		return memBytes(xs), true
-	}
-	return marshalPooled(xs), false
-}
-
 // hostLittleEndian is the host's byte order, read once at start-up. On a
 // little-endian host a scalar stored at its wire width is its own wire
 // encoding. Tests clear it to drive the element-wise fallback a

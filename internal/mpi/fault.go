@@ -1,10 +1,8 @@
 package mpi
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"net"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -60,48 +58,6 @@ func (e *RankFailedError) Is(target error) bool {
 // failures: errors.Is(err, mpi.ErrRankFailed).
 var ErrRankFailed error = &RankFailedError{}
 
-// FrameAction is an injector's verdict on one wire frame.
-type FrameAction int
-
-const (
-	FrameDeliver FrameAction = iota // pass the frame through unchanged
-	FrameDrop                       // discard the frame (lossy link)
-	FrameDup                        // deliver the frame twice
-	FrameCorrupt                    // flip one bit: silent damage on a raw link, CRC-rejected on a reliable one
-	FrameReorder                    // hold the frame until its successor overtakes it
-)
-
-// frameActionName renders an action for lifecycle events.
-func frameActionName(a FrameAction) string {
-	switch a {
-	case FrameDrop:
-		return "drop"
-	case FrameDup:
-		return "duplicate"
-	case FrameCorrupt:
-		return "corrupt"
-	case FrameReorder:
-		return "reorder"
-	}
-	return "deliver"
-}
-
-// Injector is the deterministic fault-injection interface consulted by
-// the runtime at its two interposition points. Implementations must be
-// safe for concurrent use by every rank. internal/faults provides a
-// seed-driven implementation parsed from spec strings.
-type Injector interface {
-	// AtCall is consulted as world rank r enters its n-th communication
-	// primitive (1-based, counted per rank). Returning true kills the
-	// rank: it goes silent and its own operations return ErrRankKilled.
-	AtCall(rank, call int) (kill bool)
-
-	// AtFrame is consulted for every data frame crossing the link from
-	// world rank src to dst. A positive delay stalls the frame before the
-	// action applies.
-	AtFrame(src, dst int) (FrameAction, time.Duration)
-}
-
 // WithInjector attaches a fault-injection plan to the world. On RunTCP a
 // default heartbeat failure detector (DefaultHeartbeat) is installed
 // unless WithHeartbeat configured one explicitly.
@@ -129,15 +85,6 @@ func WithHeartbeat(d time.Duration) Option {
 func WithOpTimeout(d time.Duration) Option {
 	return func(o *options) { o.opTimeout = d }
 }
-
-// Lifecycle event kinds emitted through LifecycleHook.
-const (
-	LifeFailure    = "failure"    // a rank was killed or declared failed
-	LifeRetry      = "retry"      // a transport dial is being retried
-	LifeCheckpoint = "checkpoint" // module checkpoint saved or restored
-	LifeRecovery   = "recovery"   // survivors rebuilt a smaller world
-	LifeInject     = "inject"     // a frame fault was applied
-)
 
 // LifecycleEvent records a fault-tolerance event: a failure, a retry, a
 // checkpoint, a recovery step. Unlike Event (per-primitive), lifecycle
@@ -350,144 +297,4 @@ func (w *World) blockedSnapshot() string {
 		return "no ranks blocked at snapshot time"
 	}
 	return sb.String()
-}
-
-// faultableFrame reports whether a frame kind is subject to injection:
-// application data and RMA traffic, never the runtime's own heartbeats
-// or abort notifications.
-func faultableFrame(kind int8) bool {
-	return kind == kindData || kind == kindRMAReq || kind == kindRMAResp
-}
-
-// frameVerdict consults the injector about one outbound frame, applies
-// any injected delay, and emits the inject lifecycle event. A frame it
-// does not pass through untouched first becomes an owned copy (claim):
-// the verdict may hold, copy or damage it, and a sender's lent slice is
-// never the injector's to touch.
-func (w *World) frameVerdict(e *envelope) FrameAction {
-	in := w.opts.injector
-	if !faultableFrame(e.kind) {
-		return FrameDeliver
-	}
-	act, delay := in.AtFrame(e.wsrc, e.wdst)
-	if act == FrameDeliver && delay <= 0 {
-		return FrameDeliver
-	}
-	claim(e, nil)
-	if delay > 0 {
-		w.emitLifecycle(e.wsrc, LifeInject, fmt.Sprintf("delay frame %d->%d by %v", e.wsrc, e.wdst, delay))
-		time.Sleep(delay)
-	}
-	if act != FrameDeliver {
-		w.emitLifecycle(e.wsrc, LifeInject, fmt.Sprintf("%s frame %d->%d (%d bytes)", frameActionName(act), e.wsrc, e.wdst, len(e.data)))
-	}
-	return act
-}
-
-// faultLayer is the frame-fault layer of the link stack (WithInjector):
-// it sits directly on the endpoint, below the reliable-link layer, so
-// its verdicts damage the wire. On a reliable link the ARQ above
-// recovers what they break; on a raw one the damage stands — the
-// teaching contrast of reliable.go: a dropped frame is simply gone (the
-// run stalls until a heartbeat, op timeout or watchdog notices), a
-// corrupted frame is delivered with a silently flipped payload bit —
-// without a checksum the application computes a wrong answer — and a
-// reordered frame breaks the non-overtaking guarantee.
-type faultLayer struct {
-	w    *World
-	next transport
-	// held is the reorder holdback, one frame per link [src*size+dst]:
-	// the next frame delivered on the link overtakes it.
-	held []atomic.Pointer[envelope]
-}
-
-// withFrameFaults stacks the frame-fault layer on next when the world
-// has an injector.
-func withFrameFaults(w *World, next transport) transport {
-	if w.opts.injector == nil {
-		return next
-	}
-	return &faultLayer{w: w, next: next, held: make([]atomic.Pointer[envelope], w.size*w.size)}
-}
-
-func (f *faultLayer) deliver(e *envelope) error {
-	if !crossLink(e, f.w.size) {
-		return f.next.deliver(e)
-	}
-	held := &f.held[e.wsrc*f.w.size+e.wdst]
-	switch f.w.frameVerdict(e) {
-	case FrameDrop:
-		relFramesDropped.Add(1)
-		dropEnv(e)
-		return nil
-	case FrameReorder:
-		if old := held.Swap(e); old != nil {
-			// One frame is held at a time; the older one goes out now,
-			// still behind whatever was delivered since it was parked.
-			return f.next.deliver(old)
-		}
-		return nil
-	case FrameCorrupt:
-		// Flip one covered bit: a payload bit, or the checksum of an
-		// envelope without one.
-		relFramesCorrupt.Add(1)
-		if len(e.data) > 0 {
-			e.data[len(e.data)/2] ^= 0x20
-		} else {
-			e.crc ^= 0x20
-		}
-	case FrameDup:
-		_ = f.next.deliver(cloneEnv(e))
-	}
-	err := f.next.deliver(e)
-	if old := held.Swap(nil); old != nil {
-		_ = f.next.deliver(old)
-	}
-	return err
-}
-
-// close closes the endpoint, then recycles every frame still held.
-func (f *faultLayer) close() error {
-	err := f.next.close()
-	for i := range f.held {
-		if e := f.held[i].Swap(nil); e != nil {
-			dropEnv(e)
-		}
-	}
-	return err
-}
-
-// dialRetry dials addr with bounded exponential backoff: the whole
-// sequence is limited to total, and cancelling ctx abandons it between
-// attempts. An attempt is a plain connect, without a deadline context:
-// addr is a loopback listener's, which accepts or refuses it at once.
-// onRetry, when non-nil, observes every failed attempt before its
-// backoff sleep.
-func dialRetry(ctx context.Context, addr *net.TCPAddr, total time.Duration, onRetry func(attempt int, err error)) (net.Conn, error) {
-	deadline := time.Now().Add(total)
-	backoff := 25 * time.Millisecond
-	for attempt := 1; ; attempt++ {
-		if time.Until(deadline) <= 0 {
-			return nil, fmt.Errorf("mpi: dial %s: retry budget %v exhausted after %d attempts", addr, total, attempt-1)
-		}
-		conn, err := net.DialTCP("tcp", nil, addr)
-		if err == nil {
-			return conn, nil
-		}
-		if time.Until(deadline) <= backoff {
-			return nil, fmt.Errorf("mpi: dial %s: %w (after %d attempts)", addr, err, attempt)
-		}
-		if onRetry != nil {
-			onRetry(attempt, err)
-		}
-		select {
-		case <-ctx.Done():
-			return nil, fmt.Errorf("mpi: dial %s: %w (after %d attempts: %v)", addr, ctx.Err(), attempt, err)
-		case <-time.After(backoff):
-		}
-		backoff *= 2
-		if backoff > 2*time.Second {
-			backoff = 2 * time.Second
-		}
-	}
 }

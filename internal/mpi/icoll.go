@@ -224,6 +224,19 @@ func (cr *CollRequest) advance(fail error) {
 	}
 }
 
+// credit, settled, arrived and name make the request the collOwner of
+// the receives its state machine posts (mailbox.go).
+func (cr *CollRequest) credit(n int) { cr.unconsumed = max(cr.unconsumed+n, 0) }
+
+func (cr *CollRequest) settled() bool { return cr.done.Load() || cr.unconsumed > 0 }
+
+func (cr *CollRequest) arrived() {
+	icollArrivals.Add(1)
+	cr.advance(nil)
+}
+
+func (cr *CollRequest) name() string { return cr.prim.String() }
+
 // Wait blocks until the collective completes (MPI_Wait on a collective
 // request), driving the state machine whenever a matched arrival is
 // pending so progress never depends on a third party. It emits one

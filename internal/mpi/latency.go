@@ -44,14 +44,14 @@ type latencyPipe struct {
 	held int64
 }
 
-// withLatency stacks the latency emulator on inner when the world sets
-// WithLinkLatency. It is the top of the link stack, so reclaimLent finds
-// it as the world's transport.
-func withLatency(w *World, inner transport) transport {
-	if w.opts.linkLatency <= 0 {
+// withLatency stacks the latency emulator of an np-rank world on inner
+// when delay, the WithLinkLatency value, is positive. It is the top of
+// the link stack, so reclaimLent finds it as the world's transport.
+func withLatency(delay time.Duration, np int, inner transport) transport {
+	if delay <= 0 {
 		return inner
 	}
-	t := &latencyTransport{inner: inner, delay: w.opts.linkLatency, pipes: make([]*latencyPipe, w.size)}
+	t := &latencyTransport{inner: inner, delay: delay, pipes: make([]*latencyPipe, np)}
 	for i := range t.pipes {
 		p := &latencyPipe{}
 		p.cond = sync.NewCond(&p.mu)
@@ -63,9 +63,6 @@ func withLatency(w *World, inner transport) transport {
 }
 
 func (t *latencyTransport) deliver(e *envelope) error {
-	if !crossLink(e, len(t.pipes)) {
-		return t.inner.deliver(e)
-	}
 	p := t.pipes[e.wsrc]
 	p.mu.Lock()
 	if p.closed {

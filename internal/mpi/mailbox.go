@@ -21,6 +21,16 @@ const (
 	waitColl           // blocked in CollRequest.Wait on a nonblocking collective
 )
 
+// collOwner is how the mailbox reaches the nonblocking collective that
+// owns a posted receive (CollRequest, icoll.go). credit and settled are
+// called with the owning rank's mailbox mutex held, arrived without it.
+type collOwner interface {
+	credit(n int)  // add n to its matched-but-unconsumed arrivals, never below 0
+	settled() bool // finished, or holding a matched arrival: a waiter may go on
+	arrived()      // advance its state machine on the delivering goroutine
+	name() string  // the collective waited on, for diagnostics
+}
+
 // waitInfo records the blocking state of a rank, guarded by its mailbox
 // mutex. Exactly one of the fields past kind is meaningful.
 type waitInfo struct {
@@ -30,7 +40,7 @@ type waitInfo struct {
 	src  int          // waitProbe
 	tag  int          // waitProbe
 	seq  int64        // waitAck, waitRMA
-	coll *CollRequest // waitColl
+	coll collOwner    // waitColl
 }
 
 // String names the wait as ErrTimeout messages and the watchdog's
@@ -46,7 +56,7 @@ func (wi waitInfo) String() string {
 	case waitRMA:
 		return fmt.Sprintf("rma-fetch(seq=%d)", wi.seq)
 	case waitColl:
-		return fmt.Sprintf("%s wait", wi.coll.prim)
+		return wi.coll.name() + " wait"
 	}
 	return "none"
 }
@@ -54,16 +64,34 @@ func (wi waitInfo) String() string {
 // pendingRecv is a posted receive awaiting a matching envelope. env is set
 // exactly once, under the mailbox mutex, when a message matches. coll,
 // when non-nil, names the nonblocking collective that owns this receive:
-// a match bumps its unconsumed count (under the same lock) and triggers
-// its state machine on the delivering goroutine. dst, when non-nil, is
+// a match credits it (under the same lock) and triggers its state
+// machine on the delivering goroutine. dst, when non-nil, is
 // the memory a RecvInto named for a lent message's one copy (claim).
 type pendingRecv struct {
 	ctx  int32
 	src  int // AnySource allowed
 	tag  int // AnyTag allowed
 	env  *envelope
-	coll *CollRequest
+	coll collOwner
 	dst  []byte
+}
+
+var prPool = freeList[*pendingRecv]{max: 256}
+
+// getPR returns an initialized posted-receive record from the pool.
+func getPR(ctx int32, src, tag int) *pendingRecv {
+	if pr := prPool.get(); pr != nil {
+		pr.ctx, pr.src, pr.tag = ctx, src, tag
+		return pr
+	}
+	return &pendingRecv{ctx: ctx, src: src, tag: tag}
+}
+
+// putPR recycles a completed posted receive. The caller must guarantee pr
+// is no longer in any mailbox queue and no other goroutine can touch it.
+func putPR(pr *pendingRecv) {
+	*pr = pendingRecv{}
+	prPool.put(pr)
 }
 
 // matches reports whether an envelope satisfies a (ctx, src, tag) pattern.
@@ -87,8 +115,9 @@ type mailbox struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	rank  int
-	world *World
+	rank   int
+	world  *World
+	hooked bool // a Hook is attached: block measures parked time
 
 	unexpected []*envelope    // FIFO of unmatched arrivals
 	pending    []*pendingRecv // FIFO of posted receives
@@ -128,13 +157,13 @@ type mailbox struct {
 }
 
 func newMailbox(rank int, w *World) *mailbox {
-	mb := &mailbox{rank: rank, world: w, replies: make(map[int64][]byte)}
+	mb := &mailbox{rank: rank, world: w, hooked: w.opts.hook != nil, replies: make(map[int64][]byte)}
 	mb.cond = sync.NewCond(&mb.mu)
 	return mb
 }
 
-// post delivers an envelope to the mailbox, at the end of the arrival
-// path every endpoint hands its envelopes to (World.arrive). A
+// post delivers an envelope to the mailbox's matching engine, at the end
+// of the arrival path (World.arrive). A
 // rendezvous envelope that matches an already-posted receive is
 // acknowledged immediately — MPI's progress guarantee: a posted MPI_Irecv
 // must complete a matching synchronous send even if the receiving rank is
@@ -143,41 +172,6 @@ func newMailbox(rank int, w *World) *mailbox {
 // released, so concurrent cross-posts cannot order-deadlock on mailbox
 // mutexes.
 func (mb *mailbox) post(e *envelope) {
-	if mb.world.opts.heartbeat > 0 {
-		// Any traffic proves the sender alive.
-		mb.world.noteHeard(e.wsrc)
-	}
-	switch e.kind {
-	case kindHeartbeat:
-		// Pure liveness signal: absorb and recycle without touching the
-		// matching engine (heartbeats never carry a payload).
-		relHeartbeatsReceived.Add(1)
-		putEnv(e)
-		return
-	case kindAbort:
-		// A peer process aborted its world; mirror it here so locally
-		// blocked ranks observe ErrAborted promptly. Handled before any
-		// mailbox lock: abortRemote broadcasts on every mailbox.
-		msg := string(e.data)
-		src := e.wsrc
-		putBuf(e.data)
-		putEnv(e)
-		mb.world.abortRemote(fmt.Errorf("%w: remote rank %d: %s", ErrAborted, src, msg))
-		return
-	case kindRMAReq:
-		// One-sided operations — a batch of Put/Accumulate or a single
-		// reply-needing op: serviced here, on the delivering goroutine —
-		// the per-window progress engine — without involving the target
-		// rank's application thread and before any mailbox lock (the
-		// handler replies through deliver, which takes mailbox locks).
-		mb.world.handleRMAReq(mb, e)
-		return
-	}
-	if e.kind == kindData && mb.world.hooked() {
-		// Receiver-side arrival stamp for queue-latency attribution; taken
-		// before the lock so lock contention is not charged to the queue.
-		e.arrived = time.Now()
-	}
 	mb.mu.Lock()
 	if mb.world.isKilled(mb.rank) {
 		// A killed rank's mailbox is a black hole: no matches, no acks.
@@ -206,8 +200,7 @@ func (mb *mailbox) post(e *envelope) {
 				// Arrival-driven progress: advance the collective's state
 				// machine on the delivering goroutine, so the owning rank
 				// can keep computing while its collective completes.
-				icollArrivals.Add(1)
-				coll.advance(nil)
+				coll.arrived()
 			}
 			return
 		}
@@ -225,27 +218,10 @@ func (pr *pendingRecv) fill(e *envelope) (seq int64) {
 	claim(e, pr.dst)
 	pr.env = e
 	if pr.coll != nil {
-		pr.coll.unconsumed++
+		pr.coll.credit(1)
 	}
 	seq, e.seq = e.seq, 0 // consumed: completion paths must not double-ack
 	return seq
-}
-
-// claim makes a lent message's one copy at its match, before the ack
-// that lets the parked sender reuse its slice: into dst when the receive
-// named one that holds the message (the payload then stays lent, now
-// from the receiver), otherwise into a pooled buffer. Callers hold the
-// destination's mu, which is what keeps a failed sender's reclaimLent
-// from racing the copy.
-func claim(e *envelope, dst []byte) {
-	if !e.lent {
-		return
-	}
-	if n := len(e.data); n > 0 && n <= len(dst) {
-		e.data = dst[:copy(dst, e.data)]
-		return
-	}
-	e.data, e.lent = copyToPooled(e.data), false
 }
 
 // sendAck dispatches a rendezvous acknowledgement. Must be called without
@@ -273,7 +249,7 @@ func (mb *mailbox) sendAck(wdst int, ctx int32, seq int64) {
 // coll, when non-nil, is the nonblocking collective whose state machine
 // owns the receive: attached before the record becomes visible, so every
 // match credits it and can advance the machine.
-func (mb *mailbox) postRecv(ctx int32, src, tag int, dst []byte, coll *CollRequest) *pendingRecv {
+func (mb *mailbox) postRecv(ctx int32, src, tag int, dst []byte, coll collOwner) *pendingRecv {
 	pr := getPR(ctx, src, tag)
 	pr.dst, pr.coll = dst, coll
 	mb.mu.Lock()
@@ -315,10 +291,28 @@ func (mb *mailbox) tryRecv(pr *pendingRecv) (*envelope, bool) {
 		return nil, false
 	}
 	mb.dropPending(pr)
-	if cr := pr.coll; cr != nil && cr.unconsumed > 0 {
-		cr.unconsumed--
+	if pr.coll != nil {
+		pr.coll.credit(-1)
 	}
 	return pr.env, true
+}
+
+// cancelRecv withdraws a posted internal receive on an error path,
+// releasing a matched-but-unconsumed payload so the one-owner pool
+// contract holds. For a nonblocking collective's receive it runs on the
+// request's strand.
+func (mb *mailbox) cancelRecv(pr *pendingRecv) {
+	mb.mu.Lock()
+	if pr.env != nil {
+		dropEnv(pr.env)
+		pr.env = nil
+		if pr.coll != nil {
+			pr.coll.credit(-1)
+		}
+	}
+	mb.dropPending(pr)
+	mb.mu.Unlock()
+	putPR(pr)
 }
 
 // dropPending removes pr from the posted queue. Callers hold mu.
@@ -350,7 +344,7 @@ func (mb *mailbox) ready(wi *waitInfo) bool {
 		// observed it yet) or holds a matched arrival its state machine
 		// has not consumed. A mid-step background advance is covered by
 		// the world-level collActive gate in verifyDeadlock.
-		return wi.coll.done.Load() || wi.coll.unconsumed > 0
+		return wi.coll.settled()
 	}
 	return true
 }
@@ -470,7 +464,7 @@ func (mb *mailbox) tryAck(seq int64) bool {
 func (mb *mailbox) block(wi waitInfo) {
 	mb.waiting = wi
 	mb.world.noteBlocked()
-	if mb.world.hooked() {
+	if mb.hooked {
 		start := time.Now()
 		mb.cond.Wait()
 		mb.blocked += time.Since(start)

@@ -101,7 +101,7 @@ type options struct {
 	watchdogTimeout time.Duration
 	hook            Hook
 	synchronousSend bool
-	injector        Injector      // fault-injection plan (see fault.go)
+	injector        Injector      // fault-injection plan (see link.go, fault.go)
 	opTimeout       time.Duration // per-operation deadline; 0 = none
 	heartbeat       time.Duration // failure-detection interval; 0 = off
 	linkLatency     time.Duration // emulated one-way wire latency; 0 = off (latency.go)

@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 )
 
-// Buffer, envelope and posted-receive recycling for the zero-copy data
-// path.
+// Buffer and envelope recycling for the zero-copy data path (posted
+// receives have their own free list in mailbox.go).
 //
 // Ownership contract (the invariant every primitive maintains):
 //
@@ -156,6 +156,23 @@ func copyToPooled(data []byte) []byte {
 	return b
 }
 
+// claim makes a lent message's one copy at its match, before the ack
+// that lets the parked sender reuse its slice: into dst when the receive
+// named one that holds the message (the payload then stays lent, now
+// from the receiver), otherwise into a pooled buffer. Callers hold the
+// destination's mu, which is what keeps a failed sender's reclaimLent
+// from racing the copy.
+func claim(e *envelope, dst []byte) {
+	if !e.lent {
+		return
+	}
+	if n := len(e.data); n > 0 && n <= len(dst) {
+		e.data = dst[:copy(dst, e.data)]
+		return
+	}
+	e.data, e.lent = copyToPooled(e.data), false
+}
+
 // freeList is a bounded stack of recycled values: the free lists of
 // payload buffers (one per size class), envelopes, posted receives and
 // socket readers. It holds T itself, so a []byte is stored without
@@ -225,22 +242,4 @@ func cloneEnv(e *envelope) *envelope {
 func putEnv(e *envelope) {
 	*e = envelope{}
 	envPool.put(e)
-}
-
-var prPool = freeList[*pendingRecv]{max: 256}
-
-// getPR returns an initialized posted-receive record from the pool.
-func getPR(ctx int32, src, tag int) *pendingRecv {
-	if pr := prPool.get(); pr != nil {
-		pr.ctx, pr.src, pr.tag = ctx, src, tag
-		return pr
-	}
-	return &pendingRecv{ctx: ctx, src: src, tag: tag}
-}
-
-// putPR recycles a completed posted receive. The caller must guarantee pr
-// is no longer in any mailbox queue and no other goroutine can touch it.
-func putPR(pr *pendingRecv) {
-	*pr = pendingRecv{}
-	prPool.put(pr)
 }

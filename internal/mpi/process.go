@@ -32,10 +32,6 @@ import (
 // a child and switches to worker mode, so parent and child share one call
 // site.
 
-// Programs maps program names to rank functions; parent and children must
-// construct the same set.
-type Programs map[string]func(*Comm) error
-
 const (
 	envRank  = "REPROMPI_RANK"
 	envSize  = "REPROMPI_SIZE"
@@ -77,31 +73,6 @@ func WithRunOptions(opts ...Option) ProcOption {
 
 // InWorker reports whether this process is a spawned rank.
 func InWorker() bool { return os.Getenv(envRank) != "" }
-
-// RunProcesses executes the named program of ps on np OS processes.
-// In the parent it spawns the children and waits; in a child it joins the
-// mesh, runs its rank, and returns worker=true so the caller can skip
-// parent-only work. The mesh is RunTCP's with one rank hosted per process
-// instead of all of them in one. Registration and the coordinator dial
-// are bounded by a 60-second run timeout, which is also the progress
-// watchdog's default (instead of RunTCP's 30 seconds).
-func RunProcesses(np int, name string, ps Programs, opts ...ProcOption) (worker bool, err error) {
-	o := procOptions{stdout: os.Stdout, stderr: os.Stderr}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	fn, ok := ps[name]
-	if !ok {
-		return InWorker(), fmt.Errorf("mpi: no program %q registered", name)
-	}
-	if InWorker() {
-		return true, runWorker(fn, o)
-	}
-	if np <= 0 {
-		return false, fmt.Errorf("mpi: world size %d must be positive", np)
-	}
-	return false, runCoordinator(np, name, o)
-}
 
 // runCoordinator listens for worker registrations, spawns the children,
 // brokers the address table, and waits for every child to exit.
@@ -192,9 +163,11 @@ func killAll(cmds []*exec.Cmd) {
 	}
 }
 
-// runWorker joins the mesh described by the environment and runs fn as
-// this process's rank: one listener, one rank local.
-func runWorker(fn func(*Comm) error, o procOptions) error {
+// runWorker joins the mesh described by the environment as this
+// process's rank, with one listener and one rank local, and hands start
+// the rank, the listeners by rank (its own the only one) and every
+// rank's address.
+func runWorker(start func(rank int, lns []net.Listener, addrs []*net.TCPAddr) error) error {
 	rank, err := strconv.Atoi(os.Getenv(envRank))
 	if err != nil {
 		return fmt.Errorf("mpi: bad %s: %w", envRank, err)
@@ -243,8 +216,5 @@ func runWorker(fn func(*Comm) error, o procOptions) error {
 
 	lns := make([]net.Listener, np)
 	lns[rank] = ln
-	opts := append([]Option{WithWatchdog(procTimeout)}, o.mpiOpts...)
-	return run(np, []int{rank}, fn, func(w *World) (transport, error) {
-		return newSocketTransport(w, lns, addrs)
-	}, opts...)
+	return start(rank, lns, addrs)
 }

@@ -169,11 +169,15 @@ type arqLink struct {
 
 // arqLayer is the reliable-link layer of one World: the send half of
 // every link leaving a local rank, the receive half of every link
-// arriving at one, and the retransmit timer.
+// arriving at one, and the retransmit timer. It is the host of the
+// endpoint beneath it: its arrive stands in front of the World's, and
+// the rest of linkHost passes through.
 type arqLayer struct {
-	w     *World
+	linkHost
+	np    int
+	local []int     // the ranks whose outbound links the timer serves
 	next  transport // the layer below: first transmissions
-	links []arqLink // [src*size+dst]
+	links []arqLink // [src*np+dst]
 
 	// wire is the endpoint, for retransmissions and link acks, set
 	// before stacked. A socket reader may hand the receive half a frame
@@ -186,17 +190,12 @@ type arqLayer struct {
 	timer   sync.WaitGroup
 }
 
-// newARQ builds the reliable-link layer when WithReliableLinks is set:
-// its receive half becomes the world's arrival path, and socket frames
-// carry its link prefix. It returns nil otherwise. Call it before the
-// endpoint is built, and stack it with over once it is.
-func newARQ(w *World) *arqLayer {
-	if !w.opts.reliableLinks {
-		return nil
-	}
-	a := &arqLayer{w: w, links: make([]arqLink, w.size*w.size)}
-	w.inbound = a
-	return a
+// newARQ builds the reliable-link layer of an np-rank world
+// (WithReliableLinks) over host, serving the send halves of the local
+// ranks. Build it before the endpoint, which takes it as its host, and
+// stack it with over once the endpoint exists.
+func newARQ(host linkHost, np int, local []int) *arqLayer {
+	return &arqLayer{linkHost: host, np: np, local: local, links: make([]arqLink, np*np)}
 }
 
 // over stacks the layer on next, with wire the endpoint beneath it, and
@@ -230,13 +229,9 @@ func checkLinkFrame(e *envelope) bool { return linkCRC(e) == e.crc }
 
 // deliver is the send half. It stamps e with the link's next sequence
 // number and checksum, retains it, and queues an owned copy for the
-// layer below. Self-sends never cross a link and heartbeats cross it
-// unsequenced.
+// layer below. Heartbeats cross the link unsequenced.
 func (a *arqLayer) deliver(e *envelope) error {
-	if !crossLink(e, a.w.size) {
-		return a.next.deliver(e)
-	}
-	l := &a.links[e.wsrc*a.w.size+e.wdst]
+	l := &a.links[e.wsrc*a.np+e.wdst]
 	if e.kind == kindHeartbeat {
 		l.mu.Lock()
 		l.out = append(l.out, arqOut{e: e})
@@ -312,14 +307,14 @@ func (l *arqLink) prune() {
 // go-back-N resend fills the gap. A corrupt envelope is not acked, so
 // the sender's clean retained copy comes back after an RTO.
 func (a *arqLayer) arrive(e *envelope) {
-	n := a.w.size
+	n := a.np
 	switch {
 	case e.kind == kindLinkAck:
 		a.links[e.wdst*n+e.wsrc].ackThrough(uint64(e.seq))
 		putEnv(e)
 		return
 	case e.lseq == 0:
-		a.w.arrive(e)
+		a.linkHost.arrive(e)
 		return
 	case !checkLinkFrame(e):
 		dropEnv(e)
@@ -336,7 +331,7 @@ func (a *arqLayer) arrive(e *envelope) {
 	}
 	l.got++
 	a.ack(e, l.got)
-	a.w.arrive(e)
+	a.linkHost.arrive(e)
 }
 
 // ack sends the cumulative link ack for everything through seq on e's
@@ -370,8 +365,8 @@ func (l *arqLink) ackThrough(seq uint64) {
 // local rank. It runs until the layer closes, so it keeps resending
 // while close waits for the windows to drain.
 func (a *arqLayer) retransmitTick() {
-	for _, src := range a.w.localRanks {
-		for dst := 0; dst < a.w.size; dst++ {
+	for _, src := range a.local {
+		for dst := 0; dst < a.np; dst++ {
 			a.retransmitDue(src, dst)
 		}
 	}
@@ -384,7 +379,7 @@ func (a *arqLayer) retransmitTick() {
 // its window — at that point the peer is gone and the heartbeat
 // detector's failure declaration, not delivery, is the correct outcome.
 func (a *arqLayer) retransmitDue(src, dst int) {
-	l := &a.links[src*a.w.size+dst]
+	l := &a.links[src*a.np+dst]
 	l.mu.Lock()
 	l.prune()
 	rto := l.rto
@@ -426,11 +421,11 @@ func (a *arqLayer) retransmitDue(src, dst int) {
 // good while the rank that sent it has already returned: the windows of
 // a live world get closeGrace to drain before the layers below close.
 func (a *arqLayer) close() error {
-	if !a.w.aborted.Load() { // an aborted world owes nobody delivery
+	if a.stopErr() == nil { // a stopped world owes nobody delivery
 		deadline := time.Now().Add(closeGrace)
-		for _, src := range a.w.localRanks {
-			for dst := 0; dst < a.w.size; dst++ {
-				l := &a.links[src*a.w.size+dst]
+		for _, src := range a.local {
+			for dst := 0; dst < a.np; dst++ {
+				l := &a.links[src*a.np+dst]
 				for time.Now().Before(deadline) {
 					l.mu.Lock()
 					l.prune()

@@ -519,7 +519,8 @@ func FuzzReliableFrame(f *testing.F) {
 // which raises the acked link's cursor; a stale ack never lowers it.
 func TestLinkAckWire(t *testing.T) {
 	var tap wireTap
-	a := &arqLayer{w: &World{size: 4}, links: make([]arqLink, 16), wire: &tap}
+	a := newARQ(newHostTap(4, 0), 4, nil)
+	a.wire = &tap
 	a.stacked.Store(true)
 	acked := &envelope{kind: kindData, wsrc: 1, wdst: 3} // a frame of link 1→3
 	for _, seq := range []uint64{0xdeadbeef, 5} {

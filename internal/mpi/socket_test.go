@@ -44,7 +44,9 @@ func TestBadHelloRejected(t *testing.T) {
 			}
 			ran := false
 			err = run(2, nil, func(*Comm) error { ran = true; return nil },
-				func(w *World) (transport, error) { return newSocketTransport(w, lns, addrs) })
+				func(_ *World, up linkHost) (transport, error) {
+					return newSocketTransport(up, []int{0, 1}, false, lns, addrs)
+				})
 			if err == nil || !strings.Contains(err.Error(), "bad hello") {
 				t.Fatalf("mesh build with a stray hello of %d returned %v, want a bad-hello error", hello, err)
 			}
@@ -159,8 +161,8 @@ func runSplit(t *testing.T, np int, parts [][]int, fn func(*Comm) error, opts ..
 		wg.Add(1)
 		go func(i int, local []int) {
 			defer wg.Done()
-			errs[i] = run(np, local, fn, func(w *World) (transport, error) {
-				return newSocketTransport(w, mine, addrs)
+			errs[i] = run(np, local, fn, func(w *World, up linkHost) (transport, error) {
+				return newSocketTransport(up, local, w.opts.reliableLinks, mine, addrs)
 			}, opts...)
 		}(i, local)
 	}

@@ -13,28 +13,6 @@ import (
 	"time"
 )
 
-// RunTCP launches fn on np goroutine ranks connected by a full mesh of TCP
-// loopback sockets: every envelope crosses a real socket, exercising the
-// kernel network path the way a multi-node MPI job would. It is the mesh
-// RunProcesses builds, with every rank hosted by this process instead of
-// one per OS process. The precise deadlock detector is unavailable over
-// sockets (envelopes can be in flight); a 30-second progress watchdog is
-// installed unless the caller provides one via WithWatchdog.
-func RunTCP(np int, fn func(*Comm) error, opts ...Option) error {
-	return run(np, nil, fn, func(w *World) (transport, error) {
-		if w.opts.injector != nil && w.opts.heartbeat == 0 {
-			// Fault-injection runs need a failure detector: without one a
-			// killed rank would only surface through the coarse watchdog.
-			w.opts.heartbeat = DefaultHeartbeat
-		}
-		lns, addrs, err := listenLoopback(np)
-		if err != nil {
-			return nil, err
-		}
-		return newSocketTransport(w, lns, addrs)
-	}, opts...)
-}
-
 // tcpBufSize sizes each connection's read buffer. A frame averages a
 // few hundred bytes, so 4 KiB batches many small frames per read; a
 // payload longer than the buffer is read straight into its own pooled
@@ -177,13 +155,15 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 }
 
 // socketTransport is a full mesh of TCP connections between the np ranks
-// of a world, of which the ranks in world.localRanks live in this process.
+// of a world, of which the ranks in local live in this process.
 // conns[r][p] is the connection local rank r uses to send to rank p (rows
 // exist for local ranks only); every connection has one reader that hands
-// parsed envelopes to the world's arrival path. RunTCP is the mesh
-// with every rank local, a RunProcesses worker the mesh with one.
+// parsed envelopes up. RunTCP is the mesh with every rank local, a
+// RunProcesses worker the mesh with one.
 type socketTransport struct {
-	world     *World
+	up        linkHost
+	local     []int
+	pre       int            // link prefix bytes per frame: linkPrefixLen with reliable links, else 0
 	listeners []net.Listener // by rank; nil for a rank hosted elsewhere
 	conns     [][]*tcpConn   // [src][dst]
 	readers   sync.WaitGroup
@@ -232,14 +212,18 @@ func closeListeners(lns []net.Listener) {
 	}
 }
 
-// newSocketTransport connects the world's local ranks into the mesh
-// described by addrs (every rank's listen address) over lns (the local
-// ranks' already-open listeners, which the transport now owns). The first
-// rank to fail stops the others: every listener and established
-// connection is closed and every connect and reader goroutine has exited
-// before the error is returned.
-func newSocketTransport(w *World, lns []net.Listener, addrs []*net.TCPAddr) (*socketTransport, error) {
-	t := &socketTransport{world: w, listeners: lns, conns: make([][]*tcpConn, w.size)}
+// newSocketTransport connects the local ranks into the mesh described by
+// addrs (every rank's listen address, so len(addrs) ranks in all) over
+// lns (the local ranks' already-open listeners, which the transport now
+// owns), handing arrivals to up. With reliable links every frame carries
+// the ARQ's link prefix. The first rank to fail stops the others: every
+// listener and established connection is closed and every connect and
+// reader goroutine has exited before the error is returned.
+func newSocketTransport(up linkHost, local []int, reliable bool, lns []net.Listener, addrs []*net.TCPAddr) (*socketTransport, error) {
+	t := &socketTransport{up: up, local: local, listeners: lns, conns: make([][]*tcpConn, len(addrs))}
+	if reliable {
+		t.pre = linkPrefixLen
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var (
@@ -247,8 +231,8 @@ func newSocketTransport(w *World, lns []net.Listener, addrs []*net.TCPAddr) (*so
 		once     sync.Once
 		firstErr error
 	)
-	for _, r := range w.localRanks {
-		t.conns[r] = make([]*tcpConn, w.size)
+	for _, r := range local {
+		t.conns[r] = make([]*tcpConn, len(addrs))
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
@@ -280,11 +264,10 @@ const helloTimeout = 10 * time.Second
 // then complete out of the accept backlog and no rank waits on another's
 // progress.
 func (t *socketTransport) connect(ctx context.Context, r int, addrs []*net.TCPAddr) error {
-	w := t.world
 	var hello [4]byte
-	for peer := r + 1; peer < w.size; peer++ {
+	for peer := r + 1; peer < len(addrs); peer++ {
 		conn, err := dialRetry(ctx, addrs[peer], 30*time.Second, func(attempt int, err error) {
-			w.emitLifecycle(r, LifeRetry, fmt.Sprintf("mesh dial %d->%d attempt %d: %v", r, peer, attempt, err))
+			t.up.emitLifecycle(r, LifeRetry, fmt.Sprintf("mesh dial %d->%d attempt %d: %v", r, peer, attempt, err))
 		})
 		if err != nil {
 			return fmt.Errorf("mpi: rank %d dialing rank %d at %s: %w", r, peer, addrs[peer], err)
@@ -319,16 +302,12 @@ func (t *socketTransport) connect(ctx context.Context, r int, addrs []*net.TCPAd
 }
 
 // startReader records c as rank r's connection to peer and starts the
-// goroutine that hands the envelopes arriving on it to the world's
-// arrival path. Which rank sent them is carried inside each envelope, so
-// one reader per connection suffices. The goroutine's bufio.Reader comes
-// from readerPool and goes back when the connection ends.
+// goroutine that hands the envelopes arriving on it up. Which rank sent
+// them is carried inside each envelope, so one reader per connection
+// suffices. The goroutine's bufio.Reader comes from readerPool and goes
+// back when the connection ends.
 func (t *socketTransport) startReader(r, peer int, c net.Conn) {
-	w := t.world
-	tc := &tcpConn{w: c, c: c}
-	if w.opts.reliableLinks {
-		tc.pre = linkPrefixLen
-	}
+	tc := &tcpConn{w: c, c: c, pre: t.pre}
 	t.conns[r][peer] = tc
 	t.readers.Add(1)
 	go func() {
@@ -346,24 +325,19 @@ func (t *socketTransport) startReader(r, peer int, c net.Conn) {
 		}()
 		hdr := tc.rhdr[:tc.pre+4+envelopeHeaderLen]
 		for {
-			e, err := readFrame(br, hdr, tc.pre, w.size)
+			e, err := readFrame(br, hdr, tc.pre, len(t.conns))
 			if err != nil {
 				if errors.Is(err, errBadFrame) {
-					w.abort(err)
+					t.up.abort(err)
 				}
 				return // connection closed
 			}
-			w.inbound.arrive(e)
+			t.up.arrive(e)
 		}
 	}()
 }
 
 func (t *socketTransport) deliver(e *envelope) error {
-	if e.wdst == e.wsrc {
-		// Self-sends short-circuit the socket.
-		t.world.inbound.arrive(e)
-		return nil
-	}
 	var tc *tcpConn
 	if row := t.conns[e.wsrc]; row != nil {
 		tc = row[e.wdst]
@@ -382,7 +356,7 @@ func (t *socketTransport) deliver(e *envelope) error {
 // application traffic for the link stack to delay or sequence.
 func (t *socketTransport) notifyAbort(cause error) {
 	msg := []byte(cause.Error())
-	r := t.world.localRanks[0]
+	r := t.local[0]
 	for peer, tc := range t.conns[r] {
 		if tc == nil || t.conns[peer] != nil { // self, or local: only local ranks have a row
 			continue
@@ -426,6 +400,41 @@ func (t *socketTransport) eachConn(f func(*tcpConn)) {
 			if tc != nil {
 				f(tc)
 			}
+		}
+	}
+}
+
+// dialRetry dials addr with bounded exponential backoff: the whole
+// sequence is limited to total, and cancelling ctx abandons it between
+// attempts. An attempt is a plain connect, without a deadline context:
+// addr is a loopback listener's, which accepts or refuses it at once.
+// onRetry, when non-nil, observes every failed attempt before its
+// backoff sleep.
+func dialRetry(ctx context.Context, addr *net.TCPAddr, total time.Duration, onRetry func(attempt int, err error)) (net.Conn, error) {
+	deadline := time.Now().Add(total)
+	backoff := 25 * time.Millisecond
+	for attempt := 1; ; attempt++ {
+		if time.Until(deadline) <= 0 {
+			return nil, fmt.Errorf("mpi: dial %s: retry budget %v exhausted after %d attempts", addr, total, attempt-1)
+		}
+		conn, err := net.DialTCP("tcp", nil, addr)
+		if err == nil {
+			return conn, nil
+		}
+		if time.Until(deadline) <= backoff {
+			return nil, fmt.Errorf("mpi: dial %s: %w (after %d attempts)", addr, err, attempt)
+		}
+		if onRetry != nil {
+			onRetry(attempt, err)
+		}
+		select {
+		case <-ctx.Done():
+			return nil, fmt.Errorf("mpi: dial %s: %w (after %d attempts: %v)", addr, ctx.Err(), attempt, err)
+		case <-time.After(backoff):
+		}
+		backoff *= 2
+		if backoff > 2*time.Second {
+			backoff = 2 * time.Second
 		}
 	}
 }

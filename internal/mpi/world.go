@@ -3,49 +3,12 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// transport moves envelopes between ranks: an endpoint, or a layer of
-// the link stack stacked on one (run). Implementations must preserve
-// per-(src,dst) FIFO order, which the matching engine relies on for MPI's
-// non-overtaking guarantee.
-type transport interface {
-	deliver(e *envelope) error
-	close() error
-}
-
-// crossLink reports whether e crosses a link of an np-rank world, the
-// test every layer of the link stack applies first: a self-send does
-// not, and an out-of-range rank is left to the endpoint's validation.
-func crossLink(e *envelope, np int) bool {
-	return e.wsrc != e.wdst && uint(e.wsrc) < uint(np) && uint(e.wdst) < uint(np)
-}
-
-// arrival is where an endpoint hands every inbound envelope: the World
-// itself, or with reliable links the ARQ's receive half in front of it.
-type arrival interface {
-	arrive(e *envelope)
-}
-
-// channelTransport is the in-memory endpoint: it hands each envelope
-// straight to the arrival path, which posts it into the destination
-// mailbox under its lock; there is never an envelope in transit.
-type channelTransport struct {
-	w *World
-}
-
-func (t *channelTransport) deliver(e *envelope) error {
-	if e.wdst < 0 || e.wdst >= t.w.size {
-		return fmt.Errorf("%w: destination %d of world size %d", ErrRankOutOfRange, e.wdst, t.w.size)
-	}
-	t.w.inbound.arrive(e)
-	return nil
-}
-
-func (t *channelTransport) close() error { return nil }
 
 // ctxKey identifies a communicator created by Split, Shrink or
 // RespawnAndRestore so every member rank resolves the same context id.
@@ -64,7 +27,6 @@ type World struct {
 	opts      options
 	mailboxes []*mailbox
 	transport transport // the top of the link stack (run)
-	inbound   arrival   // where the endpoint hands arrivals
 	stats     *WorldStats
 
 	// remote is the socket endpoint, through which a local abort reaches
@@ -140,13 +102,70 @@ func Run(np int, fn func(*Comm) error, opts ...Option) error {
 	return run(np, nil, fn, nil, opts...)
 }
 
+// RunTCP launches fn on np goroutine ranks connected by a full mesh of TCP
+// loopback sockets: every envelope crosses a real socket, exercising the
+// kernel network path the way a multi-node MPI job would. It is the mesh
+// RunProcesses builds, with every rank hosted by this process instead of
+// one per OS process. The precise deadlock detector is unavailable over
+// sockets (envelopes can be in flight); a 30-second progress watchdog is
+// installed unless the caller provides one via WithWatchdog.
+func RunTCP(np int, fn func(*Comm) error, opts ...Option) error {
+	return run(np, nil, fn, func(w *World, up linkHost) (transport, error) {
+		if w.opts.injector != nil && w.opts.heartbeat == 0 {
+			// Fault-injection runs need a failure detector: without one a
+			// killed rank would only surface through the coarse watchdog.
+			w.opts.heartbeat = DefaultHeartbeat
+		}
+		lns, addrs, err := listenLoopback(np)
+		if err != nil {
+			return nil, err
+		}
+		return newSocketTransport(up, w.localRanks, w.opts.reliableLinks, lns, addrs)
+	}, opts...)
+}
+
+// Programs maps program names to rank functions; parent and children must
+// construct the same set.
+type Programs map[string]func(*Comm) error
+
+// RunProcesses executes the named program of ps on np OS processes.
+// In the parent it spawns the children and waits; in a child it joins the
+// mesh, runs its rank, and returns worker=true so the caller can skip
+// parent-only work. The mesh is RunTCP's with one rank hosted per process
+// instead of all of them in one. Registration and the coordinator dial
+// are bounded by a 60-second run timeout, which is also the progress
+// watchdog's default (instead of RunTCP's 30 seconds).
+func RunProcesses(np int, name string, ps Programs, opts ...ProcOption) (worker bool, err error) {
+	o := procOptions{stdout: os.Stdout, stderr: os.Stderr}
+	for _, opt := range opts {
+		opt(&o)
+	}
+	fn, ok := ps[name]
+	if !ok {
+		return InWorker(), fmt.Errorf("mpi: no program %q registered", name)
+	}
+	if InWorker() {
+		return true, runWorker(func(rank int, lns []net.Listener, addrs []*net.TCPAddr) error {
+			opts := append([]Option{WithWatchdog(procTimeout)}, o.mpiOpts...)
+			return run(len(addrs), []int{rank}, fn, func(w *World, up linkHost) (transport, error) {
+				return newSocketTransport(up, w.localRanks, w.opts.reliableLinks, lns, addrs)
+			}, opts...)
+		})
+	}
+	if np <= 0 {
+		return false, fmt.Errorf("mpi: world size %d must be positive", np)
+	}
+	return false, runCoordinator(np, name, o)
+}
+
 // run is the one place a World is built, watched and torn down, shared by
 // Run, RunTCP and the RunProcesses worker. local lists the ranks of the
 // np-rank world that execute in this World (nil: all of them); the rest
 // are reached through the transport. mkTransport, when non-nil, builds
-// that transport once the mailboxes and local-rank set exist; nil selects
-// the in-process channel transport.
-func run(np int, local []int, fn func(*Comm) error, mkTransport func(*World) (transport, error), opts ...Option) error {
+// that transport's endpoint once the mailboxes and local-rank set exist,
+// handing its arrivals to up; nil selects the in-process channel
+// endpoint.
+func run(np int, local []int, fn func(*Comm) error, mkTransport func(w *World, up linkHost) (transport, error), opts ...Option) error {
 	if np <= 0 {
 		return fmt.Errorf("mpi: world size %d must be positive", np)
 	}
@@ -175,14 +194,20 @@ func run(np int, local []int, fn func(*Comm) error, mkTransport func(*World) (tr
 		w.mailboxes[r] = newMailbox(r, w)
 	}
 	w.initFaultState(local)
-	w.inbound = w
-	arq := newARQ(w) // nil without WithReliableLinks
+	// The endpoint hands its arrivals to the World, or with reliable
+	// links to the ARQ's receive half in front of it.
+	var up linkHost = w
+	var arq *arqLayer // nil without WithReliableLinks
+	if w.opts.reliableLinks {
+		arq = newARQ(w, np, local)
+		up = arq
+	}
 	var end transport
 	if mkTransport == nil {
-		end = &channelTransport{w: w}
+		end = &channelTransport{up: up, np: np}
 	} else {
 		var err error
-		if end, err = mkTransport(w); err != nil {
+		if end, err = mkTransport(w, up); err != nil {
 			return err
 		}
 	}
@@ -195,7 +220,7 @@ func run(np int, local []int, fn func(*Comm) error, mkTransport func(*World) (tr
 	// The link stack, top to bottom: latency, reliable links, frame
 	// faults, endpoint. Each layer exists only when its option is set,
 	// so a clean world hands envelopes to its endpoint directly.
-	w.transport = withLatency(w, arq.over(withFrameFaults(w, end), end))
+	w.transport = withLatency(w.opts.linkLatency, np, arq.over(withFrameFaults(w.opts.injector, w, np, end), end))
 	// The precise deadlock detector is sound only on a bare channel
 	// endpoint. A socket, the latency pipe, an ARQ window and a held or
 	// delayed fault frame can each hold an envelope invisibly in flight
@@ -296,26 +321,6 @@ func (w *World) launch(r int, c *Comm, fn func(*Comm) error) {
 	}()
 }
 
-// every calls f each period on a goroutine that wg joins, until stop
-// closes: each periodic loop of a world (run) and the reliable links'
-// retransmit timer (reliable.go).
-func every(wg *sync.WaitGroup, stop <-chan struct{}, period time.Duration, f func()) {
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(period)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				f()
-			}
-		}
-	}()
-}
-
 // drainMailboxes recycles envelopes still queued after the world ends:
 // unexpected arrivals nobody received (orphaned by kills, aborts and
 // recoveries) and unclaimed replies, such as a fetch that arrived after
@@ -330,18 +335,66 @@ func (w *World) drainMailboxes() {
 	}
 }
 
-// arrive posts an inbound envelope to its destination mailbox: the end
-// of the arrival path.
-func (w *World) arrive(e *envelope) { w.mailboxes[e.wdst].post(e) }
+// arrive is the end of the arrival path, where the link stack and
+// World.deliver hand every inbound envelope. Any traffic proves its
+// sender alive; a heartbeat carries nothing else, a peer's abort stops
+// this World, and a one-sided request is served here; everything else
+// goes to the destination mailbox's matching engine.
+func (w *World) arrive(e *envelope) {
+	if w.opts.heartbeat > 0 {
+		w.noteHeard(e.wsrc)
+	}
+	switch e.kind {
+	case kindHeartbeat:
+		// Pure liveness signal: absorb and recycle (heartbeats never
+		// carry a payload).
+		relHeartbeatsReceived.Add(1)
+		putEnv(e)
+		return
+	case kindAbort:
+		// A peer process aborted its world; mirror it here so locally
+		// blocked ranks observe ErrAborted promptly. Handled before any
+		// mailbox lock: abortRemote broadcasts on every mailbox.
+		msg := string(e.data)
+		src := e.wsrc
+		putBuf(e.data)
+		putEnv(e)
+		w.abortRemote(fmt.Errorf("%w: remote rank %d: %s", ErrAborted, src, msg))
+		return
+	case kindRMAReq:
+		// One-sided operations — a batch of Put/Accumulate or a single
+		// reply-needing op: serviced here, on the delivering goroutine —
+		// the per-window progress engine — without involving the target
+		// rank's application thread and before any mailbox lock (the
+		// handler replies through deliver, which takes mailbox locks).
+		w.handleRMAReq(w.mailboxes[e.wdst], e)
+		return
+	case kindData:
+		if w.hooked() {
+			// Receiver-side arrival stamp for queue-latency attribution;
+			// taken before the lock so lock contention is not charged to
+			// the queue.
+			e.arrived = time.Now()
+		}
+	}
+	w.mailboxes[e.wdst].post(e)
+}
 
-// deliver routes an envelope through the transport with traffic accounting.
-// A killed sender's envelopes are discarded: a crashed rank sends nothing.
+// deliver is the one entry every application envelope passes: data,
+// rendezvous acks and one-sided traffic. A killed sender's envelopes are
+// discarded, since a crashed rank sends nothing; the rest are counted,
+// and a self-send, which crosses no link, arrives here at once while
+// everything else enters the link stack.
 func (w *World) deliver(e *envelope) error {
 	if w.isKilled(e.wsrc) {
 		dropEnv(e)
 		return ErrRankKilled
 	}
 	w.stats.addWire(e.wsrc, e.wdst, e.wireBytes())
+	if e.wsrc == e.wdst {
+		w.arrive(e)
+		return nil
+	}
 	return w.transport.deliver(e)
 }
 

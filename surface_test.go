@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -255,17 +256,35 @@ type surfacePkg struct {
 	info  *types.Info
 }
 
-// loadModule lists the module's packages with their dependencies and
-// type-checks each module package from its non-test source, in
-// dependency order, importing everything else from export data.
+// module is the module type-checked once for every test that reads it
+// (TestSurfaceReachable, TestRuntimeLayers), which must not modify it.
+var module struct {
+	once sync.Once
+	pkgs []*surfacePkg
+	fset *token.FileSet
+	err  error
+}
+
+// loadModule returns the module's packages, type-checked on first use.
 func loadModule(t *testing.T) ([]*surfacePkg, *token.FileSet) {
 	t.Helper()
+	module.once.Do(func() { module.pkgs, module.fset, module.err = checkModule() })
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	return module.pkgs, module.fset
+}
+
+// checkModule lists the module's packages with their dependencies and
+// type-checks each module package from its non-test source, in
+// dependency order, importing everything else from export data.
+func checkModule() ([]*surfacePkg, *token.FileSet, error) {
 	out, err := exec.Command("go", "list", "-deps", "-export", "-json=ImportPath,Name,Dir,GoFiles,Export,Module", "./...").Output()
 	if err != nil {
 		if ee, ok := err.(*exec.ExitError); ok {
-			t.Fatalf("go list: %v\n%s", err, ee.Stderr)
+			return nil, nil, fmt.Errorf("go list: %v\n%s", err, ee.Stderr)
 		}
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	fset := token.NewFileSet()
 	export := map[string]string{}
@@ -275,7 +294,7 @@ func loadModule(t *testing.T) ([]*surfacePkg, *token.FileSet) {
 		if err := dec.Decode(p); err == io.EOF {
 			break
 		} else if err != nil {
-			t.Fatal(err)
+			return nil, nil, err
 		}
 		if p.Module != nil && p.Module.Main {
 			if len(p.GoFiles) > 0 { // else a package of tests only
@@ -302,7 +321,7 @@ func loadModule(t *testing.T) ([]*surfacePkg, *token.FileSet) {
 		for _, name := range p.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
 			if err != nil {
-				t.Fatal(err)
+				return nil, nil, err
 			}
 			p.files = append(p.files, f)
 		}
@@ -310,11 +329,11 @@ func loadModule(t *testing.T) ([]*surfacePkg, *token.FileSet) {
 		conf := types.Config{Importer: imp}
 		tp, err := conf.Check(p.ImportPath, fset, p.files, p.info)
 		if err != nil {
-			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
+			return nil, nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
 		}
 		checked[p.ImportPath] = tp
 	}
-	return pkgs, fset
+	return pkgs, fset, nil
 }
 
 type surfaceImporter func(string) (*types.Package, error)
